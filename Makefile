@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race vet bench bench-smoke fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest sim clean
+.PHONY: all build test test-short race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest sim clean
 
 all: build test
 
@@ -25,13 +25,19 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of every benchmark (catches bit-rot, including the
-# 200/2k/10k columnar scaling table) plus the rank hot-path allocation
-# gate — a cached-hit rank query must stay O(1) allocations. -short
+# 200/2k/10k columnar scaling table) plus the hot-path gates — a
+# cached-hit rank query and a 30-member re-plan must stay O(1)
+# allocations, and the re-plan inside its gain-evaluation bound. -short
 # skips only the ~4-minute 2 000-place monolithic-baseline solve; the
 # 200-place baseline point still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
-	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork' -v ./internal/server/
+
+# The end-to-end benchmark harness (BENCHMARK.json, bench/) is its own
+# module, so `go test ./...` at the root never reaches its tests.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # 10-second fuzz smokes over the three decoders that face untrusted
 # bytes: the wire decoder (open network), the session frame decoder
@@ -121,6 +127,7 @@ session-soak-short:
 ci: vet build test
 	$(GO) test -race -short ./...
 	$(MAKE) bench-smoke
+	$(MAKE) bench-test
 	$(MAKE) fuzz-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) chaos-short

@@ -196,74 +196,117 @@ func (tl *Timeline) OffsetSeconds(i, j int) float64 {
 	return float64(j-i) * tl.stepSec
 }
 
-// Accumulator maintains, per instant j, the "miss product"
-// ∏(1 − p(ti,tj)) over all measurements added so far, so that coverage,
-// total coverage, and marginal gains are all incremental. It is the data
-// structure behind Algorithm 1's argmax step.
-type Accumulator struct {
+// Table is p(ti, tj) for one (timeline, kernel) pair, tabulated by j−i:
+// the probability depends on the offset alone, so accumulators read it from
+// here and never call the kernel. A Table is immutable and may be shared.
+type Table struct {
 	tl     *Timeline
-	kernel Kernel
-	miss   []float64 // miss[j] = ∏ (1 − p(ti, tj)); coverage = 1 − miss[j]
-	total  float64   // Σ_j (1 − miss[j])
-	radius int       // kernel support in instants (0 = full range)
+	radius int // kernel support in instants (0 = full range)
+	// prob[d+reach] = p(ti, tj) for j−i = d ∈ [−reach, reach]. Both signs
+	// are stored, so a kernel only has to honour the interface contract.
+	prob  []float64
+	reach int
 }
 
-// NewAccumulator returns an empty accumulator over the timeline.
-func NewAccumulator(tl *Timeline, kernel Kernel) (*Accumulator, error) {
+// NewTable evaluates the kernel once per offset a window can hold.
+func NewTable(tl *Timeline, kernel Kernel) (*Table, error) {
 	if tl == nil {
 		return nil, errors.New("coverage: nil timeline")
 	}
 	if kernel == nil {
 		return nil, errors.New("coverage: nil kernel")
 	}
-	miss := make([]float64, tl.N())
-	for i := range miss {
-		miss[i] = 1
-	}
 	radius := 0
 	if s := kernel.Support(); s > 0 {
 		radius = int(math.Ceil(s / tl.stepSec))
 	}
-	return &Accumulator{tl: tl, kernel: kernel, miss: miss, radius: radius}, nil
+	// No window reaches past the timeline, whatever the support.
+	reach := tl.N() - 1
+	if radius > 0 && radius < reach {
+		reach = radius
+	}
+	prob := make([]float64, 2*reach+1)
+	for d := -reach; d <= reach; d++ {
+		prob[d+reach] = kernel.Prob(tl.OffsetSeconds(0, d))
+	}
+	return &Table{tl: tl, radius: radius, prob: prob, reach: reach}, nil
 }
 
-// window returns the inclusive index range affected by a measurement at i.
-func (a *Accumulator) window(i int) (lo, hi int) {
-	if a.radius <= 0 {
-		return 0, a.tl.N() - 1
+// NewAccumulator returns an empty accumulator reading this table.
+func (t *Table) NewAccumulator() *Accumulator {
+	a := &Accumulator{tab: t, miss: make([]float64, t.tl.N())}
+	a.Reset()
+	return a
+}
+
+// Accumulator maintains, per instant j, the "miss product"
+// ∏(1 − p(ti,tj)) over all measurements added so far, so that coverage,
+// total coverage, and marginal gains are all incremental. It is the data
+// structure behind Algorithm 1's argmax step.
+type Accumulator struct {
+	tab   *Table
+	miss  []float64 // miss[j] = ∏ (1 − p(ti, tj)); coverage = 1 − miss[j]
+	total float64   // Σ_j (1 − miss[j])
+}
+
+// NewAccumulator returns an empty accumulator over the timeline, with a
+// kernel table of its own.
+func NewAccumulator(tl *Timeline, kernel Kernel) (*Accumulator, error) {
+	t, err := NewTable(tl, kernel)
+	if err != nil {
+		return nil, err
 	}
-	lo = i - a.radius
+	return t.NewAccumulator(), nil
+}
+
+// Radius returns the kernel support in instants: a measurement at i moves
+// the miss products of [i−Radius, i+Radius] only. 0 means unbounded.
+func (t *Table) Radius() int { return t.radius }
+
+// window returns the inclusive index range affected by a measurement at i.
+func (t *Table) window(i int) (lo, hi int) {
+	if t.radius <= 0 {
+		return 0, t.tl.N() - 1
+	}
+	lo = i - t.radius
 	if lo < 0 {
 		lo = 0
 	}
-	hi = i + a.radius
-	if hi >= a.tl.N() {
-		hi = a.tl.N() - 1
+	hi = i + t.radius
+	if hi >= t.tl.N() {
+		hi = t.tl.N() - 1
 	}
 	return lo, hi
+}
+
+// probs returns p(ti, tj) for j = lo..hi.
+func (t *Table) probs(i, lo, hi int) []float64 {
+	return t.prob[lo-i+t.reach : hi-i+t.reach+1]
 }
 
 // Gain returns the increase of total coverage that a new measurement at
 // instant i would produce, without mutating state.
 func (a *Accumulator) Gain(i int) float64 {
-	lo, hi := a.window(i)
+	lo, hi := a.tab.window(i)
+	miss := a.miss[lo : hi+1]
+	prob := a.tab.probs(i, lo, hi)[:len(miss)]
 	var gain float64
-	for j := lo; j <= hi; j++ {
-		p := a.kernel.Prob(a.tl.OffsetSeconds(i, j))
-		gain += a.miss[j] * p
+	for j, m := range miss {
+		gain += m * prob[j]
 	}
 	return gain
 }
 
 // Add records a measurement at instant i and returns the realized gain.
 func (a *Accumulator) Add(i int) float64 {
-	lo, hi := a.window(i)
+	lo, hi := a.tab.window(i)
+	miss := a.miss[lo : hi+1]
+	prob := a.tab.probs(i, lo, hi)[:len(miss)]
 	var gain float64
-	for j := lo; j <= hi; j++ {
-		p := a.kernel.Prob(a.tl.OffsetSeconds(i, j))
-		delta := a.miss[j] * p
+	for j, m := range miss {
+		delta := m * prob[j]
 		gain += delta
-		a.miss[j] -= delta
+		miss[j] = m - delta
 	}
 	a.total += gain
 	return gain
@@ -274,7 +317,7 @@ func (a *Accumulator) Total() float64 { return a.total }
 
 // Average returns Total()/N — the paper's "average coverage probability"
 // metric from §V-C.
-func (a *Accumulator) Average() float64 { return a.total / float64(a.tl.N()) }
+func (a *Accumulator) Average() float64 { return a.total / float64(len(a.miss)) }
 
 // Coverage returns p(tj, Φ) for instant j.
 func (a *Accumulator) Coverage(j int) float64 { return 1 - a.miss[j] }
@@ -287,12 +330,11 @@ func (a *Accumulator) Reset() {
 	a.total = 0
 }
 
-// Clone returns an independent deep copy (used by what-if evaluation in
-// the online scheduler).
+// Clone returns an independent copy sharing only the kernel table.
 func (a *Accumulator) Clone() *Accumulator {
 	miss := make([]float64, len(a.miss))
 	copy(miss, a.miss)
-	return &Accumulator{tl: a.tl, kernel: a.kernel, miss: miss, total: a.total, radius: a.radius}
+	return &Accumulator{tab: a.tab, miss: miss, total: a.total}
 }
 
 // Eval computes Σ_j p(tj, Φ) from scratch for a set of measurement instants

@@ -338,6 +338,89 @@ func TestCoverageMonotoneBoundedProperty(t *testing.T) {
 	}
 }
 
+// lopsidedKernel breaks the symmetry the Kernel contract asks for: the
+// table stores both signs of the offset, so even this must come out exact.
+// Its support of 35 s is not a multiple of the step either.
+type lopsidedKernel struct{}
+
+func (lopsidedKernel) Prob(d float64) float64 {
+	if d < 0 {
+		return math.Exp(d / 7)
+	}
+	return 1 / (1 + d/13)
+}
+func (lopsidedKernel) Support() float64 { return 35 }
+func (lopsidedKernel) String() string   { return "lopsided" }
+
+// unboundedKernel never decays to nothing: Support() == 0.
+type unboundedKernel struct{}
+
+func (unboundedKernel) Prob(d float64) float64 { return 1 / (1 + d*d/400) }
+func (unboundedKernel) Support() float64       { return 0 }
+func (unboundedKernel) String() string         { return "unbounded" }
+
+// TestTabulatedKernelMatchesDirectEvaluation pins the accumulator's
+// kernel table to the definition: every Gain, every Add and every miss
+// product must equal, bit for bit, what calling kernel.Prob on each offset
+// in ascending j gives.
+func TestTabulatedKernelMatchesDirectEvaluation(t *testing.T) {
+	kernels := []Kernel{
+		GaussianKernel{Sigma: 10}, GaussianKernel{Sigma: 37.5}, GaussianKernel{Sigma: 4000},
+		TriangularKernel{Width: 45}, ExponentialKernel{Tau: 8}, GaussianKernel{},
+		lopsidedKernel{}, unboundedKernel{},
+	}
+	rng := rand.New(rand.NewSource(16))
+	for _, kernel := range kernels {
+		for _, n := range []int{1, 2, 13, 150} {
+			tl := mustTimeline(t, 10*time.Second, n)
+			acc, err := NewAccumulator(tl, kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			miss := make([]float64, n)
+			for j := range miss {
+				miss[j] = 1
+			}
+			window := func(i int) (lo, hi int) {
+				lo, hi = 0, n-1
+				if s := kernel.Support(); s > 0 {
+					r := int(math.Ceil(s / 10))
+					lo, hi = max(i-r, 0), min(i+r, n-1)
+				}
+				return lo, hi
+			}
+			for round := 0; round < 12; round++ {
+				for i := 0; i < n; i++ {
+					lo, hi := window(i)
+					var want float64
+					for j := lo; j <= hi; j++ {
+						want += miss[j] * kernel.Prob(tl.OffsetSeconds(i, j))
+					}
+					if got := acc.Gain(i); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v n=%d round %d: Gain(%d) = %v, direct %v", kernel, n, round, i, got, want)
+					}
+				}
+				i := rng.Intn(n)
+				lo, hi := window(i)
+				var want float64
+				for j := lo; j <= hi; j++ {
+					delta := miss[j] * kernel.Prob(tl.OffsetSeconds(i, j))
+					want += delta
+					miss[j] -= delta
+				}
+				if got := acc.Add(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v n=%d round %d: Add(%d) = %v, direct %v", kernel, n, round, i, got, want)
+				}
+				for j := range miss {
+					if got := acc.Coverage(j); math.Float64bits(got) != math.Float64bits(1-miss[j]) {
+						t.Fatalf("%v n=%d round %d: Coverage(%d) = %v, direct %v", kernel, n, round, j, got, 1-miss[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkAccumulatorAdd(b *testing.B) {
 	tl, err := NewTimeline(t0, 10*time.Second, 1080)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"sor/internal/coverage"
 )
 
 // Energy-aware scheduling: the paper's companion work (its reference [25],
@@ -79,10 +77,7 @@ func (s *Scheduler) EnergyAware(parts []Participant, targetAvgCoverage float64, 
 			return nil, fmt.Errorf("schedule: non-positive energy cost for user %s", p.UserID)
 		}
 	}
-	acc, err := coverage.NewAccumulator(s.tl, s.kernel)
-	if err != nil {
-		return nil, err
-	}
+	acc := s.table.NewAccumulator()
 	plan := &EnergyPlan{Plan: &Plan{Assignments: make(map[string]Assignment, len(parts))}}
 	for _, p := range parts {
 		plan.Assignments[p.UserID] = Assignment{UserID: p.UserID}
@@ -98,7 +93,7 @@ func (s *Scheduler) EnergyAware(parts []Participant, targetAvgCoverage float64, 
 				continue
 			}
 			gain := acc.Gain(el.instant)
-			if gain <= 1e-12 {
+			if gain <= minGain {
 				continue
 			}
 			ratio := gain / energy.CostMilliJ(parts[el.user].UserID)

@@ -3,7 +3,9 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -53,16 +55,36 @@ func (o *Online) Join(now time.Time, p Participant) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if _, ok := o.parts[p.UserID]; ok {
-		return nil, fmt.Errorf("schedule: user %s already participating", p.UserID)
-	}
 	if p.Arrive.Before(now) {
 		p.Arrive = now
 	}
-	o.parts[p.UserID] = &onlineUser{p: p, charged: make(map[int]bool)}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if err := o.registerLocked(p, false); err != nil {
+		return nil, err
+	}
 	return o.replanLocked(now)
+}
+
+func (o *Online) registerLocked(p Participant, left bool) error {
+	if _, ok := o.parts[p.UserID]; ok {
+		return fmt.Errorf("schedule: user %s already participating", p.UserID)
+	}
+	o.parts[p.UserID] = &onlineUser{p: p, left: left, charged: make(map[int]bool)}
+	return nil
+}
+
+// Restore registers a participant a restarted server read back from its
+// store — already departed when left is set — without re-planning: the
+// caller restores every stored participant and then calls Replan once, as
+// of the last join or leave it restored.
+func (o *Online) Restore(p Participant, left bool) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.registerLocked(p, left)
 }
 
 // Leave marks the user as departed at time now (their future measurements
@@ -189,7 +211,7 @@ func (o *Online) ExecutedInstants() []int {
 }
 
 func (o *Online) replanLocked(now time.Time) (*Plan, error) {
-	var active []Participant
+	active := make([]Participant, 0, len(o.parts))
 	for _, u := range o.parts {
 		if u.left {
 			continue
@@ -212,7 +234,7 @@ func (o *Online) replanLocked(now time.Time) (*Plan, error) {
 			Budget: remaining,
 		})
 	}
-	sort.Slice(active, func(i, j int) bool { return active[i].UserID < active[j].UserID })
+	slices.SortFunc(active, func(a, b Participant) int { return strings.Compare(a.UserID, b.UserID) })
 	plan, err := o.sched.Greedy(active, o.executed)
 	if err != nil {
 		return nil, err

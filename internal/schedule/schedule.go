@@ -14,6 +14,7 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -109,13 +110,15 @@ type Scheduler struct {
 	tl     *coverage.Timeline
 	kernel coverage.Kernel
 	lazy   bool
+	// table is the kernel tabulated once, for every plan's accumulator.
+	table *coverage.Table
 }
 
 // Option configures a Scheduler.
 type Option func(*Scheduler)
 
 // WithLazyGreedy switches the scheduler to the lazy-greedy variant
-// (identical output, fewer oracle calls).
+// (identical output, fewer oracle calls; see lazyGreedy).
 func WithLazyGreedy() Option {
 	return func(s *Scheduler) { s.lazy = true }
 }
@@ -128,7 +131,11 @@ func NewScheduler(tl *coverage.Timeline, kernel coverage.Kernel, opts ...Option)
 	if kernel == nil {
 		return nil, errors.New("schedule: nil kernel")
 	}
-	s := &Scheduler{tl: tl, kernel: kernel}
+	table, err := coverage.NewTable(tl, kernel)
+	if err != nil {
+		return nil, err
+	}
+	s := &Scheduler{tl: tl, kernel: kernel, table: table}
 	for _, o := range opts {
 		o(s)
 	}
@@ -178,19 +185,21 @@ var _ submodular.Objective = (*coverageObjective)(nil)
 func (c *coverageObjective) Gain(e int) float64 { return c.acc.Gain(c.elems[e].instant) }
 func (c *coverageObjective) Add(e int)          { c.acc.Add(c.elems[e].instant) }
 
+// minGain stops the greedy once no measurement adds more than rounding
+// noise.
+const minGain = 1e-12
+
 // Greedy computes a schedule with the paper's Algorithm 1. Seed
 // measurements already committed (e.g. taken earlier in the period by
 // departed users) can be supplied via prior; they contribute coverage but
 // consume no budget.
 func (s *Scheduler) Greedy(parts []Participant, prior []int) (*Plan, error) {
-	elems, partOf, caps, err := s.buildGround(parts)
-	if err != nil {
-		return nil, err
+	for _, p := range parts {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	acc, err := coverage.NewAccumulator(s.tl, s.kernel)
-	if err != nil {
-		return nil, err
-	}
+	acc := s.table.NewAccumulator()
 	for _, i := range prior {
 		if i < 0 || i >= s.tl.N() {
 			return nil, fmt.Errorf("schedule: prior instant %d out of range", i)
@@ -201,36 +210,72 @@ func (s *Scheduler) Greedy(parts []Participant, prior []int) (*Plan, error) {
 	for _, p := range parts {
 		plan.Assignments[p.UserID] = Assignment{UserID: p.UserID}
 	}
-	if len(elems) > 0 {
-		m, err := matroid.NewPartition(partOf, caps)
-		if err != nil {
-			return nil, err
-		}
-		obj := &coverageObjective{acc: acc, elems: elems}
-		var res *submodular.Result
-		if s.lazy {
-			res, err = submodular.LazyGreedy(obj, m, 1e-12)
-		} else {
-			res, err = submodular.Greedy(obj, m, 1e-12)
-		}
-		if err != nil {
-			return nil, err
-		}
-		plan.OracleCalls = res.OracleCalls
-		for _, e := range res.Chosen {
-			el := elems[e]
-			a := plan.Assignments[parts[el.user].UserID]
-			a.Instants = append(a.Instants, el.instant)
-			plan.Assignments[parts[el.user].UserID] = a
-		}
-		for id, a := range plan.Assignments {
-			sort.Ints(a.Instants)
-			plan.Assignments[id] = a
-		}
+	if s.lazy {
+		s.lazyGreedy(parts, acc, plan)
+	} else if err := s.eagerGreedy(parts, acc, plan); err != nil {
+		return nil, err
 	}
 	plan.TotalCoverage = acc.Total()
 	plan.AverageCoverage = acc.Average()
 	return plan, nil
+}
+
+// eagerGreedy is Algorithm 1 as printed: every round scans every feasible
+// (user, instant) pair.
+func (s *Scheduler) eagerGreedy(parts []Participant, acc *coverage.Accumulator, plan *Plan) error {
+	elems, partOf, caps, err := s.buildGround(parts)
+	if err != nil || len(elems) == 0 {
+		return err
+	}
+	m, err := matroid.NewPartition(partOf, caps)
+	if err != nil {
+		return err
+	}
+	res, err := submodular.Greedy(&coverageObjective{acc: acc, elems: elems}, m, minGain)
+	if err != nil {
+		return err
+	}
+	picks := make([]pick, len(res.Chosen))
+	for n, e := range res.Chosen {
+		picks[n] = pick(elems[e])
+	}
+	plan.OracleCalls = res.OracleCalls
+	plan.assign(parts, picks)
+	return nil
+}
+
+// assign files the picks under their users, each user's instants sorted
+// and all of them carved from one array.
+func (p *Plan) assign(parts []Participant, picks []pick) {
+	if len(picks) == 0 {
+		return
+	}
+	end := make([]int, len(parts)+1) // end[k]: where user k's next instant goes
+	for _, pk := range picks {
+		end[pk.user+1]++
+	}
+	for k := range parts {
+		end[k+1] += end[k]
+	}
+	all := make([]int, len(picks))
+	for _, pk := range picks {
+		all[end[pk.user]] = pk.instant
+		end[pk.user]++
+	}
+	start := 0
+	for k, part := range parts {
+		if end[k] > start {
+			a := p.Assignments[part.UserID]
+			if a.Instants == nil {
+				a.Instants = all[start:end[k]:end[k]]
+			} else { // two participants under one user ID share an assignment
+				a.Instants = append(a.Instants, all[start:end[k]]...)
+			}
+			slices.Sort(a.Instants)
+			p.Assignments[part.UserID] = a
+		}
+		start = end[k]
+	}
 }
 
 // Baseline computes the §V-C baseline schedule: each user senses every
@@ -240,10 +285,7 @@ func (s *Scheduler) Baseline(parts []Participant, interval time.Duration) (*Plan
 	if interval <= 0 {
 		return nil, errors.New("schedule: baseline interval must be positive")
 	}
-	acc, err := coverage.NewAccumulator(s.tl, s.kernel)
-	if err != nil {
-		return nil, err
-	}
+	acc := s.table.NewAccumulator()
 	plan := &Plan{Assignments: make(map[string]Assignment, len(parts))}
 	for _, p := range parts {
 		if err := p.Validate(); err != nil {
@@ -277,9 +319,10 @@ func (s *Scheduler) Baseline(parts []Participant, interval time.Duration) (*Plan
 	return plan, nil
 }
 
-// Verify recomputes a plan's coverage from scratch and checks every
-// budget/window constraint; used by tests and by the server as a
-// postcondition before distributing schedules.
+// Verify checks a plan against the constraints: every assignment belongs
+// to a known participant, stays within that participant's budget and
+// window, and names no instant twice. It does not recompute coverage (see
+// Coverage for that).
 func (s *Scheduler) Verify(parts []Participant, plan *Plan) error {
 	if plan == nil {
 		return errors.New("schedule: nil plan")
@@ -288,7 +331,6 @@ func (s *Scheduler) Verify(parts []Participant, plan *Plan) error {
 	for _, p := range parts {
 		byID[p.UserID] = p
 	}
-	var instants []int
 	for id, a := range plan.Assignments {
 		p, ok := byID[id]
 		if !ok {
@@ -303,7 +345,6 @@ func (s *Scheduler) Verify(parts []Participant, plan *Plan) error {
 			if !ok || i < lo || i > hi {
 				return fmt.Errorf("schedule: user %s scheduled outside window at instant %d", id, i)
 			}
-			instants = append(instants, i)
 		}
 		seen := make(map[int]bool, len(a.Instants))
 		for _, i := range a.Instants {

@@ -237,27 +237,6 @@ func TestGreedyBeatsBaseline(t *testing.T) {
 	}
 }
 
-func TestLazyOptionMatchesEager(t *testing.T) {
-	tl := smallTimeline(t, 400)
-	eager := mustScheduler(t, tl)
-	lazy := mustScheduler(t, tl, WithLazyGreedy())
-	parts := randomParticipants(rand.New(rand.NewSource(3)), tl, 10, 8)
-	pe, err := eager.Greedy(parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := lazy.Greedy(parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pe.TotalCoverage-pl.TotalCoverage) > 1e-3 {
-		t.Fatalf("eager %v vs lazy %v", pe.TotalCoverage, pl.TotalCoverage)
-	}
-	if pl.OracleCalls >= pe.OracleCalls {
-		t.Fatalf("lazy gave no savings: %d vs %d", pl.OracleCalls, pe.OracleCalls)
-	}
-}
-
 func TestVerifyCatchesViolations(t *testing.T) {
 	tl := smallTimeline(t, 100)
 	s := mustScheduler(t, tl)

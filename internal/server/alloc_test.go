@@ -1,6 +1,7 @@
 package server
 
-// Allocation gate for the rank hot path. A cached-hit rank query must
+// Allocation gate for the rank hot path (the re-plan gate, with its work
+// bound, is TestReplanAllocsAndWork at the end of the file). A cached-hit rank query must
 // cost a small constant number of allocations — the profile map, the
 // canonical key string, and the wire response — independent of category
 // size. The scratch that used to dominate (order/tie slices in the
@@ -10,9 +11,12 @@ package server
 // nobody reruns.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"sor/internal/schedule"
 	"sor/internal/wire"
 	"sor/internal/world"
 )
@@ -110,4 +114,57 @@ func TestRankTopKBoundsResponse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// replanAllocBudget is the gate on one re-plan. Measured today: 10 — the
+// sorted member list, the accumulator and its miss products, the plan, its
+// map, and the two arrays the assignments are carved from. The heap, the
+// stale flags and the per-member windows are pooled scratch, so neither
+// the 30 members nor the 1 081 instants show up here.
+const replanAllocBudget = 16
+
+// TestReplanAllocsAndWork gates a re-plan at the size a busy place
+// reaches: 30 members on the default 3-hour period. Allocations must not
+// grow with members or instants, and the lazy greedy must stay inside its
+// work bound — one gain per instant up front, then per selection at most
+// the 4·radius+1 entries an Add can stale.
+func TestReplanAllocsAndWork(t *testing.T) {
+	s, clock := newTestServer(t)
+	if err := s.CreateApp(starbucksApp()); err != nil {
+		t.Fatal(err)
+	}
+	const members = 30
+	for i := 0; i < members; i++ {
+		clock.Set(t0.Add(time.Duration(i) * 4 * time.Minute))
+		user := fmt.Sprintf("member-%02d", i)
+		participate(t, s, user, "tok-"+user, 3+i%15)
+	}
+	st := s.states.get("app-sb")
+	if n := st.timeline.N(); n != 1081 {
+		t.Fatalf("timeline has %d instants, want 1081", n)
+	}
+	now := clock.Now()
+	var plan *schedule.Plan
+	avg := testing.AllocsPerRun(50, func() {
+		var err error
+		if plan, err = st.online.Replan(now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > replanAllocBudget {
+		t.Fatalf("a %d-member re-plan costs %.1f allocs, budget %d", members, avg, replanAllocBudget)
+	}
+	selections := 0
+	for _, a := range plan.Assignments {
+		selections += len(a.Instants)
+	}
+	if len(plan.Assignments) != members || selections < 100 {
+		t.Fatalf("re-plan scheduled %d members, %d measurements", len(plan.Assignments), selections)
+	}
+	radius := int(math.Ceil(s.kernel.Support() / st.timeline.Step().Seconds()))
+	if bound := st.timeline.N() + (4*radius+1)*selections; plan.OracleCalls > bound {
+		t.Fatalf("re-plan made %d gain evaluations for %d selections, bound %d", plan.OracleCalls, selections, bound)
+	}
+	t.Logf("%d-member re-plan: %.1f allocs (budget %d), %d gain evaluations for %d selections",
+		members, avg, replanAllocBudget, plan.OracleCalls, selections)
 }

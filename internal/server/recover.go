@@ -68,6 +68,11 @@ func (s *Server) recoverState() error {
 	var maxTask int64
 	for _, app := range s.db.Apps() {
 		st := s.states.get(app.ID)
+		// lastEvent is the join or leave of the last row restored: one
+		// replan as of it, over everybody restored, is the plan a replan
+		// per row would end on.
+		var lastEvent time.Time
+		restored := false
 		for _, p := range s.db.ParticipationsByApp(app.ID) {
 			if n := taskNumber(p.TaskID); n > maxTask {
 				maxTask = n
@@ -89,22 +94,30 @@ func (s *Server) recoverState() error {
 			if leave.IsZero() {
 				leave = st.timeline.End()
 			}
-			if _, err := st.online.Join(p.Joined, schedule.Participant{
+			finished := p.Status == store.TaskFinished
+			if err := st.online.Restore(schedule.Participant{
 				UserID: p.UserID,
 				Arrive: p.Joined,
 				Leave:  leave,
 				Budget: p.Budget,
-			}); err != nil {
+			}, finished); err != nil {
 				return fmt.Errorf("server: rejoining %s: %w", p.TaskID, err)
 			}
-			if p.Status == store.TaskFinished {
-				_, _ = st.online.Leave(p.Left, p.UserID)
+			restored = true
+			if finished {
+				lastEvent = p.Left
 				continue
 			}
+			lastEvent = p.Joined
 			st.mu.Lock()
 			st.taskOf[p.UserID] = p.TaskID
 			st.tokenOf[p.UserID] = p.Token
 			st.mu.Unlock()
+		}
+		if restored {
+			if _, err := st.online.Replan(lastEvent); err != nil {
+				return fmt.Errorf("server: replanning %s: %w", app.ID, err)
+			}
 		}
 	}
 	// Never reissue a task ID that is already in the store.

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,4 +186,169 @@ func TestDurableServerOpenClose(t *testing.T) {
 	}); err == nil {
 		t.Fatal("DB and Storage together must be rejected")
 	}
+}
+
+// tickingClock advances on every reading, so two readings inside one
+// handler are two different instants.
+type tickingClock struct {
+	mu   sync.Mutex
+	now  time.Time
+	tick time.Duration
+}
+
+func (c *tickingClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(c.tick)
+	return c.now
+}
+
+func (c *tickingClock) peek() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *tickingClock) set(t time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = t
+}
+
+// TestRecoveryMatchesNeverRestartedTwin drives joins, leaves and uploads
+// into a durable server and an in-memory twin on equal clocks, kills and
+// reopens the durable one, and requires it to stand where the twin
+// stands: same plans, ledgers and executed instants, and the same
+// schedule handed to the next phone. Recovery gets there with one replan
+// per app, whatever the number of participations stored.
+func TestRecoveryMatchesNeverRestartedTwin(t *testing.T) {
+	apps := []string{"app-sb", "app-sb2"}
+	newClock := func() *tickingClock { return &tickingClock{now: t0, tick: 7 * time.Second} }
+	open := func(storage store.Backend, db *store.Store, clock *tickingClock) *Server {
+		t.Helper()
+		s, err := New(Config{Storage: storage, DB: db, Now: clock.Now, Catalog: DefaultCatalog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if storage != nil {
+			if err := s.Open(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	dir := t.TempDir()
+	clock, twinClock := newClock(), newClock()
+	durable := open(store.NewDurableBackend(dir), nil, clock)
+	twin := open(nil, store.New(), twinClock)
+
+	send := func(s *Server, m wire.Message) *wire.Ack {
+		t.Helper()
+		resp, err := s.Handler()(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack := resp.(*wire.Ack)
+		if !ack.OK {
+			t.Fatalf("%T refused: %+v", m, ack)
+		}
+		return ack
+	}
+	// both applies one op to the two servers and returns the schedule a
+	// Participate came back with, after checking both got the same one.
+	both := func(m wire.Message) *wire.Schedule {
+		t.Helper()
+		var scheds [2]*wire.Schedule
+		for i, s := range []*Server{durable, twin} {
+			ack := send(s, m)
+			if _, ok := m.(*wire.Participate); !ok {
+				continue
+			}
+			inner, err := wire.Decode(ack.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds[i] = inner.(*wire.Schedule)
+		}
+		if !reflect.DeepEqual(scheds[0], scheds[1]) {
+			t.Fatalf("%+v answered\n durable %+v\n twin    %+v", m, scheds[0], scheds[1])
+		}
+		return scheds[0]
+	}
+	join := func(app, user string, budget int) *wire.Schedule {
+		return both(&wire.Participate{UserID: user, Token: "tok-" + user, AppID: app,
+			Loc: wire.Location{Lat: 43.0413, Lon: -76.1350}, Budget: budget})
+	}
+	upload := func(sched *wire.Schedule, nth int) {
+		both(&wire.DataUpload{
+			TaskID: sched.TaskID, AppID: sched.AppID, UserID: sched.UserID,
+			ReportID: fmt.Sprintf("%s/%d", sched.TaskID, nth),
+			Series: []wire.SensorSeries{{Sensor: "temperature", Samples: []wire.SensorSample{
+				{AtUnixMilli: sched.AtUnix[nth] * 1000, WindowMilli: 5000, Readings: []float64{72.5}},
+			}}},
+		})
+	}
+
+	for _, id := range apps {
+		app := starbucksApp()
+		app.ID = id
+		for _, s := range []*Server{durable, twin} {
+			if err := s.CreateApp(app); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	join("app-sb", "alice", 6)
+	join("app-sb", "bob", 4)
+	carol := join("app-sb2", "carol", 5)
+	both(&wire.Leave{UserID: "alice", AppID: "app-sb"})
+	join("app-sb", "dave", 3)
+	join("app-sb2", "erin", 2)
+	// The last event of app-sb2 is a leave: recovery replans it as of the
+	// stored departure, which has to be the instant the live replan used.
+	both(&wire.Leave{UserID: "erin", AppID: "app-sb2"})
+	// Uploads come after the last replan of either app, so no plan on
+	// either side has prior coverage in it yet.
+	bob, err := durable.scheduleFor(starbucksApp(), durable.states.get("app-sb"), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload(bob, 0)
+	upload(bob, 1)
+	upload(carol, 0)
+
+	durable.Kill()
+	clock = newClock()
+	durable = open(store.NewDurableBackend(dir), nil, clock)
+	defer durable.Close()
+	clock.set(twinClock.peek()) // recovery may have read the clock
+
+	for _, id := range apps {
+		if got := durable.states.get(id).online.Replans(); got != 1 {
+			t.Fatalf("%s: recovery ran %d replans, want 1", id, got)
+		}
+		got, err := durable.PlanSnapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.PlanSnapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: plan after recovery\n got  %+v\n want %+v", id, got, want)
+		}
+		if got, want := durable.BudgetLedger(id), twin.BudgetLedger(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ledger after recovery %+v, want %+v", id, got, want)
+		}
+		if got, want := durable.ExecutedInstants(id), twin.ExecutedInstants(id); !reflect.DeepEqual(got, want) || len(got) == 0 {
+			t.Fatalf("%s: executed after recovery %v, want %v", id, got, want)
+		}
+	}
+	// The next phone's plan is built on the recovered ledger and prior
+	// coverage; both compares the two schedules.
+	if frank := join("app-sb", "frank", 5); len(frank.AtUnix) == 0 {
+		t.Fatalf("frank got an empty schedule: %+v", frank)
+	}
+	join("app-sb2", "grace", 4)
 }

@@ -743,9 +743,11 @@ func (s *Server) handleLeave(ctx context.Context, msg *wire.Leave) (wire.Message
 	if err != nil {
 		return refuse(404, "no active task for %s in %s", msg.UserID, msg.AppID), nil
 	}
+	// One reading: recovery replans this leave as of the stored row.Left.
+	now := s.now()
 	if err := s.db.UpdateParticipation(p.TaskID, func(row *store.Participation) {
 		row.Status = store.TaskFinished
-		row.Left = s.now()
+		row.Left = now
 	}); err != nil {
 		return nil, err
 	}
@@ -754,7 +756,7 @@ func (s *Server) handleLeave(ctx context.Context, msg *wire.Leave) (wire.Message
 		if err != nil {
 			return nil, err
 		}
-		plan, err := st.online.Leave(s.now(), msg.UserID)
+		plan, err := st.online.Leave(now, msg.UserID)
 		if err == nil {
 			s.met.replans.Inc()
 			if err := s.distributePlan(app, st, plan); err != nil {

@@ -332,3 +332,99 @@ func TestDurableDrainArchivesUploads(t *testing.T) {
 		t.Fatal("in-memory store must not archive drained uploads")
 	}
 }
+
+// TestActiveTaskIndexFollowsEveryWritePath: ActiveParticipationByUser is
+// answered from a derived index, so every path that fills the
+// participations table — live mutators, snapshot restore, WAL replay,
+// replicated apply, a shipped snapshot — must leave it answering what a
+// scan of the table would.
+func TestActiveTaskIndexFollowsEveryWritePath(t *testing.T) {
+	check := func(t *testing.T, s *Store) {
+		t.Helper()
+		for key, want := range map[partKey]string{
+			{"a1", "u1"}: "t2", // t1 finished; t2 and t3 both active: lowest ID
+			{"a1", "u2"}: "",   // t4 failed
+			{"a2", "u1"}: "t5",
+			{"a2", "u9"}: "",
+		} {
+			p, err := s.ActiveParticipationByUser(key.AppID, key.UserID)
+			switch {
+			case want == "" && !errors.Is(err, ErrNotFound):
+				t.Fatalf("%v: got %+v, %v; want ErrNotFound", key, p, err)
+			case want != "" && (err != nil || p.TaskID != want):
+				t.Fatalf("%v: got %+v, %v; want %s", key, p, err, want)
+			}
+		}
+	}
+	leader := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	st, err := leader.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for _, p := range []Participation{
+		{TaskID: "t3", UserID: "u1", AppID: "a1", Status: TaskRunning},
+		{TaskID: "t1", UserID: "u1", AppID: "a1", Status: TaskRunning},
+		{TaskID: "t2", UserID: "u1", AppID: "a1", Status: TaskWaiting},
+		{TaskID: "t4", UserID: "u2", AppID: "a1", Status: TaskWaiting},
+		{TaskID: "t5", UserID: "u1", AppID: "a2", Status: TaskRunning},
+	} {
+		if err := st.PutParticipation(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, err := st.ActiveParticipationByUser("a1", "u1"); err != nil || p.TaskID != "t1" {
+		t.Fatalf("before t1 finishes: %+v, %v", p, err)
+	}
+	for id, status := range map[string]TaskStatus{"t1": TaskFinished, "t4": TaskError} {
+		if err := st.UpdateParticipation(id, func(p *Participation) { p.Status = status }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(t, st)
+
+	reopen := func(dir string) *Store {
+		t.Helper()
+		b := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+		s, err := b.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Kill)
+		return s
+	}
+	t.Run("replicated apply, then wal replay", func(t *testing.T) {
+		dir := t.TempDir()
+		follower := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+		fs, err := follower.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := leader.WAL().ReadAfter(0, 100, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range records {
+			if err := fs.ApplyReplicated(uint64(i+1), rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, fs)
+		if err := fs.WaitDurable(fs.AppliedLSN()); err != nil {
+			t.Fatal(err)
+		}
+		follower.Kill()
+		check(t, reopen(dir))
+	})
+	t.Run("shipped snapshot restore", func(t *testing.T) {
+		data, _, err := leader.SnapshotForShip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := InstallShippedSnapshot(dir, data); err != nil {
+			t.Fatal(err)
+		}
+		check(t, reopen(dir))
+	})
+}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -279,8 +280,12 @@ type Store struct {
 	users          map[string]User
 	apps           map[string]Application
 	participations map[string]Participation
-	features       map[featureKey]FeatureRow
-	anchors        map[string]int64 // appID -> scheduling-period anchor (unix seconds)
+	// activeTasks indexes participations by (app, user): the IDs of the
+	// tasks neither finished nor failed, ascending. Derived — rebuilt by
+	// every path that writes participations, never persisted.
+	activeTasks map[partKey][]string
+	features    map[featureKey]FeatureRow
+	anchors     map[string]int64 // appID -> scheduling-period anchor (unix seconds)
 
 	uploadSeq    atomic.Int64
 	uploadShards [numShards]uploadShard
@@ -316,12 +321,17 @@ type featureKey struct {
 	Category, Place, Feature string
 }
 
+type partKey struct {
+	AppID, UserID string
+}
+
 // New creates an empty store.
 func New() *Store {
 	s := &Store{
 		users:          make(map[string]User),
 		apps:           make(map[string]Application),
 		participations: make(map[string]Participation),
+		activeTasks:    make(map[partKey][]string),
 		features:       make(map[featureKey]FeatureRow),
 		anchors:        make(map[string]int64),
 	}
@@ -471,8 +481,39 @@ func (s *Store) PutParticipation(p Participation) error {
 	if err := s.logOp(&walOp{Op: opPart, Part: &p}); err != nil {
 		return err
 	}
-	s.participations[p.TaskID] = p
+	s.setParticipation(p)
 	return nil
+}
+
+// active reports whether the task still binds its user: neither finished
+// nor failed.
+func (p Participation) active() bool {
+	return p.Status != TaskFinished && p.Status != TaskError
+}
+
+// setParticipation writes one row and keeps activeTasks in step. Every
+// write to the participations table goes through it; the caller holds
+// s.mu or owns the store.
+func (s *Store) setParticipation(p Participation) {
+	if old, ok := s.participations[p.TaskID]; ok && old.active() {
+		key := partKey{old.AppID, old.UserID}
+		ids := s.activeTasks[key]
+		if i, found := slices.BinarySearch(ids, old.TaskID); found {
+			ids = slices.Delete(ids, i, i+1)
+		}
+		if len(ids) == 0 {
+			delete(s.activeTasks, key)
+		} else {
+			s.activeTasks[key] = ids
+		}
+	}
+	s.participations[p.TaskID] = p
+	if p.active() {
+		key := partKey{p.AppID, p.UserID}
+		ids := s.activeTasks[key]
+		i, _ := slices.BinarySearch(ids, p.TaskID)
+		s.activeTasks[key] = slices.Insert(ids, i, p.TaskID)
+	}
 }
 
 // UpdateParticipation applies fn to the stored row under the write lock.
@@ -489,7 +530,7 @@ func (s *Store) UpdateParticipation(taskID string, fn func(*Participation)) erro
 	if err := s.logOp(&walOp{Op: opPart, Part: &p}); err != nil {
 		return err
 	}
-	s.participations[taskID] = p
+	s.setParticipation(p)
 	return nil
 }
 
@@ -518,15 +559,13 @@ func (s *Store) ParticipationsByApp(appID string) []Participation {
 	return out
 }
 
-// ActiveParticipationByUser finds a user's non-finished task for an app.
+// ActiveParticipationByUser finds a user's non-finished task for an app;
+// should there be several, the one with the lowest task ID.
 func (s *Store) ActiveParticipationByUser(appID, userID string) (Participation, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, p := range s.participations {
-		if p.AppID == appID && p.UserID == userID &&
-			p.Status != TaskFinished && p.Status != TaskError {
-			return p, nil
-		}
+	if ids := s.activeTasks[partKey{appID, userID}]; len(ids) > 0 {
+		return s.participations[ids[0]], nil
 	}
 	return Participation{}, fmt.Errorf("%w: active task for %s/%s", ErrNotFound, appID, userID)
 }
@@ -1224,7 +1263,7 @@ func Restore(data []byte) (*Store, error) {
 		s.apps[a.ID] = a
 	}
 	for _, p := range snap.Participations {
-		s.participations[p.TaskID] = p
+		s.setParticipation(p)
 	}
 	for _, f := range snap.Features {
 		s.features[featureKey{f.Category, f.Place, f.Feature}] = f

@@ -262,7 +262,7 @@ func (s *Store) applyDecoded(op *walOp, in *ingestOp) {
 			s.bumpFeatureVersion(op.App.Category)
 		}
 	case opPart:
-		s.participations[op.Part.TaskID] = *op.Part
+		s.setParticipation(*op.Part)
 	case opFeat:
 		f := *op.Feat
 		s.features[featureKey{f.Category, f.Place, f.Feature}] = f

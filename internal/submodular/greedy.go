@@ -4,15 +4,13 @@
 // algorithm is a 1/2-approximation (Fisher–Nemhauser–Wolsey; the paper
 // cites Gargano & Hammar [10]).
 //
-// Two variants are provided: the textbook greedy that re-scans all
-// candidates each round (the paper's Algorithm 1, O(n²) oracle calls) and a
-// lazy greedy that exploits diminishing returns with a max-heap of stale
-// upper bounds (identical output for submodular objectives, far fewer
-// oracle calls — measured by the ablation benchmarks).
+// This is the textbook greedy that re-scans all candidates each round (the
+// paper's Algorithm 1, O(n²) oracle calls). The scheduler's lazy variant is
+// specialised to the coverage objective and lives in internal/schedule,
+// which tests it against this one.
 package submodular
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -76,88 +74,6 @@ func Greedy(obj Objective, m matroid.Matroid, minGain float64) (*Result, error) 
 		res.Chosen = append(res.Chosen, best)
 		res.Value += bestGain
 	}
-}
-
-// lazyItem is a heap entry carrying a possibly stale upper bound on an
-// element's marginal gain.
-type lazyItem struct {
-	elem  int
-	bound float64
-	round int // selection round at which bound was computed
-}
-
-type lazyHeap []lazyItem
-
-func (h lazyHeap) Len() int { return len(h) }
-
-// Less orders by bound descending, breaking ties by element index so the
-// lazy variant replicates the eager greedy's deterministic tie-breaking.
-func (h lazyHeap) Less(i, j int) bool {
-	if h[i].bound != h[j].bound {
-		return h[i].bound > h[j].bound
-	}
-	return h[i].elem < h[j].elem
-}
-func (h lazyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lazyHeap) Push(x interface{}) { *h = append(*h, x.(lazyItem)) }
-func (h *lazyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-// LazyGreedy produces the same selection as Greedy for monotone submodular
-// objectives (diminishing returns make cached gains valid upper bounds) but
-// re-evaluates only elements whose cached bound could still win.
-func LazyGreedy(obj Objective, m matroid.Matroid, minGain float64) (*Result, error) {
-	if obj == nil || m == nil {
-		return nil, ErrNilArgs
-	}
-	n := m.GroundSize()
-	res := &Result{}
-	h := make(lazyHeap, 0, n)
-	for e := 0; e < n; e++ {
-		if !m.CanAdd(e) {
-			continue
-		}
-		res.OracleCalls++
-		if g := obj.Gain(e); g > minGain {
-			h = append(h, lazyItem{elem: e, bound: g, round: 0})
-		}
-	}
-	heap.Init(&h)
-	round := 0
-	for h.Len() > 0 {
-		top := h[0]
-		if !m.CanAdd(top.elem) {
-			heap.Pop(&h)
-			continue
-		}
-		if top.round != round {
-			// Stale bound: refresh and reconsider.
-			res.OracleCalls++
-			g := obj.Gain(top.elem)
-			if g <= minGain {
-				heap.Pop(&h)
-				continue
-			}
-			h[0].bound = g
-			h[0].round = round
-			heap.Fix(&h, 0)
-			continue
-		}
-		heap.Pop(&h)
-		if err := m.Add(top.elem); err != nil {
-			return nil, fmt.Errorf("submodular: matroid rejected feasible element %d: %w", top.elem, err)
-		}
-		obj.Add(top.elem)
-		res.Chosen = append(res.Chosen, top.elem)
-		res.Value += top.bound
-		round++
-	}
-	return res, nil
 }
 
 // FuncObjective adapts plain functions to the Objective interface; handy in

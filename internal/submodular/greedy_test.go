@@ -1,7 +1,6 @@
 package submodular
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,12 +57,6 @@ func TestGreedyNilArgs(t *testing.T) {
 	}
 	if _, err := Greedy(&FuncObjective{}, nil, 0); err != ErrNilArgs {
 		t.Fatalf("nil matroid: %v", err)
-	}
-	if _, err := LazyGreedy(nil, u, 0); err != ErrNilArgs {
-		t.Fatalf("lazy nil objective: %v", err)
-	}
-	if _, err := LazyGreedy(&FuncObjective{}, nil, 0); err != ErrNilArgs {
-		t.Fatalf("lazy nil matroid: %v", err)
 	}
 }
 
@@ -137,49 +130,6 @@ func TestGreedyRespectsPartitionBudgets(t *testing.T) {
 	}
 	if user0 != 1 {
 		t.Fatalf("user 0 scheduled %d times, budget 1", user0)
-	}
-}
-
-func TestLazyGreedyMatchesGreedyValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(25)
-		universe := 5 + rng.Intn(40)
-		covers := make([][]int, n)
-		for i := range covers {
-			sz := 1 + rng.Intn(6)
-			for j := 0; j < sz; j++ {
-				covers[i] = append(covers[i], rng.Intn(universe))
-			}
-		}
-		part := make([]int, n)
-		for i := range part {
-			part[i] = rng.Intn(3)
-		}
-		capacity := []int{1 + rng.Intn(3), 1 + rng.Intn(3), 1 + rng.Intn(3)}
-
-		mkMatroid := func() matroid.Matroid {
-			m, err := matroid.NewPartition(part, capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		g, err := Greedy(newSetCover(covers), mkMatroid(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := LazyGreedy(newSetCover(covers), mkMatroid(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(g.Value-l.Value) > 1e-9 {
-			t.Fatalf("trial %d: greedy=%v lazy=%v", trial, g.Value, l.Value)
-		}
-		if l.OracleCalls > g.OracleCalls {
-			t.Fatalf("trial %d: lazy used MORE oracle calls (%d > %d)",
-				trial, l.OracleCalls, g.OracleCalls)
-		}
 	}
 }
 
@@ -299,52 +249,7 @@ func TestGreedyOnCoverageSpreadsMeasurements(t *testing.T) {
 	}
 }
 
-func TestLazyGreedyOnCoverageMatchesGreedy(t *testing.T) {
-	start := time.Date(2013, time.November, 17, 11, 0, 0, 0, time.UTC)
-	tl, err := coverage.NewTimeline(start, 10*time.Second, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(lazy bool) *Result {
-		acc, err := coverage.NewAccumulator(tl, coverage.GaussianKernel{Sigma: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := matroid.NewUniform(tl.N(), 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res *Result
-		if lazy {
-			res, err = LazyGreedy(&coverageObjective{acc: acc}, u, 1e-9)
-		} else {
-			res, err = Greedy(&coverageObjective{acc: acc}, u, 1e-9)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	g, l := run(false), run(true)
-	// Ties between equal-gain instants may break differently between the
-	// two variants, so compare values with a small tolerance.
-	if math.Abs(g.Value-l.Value) > 1e-3 {
-		t.Fatalf("greedy=%v lazy=%v", g.Value, l.Value)
-	}
-	if l.OracleCalls >= g.OracleCalls {
-		t.Fatalf("lazy greedy gave no oracle savings: %d vs %d", l.OracleCalls, g.OracleCalls)
-	}
-}
-
 func BenchmarkGreedyCoverage(b *testing.B) {
-	benchGreedy(b, false)
-}
-
-func BenchmarkLazyGreedyCoverage(b *testing.B) {
-	benchGreedy(b, true)
-}
-
-func benchGreedy(b *testing.B, lazy bool) {
 	start := time.Date(2013, time.November, 17, 11, 0, 0, 0, time.UTC)
 	tl, err := coverage.NewTimeline(start, 10*time.Second, 1080)
 	if err != nil {
@@ -360,12 +265,7 @@ func benchGreedy(b *testing.B, lazy bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if lazy {
-			_, err = LazyGreedy(&coverageObjective{acc: acc}, u, 1e-9)
-		} else {
-			_, err = Greedy(&coverageObjective{acc: acc}, u, 1e-9)
-		}
-		if err != nil {
+		if _, err := Greedy(&coverageObjective{acc: acc}, u, 1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
