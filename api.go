@@ -86,23 +86,11 @@ type Application = store.Application
 // User is one registered participant.
 type User = store.User
 
-// Push is the simulated GCM-like wake-up fabric: a thin shim over a
-// private SessionRegistry whose queued pushes collapse onto capacity-1
-// wake channels.
-//
-// Deprecated: connect devices through the stream transport (DialStream)
-// and hand the server a SessionRegistry via WithTransport; pushes then
-// carry real payloads instead of bare wake-ups.
-type Push = session.LocalPush
-
 // DataProcessor is the server's §IV-A feature pipeline.
 type DataProcessor = server.DataProcessor
 
 // NewStore returns an empty store.
 func NewStore() *Store { return store.New() }
-
-// LoadStore restores a store from a JSON snapshot file.
-func LoadStore(path string) (*Store, error) { return store.Load(path) }
 
 // ---- Storage backends ----
 
@@ -144,15 +132,6 @@ func WithSnapshotInterval(d time.Duration) DurableOption {
 	return store.WithSnapshotInterval(d)
 }
 
-// WithSnapshotPath overrides where a durable backend keeps its snapshot
-// file (default <dir>/snapshot.json).
-func WithSnapshotPath(path string) DurableOption { return store.WithSnapshotPath(path) }
-
-// WithoutWAL degrades a durable backend to periodic snapshots only (the
-// old sord -snapshot behavior): mutations since the last checkpoint are
-// lost on a crash.
-func WithoutWAL() DurableOption { return store.WithoutWAL() }
-
 // WithWALSync selects the WAL acknowledgement policy.
 func WithWALSync(p WALSyncPolicy) DurableOption { return store.WithWALSync(p) }
 
@@ -161,11 +140,6 @@ func WithWALSegmentBytes(n int64) DurableOption { return store.WithSegmentBytes(
 
 // WithStorageMetrics publishes WAL and checkpoint series into reg.
 func WithStorageMetrics(reg *Registry) DurableOption { return store.WithMetrics(reg) }
-
-// NewPush returns an empty push fabric.
-//
-// Deprecated: see Push.
-func NewPush() *Push { return session.NewLocalPush() }
 
 // DefaultCatalog is the paper's feature catalog: coffee shops and hiking
 // trails with their §IV default preferences.
@@ -205,14 +179,6 @@ func WithKernel(k Kernel) ServerOption {
 // WithStep sets the timeline discretization (default 10 s).
 func WithStep(step time.Duration) ServerOption {
 	return func(cfg *server.Config) { cfg.Step = step }
-}
-
-// WithPush attaches the wake-up fabric.
-//
-// Deprecated: use WithTransport with a SessionRegistry — schedules and
-// invalidations then ride live device streams instead of bare wake-ups.
-func WithPush(p *Push) ServerOption {
-	return func(cfg *server.Config) { cfg.Push = p }
 }
 
 // WithTransport attaches the server's outbound push path — typically the
@@ -296,37 +262,16 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	return transport.NewClient(baseURL, opts...)
 }
 
-// Retry is the consolidated retry envelope every retrying layer
-// accepts — the wire client, the stream client, the frontend outbox,
-// the cluster router, and StartNode. Zero fields keep the layer's
-// defaults; Attempts < 0 disables retries; Base == -1 disables backoff
-// sleeps entirely (deterministic tests); Seed != 0 makes jitter
-// reproducible.
+// Retry is the one retry envelope every retrying layer accepts — the
+// wire client, the stream client, the frontend outbox, the cluster
+// router, and StartNode. Zero fields keep the layer's defaults;
+// Attempts < 0 disables retries; Base == -1 disables backoff sleeps
+// entirely (deterministic tests); Seed != 0 makes jitter reproducible
+// (0 is not a seed — see the field's comment).
 type Retry = transport.Retry
 
-// WithClientRetry applies a consolidated retry envelope to the wire
-// client.
+// WithClientRetry applies a retry envelope to the wire client.
 func WithClientRetry(r Retry) ClientOption { return transport.WithRetry(r) }
-
-// WithClientRetries sets the retry budget for transport failures.
-//
-// Deprecated: use WithClientRetry.
-func WithClientRetries(n int) ClientOption { return transport.WithRetries(n) }
-
-// WithClientBackoff sets the base retry backoff.
-//
-// Deprecated: use WithClientRetry.
-func WithClientBackoff(d time.Duration) ClientOption { return transport.WithBackoff(d) }
-
-// WithClientBackoffCap bounds the exponential backoff.
-//
-// Deprecated: use WithClientRetry.
-func WithClientBackoffCap(d time.Duration) ClientOption { return transport.WithBackoffCap(d) }
-
-// WithClientSeed makes retry jitter deterministic.
-//
-// Deprecated: use WithClientRetry.
-func WithClientSeed(seed int64) ClientOption { return transport.WithRetrySeed(seed) }
 
 // WithClientHTTP substitutes the underlying *http.Client.
 func WithClientHTTP(h *http.Client) ClientOption { return transport.WithHTTPClient(h) }
@@ -360,9 +305,9 @@ func WithHandlerObserver(o *Observer) HandlerOption {
 // both implement it, so device code switches transports with a flag.
 type Conn = transport.Conn
 
-// Notifier is the server's outbound push hook: given a device token, get
-// that phone to ping home. A SessionRegistry and the deprecated Push
-// both implement it.
+// Notifier is the server's outbound push path to phones (wake-ups,
+// schedule pushes, epoch-invalidation broadcasts), keyed by device
+// token. SessionRegistry implements it.
 type Notifier = transport.Notifier
 
 // StreamClient is the persistent session transport's device side: one
@@ -426,26 +371,9 @@ func WithStreamServerObserver(o *Observer) StreamServerOption {
 	return session.WithServerObserver(o)
 }
 
-// WithStreamRetry applies a consolidated retry envelope to the stream
-// client's per-send retries and reconnect backoff.
+// WithStreamRetry applies a retry envelope to the stream client's
+// per-send retries and reconnect backoff.
 func WithStreamRetry(r Retry) StreamClientOption { return session.WithClientRetry(r) }
-
-// WithStreamRetries sets the stream client's per-send retry budget.
-//
-// Deprecated: use WithStreamRetry.
-func WithStreamRetries(n int) StreamClientOption { return session.WithClientRetries(n) }
-
-// WithStreamBackoff bounds the stream client's reconnect/retry backoff.
-//
-// Deprecated: use WithStreamRetry.
-func WithStreamBackoff(base, cap time.Duration) StreamClientOption {
-	return session.WithClientBackoff(base, cap)
-}
-
-// WithStreamSeed makes stream retry jitter deterministic.
-//
-// Deprecated: use WithStreamRetry.
-func WithStreamSeed(seed int64) StreamClientOption { return session.WithClientSeed(seed) }
 
 // WithStreamObserver instruments the stream client through the same
 // retry series the HTTP client reports.
@@ -487,22 +415,10 @@ func NewFrontend(phone *Phone, sender Sender, opts ...FrontendOption) (*Frontend
 // WithOutboxCapacity bounds the store-and-forward queue.
 func WithOutboxCapacity(n int) FrontendOption { return frontend.WithOutboxCapacity(n) }
 
-// WithOutboxRetry applies a consolidated retry envelope to the outbox's
-// flush backoff. Attempts is ignored: the outbox never gives up — its
+// WithOutboxRetry applies a retry envelope to the outbox's flush
+// backoff. Attempts is ignored: the outbox never gives up — its
 // bounded queue is the retry budget.
 func WithOutboxRetry(r Retry) FrontendOption { return frontend.WithOutboxRetry(r) }
-
-// WithOutboxBackoff sets outbox flush backoff base and cap.
-//
-// Deprecated: use WithOutboxRetry.
-func WithOutboxBackoff(base, max time.Duration) FrontendOption {
-	return frontend.WithOutboxBackoff(base, max)
-}
-
-// WithOutboxSeed makes outbox jitter deterministic.
-//
-// Deprecated: use WithOutboxRetry.
-func WithOutboxSeed(seed int64) FrontendOption { return frontend.WithOutboxSeed(seed) }
 
 // WithFrontendObserver instruments the frontend's outbox (fleet-aggregate
 // depth gauge, delivery counters).

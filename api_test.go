@@ -3,14 +3,79 @@ package sor_test
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"sor"
 	"sor/internal/wire"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/api.golden")
+
+// TestPublicSurface pins the facade's exported top-level identifiers
+// against testdata/api.golden, so a PR that adds or removes a public name
+// shows it as a one-line golden diff. Regenerate with
+// `go test -run TestPublicSurface -update .`.
+func TestPublicSurface(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range pkgs["sor"].Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					names = append(names, "func "+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							names = append(names, "type "+s.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								names = append(names, strings.ToLower(d.Tok.String())+" "+n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	got := strings.Join(names, "\n") + "\n"
+	const golden = "testdata/api.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run: go test -run TestPublicSurface -update .): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("public surface differs from %s (if intended: go test -run TestPublicSurface -update .)\ngot:\n%s", golden, got)
+	}
+}
 
 // TestPublicSurfaceBootsObservableServer stands up a complete observable
 // deployment through the public API alone — server, HTTP handler, debug

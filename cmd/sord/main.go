@@ -44,7 +44,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -55,51 +54,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.SetFlags(0)
 		log.Fatalf("sord: %v", err)
 	}
 }
 
-// storageFromFlags maps the storage flags onto a Node's Data spec:
-// -data-dir is the supported knob; -snapshot is the deprecated pre-WAL
-// flag, kept as an alias for a snapshot-only backend rooted at the file
-// it names. Empty data means in-memory state.
-func storageFromFlags(dataDir, snapshot string) (data string, opts []sor.DurableOption, desc string, err error) {
-	switch {
-	case dataDir != "" && snapshot != "":
-		return "", nil, "", errors.New("-data-dir and -snapshot are mutually exclusive")
-	case dataDir != "":
-		return dataDir, nil, fmt.Sprintf("durable state in %s (snapshot + WAL)", dataDir), nil
-	case snapshot != "":
-		// Deprecated path: same file, same periodic-snapshot-only
-		// durability as before the WAL existed.
-		return filepath.Dir(snapshot), []sor.DurableOption{
-			sor.WithSnapshotPath(snapshot),
-			sor.WithoutWAL(),
-		}, fmt.Sprintf("deprecated -snapshot: periodic snapshots in %s, no WAL (use -data-dir)", snapshot), nil
-	default:
-		return "", nil, "in-memory state (set -data-dir for durability)", nil
+func run(args []string) error {
+	fs := flag.NewFlagSet("sord", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	streamAddr := fs.String("stream-addr", "", "listen address for persistent device streams (empty = HTTP only)")
+	dataDir := fs.String("data-dir", "", "directory for durable state (snapshot + write-ahead log)")
+	showBarcodes := fs.Bool("barcodes", false, "print each place's 2D barcode as ASCII art")
+	public := fs.String("public-url", "", "base URL phones should use (default http://<addr>)")
+	spanBuffer := fs.Int("span-buffer", 0, "trace ring capacity (default 4096)")
+	role := fs.String("role", sor.RoleLeader, "node role: leader (serves writes and ships its WAL), replica (streams a leader, serves reads), or router (forwards to shard leaders)")
+	nodeID := fs.String("node-id", "", "this node's cluster identity (default: hostname)")
+	leaderURL := fs.String("leader-url", "", "leader base URL (required with -role replica)")
+	clusterMap := fs.String("cluster", "", "cluster map file (required for -role router; on a member, registers it for routers)")
+	shard := fs.String("shard", "", "shard this member serves (required with -cluster on a member)")
+	advertise := fs.String("advertise", "", "address other nodes dial to reach this one (default http://localhost<addr>)")
+	pullInterval := fs.Duration("pull-interval", 0, "replica pull/heartbeat cadence while caught up (0 = default)")
+	maxReplicaLag := fs.Duration("max-replica-lag", 0, "replica refuses rank queries past this silence from the leader (0 = serve regardless)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
-
-func run() error {
-	addr := flag.String("addr", ":8080", "listen address")
-	streamAddr := flag.String("stream-addr", "", "listen address for persistent device streams (empty = HTTP only)")
-	dataDir := flag.String("data-dir", "", "directory for durable state (snapshot + write-ahead log)")
-	snapshot := flag.String("snapshot", "", "deprecated: JSON snapshot file to load and periodically save (use -data-dir)")
-	showBarcodes := flag.Bool("barcodes", false, "print each place's 2D barcode as ASCII art")
-	public := flag.String("public-url", "", "base URL phones should use (default http://<addr>)")
-	spanBuffer := flag.Int("span-buffer", 0, "trace ring capacity (default 4096)")
-	role := flag.String("role", sor.RoleLeader, "node role: leader (serves writes and ships its WAL), replica (streams a leader, serves reads), or router (forwards to shard leaders)")
-	nodeID := flag.String("node-id", "", "this node's cluster identity (default: hostname)")
-	leaderURL := flag.String("leader-url", "", "leader base URL (required with -role replica)")
-	clusterMap := flag.String("cluster", "", "cluster map file (required for -role router; on a member, registers it for routers)")
-	shard := flag.String("shard", "", "shard this member serves (required with -cluster on a member)")
-	advertise := flag.String("advertise", "", "address other nodes dial to reach this one (default http://localhost<addr>)")
-	pullInterval := flag.Duration("pull-interval", 0, "replica pull/heartbeat cadence while caught up (0 = default)")
-	maxReplicaLag := flag.Duration("max-replica-lag", 0, "replica refuses rank queries past this silence from the leader (0 = serve regardless)")
-	flag.Parse()
 
 	switch *role {
 	case sor.RoleLeader, sor.RoleReplica, sor.RoleRouter:
@@ -113,25 +92,24 @@ func run() error {
 			*nodeID = "node"
 		}
 	}
-	data, durableOpts, storageDesc, err := storageFromFlags(*dataDir, *snapshot)
-	if err != nil {
-		return err
+	storageDesc := "in-memory state (set -data-dir for durability)"
+	if *dataDir != "" {
+		storageDesc = fmt.Sprintf("durable state in %s (snapshot + WAL)", *dataDir)
 	}
 	node := sor.Node{
-		Name:           *nodeID,
-		Role:           *role,
-		Listen:         *addr,
-		StreamListen:   *streamAddr,
-		Data:           data,
-		DurableOptions: durableOpts,
-		Cluster:        *clusterMap,
-		Shard:          *shard,
-		Advertise:      *advertise,
-		Leader:         *leaderURL,
-		MaxReplicaLag:  *maxReplicaLag,
-		PullInterval:   *pullInterval,
-		Observer:       sor.NewObserver(sor.WithTracer(sor.NewTracer(*spanBuffer))),
-		Mux:            http.NewServeMux(),
+		Name:          *nodeID,
+		Role:          *role,
+		Listen:        *addr,
+		StreamListen:  *streamAddr,
+		Data:          *dataDir,
+		Cluster:       *clusterMap,
+		Shard:         *shard,
+		Advertise:     *advertise,
+		Leader:        *leaderURL,
+		MaxReplicaLag: *maxReplicaLag,
+		PullInterval:  *pullInterval,
+		Observer:      sor.NewObserver(sor.WithTracer(sor.NewTracer(*spanBuffer))),
+		Mux:           http.NewServeMux(),
 	}
 
 	// The Visualization module (§II-B): /charts?category=coffee-shop
@@ -176,7 +154,7 @@ func run() error {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rn, err = sor.StartNode(ctx, node)
+	rn, err := sor.StartNode(ctx, node)
 	if err != nil {
 		return err
 	}

@@ -3,35 +3,38 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sor"
 )
 
-// backendFor materializes the storage spec storageFromFlags produces —
-// the same mapping StartNode applies to Node.Data/DurableOptions.
-func backendFor(data string, opts []sor.DurableOption) sor.Storage {
+// backendFor materializes -data-dir the way StartNode materializes the
+// Node.Data sord sets from it.
+func backendFor(data string) sor.Storage {
 	if data == "" {
 		return sor.Memory()
 	}
-	return sor.Durable(data, opts...)
+	return sor.Durable(data)
 }
 
-func TestStorageFlagsAreMutuallyExclusive(t *testing.T) {
-	if _, _, _, err := storageFromFlags("data", "snap.json"); err == nil {
-		t.Fatal("want error when both -data-dir and -snapshot are set")
+// TestSnapshotFlagIsGone: a data dir is snapshot + WAL, always; the
+// pre-WAL -snapshot FILE flag is refused at parse time, alone or beside
+// -data-dir, before anything is started.
+func TestSnapshotFlagIsGone(t *testing.T) {
+	for _, args := range [][]string{
+		{"-snapshot", "sor.json"},
+		{"-data-dir", "data", "-snapshot", "sor.json"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "not defined: -snapshot") {
+			t.Fatalf("run(%q) = %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 
 func TestStorageFlagsDefaultToMemory(t *testing.T) {
-	data, opts, _, err := storageFromFlags("", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data != "" {
-		t.Fatalf("default storage rooted at %q, want in-memory", data)
-	}
-	backend := backendFor(data, opts)
+	backend := backendFor("")
 	db, err := backend.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -46,11 +49,7 @@ func TestStorageFlagsDefaultToMemory(t *testing.T) {
 
 func TestDataDirFlagIsDurable(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sor-data")
-	data, opts, _, err := storageFromFlags(dir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := backendFor(data, opts)
+	backend := backendFor(dir)
 	db, err := backend.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -68,57 +67,7 @@ func TestDataDirFlagIsDurable(t *testing.T) {
 		t.Fatalf("no wal dir in data dir: %v", err)
 	}
 
-	data2, opts2, _, err := storageFromFlags(dir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend2 := backendFor(data2, opts2)
-	db2, err := backend2.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backend2.Close()
-	if u, err := db2.User("u1"); err != nil || u.Name != "Alice" {
-		t.Fatalf("recovered user = %+v, %v", u, err)
-	}
-}
-
-// TestDeprecatedSnapshotFlagStillWorks pins the pre-WAL flag's contract:
-// state persists in exactly the file it names, with no WAL beside it,
-// and loads back on the next start.
-func TestDeprecatedSnapshotFlagStillWorks(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sor.json")
-	data, opts, desc, err := storageFromFlags("", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if desc == "" {
-		t.Fatal("deprecated flag should describe itself")
-	}
-	backend := backendFor(data, opts)
-	db, err := backend.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PutUser(sor.User{ID: "u1", Name: "Alice"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := backend.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("snapshot not written to the named file: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "wal")); !os.IsNotExist(err) {
-		t.Fatalf("deprecated -snapshot mode must not create a WAL: %v", err)
-	}
-
-	data2, opts2, _, err := storageFromFlags("", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend2 := backendFor(data2, opts2)
+	backend2 := backendFor(dir)
 	db2, err := backend2.Open()
 	if err != nil {
 		t.Fatal(err)

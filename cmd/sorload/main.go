@@ -117,8 +117,7 @@ func run() error {
 					Transport: fi.Transport(nil),
 					Timeout:   10 * time.Second,
 				}),
-				sor.WithClientRetries(5),
-				sor.WithClientSeed(*chaosSeed))
+				sor.WithClientRetry(sor.Retry{Attempts: 5, Seed: *chaosSeed}))
 		}
 		httpClient, err = sor.NewClient(*serverURL, clientOpts...)
 		if err != nil {
@@ -136,7 +135,7 @@ func run() error {
 			dial = session.FaultDialer(fi, dial)
 		}
 		streamClient, err = sor.NewStreamClient(dial, fmt.Sprintf("sorload-%d", *seed),
-			sor.WithStreamRetries(5), sor.WithStreamSeed(*chaosSeed))
+			sor.WithStreamRetry(sor.Retry{Attempts: 5, Seed: *chaosSeed}))
 		if err != nil {
 			return err
 		}

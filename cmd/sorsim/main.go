@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -59,6 +60,9 @@ func run() error {
 	transport := flag.String("transport", "http", "with -fleet: modeled transport, http (one-shot) or stream (persistent sessions)")
 	flag.Parse()
 
+	if *seed == 0 {
+		return errors.New("-seed 0: 0 is not a seed — sor.Retry reads it as \"seed the jitter from the wall clock\", so the run would not replay; use any nonzero value")
+	}
 	if *fleet {
 		return runFleet(fleetsim.Config{
 			Phones:       *phones,

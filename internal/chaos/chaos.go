@@ -106,6 +106,18 @@ type Result struct {
 	Outbox frontend.OutboxStats
 }
 
+// jitterSeed is the transport.Retry seed of the run's i-th retrying
+// component (the shared client is 0, phone i is i): seed + i, as the
+// drivers always derived it, except that a sum landing on 0 — which Retry
+// reads as "not seeded, use the wall clock" and would make the run
+// unreplayable — becomes seed-1, a value no other i can produce.
+func jitterSeed(seed int64, i int) int64 {
+	if s := seed + int64(i); s != 0 {
+		return s
+	}
+	return seed - 1
+}
+
 // RunSoak drives one fleet through the faulty network and returns the
 // converged state. The sequence is: clean join (faults off, so every run
 // computes identical schedules), chaos on, a partition dropping on the
@@ -157,10 +169,9 @@ func RunSoak(cfg Config) (*Result, error) {
 	// Tight client retry budget: the soak wants the *outbox* to absorb the
 	// faults, so individual sends give up fast and park the report.
 	clientOpts := []transport.ClientOption{
-		transport.WithRetries(3),
-		transport.WithBackoff(time.Millisecond),
-		transport.WithBackoffCap(20 * time.Millisecond),
-		transport.WithRetrySeed(cfg.Seed),
+		transport.WithRetry(transport.Retry{
+			Attempts: 3, Base: time.Millisecond, Cap: 20 * time.Millisecond, Seed: jitterSeed(cfg.Seed, 0),
+		}),
 	}
 	if cfg.Observer != nil {
 		clientOpts = append(clientOpts, transport.WithObserver(cfg.Observer))
@@ -192,8 +203,9 @@ func RunSoak(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		feOpts := []frontend.Option{
-			frontend.WithOutboxBackoff(time.Millisecond, 20*time.Millisecond),
-			frontend.WithOutboxSeed(cfg.Seed + int64(i)),
+			frontend.WithOutboxRetry(transport.Retry{
+				Base: time.Millisecond, Cap: 20 * time.Millisecond, Seed: jitterSeed(cfg.Seed, i),
+			}),
 		}
 		if cfg.Observer != nil {
 			feOpts = append(feOpts, frontend.WithObserver(cfg.Observer))

@@ -212,10 +212,9 @@ func RunCrashSoak(cfg CrashConfig) (*Result, error) {
 	}
 
 	clientOpts := []transport.ClientOption{
-		transport.WithRetries(3),
-		transport.WithBackoff(time.Millisecond),
-		transport.WithBackoffCap(20 * time.Millisecond),
-		transport.WithRetrySeed(cfg.Seed),
+		transport.WithRetry(transport.Retry{
+			Attempts: 3, Base: time.Millisecond, Cap: 20 * time.Millisecond, Seed: jitterSeed(cfg.Seed, 0),
+		}),
 		transport.WithHTTPClient(&http.Client{Transport: h.sw}),
 	}
 	if cfg.Observer != nil {
@@ -249,8 +248,9 @@ func RunCrashSoak(cfg CrashConfig) (*Result, error) {
 			return nil, err
 		}
 		feOpts := []frontend.Option{
-			frontend.WithOutboxBackoff(time.Millisecond, 20*time.Millisecond),
-			frontend.WithOutboxSeed(cfg.Seed + int64(i)),
+			frontend.WithOutboxRetry(transport.Retry{
+				Base: time.Millisecond, Cap: 20 * time.Millisecond, Seed: jitterSeed(cfg.Seed, i),
+			}),
 		}
 		if cfg.Observer != nil {
 			feOpts = append(feOpts, frontend.WithObserver(cfg.Observer))

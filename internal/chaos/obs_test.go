@@ -237,10 +237,7 @@ func TestTraceFollowsRequestAcrossRetriesAndFold(t *testing.T) {
 	// Retry budget 4 > the 2 injected drops: the upload survives inside a
 	// single Send call, so all its attempts share one minted RequestID.
 	client, err := transport.NewClient(ts.URL,
-		transport.WithRetries(4),
-		transport.WithBackoff(time.Millisecond),
-		transport.WithBackoffCap(5*time.Millisecond),
-		transport.WithRetrySeed(11),
+		transport.WithRetry(transport.Retry{Attempts: 4, Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 11}),
 		transport.WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +251,7 @@ func TestTraceFollowsRequestAcrossRetriesAndFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe, err := frontend.New(phone, client,
-		frontend.WithOutboxBackoff(time.Millisecond, 5*time.Millisecond),
-		frontend.WithOutboxSeed(11),
+		frontend.WithOutboxRetry(transport.Retry{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 11}),
 		frontend.WithObserver(o))
 	if err != nil {
 		t.Fatal(err)

@@ -201,9 +201,9 @@ func RunSessionSoak(cfg SessionConfig) (*SessionResult, error) {
 			return nil, err
 		}
 		connOpts := []session.ClientOption{
-			session.WithClientRetries(6),
-			session.WithClientBackoff(time.Millisecond, 20*time.Millisecond),
-			session.WithClientSeed(cfg.Seed + int64(i)),
+			session.WithClientRetry(transport.Retry{
+				Attempts: 6, Base: time.Millisecond, Cap: 20 * time.Millisecond, Seed: jitterSeed(cfg.Seed, i),
+			}),
 		}
 		if cfg.Observer != nil {
 			connOpts = append(connOpts, session.WithClientObserver(cfg.Observer))
@@ -213,8 +213,9 @@ func RunSessionSoak(cfg SessionConfig) (*SessionResult, error) {
 			return nil, err
 		}
 		feOpts := []frontend.Option{
-			frontend.WithOutboxBackoff(time.Millisecond, 20*time.Millisecond),
-			frontend.WithOutboxSeed(cfg.Seed + int64(i)),
+			frontend.WithOutboxRetry(transport.Retry{
+				Base: time.Millisecond, Cap: 20 * time.Millisecond, Seed: jitterSeed(cfg.Seed, i),
+			}),
 		}
 		if cfg.Observer != nil {
 			feOpts = append(feOpts, frontend.WithObserver(cfg.Observer))

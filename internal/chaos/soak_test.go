@@ -136,10 +136,7 @@ func newPingRig(t *testing.T) *pingRig {
 	ts := httptest.NewServer(fi.Handler(h))
 	t.Cleanup(ts.Close)
 	client, err := transport.NewClient(ts.URL,
-		transport.WithRetries(1),
-		transport.WithBackoff(time.Millisecond),
-		transport.WithBackoffCap(5*time.Millisecond),
-		transport.WithRetrySeed(7))
+		transport.WithRetry(transport.Retry{Attempts: 1, Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +149,7 @@ func newPingRig(t *testing.T) *pingRig {
 		t.Fatal(err)
 	}
 	fe, err := frontend.New(phone, client,
-		frontend.WithOutboxBackoff(time.Millisecond, 5*time.Millisecond),
-		frontend.WithOutboxSeed(7))
+		frontend.WithOutboxRetry(transport.Retry{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}

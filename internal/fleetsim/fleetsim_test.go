@@ -17,6 +17,9 @@ func soakSeed(t *testing.T, def int64) int64 {
 		if err != nil {
 			t.Fatalf("SOR_SOAK_SEED=%q: %v", v, err)
 		}
+		if seed == 0 {
+			t.Fatal("SOR_SOAK_SEED=0: 0 is not a seed — transport.Retry reads it as \"seed the jitter from the wall clock\", so the run would not replay; use any nonzero value")
+		}
 		t.Logf("replaying SOR_SOAK_SEED=%d", seed)
 		return seed
 	}

@@ -190,34 +190,17 @@ func WithOutboxCapacity(n int) Option {
 	return func(f *Frontend) { f.outboxCapacity = n }
 }
 
-// WithOutboxRetry applies a consolidated transport.Retry envelope to the
-// outbox flush loop — the single replacement for WithOutboxBackoff +
-// WithOutboxSeed. (Attempts is ignored: the outbox never gives up; its
-// durability IS the retry budget.)
+// WithOutboxRetry applies a transport.Retry envelope to the outbox flush
+// loop: FlushOutbox's backoff base and cap, and the jitter seed (the
+// default is derived from the device token so each phone jitters
+// differently but deterministically). Attempts is ignored: the outbox
+// never gives up; its durability IS the retry budget.
 func WithOutboxRetry(r transport.Retry) Option {
 	return func(f *Frontend) {
 		f.outboxBackoff = r.ResolveBase(f.outboxBackoff)
 		f.outboxBackoffMax = r.ResolveCap(f.outboxBackoffMax)
-		if r.Seed != 0 {
-			f.outboxSeed = r.Seed
-		}
+		f.outboxSeed = r.ResolveSeed(f.outboxSeed)
 	}
-}
-
-// WithOutboxBackoff sets FlushOutbox's backoff base and cap.
-//
-// Deprecated: use WithOutboxRetry.
-func WithOutboxBackoff(base, max time.Duration) Option {
-	return func(f *Frontend) { f.outboxBackoff, f.outboxBackoffMax = base, max }
-}
-
-// WithOutboxSeed overrides the outbox jitter seed (tests; the default is
-// derived from the device token so each phone jitters differently but
-// deterministically).
-//
-// Deprecated: use WithOutboxRetry.
-func WithOutboxSeed(seed int64) Option {
-	return func(f *Frontend) { f.outboxSeed = seed }
 }
 
 // WithAcquireRetries sets how many times a failed acquisition is retried

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sor/internal/device"
+	"sor/internal/transport"
 	"sor/internal/wire"
 	"sor/internal/world"
 )
@@ -240,7 +241,7 @@ func TestOutboxBatchServerErrorSkipsSinglesProbe(t *testing.T) {
 
 func TestExecuteScheduleParksUploadWhenNetworkDown(t *testing.T) {
 	s := &flakySender{failN: 1 << 30} // network down for now
-	f, err := New(newPhone(t, world.Starbucks), s, WithOutboxBackoff(time.Millisecond, 5*time.Millisecond))
+	f, err := New(newPhone(t, world.Starbucks), s, WithOutboxRetry(transport.Retry{Base: time.Millisecond, Cap: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestReportIDsUniquePerDevice(t *testing.T) {
 func TestFlushOutboxRetriesUntilDelivered(t *testing.T) {
 	s := &flakySender{failN: 3}
 	f, err := New(newPhone(t, world.Starbucks), s,
-		WithOutboxBackoff(time.Millisecond, 4*time.Millisecond), WithOutboxSeed(7))
+		WithOutboxRetry(transport.Retry{Base: time.Millisecond, Cap: 4 * time.Millisecond, Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,14 +133,20 @@ func TestProcessorCountsDecodeErrors(t *testing.T) {
 	if err := s.CreateApp(starbucksApp()); err != nil {
 		t.Fatal(err)
 	}
-	s.DB().AppendUpload("coffee-shop-3", []byte("corrupt garbage"), t0)
+	ingest := func(body []byte) {
+		t.Helper()
+		if _, err := s.DB().Ingest("coffee-shop-3", [][]byte{body}, store.IngestOptions{Received: t0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest([]byte("corrupt garbage"))
 	// A well-formed frame of the wrong type is also a decode error for
 	// the processor.
 	wrongType, err := wire.Encode(&wire.Ping{Token: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DB().AppendUpload("coffee-shop-3", wrongType, t0)
+	ingest(wrongType)
 	if n := s.Processor().Process(); n != 2 {
 		t.Fatalf("drained %d", n)
 	}
@@ -170,7 +176,9 @@ func TestUploadForUnknownAppSkipsRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DB().AppendUpload("ghost-app", raw, t0)
+	if _, err := s.DB().Ingest("ghost-app", [][]byte{raw}, store.IngestOptions{Received: t0}); err != nil {
+		t.Fatal(err)
+	}
 	if n := s.Processor().Process(); n != 1 {
 		t.Fatalf("drained %d", n)
 	}

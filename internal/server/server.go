@@ -47,12 +47,10 @@ type Config struct {
 	// Catalog maps a category to its ranked features with default
 	// preferences; required for ranking.
 	Catalog map[string][]ranking.Feature
-	// Push is the optional server-initiated fabric: anything that can ask
-	// a device to ping home. A session registry
-	// (internal/transport/session) here upgrades pushes to full messages
-	// — fresh schedules and epoch invalidations ride the live stream —
-	// via the transport.MessagePusher / Broadcaster interfaces; the
-	// deprecated simulated-GCM Push still satisfies the plain Notifier.
+	// Push is the optional server-initiated path to phones: the session
+	// registry (internal/transport/session) the stream endpoint serves.
+	// Fresh schedules and epoch invalidations ride the live device
+	// streams; nil means phones learn of both on their next request.
 	Push transport.Notifier
 	// RobustExtraction enables MAD outlier rejection in the Data
 	// Processor (defends against miscalibrated phones).
@@ -470,8 +468,8 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 	return &wire.Ack{OK: true, Code: 200, Message: "scheduled", Payload: payload}, nil
 }
 
-// distributePlan stores every user's fresh schedule and pushes wake-ups so
-// phones re-fetch (the GCM path).
+// distributePlan stores every user's fresh schedule and pushes it to the
+// phone (the paper's GCM path).
 func (s *Server) distributePlan(app store.Application, st *appSchedState, plan *schedule.Plan) error {
 	st.mu.Lock()
 	taskOf := make(map[string]string, len(st.taskOf))
@@ -499,14 +497,11 @@ func (s *Server) distributePlan(app store.Application, st *appSchedState, plan *
 			// Best effort: unreachable phones will poll eventually. A
 			// stream-connected phone gets the fresh schedule itself pushed
 			// down its session, saving the wake-then-ping round trip; a
-			// wake-only fabric (or a push failure) falls back to the
-			// classic "ping home" nudge.
+			// push failure falls back to the classic "ping home" nudge.
 			token := tokenOf[userID]
 			pushed := false
-			if mp, ok := s.push.(transport.MessagePusher); ok {
-				if sched, err := s.scheduleFor(app, st, userID); err == nil {
-					pushed = mp.PushMessage(token, sched) == nil
-				}
+			if sched, err := s.scheduleFor(app, st, userID); err == nil {
+				pushed = s.push.PushMessage(token, sched) == nil
 			}
 			if !pushed {
 				_ = s.push.Notify(token)
@@ -853,46 +848,12 @@ func (s *Server) handleRankRequest(ctx context.Context, msg *wire.RankRequest) (
 }
 
 // FeatureMatrix assembles the ranking matrix H for a category from the
-// feature table (the Personalizable Ranker's read path).
+// feature table (the Personalizable Ranker's read path, and what every
+// snapshot rebuild calls): one FeaturesByCategory pass rather than
+// places×features store lookups, which matters at 10k places. Rows are
+// the category's applications in ID order; a place without every catalog
+// feature is skipped.
 func (s *Server) FeatureMatrix(category string) (*ranking.Matrix, error) {
-	catalog, ok := s.catalog[category]
-	if !ok {
-		return nil, fmt.Errorf("server: no feature catalog for category %q", category)
-	}
-	apps := s.db.AppsByCategory(category)
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("server: no applications in category %q", category)
-	}
-	m := &ranking.Matrix{Features: catalog}
-	for _, app := range apps {
-		row := make([]float64, len(catalog))
-		complete := true
-		for j, f := range catalog {
-			fr, err := s.db.Feature(category, app.Place, f.Name)
-			if err != nil {
-				complete = false
-				break
-			}
-			row[j] = fr.Value
-		}
-		if !complete {
-			continue // place not fully sensed yet
-		}
-		m.Places = append(m.Places, app.Place)
-		m.Values = append(m.Values, row)
-	}
-	if len(m.Places) == 0 {
-		return nil, fmt.Errorf("server: no fully sensed places in category %q", category)
-	}
-	return m, nil
-}
-
-// rankMatrix is FeatureMatrix's bulk twin for the snapshot rebuild path:
-// one FeaturesByCategory pass instead of places×features store lookups,
-// which matters at 10k places. Row order and semantics are identical to
-// FeatureMatrix — applications in ID order, places without every catalog
-// feature skipped — so snapshots built either way are interchangeable.
-func (s *Server) rankMatrix(category string) (*ranking.Matrix, error) {
 	catalog, ok := s.catalog[category]
 	if !ok {
 		return nil, fmt.Errorf("server: no feature catalog for category %q", category)

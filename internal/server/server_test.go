@@ -1,13 +1,14 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sor/internal/store"
-	"sor/internal/transport"
+	"sor/internal/transport/session"
 	"sor/internal/wire"
 	"sor/internal/world"
 )
@@ -496,11 +497,16 @@ func TestRankRequestKindValueTranslation(t *testing.T) {
 	}
 }
 
+// TestPushNotificationsOnReplan drives the server's push path through a
+// real session registry: every replan pushes each member with a live
+// session the schedule her Ping would return, a member without a session
+// does not fail the join, and a rank epoch is announced to every session
+// exactly when it advances.
 func TestPushNotificationsOnReplan(t *testing.T) {
-	push := transport.NewPush()
+	registry := session.NewRegistry()
 	clock := &virtualClock{now: t0}
 	s, err := New(Config{
-		DB: store.New(), Now: clock.Now, Catalog: DefaultCatalog(), Push: push,
+		DB: store.New(), Now: clock.Now, Catalog: DefaultCatalog(), Push: registry,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -508,21 +514,75 @@ func TestPushNotificationsOnReplan(t *testing.T) {
 	if err := s.CreateApp(starbucksApp()); err != nil {
 		t.Fatal(err)
 	}
-	chA, err := push.Subscribe("tok-a")
+	alice, _, err := registry.Attach("tok-a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	participate(t, s, "alice", "tok-a", 4)
-	select {
-	case <-chA:
-	default:
-		t.Fatal("alice got no push after her own join")
+	pinged := func() *wire.Schedule {
+		t.Helper()
+		resp, err := s.Handler()(nil, &wire.Ping{Token: "tok-a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, err := wire.Decode(resp.(*wire.Ack).Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inner.(*wire.Schedule)
 	}
+	wantOnePush := func(when string, want wire.Message) {
+		t.Helper()
+		got := alice.TakePending()
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("%s: alice's session holds %+v, want exactly %+v", when, got, want)
+		}
+	}
+	sched := participate(t, s, "alice", "tok-a", 4)
+	wantOnePush("after her own join", pinged())
+	// Bob never connected a stream: his push fails, his join must not.
 	participate(t, s, "bob", "tok-b", 4)
-	select {
-	case <-chA:
-	default:
-		t.Fatal("alice got no push after bob's join replan")
+	wantOnePush("after bob's join replan", pinged())
+
+	// Rank epochs. The first build is epoch 1.
+	for _, f := range []string{"temperature", "brightness", "noise", "wifi"} {
+		if err := s.DB().UpsertFeature(store.FeatureRow{
+			Category: world.CategoryCoffee, Place: world.Starbucks, Feature: f, Value: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rank := func() int64 {
+		t.Helper()
+		resp, err := s.Handler()(nil, &wire.RankRequest{Category: world.CategoryCoffee, UserID: "alice"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.(*wire.RankResponse).Epoch
+	}
+	if epoch := rank(); epoch != 1 {
+		t.Fatalf("first rank served epoch %d", epoch)
+	}
+	wantOnePush("after the first build", &wire.EpochInvalidate{Category: world.CategoryCoffee, Epoch: 1})
+	// An ingest that changes a feature: the next rank folds it into
+	// epoch 2 and says so once.
+	if resp, err := s.Handler()(nil, uploadFor(sched, "tok-a/"+sched.TaskID+"/1")); err != nil || !resp.(*wire.Ack).OK {
+		t.Fatalf("upload: %+v, %v", resp, err)
+	}
+	if epoch := rank(); epoch != 2 {
+		t.Fatalf("rank after a feature change served epoch %d, want 2", epoch)
+	}
+	wantOnePush("after the feature change", &wire.EpochInvalidate{Category: world.CategoryCoffee, Epoch: 2})
+	// Traffic that moves nothing in this category marks the snapshot
+	// stale (UploadSeq is store-global) but re-arms the same epoch:
+	// nothing to announce.
+	if _, err := s.DB().Ingest("some-other-app", [][]byte{[]byte("not a report")}, store.IngestOptions{Received: t0}); err != nil {
+		t.Fatal(err)
+	}
+	if epoch := rank(); epoch != 2 {
+		t.Fatalf("re-arm served epoch %d, want 2", epoch)
+	}
+	if got := alice.TakePending(); len(got) != 0 {
+		t.Fatalf("re-arm broadcast %+v", got)
 	}
 }
 

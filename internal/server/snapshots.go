@@ -11,7 +11,6 @@ import (
 
 	"sor/internal/obs"
 	"sor/internal/ranking"
-	"sor/internal/transport"
 	"sor/internal/wire"
 )
 
@@ -178,7 +177,7 @@ func (s *Server) rebuildSnapshot(cs *categoryServing, category string, prev *ran
 		return &snap, nil
 	}
 
-	matrix, err := s.rankMatrix(category)
+	matrix, err := s.FeatureMatrix(category)
 	if err != nil {
 		return nil, errors.Join(errNoRankData, err)
 	}
@@ -223,12 +222,11 @@ func (s *Server) rebuildSnapshot(cs *categoryServing, category string, prev *ran
 	s.met.snapshotRebuilds.Inc()
 	s.met.snapshotRebuildMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	// A new epoch invalidates every ranking devices cached for this
-	// category. Stream-connected phones hear about it immediately; a
-	// wake-only fabric has no payload channel, so they find out on their
-	// next query (the re-arm fast path above keeps the epoch and stays
-	// silent).
-	if b, ok := s.push.(transport.Broadcaster); ok {
-		b.Broadcast(&wire.EpochInvalidate{Category: category, Epoch: epoch})
+	// category. Stream-connected phones hear about it immediately; the
+	// rest find out on their next query (the re-arm fast path above keeps
+	// the epoch and stays silent).
+	if s.push != nil {
+		s.push.Broadcast(&wire.EpochInvalidate{Category: category, Epoch: epoch})
 	}
 	return snap, nil
 }

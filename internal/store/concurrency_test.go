@@ -46,9 +46,11 @@ func TestConcurrentAppendAndDrain(t *testing.T) {
 			for i := 0; i < perApp; i++ {
 				body := []byte(fmt.Sprintf("%s/%d", appID, i))
 				if i%batchEvery == 0 { // exercise the batched path too
-					s.AppendUploads(appID, [][]byte{body}, at)
+					if _, err := s.Ingest(appID, [][]byte{body}, IngestOptions{Received: at}); err != nil {
+						t.Error(err)
+					}
 				} else {
-					s.AppendUpload(appID, body, at)
+					ingestBody(s, appID, body, at)
 				}
 			}
 		}(a)
@@ -87,10 +89,13 @@ func TestAppendUploadsSingleBucketOrder(t *testing.T) {
 	s := New()
 	at := time.Now()
 	bodies := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	last := s.AppendUploads("one-app", bodies, at)
+	res, err := s.Ingest("one-app", bodies, IngestOptions{Received: at})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := s.DrainUploads()
-	if len(got) != 3 || got[2].Seq != last {
-		t.Fatalf("drained %d uploads, last seq %d want %d", len(got), got[len(got)-1].Seq, last)
+	if len(got) != 3 || got[2].Seq != res.LastSeq {
+		t.Fatalf("drained %d uploads, last seq %d want %d", len(got), got[len(got)-1].Seq, res.LastSeq)
 	}
 	for i, up := range got {
 		if string(up.Body) != string(bodies[i]) {
@@ -100,8 +105,8 @@ func TestAppendUploadsSingleBucketOrder(t *testing.T) {
 			t.Fatalf("position %d routed to app %q", i, up.AppID)
 		}
 	}
-	if s.AppendUploads("one-app", nil, at) != 0 {
-		t.Fatal("empty burst must return 0")
+	if res, err := s.Ingest("one-app", nil, IngestOptions{Received: at}); err != nil || res.LastSeq != 0 {
+		t.Fatalf("empty burst = %+v, %v, want LastSeq 0", res, err)
 	}
 }
 
@@ -170,7 +175,7 @@ func TestSnapshotWhileWriting(t *testing.T) {
 			defer wg.Done()
 			appID := fmt.Sprintf("snap-app-%d", w)
 			for i := 0; i < perWriter; i++ {
-				s.AppendUpload(appID, []byte(fmt.Sprintf("%d/%d", w, i)), at)
+				ingestBody(s, appID, []byte(fmt.Sprintf("%d/%d", w, i)), at)
 				taskID := fmt.Sprintf("snap-task-%d-%d", w, i)
 				if err := s.PutSchedule(ScheduleRow{TaskID: taskID, AppID: appID, UserID: "u"}); err != nil {
 					errs <- err
@@ -229,7 +234,7 @@ func TestSnapshotWhileWriting(t *testing.T) {
 		}
 	}
 	// Restored sequence counter must continue past every restored seq.
-	next := restored.AppendUpload("snap-app-0", []byte("after"), at)
+	next := ingestBody(restored, "snap-app-0", []byte("after"), at)
 	for _, up := range restored.DrainUploads() {
 		if string(up.Body) != "after" && up.Seq >= next {
 			t.Fatalf("restored seq %d not below continued seq %d", up.Seq, next)

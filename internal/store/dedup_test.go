@@ -8,21 +8,21 @@ import (
 
 func TestMarkReportDedups(t *testing.T) {
 	s := New()
-	if !s.MarkReport("app", "r1") {
+	if !ingestMarked(s, "app", "r1") {
 		t.Fatal("first mark must be new")
 	}
-	if s.MarkReport("app", "r1") {
+	if ingestMarked(s, "app", "r1") {
 		t.Fatal("second mark must report a duplicate")
 	}
 	if !s.ReportSeen("app", "r1") {
 		t.Fatal("ReportSeen lost the mark")
 	}
 	// Windows are per-application: the same ID under another app is new.
-	if !s.MarkReport("other-app", "r1") {
+	if !ingestMarked(s, "other-app", "r1") {
 		t.Fatal("dedup windows must not be shared across apps")
 	}
 	// Empty IDs (legacy senders without dedup support) are never deduped.
-	if !s.MarkReport("app", "") || !s.MarkReport("app", "") {
+	if !ingestMarked(s, "app", "") || !ingestMarked(s, "app", "") {
 		t.Fatal("empty ReportIDs must always pass")
 	}
 	if s.ReportSeen("app", "") {
@@ -33,7 +33,7 @@ func TestMarkReportDedups(t *testing.T) {
 func TestMarkReportWindowEvictsOldest(t *testing.T) {
 	s := New()
 	for i := 0; i < reportWindowSize+1; i++ {
-		if !s.MarkReport("app", fmt.Sprintf("r%d", i)) {
+		if !ingestMarked(s, "app", fmt.Sprintf("r%d", i)) {
 			t.Fatalf("r%d spuriously deduped", i)
 		}
 	}
@@ -42,23 +42,23 @@ func TestMarkReportWindowEvictsOldest(t *testing.T) {
 		t.Fatal("oldest ID still in a full window")
 	}
 	// Re-marking r0 into the full window evicts the then-oldest r1.
-	if !s.MarkReport("app", "r0") {
+	if !ingestMarked(s, "app", "r0") {
 		t.Fatal("evicted ID must be acceptable again")
 	}
 	if s.ReportSeen("app", "r1") {
 		t.Fatal("r1 should have been evicted by r0's re-entry")
 	}
 	// r2 survived both evictions and must still dedup.
-	if s.MarkReport("app", "r2") {
+	if ingestMarked(s, "app", "r2") {
 		t.Fatal("recent ID evicted too early")
 	}
 }
 
 func TestDedupWindowSurvivesSnapshotRestore(t *testing.T) {
 	s := New()
-	s.MarkReport("app-a", "r1")
-	s.MarkReport("app-a", "r2")
-	s.MarkReport("app-b", "r1")
+	ingestMarked(s, "app-a", "r1")
+	ingestMarked(s, "app-a", "r2")
+	ingestMarked(s, "app-b", "r1")
 	data, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +70,11 @@ func TestDedupWindowSurvivesSnapshotRestore(t *testing.T) {
 	for _, tc := range []struct{ app, id string }{
 		{"app-a", "r1"}, {"app-a", "r2"}, {"app-b", "r1"},
 	} {
-		if restored.MarkReport(tc.app, tc.id) {
+		if ingestMarked(restored, tc.app, tc.id) {
 			t.Fatalf("replay of %s/%s accepted after restart", tc.app, tc.id)
 		}
 	}
-	if !restored.MarkReport("app-a", "r3") {
+	if !ingestMarked(restored, "app-a", "r3") {
 		t.Fatal("fresh ID refused after restore")
 	}
 }
@@ -89,7 +89,7 @@ func TestMarkReportConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < ids; i++ {
-				if s.MarkReport("app", fmt.Sprintf("r%d", i)) {
+				if ingestMarked(s, "app", fmt.Sprintf("r%d", i)) {
 					newCount[g]++
 				}
 			}

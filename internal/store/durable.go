@@ -46,8 +46,6 @@ func (b *MemoryBackend) Kill()        {}
 
 type durableOptions struct {
 	snapshotInterval time.Duration
-	snapshotPath     string
-	walEnabled       bool
 	sync             wal.SyncPolicy
 	syncWait         time.Duration
 	segmentBytes     int64
@@ -61,20 +59,6 @@ type DurableOption func(*durableOptions)
 // WithSnapshotInterval sets the checkpoint cadence (default 30s).
 func WithSnapshotInterval(d time.Duration) DurableOption {
 	return func(o *durableOptions) { o.snapshotInterval = d }
-}
-
-// WithSnapshotPath overrides where the snapshot file lives (default
-// <dir>/snapshot.json). Exists for the deprecated sord -snapshot flag,
-// which named the file rather than the directory.
-func WithSnapshotPath(path string) DurableOption {
-	return func(o *durableOptions) { o.snapshotPath = path }
-}
-
-// WithoutWAL disables write-ahead logging: durability degrades to
-// periodic snapshots only (the pre-WAL sord behavior). Mutations between
-// the last checkpoint and a crash are lost.
-func WithoutWAL() DurableOption {
-	return func(o *durableOptions) { o.walEnabled = false }
 }
 
 // WithWALSync selects the WAL acknowledgement policy (default
@@ -137,16 +121,12 @@ type DurableBackend struct {
 func NewDurableBackend(dir string, opts ...DurableOption) *DurableBackend {
 	o := durableOptions{
 		snapshotInterval: 30 * time.Second,
-		walEnabled:       true,
 		sync:             wal.SyncOS,
 	}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	o.clock = vclock.Or(o.clock)
-	if o.snapshotPath == "" {
-		o.snapshotPath = filepath.Join(dir, "snapshot.json")
-	}
 	b := &DurableBackend{dir: dir, opts: o}
 	if reg := o.metrics; reg != nil {
 		b.recovered = reg.Counter("sor_wal_recovered_records_total")
@@ -160,12 +140,14 @@ func NewDurableBackend(dir string, opts ...DurableOption) *DurableBackend {
 func (b *DurableBackend) WALDir() string { return filepath.Join(b.dir, "wal") }
 
 // WAL exposes the open log for the replication layer (leader-side
-// shipping reads and retention floors). Nil before Open or with
-// WithoutWAL.
+// shipping reads and retention floors). Nil before Open.
 func (b *DurableBackend) WAL() *wal.Log { return b.log }
 
 // Dir is the backend's data directory.
 func (b *DurableBackend) Dir() string { return b.dir }
+
+// snapshotPath is where a data dir keeps its checkpoint.
+func snapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json") }
 
 // Open recovers the store from disk and starts the checkpoint loop.
 func (b *DurableBackend) Open() (*Store, error) {
@@ -175,36 +157,34 @@ func (b *DurableBackend) Open() (*Store, error) {
 	if err := os.MkdirAll(b.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
-	st, err := Load(b.opts.snapshotPath)
+	st, err := Load(snapshotPath(b.dir))
 	if err != nil {
 		return nil, err
 	}
-	if b.opts.walEnabled {
-		stats, err := wal.Replay(b.WALDir(), st.restoredLSN, func(lsn uint64, payload []byte) error {
-			return st.applyWALRecord(payload)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("store: wal replay: %w", err)
-		}
-		b.recovered.Add(int64(stats.Records))
-		log, err := wal.Open(b.WALDir(), wal.Options{
-			Sync:         b.opts.sync,
-			SyncWait:     b.opts.syncWait,
-			SegmentBytes: b.opts.segmentBytes,
-			Metrics:      walObsMetrics(b.opts.metrics),
-			Clock:        b.opts.clock,
-			// A snapshot-shipped data dir has a snapshot watermark but no
-			// segments: seed the fresh log so the first replicated append
-			// lands at exactly the LSN the leader assigned it. A normal
-			// recovery ignores this (its segments carry the numbering).
-			FirstLSN: st.restoredLSN + 1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("store: wal open: %w", err)
-		}
-		b.log = log
-		st.attachWAL(log)
+	stats, err := wal.Replay(b.WALDir(), st.restoredLSN, func(lsn uint64, payload []byte) error {
+		return st.applyWALRecord(payload)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: wal replay: %w", err)
 	}
+	b.recovered.Add(int64(stats.Records))
+	log, err := wal.Open(b.WALDir(), wal.Options{
+		Sync:         b.opts.sync,
+		SyncWait:     b.opts.syncWait,
+		SegmentBytes: b.opts.segmentBytes,
+		Metrics:      walObsMetrics(b.opts.metrics),
+		Clock:        b.opts.clock,
+		// A snapshot-shipped data dir has a snapshot watermark but no
+		// segments: seed the fresh log so the first replicated append
+		// lands at exactly the LSN the leader assigned it. A normal
+		// recovery ignores this (its segments carry the numbering).
+		FirstLSN: st.restoredLSN + 1,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: wal open: %w", err)
+	}
+	b.log = log
+	st.attachWAL(log)
 	b.st = st
 	b.stop = make(chan struct{})
 	b.kill = make(chan struct{})
@@ -238,23 +218,18 @@ func (b *DurableBackend) Checkpoint() error {
 	start := time.Now()
 	st := b.st
 	st.snapMu.Lock()
-	var watermark uint64
-	if b.log != nil {
-		watermark = b.log.LastLSN()
-	}
+	watermark := b.log.LastLSN()
 	data, err := st.Snapshot()
 	st.snapMu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(b.opts.snapshotPath, data); err != nil {
+	if err := writeFileAtomic(snapshotPath(b.dir), data); err != nil {
 		return err
 	}
-	if b.log != nil {
-		// Best-effort: a failed truncation only leaves extra segments,
-		// which the watermark makes harmless on replay.
-		_ = b.log.TruncateThrough(watermark)
-	}
+	// Best-effort: a failed truncation only leaves extra segments,
+	// which the watermark makes harmless on replay.
+	_ = b.log.TruncateThrough(watermark)
 	b.checkpoints.Inc()
 	b.checkpointMS.Observe(float64(time.Since(start).Milliseconds()))
 	return nil
@@ -272,10 +247,7 @@ func (b *DurableBackend) SnapshotForShip() ([]byte, uint64, error) {
 		return nil, 0, errors.New("store: backend not open")
 	}
 	st.snapMu.Lock()
-	var watermark uint64
-	if b.log != nil {
-		watermark = b.log.LastLSN()
-	}
+	watermark := b.log.LastLSN()
 	data, err := st.Snapshot()
 	st.snapMu.Unlock()
 	if err != nil {
@@ -297,7 +269,7 @@ func InstallShippedSnapshot(dir string, data []byte) error {
 	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
 		return fmt.Errorf("store: clearing stale wal: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(dir, "snapshot.json"), data)
+	return writeFileAtomic(snapshotPath(dir), data)
 }
 
 // Close checkpoints one final time and closes the WAL cleanly.
@@ -309,9 +281,7 @@ func (b *DurableBackend) Close() error {
 	b.end.Do(func() {
 		close(b.stop)
 		<-b.done
-		if b.log != nil {
-			err = b.log.Close()
-		}
+		err = b.log.Close()
 	})
 	return err
 }
@@ -328,9 +298,7 @@ func (b *DurableBackend) Kill() {
 	b.end.Do(func() {
 		close(b.kill)
 		<-b.done
-		if b.log != nil {
-			b.log.Kill()
-		}
+		b.log.Kill()
 	})
 }
 

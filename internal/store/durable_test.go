@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestDurableBackendCleanRestart(t *testing.T) {
 	defer b2.Close()
 	verifyPopulated(t, st2)
 	// The sequence continues where the first process stopped.
-	if seq := st2.AppendUpload("a1", []byte{9}, now); seq != 3 {
+	if seq := ingestBody(st2, "a1", []byte{9}, now); seq != 3 {
 		t.Fatalf("seq after restart = %d, want 3", seq)
 	}
 	// A replayed ReportID is still a duplicate after restart.
@@ -131,7 +132,7 @@ func TestDurableBackendKillRecoversFromWALAlone(t *testing.T) {
 
 	// No checkpoint ever ran: the snapshot file must not exist, so the
 	// entire state below comes from WAL replay.
-	if _, err := os.Stat(b.opts.snapshotPath); !os.IsNotExist(err) {
+	if _, err := os.Stat(snapshotPath(dir)); !os.IsNotExist(err) {
 		t.Fatalf("snapshot file unexpectedly present: %v", err)
 	}
 	b2 := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
@@ -161,7 +162,7 @@ func TestDurableBackendCheckpointTruncatesWAL(t *testing.T) {
 	}
 	body := make([]byte, 128)
 	for i := 0; i < 50; i++ {
-		st.AppendUpload("a1", body, now)
+		ingestBody(st, "a1", body, now)
 	}
 	segs, err := wal.Inspect(b.WALDir())
 	if err != nil {
@@ -196,35 +197,47 @@ func TestDurableBackendCheckpointTruncatesWAL(t *testing.T) {
 	}
 }
 
-func TestDurableBackendWithoutWAL(t *testing.T) {
-	dir := t.TempDir()
-	b := NewDurableBackend(dir, WithoutWAL(), WithSnapshotInterval(time.Hour))
-	st, err := b.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, st)
-	if err := b.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Mutations after the checkpoint are the window WithoutWAL gives up.
-	if err := st.PutUser(User{ID: "u2", Token: "tok2"}); err != nil {
-		t.Fatal(err)
-	}
-	b.Kill()
-	if _, err := os.Stat(b.WALDir()); !os.IsNotExist(err) {
-		t.Fatalf("WithoutWAL backend created a wal dir: %v", err)
-	}
-
-	b2 := NewDurableBackend(dir, WithoutWAL(), WithSnapshotInterval(time.Hour))
-	st2, err := b2.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	verifyPopulated(t, st2)
-	if _, err := st2.User("u2"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("post-checkpoint mutation survived a kill without a WAL")
+// TestWALRecordValidation: a record the decoder does not accept — among
+// them the JSON "mark" and "ingest" framings the binary ingest record
+// superseded — is refused, never skipped: ApplyReplicated rejects it
+// before appending or applying anything, and a log holding one fails
+// Open instead of recovering around it.
+func TestWALRecordValidation(t *testing.T) {
+	for _, tc := range []struct{ name, payload, want string }{
+		{"json mark", `{"op":"mark","app_id":"a1","report_id":"r1"}`, `unknown wal op "mark"`},
+		{"json ingest", `{"op":"ingest","ingest":{"app_id":"a1","base_seq":0,"received":"2013-11-15T11:00:00Z","bodies":["AQ=="],"report_ids":["r1"]}}`, `unknown wal op "ingest"`},
+		{"unknown op", `{"op":"nope"}`, `unknown wal op "nope"`},
+		{"op without payload", `{"op":"user"}`, "without payload"},
+		{"truncated binary ingest", "\x01\x05a", "malformed binary ingest record"},
+		{"not a record", "garbage", "decoding wal record"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+			st, err := b.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = st.ApplyReplicated(1, []byte(tc.payload))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ApplyReplicated = %v, want %q", err, tc.want)
+			}
+			if st.AppliedLSN() != 0 || st.UploadCount() != 0 || st.ReportSeen("a1", "r1") {
+				t.Fatalf("refused record left a trace: lsn %d, %d uploads, r1 seen %v",
+					st.AppliedLSN(), st.UploadCount(), st.ReportSeen("a1", "r1"))
+			}
+			// The same bytes behind a good record in the log on disk.
+			if err := st.PutUser(User{ID: "u1", Token: "tok"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.WAL().Append([]byte(tc.payload)); err != nil {
+				t.Fatal(err)
+			}
+			b.Kill()
+			if _, err := NewDurableBackend(dir).Open(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open over the record = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -299,8 +312,8 @@ func TestDurableDrainArchivesUploads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	st.AppendUpload("a1", []byte{1}, now)
-	st.AppendUpload("a1", []byte{2}, now)
+	ingestBody(st, "a1", []byte{1}, now)
+	ingestBody(st, "a1", []byte{2}, now)
 	if got := st.DrainUploads(); len(got) != 2 {
 		t.Fatalf("drained %d", len(got))
 	}
@@ -314,7 +327,7 @@ func TestDurableDrainArchivesUploads(t *testing.T) {
 	if len(all) != 2 || all[0].Seq != 1 || all[1].Seq != 2 {
 		t.Fatalf("AllUploads = %+v", all)
 	}
-	st.AppendUpload("a1", []byte{3}, now)
+	ingestBody(st, "a1", []byte{3}, now)
 	st.RequeueUploads()
 	if st.PendingUploads() != 3 {
 		t.Fatalf("requeued pending = %d, want 3", st.PendingUploads())
@@ -326,7 +339,7 @@ func TestDurableDrainArchivesUploads(t *testing.T) {
 	}
 
 	mem := New()
-	mem.AppendUpload("a1", []byte{1}, now)
+	ingestBody(mem, "a1", []byte{1}, now)
 	mem.DrainUploads()
 	if mem.UploadCount() != 0 {
 		t.Fatal("in-memory store must not archive drained uploads")

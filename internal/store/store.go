@@ -740,71 +740,6 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 	return res, lsn, nil
 }
 
-// AppendUpload lands a raw binary blob in the appID's bucket and returns
-// its sequence number. Sequence numbers are globally unique and monotonic;
-// ordering across buckets is reconstructed at drain time. It is a thin
-// wrapper over Ingest (no dedup, body copied); durable callers that need
-// the WAL error should call Ingest directly.
-func (s *Store) AppendUpload(appID string, body []byte, received time.Time) int64 {
-	return s.AppendUploadTraced(appID, body, received, "")
-}
-
-// AppendUploadTraced is AppendUpload carrying the trace id of the wire
-// request that delivered the blob.
-func (s *Store) AppendUploadTraced(appID string, body []byte, received time.Time, requestID string) int64 {
-	res, _ := s.Ingest(appID, [][]byte{body},
-		IngestOptions{Received: received, RequestID: requestID, CopyBodies: true})
-	return res.LastSeq
-}
-
-// AppendUploads lands a burst of blobs for one application under a single
-// bucket-lock acquisition (the batched ingest path). It takes ownership of
-// the body slices — callers must not reuse them afterwards. It returns
-// the sequence number of the last blob appended, or 0 for an empty burst.
-// Like AppendUpload it wraps Ingest without dedup.
-func (s *Store) AppendUploads(appID string, bodies [][]byte, received time.Time) int64 {
-	return s.AppendUploadsTraced(appID, bodies, received, "")
-}
-
-// AppendUploadsTraced is AppendUploads carrying the trace id of the
-// batch request that delivered the blobs (one id for the whole burst —
-// a batch is one wire frame).
-func (s *Store) AppendUploadsTraced(appID string, bodies [][]byte, received time.Time, requestID string) int64 {
-	res, _ := s.Ingest(appID, bodies,
-		IngestOptions{Received: received, RequestID: requestID})
-	return res.LastSeq
-}
-
-// MarkReport records a ReportID in appID's dedup window and reports
-// whether it was new. A false return means the report was already
-// ingested — the Message Handler acks it without storing or charging
-// budget again, which turns the device outbox's at-least-once
-// retransmission into exactly-once storage. Empty ReportIDs (legacy
-// senders) are never deduplicated.
-//
-// The mark is logged best-effort on durable stores; the atomic
-// mark-plus-store path is Ingest, which is what the server uses.
-func (s *Store) MarkReport(appID, reportID string) bool {
-	if reportID == "" {
-		return true
-	}
-	s.snapMu.RLock()
-	defer s.snapMu.RUnlock()
-	sh := &s.dedupShards[shardIndex(appID)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	w, ok := sh.apps[appID]
-	if !ok {
-		w = &reportWindow{seen: make(map[string]struct{})}
-		sh.apps[appID] = w
-	}
-	if _, dup := w.seen[reportID]; dup {
-		return false
-	}
-	_ = s.logOp(&walOp{Op: opMark, AppID: appID, ReportID: reportID})
-	return w.mark(reportID)
-}
-
 // ReportSeen reports whether a ReportID is in appID's dedup window
 // (read-only; observability and tests).
 func (s *Store) ReportSeen(appID, reportID string) bool {
@@ -1273,7 +1208,9 @@ func Restore(data []byte) (*Store, error) {
 	}
 	for _, row := range snap.SeenReports {
 		for _, id := range row.IDs {
-			s.MarkReport(row.AppID, id)
+			if id != "" {
+				s.markLocked(row.AppID, id)
+			}
 		}
 	}
 	return s, nil

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -144,9 +143,9 @@ func TestTaskStatusString(t *testing.T) {
 func TestUploadsDrain(t *testing.T) {
 	s := New()
 	body := []byte{1, 2, 3}
-	seq1 := s.AppendUpload("app-a", body, now)
+	seq1 := ingestBody(s, "app-a", body, now)
 	body[0] = 99 // caller mutation must not leak in
-	seq2 := s.AppendUpload("app-b", []byte{4}, now.Add(time.Second))
+	seq2 := ingestBody(s, "app-b", []byte{4}, now.Add(time.Second))
 	if seq1 != 1 || seq2 != 2 {
 		t.Fatalf("seqs = %d, %d", seq1, seq2)
 	}
@@ -248,7 +247,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := s.PutParticipation(Participation{TaskID: "t1", UserID: "u1", AppID: "a1", Status: TaskRunning, Joined: now}); err != nil {
 		t.Fatal(err)
 	}
-	s.AppendUpload("a1", []byte{9, 9}, now)
+	ingestBody(s, "a1", []byte{9, 9}, now)
 	if err := s.UpsertFeature(FeatureRow{Category: "c", Place: "p", Feature: "f", Value: 1.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +282,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored schedule: %+v, %v", r, err)
 	}
 	// New uploads continue the sequence.
-	if seq := restored.AppendUpload("a1", []byte{1}, now); seq != 2 {
+	if seq := ingestBody(restored, "a1", []byte{1}, now); seq != 2 {
 		t.Fatalf("restored seq = %d, want 2", seq)
 	}
 }
@@ -294,55 +293,59 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestAppendWrappersMatchIngest pins the collapse of the four historical
-// append entry points onto Ingest: same sequence numbers, same stored
-// rows, same ownership semantics (single-report wrappers copy, batch
-// wrappers take ownership).
-func TestAppendWrappersMatchIngest(t *testing.T) {
-	viaWrappers := New()
-	body := []byte{1, 2, 3}
-	seq := viaWrappers.AppendUpload("a", body, now)
-	body[0] = 99 // single-report path must have copied
-	viaWrappers.AppendUploadTraced("a", []byte{4}, now, "req-1")
-	viaWrappers.AppendUploads("b", [][]byte{{5}, {6}}, now)
-	last := viaWrappers.AppendUploadsTraced("b", [][]byte{{7}}, now, "req-2")
-	if seq != 1 || last != 5 {
-		t.Fatalf("wrapper seqs = %d, %d", seq, last)
-	}
+// ingestBody stores one blob through Ingest the way the Message Handler
+// stores a single report without a ReportID (no dedup, body copied) and
+// returns its sequence number.
+func ingestBody(s *Store, appID string, body []byte, at time.Time) int64 {
+	res, _ := s.Ingest(appID, [][]byte{body}, IngestOptions{Received: at, CopyBodies: true})
+	return res.LastSeq
+}
 
-	viaIngest := New()
-	body2 := []byte{1, 2, 3}
-	r1, err := viaIngest.Ingest("a", [][]byte{body2}, IngestOptions{Received: now, CopyBodies: true})
+// ingestMarked stores a one-byte report under reportID and reports
+// whether appID's dedup window took it as new.
+func ingestMarked(s *Store, appID, reportID string) bool {
+	res, err := s.Ingest(appID, [][]byte{{0}}, IngestOptions{ReportIDs: []string{reportID}})
+	return err == nil && res.Fresh[0]
+}
+
+// TestIngestBodyOwnership pins what Ingest does with the caller's
+// slices and how it numbers rows: CopyBodies stores a copy, the default
+// takes ownership of the slice itself, sequence numbers run contiguously
+// across calls and apps, and each call's RequestID lands on its rows.
+func TestIngestBodyOwnership(t *testing.T) {
+	s := New()
+	copied := []byte{1, 2, 3}
+	r1, err := s.Ingest("a", [][]byte{copied}, IngestOptions{Received: now, CopyBodies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body2[0] = 99
-	if _, err := viaIngest.Ingest("a", [][]byte{{4}}, IngestOptions{Received: now, RequestID: "req-1", CopyBodies: true}); err != nil {
+	copied[0] = 99
+	owned := []byte{5}
+	if _, err := s.Ingest("b", [][]byte{owned, {6}}, IngestOptions{Received: now, RequestID: "req-1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := viaIngest.Ingest("b", [][]byte{{5}, {6}}, IngestOptions{Received: now}); err != nil {
-		t.Fatal(err)
-	}
-	r4, err := viaIngest.Ingest("b", [][]byte{{7}}, IngestOptions{Received: now, RequestID: "req-2"})
+	r3, err := s.Ingest("b", [][]byte{{7}}, IngestOptions{Received: now, RequestID: "req-2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.LastSeq != seq || r4.LastSeq != last {
-		t.Fatalf("ingest seqs = %d, %d; wrappers gave %d, %d", r1.LastSeq, r4.LastSeq, seq, last)
+	if r1.LastSeq != 1 || r3.LastSeq != 4 {
+		t.Fatalf("seqs = %d, %d, want 1, 4", r1.LastSeq, r3.LastSeq)
 	}
-
-	a, b := viaWrappers.DrainUploads(), viaIngest.DrainUploads()
-	if len(a) != len(b) {
-		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
+	rows := s.DrainUploads()
+	if len(rows) != 4 {
+		t.Fatalf("drained %d rows, want 4", len(rows))
 	}
-	for i := range a {
-		if a[i].Seq != b[i].Seq || a[i].AppID != b[i].AppID ||
-			a[i].RequestID != b[i].RequestID || !bytes.Equal(a[i].Body, b[i].Body) {
-			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
+	for i, want := range []struct {
+		app, req string
+		first    byte
+	}{{"a", "", 1}, {"b", "req-1", 5}, {"b", "req-1", 6}, {"b", "req-2", 7}} {
+		got := rows[i]
+		if got.Seq != int64(i+1) || got.AppID != want.app || got.RequestID != want.req || got.Body[0] != want.first {
+			t.Fatalf("row %d = %+v, want seq %d %+v", i, got, i+1, want)
 		}
 	}
-	if a[0].Body[0] != 1 {
-		t.Fatal("caller mutation leaked into stored body")
+	if &rows[1].Body[0] != &owned[0] {
+		t.Fatal("without CopyBodies the stored body must be the caller's slice")
 	}
 }
 
@@ -351,9 +354,10 @@ func TestAppendWrappersMatchIngest(t *testing.T) {
 // never deduplicate, and a mismatched ReportIDs slice is an error.
 func TestIngestDedup(t *testing.T) {
 	s := New()
-	if !s.MarkReport("a", "old") {
+	if !ingestMarked(s, "a", "old") {
 		t.Fatal("first mark must be new")
 	}
+	s.DrainUploads()
 	res, err := s.Ingest("a", [][]byte{{1}, {2}, {3}, {4}, {5}}, IngestOptions{
 		Received:  now,
 		ReportIDs: []string{"old", "new", "new", "", ""},
@@ -367,7 +371,7 @@ func TestIngestDedup(t *testing.T) {
 			t.Fatalf("Fresh = %v, want %v", res.Fresh, want)
 		}
 	}
-	if res.Stored != 3 || res.LastSeq != 3 {
+	if res.Stored != 3 || res.LastSeq != 4 {
 		t.Fatalf("res = %+v", res)
 	}
 	if s.PendingUploads() != 3 {
@@ -394,7 +398,7 @@ func TestConcurrentAccess(t *testing.T) {
 				t.Error(err)
 			}
 			for j := 0; j < 100; j++ {
-				s.AppendUpload(id, []byte{byte(j)}, now)
+				ingestBody(s, id, []byte{byte(j)}, now)
 				if err := s.UpsertFeature(FeatureRow{
 					Category: "c", Place: id, Feature: "f", Value: float64(j),
 				}); err != nil {

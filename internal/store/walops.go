@@ -11,10 +11,12 @@ import (
 	"sor/internal/wal"
 )
 
-// WAL op codes. One record is written per mutation, before the mutation
-// is applied; replay (applyWALRecord) re-applies them in LSN order onto a
-// restored snapshot. Drains and reads are operational, not state, and are
-// never logged.
+// WAL op codes of the JSON-framed records. One record is written per
+// mutation, before the mutation is applied; replay (applyWALRecord)
+// re-applies them in LSN order onto a restored snapshot. Drains and reads
+// are operational, not state, and are never logged. Ingest — dedup marks
+// plus stored bodies, one atomic record — has no op code: it is the
+// binary record below.
 const (
 	opUser   = "user"   // PutUser
 	opApp    = "app"    // PutApp
@@ -22,8 +24,6 @@ const (
 	opFeat   = "feat"   // UpsertFeature
 	opSched  = "sched"  // PutSchedule
 	opAnchor = "anchor" // PutAnchor
-	opMark   = "mark"   // standalone MarkReport (the server's atomic path is opIngest)
-	opIngest = "ingest" // Ingest: dedup marks + stored bodies, one atomic record
 )
 
 // walOp is one logged mutation. Exactly one payload field matching Op is
@@ -36,9 +36,7 @@ type walOp struct {
 	Feat       *FeatureRow    `json:"feat,omitempty"`
 	Sched      *ScheduleRow   `json:"sched,omitempty"`
 	AppID      string         `json:"app_id,omitempty"`
-	ReportID   string         `json:"report_id,omitempty"`
 	AnchorUnix int64          `json:"anchor_unix,omitempty"`
-	Ingest     *ingestOp      `json:"ingest,omitempty"`
 }
 
 // ingestOp is the atomic image of one Ingest call: only the bodies that
@@ -46,12 +44,12 @@ type walOp struct {
 // crash between ack and anything else cannot split the mark from the
 // body — both ride one CRC-framed record.
 type ingestOp struct {
-	AppID     string    `json:"app_id"`
-	BaseSeq   int64     `json:"base_seq"` // Seq of Bodies[i] is BaseSeq+i+1
-	Received  time.Time `json:"received"`
-	RequestID string    `json:"request_id,omitempty"`
-	Bodies    [][]byte  `json:"bodies"`
-	ReportIDs []string  `json:"report_ids,omitempty"` // parallel to Bodies; "" = unmarked
+	AppID     string
+	BaseSeq   int64 // Seq of Bodies[i] is BaseSeq+i+1
+	Received  time.Time
+	RequestID string
+	Bodies    [][]byte
+	ReportIDs []string // parallel to Bodies; "" = unmarked
 }
 
 // Ingest records — the only high-rate op — use a compact binary encoding
@@ -234,9 +232,7 @@ func decodeWALRecord(payload []byte) (op *walOp, in *ingestOp, err error) {
 		need = op.Feat == nil
 	case opSched:
 		need = op.Sched == nil
-	case opAnchor, opMark:
-	case opIngest:
-		need = op.Ingest == nil
+	case opAnchor:
 	default:
 		return nil, nil, fmt.Errorf("store: unknown wal op %q", op.Op)
 	}
@@ -271,12 +267,6 @@ func (s *Store) applyDecoded(op *walOp, in *ingestOp) {
 		s.schedShards[shardIndex(op.Sched.TaskID)].rows[op.Sched.TaskID] = *op.Sched
 	case opAnchor:
 		s.anchors[op.AppID] = op.AnchorUnix
-	case opMark:
-		if op.ReportID != "" {
-			s.markLocked(op.AppID, op.ReportID)
-		}
-	case opIngest:
-		s.applyIngestOp(op.Ingest)
 	}
 }
 
@@ -298,9 +288,6 @@ func (s *Store) applyWALRecord(payload []byte) error {
 // checkpoint snapshot — see the replica's tables exactly as they would a
 // leader's.
 func (s *Store) lockForOp(op *walOp, in *ingestOp) func() {
-	if in == nil && op.Op == opIngest {
-		in = op.Ingest
-	}
 	switch {
 	case in != nil:
 		dsh := &s.dedupShards[shardIndex(in.AppID)]
@@ -310,10 +297,6 @@ func (s *Store) lockForOp(op *walOp, in *ingestOp) func() {
 		return func() { ush.mu.Unlock(); dsh.mu.Unlock() }
 	case op.Op == opSched:
 		sh := &s.schedShards[shardIndex(op.Sched.TaskID)]
-		sh.mu.Lock()
-		return sh.mu.Unlock
-	case op.Op == opMark:
-		sh := &s.dedupShards[shardIndex(op.AppID)]
 		sh.mu.Lock()
 		return sh.mu.Unlock
 	default:
@@ -385,7 +368,7 @@ func (s *Store) AppliedLSN() uint64 {
 	return s.wal.LastLSN()
 }
 
-// applyIngestOp replays one Ingest record (binary or legacy JSON framing).
+// applyIngestOp replays one Ingest record.
 func (s *Store) applyIngestOp(in *ingestOp) {
 	sh := &s.uploadShards[shardIndex(in.AppID)]
 	for i, body := range in.Bodies {

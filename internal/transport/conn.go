@@ -30,35 +30,23 @@ type Conn interface {
 	Close() error
 }
 
-// Notifier is the server's outbound wake-up hook: given a device token,
-// get that phone to ping home. The deprecated Push fabric and the session
-// registry both implement it; server.Config.Push accepts either.
+// Notifier is the server's outbound push path to phones, keyed by device
+// token. The session registry (internal/transport/session) is its one
+// implementation; the interface exists so this package and the server do
+// not import the session layer.
 type Notifier interface {
+	// Notify queues a coalesced wake-up: get that phone to ping home.
 	Notify(token string) error
-}
-
-// MessagePusher is a Notifier that can additionally deliver a full wire
-// message down a live connection — the session registry. When the server's
-// push fabric implements it, schedule redistribution pushes the new
-// wire.Schedule itself instead of a bare wake-up, saving the phone the
-// ping round trip.
-type MessagePusher interface {
-	Notifier
+	// PushMessage delivers a full wire message (a fresh wire.Schedule)
+	// down the phone's live connection, saving it the ping round trip.
 	PushMessage(token string, m wire.Message) error
-}
-
-// Broadcaster fans one message to every live session (epoch
-// invalidations). Returns how many sessions it was queued to.
-type Broadcaster interface {
+	// Broadcast fans one message to every live session (epoch
+	// invalidations) and returns how many sessions it was queued to.
 	Broadcast(m wire.Message) int
 }
 
-// Compile-time checks: both transports satisfy Conn, and the deprecated
-// push fabric stays usable wherever a Notifier is wanted.
-var (
-	_ Conn     = (*Client)(nil)
-	_ Notifier = (*Push)(nil)
-)
+// Compile-time check: the HTTP client satisfies Conn.
+var _ Conn = (*Client)(nil)
 
 // Events implements Conn for the one-shot HTTP client: there is no live
 // channel, so the returned nil channel never delivers (receives block

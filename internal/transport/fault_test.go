@@ -29,7 +29,7 @@ func TestFaultInjectorRequestLossNeverReachesServer(t *testing.T) {
 	srv := httptest.NewServer(hh)
 	defer srv.Close()
 	fi := NewFaultInjector(FaultConfig{Seed: 1, RequestLoss: 1})
-	c, err := NewClient(srv.URL, WithRetries(0),
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: -1}),
 		WithHTTPClient(&http.Client{Transport: fi.Transport(nil)}))
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestFaultInjectorResponseLossDeliversButDropsAck(t *testing.T) {
 	srv := httptest.NewServer(hh)
 	defer srv.Close()
 	fi := NewFaultInjector(FaultConfig{Seed: 1, ResponseLoss: 1})
-	c, err := NewClient(srv.URL, WithRetries(0),
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: -1}),
 		WithHTTPClient(&http.Client{Transport: fi.Transport(nil)}))
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestFaultInjectorPartitionAndHeal(t *testing.T) {
 	srv := httptest.NewServer(hh)
 	defer srv.Close()
 	fi := NewFaultInjector(FaultConfig{Seed: 7})
-	c, err := NewClient(srv.URL, WithRetries(0),
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: -1}),
 		WithHTTPClient(&http.Client{Transport: fi.Transport(nil)}))
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestFaultInjectorDisabledPassesThrough(t *testing.T) {
 	defer srv.Close()
 	fi := NewFaultInjector(FaultConfig{Seed: 1, RequestLoss: 1, ResponseLoss: 1})
 	fi.SetEnabled(false)
-	c, err := NewClient(srv.URL, WithRetries(0),
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: -1}),
 		WithHTTPClient(&http.Client{Transport: fi.Transport(nil)}))
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestFaultInjectorServerSideHandler(t *testing.T) {
 	fi := NewFaultInjector(FaultConfig{Seed: 3, ResponseLoss: 1})
 	srv := httptest.NewServer(fi.Handler(hh))
 	defer srv.Close()
-	c, err := NewClient(srv.URL, WithRetries(0))
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFaultInjectorServerSideHandler(t *testing.T) {
 	fi2 := NewFaultInjector(FaultConfig{Seed: 3, RequestLoss: 1})
 	srv2 := httptest.NewServer(fi2.Handler(hh))
 	defer srv2.Close()
-	c2, err := NewClient(srv2.URL, WithRetries(0))
+	c2, err := NewClient(srv2.URL, WithRetry(Retry{Attempts: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,8 @@ func TestFaultInjectorRetriesRecoverLossyLink(t *testing.T) {
 	srv := httptest.NewServer(hh)
 	defer srv.Close()
 	fi := NewFaultInjector(FaultConfig{Seed: 42, RequestLoss: 0.3, ResponseLoss: 0.3})
-	c, err := NewClient(srv.URL, WithRetries(10), WithBackoff(time.Millisecond),
-		WithBackoffCap(5*time.Millisecond), WithRetrySeed(42),
+	c, err := NewClient(srv.URL,
+		WithRetry(Retry{Attempts: 10, Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 42}),
 		WithHTTPClient(&http.Client{Transport: fi.Transport(nil)}))
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 		http.Error(w, "no such endpoint", http.StatusNotFound)
 	}))
 	defer srv.Close()
-	c, err := NewClient(srv.URL, WithRetries(5), WithBackoff(time.Millisecond))
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: 5, Base: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestClientRetries5xx(t *testing.T) {
 		hh.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	c, err := NewClient(srv.URL, WithRetries(4), WithBackoff(time.Millisecond))
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: 4, Base: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +267,8 @@ func TestClientBackoffFullJitterAndCap(t *testing.T) {
 	}
 	var observed []retry
 	const base, maxDelay = 4 * time.Millisecond, 10 * time.Millisecond
-	c, err := NewClient(srv.URL, WithRetries(6), WithBackoff(base), WithBackoffCap(maxDelay),
-		WithRetrySeed(99), WithRetryObserver(func(attempt int, delay time.Duration, err error) {
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: 6, Base: base, Cap: maxDelay, Seed: 99}),
+		WithRetryObserver(func(attempt int, delay time.Duration, err error) {
 			if err == nil {
 				t.Error("retry observer called without a cause")
 			}

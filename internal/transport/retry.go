@@ -5,9 +5,9 @@ import "time"
 // Retry is the one retry/backoff envelope every layer accepts. The HTTP
 // client (WithRetry), the stream session client (session.WithClientRetry),
 // the device outbox (frontend.WithOutboxRetry), and the cluster router all
-// consume the same four knobs instead of each growing a parallel option
-// family. Zero values keep the owning layer's default; Attempts < 0
-// disables retries entirely (exactly one attempt).
+// consume the same four knobs; there is no other way to set them. Zero
+// values keep the owning layer's default; Attempts < 0 disables retries
+// entirely (exactly one attempt).
 type Retry struct {
 	// Attempts is how many times a failed send is retried beyond the
 	// first attempt (0 = layer default, negative = no retries).
@@ -18,7 +18,10 @@ type Retry struct {
 	Base time.Duration
 	Cap  time.Duration
 	// Seed makes the jitter deterministic when nonzero (simulations,
-	// tests); 0 seeds from the wall clock.
+	// tests). 0 is not a seed: it selects the layer's own source — the
+	// wall clock, or for the outbox a hash of the device token — so a
+	// driver that must replay may never pass 0, and one that derives
+	// per-phone seeds (seed + i) must step over it.
 	Seed int64
 }
 
@@ -64,16 +67,13 @@ func (r Retry) ResolveSeed(fallback int64) int64 {
 	return r.Seed
 }
 
-// WithRetry applies a consolidated Retry envelope to the HTTP client —
-// the single replacement for WithRetries + WithBackoff + WithBackoffCap +
-// WithRetrySeed.
+// WithRetry applies a Retry envelope to the HTTP client (defaults: 2
+// retries, 50 ms base doubling per attempt before jitter, 2 s cap).
 func WithRetry(r Retry) ClientOption {
 	return func(c *Client) {
 		c.retries = r.ResolveAttempts(c.retries)
 		c.backoff = r.ResolveBase(c.backoff)
 		c.backoffCap = r.ResolveCap(c.backoffCap)
-		if r.Seed != 0 {
-			c.jitterSeed, c.jitterSeeded = r.Seed, true
-		}
+		c.jitterSeed = r.ResolveSeed(c.jitterSeed)
 	}
 }

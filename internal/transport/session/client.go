@@ -66,10 +66,10 @@ type Client struct {
 	resumes    atomic.Int64
 	pushes     atomic.Int64
 
-	// jitterSeed/backoff envelope captured before the Backoff is built.
+	// backoff envelope captured before the Backoff is built; seed 0 =
+	// seed from the wall clock.
 	base, cap    time.Duration
 	seed         int64
-	seeded       bool
 	onRetry      func(attempt int, delay time.Duration, err error)
 	heartbeatCtx context.CancelFunc
 }
@@ -100,41 +100,17 @@ func WithClientClock(clk vclock.Clock) ClientOption {
 	return func(c *Client) { c.clock = clk }
 }
 
-// WithClientRetry applies a consolidated transport.Retry envelope — the
-// single replacement for WithClientRetries + WithClientBackoff +
-// WithClientSeed.
+// WithClientRetry applies a transport.Retry envelope: how many times a
+// Send survives a dead connection before giving up (default 2, like the
+// HTTP client) and the reconnect backoff (default 50 ms base, 2 s cap —
+// full jitter via transport.Backoff).
 func WithClientRetry(r transport.Retry) ClientOption {
 	return func(c *Client) {
 		c.retries = r.ResolveAttempts(c.retries)
 		c.base = r.ResolveBase(c.base)
 		c.cap = r.ResolveCap(c.cap)
-		if r.Seed != 0 {
-			c.seed, c.seeded = r.Seed, true
-		}
+		c.seed = r.ResolveSeed(c.seed)
 	}
-}
-
-// WithClientRetries sets how many times a Send survives a dead connection
-// before giving up (default 2, like the HTTP client).
-//
-// Deprecated: use WithClientRetry.
-func WithClientRetries(n int) ClientOption {
-	return func(c *Client) { c.retries = n }
-}
-
-// WithClientBackoff sets the reconnect backoff envelope (default 50 ms
-// base, 2 s cap — full jitter via transport.Backoff).
-//
-// Deprecated: use WithClientRetry.
-func WithClientBackoff(base, cap time.Duration) ClientOption {
-	return func(c *Client) { c.base, c.cap = base, cap }
-}
-
-// WithClientSeed makes the reconnect jitter deterministic.
-//
-// Deprecated: use WithClientRetry.
-func WithClientSeed(seed int64) ClientOption {
-	return func(c *Client) { c.seed, c.seeded = seed, true }
 }
 
 // WithClientRetryObserver installs the shared retry hook (the same
@@ -202,11 +178,7 @@ func NewClient(dial Dialer, token string, opts ...ClientOption) (*Client, error)
 		o(c)
 	}
 	c.clock = vclock.Or(c.clock)
-	seed := c.seed
-	if !c.seeded {
-		seed = time.Now().UnixNano()
-	}
-	c.backoff = transport.NewBackoff(c.base, c.cap, seed)
+	c.backoff = transport.NewBackoff(c.base, c.cap, transport.Retry{Seed: c.seed}.ResolveSeed(time.Now().UnixNano()))
 	c.monitor = transport.NewRetryMonitor(c.obsv.Metrics())
 	c.monitor.SetHook(c.onRetry)
 	return c, nil

@@ -25,10 +25,9 @@ const DefaultQueueCap = 64
 
 // Registry tracks every live device session on a server: who is
 // connected, how fresh they are, and a bounded per-session send queue for
-// server-initiated traffic. It implements transport.Notifier (wake-up
-// pings, replacing the simulated GCM Push), transport.MessagePusher
-// (schedule pushes), and transport.Broadcaster (epoch invalidations) — so
-// server.Config.Push takes a Registry wherever it took a Push.
+// server-initiated traffic. It is the server's transport.Notifier:
+// wake-up pings, schedule pushes, and epoch-invalidation broadcasts all
+// go through it (server.Config.Push).
 //
 // Lock order is registry → session everywhere. Per-session enqueue hooks
 // (Session.SetOnEnqueue) may run with the registry lock held and must not
@@ -100,12 +99,7 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 	return r
 }
 
-// Interface checks: the registry is a drop-in for the deprecated Push.
-var (
-	_ transport.Notifier      = (*Registry)(nil)
-	_ transport.MessagePusher = (*Registry)(nil)
-	_ transport.Broadcaster   = (*Registry)(nil)
-)
+var _ transport.Notifier = (*Registry)(nil)
 
 // Session is one live device stream's server-side state: its negotiated
 // capabilities, a bounded pending queue of server-initiated messages, and
@@ -207,8 +201,7 @@ func (r *Registry) Tokens() []string {
 	return out
 }
 
-// Sent reports how many wake-ups were delivered (the deprecated Push's
-// counter, kept so its tests and shims carry over).
+// Sent reports how many wake-ups were delivered.
 func (r *Registry) Sent() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -217,7 +210,7 @@ func (r *Registry) Sent() int {
 
 // Notify implements transport.Notifier: queue a coalesced wake-up ping on
 // token's session. Unknown tokens are an error (the phone is truly
-// unreachable — exactly the deprecated Push contract).
+// unreachable).
 func (r *Registry) Notify(token string) error {
 	r.mu.Lock()
 	s, ok := r.sessions[token]
@@ -234,7 +227,7 @@ func (r *Registry) Notify(token string) error {
 	return err
 }
 
-// PushMessage implements transport.MessagePusher: queue a full message
+// PushMessage implements transport.Notifier: queue a full message
 // (schedule push, invalidation) for token's session.
 func (r *Registry) PushMessage(token string, m wire.Message) error {
 	r.mu.Lock()
@@ -251,7 +244,7 @@ func (r *Registry) PushMessage(token string, m wire.Message) error {
 	return err
 }
 
-// Broadcast implements transport.Broadcaster: queue m on every live
+// Broadcast implements transport.Notifier: queue m on every live
 // session, in sorted token order (deterministic under a virtual clock),
 // returning how many sessions accepted it.
 func (r *Registry) Broadcast(m wire.Message) int {

@@ -1,9 +1,8 @@
 package session
 
-// Race-enabled churn suite for the session registry, mirroring the
-// deprecated push fabric's churn test: devices attach, the server
-// notifies/pushes/broadcasts, devices detach — all concurrently. Only
-// meaningful under `go test -race`.
+// Race-enabled churn suite for the session registry: devices attach, the
+// server notifies/pushes/broadcasts, devices detach — all concurrently.
+// Only meaningful under `go test -race`.
 
 import (
 	"fmt"
@@ -121,6 +120,16 @@ func TestRegistryDisplacement(t *testing.T) {
 	if r.Count() != 0 {
 		t.Fatal("registry not empty after close")
 	}
+	// A token with no live session is unreachable, not silently dropped.
+	if err := r.Notify("tok"); err == nil {
+		t.Fatal("closed session's token notified")
+	}
+	if err := r.PushMessage("ghost", &wire.Ping{}); err == nil {
+		t.Fatal("unknown token pushed to")
+	}
+	if _, _, err := r.Attach("", nil); err == nil {
+		t.Fatal("empty token attached")
+	}
 }
 
 // TestSessionQueueBackpressure pins the bounded queue: a stalled session
@@ -167,60 +176,5 @@ func TestSessionQueueBackpressure(t *testing.T) {
 	}
 	if got := len(s.TakePending()); got != 1 {
 		t.Fatalf("post-eviction wake: pending = %d, want 1", got)
-	}
-}
-
-// TestLocalPushCompatibility pins the deprecated shim against the old
-// transport.Push contract: duplicate subscribe errors, coalesced wake
-// channel, unsubscribe-then-resubscribe reuse, and the Sent counter.
-func TestLocalPushCompatibility(t *testing.T) {
-	p := NewLocalPush()
-	if _, err := p.Subscribe(""); err == nil {
-		t.Fatal("empty token subscribed")
-	}
-	ch, err := p.Subscribe("tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Subscribe("tok"); err == nil {
-		t.Fatal("duplicate subscribe allowed")
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("wake-up not delivered")
-	}
-	select {
-	case <-ch:
-		t.Fatal("wake-ups did not coalesce")
-	default:
-	}
-	if got := p.Sent(); got != 2 {
-		t.Fatalf("Sent() = %d, want 2", got)
-	}
-	if err := p.Notify("ghost"); err == nil {
-		t.Fatal("unknown token notified")
-	}
-	p.Unsubscribe("tok")
-	if err := p.Notify("tok"); err == nil {
-		t.Fatal("unsubscribed token notified")
-	}
-	ch2, err := p.Subscribe("tok")
-	if err != nil {
-		t.Fatalf("resubscribe: %v", err)
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch2:
-	default:
-		t.Fatal("wake-up not delivered to fresh subscription")
 	}
 }

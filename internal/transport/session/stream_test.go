@@ -51,9 +51,7 @@ func echoHandler(ctx context.Context, m wire.Message) (wire.Message, error) {
 func dialRig(t *testing.T, rig *streamRig, token string, opts ...ClientOption) *Client {
 	t.Helper()
 	c, err := Dial(rig.addr, token, append([]ClientOption{
-		WithClientRetries(3),
-		WithClientBackoff(time.Millisecond, 10*time.Millisecond),
-		WithClientSeed(1),
+		WithClientRetry(transport.Retry{Attempts: 3, Base: time.Millisecond, Cap: 10 * time.Millisecond, Seed: 1}),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +299,7 @@ func TestStreamPartitionSeversAndRefuses(t *testing.T) {
 		return d.DialContext(ctx, "tcp", rig.addr)
 	})
 	c, err := NewClient(dial, "tok-p",
-		WithClientRetries(2),
-		WithClientBackoff(time.Millisecond, 5*time.Millisecond),
-		WithClientSeed(5))
+		WithClientRetry(transport.Retry{Attempts: 2, Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package transport binds the SOR wire protocol to HTTP (§II-A: "HTTP is
 // used as the communication protocol; all SOR-specific information is
 // encoded as binary data and stored in the message body"). It provides the
-// server-side handler, a client with retry/backoff that the mobile
-// frontend uses, and a simulated push channel standing in for Google Cloud
-// Messaging wake-ups.
+// server-side handler and a client with retry/backoff that the mobile
+// frontend uses. The server's push channel to phones (the paper's Google
+// Cloud Messaging wake-ups) is the session registry in the session
+// subpackage; this package only names the interface it satisfies.
 package transport
 
 import (
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -139,9 +139,8 @@ type Client struct {
 	onRetry    func(attempt int, delay time.Duration, err error)
 	clock      vclock.Clock
 
-	delay        *Backoff
-	jitterSeed   int64
-	jitterSeeded bool
+	delay      *Backoff
+	jitterSeed int64 // 0 = seed from the wall clock
 
 	sends atomic.Int64
 
@@ -170,36 +169,6 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithRetries sets how many times transport-level failures are retried
-// (default 2).
-//
-// Deprecated: use WithRetry.
-func WithRetries(n int) ClientOption {
-	return func(c *Client) { c.retries = n }
-}
-
-// WithBackoff sets the base backoff between retries (default 50 ms,
-// doubling per attempt before jitter).
-//
-// Deprecated: use WithRetry.
-func WithBackoff(d time.Duration) ClientOption {
-	return func(c *Client) { c.backoff = d }
-}
-
-// WithBackoffCap bounds the exponential backoff growth (default 2 s).
-//
-// Deprecated: use WithRetry.
-func WithBackoffCap(d time.Duration) ClientOption {
-	return func(c *Client) { c.backoffCap = d }
-}
-
-// WithRetrySeed makes the retry jitter deterministic (tests).
-//
-// Deprecated: use WithRetry.
-func WithRetrySeed(seed int64) ClientOption {
-	return func(c *Client) { c.jitterSeed, c.jitterSeeded = seed, true }
-}
 
 // WithRetryObserver installs a hook called before every retry sleep with
 // the upcoming attempt number (1-based), the jittered delay about to be
@@ -244,11 +213,7 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 		o(c)
 	}
 	c.clock = vclock.Or(c.clock)
-	seed := c.jitterSeed
-	if !c.jitterSeeded {
-		seed = time.Now().UnixNano()
-	}
-	c.delay = NewBackoff(c.backoff, c.backoffCap, seed)
+	c.delay = NewBackoff(c.backoff, c.backoffCap, Retry{Seed: c.jitterSeed}.ResolveSeed(time.Now().UnixNano()))
 	if c.obsv != nil {
 		c.met = newClientMetrics(c.obsv.Metrics())
 	}
@@ -406,65 +371,4 @@ func (c *Client) post(ctx context.Context, body []byte) (wire.Message, error) {
 		return nil, fmt.Errorf("transport: decoding response: %w", err)
 	}
 	return msg, nil
-}
-
-// Push simulates the Google Cloud Messaging channel: the server uses it to
-// wake a phone it has lost track of, asking it to ping home. Phones
-// subscribe by device token.
-type Push struct {
-	mu   sync.Mutex
-	subs map[string]chan struct{}
-	sent int
-}
-
-// NewPush creates an empty push fabric.
-func NewPush() *Push {
-	return &Push{subs: make(map[string]chan struct{})}
-}
-
-// Subscribe registers a device token and returns its wake-up channel
-// (capacity 1; duplicate wake-ups coalesce).
-func (p *Push) Subscribe(token string) (<-chan struct{}, error) {
-	if token == "" {
-		return nil, errors.New("transport: empty token")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, dup := p.subs[token]; dup {
-		return nil, fmt.Errorf("transport: token %q already subscribed", token)
-	}
-	ch := make(chan struct{}, 1)
-	p.subs[token] = ch
-	return ch, nil
-}
-
-// Unsubscribe removes a token.
-func (p *Push) Unsubscribe(token string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.subs, token)
-}
-
-// Notify wakes a device; unknown tokens are an error (the phone is truly
-// unreachable).
-func (p *Push) Notify(token string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ch, ok := p.subs[token]
-	if !ok {
-		return fmt.Errorf("transport: token %q not reachable via push", token)
-	}
-	select {
-	case ch <- struct{}{}:
-	default: // already pending; coalesce
-	}
-	p.sent++
-	return nil
-}
-
-// Sent reports how many notifications were delivered.
-func (p *Push) Sent() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent
 }

@@ -146,7 +146,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	})
 	srv := httptest.NewServer(flaky)
 	defer srv.Close()
-	c, err := NewClient(srv.URL, WithRetries(3), WithBackoff(time.Millisecond))
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: 3, Base: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestClientGivesUpAfterRetries(t *testing.T) {
 		_ = conn.Close()
 	}))
 	defer srv.Close()
-	c, err := NewClient(srv.URL, WithRetries(1), WithBackoff(time.Millisecond))
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: 1, Base: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestClientContextCancellation(t *testing.T) {
 	arrived := make(chan struct{})
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		close(arrived) // single attempt (WithRetries(0)), so this runs once
+		close(arrived) // single attempt (Attempts: -1), so this runs once
 		<-release
 	}))
 	defer srv.Close()
-	c, err := NewClient(srv.URL, WithRetries(0))
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,51 +211,6 @@ func TestClientContextCancellation(t *testing.T) {
 		t.Fatal("expected cancellation")
 	}
 	close(release) // unpark the handler so srv.Close can reap the connection
-}
-
-func TestPushSubscribeNotify(t *testing.T) {
-	p := NewPush()
-	if _, err := p.Subscribe(""); err == nil {
-		t.Fatal("empty token must error")
-	}
-	ch, err := p.Subscribe("tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Subscribe("tok"); err == nil {
-		t.Fatal("duplicate subscribe must error")
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("notification not delivered")
-	}
-	// Coalescing: two notifies, one pending signal.
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	<-ch
-	select {
-	case <-ch:
-		t.Fatal("notifications did not coalesce")
-	default:
-	}
-	if p.Sent() != 3 {
-		t.Fatalf("sent = %d", p.Sent())
-	}
-	p.Unsubscribe("tok")
-	if err := p.Notify("tok"); err == nil {
-		t.Fatal("unsubscribed token must error")
-	}
-	if err := p.Notify("ghost"); err == nil {
-		t.Fatal("unknown token must error")
-	}
 }
 
 func TestSendBatch(t *testing.T) {

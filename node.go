@@ -256,7 +256,7 @@ func (rn *RunningNode) buildMember(ctx context.Context) error {
 			_ = srv.Close()
 			return err
 		}
-		if durable != nil && durable.WAL() != nil {
+		if durable != nil {
 			repl, err = replica.NewLeader(durable.WAL(),
 				replica.WithStateDir(durable.Dir()),
 				replica.WithLeaderMetrics(rn.obsv.Metrics()),
@@ -516,7 +516,7 @@ func (rn *RunningNode) appliedLSN() uint64 {
 	if follower != nil {
 		return follower.Status().AppliedLSN
 	}
-	if durable != nil && durable.WAL() != nil {
+	if durable != nil {
 		return durable.WAL().LastLSN()
 	}
 	return 0
