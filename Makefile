@@ -32,7 +32,7 @@ bench:
 # 200-place baseline point still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
-	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestFreshCycleAllocs' -v ./internal/server/
 
 # The end-to-end benchmark harness (BENCHMARK.json, bench/) is its own
 # module, so `go test ./...` at the root never reaches its tests.

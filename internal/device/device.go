@@ -196,11 +196,11 @@ func (p *Phone) chargeEnergy(readings int, external bool) {
 }
 
 // scalarSampler builds a Sample closure for a world field with
-// device-level gaussian noise and bias.
+// device-level gaussian noise and bias. Like every sampler below it draws
+// from p.rng under p.mu: concurrent task instances share the one source.
 func (p *Phone) scalarSampler(field string, bias, noise float64, external bool) func(sensors.Request) (sensors.Reading, error) {
 	return func(req sensors.Request) (sensors.Reading, error) {
 		p.mu.Lock()
-		rng := p.rng
 		place := p.traj.Place
 		p.mu.Unlock()
 		truth, err := place.Scalar(field, req.At)
@@ -208,9 +208,11 @@ func (p *Phone) scalarSampler(field string, bias, noise float64, external bool) 
 			return sensors.Reading{}, err
 		}
 		vals := make([]float64, req.Count)
+		p.mu.Lock()
 		for i := range vals {
-			vals[i] = truth + bias + rng.NormFloat64()*noise
+			vals[i] = truth + bias + p.rng.NormFloat64()*noise
 		}
+		p.mu.Unlock()
 		p.chargeEnergy(req.Count, external)
 		return sensors.Reading{At: req.At, Window: req.Window, Values: vals}, nil
 	}
@@ -256,10 +258,8 @@ func (p *Phone) registerProviders() error {
 
 func (p *Phone) sampleNoise(req sensors.Request) (sensors.Reading, error) {
 	p.mu.Lock()
-	rng := p.rng
-	place := p.traj.Place
+	vals, err := p.traj.Place.NoiseSample(p.rng, req.At, req.Count)
 	p.mu.Unlock()
-	vals, err := place.NoiseSample(rng, req.At, req.Count)
 	if err != nil {
 		return sensors.Reading{}, err
 	}
@@ -269,36 +269,29 @@ func (p *Phone) sampleNoise(req sensors.Request) (sensors.Reading, error) {
 
 func (p *Phone) sampleAccel(req sensors.Request) (sensors.Reading, error) {
 	p.mu.Lock()
-	rng := p.rng
-	place := p.traj.Place
+	vals := p.traj.Place.AccelSample(p.rng, req.Count)
 	p.mu.Unlock()
-	vals := place.AccelSample(rng, req.Count)
 	p.chargeEnergy(req.Count, false)
 	return sensors.Reading{At: req.At, Window: req.Window, Values: vals}, nil
 }
 
 func (p *Phone) sampleAltitude(req sensors.Request) (sensors.Reading, error) {
-	p.mu.Lock()
-	rng := p.rng
-	traj := p.traj
-	p.mu.Unlock()
-	frac := traj.FractionAt(req.At)
-	truth := traj.Place.AltitudeAt(frac)
 	vals := make([]float64, req.Count)
+	p.mu.Lock()
+	truth := p.traj.Place.AltitudeAt(p.traj.FractionAt(req.At))
 	for i := range vals {
-		vals[i] = truth + rng.NormFloat64()*0.5
+		vals[i] = truth + p.rng.NormFloat64()*0.5
 	}
+	p.mu.Unlock()
 	p.chargeEnergy(req.Count, false)
 	return sensors.Reading{At: req.At, Window: req.Window, Values: vals}, nil
 }
 
 func (p *Phone) sampleLocation(req sensors.Request) (sensors.Reading, error) {
+	defer p.chargeEnergy(req.Count, false) // runs after the unlock below
 	p.mu.Lock()
-	rng := p.rng
-	traj := p.traj
-	jitter := p.gpsJitterM
-	p.mu.Unlock()
-	defer p.chargeEnergy(req.Count, false)
+	defer p.mu.Unlock()
+	rng, traj, jitter := p.rng, p.traj, p.gpsJitterM
 
 	if trail := traj.Place.Trail; trail != nil && req.Count >= 2 {
 		// On a trail a GPS request records a short continuous burst of

@@ -224,6 +224,14 @@ func (cr *ColumnarRanker) Matrix() *Matrix { return cr.cols.matrix }
 // Aliased reports the epoch's aliased-column count (see ColumnSet).
 func (cr *ColumnarRanker) Aliased() int { return cr.cols.aliased }
 
+// Column returns feature column j's presorted run — place indices and
+// their values, ascending (not to be mutated). Differential tests compare
+// a derived epoch's arenas with a from-scratch build through it.
+func (cr *ColumnarRanker) Column(j int) (idx []int32, val []float64) {
+	c := cr.cols.cols[j]
+	return c.idx, c.val
+}
+
 // colScratch recycles the per-query iterator and aggregation state;
 // nothing in it outlives the query (the columnar Result retains no
 // individual rankings, and RankTopK copies the solved prefix out).

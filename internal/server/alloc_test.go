@@ -1,7 +1,8 @@
 package server
 
 // Allocation gate for the rank hot path (the re-plan gate, with its work
-// bound, is TestReplanAllocsAndWork at the end of the file). A cached-hit rank query must
+// bound, is TestReplanAllocsAndWork, and the upload→rank cycle gate
+// TestFreshCycleAllocs, at the end of the file). A cached-hit rank query must
 // cost a small constant number of allocations — the profile map, the
 // canonical key string, and the wire response — independent of category
 // size. The scratch that used to dominate (order/tie slices in the
@@ -13,10 +14,13 @@ package server
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
+	"sor/internal/obs"
 	"sor/internal/schedule"
+	"sor/internal/store"
 	"sor/internal/wire"
 	"sor/internal/world"
 )
@@ -167,4 +171,119 @@ func TestReplanAllocsAndWork(t *testing.T) {
 	}
 	t.Logf("%d-member re-plan: %.1f allocs (budget %d), %d gain evaluations for %d selections",
 		members, avg, replanAllocBudget, plan.OracleCalls, selections)
+}
+
+// freshCycleByteBudget is the gate on one upload→rank cycle at 2 000
+// places. Measured today: ≈ 205 KB — the patched matrix's row-pointer
+// slice, the merged columns' arenas, the decoded batch and its WAL
+// records. The costs it guards against put 5.65 MB here: a matrix rebuilt
+// from the feature table, a per-refresh copy of the folded history (which
+// grows without bound), and a 512-row (45 KB) chunk per drained shard.
+const freshCycleByteBudget = 512 << 10
+
+// TestFreshCycleAllocs gates what one fresh cycle — an 8-report batch,
+// then a rank that must reflect it — costs on a durable store with 2 000
+// ranked places: its allocation stays inside the budget however much
+// history has been folded, and after the category's first epoch every
+// rebuild is a patched one.
+func TestFreshCycleAllocs(t *testing.T) {
+	const places, live, batch, cycles = 2000, 64, 8, 40
+	clock := &virtualClock{now: t0}
+	s, err := New(Config{
+		Storage:  store.NewDurableBackend(t.TempDir()),
+		Now:      clock.Now,
+		Catalog:  DefaultCatalog(),
+		Observer: obs.NewObserver(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	h := s.Handler()
+	app := func(i int) store.Application {
+		a := concApp(i)
+		a.Lat = 43 + float64(i)*1e-3
+		return a
+	}
+	tasks := make([]string, live)
+	for i := 0; i < places; i++ {
+		if err := s.CreateApp(app(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i < live {
+			user := fmt.Sprintf("fresh-user-%d", i)
+			resp, err := h(nil, &wire.Participate{UserID: user, Token: "tok-" + user, AppID: app(i).ID,
+				Loc: wire.Location{Lat: app(i).Lat, Lon: app(i).Lon}, Budget: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner, err := wire.Decode(resp.(*wire.Ack).Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks[i] = inner.(*wire.Schedule).TaskID
+			continue
+		}
+		for j, f := range DefaultCatalog()[world.CategoryCoffee] {
+			if err := s.DB().UpsertFeature(store.FeatureRow{Category: world.CategoryCoffee, Place: app(i).Place,
+				Feature: f.Name, Value: float64(i%97) + float64(j), Samples: 3, Updated: t0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var lastEpoch int64
+	cycle := func(c int, rank bool) {
+		b := &wire.DataUploadBatch{Uploads: make([]wire.DataUpload, batch)}
+		for k := range b.Uploads {
+			p := (c*batch + k) % live
+			up := reportWithReadings(tasks[p], app(p).ID, fmt.Sprintf("fresh-user-%d", p),
+				t0.Add(time.Duration(c)*10*time.Second), float64(c%17))
+			up.ReportID = fmt.Sprintf("fresh-%d-%d", c, k)
+			b.Uploads[k] = *up
+		}
+		resp, err := h(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack, ok := resp.(*wire.Ack); !ok || ack.Code != 200 {
+			t.Fatalf("cycle %d: batch answered %+v", c, resp)
+		}
+		if !rank {
+			return
+		}
+		resp, err = h(nil, &wire.RankRequest{UserID: "fresh-ranker", Category: world.CategoryCoffee, TopK: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, ok := resp.(*wire.RankResponse)
+		if !ok || ranked.Epoch <= lastEpoch {
+			t.Fatalf("cycle %d: rank answered %+v after epoch %d", c, resp, lastEpoch)
+		}
+		lastEpoch = ranked.Epoch
+	}
+	// Every live place reports once before the first rank, so the first
+	// epoch already ranks all of them; a few more cycles warm the pools.
+	const warm = live/batch + 4
+	for c := 0; c < warm; c++ {
+		cycle(c, c >= live/batch-1)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for c := 0; c < cycles; c++ {
+		cycle(warm+c, true)
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	rebuilds, patched := s.met.snapshotRebuilds.Value(), s.met.snapshotDeltaRebuilds.Value()
+	if patched != rebuilds-1 {
+		t.Fatalf("%d of %d rebuilds were patched; only the first epoch may build in full", patched, rebuilds)
+	}
+	if perCycle > freshCycleByteBudget {
+		t.Fatalf("a fresh cycle allocates %d B, budget %d", perCycle, freshCycleByteBudget)
+	}
+	t.Logf("fresh cycle at %d places: %d B allocated (budget %d), %d of %d rebuilds patched",
+		places, perCycle, freshCycleByteBudget, patched, rebuilds)
 }

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +20,8 @@ import (
 // DataProcessor periodically drains raw binary uploads from the database,
 // decodes them, accumulates samples per application, and recomputes the
 // humanly understandable feature values (§IV-A). Decoded samples are kept
-// so features refine as more data arrives.
+// in canonical order per application and sensor (see sampleRun), so each
+// refresh extracts from the whole history without re-sorting it.
 //
 // Accumulators are per-application, each behind its own lock, so two
 // concurrent Process calls (or a Process racing a feature refresh) only
@@ -50,10 +53,10 @@ type processorMetrics struct {
 }
 
 // appData is one application's decoded-sample accumulator. Its lock
-// serializes appends and snapshot reads for this app only.
+// serializes folds and refreshes for this app only.
 type appData struct {
 	mu     sync.Mutex
-	scalar map[string][]feature.Sample // sensor name -> samples
+	scalar map[string]*sampleRun // sensor name -> samples
 	// track groups GPS fixes into bursts keyed by (user, timestamp): all
 	// fixes one phone recorded in one measurement form one burst, so the
 	// curvature estimate never mixes different walkers' traces.
@@ -118,7 +121,7 @@ func (d *DataProcessor) appData(appID string) *appData {
 	defer d.mu.Unlock()
 	if ad = d.byApp[appID]; ad == nil {
 		ad = &appData{
-			scalar: make(map[string][]feature.Sample),
+			scalar: make(map[string]*sampleRun),
 			track:  make(map[burstKey]*feature.GeoSample),
 		}
 		d.byApp[appID] = ad
@@ -189,8 +192,13 @@ func (d *DataProcessor) foldUpload(raw store.RawUpload, touched map[string]bool)
 	ad := d.appData(up.AppID)
 	ad.mu.Lock()
 	for _, series := range up.Series {
+		run := ad.scalar[series.Sensor]
+		if run == nil {
+			run = &sampleRun{}
+			ad.scalar[series.Sensor] = run
+		}
 		for _, smp := range series.Samples {
-			ad.scalar[series.Sensor] = append(ad.scalar[series.Sensor], feature.Sample{
+			run.samples = append(run.samples, feature.Sample{
 				At:       time.UnixMilli(smp.AtUnixMilli).UTC(),
 				Window:   time.Duration(smp.WindowMilli) * time.Millisecond,
 				Readings: append([]float64(nil), smp.Readings...),
@@ -245,33 +253,74 @@ var robustPipelines = map[string]sensorFeature{
 	"barometer":     {"altitude change", feature.AltitudeChangeExtractor{}},
 }
 
-// canonicalizeSamples copies samples into a canonical order independent of
+// sampleRun is one sensor's sample history in an order independent of
 // ingest arrival order. Float accumulation is not associative, so feeding
 // extractors in drain order would make feature values depend on which
-// retransmission won a race; sorting first makes the whole pipeline a pure
-// function of the sample *set*, which is what lets the chaos suite demand
-// byte-identical features from a faulty and a fault-free run.
-func canonicalizeSamples(samples []feature.Sample) []feature.Sample {
-	out := append([]feature.Sample(nil), samples...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if !a.At.Equal(b.At) {
-			return a.At.Before(b.At)
-		}
-		if a.Window != b.Window {
-			return a.Window < b.Window
-		}
-		if len(a.Readings) != len(b.Readings) {
-			return len(a.Readings) < len(b.Readings)
-		}
-		for k := range a.Readings {
-			if a.Readings[k] != b.Readings[k] {
-				return a.Readings[k] < b.Readings[k]
+// retransmission won a race; a canonical order makes the whole pipeline a
+// pure function of the sample *set*, which is what lets the chaos suite
+// demand byte-identical features from a faulty and a fault-free run.
+//
+// samples[:sorted] is canonical — the stable sort of its arrival order
+// under compareSamples; a fold appends behind it in arrival order, and the
+// next refresh sorts that tail and merges it in. A trickle therefore costs
+// its own samples (plus the elements they displace), and recovery's
+// refold of the whole history is one sort, never an insertion per sample.
+type sampleRun struct {
+	samples []feature.Sample
+	sorted  int
+}
+
+// compareSamples is the canonical sample order: instant, window, reading
+// count, then readings elementwise. A reading pair that is neither equal
+// nor ordered (a NaN) ends the comparison as a tie.
+func compareSamples(a, b feature.Sample) int {
+	if c := a.At.Compare(b.At); c != 0 {
+		return c
+	}
+	if a.Window != b.Window {
+		return cmp.Compare(a.Window, b.Window)
+	}
+	if len(a.Readings) != len(b.Readings) {
+		return cmp.Compare(len(a.Readings), len(b.Readings))
+	}
+	for k, x := range a.Readings {
+		if y := b.Readings[k]; x != y {
+			switch {
+			case x < y:
+				return -1
+			case y < x:
+				return 1
 			}
+			return 0
 		}
-		return false
-	})
-	return out
+	}
+	return 0
+}
+
+// canonical brings the whole history into canonical order, in place, and
+// returns it. Merging the sorted tail behind the sorted prefix, prefix
+// first on ties, is the stable sort of the full arrival order. The merge
+// runs from the back: each tail sample is placed behind the prefix samples
+// not greater than it, and the block it displaces moves in one copy.
+func (r *sampleRun) canonical() []feature.Sample {
+	s, k := r.samples, r.sorted
+	if k == len(s) {
+		return s
+	}
+	slices.SortStableFunc(s[k:], compareSamples)
+	if k > 0 && compareSamples(s[k], s[k-1]) < 0 {
+		tail := slices.Clone(s[k:])
+		for j := len(tail) - 1; j >= 0; j-- {
+			// s[pos:k] are the prefix samples still unplaced that sort
+			// after tail[j]; tail[:j+1] all precede them.
+			pos := sort.Search(k, func(i int) bool { return compareSamples(tail[j], s[i]) < 0 })
+			copy(s[pos+j+1:], s[pos:k])
+			s[pos+j] = tail[j]
+			k = pos
+		}
+	}
+	r.sorted = len(s)
+	return s
 }
 
 // refreshApp recomputes every feature for one application.
@@ -286,13 +335,32 @@ func (d *DataProcessor) refreshApp(appID string) error {
 	if ad == nil {
 		return nil
 	}
-	// Snapshot under the app lock: slice headers are copied at their
-	// current length, and sample elements are never mutated after append,
-	// so the extractors can run on the snapshot without holding the lock.
+	pipelines := featurePipelines
+	if d.robust.Load() {
+		pipelines = robustPipelines
+	}
+	// The scalar extractors run under the app lock: canonical reorders the
+	// run in place, so no header snapshot of it would stay valid against
+	// the next refresh, and an extraction is one pass of adds over the run.
+	// Bursts are snapshotted instead — their points are never mutated after
+	// append — and the curvature estimate runs outside the lock.
+	type extracted struct {
+		feature string
+		value   float64
+		samples int
+	}
 	ad.mu.Lock()
-	sensorsSnapshot := make(map[string][]feature.Sample, len(ad.scalar))
-	for k, v := range ad.scalar {
-		sensorsSnapshot[k] = v
+	values := make([]extracted, 0, len(ad.scalar)+1)
+	for sensor, run := range ad.scalar {
+		pipeline, ok := pipelines[sensor]
+		if !ok || len(run.samples) == 0 {
+			continue
+		}
+		value, err := pipeline.extractor.Extract(run.canonical())
+		if err != nil {
+			continue
+		}
+		values = append(values, extracted{pipeline.feature, value, len(run.samples)})
 	}
 	type keyedBurst struct {
 		key burstKey
@@ -315,48 +383,26 @@ func (d *DataProcessor) refreshApp(appID string) error {
 		}
 		return bursts[i].key.user < bursts[j].key.user
 	})
-	trackSnapshot := make([]feature.GeoSample, len(bursts))
-	for i, kb := range bursts {
-		trackSnapshot[i] = kb.gs
-	}
-	pipelines := featurePipelines
-	if d.robust.Load() {
-		pipelines = robustPipelines
+	if len(bursts) > 0 {
+		track := make([]feature.GeoSample, len(bursts))
+		for i, kb := range bursts {
+			track[i] = kb.gs
+		}
+		if curv, err := feature.BurstCurvature(track); err == nil {
+			values = append(values, extracted{"curvature", curv, len(track)})
+		}
 	}
 	now := d.now().UTC()
-	for sensor, samples := range sensorsSnapshot {
-		pipeline, ok := pipelines[sensor]
-		if !ok || len(samples) == 0 {
-			continue
-		}
-		value, err := pipeline.extractor.Extract(canonicalizeSamples(samples))
-		if err != nil {
-			continue
-		}
+	for _, v := range values {
 		if err := d.db.UpsertFeature(store.FeatureRow{
 			Category: app.Category,
 			Place:    app.Place,
-			Feature:  pipeline.feature,
-			Value:    value,
-			Samples:  len(samples),
+			Feature:  v.feature,
+			Value:    v.value,
+			Samples:  v.samples,
 			Updated:  now,
 		}); err != nil {
 			return err
-		}
-	}
-	if len(trackSnapshot) > 0 {
-		curv, err := feature.BurstCurvature(trackSnapshot)
-		if err == nil {
-			if err := d.db.UpsertFeature(store.FeatureRow{
-				Category: app.Category,
-				Place:    app.Place,
-				Feature:  "curvature",
-				Value:    curv,
-				Samples:  len(trackSnapshot),
-				Updated:  now,
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -848,11 +848,12 @@ func (s *Server) handleRankRequest(ctx context.Context, msg *wire.RankRequest) (
 }
 
 // FeatureMatrix assembles the ranking matrix H for a category from the
-// feature table (the Personalizable Ranker's read path, and what every
-// snapshot rebuild calls): one FeaturesByCategory pass rather than
-// places×features store lookups, which matters at 10k places. Rows are
-// the category's applications in ID order; a place without every catalog
-// feature is skipped.
+// feature table (the Personalizable Ranker's read path; a snapshot rebuild
+// calls it for a category's first epoch and whenever the previous epoch
+// cannot be patched — see rebuildSnapshot): one unordered pass over the
+// category's rows rather than places×features store lookups, which
+// matters at 10k places. Rows are the category's applications in ID order;
+// a place without every catalog feature is skipped.
 func (s *Server) FeatureMatrix(category string) (*ranking.Matrix, error) {
 	catalog, ok := s.catalog[category]
 	if !ok {
@@ -866,32 +867,33 @@ func (s *Server) FeatureMatrix(category string) (*ranking.Matrix, error) {
 	for j, f := range catalog {
 		colIdx[f.Name] = j
 	}
-	type rowState struct {
-		vals []float64
-		have int
+	// One arena holds every application's row; have counts the catalog
+	// cells seen for it. Rows of places no application claims are dropped.
+	width := len(catalog)
+	slot := make(map[string]int, len(apps))
+	for i, app := range apps {
+		slot[app.Place] = i
 	}
-	byPlace := make(map[string]*rowState, len(apps))
-	for _, row := range s.db.FeaturesByCategory(category) {
+	arena := make([]float64, len(apps)*width)
+	have := make([]int, len(apps))
+	for _, row := range s.db.FeaturesByCategoryUnordered(category) {
 		j, ok := colIdx[row.Feature]
 		if !ok {
 			continue // stale feature outside the current catalog
 		}
-		rs := byPlace[row.Place]
-		if rs == nil {
-			rs = &rowState{vals: make([]float64, len(catalog))}
-			byPlace[row.Place] = rs
+		if i, ok := slot[row.Place]; ok {
+			arena[i*width+j] = row.Value
+			have[i]++
 		}
-		rs.vals[j] = row.Value
-		rs.have++
 	}
-	m := &ranking.Matrix{Features: catalog}
+	m := &ranking.Matrix{Features: catalog, Places: make([]string, 0, len(apps)), Values: make([][]float64, 0, len(apps))}
 	for _, app := range apps {
-		rs := byPlace[app.Place]
-		if rs == nil || rs.have != len(catalog) {
+		i := slot[app.Place]
+		if have[i] != width {
 			continue // place not fully sensed yet
 		}
 		m.Places = append(m.Places, app.Place)
-		m.Values = append(m.Values, rs.vals)
+		m.Values = append(m.Values, arena[i*width:(i+1)*width:(i+1)*width])
 	}
 	if len(m.Places) == 0 {
 		return nil, fmt.Errorf("server: no fully sensed places in category %q", category)

@@ -32,17 +32,25 @@ const rankCacheSize = 256
 var errNoRankData = errors.New("server: no rank data")
 
 // rankSnapshot is one immutable epoch of a category's rank-serving state.
-// Everything in it is read-only after construction: concurrent rankers
-// share the matrix rows, the columnar ranker (whose unchanged columns
-// alias the previous epoch's arena — see ranking.ColumnSet), and the
-// features header without copying or locking. Superseded epochs stay
-// fully readable until the last query drops them; the garbage collector
-// is the arena lifecycle, so a torn or freed column is unrepresentable.
+// Everything in it is read-only after construction, so concurrent rankers
+// share it without copying or locking, and so does the next epoch: a
+// patched epoch (see patchEpoch) aliases the previous one's Features and
+// Places, the value row of every place that did not change, the rowOf
+// index, and — through the columnar ranker — the arena of every column
+// none of its changed rows moved (see ranking.ColumnSet). Superseded
+// epochs stay fully readable until the last query drops them; the garbage
+// collector is the row and arena lifecycle, so a torn or freed row or
+// column is unrepresentable.
 type rankSnapshot struct {
 	epoch    int64
 	matrix   *ranking.Matrix
 	cranker  *ranking.ColumnarRanker
 	features []string // response header, aligned with matrix.Features
+	// rowOf maps a place to its row of matrix. Built once per full build
+	// and carried unchanged by every epoch patched from it; nil when two
+	// applications share a place, which makes rows ambiguous — such a
+	// category is never patched.
+	rowOf map[string]int
 
 	// Staleness signals captured at build time; the snapshot is stale once
 	// any of them moves (see snapStale).
@@ -177,47 +185,26 @@ func (s *Server) rebuildSnapshot(cs *categoryServing, category string, prev *ran
 		return &snap, nil
 	}
 
-	matrix, err := s.FeatureMatrix(category)
-	if err != nil {
-		return nil, errors.Join(errNoRankData, err)
-	}
-	// Incremental epoch: when a previous snapshot exists, merge only the
-	// store-reported dirty rows into its columns; any contract violation
-	// (place/feature membership changed, out-of-range row) falls back to
-	// a full columnar build.
-	var cranker *ranking.ColumnarRanker
-	if prev != nil && prev.cranker != nil {
-		if dirtyIdx, ok := dirtyRowIndexes(prev.matrix, s.db.ChangedPlaces(category, prev.builtFeatVer)); ok {
-			if merged, err := prev.cranker.Merge(matrix, dirtyIdx); err == nil {
-				cranker = merged
-				s.met.snapshotDeltaRebuilds.Inc()
-			}
-		}
-	}
-	if cranker == nil {
-		cranker, err = ranking.NewColumnarRanker(matrix)
-		if err != nil {
+	// Patched epoch: re-read only the rows the store reports changed. Any
+	// case patchEpoch declines — first epoch, membership change, a missing
+	// cell — is a full build from the feature table.
+	snap := s.patchEpoch(category, prev)
+	if snap != nil {
+		s.met.snapshotDeltaRebuilds.Inc()
+	} else {
+		var err error
+		if snap, err = s.fullEpoch(category); err != nil {
 			return nil, err
 		}
 	}
-	features := make([]string, len(matrix.Features))
-	for j, f := range matrix.Features {
-		features[j] = f.Name
+	snap.epoch = 1
+	if prev != nil {
+		snap.epoch = prev.epoch + 1
 	}
-	var epoch int64 = 1
-	if cur := cs.snap.Load(); cur != nil {
-		epoch = cur.epoch + 1
-	}
-	snap := &rankSnapshot{
-		epoch:          epoch,
-		matrix:         matrix,
-		cranker:        cranker,
-		features:       features,
-		builtDirty:     dirty,
-		builtFeatVer:   featVer,
-		builtUploadSeq: uploadSeq,
-		builtAt:        s.now(),
-	}
+	snap.builtDirty = dirty
+	snap.builtFeatVer = featVer
+	snap.builtUploadSeq = uploadSeq
+	snap.builtAt = s.now()
 	cs.snap.Store(snap)
 	s.met.snapshotRebuilds.Inc()
 	s.met.snapshotRebuildMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
@@ -226,36 +213,89 @@ func (s *Server) rebuildSnapshot(cs *categoryServing, category string, prev *ran
 	// rest find out on their next query (the re-arm fast path above keeps
 	// the epoch and stays silent).
 	if s.push != nil {
-		s.push.Broadcast(&wire.EpochInvalidate{Category: category, Epoch: epoch})
+		s.push.Broadcast(&wire.EpochInvalidate{Category: category, Epoch: snap.epoch})
 	}
 	return snap, nil
 }
 
-// dirtyRowIndexes maps the store's changed-place names onto the previous
-// matrix's row indices. A changed place missing from the previous matrix
-// (it just completed its catalog, so the membership is about to change)
-// reports !ok and forces a full rebuild; changed places that are simply
-// not ranked rows never appear in prev.Places and were never rows to
-// merge — but since ChangedPlaces only returns places with feature rows,
-// absence here almost always means membership change, so the
-// conservative full build is the right call.
-func dirtyRowIndexes(prev *ranking.Matrix, changed []string) ([]int, bool) {
-	if len(changed) == 0 {
-		return nil, true
+// fullEpoch builds an epoch's matrix, columnar ranker and row index from
+// the feature table; the caller stamps the epoch number and signals.
+func (s *Server) fullEpoch(category string) (*rankSnapshot, error) {
+	matrix, err := s.FeatureMatrix(category)
+	if err != nil {
+		return nil, errors.Join(errNoRankData, err)
 	}
-	rowOf := make(map[string]int, len(prev.Places))
-	for i, p := range prev.Places {
+	cranker, err := ranking.NewColumnarRanker(matrix)
+	if err != nil {
+		return nil, err
+	}
+	features := make([]string, len(matrix.Features))
+	for j, f := range matrix.Features {
+		features[j] = f.Name
+	}
+	return &rankSnapshot{matrix: matrix, cranker: cranker, features: features, rowOf: rowIndex(matrix.Places)}, nil
+}
+
+// patchEpoch derives the next epoch from prev at the cost of the changed
+// rows: the new matrix aliases prev's Features, Places and every unchanged
+// value row (all immutable), reads the catalog cells of just the places the
+// store reports changed since prev was built, and the columnar ranker is
+// prev's merged over those rows. It returns nil — and the caller builds in
+// full — when there is no previous epoch, an application joined the
+// category since, a changed place is not a row of prev (it just completed
+// its catalog, so membership is about to change), one of its cells is
+// missing, or Merge refuses. The caller captured the feature version
+// before this reads ChangedPlaces and then the cells, so an upsert racing
+// the reads carries a later version and is re-read next epoch. Works
+// unchanged on a replica: ApplyReplicated stamps the same versions.
+func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
+	if prev == nil || prev.rowOf == nil {
+		return nil
+	}
+	changed, appJoined := s.db.ChangedPlaces(category, prev.builtFeatVer)
+	if appJoined {
+		return nil
+	}
+	old := prev.matrix
+	m := &ranking.Matrix{Features: old.Features, Places: old.Places, Values: make([][]float64, len(old.Values))}
+	copy(m.Values, old.Values)
+	width := len(old.Features)
+	cells := make([]float64, len(changed)*width)
+	dirty := make([]int, len(changed))
+	for k, place := range changed {
+		i, ok := prev.rowOf[place]
+		if !ok {
+			return nil
+		}
+		row := cells[k*width : (k+1)*width : (k+1)*width]
+		for j, f := range old.Features {
+			cell, err := s.db.Feature(category, place, f.Name)
+			if err != nil {
+				return nil
+			}
+			row[j] = cell.Value
+		}
+		m.Values[i] = row
+		dirty[k] = i
+	}
+	cranker, err := prev.cranker.Merge(m, dirty)
+	if err != nil {
+		return nil
+	}
+	return &rankSnapshot{matrix: m, cranker: cranker, features: prev.features, rowOf: prev.rowOf}
+}
+
+// rowIndex maps each place to its row, or returns nil when a place
+// appears twice.
+func rowIndex(places []string) map[string]int {
+	rowOf := make(map[string]int, len(places))
+	for i, p := range places {
 		rowOf[p] = i
 	}
-	idx := make([]int, 0, len(changed))
-	for _, place := range changed {
-		i, ok := rowOf[place]
-		if !ok {
-			return nil, false
-		}
-		idx = append(idx, i)
+	if len(rowOf) != len(places) {
+		return nil
 	}
-	return idx, true
+	return rowOf
 }
 
 // profileKeyBufPool recycles the append buffer profileKey builds into;

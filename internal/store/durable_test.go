@@ -3,10 +3,14 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sor/internal/wal"
 )
@@ -440,4 +444,77 @@ func TestActiveTaskIndexFollowsEveryWritePath(t *testing.T) {
 		}
 		check(t, reopen(dir))
 	})
+}
+
+// TestArchiveRetentionIndependentOfDrainCadence: what an archiving store
+// retains per drained row must not depend on how often it was drained —
+// a drain after every put must not park a mostly empty 512-row chunk
+// (≈ 45 KB) per row. Every cadence archives the same rows in the same
+// order at within 2× of the same bytes, and a slice a drain handed out
+// stays what it was.
+func TestArchiveRetentionIndependentOfDrainCadence(t *testing.T) {
+	const rows = 10000
+	rowBytes := int(unsafe.Sizeof(RawUpload{}))
+	type outcome struct {
+		all      []RawUpload
+		retained int // bytes of chunk backing arrays held by done
+	}
+	fill := func(drainEvery int) outcome {
+		s := New()
+		s.archive = true
+		var first, firstCopy []RawUpload
+		for i := 0; i < rows; i++ {
+			ingestBody(s, fmt.Sprintf("app-%d", i%3), []byte{byte(i), byte(i >> 8)}, now)
+			if drainEvery > 0 && (i+1)%drainEvery == 0 {
+				got := s.DrainUploads()
+				if first == nil {
+					first, firstCopy = got, slices.Clone(got)
+				}
+			}
+		}
+		s.DrainUploads()
+		if !reflect.DeepEqual(first, firstCopy) {
+			t.Fatalf("drain every %d: rows handed out by the first drain changed under later drains", drainEvery)
+		}
+		if s.PendingUploads() != 0 || s.UploadCount() != rows {
+			t.Fatalf("drain every %d: %d pending, %d held", drainEvery, s.PendingUploads(), s.UploadCount())
+		}
+		var out outcome
+		for i := range s.uploadShards {
+			sh := &s.uploadShards[i]
+			for k, c := range sh.done {
+				if len(c) < uploadChunkSize && k != len(sh.done)-1 {
+					t.Fatalf("drain every %d: archived chunk %d of %d holds %d rows", drainEvery, k, len(sh.done), len(c))
+				}
+				out.retained += cap(c) * rowBytes
+			}
+		}
+		out.all = s.AllUploads()
+		// The refold path sees the same rows: requeue, drain, archive again.
+		s.RequeueUploads()
+		if got := s.DrainUploads(); !reflect.DeepEqual(got, out.all) || s.UploadCount() != rows {
+			t.Fatalf("drain every %d: requeue + drain returned %d rows, store holds %d", drainEvery, len(got), s.UploadCount())
+		}
+		return out
+	}
+	atEnd := fill(0)
+	for i, up := range atEnd.all {
+		if up.Seq != int64(i+1) || len(up.Body) != 2 || up.Body[0] != byte(i) || up.Body[1] != byte(i>>8) {
+			t.Fatalf("row %d = %+v", i, up)
+		}
+	}
+	if perRow := atEnd.retained / rows; perRow > 2*rowBytes {
+		t.Fatalf("one drain at the end retains %d B per row, a row is %d B", perRow, rowBytes)
+	}
+	for _, every := range []int{1, 7, 600, 2500} {
+		got := fill(every)
+		if !reflect.DeepEqual(got.all, atEnd.all) {
+			t.Fatalf("drain every %d: AllUploads differs from one drain at the end", every)
+		}
+		if got.retained > 2*atEnd.retained || atEnd.retained > 2*got.retained {
+			t.Fatalf("drain every %d retains %d B for %d rows, one drain at the end %d B",
+				every, got.retained, rows, atEnd.retained)
+		}
+		t.Logf("drain every %4d: %d B per archived row (one drain at the end: %d)", every, got.retained/rows, atEnd.retained/rows)
+	}
 }

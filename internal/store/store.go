@@ -154,59 +154,81 @@ func shardIndex(key string) int {
 	return int(h.Sum32() % numShards)
 }
 
-// uploadChunkSize is the fixed capacity of one pending-upload chunk.
+// uploadChunkSize is the most rows one upload chunk holds.
 const uploadChunkSize = 512
 
 // uploadShard is one bucket of the pending-upload table. Uploads for one
 // application always land in the same bucket, so the per-bucket lock
-// serializes only same-app writers. Pending rows are kept in fixed-size
-// chunks instead of one growing slice: between drains a burst can pile up
-// hundreds of thousands of rows, and chunking writes each row exactly once
-// instead of re-copying the whole backlog on every slice growth.
+// serializes only same-app writers. Rows are kept in bounded chunks instead
+// of one growing slice: between drains a burst can pile up hundreds of
+// thousands of rows, and chunking re-copies at most one chunk's rows as it
+// grows instead of the whole backlog.
 type uploadShard struct {
-	mu     sync.Mutex
-	chunks [][]RawUpload // all full except possibly the last
+	mu sync.Mutex
+	// chunks holds the pending rows. The last chunk grows by append until
+	// it holds uploadChunkSize rows; no chunk is ever appended to once
+	// another follows it (RequeueUploads can leave a short one mid-list).
+	chunks [][]RawUpload
 	count  int
-	// done holds drained chunks on archiving (durable) stores: the data
+	// done holds drained rows on archiving (durable) stores: the data
 	// processor's decoded accumulators die with the process, so recovery
-	// must refold the full upload history. Chunks move wholesale from
-	// chunks to done at drain time — bodies are never copied.
+	// must refold the full upload history. Every chunk of done is full
+	// except possibly the last, whatever the drain cadence was, so the heap
+	// an archived row retains is its 88 bytes (within append's growth slack)
+	// plus its body — bodies are never copied.
 	done      [][]RawUpload
 	doneCount int
 }
 
-// put appends one row, opening a new chunk when the tail is full. Caller
-// holds sh.mu.
-func (sh *uploadShard) put(row RawUpload) {
-	if n := len(sh.chunks); n == 0 || len(sh.chunks[n-1]) == uploadChunkSize {
-		sh.chunks = append(sh.chunks, make([]RawUpload, 0, uploadChunkSize))
+// appendRow adds one row to a chunk list, growing the last chunk while it
+// has room and opening a one-row chunk when it does not.
+func appendRow(chunks [][]RawUpload, row RawUpload) [][]RawUpload {
+	if n := len(chunks); n > 0 && len(chunks[n-1]) < uploadChunkSize {
+		chunks[n-1] = append(chunks[n-1], row)
+		return chunks
 	}
-	tail := len(sh.chunks) - 1
-	sh.chunks[tail] = append(sh.chunks[tail], row)
+	return append(chunks, []RawUpload{row})
+}
+
+// put appends one pending row. Caller holds sh.mu.
+func (sh *uploadShard) put(row RawUpload) {
+	sh.chunks = appendRow(sh.chunks, row)
 	sh.count++
 }
 
 // putArchived appends one row to the archived (already-drained) side.
 // Caller holds sh.mu (or owns the shard exclusively, as Restore does).
 func (sh *uploadShard) putArchived(row RawUpload) {
-	if n := len(sh.done); n == 0 || len(sh.done[n-1]) == uploadChunkSize {
-		sh.done = append(sh.done, make([]RawUpload, 0, uploadChunkSize))
-	}
-	tail := len(sh.done) - 1
-	sh.done[tail] = append(sh.done[tail], row)
+	sh.done = appendRow(sh.done, row)
 	sh.doneCount++
 }
 
 // take removes and returns all pending rows, archiving them when the
-// store is durable. Caller holds sh.mu.
+// store is durable: a full chunk moves to done wholesale (below a short
+// last chunk, which stays last), a short one has its rows copied into
+// done's last chunk. The returned chunks are never written again, so the
+// drain may read them after sh.mu is released. Caller holds sh.mu.
 func (sh *uploadShard) take(archive bool) [][]RawUpload {
 	chunks := sh.chunks
 	sh.chunks = nil
-	if archive {
-		sh.done = append(sh.done, chunks...)
-		sh.doneCount += sh.count
-	}
 	sh.count = 0
+	if !archive {
+		return chunks
+	}
+	for _, c := range chunks {
+		if len(c) < uploadChunkSize {
+			for _, row := range c {
+				sh.putArchived(row)
+			}
+			continue
+		}
+		n := len(sh.done)
+		sh.done = append(sh.done, c)
+		sh.doneCount += len(c)
+		if n > 0 && len(sh.done[n-1]) < uploadChunkSize {
+			sh.done[n-1], sh.done[n] = sh.done[n], sh.done[n-1]
+		}
+	}
 	return chunks
 }
 
@@ -294,27 +316,29 @@ type Store struct {
 
 	// featVers holds one *catVersion per category: a monotone counter
 	// bumped whenever a feature row in that category materially changes
-	// (or an application joins the category), plus the per-place version
-	// at which each place last changed. The rank-serving layer polls the
-	// counter to decide whether its matrix snapshot is stale — including
-	// changes written by other server instances sharing this store — and
-	// asks ChangedPlaces for the dirty rows so epoch rebuilds can merge
-	// deltas instead of re-sorting every column.
+	// (or an application joins the category), plus the version at which
+	// each place last changed and at which an application last joined. The
+	// rank-serving layer polls the counter to decide whether its matrix
+	// snapshot is stale — including changes written by other server
+	// instances sharing this store — and asks ChangedPlaces what moved, so
+	// an epoch rebuild re-reads only the changed places' rows.
 	featVers sync.Map
 }
 
 // catVersion is one category's feature-change clock. ver counts material
 // changes; placeVers remembers, per place, the ver at which that place's
-// feature rows last changed. A place's recorded version is assigned from
-// the same Add that bumps ver, after the row is visible in the features
-// map — so any row change invisible to a reader that captured ver=V is
-// guaranteed to be recorded with a version > V (conservative: a reader
-// may be told a place is dirty whose change it already saw, never the
-// reverse).
+// feature rows last changed, and appVer the ver at which an application
+// last joined the category. Each bump happens after the row (or the
+// application) is visible in its table, and takes mu around both the Add
+// and the stamp — so a reader that loaded ver=V and then calls
+// ChangedPlaces finds every change numbered ≤ V already stamped, and every
+// change it could not see numbered > V (conservative: a reader may be told
+// a place is dirty whose change it already saw, never the reverse).
 type catVersion struct {
 	ver       atomic.Int64
 	mu        sync.Mutex
 	placeVers map[string]int64
+	appVer    int64
 }
 
 type featureKey struct {
@@ -422,7 +446,7 @@ func (s *Store) PutApp(a Application) error {
 	s.apps[a.ID] = a
 	s.mu.Unlock()
 	if a.Category != "" {
-		s.bumpFeatureVersion(a.Category)
+		s.bumpFeatureApp(a.Category)
 	}
 	return nil
 }
@@ -892,21 +916,22 @@ func (s *Store) FeatureVersion(category string) int64 {
 }
 
 // ChangedPlaces returns the places in a category whose feature rows
-// changed at a version strictly greater than since, sorted. The result is
-// conservative: it may include a place whose change a since-captured
-// reader already observed, but never omits one it missed.
-func (s *Store) ChangedPlaces(category string, since int64) []string {
+// changed at a version strictly greater than since, sorted, and whether an
+// application joined the category after since (the ranked place set may
+// have grown). The result is conservative: it may include a change a
+// since-captured reader already observed, but never omits one it missed.
+func (s *Store) ChangedPlaces(category string, since int64) (places []string, appJoined bool) {
 	cv := s.catVer(category)
 	cv.mu.Lock()
-	var out []string
 	for place, ver := range cv.placeVers {
 		if ver > since {
-			out = append(out, place)
+			places = append(places, place)
 		}
 	}
+	appJoined = cv.appVer > since
 	cv.mu.Unlock()
-	sort.Strings(out)
-	return out
+	sort.Strings(places)
+	return places, appJoined
 }
 
 func (s *Store) catVer(category string) *catVersion {
@@ -917,19 +942,21 @@ func (s *Store) catVer(category string) *catVersion {
 	return v.(*catVersion)
 }
 
-func (s *Store) bumpFeatureVersion(category string) {
-	s.catVer(category).ver.Add(1)
+// bumpFeatureApp bumps the category version for an application that just
+// joined it and stamps the join with the version the bump produced.
+func (s *Store) bumpFeatureApp(category string) {
+	cv := s.catVer(category)
+	cv.mu.Lock()
+	cv.appVer = cv.ver.Add(1)
+	cv.mu.Unlock()
 }
 
 // bumpFeaturePlace bumps the category version and stamps the place with
 // the version the bump produced.
 func (s *Store) bumpFeaturePlace(category, place string) {
 	cv := s.catVer(category)
-	ver := cv.ver.Add(1)
 	cv.mu.Lock()
-	if cv.placeVers[place] < ver {
-		cv.placeVers[place] = ver
-	}
+	cv.placeVers[place] = cv.ver.Add(1)
 	cv.mu.Unlock()
 }
 
@@ -951,20 +978,36 @@ func (s *Store) Feature(category, place, feature string) (FeatureRow, error) {
 // FeaturesByCategory returns all rows of a category sorted by place then
 // feature.
 func (s *Store) FeaturesByCategory(category string) []FeatureRow {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []FeatureRow
-	for _, row := range s.features {
-		if row.Category == category {
-			out = append(out, row)
-		}
-	}
+	out := s.FeaturesByCategoryUnordered(category)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Place != out[j].Place {
 			return out[i].Place < out[j].Place
 		}
 		return out[i].Feature < out[j].Feature
 	})
+	return out
+}
+
+// FeaturesByCategoryUnordered returns all rows of a category in no
+// particular order, for a caller that buckets them itself (the full
+// feature-matrix build) and should not pay for a sort it discards.
+func (s *Store) FeaturesByCategoryUnordered(category string) []FeatureRow {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	// Counted first: growing an 88-byte-row slice to a category's size by
+	// append costs more than the second walk of the table.
+	n := 0
+	for key := range s.features {
+		if key.Category == category {
+			n++
+		}
+	}
+	out := make([]FeatureRow, 0, n)
+	for _, row := range s.features {
+		if row.Category == category {
+			out = append(out, row)
+		}
+	}
 	return out
 }
 

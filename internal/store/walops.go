@@ -255,7 +255,7 @@ func (s *Store) applyDecoded(op *walOp, in *ingestOp) {
 	case opApp:
 		s.apps[op.App.ID] = *op.App
 		if op.App.Category != "" {
-			s.bumpFeatureVersion(op.App.Category)
+			s.bumpFeatureApp(op.App.Category)
 		}
 	case opPart:
 		s.setParticipation(*op.Part)
