@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest sim clean
+.PHONY: all build test test-short race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
 
 all: build test
 
@@ -53,9 +53,10 @@ fuzz-smoke:
 obs-smoke:
 	bash scripts/obs_smoke.sh
 
-# Full exactly-once chaos soak under the race detector: a fleet of phones
-# over a network dropping requests, acks and partitioning mid-upload must
-# converge to server state byte-identical to a fault-free run.
+# Every chaos soak under the race detector — each a row of the scenario
+# table in internal/chaos/scenarios.go (DESIGN.md "Soaks: scenarios as
+# data"), each required to converge to state byte-identical to its
+# fault-free baseline, plus the goldens that pin what every seed replays.
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos/
 
@@ -64,7 +65,8 @@ chaos-short:
 	$(GO) test -race -short -count=1 ./internal/chaos/
 
 # Crash-restart soak under the race detector: kill a durable server at
-# random points under the PR-3 fault schedule, recover from the newest
+# random points under the lossy fault schedule (the "crash" row; also
+# "stream-crash", the same over stream sessions), recover from the newest
 # snapshot plus the WAL tail, and require converged state bit-identical
 # to the same seed never crashing.
 crash-soak:
@@ -123,11 +125,25 @@ session-soak-short:
 	$(GO) test -race -short -count=1 -run Stream ./internal/fleetsim/
 	$(GO) run ./cmd/sorsim -fleet -phones 1000 -per-app 50 -transport stream -verify
 
+# The columnar read path on virtual time: a fleet run with rank queries
+# against 2 000 places, same seed twice, digests diffed.
+fleet-rank:
+	$(GO) run ./cmd/sorsim -fleet -phones 500 -per-app 50 -rank-places 2000 -rank-queries 24 -verify
+
+# The paper gate: Fig. 6/10 feature values and Tables I/II through the
+# full pipeline, diffed against the committed golden (the output is
+# run-to-run identical). After an intended change, regenerate with
+# `go run ./cmd/fieldtest -category both > testdata/fieldtest.golden`.
+fieldtest-golden:
+	$(GO) run ./cmd/fieldtest -category both | diff -u testdata/fieldtest.golden -
+
 # Everything CI runs (.github/workflows/ci.yml mirrors this).
 ci: vet build test
 	$(GO) test -race -short ./...
 	$(MAKE) bench-smoke
 	$(MAKE) bench-test
+	$(MAKE) fleet-rank
+	$(MAKE) fieldtest-golden
 	$(MAKE) fuzz-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) chaos-short

@@ -174,9 +174,10 @@ func runFleet(cfg fleetsim.Config, verify, coverage bool) error {
 	return nil
 }
 
-// runChaosSweep runs the exactly-once soak twice — clean network, then
-// 30 % request loss + 30 % ack loss + a partition — and reports whether
-// the faulty fleet converged to byte-identical server state.
+// runChaosSweep runs the "http" row of the chaos scenario table twice —
+// its clean baseline, then as written: 30 % request loss + 30 % ack loss,
+// latency spikes and a partition — and reports whether the faulty fleet
+// converged to byte-identical server state.
 func runChaosSweep(users, budget int, seed int64) error {
 	// The full Fig. 14 population is overkill for an end-to-end HTTP soak;
 	// cap the fleet so the sweep stays interactive.
@@ -187,18 +188,13 @@ func runChaosSweep(users, budget int, seed int64) error {
 	if budget > 6 {
 		budget = 6
 	}
-	cfg := chaos.Config{Phones: phones, Budget: budget, Seed: seed}
-	clean, err := chaos.RunSoak(cfg)
+	faulty := chaos.FleetSoaks["http"]
+	faulty.Phones, faulty.Budget, faulty.Seed = phones, budget, seed
+	clean, err := chaos.RunFleet(faulty.Clean())
 	if err != nil {
 		return fmt.Errorf("fault-free soak: %w", err)
 	}
-	faulty := cfg
-	faulty.RequestLoss = 0.3
-	faulty.AckLoss = 0.3
-	faulty.SpikeProb = 0.1
-	faulty.Spike = 2 * time.Millisecond
-	faulty.Partition = 150 * time.Millisecond
-	chaotic, err := chaos.RunSoak(faulty)
+	chaotic, err := chaos.RunFleet(faulty)
 	if err != nil {
 		return fmt.Errorf("chaotic soak: %w", err)
 	}

@@ -14,73 +14,36 @@ import (
 // node of each shard carries a state digest byte-identical to a
 // never-crashed single-node baseline that applied only that shard's
 // category workload: sharding, routing, failover, and resync are all
-// invisible in the final state.
+// invisible in the final state. The calm row is the A/B: the same
+// scenario with the seeded chaos off reaches the same digests.
 func TestClusterSoakConvergesToBaselines(t *testing.T) {
-	kills := 6
-	seeds := []int64{1, 42, 1337}
-	if testing.Short() {
-		kills = 2
-		seeds = seeds[:1]
-	}
-	if replay := soakSeed(t, 0); replay != 0 {
-		// SOR_SOAK_SEED narrows the sweep to the seed being replayed.
-		seeds = []int64{replay}
-	}
-	for _, seed := range seeds {
-		res, err := RunClusterSoak(ClusterSoakConfig{
-			Seed:    seed,
-			Kills:   kills,
-			BaseDir: t.TempDir(),
+	for _, name := range []string{"cluster", "cluster-calm"} {
+		t.Run(name, func(t *testing.T) {
+			for _, seed := range clusterSeeds(t) {
+				res := runClusterSoak(t, "cluster", name, seed, 2)
+				if res.Failovers != 2 {
+					t.Fatalf("seed %d: %d planned failovers performed, want 2\n%s",
+						seed, res.Failovers, repro(t, seed))
+				}
+				if res.RouterFailovers == 0 {
+					t.Fatalf("seed %d: the router never discovered a promotion\n%s",
+						seed, repro(t, seed))
+				}
+				if res.Resyncs != 1 {
+					t.Fatalf("seed %d: %d snapshot-ship resyncs performed, want 1\n%s",
+						seed, res.Resyncs, repro(t, seed))
+				}
+				if len(res.Digests) != 2 {
+					t.Fatalf("seed %d: %d category digests, want 2\n%s",
+						seed, len(res.Digests), repro(t, seed))
+				}
+			}
 		})
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, repro(t, seed))
-		}
-		if res.Kills != kills {
-			t.Fatalf("seed %d: %d kills requested, %d performed\n%s",
-				seed, kills, res.Kills, repro(t, seed))
-		}
-		if res.Failovers != 2 {
-			t.Fatalf("seed %d: %d planned failovers performed, want 2\n%s",
-				seed, res.Failovers, repro(t, seed))
-		}
-		if res.RouterFailovers == 0 {
-			t.Fatalf("seed %d: the router never discovered a promotion\n%s",
-				seed, repro(t, seed))
-		}
-		if res.Resyncs != 1 {
-			t.Fatalf("seed %d: %d snapshot-ship resyncs performed, want 1\n%s",
-				seed, res.Resyncs, repro(t, seed))
-		}
-		if len(res.Digests) != 2 {
-			t.Fatalf("seed %d: %d category digests, want 2\n%s",
-				seed, len(res.Digests), repro(t, seed))
-		}
-		t.Logf("seed %d converged: %s", seed, res.Summary())
 	}
 }
 
-// TestClusterSoakDeterministic pins that the cluster soak driver is a
-// pure function of its seed — same seed, same digests AND same chaos
-// telemetry — so a failure report's repro instructions actually
-// reproduce the failing run.
+// TestClusterSoakDeterministic pins the cluster row as a pure function of
+// its seed.
 func TestClusterSoakDeterministic(t *testing.T) {
-	cfg := ClusterSoakConfig{Seed: 7, Kills: 3}
-	cfg.BaseDir = t.TempDir()
-	a, err := RunClusterSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.BaseDir = t.TempDir()
-	b, err := RunClusterSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Summary() != b.Summary() {
-		t.Fatalf("same seed, different runs:\n%s\n%s", a.Summary(), b.Summary())
-	}
-	for cat, d := range a.Digests {
-		if b.Digests[cat] != d {
-			t.Fatalf("same seed, different %s digest: %.12s vs %.12s", cat, d, b.Digests[cat])
-		}
-	}
+	clusterSoakTwice(t, "cluster", 7, 3)
 }

@@ -2,39 +2,28 @@ package chaos
 
 import (
 	"testing"
-	"time"
 )
 
-// crashConfig is the PR-3 fault schedule pointed at a durable server:
-// 30% request loss, 30% ack loss, latency spikes, and a partition
-// dropping on the fleet mid-upload — plus kills injected by the caller.
-func crashConfig(t *testing.T, seed int64, kills int) CrashConfig {
+// crashSoak is the "crash" row — the lossy, partitioning network in front
+// of a durable server — sized for the crash tests, with kills injected by
+// the caller.
+func crashSoak(t *testing.T, seed int64, kills int) Fleet {
 	t.Helper()
-	return CrashConfig{
-		Config: Config{
-			Phones:      4,
-			Budget:      4,
-			Seed:        seed,
-			RequestLoss: 0.30,
-			AckLoss:     0.30,
-			SpikeProb:   0.10,
-			Spike:       2 * time.Millisecond,
-			Partition:   30 * time.Millisecond,
-			Timeout:     120 * time.Second,
-		},
-		DataDir: t.TempDir(),
-		Kills:   kills,
-	}
+	sc := FleetSoaks["crash"]
+	sc.Phones, sc.Budget, sc.Seed = 4, 4, seed
+	sc.DataDir = t.TempDir()
+	sc.ServerKills = kills
+	return sc
 }
 
 // TestCrashSoakRecoversIdenticalState is the tentpole proof: a durable
-// server killed at random points mid-run — under the PR-3 fault schedule —
+// server killed at random points mid-run — under the lossy fault schedule —
 // recovers to converged state bit-identical to the same seed never
 // crashing. Feature matrix, coverage timeline, budget ledger, dedup
 // window, and stored-upload count must all match; no acked report may be
 // lost or double-charged no matter where the kills landed.
 func TestCrashSoakRecoversIdenticalState(t *testing.T) {
-	kills := 10
+	kills := FleetSoaks["crash"].ServerKills
 	seeds := []int64{1, 42}
 	if testing.Short() {
 		kills = 3
@@ -45,7 +34,7 @@ func TestCrashSoakRecoversIdenticalState(t *testing.T) {
 		seeds = []int64{replay}
 	}
 	for _, seed := range seeds {
-		baseline, err := RunCrashSoak(crashConfig(t, seed, 0))
+		baseline, err := RunFleet(crashSoak(t, seed, 0))
 		if err != nil {
 			t.Fatalf("seed %d baseline: %v\n%s", seed, err, repro(t, seed))
 		}
@@ -54,7 +43,7 @@ func TestCrashSoakRecoversIdenticalState(t *testing.T) {
 				seed, baseline.Pending, repro(t, seed))
 		}
 
-		crashed, err := RunCrashSoak(crashConfig(t, seed, kills))
+		crashed, err := RunFleet(crashSoak(t, seed, kills))
 		if err != nil {
 			t.Fatalf("seed %d crashed run: %v\n%s", seed, err, repro(t, seed))
 		}
@@ -76,17 +65,18 @@ func TestCrashSoakRecoversIdenticalState(t *testing.T) {
 
 // TestCrashSoakDurableMatchesMemory pins that moving the soak onto the
 // durable backend (zero kills) does not change the converged state the
-// in-memory PR-3 soak produces for the same seed and fault schedule.
+// in-memory soak produces for the same seed and fault schedule.
 func TestCrashSoakDurableMatchesMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by the full crash soak")
 	}
-	cfg := crashConfig(t, 7, 0)
-	durable, err := RunCrashSoak(cfg)
+	cfg := crashSoak(t, 7, 0)
+	durable, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memory, err := RunSoak(cfg.Config)
+	cfg.Durable = false
+	memory, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"sor/internal/device"
-	"sor/internal/frontend"
 	"sor/internal/obs"
-	"sor/internal/server"
-	"sor/internal/store"
 	"sor/internal/transport"
 	"sor/internal/wire"
-	"sor/internal/world"
 )
 
 // counter reads one counter series out of a registry snapshot (0 when the
@@ -41,7 +36,7 @@ func counter(snap obs.Snapshot, series string) int64 {
 //   - the registry's mirrors of the client and outbox counters agree with
 //     the structs those components report directly.
 func TestSoakMetricsConsistentUnderChaos(t *testing.T) {
-	cfg := soakConfig(t)
+	cfg := fleetSoak(t, "http").Clean()
 	// Heavier ack loss than the headline soak: every stored-but-unacked
 	// report forces a retransmission the server must dedup, which is the
 	// path whose accounting this test exists to check.
@@ -49,7 +44,7 @@ func TestSoakMetricsConsistentUnderChaos(t *testing.T) {
 	cfg.AckLoss = 0.7
 	cfg.Observer = obs.NewObserver()
 
-	res, err := RunSoak(cfg)
+	res, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatalf("chaotic run: %v", err)
 	}
@@ -201,29 +196,12 @@ func attr(s obs.SpanRecord, key string) string {
 // processor fold — one trace stitching every hop of the ingest pipeline.
 func TestTraceFollowsRequestAcrossRetriesAndFold(t *testing.T) {
 	o := obs.NewObserver()
-	w, err := world.Canonical()
+	place, err := soakPlace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	place, err := w.Place(world.Starbucks)
+	srv, err := newSoakServer(nil, o)
 	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{
-		DB:       store.New(),
-		Now:      func() time.Time { return soakEpoch },
-		Catalog:  server.DefaultCatalog(),
-		Observer: o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.CreateApp(store.Application{
-		ID: soakAppID, Creator: "chaos-harness",
-		Category: world.CategoryCoffee, Place: world.Starbucks,
-		Lat: place.Loc.Lat, Lon: place.Loc.Lon, RadiusM: 60,
-		Script: soakScript, PeriodSec: 10800,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	h, err := transport.NewHTTPHandler(srv.Handler(), transport.WithHandlerObserver(o))
@@ -242,24 +220,15 @@ func TestTraceFollowsRequestAcrossRetriesAndFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phone, err := device.New(device.Config{
-		ID: "trace-phone", Token: "trace-token",
-		Traj: device.Trajectory{Place: place, Enter: soakEpoch, Leave: soakEpoch.Add(3 * time.Hour)},
-		Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := frontend.New(phone, client,
-		frontend.WithOutboxRetry(transport.Retry{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 11}),
-		frontend.WithObserver(o))
+	fe, err := newSoakFrontend("trace-phone", "trace-token", place, 11, client,
+		transport.Retry{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 11}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	sched, err := fe.Participate(ctx, "trace-user", soakAppID, 3, 3*time.Hour)
+	sched, err := fe.Participate(ctx, "trace-user", fleetApp.id, 3, 3*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +322,8 @@ func TestTraceFollowsRequestAcrossRetriesAndFold(t *testing.T) {
 	if len(folds) != 1 {
 		t.Fatalf("processor.fold spans = %d, want 1 (exactly-once)", len(folds))
 	}
-	if got := attr(folds[0], "app"); got != soakAppID {
-		t.Errorf("processor.fold app = %q, want %q", got, soakAppID)
+	if got := attr(folds[0], "app"); got != fleetApp.id {
+		t.Errorf("processor.fold app = %q, want %q", got, fleetApp.id)
 	}
 
 	// And the counters agree: one accepted, two duplicates.

@@ -5,18 +5,6 @@ import (
 	"time"
 )
 
-// sessionSoakConfig sizes the stream fleet: full for `make session-soak`,
-// trimmed for -short CI runs.
-func sessionSoakConfig(t *testing.T) SessionConfig {
-	t.Helper()
-	cfg := SessionConfig{Phones: 6, Budget: 4, Seed: soakSeed(t, 42)}
-	if testing.Short() {
-		cfg.Phones = 3
-		cfg.Budget = 3
-	}
-	return cfg
-}
-
 // TestSessionSoakConvergesByteIdenticalUnderChaos is the stream
 // transport's exactly-once proof: the same fleet run twice over persistent
 // multiplexed sessions — once clean, once with a partition severing every
@@ -26,8 +14,9 @@ func sessionSoakConfig(t *testing.T) SessionConfig {
 // cannot distinguish those mid-batch kills from loss, so it retransmits;
 // only ReportID dedup keeps the store exactly-once.
 func TestSessionSoakConvergesByteIdenticalUnderChaos(t *testing.T) {
-	base := sessionSoakConfig(t)
-	clean, err := RunSessionSoak(base)
+	faulty := fleetSoak(t, "session")
+	base := faulty.Clean()
+	clean, err := RunFleet(base)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
@@ -38,14 +27,7 @@ func TestSessionSoakConvergesByteIdenticalUnderChaos(t *testing.T) {
 		t.Fatal("fault-free run produced no features")
 	}
 
-	faulty := base
-	faulty.Partition = 150 * time.Millisecond
-	faulty.Kills = 4
-	faulty.KillMidBatch = 2
-	if testing.Short() {
-		faulty.Partition = 50 * time.Millisecond
-	}
-	chaotic, err := RunSessionSoak(faulty)
+	chaotic, err := RunFleet(faulty)
 	if err != nil {
 		t.Fatalf("chaotic run: %v", err)
 	}
@@ -70,7 +52,7 @@ func TestSessionSoakConvergesByteIdenticalUnderChaos(t *testing.T) {
 		t.Fatalf("chaotic run stored %d reports, want exactly %d\n%s",
 			chaotic.Stored, base.Phones, repro(t, base.Seed))
 	}
-	if diff := DiffState(&clean.Result, &chaotic.Result); diff != "" {
+	if diff := DiffState(clean, chaotic); diff != "" {
 		t.Fatalf("chaotic stream run diverged from fault-free run: %s\n%s",
 			diff, repro(t, base.Seed))
 	}
@@ -82,17 +64,16 @@ func TestSessionSoakConvergesByteIdenticalUnderChaos(t *testing.T) {
 // server state, because request/reply frames carry the exact same wire
 // codec payloads HTTP bodies do.
 func TestSessionSoakMatchesHTTPSoak(t *testing.T) {
-	sessCfg := sessionSoakConfig(t)
-	stream, err := RunSessionSoak(sessCfg)
+	sessCfg := fleetSoak(t, "session").Clean()
+	stream, err := RunFleet(sessCfg)
 	if err != nil {
 		t.Fatalf("stream run: %v", err)
 	}
-	httpCfg := Config{Phones: sessCfg.Phones, Budget: sessCfg.Budget, Seed: sessCfg.Seed}
-	oneShot, err := RunSoak(httpCfg)
+	oneShot, err := RunFleet(fleetSoak(t, "http").Clean())
 	if err != nil {
 		t.Fatalf("http run: %v", err)
 	}
-	if diff := DiffState(&stream.Result, oneShot); diff != "" {
+	if diff := DiffState(stream, oneShot); diff != "" {
 		t.Fatalf("stream and HTTP transports converged differently: %s\n%s",
 			diff, repro(t, sessCfg.Seed))
 	}
@@ -104,13 +85,9 @@ func TestSessionSoakMatchesHTTPSoak(t *testing.T) {
 // like a failure to the client and is retransmitted after reconnect.
 // The store must end up with exactly one report per ReportID anyway.
 func TestStreamKillMidBatchExactlyOnce(t *testing.T) {
-	cfg := SessionConfig{
-		Phones:       1,
-		Budget:       3,
-		Seed:         soakSeed(t, 42),
-		KillMidBatch: 2,
-	}
-	res, err := RunSessionSoak(cfg)
+	cfg := Fleet{Stream: true, Phones: 1, Budget: 3, Seed: soakSeed(t, 42),
+		Faults: Faults{MidBatchKills: 2}}
+	res, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +124,51 @@ func TestSessionSoakDeterministicAcrossRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeat determinism covered by the full soak")
 	}
-	cfg := sessionSoakConfig(t)
+	cfg := fleetSoak(t, "session")
 	cfg.Partition = 100 * time.Millisecond
-	cfg.Kills = 3
-	cfg.KillMidBatch = 1
-	a, err := RunSessionSoak(cfg)
+	cfg.ConnKills = 3
+	cfg.MidBatchKills = 1
+	a, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSessionSoak(cfg)
+	b, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := DiffState(&a.Result, &b.Result); diff != "" {
+	if diff := DiffState(a, b); diff != "" {
 		t.Fatalf("two same-seed stream runs diverged: %s\n%s", diff, repro(t, cfg.Seed))
+	}
+}
+
+// TestStreamCrashSoakRecoversIdenticalState covers the cell of the
+// transport × storage grid no hand-written driver reached: stream
+// sessions against a durable server killed -9 mid-drain. Every kill takes
+// the listener and every session with it; phones re-dial the recovered
+// incarnation and resume, and the state must equal the never-killed,
+// never-partitioned run.
+func TestStreamCrashSoakRecoversIdenticalState(t *testing.T) {
+	faulty := fleetSoak(t, "stream-crash")
+	faulty.DataDir = t.TempDir()
+	base := faulty.Clean()
+	base.DataDir = t.TempDir()
+	clean, err := RunFleet(base)
+	if err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	chaotic, err := RunFleet(faulty)
+	if err != nil {
+		t.Fatalf("chaotic run: %v\n%s", err, repro(t, base.Seed))
+	}
+	t.Logf("chaotic: %s", chaotic.SessionSummary())
+	if chaotic.Reconnects == 0 {
+		t.Fatal("no client ever reconnected — neither partition nor kills engaged")
+	}
+	if chaotic.Pending != 0 || chaotic.Stored != base.Phones {
+		t.Fatalf("stored %d of %d reports, %d pending\n%s",
+			chaotic.Stored, base.Phones, chaotic.Pending, repro(t, base.Seed))
+	}
+	if diff := DiffState(clean, chaotic); diff != "" {
+		t.Fatalf("killed stream run diverged from fault-free run: %s\n%s", diff, repro(t, base.Seed))
 	}
 }

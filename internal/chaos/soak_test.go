@@ -8,24 +8,29 @@ import (
 	"testing"
 	"time"
 
-	"sor/internal/device"
 	"sor/internal/frontend"
 	"sor/internal/server"
 	"sor/internal/store"
 	"sor/internal/transport"
-	"sor/internal/world"
 )
 
-// soakConfig sizes the fleet: the full soak for `make chaos`, a trimmed
-// one for -short CI runs.
-func soakConfig(t *testing.T) Config {
+// fleetSoak sizes a FleetSoaks row: the full fleet and the row's own
+// partition for `make chaos`, a trimmed fleet and a 50 ms partition for
+// -short CI runs.
+func fleetSoak(t *testing.T, name string) Fleet {
 	t.Helper()
-	cfg := Config{Phones: 6, Budget: 4, Seed: soakSeed(t, 42)}
-	if testing.Short() {
-		cfg.Phones = 3
-		cfg.Budget = 3
+	sc, ok := FleetSoaks[name]
+	if !ok {
+		t.Fatalf("no fleet scenario %q", name)
 	}
-	return cfg
+	sc.Phones, sc.Budget, sc.Seed = 6, 4, soakSeed(t, 42)
+	if testing.Short() {
+		sc.Phones, sc.Budget = 3, 3
+		if sc.Partition > 50*time.Millisecond {
+			sc.Partition = 50 * time.Millisecond
+		}
+	}
+	return sc
 }
 
 // TestSoakConvergesByteIdenticalUnderChaos is the headline exactly-once
@@ -35,8 +40,9 @@ func soakConfig(t *testing.T) Config {
 // (bit-for-bit float values), the same coverage timeline, and the same
 // per-user budget ledger, with every report stored exactly once.
 func TestSoakConvergesByteIdenticalUnderChaos(t *testing.T) {
-	base := soakConfig(t)
-	clean, err := RunSoak(base)
+	faulty := fleetSoak(t, "http")
+	base := faulty.Clean()
+	clean, err := RunFleet(base)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
@@ -47,16 +53,7 @@ func TestSoakConvergesByteIdenticalUnderChaos(t *testing.T) {
 		t.Fatal("fault-free run produced no features")
 	}
 
-	faulty := base
-	faulty.RequestLoss = 0.3
-	faulty.AckLoss = 0.3
-	faulty.SpikeProb = 0.1
-	faulty.Spike = 2 * time.Millisecond
-	faulty.Partition = 150 * time.Millisecond
-	if testing.Short() {
-		faulty.Partition = 50 * time.Millisecond
-	}
-	chaotic, err := RunSoak(faulty)
+	chaotic, err := RunFleet(faulty)
 	if err != nil {
 		t.Fatalf("chaotic run: %v", err)
 	}
@@ -104,28 +101,12 @@ type pingRig struct {
 
 func newPingRig(t *testing.T) *pingRig {
 	t.Helper()
-	w, err := world.Canonical()
+	place, err := soakPlace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	place, err := w.Place(world.Starbucks)
+	srv, err := newSoakServer(nil, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{
-		DB:      store.New(),
-		Now:     func() time.Time { return soakEpoch },
-		Catalog: server.DefaultCatalog(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.CreateApp(store.Application{
-		ID: soakAppID, Creator: "chaos-harness",
-		Category: world.CategoryCoffee, Place: world.Starbucks,
-		Lat: place.Loc.Lat, Lon: place.Loc.Lon, RadiusM: 60,
-		Script: soakScript, PeriodSec: 10800,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	h, err := transport.NewHTTPHandler(srv.Handler())
@@ -140,16 +121,8 @@ func newPingRig(t *testing.T) *pingRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phone, err := device.New(device.Config{
-		ID: "ping-phone", Token: "ping-token",
-		Traj: device.Trajectory{Place: place, Enter: soakEpoch, Leave: soakEpoch.Add(3 * time.Hour)},
-		Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := frontend.New(phone, client,
-		frontend.WithOutboxRetry(transport.Retry{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 7}))
+	fe, err := newSoakFrontend("ping-phone", "ping-token", place, 7, client,
+		transport.Retry{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +139,7 @@ func TestPingMidPartitionRecoveredByOutboxDrain(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	sched, err := rig.fe.Participate(ctx, "ping-user", soakAppID, 3, 3*time.Hour)
+	sched, err := rig.fe.Participate(ctx, "ping-user", fleetApp.id, 3, 3*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,15 +205,14 @@ func TestSoakDeterministicAcrossRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeat determinism covered by the full soak")
 	}
-	cfg := soakConfig(t)
-	cfg.RequestLoss = 0.3
-	cfg.AckLoss = 0.3
+	cfg := fleetSoak(t, "http")
+	cfg.SpikeProb = 0
 	cfg.Partition = 100 * time.Millisecond
-	a, err := RunSoak(cfg)
+	a, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSoak(cfg)
+	b, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,4 +240,68 @@ func TestDiffStateCatchesDivergence(t *testing.T) {
 		t.Fatal("executed-instant divergence must be caught")
 	}
 	_ = fmt.Sprintf("%s", a.Summary()) // Summary must not panic on sparse results
+}
+
+// digestState is the store content TestStateDigestCatchesDivergence
+// perturbs one field at a time.
+type digestState struct {
+	value    float64
+	updated  time.Time
+	body     []byte
+	reportID string
+	budget   int
+	anchor   time.Time
+}
+
+func (d digestState) digest(t *testing.T) string {
+	t.Helper()
+	db := store.New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(db.PutUser(store.User{ID: "u", Name: "U", Token: "tok"}))
+	must(db.PutApp(fleetApp.store()))
+	must(db.PutParticipation(store.Participation{
+		TaskID: "task-1", UserID: "u", Token: "tok", AppID: fleetApp.id, Budget: d.budget, Joined: soakEpoch}))
+	must(db.PutAnchor(fleetApp.id, d.anchor))
+	_, err := db.Ingest(fleetApp.id, [][]byte{d.body},
+		store.IngestOptions{Received: soakEpoch, ReportIDs: []string{d.reportID}, CopyBodies: true})
+	must(err)
+	must(db.UpsertFeature(store.FeatureRow{Category: fleetApp.category, Place: fleetApp.place,
+		Feature: "noise", Value: d.value, Samples: 3, Updated: d.updated}))
+	return StateDigest(db, fleetApp.category, fleetApp.id)
+}
+
+// TestStateDigestCatchesDivergence sanity-checks the comparator the
+// replica and cluster soaks lean on: one flipped feature bit, upload body
+// byte, dedup id, participation budget or anchor each changes the digest,
+// and a wall-clock Updated stamp does not.
+func TestStateDigestCatchesDivergence(t *testing.T) {
+	base := digestState{value: 1.0, updated: soakEpoch, body: []byte("report-body"),
+		reportID: "r-1", budget: 4, anchor: soakEpoch}
+	want := base.digest(t)
+	if base.digest(t) != want {
+		t.Fatal("identical stores digest differently")
+	}
+	stamped := base
+	stamped.updated = soakEpoch.Add(time.Hour)
+	if stamped.digest(t) != want {
+		t.Fatal("a wall-clock Updated stamp leaked into the digest")
+	}
+	for name, mutate := range map[string]func(*digestState){
+		"feature bit":          func(d *digestState) { d.value = 1.0 + 1e-15 },
+		"upload body byte":     func(d *digestState) { d.body = []byte("report-bodz") },
+		"dedup id":             func(d *digestState) { d.reportID = "r-2" },
+		"participation budget": func(d *digestState) { d.budget = 3 },
+		"anchor":               func(d *digestState) { d.anchor = soakEpoch.Add(time.Second) },
+	} {
+		changed := base
+		mutate(&changed)
+		if changed.digest(t) == want {
+			t.Errorf("digest blind to a changed %s", name)
+		}
+	}
 }
