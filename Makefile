@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
+.PHONY: all build test test-short race ckpt-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
 
 all: build test
 
@@ -20,6 +20,13 @@ test-short:
 
 race:
 	$(GO) test -race ./...
+
+# The checkpoint cut under the race detector, at full size: every image a
+# checkpoint installs while ingest, feature, schedule and participation
+# writers race it is an exact cut, and three concurrent checkpoints over
+# 4 KB segments lose no acked upload across a crash (50 iterations).
+ckpt-race:
+	$(GO) test -race -count=1 -run 'TestCheckpointIsExactCut|TestConcurrentCheckpointsLoseNothing' ./internal/store/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -39,14 +46,17 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# 10-second fuzz smokes over the three decoders that face untrusted
-# bytes: the wire decoder (open network), the session frame decoder
-# (open network, wraps the wire codec), and the WAL record decoder
-# (disk after a crash).
+# 10-second fuzz smokes over the decoders that face untrusted bytes: the
+# wire decoder (open network), the session frame decoder (open network,
+# wraps the wire codec), the WAL record framer (disk after a crash), and
+# the store's row codec behind it — WAL ops (disk, and a leader's
+# replication stream) and snapshot sections (disk, and a shipped image).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSessionFrame -fuzztime 10s ./internal/transport/session/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzWALOpDecode -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
 
 # Boot a real sord, scrape /debug/metrics via sorctl, assert every
 # promised series is present and that traffic moves the counters.
@@ -140,6 +150,7 @@ fieldtest-golden:
 # Everything CI runs (.github/workflows/ci.yml mirrors this).
 ci: vet build test
 	$(GO) test -race -short ./...
+	$(MAKE) ckpt-race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-test
 	$(MAKE) fleet-rank

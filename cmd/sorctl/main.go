@@ -15,6 +15,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,12 +25,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"sor"
 	"sor/internal/cluster"
 	"sor/internal/replica"
+	"sor/internal/store"
 	"sor/internal/wal"
 	"sor/internal/wire"
 	"sor/internal/world"
@@ -74,7 +77,8 @@ func run() error {
 // walCmd is the offline WAL toolbox; `wal inspect <dir>` dumps segment
 // headers, record counts, and the offset of any torn or corrupt record.
 // It accepts either the wal directory itself or a sord -data-dir (it
-// looks for a wal/ subdirectory).
+// looks for a wal/ subdirectory); given a data dir it also dumps the
+// snapshot beside the log, whose binary sections are not human-readable.
 func walCmd(args []string) error {
 	if len(args) < 1 || args[0] != "inspect" {
 		return fmt.Errorf("usage: sorctl wal inspect <data-dir|wal-dir>")
@@ -88,6 +92,7 @@ func walCmd(args []string) error {
 		return fmt.Errorf("usage: sorctl wal inspect <data-dir|wal-dir>")
 	}
 	dir := fs.Arg(0)
+	snapPath := store.SnapshotPath(dir)
 	// A sord -data-dir holds the log under wal/.
 	if sub := filepath.Join(dir, "wal"); dirExists(sub) {
 		dir = sub
@@ -102,6 +107,14 @@ func walCmd(args []string) error {
 		return enc.Encode(segs)
 	}
 	renderSegments(os.Stdout, dir, segs)
+	info, err := store.InspectSnapshot(snapPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	renderSnapshot(os.Stdout, snapPath, info)
 	return nil
 }
 
@@ -128,6 +141,35 @@ func renderSegments(w io.Writer, dir string, segs []wal.SegmentInfo) {
 		bytes += s.Bytes
 	}
 	fmt.Fprintf(w, "%d segments, %d records, %d bytes\n", len(segs), records, bytes)
+}
+
+// renderSnapshot writes the human snapshot table `wal inspect` prints
+// after the segments: the header, then one line per section.
+func renderSnapshot(w io.Writer, path string, info *store.SnapshotInfo) {
+	fmt.Fprintf(w, "\nsnapshot %s: version %d, watermark LSN %d, upload seq %d, %d bytes\n",
+		path, info.Version, info.Watermark, info.UploadSeq, info.Bytes)
+	fmt.Fprintf(w, "%-8s %-8s %12s %10s %12s  %s\n", "SECTION", "KIND", "OFFSET", "ROWS", "BYTES", "CRC")
+	for i, s := range info.Sections {
+		rows, size, crc := "-", "-", "ok"
+		if s.Rows >= 0 {
+			rows = strconv.Itoa(s.Rows)
+		}
+		if s.Bytes > 0 {
+			size = strconv.FormatInt(s.Bytes, 10)
+		}
+		if s.Err != nil {
+			crc = fmt.Sprintf("BAD: %v", s.Err)
+		}
+		fmt.Fprintf(w, "%-8d %-8s %12d %10s %12s  %s\n", i, s.Kind, s.Offset, rows, size, crc)
+	}
+	switch last := len(info.Sections) - 1; {
+	case info.Complete:
+		fmt.Fprintf(w, "%d sections, complete\n", len(info.Sections))
+	case last >= 0 && info.Sections[last].Err != nil:
+		fmt.Fprintf(w, "DAMAGED: scan stopped at section %d; Open refuses this snapshot\n", last)
+	default:
+		fmt.Fprintf(w, "INCOMPLETE: no end section; Open refuses this snapshot\n")
+	}
 }
 
 func dirExists(path string) bool {

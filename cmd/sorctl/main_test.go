@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sor"
 	"sor/internal/cluster"
 	"sor/internal/obs"
 	"sor/internal/replica"
+	"sor/internal/store"
 	"sor/internal/wal"
 )
 
@@ -47,11 +48,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 func walSegment(firstLSN uint64, payloads ...string) []byte {
 	b := append([]byte(nil), []byte("SORWAL1\n")...)
 	b = binary.LittleEndian.AppendUint64(b, firstLSN)
-	table := crc32.MakeTable(crc32.Castagnoli)
 	for _, p := range payloads {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum([]byte(p), table))
-		b = append(b, p...)
+		b = wal.AppendRecord(b, []byte(p))
 	}
 	return b
 }
@@ -89,6 +87,69 @@ func TestWALInspectGolden(t *testing.T) {
 	var empty bytes.Buffer
 	renderSegments(&empty, "data/wal", nil)
 	checkGolden(t, "wal_inspect_empty.golden", empty.Bytes())
+}
+
+// TestSnapshotInspectGolden pins the snapshot half of `sorctl wal
+// inspect` over a checkpointed data dir, the same image with one byte of
+// its feature section flipped, and the image cut before its end section.
+func TestSnapshotInspectGolden(t *testing.T) {
+	dir := t.TempDir()
+	b := store.NewDurableBackend(dir, store.WithSnapshotInterval(time.Hour))
+	st, err := b.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2013, 11, 15, 11, 0, 0, 0, time.UTC)
+	for _, err := range []error{
+		st.PutUser(store.User{ID: "u1", Name: "Alice", Token: "tok-a"}),
+		st.PutUser(store.User{ID: "u2", Name: "Bob", Token: "tok-b"}),
+		st.PutApp(store.Application{ID: "app-sb", Category: "coffee-shop", Place: "Starbucks", PeriodSec: 10800}),
+		st.UpsertFeature(store.FeatureRow{Category: "coffee-shop", Place: "Starbucks", Feature: "temperature", Value: 73.5, Samples: 12, Updated: at}),
+		st.UpsertFeature(store.FeatureRow{Category: "coffee-shop", Place: "Starbucks", Feature: "noise", Value: 61, Samples: 9, Updated: at}),
+		st.PutAnchor("app-sb", at),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Ingest("app-sb", [][]byte{{1, 2, 3}, {4, 5}}, store.IngestOptions{
+		Received: at, RequestID: "req-1", ReportIDs: []string{"r1", "r2"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	b.Kill()
+	path := store.SnapshotPath(dir)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	render := func(label string, data []byte) *store.SnapshotInfo {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, err := store.InspectSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renderSnapshot(&buf, label, info)
+		return info
+	}
+	healthy := render("data/snapshot.json", image)
+	flipped := bytes.Clone(image)
+	for _, sec := range healthy.Sections {
+		if sec.Kind == "feat" {
+			flipped[sec.Offset+sec.Bytes/2] ^= 0x01
+		}
+	}
+	render("data/flipped.json", flipped)
+	end := healthy.Sections[len(healthy.Sections)-1]
+	render("data/cut.json", image[:end.Offset])
+	checkGolden(t, "snapshot_inspect.golden", buf.Bytes())
 }
 
 // TestMetricsGolden pins the human `sorctl metrics` rendering: counters,

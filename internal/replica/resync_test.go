@@ -101,11 +101,11 @@ func TestFetchSnapshotChunked(t *testing.T) {
 	sched := participate(t, lh, "alice", "tok-a", 6)
 	upload(t, lh, sched, 1)
 
-	data, walLSN, err := FetchSnapshot(context.Background(), "node-x", codecSender{lh}, 512)
+	data, walLSN, err := FetchSnapshot(context.Background(), "node-x", codecSender{lh}, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) <= 512 {
+	if len(data) <= 128 {
 		t.Fatalf("image of %d bytes never exercised chunking", len(data))
 	}
 	want, wantLSN, err := leader.backend.SnapshotForShip()

@@ -392,6 +392,10 @@ func (d *DataProcessor) refreshApp(appID string) error {
 			values = append(values, extracted{"curvature", curv, len(track)})
 		}
 	}
+	// Upsert in feature order, not the sensor map's: each upsert is a WAL
+	// record, and a replayed experiment must log the same bytes in the
+	// same order.
+	slices.SortFunc(values, func(a, b extracted) int { return cmp.Compare(a.feature, b.feature) })
 	now := d.now().UTC()
 	for _, v := range values {
 		if err := d.db.UpsertFeature(store.FeatureRow{

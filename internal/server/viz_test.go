@@ -87,16 +87,22 @@ func TestStartProcessingDrainsPeriodically(t *testing.T) {
 	if _, err := s.Handler()(nil, upload); err != nil {
 		t.Fatal(err)
 	}
+	// The drain empties the pending table before the fold writes the
+	// feature row, so wait on the row itself.
 	deadline := time.After(5 * time.Second)
-	for s.DB().PendingUploads() > 0 {
+	for {
+		_, err := s.DB().Feature(world.CategoryCoffee, world.Starbucks, "temperature")
+		if err == nil {
+			break
+		}
 		select {
 		case <-deadline:
-			t.Fatal("processor never drained the upload")
+			t.Fatalf("feature not produced: %v (%d uploads pending)", err, s.DB().PendingUploads())
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if _, err := s.DB().Feature(world.CategoryCoffee, world.Starbucks, "temperature"); err != nil {
-		t.Fatalf("feature not produced: %v", err)
+	if n := s.DB().PendingUploads(); n != 0 {
+		t.Fatalf("%d uploads still pending after the fold", n)
 	}
 	cancel()
 	select {

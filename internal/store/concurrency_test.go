@@ -7,7 +7,6 @@ package store
 // writers race without tearing a table.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -200,8 +199,8 @@ func TestSnapshotWhileWriting(t *testing.T) {
 				errs <- err
 				return
 			}
-			if !json.Valid(data) {
-				errs <- fmt.Errorf("snapshot %d is not valid JSON", i)
+			if _, err := Restore(data); err != nil {
+				errs <- fmt.Errorf("snapshot %d does not restore: %w", i, err)
 				return
 			}
 		}

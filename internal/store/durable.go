@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -95,7 +96,8 @@ func WithClock(clk vclock.Clock) DurableOption {
 
 // DurableBackend persists the store under one directory:
 //
-//	<dir>/snapshot.json   periodic checkpoint (atomic rename, fsynced)
+//	<dir>/snapshot.json   periodic checkpoint, binary (snapshot.go; the
+//	                      name predates the format), atomic rename, fsynced
 //	<dir>/wal/            write-ahead log segments since that checkpoint
 //
 // Open recovers by loading the newest snapshot and replaying the WAL
@@ -112,9 +114,13 @@ type DurableBackend struct {
 	done chan struct{}
 	end  sync.Once
 
-	recovered    *obs.Counter
-	checkpoints  *obs.Counter
-	checkpointMS *obs.Histogram
+	ckptMu sync.Mutex // serializes Checkpoint: cut → install → truncate
+
+	recovered       *obs.Counter
+	checkpoints     *obs.Counter
+	checkpointMS    *obs.Histogram
+	checkpointCutMS *obs.Histogram // how long mutators were parked
+	snapshotBytes   *obs.Gauge
 }
 
 // NewDurableBackend stores everything under dir, creating it on Open.
@@ -132,6 +138,8 @@ func NewDurableBackend(dir string, opts ...DurableOption) *DurableBackend {
 		b.recovered = reg.Counter("sor_wal_recovered_records_total")
 		b.checkpoints = reg.Counter("sor_store_checkpoints_total")
 		b.checkpointMS = reg.LatencyHistogram("sor_store_checkpoint_ms")
+		b.checkpointCutMS = reg.LatencyHistogram("sor_store_checkpoint_cut_ms")
+		b.snapshotBytes = reg.Gauge("sor_store_snapshot_bytes")
 	}
 	return b
 }
@@ -146,8 +154,9 @@ func (b *DurableBackend) WAL() *wal.Log { return b.log }
 // Dir is the backend's data directory.
 func (b *DurableBackend) Dir() string { return b.dir }
 
-// snapshotPath is where a data dir keeps its checkpoint.
-func snapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json") }
+// SnapshotPath is where a data dir keeps its checkpoint. The name predates
+// the binary format; bench reads the file at this path.
+func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json") }
 
 // Open recovers the store from disk and starts the checkpoint loop.
 func (b *DurableBackend) Open() (*Store, error) {
@@ -157,7 +166,7 @@ func (b *DurableBackend) Open() (*Store, error) {
 	if err := os.MkdirAll(b.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
-	st, err := Load(snapshotPath(b.dir))
+	st, err := Load(SnapshotPath(b.dir))
 	if err != nil {
 		return nil, err
 	}
@@ -211,49 +220,51 @@ func (b *DurableBackend) run() {
 }
 
 // Checkpoint writes a snapshot and truncates the WAL segments it covers.
-// Holding snapMu exclusively parks every mutator (each holds the read
-// side across its log+apply pair), so the snapshot plus the records
-// above its watermark are an exact partition of history.
+// Mutators are parked only while capture copies the cut (exact: the
+// image plus the records above its watermark partition history); sorting,
+// encoding and the fsynced install run with them going again. ckptMu
+// orders whole checkpoints — cut, install, truncate — so an image cut at
+// a lower watermark can never be renamed over one whose truncation has
+// already dropped the records between the two.
 func (b *DurableBackend) Checkpoint() error {
+	b.ckptMu.Lock()
+	defer b.ckptMu.Unlock()
 	start := time.Now()
-	st := b.st
-	st.snapMu.Lock()
-	watermark := b.log.LastLSN()
-	data, err := st.Snapshot()
-	st.snapMu.Unlock()
+	img := b.st.capture()
+	b.checkpointCutMS.Observe(msSince(start))
+	n, err := writeFileAtomic(SnapshotPath(b.dir), img.writeTo)
 	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(snapshotPath(b.dir), data); err != nil {
 		return err
 	}
 	// Best-effort: a failed truncation only leaves extra segments,
 	// which the watermark makes harmless on replay.
-	_ = b.log.TruncateThrough(watermark)
+	_ = b.log.TruncateThrough(img.watermark)
 	b.checkpoints.Inc()
-	b.checkpointMS.Observe(float64(time.Since(start).Milliseconds()))
+	b.snapshotBytes.Set(n)
+	b.checkpointMS.Observe(msSince(start))
 	return nil
 }
 
+func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
+
 // SnapshotForShip cuts a consistent snapshot image for resync shipping
 // and returns it with its embedded WAL watermark, without touching the
-// on-disk checkpoint or truncating anything. The same snapMu write-lock
-// Checkpoint takes makes the image an exact cut: the caller can hand the
-// bytes to a compacted-past follower knowing replication from
-// watermark+1 resumes exactly where the image ends.
+// on-disk checkpoint or truncating anything — so it does not take
+// ckptMu. The same capture Checkpoint takes makes the image an exact
+// cut: the caller can hand the bytes to a compacted-past follower
+// knowing replication from watermark+1 resumes exactly where the image
+// ends.
 func (b *DurableBackend) SnapshotForShip() ([]byte, uint64, error) {
 	st := b.st
 	if st == nil {
 		return nil, 0, errors.New("store: backend not open")
 	}
-	st.snapMu.Lock()
-	watermark := b.log.LastLSN()
-	data, err := st.Snapshot()
-	st.snapMu.Unlock()
-	if err != nil {
+	img := st.capture()
+	var buf bytes.Buffer
+	if _, err := img.writeTo(&buf); err != nil {
 		return nil, 0, err
 	}
-	return data, watermark, nil
+	return buf.Bytes(), img.watermark, nil
 }
 
 // InstallShippedSnapshot resets dir to hold exactly one shipped snapshot
@@ -269,7 +280,8 @@ func InstallShippedSnapshot(dir string, data []byte) error {
 	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
 		return fmt.Errorf("store: clearing stale wal: %w", err)
 	}
-	return writeFileAtomic(snapshotPath(dir), data)
+	_, err := writeFileAtomic(SnapshotPath(dir), bytes.NewReader(data).WriteTo)
+	return err
 }
 
 // Close checkpoints one final time and closes the WAL cleanly.

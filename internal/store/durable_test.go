@@ -17,7 +17,7 @@ import (
 
 // populate writes one row into every table, plus a deduped ingest, so
 // recovery tests exercise every WAL op kind.
-func populate(t *testing.T, s *Store) {
+func populate(t testing.TB, s *Store) {
 	t.Helper()
 	if err := s.PutUser(User{ID: "u1", Name: "Alice", Token: "tok"}); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestDurableBackendKillRecoversFromWALAlone(t *testing.T) {
 
 	// No checkpoint ever ran: the snapshot file must not exist, so the
 	// entire state below comes from WAL replay.
-	if _, err := os.Stat(snapshotPath(dir)); !os.IsNotExist(err) {
+	if _, err := os.Stat(SnapshotPath(dir)); !os.IsNotExist(err) {
 		t.Fatalf("snapshot file unexpectedly present: %v", err)
 	}
 	b2 := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
@@ -202,18 +202,23 @@ func TestDurableBackendCheckpointTruncatesWAL(t *testing.T) {
 }
 
 // TestWALRecordValidation: a record the decoder does not accept — among
-// them the JSON "mark" and "ingest" framings the binary ingest record
-// superseded — is refused, never skipped: ApplyReplicated rejects it
-// before appending or applying anything, and a log holding one fails
-// Open instead of recovering around it.
+// them every JSON record a build before the row codec wrote — is
+// refused, never skipped: ApplyReplicated rejects it before appending or
+// applying anything, and a log holding one fails Open instead of
+// recovering around it.
 func TestWALRecordValidation(t *testing.T) {
+	user := (&walOp{tag: userTag, user: User{ID: "u2", Token: "t"}}).appendTo(nil)
 	for _, tc := range []struct{ name, payload, want string }{
-		{"json mark", `{"op":"mark","app_id":"a1","report_id":"r1"}`, `unknown wal op "mark"`},
-		{"json ingest", `{"op":"ingest","ingest":{"app_id":"a1","base_seq":0,"received":"2013-11-15T11:00:00Z","bodies":["AQ=="],"report_ids":["r1"]}}`, `unknown wal op "ingest"`},
-		{"unknown op", `{"op":"nope"}`, `unknown wal op "nope"`},
-		{"op without payload", `{"op":"user"}`, "without payload"},
-		{"truncated binary ingest", "\x01\x05a", "malformed binary ingest record"},
-		{"not a record", "garbage", "decoding wal record"},
+		{"json mark", `{"op":"mark","app_id":"a1","report_id":"r1"}`, "docs/upgrade.md"},
+		{"json ingest", `{"op":"ingest","ingest":{"app_id":"a1","base_seq":0,"received":"2013-11-15T11:00:00Z","bodies":["AQ=="],"report_ids":["r1"]}}`, "docs/upgrade.md"},
+		{"json user", `{"op":"user","user":{"id":"u2"}}`, "docs/upgrade.md"},
+		{"unknown op", "\x7fnope", "unknown wal record tag 0x7f"},
+		{"snapshot-only row", "\x08\x02", "unknown wal record upload"},
+		{"op without payload", "\x02", "malformed user wal record"},
+		{"trailing bytes", string(user) + "x", "malformed user wal record"},
+		{"truncated binary ingest", "\x01\x05a", "malformed ingest wal record"},
+		{"ingest marks not parallel", "\x01\x02a1\x00\x00\x00\x01\x01\x07\x02\x02r1\x02r2", "malformed ingest wal record"},
+		{"not a record", "garbage", "unknown wal record tag 0x67"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

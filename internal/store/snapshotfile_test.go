@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,7 +18,7 @@ func TestWriteSnapshotAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if _, err := writeFileAtomic(path, bytes.NewReader(data).WriteTo); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(path)

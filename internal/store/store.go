@@ -12,12 +12,11 @@
 //     feature table;
 //   - the Scheduler persists distributed schedules.
 //
-// Snapshot/Restore give JSON durability so a server can restart without
-// losing state.
+// Snapshot/Restore give binary durability (snapshot.go, codec.go) so a
+// server can restart without losing state.
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -181,7 +180,9 @@ type uploadShard struct {
 }
 
 // appendRow adds one row to a chunk list, growing the last chunk while it
-// has room and opening a one-row chunk when it does not.
+// has room and opening a one-row chunk when it does not. It only ever
+// writes past a chunk's length, which is what lets a checkpoint capture
+// (snapshot.go) read the chunks after releasing the shard lock.
 func appendRow(chunks [][]RawUpload, row RawUpload) [][]RawUpload {
 	if n := len(chunks); n > 0 && len(chunks[n-1]) < uploadChunkSize {
 		chunks[n-1] = append(chunks[n-1], row)
@@ -281,11 +282,11 @@ type dedupShard struct {
 // ingest for different applications proceeds in parallel (see DESIGN.md,
 // "Concurrency model").
 type Store struct {
-	// snapMu is the checkpoint gate (durable.go): every mutator holds it
+	// snapMu is the checkpoint gate (snapshot.go): every mutator holds it
 	// for read around its table lock and WAL append, a checkpoint holds it
-	// for write, so the snapshot plus the WAL watermark captured under it
-	// form an exact cut of the mutation log. Purely in-memory stores pay
-	// one uncontended RLock per mutation for it.
+	// for write while it captures an image, so the image plus the WAL
+	// watermark read under it form an exact cut of the mutation log.
+	// Purely in-memory stores pay one uncontended RLock per mutation.
 	snapMu sync.RWMutex
 	// wal, when attached, receives one record per mutation *before* the
 	// mutation is applied (write-ahead). Nil for in-memory stores.
@@ -382,7 +383,7 @@ func (s *Store) PutUser(u User) error {
 	if _, ok := s.users[u.ID]; ok {
 		return fmt.Errorf("%w: user %s", ErrDuplicate, u.ID)
 	}
-	if err := s.logOp(&walOp{Op: opUser, User: &u}); err != nil {
+	if err := s.logOp(&walOp{tag: userTag, user: u}); err != nil {
 		return err
 	}
 	s.users[u.ID] = u
@@ -439,7 +440,7 @@ func (s *Store) PutApp(a Application) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: app %s", ErrDuplicate, a.ID)
 	}
-	if err := s.logOp(&walOp{Op: opApp, App: &a}); err != nil {
+	if err := s.logOp(&walOp{tag: appTag, app: a}); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -502,7 +503,7 @@ func (s *Store) PutParticipation(p Participation) error {
 	if _, ok := s.participations[p.TaskID]; ok {
 		return fmt.Errorf("%w: task %s", ErrDuplicate, p.TaskID)
 	}
-	if err := s.logOp(&walOp{Op: opPart, Part: &p}); err != nil {
+	if err := s.logOp(&walOp{tag: partTag, part: p}); err != nil {
 		return err
 	}
 	s.setParticipation(p)
@@ -551,7 +552,7 @@ func (s *Store) UpdateParticipation(taskID string, fn func(*Participation)) erro
 		return fmt.Errorf("%w: task %s", ErrNotFound, taskID)
 	}
 	fn(&p)
-	if err := s.logOp(&walOp{Op: opPart, Part: &p}); err != nil {
+	if err := s.logOp(&walOp{tag: partTag, part: p}); err != nil {
 		return err
 	}
 	s.setParticipation(p)
@@ -729,7 +730,7 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 	var payload []byte
 	var encBuf *[]byte
 	if s.wal != nil {
-		encBuf = ingestEncPool.Get().(*[]byte)
+		encBuf = encPool.Get().(*[]byte)
 		payload = appendIngestRecord((*encBuf)[:0], appID, base, opt.Received, opt.RequestID, rows, ids)
 	}
 
@@ -741,7 +742,7 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 		var err error
 		lsn, err = s.wal.Enqueue(payload)
 		*encBuf = payload[:0] // Enqueue copied the payload
-		ingestEncPool.Put(encBuf)
+		encPool.Put(encBuf)
 		if err != nil {
 			return IngestResult{Fresh: make([]bool, len(bodies))}, 0, fmt.Errorf("store: wal append: %w", err)
 		}
@@ -898,7 +899,7 @@ func (s *Store) UpsertFeature(row FeatureRow) error {
 	defer s.snapMu.RUnlock()
 	s.mu.Lock()
 	old, existed := s.features[key]
-	if err := s.logOp(&walOp{Op: opFeat, Feat: &row}); err != nil {
+	if err := s.logOp(&walOp{tag: featTag, feat: row}); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -1024,7 +1025,7 @@ func (s *Store) PutSchedule(row ScheduleRow) error {
 	sh := &s.schedShards[shardIndex(row.TaskID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := s.logOp(&walOp{Op: opSched, Sched: &row}); err != nil {
+	if err := s.logOp(&walOp{tag: schedTag, sched: row}); err != nil {
 		return err
 	}
 	sh.rows[row.TaskID] = row
@@ -1058,7 +1059,7 @@ func (s *Store) PutAnchor(appID string, anchor time.Time) error {
 		}
 		return fmt.Errorf("%w: anchor for %s", ErrDuplicate, appID)
 	}
-	if err := s.logOp(&walOp{Op: opAnchor, AppID: appID, AnchorUnix: unix}); err != nil {
+	if err := s.logOp(&walOp{tag: anchorTag, anchor: AnchorRow{AppID: appID, AnchorUnix: unix}}); err != nil {
 		return err
 	}
 	s.anchors[appID] = unix
@@ -1099,162 +1100,4 @@ func (s *Store) Schedule(taskID string) (ScheduleRow, error) {
 		return ScheduleRow{}, fmt.Errorf("%w: schedule %s", ErrNotFound, taskID)
 	}
 	return row, nil
-}
-
-// ---- Durability ----
-
-// ReportWindowRow is one application's dedup window in a snapshot (IDs
-// oldest first, so Restore rebuilds the same eviction order).
-type ReportWindowRow struct {
-	AppID string   `json:"app_id"`
-	IDs   []string `json:"ids"`
-}
-
-// snapshot is the JSON image of the whole store. The durability fields
-// (Archived, Anchors, WalLSN) are additive and omitempty, so snapshots
-// written by older builds load unchanged.
-type snapshot struct {
-	Users          []User            `json:"users"`
-	Apps           []Application     `json:"apps"`
-	Participations []Participation   `json:"participations"`
-	Uploads        []RawUpload       `json:"uploads"`
-	UploadSeq      int64             `json:"upload_seq"`
-	Features       []FeatureRow      `json:"features"`
-	Schedules      []ScheduleRow     `json:"schedules"`
-	SeenReports    []ReportWindowRow `json:"seen_reports,omitempty"`
-	// Archived holds already-processed uploads (durable stores archive on
-	// drain so recovery can refold the full history).
-	Archived []RawUpload `json:"archived,omitempty"`
-	Anchors  []AnchorRow `json:"anchors,omitempty"`
-	// WalLSN is the WAL position this snapshot covers: recovery replays
-	// only records past it.
-	WalLSN uint64 `json:"wal_lsn,omitempty"`
-}
-
-// Snapshot serializes the store to JSON. Each table is internally
-// consistent; with writers racing the snapshot, the tables may be captured
-// at slightly different moments (same guarantee a per-table dump of the
-// paper's PostgreSQL instance would give).
-func (s *Store) Snapshot() ([]byte, error) {
-	snap := snapshot{UploadSeq: s.uploadSeq.Load()}
-	if s.wal != nil {
-		// Under a checkpoint's write-lock on snapMu this is an exact cut:
-		// every mutation at or below this LSN is in the snapshot, every
-		// one above it is not.
-		snap.WalLSN = s.wal.LastLSN()
-	}
-	for i := range s.uploadShards {
-		sh := &s.uploadShards[i]
-		sh.mu.Lock()
-		for _, c := range sh.chunks {
-			snap.Uploads = append(snap.Uploads, c...)
-		}
-		for _, c := range sh.done {
-			snap.Archived = append(snap.Archived, c...)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(snap.Uploads, func(i, j int) bool { return snap.Uploads[i].Seq < snap.Uploads[j].Seq })
-	sort.Slice(snap.Archived, func(i, j int) bool { return snap.Archived[i].Seq < snap.Archived[j].Seq })
-	for i := range s.schedShards {
-		sh := &s.schedShards[i]
-		sh.mu.RLock()
-		for _, r := range sh.rows {
-			snap.Schedules = append(snap.Schedules, r)
-		}
-		sh.mu.RUnlock()
-	}
-	for i := range s.dedupShards {
-		sh := &s.dedupShards[i]
-		sh.mu.Lock()
-		for appID, w := range sh.apps {
-			snap.SeenReports = append(snap.SeenReports, ReportWindowRow{
-				AppID: appID, IDs: append([]string(nil), w.order...),
-			})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(snap.SeenReports, func(i, j int) bool {
-		return snap.SeenReports[i].AppID < snap.SeenReports[j].AppID
-	})
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for appID, unix := range s.anchors {
-		snap.Anchors = append(snap.Anchors, AnchorRow{AppID: appID, AnchorUnix: unix})
-	}
-	sort.Slice(snap.Anchors, func(i, j int) bool { return snap.Anchors[i].AppID < snap.Anchors[j].AppID })
-	for _, u := range s.users {
-		snap.Users = append(snap.Users, u)
-	}
-	for _, a := range s.apps {
-		snap.Apps = append(snap.Apps, a)
-	}
-	for _, p := range s.participations {
-		snap.Participations = append(snap.Participations, p)
-	}
-	for _, f := range s.features {
-		snap.Features = append(snap.Features, f)
-	}
-	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].ID < snap.Users[j].ID })
-	sort.Slice(snap.Apps, func(i, j int) bool { return snap.Apps[i].ID < snap.Apps[j].ID })
-	sort.Slice(snap.Participations, func(i, j int) bool {
-		return snap.Participations[i].TaskID < snap.Participations[j].TaskID
-	})
-	sort.Slice(snap.Features, func(i, j int) bool {
-		a, b := snap.Features[i], snap.Features[j]
-		if a.Category != b.Category {
-			return a.Category < b.Category
-		}
-		if a.Place != b.Place {
-			return a.Place < b.Place
-		}
-		return a.Feature < b.Feature
-	})
-	sort.Slice(snap.Schedules, func(i, j int) bool {
-		return snap.Schedules[i].TaskID < snap.Schedules[j].TaskID
-	})
-	return json.MarshalIndent(snap, "", "  ")
-}
-
-// Restore loads a snapshot into a fresh store.
-func Restore(data []byte) (*Store, error) {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("store: restore: %w", err)
-	}
-	s := New()
-	s.uploadSeq.Store(snap.UploadSeq)
-	s.restoredLSN = snap.WalLSN
-	for _, up := range snap.Uploads {
-		s.uploadShards[shardIndex(up.AppID)].put(up)
-	}
-	for _, up := range snap.Archived {
-		s.uploadShards[shardIndex(up.AppID)].putArchived(up)
-	}
-	for _, ar := range snap.Anchors {
-		s.anchors[ar.AppID] = ar.AnchorUnix
-	}
-	for _, u := range snap.Users {
-		s.users[u.ID] = u
-	}
-	for _, a := range snap.Apps {
-		s.apps[a.ID] = a
-	}
-	for _, p := range snap.Participations {
-		s.setParticipation(p)
-	}
-	for _, f := range snap.Features {
-		s.features[featureKey{f.Category, f.Place, f.Feature}] = f
-	}
-	for _, r := range snap.Schedules {
-		s.schedShards[shardIndex(r.TaskID)].rows[r.TaskID] = r
-	}
-	for _, row := range snap.SeenReports {
-		for _, id := range row.IDs {
-			if id != "" {
-				s.markLocked(row.AppID, id)
-			}
-		}
-	}
-	return s, nil
 }

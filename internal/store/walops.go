@@ -1,8 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,38 +9,27 @@ import (
 	"sor/internal/wal"
 )
 
-// WAL op codes of the JSON-framed records. One record is written per
+// walOp is one logged mutation: tag names the table it writes and the
+// field matching the tag holds the row. One record is written per
 // mutation, before the mutation is applied; replay (applyWALRecord)
 // re-applies them in LSN order onto a restored snapshot. Drains and reads
-// are operational, not state, and are never logged. Ingest — dedup marks
-// plus stored bodies, one atomic record — has no op code: it is the
-// binary record below.
-const (
-	opUser   = "user"   // PutUser
-	opApp    = "app"    // PutApp
-	opPart   = "part"   // PutParticipation / UpdateParticipation (full row)
-	opFeat   = "feat"   // UpsertFeature
-	opSched  = "sched"  // PutSchedule
-	opAnchor = "anchor" // PutAnchor
-)
-
-// walOp is one logged mutation. Exactly one payload field matching Op is
-// set; the rest stay nil/zero and are elided from the JSON.
+// are operational, not state, and are never logged.
 type walOp struct {
-	Op         string         `json:"op"`
-	User       *User          `json:"user,omitempty"`
-	App        *Application   `json:"app,omitempty"`
-	Part       *Participation `json:"part,omitempty"`
-	Feat       *FeatureRow    `json:"feat,omitempty"`
-	Sched      *ScheduleRow   `json:"sched,omitempty"`
-	AppID      string         `json:"app_id,omitempty"`
-	AnchorUnix int64          `json:"anchor_unix,omitempty"`
+	tag    byte
+	user   User
+	app    Application
+	part   Participation
+	feat   FeatureRow
+	sched  ScheduleRow
+	anchor AnchorRow
+	ingest ingestOp
 }
 
 // ingestOp is the atomic image of one Ingest call: only the bodies that
 // survived dedup, their window marks, and the first sequence number. A
 // crash between ack and anything else cannot split the mark from the
-// body — both ride one CRC-framed record.
+// body — both ride one CRC-framed record. It is encoded straight from
+// the stored rows by appendIngestRecord, the one high-rate op.
 type ingestOp struct {
 	AppID     string
 	BaseSeq   int64 // Seq of Bodies[i] is BaseSeq+i+1
@@ -52,121 +39,29 @@ type ingestOp struct {
 	ReportIDs []string // parallel to Bodies; "" = unmarked
 }
 
-// Ingest records — the only high-rate op — use a compact binary encoding
-// instead of JSON: raw bodies (no base64), no reflection, half the write
-// volume. The first payload byte disambiguates: JSON records start with
-// '{', binary ingest records with ingestTag.
-const ingestTag = 0x01
-
-// appendIngestRecord renders one Ingest call into buf as:
-//
-//	tag | appID | requestID | received unixnano | baseSeq | nbodies |
-//	   bodies... | nids | ids...
-//
-// where strings and bodies are uvarint-length-prefixed and integers are
-// varint. It appends (callers recycle the buffer through ingestEncPool;
-// wal.Enqueue copies the payload before returning).
-func appendIngestRecord(buf []byte, appID string, baseSeq int64, received time.Time, requestID string, rows []RawUpload, ids []string) []byte {
-	buf = append(buf, ingestTag)
-	buf = appendBytes(buf, appID)
-	buf = appendBytes(buf, requestID)
-	buf = binary.AppendVarint(buf, received.UnixNano())
-	buf = binary.AppendVarint(buf, baseSeq)
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for i := range rows {
-		buf = binary.AppendUvarint(buf, uint64(len(rows[i].Body)))
-		buf = append(buf, rows[i].Body...)
+// appendTo renders a cold op (every tag but ingestTag) as a WAL record.
+func (op *walOp) appendTo(b []byte) []byte {
+	b = append(b, op.tag)
+	switch op.tag {
+	case userTag:
+		return appendUser(b, &op.user)
+	case appTag:
+		return appendApp(b, &op.app)
+	case partTag:
+		return appendPart(b, &op.part)
+	case featTag:
+		return appendFeat(b, &op.feat)
+	case schedTag:
+		return appendSched(b, &op.sched)
+	case anchorTag:
+		return appendAnchor(b, &op.anchor)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = appendBytes(buf, id)
-	}
-	return buf
+	panic(fmt.Sprintf("store: no wal encoding for %s", tagName(op.tag)))
 }
 
-// ingestEncPool recycles ingest-record encode buffers: the ingest hot
-// path runs per report, and per-op buffer churn is pure GC pressure.
-var ingestEncPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
-
-func appendBytes(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-var errIngestRecord = errors.New("store: malformed binary ingest record")
-
-func decodeIngestOp(payload []byte) (*ingestOp, error) {
-	r := payload[1:] // caller checked the tag
-	next := func() ([]byte, error) {
-		n, used := binary.Uvarint(r)
-		if used <= 0 || uint64(len(r)-used) < n {
-			return nil, errIngestRecord
-		}
-		b := r[used : used+int(n)]
-		r = r[used+int(n):]
-		return b, nil
-	}
-	nextInt := func() (int64, error) {
-		v, used := binary.Varint(r)
-		if used <= 0 {
-			return 0, errIngestRecord
-		}
-		r = r[used:]
-		return v, nil
-	}
-	in := &ingestOp{}
-	appID, err := next()
-	if err != nil {
-		return nil, err
-	}
-	in.AppID = string(appID)
-	reqID, err := next()
-	if err != nil {
-		return nil, err
-	}
-	in.RequestID = string(reqID)
-	recv, err := nextInt()
-	if err != nil {
-		return nil, err
-	}
-	in.Received = time.Unix(0, recv).UTC()
-	if in.BaseSeq, err = nextInt(); err != nil {
-		return nil, err
-	}
-	nb, used := binary.Uvarint(r)
-	if used <= 0 || nb > uint64(len(r)) {
-		return nil, errIngestRecord
-	}
-	r = r[used:]
-	in.Bodies = make([][]byte, nb)
-	for i := range in.Bodies {
-		b, err := next()
-		if err != nil {
-			return nil, err
-		}
-		in.Bodies[i] = append([]byte(nil), b...)
-	}
-	ni, used := binary.Uvarint(r)
-	if used <= 0 || ni > uint64(len(r)) {
-		return nil, errIngestRecord
-	}
-	r = r[used:]
-	in.ReportIDs = make([]string, ni)
-	for i := range in.ReportIDs {
-		id, err := next()
-		if err != nil {
-			return nil, err
-		}
-		in.ReportIDs[i] = string(id)
-	}
-	if len(r) != 0 {
-		return nil, errIngestRecord
-	}
-	if ni == 0 {
-		in.ReportIDs = nil
-	}
-	return in, nil
-}
+// encPool recycles WAL record encode buffers: the ingest hot path runs
+// per report, and per-op buffer churn is pure GC pressure.
+var encPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // attachWAL binds a log to the store: subsequent mutations are logged
 // write-ahead, and drained uploads are archived instead of discarded so
@@ -183,11 +78,12 @@ func (s *Store) logOp(op *walOp) error {
 	if s.wal == nil {
 		return nil
 	}
-	payload, err := json.Marshal(op)
+	buf := encPool.Get().(*[]byte)
+	payload := op.appendTo((*buf)[:0])
+	_, err := s.wal.Append(payload)
+	*buf = payload[:0] // Append copied the payload
+	encPool.Put(buf)
 	if err != nil {
-		return fmt.Errorf("store: encoding wal op: %w", err)
-	}
-	if _, err := s.wal.Append(payload); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	return nil
@@ -209,75 +105,72 @@ func (s *Store) markLocked(appID, id string) {
 // decodeWALRecord parses and fully validates one logged record without
 // touching the store, so callers can reject a malformed record before
 // committing to anything (ApplyReplicated must not let one into the local
-// log). Exactly one of the returns is set: in for binary ingest records,
-// op for JSON ops.
-func decodeWALRecord(payload []byte) (op *walOp, in *ingestOp, err error) {
-	if len(payload) > 0 && payload[0] == ingestTag {
-		in, err = decodeIngestOp(payload)
-		return nil, in, err
+// log): an unknown tag, a short or overlong row, an out-of-range field
+// and a JSON record from before the row codec are all refused.
+func decodeWALRecord(payload []byte) (walOp, error) {
+	var op walOp
+	if len(payload) == 0 {
+		return op, errors.New("store: empty wal record")
 	}
-	op = &walOp{}
-	if err := json.Unmarshal(payload, op); err != nil {
-		return nil, nil, fmt.Errorf("store: decoding wal record: %w", err)
-	}
-	var need bool
-	switch op.Op {
-	case opUser:
-		need = op.User == nil
-	case opApp:
-		need = op.App == nil
-	case opPart:
-		need = op.Part == nil
-	case opFeat:
-		need = op.Feat == nil
-	case opSched:
-		need = op.Sched == nil
-	case opAnchor:
+	op.tag = payload[0]
+	r := rowReader{b: payload[1:]}
+	switch op.tag {
+	case ingestTag:
+		op.ingest = r.ingest()
+	case userTag:
+		op.user = r.user()
+	case appTag:
+		op.app = r.app()
+	case partTag:
+		op.part = r.part()
+	case featTag:
+		op.feat = r.feat()
+	case schedTag:
+		op.sched = r.sched()
+	case anchorTag:
+		op.anchor = r.anchor()
+	case '{':
+		return op, fmt.Errorf("store: JSON wal record %w", errUpgrade)
 	default:
-		return nil, nil, fmt.Errorf("store: unknown wal op %q", op.Op)
+		return op, fmt.Errorf("store: unknown wal record %s", tagName(op.tag))
 	}
-	if need {
-		return nil, nil, fmt.Errorf("store: wal %s record without payload", op.Op)
-	}
-	return op, nil, nil
+	return op, r.finish(tagName(op.tag) + " wal record")
 }
 
 // applyDecoded writes one validated op into the tables. Callers either
 // own the store exclusively (recovery) or hold the locks lockForOp picks.
-func (s *Store) applyDecoded(op *walOp, in *ingestOp) {
-	if in != nil {
-		s.applyIngestOp(in)
-		return
-	}
-	switch op.Op {
-	case opUser:
-		s.users[op.User.ID] = *op.User
-	case opApp:
-		s.apps[op.App.ID] = *op.App
-		if op.App.Category != "" {
-			s.bumpFeatureApp(op.App.Category)
+func (s *Store) applyDecoded(op *walOp) {
+	switch op.tag {
+	case ingestTag:
+		s.applyIngestOp(&op.ingest)
+	case userTag:
+		s.users[op.user.ID] = op.user
+	case appTag:
+		s.apps[op.app.ID] = op.app
+		if op.app.Category != "" {
+			s.bumpFeatureApp(op.app.Category)
 		}
-	case opPart:
-		s.setParticipation(*op.Part)
-	case opFeat:
-		f := *op.Feat
+	case partTag:
+		s.setParticipation(op.part)
+	case featTag:
+		f := op.feat
 		s.features[featureKey{f.Category, f.Place, f.Feature}] = f
 		s.bumpFeaturePlace(f.Category, f.Place)
-	case opSched:
-		s.schedShards[shardIndex(op.Sched.TaskID)].rows[op.Sched.TaskID] = *op.Sched
-	case opAnchor:
-		s.anchors[op.AppID] = op.AnchorUnix
+	case schedTag:
+		s.schedShards[shardIndex(op.sched.TaskID)].rows[op.sched.TaskID] = op.sched
+	case anchorTag:
+		s.anchors[op.anchor.AppID] = op.anchor.AnchorUnix
 	}
 }
 
 // applyWALRecord applies one replayed op. Recovery runs single-threaded,
 // before the store is shared, so it writes the tables directly.
 func (s *Store) applyWALRecord(payload []byte) error {
-	op, in, err := decodeWALRecord(payload)
+	op, err := decodeWALRecord(payload)
 	if err != nil {
 		return err
 	}
-	s.applyDecoded(op, in)
+	s.applyDecoded(&op)
 	return nil
 }
 
@@ -287,16 +180,16 @@ func (s *Store) applyWALRecord(payload []byte) error {
 // run under these so concurrent readers — rank serving, drains, the
 // checkpoint snapshot — see the replica's tables exactly as they would a
 // leader's.
-func (s *Store) lockForOp(op *walOp, in *ingestOp) func() {
-	switch {
-	case in != nil:
-		dsh := &s.dedupShards[shardIndex(in.AppID)]
-		ush := &s.uploadShards[shardIndex(in.AppID)]
+func (s *Store) lockForOp(op *walOp) func() {
+	switch op.tag {
+	case ingestTag:
+		dsh := &s.dedupShards[shardIndex(op.ingest.AppID)]
+		ush := &s.uploadShards[shardIndex(op.ingest.AppID)]
 		dsh.mu.Lock()
 		ush.mu.Lock()
 		return func() { ush.mu.Unlock(); dsh.mu.Unlock() }
-	case op.Op == opSched:
-		sh := &s.schedShards[shardIndex(op.Sched.TaskID)]
+	case schedTag:
+		sh := &s.schedShards[shardIndex(op.sched.TaskID)]
 		sh.mu.Lock()
 		return sh.mu.Unlock
 	default:
@@ -323,7 +216,7 @@ func (s *Store) ApplyReplicated(wantLSN uint64, payload []byte) error {
 	if s.wal == nil {
 		return errors.New("store: replicated apply needs an attached WAL")
 	}
-	op, in, err := decodeWALRecord(payload)
+	op, err := decodeWALRecord(payload)
 	if err != nil {
 		return fmt.Errorf("store: replicated record: %w", err)
 	}
@@ -332,7 +225,7 @@ func (s *Store) ApplyReplicated(wantLSN uint64, payload []byte) error {
 	if have := s.wal.LastLSN(); have+1 != wantLSN {
 		return fmt.Errorf("%w: record %d onto log at %d", ErrReplicaGap, wantLSN, have)
 	}
-	unlock := s.lockForOp(op, in)
+	unlock := s.lockForOp(&op)
 	defer unlock()
 	lsn, err := s.wal.Enqueue(payload)
 	if err != nil {
@@ -343,7 +236,7 @@ func (s *Store) ApplyReplicated(wantLSN uint64, payload []byte) error {
 		// loudly here stops replication before state can diverge.
 		return fmt.Errorf("%w: append landed at %d, want %d", ErrReplicaGap, lsn, wantLSN)
 	}
-	s.applyDecoded(op, in)
+	s.applyDecoded(&op)
 	return nil
 }
 

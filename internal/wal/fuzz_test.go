@@ -14,7 +14,7 @@ func FuzzWALDecode(f *testing.F) {
 	// Seed with a healthy stream, then damaged variants of it.
 	var healthy []byte
 	for _, p := range []string{"", "a", "hello world", string(make([]byte, 300))} {
-		healthy = appendRecord(healthy, []byte(p))
+		healthy = AppendRecord(healthy, []byte(p))
 	}
 	f.Add(healthy)
 	f.Add(healthy[:len(healthy)-3]) // torn tail

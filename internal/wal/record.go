@@ -44,8 +44,10 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord appends the framed record to dst and returns the result.
-func appendRecord(dst []byte, payload []byte) []byte {
+// AppendRecord appends the framed record to dst and returns the result.
+// It is the one framer of every CRC-checked record SOR persists: WAL
+// records and the store's snapshot sections alike.
+func AppendRecord(dst []byte, payload []byte) []byte {
 	var hdr [recHdrSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))

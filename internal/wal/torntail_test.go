@@ -14,7 +14,7 @@ func segmentBytes(firstLSN uint64, payloads ...string) []byte {
 	b = append(b, magic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, firstLSN)
 	for _, p := range payloads {
-		b = appendRecord(b, []byte(p))
+		b = AppendRecord(b, []byte(p))
 	}
 	return b
 }
@@ -72,7 +72,7 @@ func TestTornTailClassification(t *testing.T) {
 			name: "partial payload at EOF",
 			bytes: func() []byte {
 				b := append([]byte(nil), base...)
-				b = appendRecord(b, []byte("delta-delta-delta"))
+				b = AppendRecord(b, []byte("delta-delta-delta"))
 				// The crash cut the last record's payload short.
 				return b[:len(b)-10]
 			},
@@ -84,7 +84,7 @@ func TestTornTailClassification(t *testing.T) {
 			name: "partial payload inside preallocated zeros",
 			bytes: func() []byte {
 				b := append([]byte(nil), base...)
-				b = appendRecord(b, []byte("delta-delta-delta"))
+				b = AppendRecord(b, []byte("delta-delta-delta"))
 				cut := append(b[:len(b)-10:len(b)-10], make([]byte, 200)...)
 				return cut
 			},
