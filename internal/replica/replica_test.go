@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -527,5 +528,68 @@ func pullOneRecordBehind(t *testing.T, f *Follower, lh transport.Handler, srv *s
 	}
 	if rr := rank(t, srv.Handler()); !rr.Stale {
 		t.Fatal("lagging replica served an unflagged rank reply")
+	}
+}
+
+// TestFollowerShipsRecordsOverFourMiB: reports a leader accepts must reach
+// its followers whatever their size — one report of 600 000 readings
+// (≈ 4.8 MB) and a full burst of MaxBatchReports ≈ 1.1 KB reports
+// (≈ 4.5 MB, one WAL record). Both records are past 4 MiB, so the codec
+// must bound a shipped record only by the frame around it; a tighter cap
+// on byte fields would fail every pull from that record on.
+func TestFollowerShipsRecordsOverFourMiB(t *testing.T) {
+	leader := openNode(t, t.TempDir(), false, 0)
+	defer leader.srv.Close()
+	_, lh := leaderFor(t, leader)
+	if err := leader.srv.CreateApp(starbucksApp()); err != nil {
+		t.Fatal(err)
+	}
+	sched := participate(t, lh, "alice", "tok-a", 6)
+	phone := codecSender{lh}
+	report := func(id string, readings int) wire.DataUpload {
+		vals := make([]float64, readings)
+		for i := range vals {
+			vals[i] = 70 + float64(i%97)/10
+		}
+		return wire.DataUpload{
+			TaskID: sched.TaskID, AppID: sched.AppID, UserID: sched.UserID, ReportID: id,
+			Series: []wire.SensorSeries{{Sensor: "temperature", Samples: []wire.SensorSample{
+				{AtUnixMilli: t0.UnixMilli(), WindowMilli: 5000, Readings: vals},
+			}}},
+		}
+	}
+	send := func(what string, m wire.Message) {
+		t.Helper()
+		resp, err := phone.Send(context.Background(), m)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if ack, ok := resp.(*wire.Ack); !ok || !ack.OK || ack.Code != 200 {
+			t.Fatalf("%s refused: %+v", what, resp)
+		}
+	}
+	big := report("big", 600_000)
+	send("4.8 MB report", &big)
+	batch := &wire.DataUploadBatch{Uploads: make([]wire.DataUpload, wire.MaxBatchReports)}
+	for i := range batch.Uploads {
+		batch.Uploads[i] = report(fmt.Sprint("burst-", i), 130)
+	}
+	send("full burst", batch)
+
+	fn := openNode(t, t.TempDir(), true, 0)
+	defer fn.srv.Close()
+	f := NewFollower("node-b", fn.srv.DB(), phone,
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 1))
+	catchUp(t, f)
+	recs := allRecords(t, leader)
+	sameRecords(t, "follower log", recs, allRecords(t, fn))
+	over := 0
+	for _, rec := range recs {
+		if len(rec) > 4<<20 {
+			over++
+		}
+	}
+	if over != 2 {
+		t.Fatalf("%d records over 4 MiB, want the report's and the burst's", over)
 	}
 }

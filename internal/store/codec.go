@@ -1,20 +1,24 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"time"
+
+	"sor/internal/wire"
 )
 
 // The row codec: one binary encoding for every row the store persists,
 // whether it travels as a WAL record (tag byte + one row) or inside a
-// snapshot section (tag byte + row count + a run of rows). Strings and
-// byte slices are uvarint-length-prefixed, integers varint, floats their
-// raw IEEE-754 bits (8 bytes LE, so NaN, ±Inf and −0 survive bit for
-// bit), and times Unix seconds + nanoseconds with the zero time.Time
-// encoded distinctly; times always decode in UTC.
+// snapshot section (tag byte + row count + a run of rows). The primitives
+// are wire.Writer and wire.Reader: uvarint-length-prefixed strings and
+// bodies (an empty body decodes as nil), varint integers, raw IEEE-754
+// float bits (NaN, ±Inf and −0 survive bit for bit) and bool bytes. What
+// is the store's own is below: the tags, the time encoding, the archived
+// flag and string interning on restore. Decoding adds no limit the write
+// side lacks — strings, bodies and counts are bounded only by the record,
+// because the store must never refuse on replay what it accepted on write.
 
 // Row tags: the first byte of every WAL record and of every snapshot
 // section. The last four only ever appear in a snapshot.
@@ -51,84 +55,70 @@ var errUpgrade = errors.New("written by a build before the binary row codec; see
 
 // ---- Encoding ----
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBlob(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// appendTime writes the zero time as a single 0, anything else as
+// putTime writes the zero time as uvarint 0, anything else as
 // uvarint(nanoseconds+1) then varint(Unix seconds).
-func appendTime(b []byte, t time.Time) []byte {
+func putTime(w *wire.Writer, t time.Time) {
 	if t.IsZero() {
-		return append(b, 0)
+		w.PutUvarint(0)
+		return
 	}
-	b = binary.AppendUvarint(b, uint64(t.Nanosecond())+1)
-	return binary.AppendVarint(b, t.Unix())
+	w.PutUvarint(uint64(t.Nanosecond()) + 1)
+	w.PutVarint(t.Unix())
 }
 
-func appendUser(b []byte, u *User) []byte {
-	b = appendString(b, u.ID)
-	b = appendString(b, u.Name)
-	return appendString(b, u.Token)
+func putUser(w *wire.Writer, u *User) {
+	w.PutString(u.ID)
+	w.PutString(u.Name)
+	w.PutString(u.Token)
 }
 
-func appendApp(b []byte, a *Application) []byte {
-	b = appendString(b, a.ID)
-	b = appendString(b, a.Creator)
-	b = appendString(b, a.Category)
-	b = appendString(b, a.Place)
-	b = appendFloat(b, a.Lat)
-	b = appendFloat(b, a.Lon)
-	b = appendFloat(b, a.RadiusM)
-	b = appendString(b, a.Script)
-	return binary.AppendVarint(b, a.PeriodSec)
+func putApp(w *wire.Writer, a *Application) {
+	w.PutString(a.ID)
+	w.PutString(a.Creator)
+	w.PutString(a.Category)
+	w.PutString(a.Place)
+	w.PutFloat(a.Lat)
+	w.PutFloat(a.Lon)
+	w.PutFloat(a.RadiusM)
+	w.PutString(a.Script)
+	w.PutVarint(a.PeriodSec)
 }
 
-func appendPart(b []byte, p *Participation) []byte {
-	b = appendString(b, p.TaskID)
-	b = appendString(b, p.UserID)
-	b = appendString(b, p.Token)
-	b = appendString(b, p.AppID)
-	b = binary.AppendVarint(b, int64(p.Budget))
-	b = binary.AppendVarint(b, int64(p.Status))
-	b = appendTime(b, p.Joined)
-	b = appendTime(b, p.LeaveBy)
-	b = appendTime(b, p.Left)
-	return appendString(b, p.LastErr)
+func putPart(w *wire.Writer, p *Participation) {
+	w.PutString(p.TaskID)
+	w.PutString(p.UserID)
+	w.PutString(p.Token)
+	w.PutString(p.AppID)
+	w.PutVarint(int64(p.Budget))
+	w.PutVarint(int64(p.Status))
+	putTime(w, p.Joined)
+	putTime(w, p.LeaveBy)
+	putTime(w, p.Left)
+	w.PutString(p.LastErr)
 }
 
-func appendFeat(b []byte, f *FeatureRow) []byte {
-	b = appendString(b, f.Category)
-	b = appendString(b, f.Place)
-	b = appendString(b, f.Feature)
-	b = appendFloat(b, f.Value)
-	b = binary.AppendVarint(b, int64(f.Samples))
-	return appendTime(b, f.Updated)
+func putFeat(w *wire.Writer, f *FeatureRow) {
+	w.PutString(f.Category)
+	w.PutString(f.Place)
+	w.PutString(f.Feature)
+	w.PutFloat(f.Value)
+	w.PutVarint(int64(f.Samples))
+	putTime(w, f.Updated)
 }
 
-func appendSched(b []byte, r *ScheduleRow) []byte {
-	b = appendString(b, r.TaskID)
-	b = appendString(b, r.AppID)
-	b = appendString(b, r.UserID)
-	b = binary.AppendUvarint(b, uint64(len(r.AtUnix)))
+func putSched(w *wire.Writer, r *ScheduleRow) {
+	w.PutString(r.TaskID)
+	w.PutString(r.AppID)
+	w.PutString(r.UserID)
+	w.PutUvarint(uint64(len(r.AtUnix)))
 	for _, at := range r.AtUnix {
-		b = binary.AppendVarint(b, at)
+		w.PutVarint(at)
 	}
-	return b
 }
 
-func appendAnchor(b []byte, a *AnchorRow) []byte {
-	b = appendString(b, a.AppID)
-	return binary.AppendVarint(b, a.AnchorUnix)
+func putAnchor(w *wire.Writer, a *AnchorRow) {
+	w.PutString(a.AppID)
+	w.PutVarint(a.AnchorUnix)
 }
 
 // storedUpload is one upload row as a snapshot holds it: the row plus
@@ -138,26 +128,21 @@ type storedUpload struct {
 	archived bool
 }
 
-func appendUpload(b []byte, up *storedUpload) []byte {
-	b = binary.AppendVarint(b, up.Seq)
-	b = appendString(b, up.AppID)
-	b = appendString(b, up.RequestID)
-	b = appendTime(b, up.Received)
-	archived := byte(0)
-	if up.archived {
-		archived = 1
-	}
-	b = append(b, archived)
-	return appendBlob(b, up.Body)
+func putUpload(w *wire.Writer, up *storedUpload) {
+	w.PutVarint(up.Seq)
+	w.PutString(up.AppID)
+	w.PutString(up.RequestID)
+	putTime(w, up.Received)
+	w.PutBool(up.archived)
+	w.PutBytes(up.Body)
 }
 
-func appendWindow(b []byte, w *ReportWindowRow) []byte {
-	b = appendString(b, w.AppID)
-	b = binary.AppendUvarint(b, uint64(len(w.IDs)))
-	for _, id := range w.IDs {
-		b = appendString(b, id)
+func putWindow(w *wire.Writer, win *ReportWindowRow) {
+	w.PutString(win.AppID)
+	w.PutUvarint(uint64(len(win.IDs)))
+	for _, id := range win.IDs {
+		w.PutString(id)
 	}
-	return b
 }
 
 // appendIngestRecord renders one Ingest call as a WAL record:
@@ -165,233 +150,151 @@ func appendWindow(b []byte, w *ReportWindowRow) []byte {
 //	ingestTag | appID | requestID | received | baseSeq | nbodies |
 //	   bodies... | nids | ids...
 //
-// It appends (callers recycle the buffer through ingestEncPool;
-// wal.Enqueue copies the payload before returning).
+// It appends (callers recycle the buffer through encPool; wal.Enqueue
+// copies the payload before returning).
 func appendIngestRecord(buf []byte, appID string, baseSeq int64, received time.Time, requestID string, rows []RawUpload, ids []string) []byte {
-	buf = append(buf, ingestTag)
-	buf = appendString(buf, appID)
-	buf = appendString(buf, requestID)
-	buf = appendTime(buf, received)
-	buf = binary.AppendVarint(buf, baseSeq)
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	w := wire.NewWriter(append(buf, ingestTag))
+	w.PutString(appID)
+	w.PutString(requestID)
+	putTime(w, received)
+	w.PutVarint(baseSeq)
+	w.PutUvarint(uint64(len(rows)))
 	for i := range rows {
-		buf = appendBlob(buf, rows[i].Body)
+		w.PutBytes(rows[i].Body)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	w.PutUvarint(uint64(len(ids)))
 	for _, id := range ids {
-		buf = appendString(buf, id)
+		w.PutString(id)
 	}
-	return buf
+	return w.Bytes()
 }
 
 // ---- Decoding ----
 
-// rowReader decodes rows from b. The first malformed field makes it bad:
-// every later read returns a zero value, and the caller checks bad (or
-// finish) once the row is done instead of after every field.
-type rowReader struct {
-	b   []byte
-	bad bool
-	// intern, when set, shares one string among the rows of a restore for
-	// the low-cardinality fields (categories, feature names, app IDs).
-	intern map[string]string
-}
+// Row decoders read from a shared wire.Reader; the caller checks r.Err()
+// (through finish) once the row or section is done. Composite-literal
+// fields are evaluated left to right, so each literal reads its fields in
+// encoding order.
 
-func (r *rowReader) fail() {
-	r.bad = true
-	r.b = nil
-}
+// str reads a string field with no bound but the record's.
+func str(r *wire.Reader) string { return string(r.Raw()) }
 
-func (r *rowReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
+// interner shares one string among the rows of a restore for the
+// low-cardinality fields (categories, feature names, app IDs, scripts). A
+// nil interner copies every string, as str does.
+type interner map[string]string
 
-func (r *rowReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// count reads an element count, refusing one the remaining bytes cannot
-// hold at one byte per element (no allocation sized by a corrupt field).
-func (r *rowReader) count() int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// raw returns the next length-prefixed field, aliasing the input.
-func (r *rowReader) raw() []byte {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *rowReader) str() string { return string(r.raw()) }
-
-// shared is str for a low-cardinality field.
-func (r *rowReader) shared() string {
-	p := r.raw()
-	if r.intern == nil {
+func (in interner) str(r *wire.Reader) string {
+	p := r.Raw()
+	if in == nil {
 		return string(p)
 	}
-	if s, ok := r.intern[string(p)]; ok {
+	if s, ok := in[string(p)]; ok {
 		return s
 	}
 	s := string(p)
-	r.intern[s] = s
+	in[s] = s
 	return s
 }
 
-// blob copies the next byte field out of the input; empty decodes as nil.
-func (r *rowReader) blob() []byte {
-	p := r.raw()
-	if len(p) == 0 {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
-
-func (r *rowReader) float() float64 {
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return math.Float64frombits(v)
-}
-
-func (r *rowReader) time() time.Time {
-	ns := r.uvarint()
+func readTime(r *wire.Reader) time.Time {
+	ns := r.Uvarint()
 	if ns == 0 {
 		return time.Time{}
 	}
 	if ns > 1e9 {
-		r.fail()
+		r.Fail(fmt.Errorf("%w: time with %d nanoseconds", wire.ErrBadPayload, ns-1))
 		return time.Time{}
 	}
-	return time.Unix(r.varint(), int64(ns-1)).UTC()
+	return time.Unix(r.Varint(), int64(ns-1)).UTC()
 }
 
-func (r *rowReader) flag() bool {
-	if len(r.b) == 0 || r.b[0] > 1 {
-		r.fail()
-		return false
-	}
-	v := r.b[0] == 1
-	r.b = r.b[1:]
-	return v
+func readUser(r *wire.Reader) User {
+	return User{ID: str(r), Name: str(r), Token: str(r)}
 }
 
-// Row decoders. Composite-literal fields are evaluated left to right, so
-// each literal reads its fields in encoding order.
-
-func (r *rowReader) user() User {
-	return User{ID: r.str(), Name: r.str(), Token: r.str()}
-}
-
-func (r *rowReader) app() Application {
+func readApp(r *wire.Reader, in interner) Application {
 	return Application{
-		ID: r.str(), Creator: r.str(), Category: r.shared(), Place: r.str(),
-		Lat: r.float(), Lon: r.float(), RadiusM: r.float(),
-		Script: r.shared(), PeriodSec: r.varint(),
+		ID: str(r), Creator: str(r), Category: in.str(r), Place: str(r),
+		Lat: r.Float(), Lon: r.Float(), RadiusM: r.Float(),
+		Script: in.str(r), PeriodSec: r.Varint(),
 	}
 }
 
-func (r *rowReader) part() Participation {
+func readPart(r *wire.Reader, in interner) Participation {
 	return Participation{
-		TaskID: r.str(), UserID: r.str(), Token: r.str(), AppID: r.shared(),
-		Budget: int(r.varint()), Status: TaskStatus(r.varint()),
-		Joined: r.time(), LeaveBy: r.time(), Left: r.time(), LastErr: r.str(),
+		TaskID: str(r), UserID: str(r), Token: str(r), AppID: in.str(r),
+		Budget: int(r.Varint()), Status: TaskStatus(r.Varint()),
+		Joined: readTime(r), LeaveBy: readTime(r), Left: readTime(r), LastErr: str(r),
 	}
 }
 
-func (r *rowReader) feat() FeatureRow {
+func readFeat(r *wire.Reader, in interner) FeatureRow {
 	return FeatureRow{
-		Category: r.shared(), Place: r.str(), Feature: r.shared(),
-		Value: r.float(), Samples: int(r.varint()), Updated: r.time(),
+		Category: in.str(r), Place: str(r), Feature: in.str(r),
+		Value: r.Float(), Samples: int(r.Varint()), Updated: readTime(r),
 	}
 }
 
-func (r *rowReader) sched() ScheduleRow {
-	row := ScheduleRow{TaskID: r.str(), AppID: r.shared(), UserID: r.str()}
-	if n := r.count(); n > 0 {
+func readSched(r *wire.Reader, in interner) ScheduleRow {
+	row := ScheduleRow{TaskID: str(r), AppID: in.str(r), UserID: str(r)}
+	if n := r.Count(math.MaxInt); n > 0 {
 		row.AtUnix = make([]int64, n)
 		for i := range row.AtUnix {
-			row.AtUnix[i] = r.varint()
+			row.AtUnix[i] = r.Varint()
 		}
 	}
 	return row
 }
 
-func (r *rowReader) anchor() AnchorRow {
-	return AnchorRow{AppID: r.str(), AnchorUnix: r.varint()}
+func readAnchor(r *wire.Reader) AnchorRow {
+	return AnchorRow{AppID: str(r), AnchorUnix: r.Varint()}
 }
 
-func (r *rowReader) upload() (RawUpload, bool) {
-	up := RawUpload{Seq: r.varint(), AppID: r.shared(), RequestID: r.str(), Received: r.time()}
-	archived := r.flag()
-	up.Body = r.blob()
+// readUpload reads an upload row and its archived flag.
+func readUpload(r *wire.Reader, in interner) (RawUpload, bool) {
+	up := RawUpload{Seq: r.Varint(), AppID: in.str(r), RequestID: str(r), Received: readTime(r)}
+	archived := r.Bool()
+	up.Body = r.Bytes()
 	return up, archived
 }
 
-func (r *rowReader) window() ReportWindowRow {
-	w := ReportWindowRow{AppID: r.str()}
-	n := r.count()
-	if n > reportWindowSize {
-		r.fail()
-		return w
-	}
-	w.IDs = make([]string, n)
+func readWindow(r *wire.Reader) ReportWindowRow {
+	w := ReportWindowRow{AppID: str(r)}
+	w.IDs = make([]string, r.Count(reportWindowSize))
 	for i := range w.IDs {
-		w.IDs[i] = r.str()
+		w.IDs[i] = str(r)
 	}
 	return w
 }
 
-func (r *rowReader) ingest() ingestOp {
-	in := ingestOp{AppID: r.str(), RequestID: r.str(), Received: r.time(), BaseSeq: r.varint()}
-	in.Bodies = make([][]byte, r.count())
+func readIngest(r *wire.Reader) ingestOp {
+	in := ingestOp{AppID: str(r), RequestID: str(r), Received: readTime(r), BaseSeq: r.Varint()}
+	in.Bodies = make([][]byte, r.Count(math.MaxInt))
 	for i := range in.Bodies {
-		in.Bodies[i] = r.blob()
+		in.Bodies[i] = r.Bytes()
 	}
 	// Marks parallel the bodies, or there are none.
-	if n := r.count(); n > 0 {
+	if n := r.Count(math.MaxInt); n > 0 {
 		if n != len(in.Bodies) {
-			r.fail()
+			r.Fail(fmt.Errorf("%w: %d marks for %d bodies", wire.ErrBadPayload, n, len(in.Bodies)))
 			return in
 		}
 		in.ReportIDs = make([]string, n)
 		for i := range in.ReportIDs {
-			in.ReportIDs[i] = r.str()
+			in.ReportIDs[i] = str(r)
 		}
 	}
 	return in
 }
 
-// finish reports whether the reader decoded exactly its input.
-func (r *rowReader) finish(what string) error {
-	if r.bad || len(r.b) != 0 {
-		return fmt.Errorf("store: malformed %s", what)
+// finish reports whether r decoded exactly its input, naming what failed.
+func finish(r *wire.Reader, what string) error {
+	if r.Remaining() != 0 {
+		r.Fail(fmt.Errorf("%w: %d trailing bytes", wire.ErrBadPayload, r.Remaining()))
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("store: malformed %s: %w", what, err)
 	}
 	return nil
 }

@@ -523,3 +523,73 @@ func TestArchiveRetentionIndependentOfDrainCadence(t *testing.T) {
 		t.Logf("drain every %4d: %d B per archived row (one drain at the end: %d)", every, got.retained/rows, atEnd.retained/rows)
 	}
 }
+
+// TestLargeRowsSurviveEveryDecodePath: the store never refuses on replay
+// what it accepted on write. A 2 MiB app script (the wire refuses strings
+// past 1 MiB) and a 5 MiB upload body come back table for table through
+// every path that decodes what the store wrote: ApplyReplicated on a
+// second store, WAL replay after a kill, and checkpoint + Restore.
+func TestLargeRowsSurviveEveryDecodePath(t *testing.T) {
+	dir := t.TempDir()
+	b := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	st, err := b.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 5<<20)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	if err := st.PutApp(Application{ID: "a1", Category: "coffee-shop", Script: strings.Repeat("x", 2<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Ingest("a1", [][]byte{body}, IngestOptions{Received: now, ReportIDs: []string{"r1"}}); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpTables(st)
+	same := func(path string, got *Store) {
+		t.Helper()
+		if d := diffTables(want, dumpTables(got)); d != "" {
+			t.Fatalf("%s: %s", path, d)
+		}
+	}
+
+	recs, err := b.WAL().ReadAfter(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	replica, err := rb.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	for i, rec := range recs {
+		if err := replica.ApplyReplicated(uint64(i+1), rec); err != nil {
+			t.Fatalf("ApplyReplicated record %d: %v", i+1, err)
+		}
+	}
+	same("ApplyReplicated", replica)
+
+	b.Kill()
+	b2 := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	replayed, err := b2.Open()
+	if err != nil {
+		t.Fatalf("reopen over the WAL: %v", err)
+	}
+	defer b2.Close()
+	same("WAL replay", replayed)
+
+	if err := b2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(data)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	same("checkpoint + Restore", restored)
+}

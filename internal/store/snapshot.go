@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"sor/internal/wal"
+	"sor/internal/wire"
 )
 
 // A snapshot is the store written as a compacted log in the row codec
@@ -152,18 +153,22 @@ func (img *image) writeTo(w io.Writer) (int64, error) {
 
 	sw := &sectionWriter{w: w}
 	sw.write(snapMagic[:])
-	hdr := binary.AppendUvarint([]byte{headerTag}, snapVersion)
-	hdr = binary.AppendUvarint(hdr, img.watermark)
-	sw.emit(binary.AppendVarint(hdr, img.uploadSeq))
-	writeRows(sw, userTag, img.users, appendUser)
-	writeRows(sw, appTag, img.apps, appendApp)
-	writeRows(sw, partTag, img.parts, appendPart)
-	writeRows(sw, featTag, img.feats, appendFeat)
-	writeRows(sw, schedTag, img.scheds, appendSched)
-	writeRows(sw, anchorTag, img.anchors, appendAnchor)
-	writeRows(sw, uploadTag, uploads, appendUpload)
-	writeRows(sw, windowTag, img.windows, appendWindow)
-	sw.emit(binary.AppendUvarint([]byte{endTag}, uint64(sw.sections)))
+	hdr := wire.NewWriter([]byte{headerTag})
+	hdr.PutUvarint(snapVersion)
+	hdr.PutUvarint(img.watermark)
+	hdr.PutVarint(img.uploadSeq)
+	sw.emit(hdr.Bytes())
+	writeRows(sw, userTag, img.users, putUser)
+	writeRows(sw, appTag, img.apps, putApp)
+	writeRows(sw, partTag, img.parts, putPart)
+	writeRows(sw, featTag, img.feats, putFeat)
+	writeRows(sw, schedTag, img.scheds, putSched)
+	writeRows(sw, anchorTag, img.anchors, putAnchor)
+	writeRows(sw, uploadTag, uploads, putUpload)
+	writeRows(sw, windowTag, img.windows, putWindow)
+	end := wire.NewWriter([]byte{endTag})
+	end.PutUvarint(uint64(sw.sections))
+	sw.emit(end.Bytes())
 	return sw.n, sw.err
 }
 
@@ -172,7 +177,7 @@ type sectionWriter struct {
 	w        io.Writer
 	n        int64
 	err      error
-	sec      []byte // the open section: tag | rows uint32 | rows...
+	sec      wire.Writer // the open section: tag | rows uint32 | rows...
 	rows     uint32
 	frame    []byte
 	sections int // row sections emitted
@@ -196,23 +201,29 @@ func (sw *sectionWriter) emit(payload []byte) {
 	sw.write(sw.frame)
 }
 
-// flush emits the open section, if it holds a row.
+// open starts an empty section of tag in the reused section buffer.
+func (sw *sectionWriter) open(tag byte) {
+	sw.sec, sw.rows = *wire.NewWriter(append(sw.sec.Bytes()[:0], tag, 0, 0, 0, 0)), 0
+}
+
+// flush emits the open section, if it holds a row, and opens the next.
 func (sw *sectionWriter) flush() {
 	if sw.rows == 0 {
 		return
 	}
-	binary.LittleEndian.PutUint32(sw.sec[1:5], sw.rows)
-	sw.emit(sw.sec)
+	sec := sw.sec.Bytes()
+	binary.LittleEndian.PutUint32(sec[1:5], sw.rows)
+	sw.emit(sec)
 	sw.sections++
-	sw.sec, sw.rows = append(sw.sec[:0], sw.sec[0], 0, 0, 0, 0), 0
+	sw.open(sec[0])
 }
 
 // writeRows encodes one table as one or more sections of tag.
-func writeRows[T any](sw *sectionWriter, tag byte, rows []T, enc func([]byte, *T) []byte) {
-	sw.sec, sw.rows = append(sw.sec[:0], tag, 0, 0, 0, 0), 0
+func writeRows[T any](sw *sectionWriter, tag byte, rows []T, enc func(*wire.Writer, *T)) {
+	sw.open(tag)
 	for i := range rows {
-		sw.sec = enc(sw.sec, &rows[i])
-		if sw.rows++; len(sw.sec) >= sectionBytes {
+		enc(&sw.sec, &rows[i])
+		if sw.rows++; len(sw.sec.Bytes()) >= sectionBytes {
 			sw.flush()
 		}
 	}
@@ -237,7 +248,7 @@ func Restore(data []byte) (*Store, error) {
 		return nil, err
 	}
 	s := New()
-	intern := make(map[string]string)
+	intern := make(interner)
 	off := len(snapMagic)
 	for i := 0; ; i++ {
 		payload, n, err := wal.DecodeRecord(data[off:])
@@ -288,17 +299,17 @@ func checkMagic(data []byte) error {
 }
 
 func decodeHeader(payload []byte) (version, watermark uint64, uploadSeq int64, err error) {
-	r := rowReader{b: payload[1:]}
-	version, watermark, uploadSeq = r.uvarint(), r.uvarint(), r.varint()
-	return version, watermark, uploadSeq, r.finish("header")
+	r := wire.NewReader(payload[1:])
+	version, watermark, uploadSeq = r.Uvarint(), r.Uvarint(), r.Varint()
+	return version, watermark, uploadSeq, finish(r, "header")
 }
 
 // checkEnd validates the end section: it must count the row sections
 // before it and be the last bytes of the file.
 func checkEnd(payload []byte, sections, trailing int) error {
-	r := rowReader{b: payload[1:]}
-	got := r.uvarint()
-	if err := r.finish("end section"); err != nil {
+	r := wire.NewReader(payload[1:])
+	got := r.Uvarint()
+	if err := finish(r, "end section"); err != nil {
 		return err
 	}
 	if got != uint64(sections) {
@@ -311,41 +322,41 @@ func checkEnd(payload []byte, sections, trailing int) error {
 }
 
 // restoreSection applies one row section to a store nobody else holds.
-func (s *Store) restoreSection(payload []byte, intern map[string]string) error {
+func (s *Store) restoreSection(payload []byte, in interner) error {
 	tag := payload[0]
 	if len(payload) < 5 {
 		return errors.New("short section")
 	}
 	rows := binary.LittleEndian.Uint32(payload[1:5])
-	r := rowReader{b: payload[5:], intern: intern}
-	for i := uint32(0); i < rows && !r.bad; i++ {
+	r := wire.NewReader(payload[5:])
+	for i := uint32(0); i < rows && r.Err() == nil; i++ {
 		switch tag {
 		case userTag:
-			u := r.user()
+			u := readUser(r)
 			s.users[u.ID] = u
 		case appTag:
-			a := r.app()
+			a := readApp(r, in)
 			s.apps[a.ID] = a
 		case partTag:
-			s.setParticipation(r.part())
+			s.setParticipation(readPart(r, in))
 		case featTag:
-			f := r.feat()
+			f := readFeat(r, in)
 			s.features[featureKey{f.Category, f.Place, f.Feature}] = f
 		case schedTag:
-			row := r.sched()
+			row := readSched(r, in)
 			s.schedShards[shardIndex(row.TaskID)].rows[row.TaskID] = row
 		case anchorTag:
-			a := r.anchor()
+			a := readAnchor(r)
 			s.anchors[a.AppID] = a.AnchorUnix
 		case uploadTag:
-			up, archived := r.upload()
+			up, archived := readUpload(r, in)
 			if sh := &s.uploadShards[shardIndex(up.AppID)]; archived {
 				sh.putArchived(up)
 			} else {
 				sh.put(up)
 			}
 		case windowTag:
-			if w := r.window(); !r.bad {
+			if w := readWindow(r); r.Err() == nil {
 				if err := s.restoreWindow(w); err != nil {
 					return err
 				}
@@ -354,7 +365,7 @@ func (s *Store) restoreSection(payload []byte, intern map[string]string) error {
 			return fmt.Errorf("unknown section kind %s", tagName(tag))
 		}
 	}
-	return r.finish(tagName(tag) + " rows")
+	return finish(r, tagName(tag)+" rows")
 }
 
 // restoreWindow installs one application's dedup window as captured.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sor/internal/wal"
+	"sor/internal/wire"
 )
 
 // walOp is one logged mutation: tag names the table it writes and the
@@ -41,22 +42,24 @@ type ingestOp struct {
 
 // appendTo renders a cold op (every tag but ingestTag) as a WAL record.
 func (op *walOp) appendTo(b []byte) []byte {
-	b = append(b, op.tag)
+	w := wire.NewWriter(append(b, op.tag))
 	switch op.tag {
 	case userTag:
-		return appendUser(b, &op.user)
+		putUser(w, &op.user)
 	case appTag:
-		return appendApp(b, &op.app)
+		putApp(w, &op.app)
 	case partTag:
-		return appendPart(b, &op.part)
+		putPart(w, &op.part)
 	case featTag:
-		return appendFeat(b, &op.feat)
+		putFeat(w, &op.feat)
 	case schedTag:
-		return appendSched(b, &op.sched)
+		putSched(w, &op.sched)
 	case anchorTag:
-		return appendAnchor(b, &op.anchor)
+		putAnchor(w, &op.anchor)
+	default:
+		panic(fmt.Sprintf("store: no wal encoding for %s", tagName(op.tag)))
 	}
-	panic(fmt.Sprintf("store: no wal encoding for %s", tagName(op.tag)))
+	return w.Bytes()
 }
 
 // encPool recycles WAL record encode buffers: the ingest hot path runs
@@ -113,28 +116,28 @@ func decodeWALRecord(payload []byte) (walOp, error) {
 		return op, errors.New("store: empty wal record")
 	}
 	op.tag = payload[0]
-	r := rowReader{b: payload[1:]}
+	r := wire.NewReader(payload[1:])
 	switch op.tag {
 	case ingestTag:
-		op.ingest = r.ingest()
+		op.ingest = readIngest(r)
 	case userTag:
-		op.user = r.user()
+		op.user = readUser(r)
 	case appTag:
-		op.app = r.app()
+		op.app = readApp(r, nil)
 	case partTag:
-		op.part = r.part()
+		op.part = readPart(r, nil)
 	case featTag:
-		op.feat = r.feat()
+		op.feat = readFeat(r, nil)
 	case schedTag:
-		op.sched = r.sched()
+		op.sched = readSched(r, nil)
 	case anchorTag:
-		op.anchor = r.anchor()
+		op.anchor = readAnchor(r)
 	case '{':
 		return op, fmt.Errorf("store: JSON wal record %w", errUpgrade)
 	default:
 		return op, fmt.Errorf("store: unknown wal record %s", tagName(op.tag))
 	}
-	return op, r.finish(tagName(op.tag) + " wal record")
+	return op, finish(r, tagName(op.tag)+" wal record")
 }
 
 // applyDecoded writes one validated op into the tables. Callers either

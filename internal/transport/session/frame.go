@@ -197,83 +197,60 @@ func EncodeHello(h Hello) []byte {
 	var w wire.Writer
 	w.PutUvarint(h.Proto)
 	w.PutString(h.Token)
-	w.PutUvarint(uint64(len(h.Caps)))
-	for _, c := range h.Caps {
-		w.PutString(c)
-	}
+	putCaps(&w, h.Caps)
 	return w.Bytes()
 }
 
 // DecodeHello decodes a Hello payload.
 func DecodeHello(b []byte) (Hello, error) {
-	var h Hello
 	r := wire.NewReader(b)
-	var err error
-	if h.Proto, err = r.Uvarint(); err != nil {
-		return h, err
-	}
-	if h.Token, err = r.String(); err != nil {
-		return h, err
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return h, err
-	}
-	if n > maxCaps {
-		return h, fmt.Errorf("%w: %d capabilities", ErrBadFrame, n)
-	}
-	h.Caps = make([]string, n)
-	for i := range h.Caps {
-		if h.Caps[i], err = r.String(); err != nil {
-			return h, err
-		}
-	}
-	if r.Remaining() != 0 {
-		return h, fmt.Errorf("%w: %d trailing hello bytes", ErrBadFrame, r.Remaining())
-	}
-	return h, nil
+	h := Hello{Proto: r.Uvarint(), Token: r.String(), Caps: readCaps(r)}
+	return h, finish(r, "hello")
 }
 
 // EncodeWelcome encodes w with the wire primitives.
 func EncodeWelcome(wm Welcome) []byte {
 	var w wire.Writer
 	w.PutUvarint(wm.Proto)
-	w.PutUvarint(uint64(len(wm.Caps)))
-	for _, c := range wm.Caps {
-		w.PutString(c)
-	}
+	putCaps(&w, wm.Caps)
 	w.PutBool(wm.Resumed)
 	return w.Bytes()
 }
 
 // DecodeWelcome decodes a Welcome payload.
 func DecodeWelcome(b []byte) (Welcome, error) {
-	var wm Welcome
 	r := wire.NewReader(b)
-	var err error
-	if wm.Proto, err = r.Uvarint(); err != nil {
-		return wm, err
+	wm := Welcome{Proto: r.Uvarint(), Caps: readCaps(r), Resumed: r.Bool()}
+	return wm, finish(r, "welcome")
+}
+
+func putCaps(w *wire.Writer, caps []string) {
+	w.PutUvarint(uint64(len(caps)))
+	for _, c := range caps {
+		w.PutString(c)
 	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return wm, err
-	}
+}
+
+func readCaps(r *wire.Reader) []string {
+	n := r.Uvarint()
 	if n > maxCaps {
-		return wm, fmt.Errorf("%w: %d capabilities", ErrBadFrame, n)
+		r.Fail(fmt.Errorf("%w: %d capabilities", ErrBadFrame, n))
+		return nil
 	}
-	wm.Caps = make([]string, n)
-	for i := range wm.Caps {
-		if wm.Caps[i], err = r.String(); err != nil {
-			return wm, err
-		}
+	caps := make([]string, n)
+	for i := range caps {
+		caps[i] = r.String()
 	}
-	if wm.Resumed, err = r.Bool(); err != nil {
-		return wm, err
-	}
+	return caps
+}
+
+// finish refuses trailing bytes — the handshake payloads are exact — and
+// returns the first failure.
+func finish(r *wire.Reader, what string) error {
 	if r.Remaining() != 0 {
-		return wm, fmt.Errorf("%w: %d trailing welcome bytes", ErrBadFrame, r.Remaining())
+		r.Fail(fmt.Errorf("%w: %d trailing %s bytes", ErrBadFrame, r.Remaining(), what))
 	}
-	return wm, nil
+	return r.Err()
 }
 
 // IntersectCaps returns the capabilities in theirs that this build also

@@ -145,6 +145,41 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	}
 }
 
+// Fixed handshake payloads for the truncation table and the fuzz corpus.
+var (
+	seedHello   = Hello{Proto: 1, Token: "tok", Caps: []string{"batch", "push"}}
+	seedWelcome = Welcome{Proto: 1, Caps: []string{"batch"}, Resumed: true}
+)
+
+// cuts returns every strict prefix of p, then p plus one byte.
+func cuts(p []byte) [][]byte {
+	out := make([][]byte, 0, len(p)+1)
+	for n := range p {
+		out = append(out, p[:n])
+	}
+	return append(out, append(bytes.Clone(p), 0))
+}
+
+// TestHandshakeRejectsPayloadTruncation: every strict prefix of a hello
+// and a welcome payload, and each payload plus one byte, is refused with
+// the codec's or the framer's error class.
+func TestHandshakeRejectsPayloadTruncation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) error
+		full   []byte
+	}{
+		{"hello", func(b []byte) error { _, err := DecodeHello(b); return err }, EncodeHello(seedHello)},
+		{"welcome", func(b []byte) error { _, err := DecodeWelcome(b); return err }, EncodeWelcome(seedWelcome)},
+	} {
+		for i, b := range cuts(tc.full) {
+			if err := tc.decode(b); !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s cut %d (%d of %d bytes): err = %v, want ErrTruncated or ErrBadFrame", tc.name, i, len(b), len(tc.full), err)
+			}
+		}
+	}
+}
+
 func TestIntersectCaps(t *testing.T) {
 	// Result is in SupportedCaps order regardless of the peer's ordering,
 	// and unknown capabilities are dropped, not refused.
@@ -175,6 +210,12 @@ func FuzzSessionFrame(f *testing.F) {
 		{Kind: KindRequest, ID: 1, Payload: ack},
 		{Kind: KindReply, ID: 2, Payload: ack},
 		{Kind: KindPush, ID: 3, Payload: ack},
+	}
+	for _, p := range cuts(EncodeHello(seedHello)) {
+		seedFrames = append(seedFrames, Frame{Kind: KindHello, Payload: p})
+	}
+	for _, p := range cuts(EncodeWelcome(seedWelcome)) {
+		seedFrames = append(seedFrames, Frame{Kind: KindWelcome, Payload: p})
 	}
 	for _, sf := range seedFrames {
 		buf, err := EncodeFrame(sf)

@@ -4,7 +4,7 @@ import "fmt"
 
 // MaxSnapChunkBytes bounds one SnapChunk's Data — snapshot shipping
 // streams in chunks so a multi-megabyte snapshot never produces a frame
-// the codec's hostile-input limits would reject.
+// near the transport's body bound.
 const MaxSnapChunkBytes = 1 << 20
 
 // SnapPull asks the leader for a slice of its newest durable snapshot.
@@ -37,26 +37,16 @@ func (m *SnapPull) encodePayload(w *Writer) {
 	w.PutUvarint(uint64(m.MaxBytes))
 }
 
-func (m *SnapPull) decodePayload(r *Reader) error {
-	var err error
-	if m.FollowerID, err = r.String(); err != nil {
-		return err
+func (m *SnapPull) decodePayload(r *Reader) {
+	if m.FollowerID = r.String(); m.FollowerID == "" {
+		r.Fail(fmt.Errorf("%w: empty follower id", ErrBadPayload))
 	}
-	if m.FollowerID == "" {
-		return fmt.Errorf("%w: empty follower id", ErrBadPayload)
-	}
-	if m.Offset, err = r.Uvarint(); err != nil {
-		return err
-	}
-	maxBytes, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
+	m.Offset = r.Uvarint()
+	maxBytes := r.Uvarint()
 	if maxBytes > MaxSnapChunkBytes {
-		return fmt.Errorf("%w: snap pull max bytes %d", ErrBadPayload, maxBytes)
+		r.Fail(fmt.Errorf("%w: snap pull max bytes %d", ErrBadPayload, maxBytes))
 	}
 	m.MaxBytes = int64(maxBytes)
-	return nil
 }
 
 // SnapChunk is the leader's reply to a SnapPull: a consistent slice of
@@ -92,30 +82,14 @@ func (m *SnapChunk) encodePayload(w *Writer) {
 	w.PutBool(m.Done)
 }
 
-func (m *SnapChunk) decodePayload(r *Reader) error {
-	var err error
-	if m.WalLSN, err = r.Uvarint(); err != nil {
-		return err
+func (m *SnapChunk) decodePayload(r *Reader) {
+	m.WalLSN, m.TotalSize, m.Offset = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if m.Data = r.Bytes(); len(m.Data) > MaxSnapChunkBytes {
+		r.Fail(fmt.Errorf("%w: snap chunk of %d bytes", ErrBadPayload, len(m.Data)))
 	}
-	if m.TotalSize, err = r.Uvarint(); err != nil {
-		return err
+	if m.Done = r.Bool(); m.Offset+uint64(len(m.Data)) > m.TotalSize {
+		r.Fail(fmt.Errorf("%w: snap chunk past total size", ErrBadPayload))
 	}
-	if m.Offset, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if m.Data, err = r.Bytes(); err != nil {
-		return err
-	}
-	if len(m.Data) > MaxSnapChunkBytes {
-		return fmt.Errorf("%w: snap chunk of %d bytes", ErrBadPayload, len(m.Data))
-	}
-	if m.Done, err = r.Bool(); err != nil {
-		return err
-	}
-	if m.Offset+uint64(len(m.Data)) > m.TotalSize {
-		return fmt.Errorf("%w: snap chunk past total size", ErrBadPayload)
-	}
-	return nil
 }
 
 // ClusterHello is the cluster tier's liveness and role probe. The router
@@ -146,19 +120,9 @@ func (m *ClusterHello) encodePayload(w *Writer) {
 	w.PutUvarint(m.AppliedLSN)
 }
 
-func (m *ClusterHello) decodePayload(r *Reader) error {
-	var err error
-	if m.Node, err = r.String(); err != nil {
-		return err
+func (m *ClusterHello) decodePayload(r *Reader) {
+	if m.Node = r.String(); m.Node == "" {
+		r.Fail(fmt.Errorf("%w: empty cluster node name", ErrBadPayload))
 	}
-	if m.Node == "" {
-		return fmt.Errorf("%w: empty cluster node name", ErrBadPayload)
-	}
-	if m.Role, err = r.String(); err != nil {
-		return err
-	}
-	if m.AppliedLSN, err = r.Uvarint(); err != nil {
-		return err
-	}
-	return nil
+	m.Role, m.AppliedLSN = r.String(), r.Uvarint()
 }

@@ -92,6 +92,11 @@ func FuzzDecode(f *testing.F) {
 			f.Add(frame[:len(frame)-3])
 			f.Add(traced[:len(traced)-3])
 		}
+		// Payload cuts under a valid CRC reach the payload decoder's own
+		// truncation handling.
+		for _, cut := range truncatedFrames(m) {
+			f.Add(cut)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, requestID, err := DecodeTraced(data)

@@ -13,19 +13,8 @@ func (w *Writer) putLocation(l Location) {
 	w.PutFloat(l.Alt)
 }
 
-func (r *Reader) location() (Location, error) {
-	var l Location
-	var err error
-	if l.Lat, err = r.Float(); err != nil {
-		return l, err
-	}
-	if l.Lon, err = r.Float(); err != nil {
-		return l, err
-	}
-	if l.Alt, err = r.Float(); err != nil {
-		return l, err
-	}
-	return l, nil
+func (r *Reader) location() Location {
+	return Location{Lat: r.Float(), Lon: r.Float(), Alt: r.Float()}
 }
 
 // Participate is sent by a phone after scanning a 2D barcode: it asks the
@@ -55,32 +44,15 @@ func (m *Participate) encodePayload(w *Writer) {
 	w.PutVarint(m.LeaveAfterSec)
 }
 
-func (m *Participate) decodePayload(r *Reader) error {
-	var err error
-	if m.UserID, err = r.String(); err != nil {
-		return err
-	}
-	if m.Token, err = r.String(); err != nil {
-		return err
-	}
-	if m.AppID, err = r.String(); err != nil {
-		return err
-	}
-	if m.Loc, err = r.location(); err != nil {
-		return err
-	}
-	budget, err := r.Varint()
-	if err != nil {
-		return err
-	}
+func (m *Participate) decodePayload(r *Reader) {
+	m.UserID, m.Token, m.AppID = r.String(), r.String(), r.String()
+	m.Loc = r.location()
+	budget := r.Varint()
 	if budget < 0 || budget > 1<<20 {
-		return fmt.Errorf("%w: budget %d", ErrBadPayload, budget)
+		r.Fail(fmt.Errorf("%w: budget %d", ErrBadPayload, budget))
 	}
 	m.Budget = int(budget)
-	if m.LeaveAfterSec, err = r.Varint(); err != nil {
-		return err
-	}
-	return nil
+	m.LeaveAfterSec = r.Varint()
 }
 
 // Schedule carries one user's sensing schedule plus the Lua script that
@@ -110,31 +82,12 @@ func (m *Schedule) encodePayload(w *Writer) {
 	}
 }
 
-func (m *Schedule) decodePayload(r *Reader) error {
-	var err error
-	if m.TaskID, err = r.String(); err != nil {
-		return err
-	}
-	if m.AppID, err = r.String(); err != nil {
-		return err
-	}
-	if m.UserID, err = r.String(); err != nil {
-		return err
-	}
-	if m.Script, err = r.String(); err != nil {
-		return err
-	}
-	n, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
-	m.AtUnix = make([]int64, n)
+func (m *Schedule) decodePayload(r *Reader) {
+	m.TaskID, m.AppID, m.UserID, m.Script = r.String(), r.String(), r.String(), r.String()
+	m.AtUnix = make([]int64, r.sliceLen())
 	for i := range m.AtUnix {
-		if m.AtUnix[i], err = r.Varint(); err != nil {
-			return err
-		}
+		m.AtUnix[i] = r.Varint()
 	}
-	return nil
 }
 
 // SensorSample is one (t, Δt, d) tuple for a scalar sensor.
@@ -205,75 +158,26 @@ func (m *DataUpload) encodePayload(w *Writer) {
 	}
 }
 
-func (m *DataUpload) decodePayload(r *Reader) error {
-	var err error
-	if m.TaskID, err = r.String(); err != nil {
-		return err
-	}
-	if m.AppID, err = r.String(); err != nil {
-		return err
-	}
-	if m.UserID, err = r.String(); err != nil {
-		return err
-	}
-	if m.ReportID, err = r.String(); err != nil {
-		return err
-	}
-	nSeries, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
-	m.Series = make([]SensorSeries, nSeries)
+func (m *DataUpload) decodePayload(r *Reader) {
+	m.TaskID, m.AppID, m.UserID, m.ReportID = r.String(), r.String(), r.String(), r.String()
+	m.Series = make([]SensorSeries, r.sliceLen())
 	for i := range m.Series {
-		if m.Series[i].Sensor, err = r.String(); err != nil {
-			return err
-		}
-		nSamples, err := r.sliceLen()
-		if err != nil {
-			return err
-		}
-		m.Series[i].Samples = make([]SensorSample, nSamples)
-		for j := range m.Series[i].Samples {
-			smp := &m.Series[i].Samples[j]
-			if smp.AtUnixMilli, err = r.Varint(); err != nil {
-				return err
-			}
-			if smp.WindowMilli, err = r.Varint(); err != nil {
-				return err
-			}
-			nReadings, err := r.sliceLen()
-			if err != nil {
-				return err
-			}
-			smp.Readings = make([]float64, nReadings)
+		s := &m.Series[i]
+		s.Sensor = r.String()
+		s.Samples = make([]SensorSample, r.sliceLen())
+		for j := range s.Samples {
+			smp := &s.Samples[j]
+			smp.AtUnixMilli, smp.WindowMilli = r.Varint(), r.Varint()
+			smp.Readings = make([]float64, r.sliceLen())
 			for k := range smp.Readings {
-				if smp.Readings[k], err = r.Float(); err != nil {
-					return err
-				}
+				smp.Readings[k] = r.Float()
 			}
 		}
 	}
-	nTrack, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
-	m.Track = make([]GeoPoint, nTrack)
+	m.Track = make([]GeoPoint, r.sliceLen())
 	for i := range m.Track {
-		p := &m.Track[i]
-		if p.AtUnixMilli, err = r.Varint(); err != nil {
-			return err
-		}
-		if p.Lat, err = r.Float(); err != nil {
-			return err
-		}
-		if p.Lon, err = r.Float(); err != nil {
-			return err
-		}
-		if p.Alt, err = r.Float(); err != nil {
-			return err
-		}
+		m.Track[i] = GeoPoint{AtUnixMilli: r.Varint(), Lat: r.Float(), Lon: r.Float(), Alt: r.Float()}
 	}
-	return nil
 }
 
 // MaxBatchReports bounds how many reports one DataUploadBatch may carry
@@ -302,21 +206,16 @@ func (m *DataUploadBatch) encodePayload(w *Writer) {
 	}
 }
 
-func (m *DataUploadBatch) decodePayload(r *Reader) error {
-	n, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
+func (m *DataUploadBatch) decodePayload(r *Reader) {
+	n := r.sliceLen()
 	if n > MaxBatchReports {
-		return fmt.Errorf("%w: batch of %d reports", ErrBadPayload, n)
+		r.Fail(fmt.Errorf("%w: batch of %d reports", ErrBadPayload, n))
+		return
 	}
 	m.Uploads = make([]DataUpload, n)
 	for i := range m.Uploads {
-		if err := m.Uploads[i].decodePayload(r); err != nil {
-			return err
-		}
+		m.Uploads[i].decodePayload(r)
 	}
-	return nil
 }
 
 // Ack is the generic server response.
@@ -341,26 +240,8 @@ func (m *Ack) encodePayload(w *Writer) {
 	w.PutBytes(m.Payload)
 }
 
-func (m *Ack) decodePayload(r *Reader) error {
-	var err error
-	if m.OK, err = r.Bool(); err != nil {
-		return err
-	}
-	code, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	m.Code = int(code)
-	if m.Message, err = r.String(); err != nil {
-		return err
-	}
-	if m.Payload, err = r.Bytes(); err != nil {
-		return err
-	}
-	if len(m.Payload) == 0 {
-		m.Payload = nil
-	}
-	return nil
+func (m *Ack) decodePayload(r *Reader) {
+	m.OK, m.Code, m.Message, m.Payload = r.Bool(), int(r.Varint()), r.String(), r.Bytes()
 }
 
 // Leave notifies the server that a user departed the target place.
@@ -379,16 +260,7 @@ func (m *Leave) encodePayload(w *Writer) {
 	w.PutString(m.AppID)
 }
 
-func (m *Leave) decodePayload(r *Reader) error {
-	var err error
-	if m.UserID, err = r.String(); err != nil {
-		return err
-	}
-	if m.AppID, err = r.String(); err != nil {
-		return err
-	}
-	return nil
-}
+func (m *Leave) decodePayload(r *Reader) { m.UserID, m.AppID = r.String(), r.String() }
 
 // Ping is the keep-alive a phone sends when asked via the push channel
 // (the paper's Google Cloud Messaging fallback).
@@ -403,11 +275,7 @@ func (*Ping) Type() MsgType { return TypePing }
 
 func (m *Ping) encodePayload(w *Writer) { w.PutString(m.Token) }
 
-func (m *Ping) decodePayload(r *Reader) error {
-	var err error
-	m.Token, err = r.String()
-	return err
-}
+func (m *Ping) decodePayload(r *Reader) { m.Token = r.String() }
 
 // PrefEntry is one feature preference inside a ranking request.
 type PrefEntry struct {
@@ -453,50 +321,20 @@ func (m *RankRequest) encodePayload(w *Writer) {
 	}
 }
 
-func (m *RankRequest) decodePayload(r *Reader) error {
-	var err error
-	if m.Category, err = r.String(); err != nil {
-		return err
-	}
-	if m.UserID, err = r.String(); err != nil {
-		return err
-	}
-	n, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
-	m.Prefs = make([]PrefEntry, n)
+func (m *RankRequest) decodePayload(r *Reader) {
+	m.Category, m.UserID = r.String(), r.String()
+	m.Prefs = make([]PrefEntry, r.sliceLen())
 	for i := range m.Prefs {
-		p := &m.Prefs[i]
-		if p.Feature, err = r.String(); err != nil {
-			return err
-		}
-		kind, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		p.Kind = int(kind)
-		if p.Value, err = r.Float(); err != nil {
-			return err
-		}
-		weight, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		p.Weight = int(weight)
+		m.Prefs[i] = PrefEntry{Feature: r.String(), Kind: int(r.Varint()), Value: r.Float(), Weight: int(r.Varint())}
 	}
 	m.TopK = 0
 	if r.Remaining() > 0 {
-		k, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
+		k := r.Uvarint()
 		if k == 0 || k > 1<<31 {
-			return fmt.Errorf("%w: rank request top-k %d out of range", ErrBadPayload, k)
+			r.Fail(fmt.Errorf("%w: rank request top-k %d out of range", ErrBadPayload, k))
 		}
 		m.TopK = int(k)
 	}
-	return nil
 }
 
 // RankedPlace is one row of a ranking response.
@@ -550,50 +388,24 @@ func (m *RankResponse) encodePayload(w *Writer) {
 	}
 }
 
-func (m *RankResponse) decodePayload(r *Reader) error {
-	var err error
-	if m.Category, err = r.String(); err != nil {
-		return err
-	}
-	if m.Epoch, err = r.Varint(); err != nil {
-		return err
-	}
-	nf, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
-	m.Features = make([]string, nf)
+func (m *RankResponse) decodePayload(r *Reader) {
+	m.Category, m.Epoch = r.String(), r.Varint()
+	m.Features = make([]string, r.sliceLen())
 	for i := range m.Features {
-		if m.Features[i], err = r.String(); err != nil {
-			return err
-		}
+		m.Features[i] = r.String()
 	}
-	np, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
-	m.Ranked = make([]RankedPlace, np)
+	m.Ranked = make([]RankedPlace, r.sliceLen())
 	for i := range m.Ranked {
-		if m.Ranked[i].Place, err = r.String(); err != nil {
-			return err
-		}
-		nv, err := r.sliceLen()
-		if err != nil {
-			return err
-		}
-		m.Ranked[i].FeatureValues = make([]float64, nv)
-		for j := range m.Ranked[i].FeatureValues {
-			if m.Ranked[i].FeatureValues[j], err = r.Float(); err != nil {
-				return err
-			}
+		p := &m.Ranked[i]
+		p.Place = r.String()
+		p.FeatureValues = make([]float64, r.sliceLen())
+		for j := range p.FeatureValues {
+			p.FeatureValues[j] = r.Float()
 		}
 	}
 	if r.Remaining() > 0 {
-		if m.Stale, err = r.Bool(); err != nil {
-			return err
-		}
+		m.Stale = r.Bool()
 	}
-	return nil
 }
 
 // EpochInvalidate is a server-initiated push telling a device that a rank
@@ -615,11 +427,4 @@ func (m *EpochInvalidate) encodePayload(w *Writer) {
 	w.PutVarint(m.Epoch)
 }
 
-func (m *EpochInvalidate) decodePayload(r *Reader) error {
-	var err error
-	if m.Category, err = r.String(); err != nil {
-		return err
-	}
-	m.Epoch, err = r.Varint()
-	return err
-}
+func (m *EpochInvalidate) decodePayload(r *Reader) { m.Category, m.Epoch = r.String(), r.Varint() }

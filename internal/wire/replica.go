@@ -36,37 +36,22 @@ func (m *ReplPull) encodePayload(w *Writer) {
 	w.PutUvarint(uint64(m.MaxBytes))
 }
 
-func (m *ReplPull) decodePayload(r *Reader) error {
-	var err error
-	if m.FollowerID, err = r.String(); err != nil {
-		return err
+func (m *ReplPull) decodePayload(r *Reader) {
+	if m.FollowerID = r.String(); m.FollowerID == "" {
+		r.Fail(fmt.Errorf("%w: empty follower id", ErrBadPayload))
 	}
-	if m.FollowerID == "" {
-		return fmt.Errorf("%w: empty follower id", ErrBadPayload)
+	if m.FromLSN = r.Uvarint(); m.FromLSN == 0 {
+		r.Fail(fmt.Errorf("%w: repl pull from LSN 0 (LSNs start at 1)", ErrBadPayload))
 	}
-	if m.FromLSN, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if m.FromLSN == 0 {
-		return fmt.Errorf("%w: repl pull from LSN 0 (LSNs start at 1)", ErrBadPayload)
-	}
-	maxRecords, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
+	maxRecords := r.Uvarint()
 	if maxRecords > MaxReplBatchRecords {
-		return fmt.Errorf("%w: repl pull max records %d", ErrBadPayload, maxRecords)
+		r.Fail(fmt.Errorf("%w: repl pull max records %d", ErrBadPayload, maxRecords))
 	}
-	m.MaxRecords = int(maxRecords)
-	maxBytes, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
+	maxBytes := r.Uvarint()
 	if maxBytes > 1<<31 {
-		return fmt.Errorf("%w: repl pull max bytes %d", ErrBadPayload, maxBytes)
+		r.Fail(fmt.Errorf("%w: repl pull max bytes %d", ErrBadPayload, maxBytes))
 	}
-	m.MaxBytes = int64(maxBytes)
-	return nil
+	m.MaxRecords, m.MaxBytes = int(maxRecords), int64(maxBytes)
 }
 
 // ReplRecords is the leader's reply to a ReplPull: a contiguous run of
@@ -106,34 +91,20 @@ func (m *ReplRecords) encodePayload(w *Writer) {
 	}
 }
 
-func (m *ReplRecords) decodePayload(r *Reader) error {
-	var err error
-	if m.FirstLSN, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if m.LeaderLSN, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if m.Compacted, err = r.Bool(); err != nil {
-		return err
-	}
-	n, err := r.sliceLen()
-	if err != nil {
-		return err
-	}
+func (m *ReplRecords) decodePayload(r *Reader) {
+	m.FirstLSN, m.LeaderLSN, m.Compacted = r.Uvarint(), r.Uvarint(), r.Bool()
+	n := r.sliceLen()
 	if n > MaxReplBatchRecords {
-		return fmt.Errorf("%w: repl batch of %d records", ErrBadPayload, n)
+		r.Fail(fmt.Errorf("%w: repl batch of %d records", ErrBadPayload, n))
+		return
 	}
 	if n > 0 {
 		m.Records = make([][]byte, n)
 		for i := range m.Records {
-			if m.Records[i], err = r.Bytes(); err != nil {
-				return err
-			}
-			if len(m.Records[i]) == 0 {
-				return fmt.Errorf("%w: empty repl record at index %d", ErrBadPayload, i)
+			if m.Records[i] = r.Bytes(); m.Records[i] == nil {
+				r.Fail(fmt.Errorf("%w: empty repl record at index %d", ErrBadPayload, i))
+				return
 			}
 		}
 	}
-	return nil
 }

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -72,18 +70,8 @@ func TestReplRecordsRejectsEmptyRecord(t *testing.T) {
 	w.PutBool(false) // Compacted
 	w.PutUvarint(1)  // one record
 	w.PutBytes(nil)  // ... of zero length
-	frame := frameFor(TypeReplRecords, w.Bytes())
+	frame := reframe(TypeReplRecords, w.Bytes())
 	if _, err := Decode(frame); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("decode = %v, want ErrBadPayload", err)
 	}
-}
-
-// frameFor assembles a v1 frame (magic | type | payload | crc over body)
-// around a hand-built payload.
-func frameFor(typ MsgType, payload []byte) []byte {
-	out := append([]byte(nil), magic...)
-	out = append(out, byte(typ))
-	out = append(out, payload...)
-	sum := crc32.ChecksumIEEE(out[len(magic):])
-	return binary.LittleEndian.AppendUint32(out, sum)
 }

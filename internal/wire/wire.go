@@ -14,9 +14,17 @@
 // EncodeTraced emits version 2 when a RequestID is present. Decode and
 // DecodeTraced accept both versions, so old and new peers interoperate.
 //
-// Payload primitives are little-endian IEEE-754 float64s, unsigned varints
-// and length-prefixed UTF-8 strings. Every message type implements Message
-// and round-trips exactly.
+// Payload primitives are little-endian IEEE-754 float64s, unsigned and
+// signed varints, booleans, and length-prefixed strings and byte slices.
+// Every message type implements Message and round-trips exactly.
+//
+// Writer and Reader are the one primitive layer: the store writes its WAL
+// records and snapshot rows with them and the session handshake uses them
+// too. Reader is sticky-error: the first malformed field records its
+// error (wrapping ErrTruncated or ErrBadPayload, or whatever a decoder
+// passed to Fail) and empties the buffer, every later read returns a zero
+// value, and a decoder checks Err once where it needs the result rather
+// than after every field. An empty byte field decodes as nil.
 package wire
 
 import (
@@ -109,7 +117,8 @@ var (
 	ErrBadPayload = errors.New("wire: malformed payload")
 )
 
-// limits guard against hostile inputs.
+// limits guard against hostile inputs. A byte field has none beyond the
+// remaining input, which already caps its allocation at the frame size.
 const (
 	maxStringLen = 1 << 20 // 1 MiB
 	maxSliceLen  = 1 << 22 // 4M elements
@@ -121,14 +130,19 @@ type Message interface {
 	Type() MsgType
 	// encodePayload appends the payload to w.
 	encodePayload(w *Writer)
-	// decodePayload parses the payload from r.
-	decodePayload(r *Reader) error
+	// decodePayload parses the payload from r, leaving any failure in
+	// r.Err().
+	decodePayload(r *Reader)
 }
 
-// Writer builds a payload.
+// Writer builds a payload. The zero Writer starts an empty buffer;
+// NewWriter appends to a caller's (recycled) buffer instead.
 type Writer struct {
 	buf []byte
 }
+
+// NewWriter returns a Writer appending to buf.
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
 // Bytes returns the accumulated buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -143,7 +157,8 @@ func (w *Writer) PutVarint(v int64) {
 	w.buf = binary.AppendVarint(w.buf, v)
 }
 
-// PutFloat appends a float64.
+// PutFloat appends a float64 as its raw IEEE-754 bits (8 bytes LE), so
+// NaN payloads, ±Inf and −0 survive bit for bit.
 func (w *Writer) PutFloat(f float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
 }
@@ -169,111 +184,136 @@ func (w *Writer) PutBytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Reader parses a payload.
+// Reader parses a payload with a sticky error: the first malformed field
+// records its error and empties the buffer, every later read returns a
+// zero value, and the caller checks Err once where it needs the result.
 type Reader struct {
 	buf []byte
-	pos int
+	err error
 }
 
 // NewReader wraps a buffer.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
+// Err returns the first failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Fail records err unless an earlier failure is already recorded, and
+// empties the buffer. Decoders call it for a field that parsed but is out
+// of range.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.buf = nil
+}
+
 // Remaining reports unconsumed bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
+func (r *Reader) Remaining() int { return len(r.buf) }
 
 // Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
+func (r *Reader) Uvarint() uint64 {
+	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		return 0, ErrTruncated
+		r.Fail(ErrTruncated)
+		return 0
 	}
-	r.pos += n
-	return v, nil
+	r.buf = r.buf[n:]
+	return v
 }
 
 // Varint reads a signed varint.
-func (r *Reader) Varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.pos:])
+func (r *Reader) Varint() int64 {
+	v, n := binary.Varint(r.buf)
 	if n <= 0 {
-		return 0, ErrTruncated
+		r.Fail(ErrTruncated)
+		return 0
 	}
-	r.pos += n
-	return v, nil
+	r.buf = r.buf[n:]
+	return v
 }
 
 // Float reads a float64.
-func (r *Reader) Float() (float64, error) {
-	if r.Remaining() < 8 {
-		return 0, ErrTruncated
+func (r *Reader) Float() float64 {
+	if len(r.buf) < 8 {
+		r.Fail(ErrTruncated)
+		return 0
 	}
-	bits := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return math.Float64frombits(bits), nil
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() (string, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("%w: string of %d bytes", ErrBadPayload, n)
-	}
-	if uint64(r.Remaining()) < n {
-		return "", ErrTruncated
-	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
+	bits := binary.LittleEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return math.Float64frombits(bits)
 }
 
 // Bool reads a boolean byte.
-func (r *Reader) Bool() (bool, error) {
-	if r.Remaining() < 1 {
-		return false, ErrTruncated
+func (r *Reader) Bool() bool {
+	if len(r.buf) < 1 {
+		r.Fail(ErrTruncated)
+		return false
 	}
-	b := r.buf[r.pos]
-	r.pos++
+	b := r.buf[0]
 	if b > 1 {
-		return false, fmt.Errorf("%w: bool byte %d", ErrBadPayload, b)
+		r.Fail(fmt.Errorf("%w: bool byte %d", ErrBadPayload, b))
+		return false
 	}
-	return b == 1, nil
+	r.buf = r.buf[1:]
+	return b == 1
 }
 
-// Bytes reads a length-prefixed byte slice.
-func (r *Reader) Bytes() ([]byte, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
+// take returns the next n bytes, aliasing the input.
+func (r *Reader) take(n uint64) []byte {
+	if n > uint64(len(r.buf)) {
+		r.Fail(ErrTruncated)
+		return nil
 	}
-	if n > maxSliceLen {
-		return nil, fmt.Errorf("%w: byte slice of %d", ErrBadPayload, n)
-	}
-	if uint64(r.Remaining()) < n {
-		return nil, ErrTruncated
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.pos:r.pos+int(n)])
-	r.pos += int(n)
-	return out, nil
+	p := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return p
 }
 
-// sliceLen validates a declared element count.
-func (r *Reader) sliceLen() (int, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, err
+// Raw returns the next length-prefixed field aliasing the input, bounded
+// only by the remaining input.
+func (r *Reader) Raw() []byte { return r.take(r.Uvarint()) }
+
+// String reads a length-prefixed string of at most 1 MiB.
+func (r *Reader) String() string {
+	n := r.Uvarint()
+	if n > maxStringLen {
+		r.Fail(fmt.Errorf("%w: string of %d bytes", ErrBadPayload, n))
+		return ""
 	}
-	if n > maxSliceLen {
-		return 0, fmt.Errorf("%w: slice of %d elements", ErrBadPayload, n)
-	}
-	// Cheap sanity: each element needs at least one byte.
-	if uint64(r.Remaining()) < n {
-		return 0, ErrTruncated
-	}
-	return int(n), nil
+	return string(r.take(n))
 }
+
+// Bytes reads a length-prefixed byte field as a copy; empty decodes as
+// nil. Like Raw it is bounded only by the remaining input, which caps the
+// allocation at the frame's size.
+func (r *Reader) Bytes() []byte {
+	p := r.Raw()
+	if len(p) == 0 {
+		return nil
+	}
+	return append([]byte(nil), p...)
+}
+
+// Count reads the length of a run of elements, each at least one byte
+// long: a count over max fails ErrBadPayload, and one the remaining input
+// cannot hold fails ErrTruncated, so no caller sizes an allocation by a
+// corrupt field.
+func (r *Reader) Count(max int) int {
+	n := r.Uvarint()
+	switch {
+	case n > uint64(max):
+		r.Fail(fmt.Errorf("%w: slice of %d elements", ErrBadPayload, n))
+		return 0
+	case n > uint64(len(r.buf)):
+		r.Fail(ErrTruncated)
+		return 0
+	}
+	return int(n)
+}
+
+// sliceLen is Count under the wire's hostile-input bound.
+func (r *Reader) sliceLen() int { return r.Count(maxSliceLen) }
 
 // Encode frames a message: magic | type | payload | crc32(payload+type).
 // The output is a version-1 frame, byte-identical to older builds.
@@ -291,10 +331,9 @@ func EncodeTraced(m Message, requestID string) ([]byte, error) {
 	if len(requestID) > MaxRequestIDLen {
 		return nil, fmt.Errorf("%w: request id of %d bytes", ErrBadPayload, len(requestID))
 	}
-	var w Writer
 	// Typical messages are well under 256 bytes; pre-sizing keeps the hot
 	// ingest path from growing the buffer several times per report.
-	w.buf = make([]byte, 0, 256)
+	w := NewWriter(make([]byte, 0, 256))
 	w.buf = append(w.buf, 'S', 'O', 'R')
 	if requestID == "" {
 		w.buf = append(w.buf, version1)
@@ -305,7 +344,7 @@ func EncodeTraced(m Message, requestID string) ([]byte, error) {
 	if requestID != "" {
 		w.PutString(requestID)
 	}
-	m.encodePayload(&w)
+	m.encodePayload(w)
 	sum := crc32.ChecksumIEEE(w.buf[len(magic):])
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
 	return w.buf, nil
@@ -344,15 +383,16 @@ func DecodeTraced(b []byte) (Message, string, error) {
 	r := NewReader(body[1:])
 	requestID := ""
 	if version == version2 {
-		requestID, err = r.String()
-		if err != nil {
+		requestID = r.String()
+		if err := r.Err(); err != nil {
 			return nil, "", fmt.Errorf("wire: decoding request id: %w", err)
 		}
 		if len(requestID) > MaxRequestIDLen {
 			return nil, "", fmt.Errorf("%w: request id of %d bytes", ErrBadPayload, len(requestID))
 		}
 	}
-	if err := m.decodePayload(r); err != nil {
+	m.decodePayload(r)
+	if err := r.Err(); err != nil {
 		return nil, "", fmt.Errorf("wire: decoding %s: %w", t, err)
 	}
 	if r.Remaining() != 0 {

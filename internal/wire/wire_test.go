@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
@@ -304,40 +306,90 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the type byte and fix the CRC by re-framing manually.
-	body := append([]byte{0xEE}, b[5:len(b)-4]...)
-	framed := append(bytes.Clone(b[:4]), body...)
-	sum := crc32ChecksumIEEE(body)
-	framed = append(framed, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
-	if _, err := Decode(framed); err == nil {
+	// Rewrite the type byte, keeping the CRC valid.
+	if _, err := Decode(reframe(0xEE, payloadOf(b))); err == nil {
 		t.Fatal("unknown type must fail")
 	}
 }
 
-// crc32ChecksumIEEE avoids importing hash/crc32 twice in tests.
-func crc32ChecksumIEEE(b []byte) uint32 {
-	table := makeCRCTable()
-	crc := ^uint32(0)
-	for _, x := range b {
-		crc = table[byte(crc)^x] ^ (crc >> 8)
-	}
-	return ^crc
+// reframe assembles a v1 frame with a valid CRC around a hand-built
+// payload, so a test reaches the payload decoder past the checksum.
+func reframe(typ MsgType, payload []byte) []byte {
+	out := append(bytes.Clone(magic), byte(typ))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[len(magic):]))
 }
 
-func makeCRCTable() [256]uint32 {
-	var table [256]uint32
-	for i := range table {
-		crc := uint32(i)
-		for j := 0; j < 8; j++ {
-			if crc&1 == 1 {
-				crc = (crc >> 1) ^ 0xedb88320
-			} else {
-				crc >>= 1
+// payloadOf returns the payload of a v1 frame.
+func payloadOf(frame []byte) []byte { return frame[len(magic)+1 : len(frame)-4] }
+
+// truncatedFrames re-frames, each with a valid CRC, every strict prefix of
+// m's payload (index i holds the i-byte prefix) and, last, the payload
+// plus one 0xff byte. (A 0x00 would be a valid explicit Stale=false after
+// a RankResponse without the trailer.)
+func truncatedFrames(m Message) [][]byte {
+	frame, err := Encode(m)
+	if err != nil {
+		panic(err)
+	}
+	payload := payloadOf(frame)
+	out := make([][]byte, 0, len(payload)+1)
+	for cut := range payload {
+		out = append(out, reframe(m.Type(), payload[:cut]))
+	}
+	return append(out, reframe(m.Type(), append(bytes.Clone(payload), 0xff)))
+}
+
+// withoutTrailer returns m minus its optional trailing field (RankRequest's
+// TopK, RankResponse's Stale), or nil when m carries none.
+func withoutTrailer(m Message) Message {
+	switch m := m.(type) {
+	case *RankRequest:
+		if m.TopK > 0 {
+			c := *m
+			c.TopK = 0
+			return &c
+		}
+	case *RankResponse:
+		if m.Stale {
+			c := *m
+			c.Stale = false
+			return &c
+		}
+	}
+	return nil
+}
+
+// TestDecodeRejectsPayloadTruncation cuts the payload, not the frame: every
+// strict prefix of every seed's payload and the payload plus one byte,
+// each re-framed with a valid CRC so only the payload decoder can refuse
+// it. Every case fails with the codec's error classes, except the two
+// documented optional-trailer boundaries, which decode to the message
+// minus its trailer.
+func TestDecodeRejectsPayloadTruncation(t *testing.T) {
+	for i, m := range fuzzSeeds() {
+		boundary := -1
+		stripped := withoutTrailer(m)
+		if stripped != nil {
+			frame, err := Encode(stripped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boundary = len(payloadOf(frame))
+		}
+		for cut, frame := range truncatedFrames(m) {
+			got, err := Decode(frame)
+			if cut == boundary {
+				if err != nil || !reflect.DeepEqual(got, stripped) {
+					t.Errorf("seed %d (%s) without its trailer = %+v, %v; want %+v", i, m.Type(), got, err, stripped)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadPayload) {
+				t.Errorf("seed %d (%s) payload cut to %d bytes: err = %v, want ErrTruncated or ErrBadPayload", i, m.Type(), cut, err)
 			}
 		}
-		table[i] = crc
 	}
-	return table
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
@@ -346,11 +398,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Splice extra payload bytes in and re-frame with a valid CRC.
-	body := append(bytes.Clone(b[4:len(b)-4]), 0x00, 0x01)
-	framed := append(bytes.Clone(b[:4]), body...)
-	sum := crc32ChecksumIEEE(body)
-	framed = append(framed, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
-	if _, err := Decode(framed); err == nil {
+	if _, err := Decode(reframe(TypePing, append(bytes.Clone(payloadOf(b)), 0x00, 0x01))); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
 }
@@ -487,11 +535,7 @@ func TestDecodeFuzzSafety(t *testing.T) {
 				t.Fatalf("Decode panicked: %v", r)
 			}
 		}()
-		body := append([]byte{byte(TypeDataUpload)}, payload...)
-		framed := append([]byte{'S', 'O', 'R', 1}, body...)
-		sum := crc32ChecksumIEEE(body)
-		framed = append(framed, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
-		_, _ = Decode(framed)
+		_, _ = Decode(reframe(TypeDataUpload, payload))
 		return true
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
@@ -639,7 +683,8 @@ func TestDataUploadBatchRejectsOversizedCount(t *testing.T) {
 		w.buf = append(w.buf, 0) // a few empty-string bytes as filler
 	}
 	var m DataUploadBatch
-	if err := m.decodePayload(NewReader(w.Bytes())); err == nil {
+	r := NewReader(w.Bytes())
+	if m.decodePayload(r); r.Err() == nil {
 		t.Fatal("oversized batch count must be rejected")
 	}
 }
