@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race ckpt-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
+.PHONY: all build test test-short race ckpt-race wal-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
 
 all: build test
 
@@ -28,18 +28,29 @@ race:
 ckpt-race:
 	$(GO) test -race -count=1 -run 'TestCheckpointIsExactCut|TestConcurrentCheckpointsLoseNothing' ./internal/store/
 
+# The WAL's cursor reader under the race detector: the differential test
+# against the whole-file walk (random segment and record sizes, acks
+# moving up and down, truncation between pulls, the torn-tail shapes at
+# every chunk edge) and concurrent Enqueue + segment rolls + truncation
+# + two pulling followers.
+wal-race:
+	$(GO) test -race -count=1 -run 'TestReadFromMatchesOracle|TestTornTailClassification|TestTornBoundarySegmentPair|TestReadAfterRacingAppendsAndTruncation' ./internal/wal/
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of every benchmark (catches bit-rot, including the
 # 200/2k/10k columnar scaling table) plus the hot-path gates — a
 # cached-hit rank query and a 30-member re-plan must stay O(1)
-# allocations, and the re-plan inside its gain-evaluation bound. -short
+# allocations, and the re-plan inside its gain-evaluation bound; a
+# caught-up follower's pull costs the same on a 64 MiB live segment as on
+# a 1 MiB one. -short
 # skips only the ~4-minute 2 000-place monolithic-baseline solve; the
 # 200-place baseline point still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
 	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestFreshCycleAllocs' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestReadAfterTailCost' -v ./internal/wal/
 
 # The end-to-end benchmark harness (BENCHMARK.json, bench/) is its own
 # module, so `go test ./...` at the root never reaches its tests.
@@ -151,6 +162,7 @@ fieldtest-golden:
 ci: vet build test
 	$(GO) test -race -short ./...
 	$(MAKE) ckpt-race
+	$(MAKE) wal-race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-test
 	$(MAKE) fleet-rank

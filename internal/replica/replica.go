@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,6 +92,10 @@ func WithLeaderMetrics(reg *obs.Registry) LeaderOption {
 type followerState struct {
 	ackLSN   uint64
 	lastSeen time.Time
+	// pos is where the last pull's read stopped: the next pull, acking
+	// everything it shipped, resumes there instead of rescanning the
+	// segment (any other ack makes the log fall back to a scan).
+	pos      wal.Pos
 	ackGauge *obs.Gauge
 	lagGauge *obs.Gauge
 }
@@ -118,6 +123,7 @@ type Leader struct {
 	resyncsStarted *obs.Counter
 	snapChunks     *obs.Counter
 	snapBytes      *obs.Counter
+	stateDiscarded *obs.Counter
 }
 
 // NewLeader builds a Leader over an open log. With WithStateDir it
@@ -143,6 +149,7 @@ func NewLeader(log *wal.Log, opts ...LeaderOption) (*Leader, error) {
 	ld.resyncsStarted = ld.reg.Counter("sor_replica_resyncs_total")
 	ld.snapChunks = ld.reg.Counter("sor_replica_snap_chunks_total")
 	ld.snapBytes = ld.reg.Counter("sor_replica_snap_bytes_total")
+	ld.stateDiscarded = ld.reg.Counter("sor_replica_state_discarded_total")
 	if err := ld.loadState(); err != nil {
 		return nil, err
 	}
@@ -153,6 +160,11 @@ type persistedState struct {
 	Followers map[string]uint64 `json:"followers"` // id -> acked LSN
 }
 
+// loadState re-pins the persisted follower acks. The ledger is
+// best-effort, so one that does not decode — power loss can leave it
+// empty or half-written — is discarded (logged and counted) rather than
+// keeping a healthy leader from starting: its followers re-register on
+// their next pull, and one that outlived its pin resyncs.
 func (ld *Leader) loadState() error {
 	if ld.statePath == "" {
 		return nil
@@ -166,7 +178,9 @@ func (ld *Leader) loadState() error {
 	}
 	var ps persistedState
 	if err := json.Unmarshal(data, &ps); err != nil {
-		return fmt.Errorf("replica: decoding %s: %w", ld.statePath, err)
+		log.Printf("replica: discarding undecodable follower ledger %s: %v", ld.statePath, err)
+		ld.stateDiscarded.Inc()
+		return nil
 	}
 	now := ld.clock.Now()
 	for id, lsn := range ps.Followers {
@@ -177,9 +191,10 @@ func (ld *Leader) loadState() error {
 	return nil
 }
 
-// persistLocked writes the ack ledger atomically (temp file + rename).
-// Best-effort: a failed write costs durability of the pins across a
-// restart, never correctness while this process lives.
+// persistLocked writes the ack ledger atomically: temp file, fsync,
+// rename, so a power cut leaves the old ledger or the new one. Best
+// effort: a failed write costs durability of the pins across a restart,
+// never correctness while this process lives.
 func (ld *Leader) persistLocked() {
 	if ld.statePath == "" {
 		return
@@ -193,7 +208,18 @@ func (ld *Leader) persistLocked() {
 		return
 	}
 	tmp := ld.statePath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
+		return
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return
 	}
 	_ = os.Rename(tmp, ld.statePath)
@@ -223,6 +249,7 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	// A re-registration may move the ack down as well as up: a follower
 	// that lost its unsynced tail in a crash legitimately resumes lower.
 	f.ackLSN, f.lastSeen = ack, now
+	pos := f.pos
 	// Expire followers silent past the TTL so one dead replica cannot
 	// pin the log forever.
 	for id, g := range ld.followers {
@@ -253,7 +280,7 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	if p.MaxBytes > 0 && p.MaxBytes < maxBytes {
 		maxBytes = p.MaxBytes
 	}
-	recs, err := ld.log.ReadAfter(ack, maxRecords, maxBytes)
+	recs, pos, err := ld.log.ReadFrom(pos, ack, maxRecords, maxBytes)
 	head := ld.log.LastLSN()
 	resp := &wire.ReplRecords{FirstLSN: p.FromLSN, LeaderLSN: head}
 	switch {
@@ -274,6 +301,7 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	}
 	ld.mu.Lock()
 	if f, ok := ld.followers[p.FollowerID]; ok {
+		f.pos = pos
 		f.ackGauge.Set(int64(ack))
 		f.lagGauge.Set(int64(lag))
 	}

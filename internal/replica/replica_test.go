@@ -5,13 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"sor/internal/obs"
 	"sor/internal/server"
 	"sor/internal/store"
 	"sor/internal/transport"
 	"sor/internal/vclock"
+	"sor/internal/wal"
 	"sor/internal/wire"
 	"sor/internal/world"
 )
@@ -591,5 +595,57 @@ func TestFollowerShipsRecordsOverFourMiB(t *testing.T) {
 	}
 	if over != 2 {
 		t.Fatalf("%d records over 4 MiB, want the report's and the burst's", over)
+	}
+}
+
+// TestUndecodableLedgerIsDiscarded pins the ledger's best-effort rule: a
+// replica_state.json that power loss left empty or half-written must not
+// keep a healthy leader from starting. NewLeader discards it (counted in
+// sor_replica_state_discarded_total), starts with no followers, and the
+// next pull writes a ledger the following restart reads back.
+func TestUndecodableLedgerIsDiscarded(t *testing.T) {
+	for name, content := range map[string]string{
+		"empty":   "",
+		"garbage": "\x00\x17not json at all",
+		"torn":    `{"followers":{"node-b":1`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			for i := 0; i < 3; i++ {
+				if _, err := log.Append([]byte{byte('a' + i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, stateFile), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			ld, err := NewLeader(log, WithStateDir(dir), WithLeaderMetrics(reg))
+			if err != nil {
+				t.Fatalf("NewLeader over a %s ledger: %v", name, err)
+			}
+			if got := ld.Status().Followers; len(got) != 0 {
+				t.Fatalf("followers from a discarded ledger: %+v", got)
+			}
+			if got := reg.Counter("sor_replica_state_discarded_total").Value(); got != 1 {
+				t.Fatalf("sor_replica_state_discarded_total = %d, want 1", got)
+			}
+			resp, err := ld.HandlePull(&wire.ReplPull{FollowerID: "node-b", FromLSN: 2})
+			if err != nil || len(resp.Records) != 2 {
+				t.Fatalf("pull after discard: %+v, %v", resp, err)
+			}
+			ld2, err := NewLeader(log, WithStateDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ld2.Status().Followers; len(got) != 1 || got[0].ID != "node-b" || got[0].AckLSN != 1 {
+				t.Fatalf("ledger rewritten by the pull reads back as %+v", got)
+			}
+		})
 	}
 }

@@ -43,3 +43,38 @@ func BenchmarkWALAppend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReadAfterTail is a caught-up follower's pull: eight records
+// land, and the follower reads them resuming at its stored position. The
+// cost is per pull and must not depend on the live segment's size;
+// read-B/op is what the cursor pread.
+func BenchmarkReadAfterTail(b *testing.B) {
+	for _, seg := range []int64{1 << 20, 64 << 20} {
+		b.Run(fmt.Sprintf("segment=%dMiB", seg>>20), func(b *testing.B) {
+			l, err := Open(b.TempDir(), Options{SegmentBytes: seg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			payload := make([]byte, 200)
+			var pos Pos
+			var ack uint64
+			b.ReportAllocs()
+			read0 := l.readBytes.Load()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 8; j++ {
+					if _, err := l.Enqueue(payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+				recs, next, err := l.ReadFrom(pos, ack, 0, 0)
+				if err != nil || len(recs) != 8 {
+					b.Fatalf("pull: %d records, %v", len(recs), err)
+				}
+				ack, pos = ack+8, next
+			}
+			b.ReportMetric(float64(l.readBytes.Load()-read0)/float64(b.N), "read-B/op")
+		})
+	}
+}

@@ -2,8 +2,8 @@ package wal
 
 // This file is the log's replication surface: retention floors that keep
 // TruncateThrough from dropping segments a follower still needs, and
-// ReadAfter, the torn-read-free record reader the leader-side WAL shipper
-// streams from.
+// ReadAfter/ReadFrom, the torn-read-free record reader the leader-side
+// WAL shipper streams from.
 
 import (
 	"errors"
@@ -64,16 +64,17 @@ func (l *Log) retainFloorLocked() (uint64, bool) {
 	return floor, ok
 }
 
-// shipSpan is one file's worth of a ReadAfter plan, captured under mu.
+// shipSpan is one file's worth of a ReadFrom plan, captured under mu.
 // For the live segment, end is the append offset at capture time: every
 // byte below it was fully memcpy'd before the lock was released (Enqueue
 // writes the frame and advances off under the same mu), and later appends
 // only touch bytes at or beyond it — which is why reading the file after
-// unlocking can never observe a torn record.
+// unlocking can never observe a torn record, and why a position below it
+// stays a record boundary for as long as the segment exists.
 type shipSpan struct {
 	path     string
 	firstLSN uint64
-	end      int64 // read only bytes below this offset; 0 = whole file
+	end      int64 // read only bytes below this offset; -1 = the whole file
 }
 
 // ReadAfter returns the payloads of up to maxRecords records (or maxBytes
@@ -90,6 +91,19 @@ type shipSpan struct {
 // disk — a concurrent TruncateThrough past an unretained position is
 // reported as ErrCompacted, never as a torn or partial read.
 func (l *Log) ReadAfter(after uint64, maxRecords int, maxBytes int64) ([][]byte, error) {
+	recs, _, err := l.ReadFrom(Pos{}, after, maxRecords, maxBytes)
+	return recs, err
+}
+
+// ReadFrom is ReadAfter resumed at pos, the position an earlier ReadFrom
+// on this log returned; it returns the position just past its last
+// record for the next call. A resumed read preads only from pos up to the
+// records it returns (plus at most one chunk), whatever the segment's
+// size. A pos that does not hold record after+1 — the zero Pos, an ack
+// that moved, a segment sealed or compacted behind it — is ignored and
+// the read walks from the segment header instead, with the same records
+// and errors.
+func (l *Log) ReadFrom(pos Pos, after uint64, maxRecords int, maxBytes int64) ([][]byte, Pos, error) {
 	if maxRecords <= 0 {
 		maxRecords = math.MaxInt
 	}
@@ -100,12 +114,12 @@ func (l *Log) ReadAfter(after uint64, maxRecords int, maxBytes int64) ([][]byte,
 	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()
-		return nil, err
+		return nil, Pos{}, err
 	}
 	last := l.nextLSN - 1
 	if after >= last {
 		l.mu.Unlock()
-		return nil, nil
+		return nil, pos, nil
 	}
 	oldest := l.segFirst
 	if len(l.sealed) > 0 {
@@ -113,12 +127,13 @@ func (l *Log) ReadAfter(after uint64, maxRecords int, maxBytes int64) ([][]byte,
 	}
 	if after+1 < oldest {
 		l.mu.Unlock()
-		return nil, fmt.Errorf("%w: need LSN %d, oldest on disk is %d", ErrCompacted, after+1, oldest)
+		return nil, Pos{}, fmt.Errorf("%w: need LSN %d, oldest on disk is %d", ErrCompacted, after+1, oldest)
 	}
-	var plan []shipSpan
+	var spans [4]shipSpan
+	plan := spans[:0]
 	for _, s := range l.sealed {
 		if s.lastLSN > after {
-			plan = append(plan, shipSpan{path: s.path, firstLSN: s.firstLSN})
+			plan = append(plan, shipSpan{path: s.path, firstLSN: s.firstLSN, end: -1})
 		}
 	}
 	if l.off > headerSize {
@@ -126,51 +141,61 @@ func (l *Log) ReadAfter(after uint64, maxRecords int, maxBytes int64) ([][]byte,
 	}
 	l.mu.Unlock()
 
+	var c cursor
+	defer func() {
+		c.close()
+		l.readBytes.Add(c.read)
+	}()
 	var out [][]byte
 	var outBytes int64
-	next := after + 1
-	for _, sp := range plan {
-		b, err := os.ReadFile(sp.path)
-		if err != nil {
+	want := after + 1
+	for i, sp := range plan {
+		if err := c.open(sp.path, sp.firstLSN, sp.end); err != nil {
 			if os.IsNotExist(err) {
 				// Truncated between planning and reading: the reader was
 				// not retained at this position.
-				return nil, fmt.Errorf("%w: segment %s removed mid-read", ErrCompacted, filepath.Base(sp.path))
+				return nil, Pos{}, fmt.Errorf("%w: segment %s removed mid-read", ErrCompacted, filepath.Base(sp.path))
 			}
-			return nil, err
+			return nil, Pos{}, err
 		}
-		first, err := decodeHeader(b)
-		if err != nil {
-			return nil, fmt.Errorf("wal: segment %s: %w", filepath.Base(sp.path), err)
+		if i == 0 && pos.lsn == want && pos.seg == sp.firstLSN && pos.off >= headerSize && pos.off <= c.end {
+			c.Pos = pos // an earlier read checked every byte below it
+		} else {
+			_, hdrErr, err := c.header()
+			if err != nil {
+				return nil, Pos{}, err
+			}
+			if hdrErr != nil {
+				return nil, Pos{}, fmt.Errorf("wal: segment %s: %w", filepath.Base(sp.path), hdrErr)
+			}
 		}
-		if sp.end > 0 && sp.end < int64(len(b)) {
-			b = b[:sp.end]
-		}
-		off := int64(headerSize)
-		lsn := first
-		for off < int64(len(b)) {
-			payload, n, derr := DecodeRecord(b[off:])
-			if derr != nil || len(payload) == 0 {
+		for {
+			at := c.Pos
+			payload, ok, err := c.record()
+			if err != nil {
+				return nil, Pos{}, err
+			}
+			if !ok {
 				// Zero-filled preallocated tail, or (on a just-sealed
 				// segment read past the captured plan) the same clean end
 				// the replayer tolerates. Records below the captured
 				// offsets never decode short.
 				break
 			}
-			if lsn > after {
-				if lsn != next {
-					return nil, fmt.Errorf("wal: segment %s: expected LSN %d, decoded %d", filepath.Base(sp.path), next, lsn)
-				}
-				if len(out) > 0 && (len(out) >= maxRecords || outBytes+int64(len(payload)) > maxBytes) {
-					return out, nil
-				}
-				out = append(out, payload)
-				outBytes += int64(len(payload))
-				next++
+			if at.lsn <= after {
+				continue
 			}
-			off += int64(n)
-			lsn++
+			if at.lsn != want {
+				return nil, Pos{}, fmt.Errorf("wal: segment %s: expected LSN %d, decoded %d", filepath.Base(sp.path), want, at.lsn)
+			}
+			if len(out) > 0 && (len(out) >= maxRecords || outBytes+int64(len(payload)) > maxBytes) {
+				return out, at, nil
+			}
+			out = append(out, payload)
+			c.pinned = true
+			outBytes += int64(len(payload))
+			want++
 		}
 	}
-	return out, nil
+	return out, c.Pos, nil
 }

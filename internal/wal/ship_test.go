@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -189,32 +190,33 @@ func TestReadAfterCaughtUp(t *testing.T) {
 	}
 }
 
-// TestReadAfterRacingAppendsAndTruncation is the open-reader race from
-// the issue: one goroutine appends, one checkpoints and truncates up to
-// the reader's acked floor, while the reader streams the log in small
-// batches. Every batch must decode exactly the records that were
-// appended — a torn read, a gap, or a vanished segment above the floor
-// all fail the test. Run with -race this also pins the locking.
+// TestReadAfterRacingAppendsAndTruncation is the open-reader race:
+// three goroutines Enqueue into 256-byte segments (a roll every few
+// records), one checkpoints and truncates up to the slowest follower's
+// acked floor, and two followers stream the log in small batches — one
+// resuming every pull at its stored position, the other alternating that
+// with position-less reads. Every payload shipped must be exactly what was
+// enqueued at its LSN — a torn read, a gap, or a vanished segment above
+// the floor all fail the test. Run with -race this also pins the locking.
 func TestReadAfterRacingAppendsAndTruncation(t *testing.T) {
-	const total = 400
-	l, _ := shipLog(t, 1)
+	const writers, perWriter = 3, 150
+	const total = writers * perWriter
+	l, _ := shipLog(t, 0)
 	defer l.Close()
-	l.Retain("reader", 0)
+	followers := []string{"resume", "mixed"}
+	for _, id := range followers {
+		l.Retain(id, 0)
+	}
+
+	var mu sync.Mutex
+	enqueued := make(map[uint64]string, total)
+	shipped := make([]map[uint64]string, len(followers))
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // appender
-		defer wg.Done()
-		for i := 1; i < total; i++ {
-			if _, err := l.Append([]byte(fmt.Sprintf("rec-%04d", i))); err != nil {
-				t.Errorf("append: %v", err)
-				return
-			}
-		}
-	}()
-	go func() { // truncator: keeps cutting at the head watermark
-		defer wg.Done()
+	var truncator, workers sync.WaitGroup
+	truncator.Add(1)
+	go func() { // keeps cutting at the head watermark
+		defer truncator.Done()
 		for {
 			select {
 			case <-stop:
@@ -227,22 +229,66 @@ func TestReadAfterRacingAppendsAndTruncation(t *testing.T) {
 			}
 		}
 	}()
+	for w := 0; w < writers; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			for i := 0; i < perWriter; i++ {
+				p := fmt.Sprintf("w%d-%04d", w, i)
+				lsn, err := l.Enqueue([]byte(p))
+				if err != nil {
+					t.Errorf("enqueue: %v", err)
+					return
+				}
+				mu.Lock()
+				enqueued[lsn] = p
+				mu.Unlock()
+			}
+		}(w)
+	}
+	for i, id := range followers {
+		shipped[i] = make(map[uint64]string, total)
+		workers.Add(1)
+		go func(i int, id string) {
+			defer workers.Done()
+			var pos Pos
+			for after, pull := uint64(0), 0; after < total; pull++ {
+				var recs [][]byte
+				var err error
+				if id == "mixed" && pull%2 == 1 {
+					recs, err = l.ReadAfter(after, 1+pull%7, 0)
+					pos = Pos{}
+				} else {
+					recs, pos, err = l.ReadFrom(pos, after, 1+pull%7, 0)
+				}
+				if err != nil {
+					t.Errorf("%s: ReadFrom(%d): %v", id, after, err)
+					return
+				}
+				if len(recs) == 0 {
+					runtime.Gosched()
+					continue
+				}
+				for k, rec := range recs {
+					shipped[i][after+uint64(k)+1] = string(rec)
+				}
+				after += uint64(len(recs))
+				l.Retain(id, after) // ack: truncation may now pass here
+			}
+		}(i, id)
+	}
+	workers.Wait()
+	close(stop)
+	truncator.Wait()
 
-	after := uint64(0)
-	for after < total {
-		recs, err := l.ReadAfter(after, 7, 0)
-		if err != nil {
-			t.Fatalf("ReadAfter(%d): %v", after, err)
-		}
-		for i, rec := range recs {
-			lsn := after + uint64(i) + 1
-			if want := fmt.Sprintf("rec-%04d", lsn-1); string(rec) != want {
-				t.Fatalf("LSN %d = %q, want %q", lsn, rec, want)
+	if len(enqueued) != total {
+		t.Fatalf("%d records enqueued, want %d", len(enqueued), total)
+	}
+	for i, id := range followers {
+		for lsn := uint64(1); lsn <= total; lsn++ {
+			if got, want := shipped[i][lsn], enqueued[lsn]; got != want {
+				t.Fatalf("%s: LSN %d shipped %q, enqueued %q", id, lsn, got, want)
 			}
 		}
-		after += uint64(len(recs))
-		l.Retain("reader", after) // ack: truncation may now pass here
 	}
-	close(stop)
-	wg.Wait()
 }

@@ -168,6 +168,13 @@ func TestTornTailClassification(t *testing.T) {
 				t.Errorf("corruption at %d, want %d", scan.Corrupt.Offset, tc.corruptAt)
 			}
 
+			// The cursor must classify every shape as the whole-file walk
+			// does, wherever its chunk edges fall.
+			for _, chunk := range []int64{1, 5, 13, 64 << 10} {
+				setChunkSize(t, chunk)
+				matchOracle(t, dir, 0, 2)
+			}
+
 			// Replay must mirror the classification: torn tails replay
 			// silently up to the tear, corruption refuses the whole replay.
 			var got int
@@ -231,5 +238,9 @@ func TestTornBoundarySegmentPair(t *testing.T) {
 	}
 	if len(segs) != 2 || segs[0].Torn || !segs[1].Torn {
 		t.Fatalf("inspect = %+v, want tear only on the second segment", segs)
+	}
+	for _, chunk := range []int64{1, 5, 13, 64 << 10} {
+		setChunkSize(t, chunk)
+		matchOracle(t, dir, 0, 1, 2, 3)
 	}
 }

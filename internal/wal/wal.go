@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -178,6 +179,9 @@ type Log struct {
 	// each has durably applied; TruncateThrough never removes a segment
 	// holding records above the lowest of these floors (see ship.go).
 	retained map[string]uint64
+	// readBytes counts the bytes ReadFrom has pread from segment files,
+	// so a test can bound what one pull touches.
+	readBytes atomic.Int64
 
 	// Live segment, guarded by mu. data is the MAP_SHARED mapping of f;
 	// off is where the next record's frame begins.

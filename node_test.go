@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -348,5 +349,58 @@ func TestStartNodeRouterRoutes(t *testing.T) {
 	}
 	if st.Router != "router-1" || len(st.Shards) != 2 {
 		t.Fatalf("cluster status = %+v", st)
+	}
+}
+
+// TestStartNodeSurvivesTornLedger: the follower-ack ledger a power cut
+// left empty or garbage must not keep a healthy durable leader from
+// starting. StartNode discards it, counts it, and a replica attaches and
+// catches up as on a fresh leader.
+func TestStartNodeSurvivesTornLedger(t *testing.T) {
+	for name, content := range map[string]string{"empty": "", "garbage": "{\"followers\":\x00\xff"} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "replica_state.json"), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			obsv := sor.NewObserver()
+			leader, err := sor.StartNode(ctx, sor.Node{
+				Name:     "node-a",
+				Role:     sor.RoleLeader,
+				Listen:   "127.0.0.1:0",
+				Data:     dir,
+				Catalog:  nodeTestCatalog(),
+				Observer: obsv,
+			})
+			if err != nil {
+				t.Fatalf("StartNode over a %s ledger: %v", name, err)
+			}
+			defer func() { _ = leader.Close() }()
+			if got := obsv.Metrics().Counter("sor_replica_state_discarded_total").Value(); got != 1 {
+				t.Fatalf("sor_replica_state_discarded_total = %d, want 1", got)
+			}
+			if err := leader.Server().CreateApp(nodeTestApp("cafe-1", "cafe", 43.0)); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sor.StartNode(ctx, sor.Node{
+				Name:         "node-b",
+				Role:         sor.RoleReplica,
+				Listen:       "127.0.0.1:0",
+				Data:         t.TempDir(),
+				Leader:       "http://" + leader.Addr(),
+				PullInterval: 2 * time.Millisecond,
+				Catalog:      nodeTestCatalog(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = rep.Close() }()
+			want := leader.Server().DB().AppliedLSN()
+			waitFor(t, 5*time.Second, "replica catch-up", func() bool {
+				srv := rep.Server()
+				return srv != nil && srv.DB().AppliedLSN() >= want
+			})
+		})
 	}
 }
