@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race ckpt-race wal-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
+.PHONY: all build test test-short race ckpt-race wal-race recover-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
 
 all: build test
 
@@ -36,20 +36,29 @@ ckpt-race:
 wal-race:
 	$(GO) test -race -count=1 -run 'TestReadFromMatchesOracle|TestTornTailClassification|TestTornBoundarySegmentPair|TestReadAfterRacingAppendsAndTruncation' ./internal/wal/
 
+# Recovery under the race detector, against a never-restarted twin at
+# GOMAXPROCS 1, 2 and 8 (18 apps, seven sensors plus GPS bursts, reports
+# that cross a budget): feature rows bit for bit, ledgers, executed
+# instants and plans must match. Also the two ordering rules recovery
+# relies on: a short budget pays for a report's earliest instants, and
+# the same uploads log the same WAL bytes.
+recover-race:
+	$(GO) test -race -count=1 -run 'TestRecoveryMatchesNeverRestartedTwin|TestChargesTheEarliestInstantsOfAReport|TestSameUploadsLogTheSameRecords' ./internal/server/
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of every benchmark (catches bit-rot, including the
 # 200/2k/10k columnar scaling table) plus the hot-path gates — a
 # cached-hit rank query and a 30-member re-plan must stay O(1)
-# allocations, and the re-plan inside its gain-evaluation bound; a
-# caught-up follower's pull costs the same on a 64 MiB live segment as on
-# a 1 MiB one. -short
+# allocations, and the re-plan inside its gain-evaluation bound; recovery
+# decodes each stored upload once; a caught-up follower's pull costs the
+# same on a 64 MiB live segment as on a 1 MiB one. -short
 # skips only the ~4-minute 2 000-place monolithic-baseline solve; the
 # 200-place baseline point still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
-	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestFreshCycleAllocs' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestFreshCycleAllocs|TestRecoveryAllocsPerUpload' -v ./internal/server/
 	$(GO) test -count=1 -run 'TestReadAfterTailCost' -v ./internal/wal/
 
 # The end-to-end benchmark harness (BENCHMARK.json, bench/) is its own
@@ -163,6 +172,7 @@ ci: vet build test
 	$(GO) test -race -short ./...
 	$(MAKE) ckpt-race
 	$(MAKE) wal-race
+	$(MAKE) recover-race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-test
 	$(MAKE) fleet-rank

@@ -150,6 +150,7 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 		return 0
 	}
 	touched := make(map[string]bool)
+	var apps []string
 	for _, raw := range uploads {
 		// With tracing on, each upload that arrived under a RequestID gets
 		// a fold span carrying the same id the client minted — the final
@@ -159,11 +160,21 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 			span = d.obsv.StartSpanID(obs.RequestID(raw.RequestID), "processor.fold")
 			span.Annotate("app", raw.AppID)
 		}
-		d.foldUpload(raw, touched)
+		if up := d.decode(raw); up != nil {
+			d.appData(up.AppID).foldDecoded(up)
+			d.countFolded(1)
+			if !touched[up.AppID] {
+				touched[up.AppID] = true
+				apps = append(apps, up.AppID)
+			}
+		}
 		span.End()
 	}
 
-	for appID := range touched {
+	// Refresh in app-ID order, not the map's: each upsert is a WAL record,
+	// and the same fold must log the same bytes in the same order.
+	slices.Sort(apps)
+	for _, appID := range apps {
 		if ctx.Err() != nil {
 			break
 		}
@@ -175,22 +186,34 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 	return len(uploads)
 }
 
-// foldUpload decodes one raw blob and accumulates its samples.
-func (d *DataProcessor) foldUpload(raw store.RawUpload, touched map[string]bool) {
+// decode returns the upload one stored blob carries. A blob that does not
+// decode, is not a DataUpload, or names another app than the one it was
+// stored under is counted as a decode error and dropped, never retried.
+// Refusing the last case keeps every app's samples inside its own rows,
+// which is what lets recovery fold each app on its own worker.
+func (d *DataProcessor) decode(raw store.RawUpload) *wire.DataUpload {
 	msg, err := wire.Decode(raw.Body)
-	if err != nil {
-		d.decodeErrors.Add(1)
-		d.met.decodeErrs.Inc()
-		return
-	}
 	up, ok := msg.(*wire.DataUpload)
-	if !ok {
+	if err != nil || !ok || up.AppID != raw.AppID {
 		d.decodeErrors.Add(1)
 		d.met.decodeErrs.Inc()
-		return
+		return nil
 	}
-	ad := d.appData(up.AppID)
+	return up
+}
+
+// countFolded accounts for n uploads folded into accumulators.
+func (d *DataProcessor) countFolded(n int) {
+	d.processed.Add(int64(n))
+	d.met.processed.Add(int64(n))
+}
+
+// foldDecoded accumulates one decoded upload's samples into the app's
+// runs and bursts. The fold owns up from here on: its reading slices move
+// into the runs uncopied.
+func (ad *appData) foldDecoded(up *wire.DataUpload) {
 	ad.mu.Lock()
+	defer ad.mu.Unlock()
 	for _, series := range up.Series {
 		run := ad.scalar[series.Sensor]
 		if run == nil {
@@ -201,7 +224,7 @@ func (d *DataProcessor) foldUpload(raw store.RawUpload, touched map[string]bool)
 			run.samples = append(run.samples, feature.Sample{
 				At:       time.UnixMilli(smp.AtUnixMilli).UTC(),
 				Window:   time.Duration(smp.WindowMilli) * time.Millisecond,
-				Readings: append([]float64(nil), smp.Readings...),
+				Readings: smp.Readings,
 			})
 		}
 	}
@@ -214,10 +237,6 @@ func (d *DataProcessor) foldUpload(raw store.RawUpload, touched map[string]bool)
 		}
 		burst.Points = append(burst.Points, geo.Point{Lat: gp.Lat, Lon: gp.Lon, Alt: gp.Alt})
 	}
-	ad.mu.Unlock()
-	d.processed.Add(1)
-	d.met.processed.Inc()
-	touched[up.AppID] = true
 }
 
 // sensorFeature maps an upload series name to the feature it produces and
@@ -323,17 +342,35 @@ func (r *sampleRun) canonical() []feature.Sample {
 	return s
 }
 
+// featureValue is one extracted feature of one application.
+type featureValue struct {
+	feature string
+	value   float64
+	samples int
+}
+
 // refreshApp recomputes every feature for one application.
 func (d *DataProcessor) refreshApp(appID string) error {
+	app, values, err := d.extractApp(appID)
+	if err != nil {
+		return err
+	}
+	return d.upsertFeatures(app, values)
+}
+
+// extractApp computes every feature of one application from its folded
+// samples, in feature order. It writes nothing, so extractions of
+// different apps may run in parallel.
+func (d *DataProcessor) extractApp(appID string) (store.Application, []featureValue, error) {
 	app, err := d.db.App(appID)
 	if err != nil {
-		return fmt.Errorf("server: processing upload for unknown app %s: %w", appID, err)
+		return app, nil, fmt.Errorf("server: processing upload for unknown app %s: %w", appID, err)
 	}
 	d.mu.RLock()
 	ad := d.byApp[appID]
 	d.mu.RUnlock()
 	if ad == nil {
-		return nil
+		return app, nil, nil
 	}
 	pipelines := featurePipelines
 	if d.robust.Load() {
@@ -344,13 +381,8 @@ func (d *DataProcessor) refreshApp(appID string) error {
 	// the next refresh, and an extraction is one pass of adds over the run.
 	// Bursts are snapshotted instead — their points are never mutated after
 	// append — and the curvature estimate runs outside the lock.
-	type extracted struct {
-		feature string
-		value   float64
-		samples int
-	}
 	ad.mu.Lock()
-	values := make([]extracted, 0, len(ad.scalar)+1)
+	values := make([]featureValue, 0, len(ad.scalar)+1)
 	for sensor, run := range ad.scalar {
 		pipeline, ok := pipelines[sensor]
 		if !ok || len(run.samples) == 0 {
@@ -360,7 +392,7 @@ func (d *DataProcessor) refreshApp(appID string) error {
 		if err != nil {
 			continue
 		}
-		values = append(values, extracted{pipeline.feature, value, len(run.samples)})
+		values = append(values, featureValue{pipeline.feature, value, len(run.samples)})
 	}
 	type keyedBurst struct {
 		key burstKey
@@ -389,13 +421,18 @@ func (d *DataProcessor) refreshApp(appID string) error {
 			track[i] = kb.gs
 		}
 		if curv, err := feature.BurstCurvature(track); err == nil {
-			values = append(values, extracted{"curvature", curv, len(track)})
+			values = append(values, featureValue{"curvature", curv, len(track)})
 		}
 	}
-	// Upsert in feature order, not the sensor map's: each upsert is a WAL
-	// record, and a replayed experiment must log the same bytes in the
-	// same order.
-	slices.SortFunc(values, func(a, b extracted) int { return cmp.Compare(a.feature, b.feature) })
+	// Feature order, not the sensor map's: each upsert is a WAL record, and
+	// a replayed experiment must log the same bytes in the same order.
+	slices.SortFunc(values, func(a, b featureValue) int { return cmp.Compare(a.feature, b.feature) })
+	return app, values, nil
+}
+
+// upsertFeatures writes one application's extracted features, stamped
+// with one clock reading. Each row is a WAL record on durable stores.
+func (d *DataProcessor) upsertFeatures(app store.Application, values []featureValue) error {
 	now := d.now().UTC()
 	for _, v := range values {
 		if err := d.db.UpsertFeature(store.FeatureRow{

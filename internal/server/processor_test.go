@@ -149,3 +149,71 @@ func TestFoldOrderIsStableSortOfArrival(t *testing.T) {
 		}
 	}
 }
+
+// TestSameUploadsLogTheSameRecords: two durable servers fed the same
+// uploads hold byte-identical WAL record streams after Process. A fold
+// refreshes the apps it touched in app-ID order, not map order, and a
+// batch spanning apps logs one ingest record per app in the order the
+// batch first names them.
+func TestSameUploadsLogTheSameRecords(t *testing.T) {
+	const apps = 8
+	logOf := func() [][]byte {
+		clock := &virtualClock{now: t0}
+		backend := store.NewDurableBackend(t.TempDir(), store.WithSnapshotInterval(time.Hour))
+		s, err := New(Config{Storage: backend, Now: clock.Now, Catalog: DefaultCatalog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Open(); err != nil {
+			t.Fatal(err)
+		}
+		defer s.Kill()
+		h := s.Handler()
+		send := func(m wire.Message) {
+			t.Helper()
+			resp, err := h(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ack := resp.(*wire.Ack); ack.Code != 200 {
+				t.Fatalf("%T answered %+v", m, ack)
+			}
+		}
+		user := func(i int) string { return fmt.Sprintf("log-user-%d", i) }
+		tasks := make([]string, apps)
+		for i := range tasks {
+			if err := s.CreateApp(concApp(i)); err != nil {
+				t.Fatal(err)
+			}
+			tasks[i] = concJoin(t, s, i, user(i))
+		}
+		batch := &wire.DataUploadBatch{}
+		for i := range tasks {
+			send(concReport(tasks[i], concApp(i).ID, user(i), t0))
+			up := reportWithReadings(tasks[i], concApp(i).ID, user(i), t0.Add(time.Minute), float64(i))
+			up.ReportID = fmt.Sprintf("log-%d", i)
+			batch.Uploads = append([]wire.DataUpload{*up}, batch.Uploads...)
+		}
+		send(batch)
+		if n := s.Processor().Process(); n != 2*apps {
+			t.Fatalf("folded %d uploads, want %d", n, 2*apps)
+		}
+		records, err := backend.WAL().ReadAfter(0, 1<<20, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	want := logOf()
+	for run := 1; run < 4; run++ {
+		got := logOf()
+		for i := range min(len(got), len(want)) {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("run %d: WAL record %d of %d differs from the first run's", run, i+1, len(got))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d logged %d records, the first run %d", run, len(got), len(want))
+		}
+	}
+}

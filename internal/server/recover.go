@@ -3,13 +3,16 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sor/internal/schedule"
 	"sor/internal/store"
-	"sor/internal/wire"
 )
 
 // Open recovers the store from the configured storage backend and
@@ -25,14 +28,18 @@ func (s *Server) Open() error {
 	if s.db != nil {
 		return errors.New("server: already open")
 	}
+	t0 := time.Now()
 	db, err := s.storage.Open()
 	if err != nil {
 		return err
 	}
+	s.met.recoverMs[stageStoreOpen].Observe(millis(time.Since(t0)))
 	s.db = db
 	s.processor.db = db
 	return s.recoverState()
 }
+
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Close shuts the storage backend down (final checkpoint, clean WAL
 // close). No-op for servers constructed with Config.DB.
@@ -55,7 +62,16 @@ func (s *Server) Kill() {
 // Apps without a persisted anchor (data from before anchors existed)
 // keep the legacy behavior: schedule rows still serve reads, and a new
 // timeline is anchored at the next participation.
+//
+// Memberships are restored serially (orphaning a waiting task is a store
+// write). The stored upload history is then drained once and split by
+// app, and each app is one job on runtime.GOMAXPROCS(0) workers: its one
+// replan, then each of its uploads in sequence order decoded once,
+// charged and folded, then its feature extraction. Only the feature
+// upserts — WAL records — run serially, in app-ID order, so recovery logs
+// the same bytes however the workers interleave.
 func (s *Server) recoverState() error {
+	t0 := time.Now()
 	for _, ar := range s.db.Anchors() {
 		app, err := s.db.App(ar.AppID)
 		if err != nil {
@@ -66,11 +82,13 @@ func (s *Server) recoverState() error {
 		}
 	}
 	var maxTask int64
+	// replanAt holds, per app with a restored membership, its last join or
+	// leave — the latest of its rows' events, since task-ID order is not
+	// event order: one replan as of it, over everybody restored, is the
+	// plan the live run's last replan made.
+	replanAt := make(map[string]time.Time)
 	for _, app := range s.db.Apps() {
 		st := s.states.get(app.ID)
-		// lastEvent is the join or leave of the last row restored: one
-		// replan as of it, over everybody restored, is the plan a replan
-		// per row would end on.
 		var lastEvent time.Time
 		restored := false
 		for _, p := range s.db.ParticipationsByApp(app.ID) {
@@ -104,47 +122,175 @@ func (s *Server) recoverState() error {
 				return fmt.Errorf("server: rejoining %s: %w", p.TaskID, err)
 			}
 			restored = true
+			event := p.Joined
 			if finished {
-				lastEvent = p.Left
+				event = p.Left
+			}
+			if event.After(lastEvent) {
+				lastEvent = event
+			}
+			if finished {
 				continue
 			}
-			lastEvent = p.Joined
 			st.mu.Lock()
 			st.taskOf[p.UserID] = p.TaskID
 			st.tokenOf[p.UserID] = p.Token
 			st.mu.Unlock()
 		}
 		if restored {
-			if _, err := st.online.Replan(lastEvent); err != nil {
-				return fmt.Errorf("server: replanning %s: %w", app.ID, err)
-			}
+			replanAt[app.ID] = lastEvent
 		}
 	}
 	// Never reissue a task ID that is already in the store.
 	if cur := s.taskSeq.Load(); maxTask > cur {
 		s.taskSeq.Store(maxTask)
 	}
-	// Charge replay: walking the uploads in global sequence order repeats
-	// the original budget accounting exactly — RecordExecutions is
-	// idempotent per (user, instant) and caps at the budget in order.
-	for _, up := range s.db.AllUploads() {
-		m, err := wire.Decode(up.Body)
-		if err != nil {
-			continue // the processor counts decode failures; skip here
+	var spent [numRecoverStages]time.Duration
+	spent[stageReplan] = time.Since(t0)
+
+	t1 := time.Now()
+	history := s.db.DrainHistory()
+	jobs := recoveryJobs(history, replanAt)
+	s.met.recoveredUploads.Add(int64(len(history)))
+	spent[stageRefold] = time.Since(t1)
+
+	s.runRecoveryJobs(jobs)
+	for i := range jobs {
+		if err := jobs[i].err; err != nil {
+			return err
 		}
-		du, ok := m.(*wire.DataUpload)
-		if !ok {
-			continue
-		}
-		if st := s.states.get(du.AppID); st != nil {
-			_, _ = st.online.RecordExecutions(du.UserID, uploadInstants(st.timeline, du))
+		for stage, d := range jobs[i].spent {
+			spent[stage] += d
 		}
 	}
-	// Refold the feature matrix from the full upload history (the
-	// processor's accumulators died with the old process).
-	s.db.RequeueUploads()
-	s.processor.Process()
+
+	t2 := time.Now()
+	p := s.processor
+	for i := range jobs {
+		j := &jobs[i]
+		if j.folded == 0 {
+			continue
+		}
+		p.met.refreshes.Inc()
+		// Refresh failures for one app must not block the others.
+		if j.extractErr == nil {
+			_ = p.upsertFeatures(j.app, j.values)
+		}
+	}
+	spent[stageUpsert] = time.Since(t2)
+	for stage := stageReplan; stage < numRecoverStages; stage++ {
+		s.met.recoverMs[stage].Observe(millis(spent[stage]))
+	}
 	return nil
+}
+
+// recoveryJob is one application's share of recovery: the replan its
+// restored membership needs and its stored uploads in sequence order,
+// then what its worker extracted for the serial upsert.
+type recoveryJob struct {
+	appID    string
+	replan   bool
+	replanAt time.Time
+	rows     []store.RawUpload
+
+	err        error // the replan's; fails the recovery
+	folded     int
+	app        store.Application
+	values     []featureValue
+	extractErr error
+	spent      [numRecoverStages]time.Duration // worker time per stage
+}
+
+// recoveryJobs splits the drained history by app, keeping sequence order
+// within each app (charges cap at the budget in that order), and adds the
+// apps that need only their replan. Jobs come back in app-ID order.
+func recoveryJobs(history []store.RawUpload, replanAt map[string]time.Time) []recoveryJob {
+	var jobs []recoveryJob
+	index := make(map[string]int, len(replanAt))
+	// job returns appID's job, valid until the next call adds one.
+	job := func(appID string) *recoveryJob {
+		i, ok := index[appID]
+		if !ok {
+			i = len(jobs)
+			index[appID] = i
+			jobs = append(jobs, recoveryJob{appID: appID})
+		}
+		return &jobs[i]
+	}
+	for appID, at := range replanAt {
+		j := job(appID)
+		j.replan, j.replanAt = true, at
+	}
+	for _, row := range history {
+		j := job(row.AppID)
+		j.rows = append(j.rows, row)
+	}
+	slices.SortFunc(jobs, func(a, b recoveryJob) int { return strings.Compare(a.appID, b.appID) })
+	return jobs
+}
+
+// runRecoveryJobs runs every job on runtime.GOMAXPROCS(0) workers, each
+// taking the next unclaimed job until none is left.
+func (s *Server) runRecoveryJobs(jobs []recoveryJob) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var instants []int
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				instants = s.recoverApp(&jobs[i], instants)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// recoverApp runs one app's job. Apps share no scheduler or accumulator
+// state, so jobs for different apps run in parallel; within the app
+// everything happens in the order the live run did it — the replan as of
+// the last membership event, then each upload's charge and fold in
+// sequence order. It returns the instants buffer for the worker's next job.
+func (s *Server) recoverApp(j *recoveryJob, instants []int) []int {
+	st := s.states.get(j.appID)
+	t0 := time.Now()
+	if j.replan {
+		if _, err := st.online.Replan(j.replanAt); err != nil {
+			j.err = fmt.Errorf("server: replanning %s: %w", j.appID, err)
+			return instants
+		}
+	}
+	t1 := time.Now()
+	p := s.processor
+	var ad *appData
+	for _, raw := range j.rows {
+		up := p.decode(raw)
+		if up == nil {
+			continue
+		}
+		// Charge replay: RecordExecutions is idempotent per (user,
+		// instant) and caps at the budget in order, so replaying the app's
+		// uploads in sequence order repeats the live accounting exactly.
+		if st != nil {
+			instants = uploadInstants(instants, st.timeline, up)
+			_, _ = st.online.RecordExecutions(up.UserID, instants)
+		}
+		if ad == nil {
+			ad = p.appData(j.appID)
+		}
+		ad.foldDecoded(up)
+		j.folded++
+	}
+	p.countFolded(j.folded)
+	t2 := time.Now()
+	if j.folded > 0 {
+		j.app, j.values, j.extractErr = p.extractApp(j.appID)
+	}
+	j.spent[stageReplan] = t1.Sub(t0)
+	j.spent[stageRefold] = t2.Sub(t1)
+	j.spent[stageExtract] = time.Since(t2)
+	return instants
 }
 
 // taskNumber extracts the counter from a "task-N" ID; 0 if it is not one.

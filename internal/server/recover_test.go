@@ -2,12 +2,15 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sor/internal/obs"
 	"sor/internal/store"
 	"sor/internal/wire"
 	"sor/internal/world"
@@ -218,15 +221,29 @@ func (c *tickingClock) set(t time.Time) {
 // TestRecoveryMatchesNeverRestartedTwin drives joins, leaves and uploads
 // into a durable server and an in-memory twin on equal clocks, kills and
 // reopens the durable one, and requires it to stand where the twin
-// stands: same plans, ledgers and executed instants, and the same
-// schedule handed to the next phone. Recovery gets there with one replan
-// per app, whatever the number of participations stored.
+// stands: feature rows equal bit for bit, the same ledgers, executed
+// instants and plans, and the same schedule handed to the next phone.
+// Recovery gets there with one replan per app, whatever the number of
+// participations stored, and at every worker count: the test runs at
+// GOMAXPROCS 1, 2 and 8 (`make recover-race` runs it under -race).
 func TestRecoveryMatchesNeverRestartedTwin(t *testing.T) {
-	apps := []string{"app-sb", "app-sb2"}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			recoveryMatchesTwin(t)
+		})
+	}
+}
+
+// twinApps is how many apps the twin test spreads over — more than any
+// worker count it runs at. The last one never gets a member.
+const twinApps = 18
+
+func recoveryMatchesTwin(t *testing.T) {
 	newClock := func() *tickingClock { return &tickingClock{now: t0, tick: 7 * time.Second} }
-	open := func(storage store.Backend, db *store.Store, clock *tickingClock) *Server {
+	open := func(storage store.Backend, db *store.Store, clock *tickingClock, o *obs.Observer) *Server {
 		t.Helper()
-		s, err := New(Config{Storage: storage, DB: db, Now: clock.Now, Catalog: DefaultCatalog()})
+		s, err := New(Config{Storage: storage, DB: db, Now: clock.Now, Catalog: DefaultCatalog(), Observer: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +256,8 @@ func TestRecoveryMatchesNeverRestartedTwin(t *testing.T) {
 	}
 	dir := t.TempDir()
 	clock, twinClock := newClock(), newClock()
-	durable := open(store.NewDurableBackend(dir), nil, clock)
-	twin := open(nil, store.New(), twinClock)
+	durable := open(store.NewDurableBackend(dir), nil, clock, nil)
+	twin := open(nil, store.New(), twinClock, nil)
 
 	send := func(s *Server, m wire.Message) *wire.Ack {
 		t.Helper()
@@ -275,55 +292,130 @@ func TestRecoveryMatchesNeverRestartedTwin(t *testing.T) {
 		}
 		return scheds[0]
 	}
-	join := func(app, user string, budget int) *wire.Schedule {
-		return both(&wire.Participate{UserID: user, Token: "tok-" + user, AppID: app,
-			Loc: wire.Location{Lat: 43.0413, Lon: -76.1350}, Budget: budget})
+	user := func(app, k int) string { return fmt.Sprintf("u%d-%d", app, k) }
+	task := make(map[string]string) // user -> task ID
+	join := func(app, k, budget int) *wire.Schedule {
+		a := concApp(app)
+		sched := both(&wire.Participate{UserID: user(app, k), Token: "tok-" + user(app, k), AppID: a.ID,
+			Loc: wire.Location{Lat: a.Lat, Lon: a.Lon}, Budget: budget})
+		task[user(app, k)] = sched.TaskID
+		return sched
 	}
-	upload := func(sched *wire.Schedule, nth int) {
-		both(&wire.DataUpload{
-			TaskID: sched.TaskID, AppID: sched.AppID, UserID: sched.UserID,
-			ReportID: fmt.Sprintf("%s/%d", sched.TaskID, nth),
-			Series: []wire.SensorSeries{{Sensor: "temperature", Samples: []wire.SensorSample{
-				{AtUnixMilli: sched.AtUnix[nth] * 1000, WindowMilli: 5000, Readings: []float64{72.5}},
-			}}},
-		})
-	}
+	leave := func(app, k int) { both(&wire.Leave{UserID: user(app, k), AppID: concApp(app).ID}) }
 
-	for _, id := range apps {
-		app := starbucksApp()
-		app.ID = id
+	for i := 0; i < twinApps; i++ {
 		for _, s := range []*Server{durable, twin} {
-			if err := s.CreateApp(app); err != nil {
+			if err := s.CreateApp(concApp(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	join("app-sb", "alice", 6)
-	join("app-sb", "bob", 4)
-	carol := join("app-sb2", "carol", 5)
-	both(&wire.Leave{UserID: "alice", AppID: "app-sb"})
-	join("app-sb", "dave", 3)
-	join("app-sb2", "erin", 2)
-	// The last event of app-sb2 is a leave: recovery replans it as of the
-	// stored departure, which has to be the instant the live replan used.
-	both(&wire.Leave{UserID: "erin", AppID: "app-sb2"})
-	// Uploads come after the last replan of either app, so no plan on
-	// either side has prior coverage in it yet.
-	bob, err := durable.scheduleFor(starbucksApp(), durable.states.get("app-sb"), "bob")
-	if err != nil {
-		t.Fatal(err)
+	// Memberships: user 0 has a budget of 2, which its first report's three
+	// instants cross. Some apps end on a leave, so recovery replans them as
+	// of the stored departure, which has to be the instant the live replan
+	// used.
+	members := make([][]int, twinApps)
+	for i := 0; i < twinApps-1; i++ {
+		join(i, 0, 2)
+		join(i, 1, 3+i%3)
+		join(i, 2, 4)
+		members[i] = []int{0, 1, 2}
+		if i%2 == 0 {
+			leave(i, 1)
+		}
+		if i%3 == 0 {
+			join(i, 3, 2)
+			members[i] = append(members[i], 3)
+		}
+		if i%5 == 0 {
+			leave(i, 0)
+		}
 	}
-	upload(bob, 0)
-	upload(bob, 1)
-	upload(carol, 0)
+
+	// Uploads come after every app's last replan, so no plan on either
+	// side has prior coverage in it yet. Each member sends two reports:
+	// three scalar sensors at three instants, latest first, then four more
+	// sensors and two GPS bursts.
+	base := twinClock.peek()
+	at := func(sec int) int64 { return base.Add(time.Duration(sec) * time.Second).UnixMilli() }
+	reports := func(app, k int) []*wire.DataUpload {
+		a, u := concApp(app), user(app, k)
+		v := func(m int) float64 { return math.Sqrt(float64(2 + 7*app + 3*k + m)) }
+		start := 60 * (k + 1)
+		scalar := func(sec int, readings ...float64) []wire.SensorSample {
+			return []wire.SensorSample{{AtUnixMilli: at(sec), WindowMilli: 5000, Readings: readings}}
+		}
+		burst := func(sec, points int) []wire.GeoPoint {
+			out := make([]wire.GeoPoint, points)
+			for j := range out {
+				out[j] = wire.GeoPoint{AtUnixMilli: at(sec), Lat: a.Lat + 1e-4*float64(j),
+					Lon: a.Lon + 1e-4*float64(j*j%3), Alt: v(j)}
+			}
+			return out
+		}
+		first := &wire.DataUpload{TaskID: task[u], AppID: a.ID, UserID: u, ReportID: task[u] + "/1",
+			Series: []wire.SensorSeries{
+				{Sensor: "temperature", Samples: append(append(scalar(start+40, 20+v(0), 21+v(1)),
+					scalar(start+20, 22+v(2))...), scalar(start, 19+v(3))...)},
+				{Sensor: "light", Samples: scalar(start+20, 300*v(4))},
+				{Sensor: "microphone", Samples: scalar(start, v(5), -v(6), v(7))},
+			}}
+		second := &wire.DataUpload{TaskID: task[u], AppID: a.ID, UserID: u, ReportID: task[u] + "/2",
+			Series: []wire.SensorSeries{
+				{Sensor: "accelerometer", Samples: scalar(start+600, v(8), v(9)/2, v(10)/3)},
+				{Sensor: "barometer", Samples: scalar(start+600, 1000+v(11), 1000-v(12))},
+				{Sensor: "humidity", Samples: scalar(start+610, 40+v(13))},
+				{Sensor: "wifi", Samples: scalar(start+610, -60-v(14))},
+			},
+			Track: append(burst(start+600, 4), burst(start+900, 3)...)}
+		return []*wire.DataUpload{first, second}
+	}
+	// Apps i%3 == 0 send single reports; the other two of each triple share
+	// one batch. Half the history is folded before the crash (archived
+	// rows), the rest is still pending when it comes.
+	var batch []wire.DataUpload
+	for i := 0; i < twinApps-1; i++ {
+		for _, k := range members[i] {
+			for _, up := range reports(i, k) {
+				if i%3 == 0 {
+					both(up)
+					continue
+				}
+				batch = append(batch, *up)
+			}
+		}
+		if i%3 == 2 || i == twinApps-2 {
+			both(&wire.DataUploadBatch{Uploads: batch})
+			batch = nil
+		}
+		if i == twinApps/2 {
+			durable.Processor().Process()
+			twin.Processor().Process()
+		}
+	}
+	both(reports(0, 0)[0]) // a retransmission: acked, stored and charged once
+	for _, s := range []*Server{durable, twin} {
+		if _, err := s.DB().Ingest(concApp(4).ID, [][]byte{[]byte("not a report")}, store.IngestOptions{Received: base}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin.Processor().Process()
 
 	durable.Kill()
 	clock = newClock()
-	durable = open(store.NewDurableBackend(dir), nil, clock)
+	o := obs.NewObserver()
+	durable = open(store.NewDurableBackend(dir), nil, clock, o)
 	defer durable.Close()
 	clock.set(twinClock.peek()) // recovery may have read the clock
 
-	for _, id := range apps {
+	for i := 0; i < twinApps; i++ {
+		id := concApp(i).ID
+		if i == twinApps-1 {
+			if durable.states.get(id) != nil || twin.states.get(id) != nil {
+				t.Fatalf("%s: an app nobody joined has scheduling state", id)
+			}
+			continue
+		}
 		if got := durable.states.get(id).online.Replans(); got != 1 {
 			t.Fatalf("%s: recovery ran %d replans, want 1", id, got)
 		}
@@ -341,14 +433,146 @@ func TestRecoveryMatchesNeverRestartedTwin(t *testing.T) {
 		if got, want := durable.BudgetLedger(id), twin.BudgetLedger(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: ledger after recovery %+v, want %+v", id, got, want)
 		}
+		if got := durable.BudgetLedger(id)[user(i, 0)].Consumed; got != 2 {
+			t.Fatalf("%s: user 0 consumed %d of a budget of 2", id, got)
+		}
 		if got, want := durable.ExecutedInstants(id), twin.ExecutedInstants(id); !reflect.DeepEqual(got, want) || len(got) == 0 {
 			t.Fatalf("%s: executed after recovery %v, want %v", id, got, want)
 		}
 	}
-	// The next phone's plan is built on the recovered ledger and prior
-	// coverage; both compares the two schedules.
-	if frank := join("app-sb", "frank", 5); len(frank.AtUnix) == 0 {
-		t.Fatalf("frank got an empty schedule: %+v", frank)
+	got, want := durable.DB().FeaturesByCategory(world.CategoryCoffee), twin.DB().FeaturesByCategory(world.CategoryCoffee)
+	if len(got) != len(want) || len(got) != 8*(twinApps-1) {
+		t.Fatalf("%d feature rows after recovery, twin has %d, want %d", len(got), len(want), 8*(twinApps-1))
 	}
-	join("app-sb2", "grace", 4)
+	for k := range got {
+		g, w := got[k], want[k]
+		if g.Place != w.Place || g.Feature != w.Feature || g.Samples != w.Samples ||
+			math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			t.Fatalf("feature row %d after recovery %+v, twin %+v", k, g, w)
+		}
+	}
+	stored := durable.DB().UploadCount()
+	if processed, decodeErrors := durable.Processor().Stats(); processed != stored-1 || decodeErrors != 1 {
+		t.Fatalf("recovery folded %d of %d stored uploads with %d decode errors, want all but the corrupt one",
+			processed, stored, decodeErrors)
+	}
+	snap := o.Metrics().Snapshot()
+	if n := snap.Counters["sor_server_recovered_uploads_total"]; n != int64(stored) {
+		t.Fatalf("sor_server_recovered_uploads_total = %d, store holds %d", n, stored)
+	}
+	for _, stage := range recoverStageNames {
+		if h := snap.Histograms[`sor_server_recover_ms{stage="`+stage+`"}`]; h.Count != 1 {
+			t.Fatalf("stage %s observed %d times in one recovery", stage, h.Count)
+		}
+	}
+
+	// The next phones' plans are built on the recovered ledgers and prior
+	// coverage; both compares the two schedules.
+	for _, i := range []int{0, 7, twinApps - 2} {
+		if sched := join(i, 9, 5); len(sched.AtUnix) == 0 {
+			t.Fatalf("app %d: a new member got an empty schedule: %+v", i, sched)
+		}
+	}
+}
+
+// TestChargesTheEarliestInstantsOfAReport: a report with more distinct
+// instants than the user has budget left charges the earliest ones, the
+// same ones on every run and again after a kill→reopen, however the
+// report lists them.
+func TestChargesTheEarliestInstantsOfAReport(t *testing.T) {
+	for run := 0; run < 8; run++ {
+		dir := t.TempDir()
+		clock := &virtualClock{now: t0}
+		s := openDurable(t, dir, clock)
+		if err := s.CreateApp(starbucksApp()); err != nil {
+			t.Fatal(err)
+		}
+		sched := participate(t, s, "alice", "tok-a", 2)
+		times := []time.Time{t0.Add(30 * time.Minute), t0.Add(10 * time.Minute), t0.Add(20 * time.Minute)}
+		up := &wire.DataUpload{TaskID: sched.TaskID, AppID: "app-sb", UserID: "alice", ReportID: "r1",
+			Series: []wire.SensorSeries{{Sensor: "temperature", Samples: []wire.SensorSample{
+				{AtUnixMilli: times[0].UnixMilli(), WindowMilli: 5000, Readings: []float64{70}},
+				{AtUnixMilli: times[1].UnixMilli(), WindowMilli: 5000, Readings: []float64{71}},
+			}}},
+			Track: []wire.GeoPoint{{AtUnixMilli: times[2].UnixMilli(), Lat: 43.0413, Lon: -76.1350}},
+		}
+		if ack, err := s.Handler()(nil, up); err != nil || !ack.(*wire.Ack).OK {
+			t.Fatalf("upload: %+v, %v", ack, err)
+		}
+		tl := s.states.get("app-sb").timeline
+		want := []int{tl.Index(times[1]), tl.Index(times[2])}
+		if got := s.ExecutedInstants("app-sb"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: charged instants %v, want the two earliest %v", run, got, want)
+		}
+		s.Kill()
+		s = openDurable(t, dir, clock)
+		if got := s.ExecutedInstants("app-sb"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: after kill→reopen charged instants %v, want %v", run, got, want)
+		}
+		s.Kill()
+	}
+}
+
+// BenchmarkRecover times one kill→reopen of a durable server holding 64
+// apps' upload history — 8 000 reports, 512 under -short, from one member
+// per app with a budget of 17: the store's open (snapshot plus WAL tail)
+// and recoverState, what the end-to-end harness's recover_s measures on
+// `ingest` from outside.
+func BenchmarkRecover(b *testing.B) {
+	apps, perApp := 64, 125
+	if testing.Short() {
+		perApp = 8
+	}
+	dir := b.TempDir()
+	clock := &virtualClock{now: t0}
+	open := func() *Server {
+		s, err := New(Config{Storage: store.NewDurableBackend(dir), Now: clock.Now, Catalog: DefaultCatalog()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Open(); err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	h := s.Handler()
+	tasks := make([]string, apps)
+	user := func(i int) string { return fmt.Sprintf("bench-user-%d", i) }
+	for i := range tasks {
+		if err := s.CreateApp(concApp(i)); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := h(nil, &wire.Participate{UserID: user(i), Token: "tok-" + user(i), AppID: concApp(i).ID,
+			Loc: wire.Location{Lat: concApp(i).Lat, Lon: concApp(i).Lon}, Budget: 17})
+		if err != nil {
+			b.Fatal(err)
+		}
+		inner, err := wire.Decode(resp.(*wire.Ack).Payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks[i] = inner.(*wire.Schedule).TaskID
+	}
+	for k := 0; k < perApp; k++ {
+		batch := &wire.DataUploadBatch{}
+		for i := range tasks {
+			up := concReport(tasks[i], concApp(i).ID, user(i), t0.Add(time.Duration(k)*10*time.Second))
+			up.ReportID = fmt.Sprintf("bench-%d-%d", i, k)
+			batch.Uploads = append(batch.Uploads, *up)
+		}
+		if _, err := h(nil, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Kill()
+		s = open()
+	}
+	b.StopTimer()
+	if got := s.DB().UploadCount(); got != apps*perApp {
+		b.Fatalf("reopened store holds %d uploads, want %d", got, apps*perApp)
+	}
+	s.Kill()
 }

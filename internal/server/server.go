@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,23 @@ type serverMetrics struct {
 	rankCacheHits         *obs.Counter
 	rankCacheMisses       *obs.Counter
 	rankWarmBlocks        *obs.Counter // aggregation blocks served from a certified warm-start hint
+
+	recoverMs        [numRecoverStages]*obs.Histogram // one observation per stage per recovery
+	recoveredUploads *obs.Counter                     // stored uploads a recovery replayed
 }
+
+// Recovery stages, as the stage label of sor_server_recover_ms names them
+// (recover.go says what each one covers).
+const (
+	stageStoreOpen = iota
+	stageReplan
+	stageRefold
+	stageExtract
+	stageUpsert
+	numRecoverStages
+)
+
+var recoverStageNames = [numRecoverStages]string{"store_open", "replan", "refold", "extract", "upsert"}
 
 // handlerLatencySampleShift makes the handler latency histogram time one
 // request in every 8, per type. The sampling decision rides the per-type
@@ -164,6 +181,10 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		rankCacheHits:         reg.Counter("sor_rank_cache_hits_total"),
 		rankCacheMisses:       reg.Counter("sor_rank_cache_misses_total"),
 		rankWarmBlocks:        reg.Counter("sor_rank_warm_blocks_total"),
+		recoveredUploads:      reg.Counter("sor_server_recovered_uploads_total"),
+	}
+	for stage, name := range recoverStageNames {
+		m.recoverMs[stage] = reg.LatencyHistogram("sor_server_recover_ms", obs.L("stage", name))
 	}
 	for _, t := range requestTypes {
 		m.requests[byte(t)&0xf] = reg.Counter("sor_server_requests_total", obs.L("type", t.String()))
@@ -591,35 +612,39 @@ func (s *Server) handleDataUpload(ctx context.Context, msg *wire.DataUpload) (wi
 	// unit of the user's budget.
 	if st := s.states.get(msg.AppID); st != nil {
 		// Exhausted budgets are refused quietly; the data is kept.
-		_, _ = st.online.RecordExecutions(msg.UserID, uploadInstants(st.timeline, msg))
+		_, _ = st.online.RecordExecutions(msg.UserID, uploadInstants(nil, st.timeline, msg))
 	}
 	return &wire.Ack{OK: true, Code: 200, Message: "stored"}, nil
 }
 
-// uploadInstants collapses a report's measurement timestamps onto distinct
-// timeline instants (each distinct instant consumes one unit of budget).
-func uploadInstants(tl *coverage.Timeline, msg *wire.DataUpload) []int {
-	seen := make(map[int]bool)
+// uploadInstants collapses a report's measurement timestamps onto its
+// distinct timeline instants, ascending, reusing buf's storage. Each
+// distinct instant consumes one unit of budget and RecordExecutions stops
+// at the budget, so the order decides which instants a short budget pays
+// for: the earliest, in the live run and in its recovery alike.
+func uploadInstants(buf []int, tl *coverage.Timeline, msg *wire.DataUpload) []int {
+	n := len(msg.Track)
+	for _, series := range msg.Series {
+		n += len(series.Samples)
+	}
+	instants := slices.Grow(buf[:0], n)
 	for _, series := range msg.Series {
 		for _, smp := range series.Samples {
-			seen[tl.Index(time.UnixMilli(smp.AtUnixMilli).UTC())] = true
+			instants = append(instants, tl.Index(time.UnixMilli(smp.AtUnixMilli).UTC()))
 		}
 	}
 	for _, gp := range msg.Track {
-		seen[tl.Index(time.UnixMilli(gp.AtUnixMilli).UTC())] = true
+		instants = append(instants, tl.Index(time.UnixMilli(gp.AtUnixMilli).UTC()))
 	}
-	instants := make([]int, 0, len(seen))
-	for instant := range seen {
-		instants = append(instants, instant)
-	}
-	return instants
+	slices.Sort(instants)
+	return slices.Compact(instants)
 }
 
 // HandleReportBatch is the coalesced ingest path: it lands a burst of
 // reports with per-app amortization — one participation check per distinct
-// task, one upload-bucket lock acquisition per app, one scheduler-lock
-// acquisition per (user, app) for budget accounting. Reports for different
-// apps inside one batch still land in their own shards, so two batches for
+// task, one upload-bucket lock acquisition and one WAL record per app, apps
+// in the order the batch first names them. Reports for different apps
+// inside one batch still land in their own shards, so two batches for
 // different apps never contend. Individual bad reports are skipped, not
 // fatal: the Ack reports accepted/total (Code 200 all accepted, 207
 // partial, 400 none).
@@ -635,10 +660,17 @@ func (s *Server) HandleReportBatch(ctx context.Context, msg *wire.DataUploadBatc
 	}
 	requestID := string(obs.RequestIDFrom(ctx))
 	now := s.now()
-	// Group report indices per app, preserving arrival order within an app.
+	// Group report indices per app, preserving arrival order within an app;
+	// apps keeps the groups in first-named order, so the same batch always
+	// logs the same records in the same order.
 	byApp := make(map[string][]int)
+	var apps []string
 	for i := range msg.Uploads {
-		byApp[msg.Uploads[i].AppID] = append(byApp[msg.Uploads[i].AppID], i)
+		appID := msg.Uploads[i].AppID
+		if _, ok := byApp[appID]; !ok {
+			apps = append(apps, appID)
+		}
+		byApp[appID] = append(byApp[appID], i)
 	}
 	// Ingest counters accumulate locally and flush once per batch: a
 	// 4096-report burst pays three atomic adds, not thousands. The defer
@@ -651,7 +683,8 @@ func (s *Server) HandleReportBatch(ctx context.Context, msg *wire.DataUploadBatc
 	}()
 	accepted := 0
 	taskOK := make(map[string]bool, len(msg.Uploads))
-	for appID, idxs := range byApp {
+	for _, appID := range apps {
+		idxs := byApp[appID]
 		st := s.states.get(appID)
 		bodies := make([][]byte, 0, len(idxs))
 		ids := make([]string, 0, len(idxs))
@@ -689,9 +722,11 @@ func (s *Server) HandleReportBatch(ctx context.Context, msg *wire.DataUploadBatc
 		if err != nil {
 			return nil, err
 		}
-		// instantsOf accumulates budget instants per user across the
-		// app's reports so the scheduler lock is taken once per user.
-		instantsOf := make(map[string][]int)
+		if res.Stored > 0 {
+			s.markDirty(appID)
+		}
+		s.met.ingestAccepted.Add(int64(res.Stored))
+		var instants []int
 		for k, up := range ups {
 			accepted++
 			// Replays (lost-ack retransmissions) count as accepted — the
@@ -704,16 +739,12 @@ func (s *Server) HandleReportBatch(ctx context.Context, msg *wire.DataUploadBatc
 				continue
 			}
 			if st != nil {
-				instantsOf[up.UserID] = append(instantsOf[up.UserID], uploadInstants(st.timeline, up)...)
+				// Charged report by report, in sequence order — the order
+				// recovery replays them in. Exhausted budgets are refused
+				// quietly; the data is kept.
+				instants = uploadInstants(instants, st.timeline, up)
+				_, _ = st.online.RecordExecutions(up.UserID, instants)
 			}
-		}
-		if res.Stored > 0 {
-			s.markDirty(appID)
-		}
-		s.met.ingestAccepted.Add(int64(res.Stored))
-		for userID, instants := range instantsOf {
-			// Exhausted budgets are refused quietly; the data is kept.
-			_, _ = st.online.RecordExecutions(userID, instants)
 		}
 	}
 	switch {

@@ -337,14 +337,14 @@ func TestDurableDrainArchivesUploads(t *testing.T) {
 		t.Fatalf("AllUploads = %+v", all)
 	}
 	ingestBody(st, "a1", []byte{3}, now)
-	st.RequeueUploads()
-	if st.PendingUploads() != 3 {
-		t.Fatalf("requeued pending = %d, want 3", st.PendingUploads())
-	}
-	// Requeued history drains in global sequence order.
-	redrained := st.DrainUploads()
+	// The history drains archived and pending rows in global sequence
+	// order and archives them all again.
+	redrained := st.DrainHistory()
 	if len(redrained) != 3 || redrained[0].Seq != 1 || redrained[2].Seq != 3 {
 		t.Fatalf("redrained = %+v", redrained)
+	}
+	if st.PendingUploads() != 0 || st.UploadCount() != 3 {
+		t.Fatalf("after the history drain: %d pending, %d held", st.PendingUploads(), st.UploadCount())
 	}
 
 	mem := New()
@@ -495,10 +495,9 @@ func TestArchiveRetentionIndependentOfDrainCadence(t *testing.T) {
 			}
 		}
 		out.all = s.AllUploads()
-		// The refold path sees the same rows: requeue, drain, archive again.
-		s.RequeueUploads()
-		if got := s.DrainUploads(); !reflect.DeepEqual(got, out.all) || s.UploadCount() != rows {
-			t.Fatalf("drain every %d: requeue + drain returned %d rows, store holds %d", drainEvery, len(got), s.UploadCount())
+		// The refold path sees the same rows: drain the history, archive again.
+		if got := s.DrainHistory(); !reflect.DeepEqual(got, out.all) || s.UploadCount() != rows {
+			t.Fatalf("drain every %d: the history drain returned %d rows, store holds %d", drainEvery, len(got), s.UploadCount())
 		}
 		return out
 	}

@@ -17,6 +17,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -166,7 +167,7 @@ type uploadShard struct {
 	mu sync.Mutex
 	// chunks holds the pending rows. The last chunk grows by append until
 	// it holds uploadChunkSize rows; no chunk is ever appended to once
-	// another follows it (RequeueUploads can leave a short one mid-list).
+	// another follows it.
 	chunks [][]RawUpload
 	count  int
 	// done holds drained rows on archiving (durable) stores: the data
@@ -800,12 +801,30 @@ func (s *Store) SeenReportIDs(appID string) []string {
 
 // DrainUploads removes and returns all pending uploads (oldest first,
 // across every bucket) — the Data Processor's periodic poll.
-func (s *Store) DrainUploads() []RawUpload {
+func (s *Store) DrainUploads() []RawUpload { return s.drain(false) }
+
+// DrainHistory is DrainUploads over the whole upload history: archived
+// uploads rejoin the pending ones, and all of them are drained (and, on
+// an archiving store, archived again) in sequence order. Crash recovery
+// rebuilds the budget ledgers and the feature matrix from it — the
+// processor's accumulators died with the old process, and features must
+// stay a pure function of the complete sample set.
+func (s *Store) DrainHistory() []RawUpload { return s.drain(true) }
+
+// drain takes every pending row — with history, every archived row first
+// — and returns them in sequence order.
+func (s *Store) drain(history bool) []RawUpload {
 	var chunks [][]RawUpload
 	total := 0
 	for i := range s.uploadShards {
 		sh := &s.uploadShards[i]
 		sh.mu.Lock()
+		if history && sh.doneCount > 0 {
+			sh.chunks = append(sh.done, sh.chunks...)
+			sh.count += sh.doneCount
+			sh.done = nil
+			sh.doneCount = 0
+		}
 		for _, c := range sh.take(s.archive) {
 			chunks = append(chunks, c)
 			total += len(c)
@@ -816,7 +835,7 @@ func (s *Store) DrainUploads() []RawUpload {
 	for _, c := range chunks {
 		out = append(out, c...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b RawUpload) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -848,7 +867,7 @@ func (s *Store) UploadCount() int {
 }
 
 // AllUploads returns every upload the store holds (archived then pending)
-// in sequence order. Crash recovery replays budget charges from it.
+// in sequence order, leaving both sides as they are.
 func (s *Store) AllUploads() []RawUpload {
 	var out []RawUpload
 	for i := range s.uploadShards {
@@ -864,24 +883,6 @@ func (s *Store) AllUploads() []RawUpload {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// RequeueUploads moves archived uploads back to pending, so the next
-// DrainUploads hands the data processor the full history (crash recovery:
-// the processor's in-memory accumulators died with the process, and
-// features must stay a pure function of the complete sample set).
-func (s *Store) RequeueUploads() {
-	for i := range s.uploadShards {
-		sh := &s.uploadShards[i]
-		sh.mu.Lock()
-		if sh.doneCount > 0 {
-			sh.chunks = append(sh.done, sh.chunks...)
-			sh.count += sh.doneCount
-			sh.done = nil
-			sh.doneCount = 0
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // ---- Feature rows ----

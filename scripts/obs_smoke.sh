@@ -29,6 +29,7 @@ REQUIRED+=',sor_server_requests_total{type="ping"},sor_server_requests_total{typ
 REQUIRED+=',sor_server_requests_total{type="data-upload-batch"},sor_server_requests_total{type="rank-request"}'
 REQUIRED+=',sor_server_handler_ms{type="data-upload"},sor_snapshot_rebuild_ms'
 REQUIRED+=',sor_processor_uploads_total,sor_processor_decode_errors_total'
+REQUIRED+=',sor_server_recovered_uploads_total,sor_server_recover_ms{stage="store_open"},sor_server_recover_ms{stage="refold"}'
 REQUIRED+=',sor_session_active,sor_session_opened_total,sor_session_closed_total'
 REQUIRED+=',sor_session_pushes_total,sor_session_wakes_total,sor_session_push_dropped_total'
 
