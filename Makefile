@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race ckpt-race wal-race recover-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
+.PHONY: all build test test-short race ckpt-race wal-race recover-race resync-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
 
 all: build test
 
@@ -44,6 +44,17 @@ wal-race:
 # the same uploads log the same WAL bytes.
 recover-race:
 	$(GO) test -race -count=1 -run 'TestRecoveryMatchesNeverRestartedTwin|TestChargesTheEarliestInstantsOfAReport|TestSameUploadsLogTheSameRecords' ./internal/server/
+
+# Snapshot-ship resync under the race detector, three times over: the
+# leader serves its installed checkpoint through an open fd (two
+# checkpoints landing mid-transfer change no byte), holds no image on
+# its heap, and frees an abandoned session's fd; the follower streams to
+# disk without reassembling the image, refuses a flipped byte with its
+# old snapshot and WAL untouched, and rejoins byte-identical.
+resync-race:
+	$(GO) test -race -count=3 -run 'TestSnapshotShipResync|TestResyncShipsCheckpointChunked|TestSnapPullRefusedWithoutCheckpoint|TestAbandonedResyncSessionsAreFreed|TestResyncSessionsUnderConcurrentDrops|TestResyncValidatesBeforeInstalling|TestResyncServesTheCheckpointAsOpened|TestResyncLeaderHoldsNoImage|TestResyncFollowerHoldsNoImage' ./internal/replica/
+	$(GO) test -race -count=3 -run 'TestSnapshotDamageIsRefused' ./internal/store/
+	$(GO) test -race -count=3 -run 'TestStartNodeReplicaFollowsAndResyncs' .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -173,6 +184,7 @@ ci: vet build test
 	$(MAKE) ckpt-race
 	$(MAKE) wal-race
 	$(MAKE) recover-race
+	$(MAKE) resync-race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-test
 	$(MAKE) fleet-rank

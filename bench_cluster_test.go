@@ -347,7 +347,6 @@ func clusterReadReplicas(b *testing.B, n int) []transport.Handler {
 	srv.Processor().Process()
 
 	ld, err := replica.NewLeader(backend.WAL(),
-		replica.WithSnapshotSource(backend),
 		replica.WithFollowerTTL(24*time.Hour),
 	)
 	if err != nil {

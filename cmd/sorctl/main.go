@@ -24,6 +24,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,11 +163,14 @@ func renderSnapshot(w io.Writer, path string, info *store.SnapshotInfo) {
 		}
 		fmt.Fprintf(w, "%-8d %-8s %12d %10s %12s  %s\n", i, s.Kind, s.Offset, rows, size, crc)
 	}
+	bad := slices.IndexFunc(info.Sections, func(s store.SectionInfo) bool { return s.Err != nil })
 	switch last := len(info.Sections) - 1; {
+	case bad >= 0 && bad < last:
+		fmt.Fprintf(w, "DAMAGED: section %d is bad; Open refuses this snapshot\n", bad)
+	case bad >= 0:
+		fmt.Fprintf(w, "DAMAGED: scan stopped at section %d; Open refuses this snapshot\n", last)
 	case info.Complete:
 		fmt.Fprintf(w, "%d sections, complete\n", len(info.Sections))
-	case last >= 0 && info.Sections[last].Err != nil:
-		fmt.Fprintf(w, "DAMAGED: scan stopped at section %d; Open refuses this snapshot\n", last)
 	default:
 		fmt.Fprintf(w, "INCOMPLETE: no end section; Open refuses this snapshot\n")
 	}

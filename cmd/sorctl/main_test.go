@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,7 +92,8 @@ func TestWALInspectGolden(t *testing.T) {
 
 // TestSnapshotInspectGolden pins the snapshot half of `sorctl wal
 // inspect` over a checkpointed data dir, the same image with one byte of
-// its feature section flipped, and the image cut before its end section.
+// its feature section flipped, and the image cut before its end section,
+// then checks (outside the golden) a snapshot at another version.
 func TestSnapshotInspectGolden(t *testing.T) {
 	dir := t.TempDir()
 	b := store.NewDurableBackend(dir, store.WithSnapshotInterval(time.Hour))
@@ -150,6 +152,35 @@ func TestSnapshotInspectGolden(t *testing.T) {
 	end := healthy.Sections[len(healthy.Sections)-1]
 	render("data/cut.json", image[:end.Offset])
 	checkGolden(t, "snapshot_inspect.golden", buf.Bytes())
+
+	// A snapshot another build wrote at version 2 (header reframed with a
+	// valid CRC) still lists every section; only the header is bad, and
+	// Open refuses the file.
+	payload, n, err := wal.DecodeRecord(image[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = bytes.Clone(payload)
+	payload[1] = 2 // the uvarint version after the header tag
+	versioned := append(wal.AppendRecord(bytes.Clone(image[:8]), payload), image[8+n:]...)
+	buf.Reset()
+	info := render("data/v2.json", versioned)
+	if info.Version != 2 || len(info.Sections) != len(healthy.Sections) || !info.Complete {
+		t.Fatalf("version 2: version %d, %d of %d sections, complete %v",
+			info.Version, len(info.Sections), len(healthy.Sections), info.Complete)
+	}
+	for i, sec := range info.Sections {
+		if bad := sec.Err != nil; bad != (i == 0) {
+			t.Errorf("version 2: section %d (%s) err %v", i, sec.Kind, sec.Err)
+		}
+	}
+	if out := buf.String(); !strings.Contains(out, "unsupported snapshot version 2") ||
+		!strings.Contains(out, "DAMAGED: section 0 is bad; Open refuses this snapshot") {
+		t.Errorf("version 2 rendering:\n%s", out)
+	}
+	if _, err := store.Load(path); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 2") {
+		t.Errorf("Load of a version 2 snapshot: %v", err)
+	}
 }
 
 // TestMetricsGolden pins the human `sorctl metrics` rendering: counters,

@@ -209,15 +209,6 @@ func (s memberSender) Send(_ context.Context, m wire.Message) (wire.Message, err
 	return codecRoundTrip(s.n.handler, m)
 }
 
-// leaderSender reaches a shard's current leader unconditionally — the
-// resync script's fetch path (the orphaned node is "down", but its resync
-// fetch is a fresh connection, not the partitioned pull link).
-type leaderSender struct{ sh *shard }
-
-func (s leaderSender) Send(_ context.Context, m wire.Message) (wire.Message, error) {
-	return codecRoundTrip(s.sh.leader().handler, m)
-}
-
 // open boots (or recovers) n in the given role from whatever its data
 // directory holds — recovering from it is the point.
 func (c *clusterRun) open(n *node, asLeader bool) error {
@@ -252,7 +243,6 @@ func (c *clusterRun) attachLeader(n *node) error {
 		replica.WithStateDir(n.dir),
 		replica.WithLeaderClock(c.clk),
 		replica.WithFollowerTTL(soakFollowerTTL),
-		replica.WithSnapshotSource(n.backend),
 	)
 	if err != nil {
 		return err
@@ -272,6 +262,9 @@ func (c *clusterRun) attachFollower(n *node) {
 		replica.WithFollowerBackoff(10*time.Millisecond, 500*time.Millisecond, c.sc.Seed+int64(n.flat)),
 	)
 	n.srv.SetReplicaLagProbe(f.LagProbe())
+	if n.ld != nil {
+		n.ld.Close() // a demoted leader's resync sessions end with its role
+	}
 	n.ld, n.fol = nil, f
 	n.handler = memberHandler(n, n.srv.Handler())
 	n.nextPullAt = c.clk.Now()
@@ -279,6 +272,9 @@ func (c *clusterRun) attachFollower(n *node) {
 
 func (c *clusterRun) kill(n *node) {
 	n.srv.Kill()
+	if n.ld != nil {
+		n.ld.Close()
+	}
 	n.up = false
 }
 
@@ -292,6 +288,9 @@ func (c *clusterRun) reopen(n *node) error {
 // are already released; Close after Kill is a no-op.
 func (c *clusterRun) closeAll() {
 	for _, n := range c.all {
+		if n.ld != nil {
+			n.ld.Close()
+		}
 		if n.backend != nil {
 			_ = n.backend.Close()
 		}
@@ -418,9 +417,9 @@ func (c *clusterRun) resyncStep(sh *shard) error {
 			return fmt.Errorf("chaos: orphaned %s expected ErrNeedsResync, got %v", n.id, err)
 		}
 		c.kill(n)
-		// The real rejoin: fetch the leader's snapshot over the wire,
-		// install it, recover from it, stream the tail.
-		if _, err := replica.ResyncDataDir(context.Background(), n.id, leaderSender{sh}, n.dir); err != nil {
+		// The real rejoin: stream the leader's checkpoint over the pull
+		// link, install it, recover from it, stream the tail.
+		if _, err := replica.ResyncDataDir(context.Background(), n.id, pullSender{c: c, n: n}, n.dir); err != nil {
 			return fmt.Errorf("chaos: snapshot-ship resync of %s: %w", n.id, err)
 		}
 		if err := c.open(n, false); err != nil {

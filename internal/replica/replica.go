@@ -72,15 +72,11 @@ func WithFollowerTTL(d time.Duration) LeaderOption {
 	return func(ld *Leader) { ld.ttl = d }
 }
 
-// WithLeaderBatch overrides the per-pull record/byte caps.
-func WithLeaderBatch(records int, bytes int64) LeaderOption {
-	return func(ld *Leader) { ld.maxRecords, ld.maxBytes = records, bytes }
-}
-
-// WithStateDir persists follower acks under dir (usually the backend's
-// data directory). Empty (the default) keeps them in memory only.
+// WithStateDir names the leader's data directory (the backend's), where
+// it persists follower acks and whose checkpoint it ships to resyncing
+// followers. Empty (the default) keeps acks in memory, refusing resyncs.
 func WithStateDir(dir string) LeaderOption {
-	return func(ld *Leader) { ld.statePath = filepath.Join(dir, stateFile) }
+	return func(ld *Leader) { ld.dir, ld.statePath = dir, filepath.Join(dir, stateFile) }
 }
 
 // WithLeaderMetrics publishes sor_replica_* leader series into reg.
@@ -103,14 +99,11 @@ type followerState struct {
 // Leader serves ReplPull requests off the local WAL and accounts for
 // follower liveness and retention.
 type Leader struct {
-	log        *wal.Log
-	clock      vclock.Clock
-	ttl        time.Duration
-	maxRecords int
-	maxBytes   int64
-	statePath  string
-	reg        *obs.Registry
-	snapSource SnapshotSource
+	log            *wal.Log
+	clock          vclock.Clock
+	ttl            time.Duration
+	dir, statePath string
+	reg            *obs.Registry
 
 	mu        sync.Mutex
 	followers map[string]*followerState
@@ -132,12 +125,11 @@ type Leader struct {
 // follower's tail.
 func NewLeader(log *wal.Log, opts ...LeaderOption) (*Leader, error) {
 	ld := &Leader{
-		log:        log,
-		clock:      vclock.Real{},
-		ttl:        DefaultFollowerTTL,
-		maxRecords: DefaultBatchRecords,
-		maxBytes:   DefaultBatchBytes,
-		followers:  make(map[string]*followerState),
+		log:       log,
+		clock:     vclock.Real{},
+		ttl:       DefaultFollowerTTL,
+		followers: make(map[string]*followerState),
+		resyncs:   make(map[string]*resyncSession),
 	}
 	for _, opt := range opts {
 		opt(ld)
@@ -184,10 +176,9 @@ func (ld *Leader) loadState() error {
 	}
 	now := ld.clock.Now()
 	for id, lsn := range ps.Followers {
-		ld.followers[id] = ld.newFollowerState(id, lsn, now)
+		ld.registerLocked(id, lsn, now)
 		ld.log.Retain(id, lsn)
 	}
-	ld.followersGauge.Set(int64(len(ld.followers)))
 	return nil
 }
 
@@ -225,13 +216,34 @@ func (ld *Leader) persistLocked() {
 	_ = os.Rename(tmp, ld.statePath)
 }
 
-func (ld *Leader) newFollowerState(id string, ack uint64, now time.Time) *followerState {
-	return &followerState{
-		ackLSN:   ack,
-		lastSeen: now,
-		ackGauge: ld.reg.Gauge("sor_replica_follower_ack_lsn", obs.L("follower", id)),
-		lagGauge: ld.reg.Gauge("sor_replica_follower_lag_records", obs.L("follower", id)),
+// registerLocked records follower id's ack and liveness. The ack may
+// move down as well as up: a follower that lost its unsynced tail in a
+// crash legitimately resumes lower.
+func (ld *Leader) registerLocked(id string, ack uint64, now time.Time) *followerState {
+	f, ok := ld.followers[id]
+	if !ok {
+		f = &followerState{
+			ackGauge: ld.reg.Gauge("sor_replica_follower_ack_lsn", obs.L("follower", id)),
+			lagGauge: ld.reg.Gauge("sor_replica_follower_lag_records", obs.L("follower", id)),
+		}
+		ld.followers[id] = f
 	}
+	f.ackLSN, f.lastSeen = ack, now
+	ld.followersGauge.Set(int64(len(ld.followers)))
+	return f
+}
+
+// dropLocked forgets follower id: its state, its retention pin, and the
+// resync session it may hold open.
+func (ld *Leader) dropLocked(id string) {
+	if f, ok := ld.followers[id]; ok {
+		delete(ld.followers, id)
+		f.ackGauge.Set(0)
+		f.lagGauge.Set(0)
+	}
+	ld.endResyncLocked(id)
+	ld.log.ReleaseRetain(id)
+	ld.followersGauge.Set(int64(len(ld.followers)))
 }
 
 // HandlePull serves one follower pull: account the ack, pin retention,
@@ -241,26 +253,14 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	ack := p.FromLSN - 1
 
 	ld.mu.Lock()
-	f, ok := ld.followers[p.FollowerID]
-	if !ok {
-		f = ld.newFollowerState(p.FollowerID, ack, now)
-		ld.followers[p.FollowerID] = f
-	}
-	// A re-registration may move the ack down as well as up: a follower
-	// that lost its unsynced tail in a crash legitimately resumes lower.
-	f.ackLSN, f.lastSeen = ack, now
-	pos := f.pos
+	pos := ld.registerLocked(p.FollowerID, ack, now).pos
 	// Expire followers silent past the TTL so one dead replica cannot
-	// pin the log forever.
+	// pin the log, or a resync session's fd, forever.
 	for id, g := range ld.followers {
 		if id != p.FollowerID && now.Sub(g.lastSeen) > ld.ttl {
-			delete(ld.followers, id)
-			ld.log.ReleaseRetain(id)
-			g.ackGauge.Set(0)
-			g.lagGauge.Set(0)
+			ld.dropLocked(id)
 		}
 	}
-	ld.followersGauge.Set(int64(len(ld.followers)))
 	ld.persistLocked()
 	ld.mu.Unlock()
 
@@ -269,14 +269,14 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	ld.log.Retain(p.FollowerID, ack)
 	ld.pulls.Inc()
 
-	maxRecords := ld.maxRecords
+	maxRecords := DefaultBatchRecords
 	if p.MaxRecords > 0 && p.MaxRecords < maxRecords {
 		maxRecords = p.MaxRecords
 	}
 	if maxRecords > wire.MaxReplBatchRecords {
 		maxRecords = wire.MaxReplBatchRecords
 	}
-	maxBytes := ld.maxBytes
+	maxBytes := int64(DefaultBatchBytes)
 	if p.MaxBytes > 0 && p.MaxBytes < maxBytes {
 		maxBytes = p.MaxBytes
 	}
@@ -334,17 +334,11 @@ func (ld *Leader) Status() LeaderStatus {
 	return st
 }
 
-// Forget drops one follower's retention pin immediately (operator
-// decommission, without waiting for the TTL).
+// Forget drops one follower's retention pin and resync session
+// immediately (operator decommission, without waiting for the TTL).
 func (ld *Leader) Forget(id string) {
 	ld.mu.Lock()
-	if f, ok := ld.followers[id]; ok {
-		delete(ld.followers, id)
-		f.ackGauge.Set(0)
-		f.lagGauge.Set(0)
-	}
-	ld.followersGauge.Set(int64(len(ld.followers)))
+	defer ld.mu.Unlock()
+	ld.dropLocked(id)
 	ld.persistLocked()
-	ld.mu.Unlock()
-	ld.log.ReleaseRetain(id)
 }

@@ -4,82 +4,78 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 
 	"sor/internal/store"
 	"sor/internal/wire"
 )
 
-// DefaultSnapChunkBytes is how much of the snapshot image one SnapChunk
+// DefaultSnapChunkBytes is how much of the checkpoint file one SnapChunk
 // carries unless the pull asks for less.
 const DefaultSnapChunkBytes = 256 << 10
 
-// SnapshotSource cuts a consistent snapshot image for shipping;
-// *store.DurableBackend satisfies it.
-type SnapshotSource interface {
-	SnapshotForShip() ([]byte, uint64, error)
-}
-
-// WithSnapshotSource enables leader-side snapshot shipping: a follower
-// that was compacted past (ReplRecords.Compacted) can pull the newest
-// snapshot image chunk by chunk instead of an operator copying data
-// directories. Without a source, SnapPulls are refused.
-func WithSnapshotSource(src SnapshotSource) LeaderOption {
-	return func(ld *Leader) { ld.snapSource = src }
-}
-
-// resyncSession is one follower's in-flight snapshot transfer: the image
-// is cut once at session open and every chunk is served from that same
-// buffer, so the bytes stay consistent while the leader keeps committing.
+// resyncSession is one follower's in-flight transfer of the checkpoint
+// file f, open since the session began: a checkpoint renamed over the
+// path mid-transfer changes none of the bytes f serves.
 type resyncSession struct {
-	data   []byte
+	f      *os.File
+	size   uint64
 	walLSN uint64
+}
+
+// Close releases every open resync session. Call it when this node stops
+// leading; a follower mid-transfer restarts its fetch on the new leader.
+func (ld *Leader) Close() {
+	ld.mu.Lock()
+	defer ld.mu.Unlock()
+	for id := range ld.resyncs {
+		ld.endResyncLocked(id)
+	}
+}
+
+// endResyncLocked closes follower id's resync session, if it has one.
+func (ld *Leader) endResyncLocked(id string) {
+	if sess := ld.resyncs[id]; sess != nil {
+		_ = sess.f.Close()
+		delete(ld.resyncs, id)
+	}
 }
 
 // HandleSnapPull serves one chunk of a resync session. Offset 0 opens
 // (or reopens) the session: the leader pins the follower's retention at
-// zero, cuts a fresh snapshot under the checkpoint lock, re-pins at the
-// image's watermark, and registers the follower so the ordinary TTL
-// machinery owns the pin — a follower that dies mid-transfer cannot pin
-// the log forever. The final chunk (Done) drops the cached image; the
-// pin survives until the follower's first ReplPull re-registers the same
-// floor, or the TTL expires it.
+// zero, opens the checkpoint installed in its WithStateDir directory,
+// re-pins at the watermark in its header, and registers the follower so
+// the TTL machinery owns the pin and the fd. Every chunk is a ReadAt from
+// that fd; the final one (Done) closes it, and the pin lasts until the
+// follower's first ReplPull or the TTL. Without a data dir or a
+// checkpoint the pull is refused: no follower is compacted past before a
+// checkpoint exists.
 func (ld *Leader) HandleSnapPull(p *wire.SnapPull) (*wire.SnapChunk, error) {
-	if ld.snapSource == nil {
-		return nil, errors.New("replica: snapshot shipping not enabled on this leader")
+	if ld.dir == "" {
+		return nil, errors.New("replica: snapshot shipping needs the leader's data dir (WithStateDir)")
 	}
-	maxBytes := int64(DefaultSnapChunkBytes)
-	if p.MaxBytes > 0 && p.MaxBytes < maxBytes {
-		maxBytes = p.MaxBytes
-	}
-	if maxBytes > wire.MaxSnapChunkBytes {
-		maxBytes = wire.MaxSnapChunkBytes
+	maxBytes := uint64(DefaultSnapChunkBytes) // under wire.MaxSnapChunkBytes
+	if p.MaxBytes > 0 {
+		maxBytes = min(maxBytes, uint64(p.MaxBytes))
 	}
 
 	if p.Offset == 0 {
-		// Pin everything before cutting, so the tail past the image's
-		// watermark cannot be truncated between the cut and the re-pin.
+		// Pin everything before opening: the tail past the checkpoint's
+		// watermark cannot be truncated between the open and the re-pin.
 		ld.log.Retain(p.FollowerID, 0)
-		data, walLSN, err := ld.snapSource.SnapshotForShip()
+		file, walLSN, size, err := store.OpenSnapshot(ld.dir)
 		if err != nil {
 			ld.log.ReleaseRetain(p.FollowerID)
-			return nil, fmt.Errorf("replica: cutting resync snapshot: %w", err)
+			return nil, fmt.Errorf("replica: opening the checkpoint to ship: %w", err)
 		}
 		ld.log.Retain(p.FollowerID, walLSN)
-		now := ld.clock.Now()
 		ld.mu.Lock()
-		if ld.resyncs == nil {
-			ld.resyncs = make(map[string]*resyncSession)
-		}
-		ld.resyncs[p.FollowerID] = &resyncSession{data: data, walLSN: walLSN}
+		ld.endResyncLocked(p.FollowerID)
+		ld.resyncs[p.FollowerID] = &resyncSession{f: file, size: uint64(size), walLSN: walLSN}
 		// Register the follower at the image's watermark so liveness and
 		// retention accounting treat the transfer like any other follower.
-		f, ok := ld.followers[p.FollowerID]
-		if !ok {
-			f = ld.newFollowerState(p.FollowerID, walLSN, now)
-			ld.followers[p.FollowerID] = f
-		}
-		f.ackLSN, f.lastSeen = walLSN, now
-		ld.followersGauge.Set(int64(len(ld.followers)))
+		ld.registerLocked(p.FollowerID, walLSN, ld.clock.Now())
 		ld.persistLocked()
 		ld.mu.Unlock()
 		ld.resyncsStarted.Inc()
@@ -87,34 +83,33 @@ func (ld *Leader) HandleSnapPull(p *wire.SnapPull) (*wire.SnapChunk, error) {
 
 	ld.mu.Lock()
 	sess := ld.resyncs[p.FollowerID]
-	if sess != nil {
-		// Keep the session's liveness fresh across a long transfer.
-		if f, ok := ld.followers[p.FollowerID]; ok {
-			f.lastSeen = ld.clock.Now()
-		}
+	if f, ok := ld.followers[p.FollowerID]; ok && sess != nil {
+		f.lastSeen = ld.clock.Now() // a long transfer stays live
 	}
 	ld.mu.Unlock()
 	if sess == nil {
 		return nil, fmt.Errorf("replica: no resync session for %q (pull offset 0 first)", p.FollowerID)
 	}
-	total := uint64(len(sess.data))
-	if p.Offset > total {
-		return nil, fmt.Errorf("replica: resync offset %d past image size %d", p.Offset, total)
+	if p.Offset > sess.size {
+		return nil, fmt.Errorf("replica: resync offset %d past image size %d", p.Offset, sess.size)
 	}
-	end := p.Offset + uint64(maxBytes)
-	if end > total {
-		end = total
+	data := make([]byte, min(sess.size-p.Offset, maxBytes))
+	if _, err := sess.f.ReadAt(data, int64(p.Offset)); err != nil {
+		return nil, fmt.Errorf("replica: reading the checkpoint at %d: %w", p.Offset, err)
 	}
 	chunk := &wire.SnapChunk{
 		WalLSN:    sess.walLSN,
-		TotalSize: total,
+		TotalSize: sess.size,
 		Offset:    p.Offset,
-		Data:      sess.data[p.Offset:end],
-		Done:      end == total,
+		Data:      data,
+		Done:      p.Offset+uint64(len(data)) == sess.size,
 	}
 	if chunk.Done {
+		// A session replaced or dropped meanwhile was closed by whoever did it.
 		ld.mu.Lock()
-		delete(ld.resyncs, p.FollowerID)
+		if ld.resyncs[p.FollowerID] == sess {
+			ld.endResyncLocked(p.FollowerID)
+		}
 		ld.mu.Unlock()
 	}
 	ld.snapChunks.Inc()
@@ -122,69 +117,48 @@ func (ld *Leader) HandleSnapPull(p *wire.SnapPull) (*wire.SnapChunk, error) {
 	return chunk, nil
 }
 
-// FetchSnapshot pulls a full snapshot image from the leader, chunk by
-// chunk, and returns the reassembled bytes with their WAL watermark. The
-// caller installs it with store.InstallShippedSnapshot and reopens its
-// backend; replication then resumes at watermark+1.
-func FetchSnapshot(ctx context.Context, id string, send Sender, maxBytes int64) ([]byte, uint64, error) {
-	var (
-		buf    []byte
-		walLSN uint64
-		total  uint64
-		offset uint64
-	)
-	for {
-		resp, err := send.Send(ctx, &wire.SnapPull{FollowerID: id, Offset: offset, MaxBytes: maxBytes})
-		if err != nil {
-			return nil, 0, fmt.Errorf("replica: snap pull at %d: %w", offset, err)
-		}
-		chunk, ok := resp.(*wire.SnapChunk)
-		if !ok {
-			if ack, isAck := resp.(*wire.Ack); isAck {
-				return nil, 0, fmt.Errorf("replica: leader refused snap pull: %d %s", ack.Code, ack.Message)
-			}
-			return nil, 0, fmt.Errorf("replica: unexpected %s reply to snap pull", resp.Type())
-		}
-		if offset == 0 {
-			walLSN, total = chunk.WalLSN, chunk.TotalSize
-			buf = make([]byte, 0, total)
-		} else if chunk.WalLSN != walLSN || chunk.TotalSize != total {
-			// The leader restarted or re-cut mid-transfer; start over.
-			return nil, 0, fmt.Errorf("replica: snapshot changed mid-transfer (watermark %d→%d)", walLSN, chunk.WalLSN)
-		}
-		if chunk.Offset != offset {
-			return nil, 0, fmt.Errorf("replica: asked for offset %d, got %d", offset, chunk.Offset)
-		}
-		buf = append(buf, chunk.Data...)
-		offset += uint64(len(chunk.Data))
-		if chunk.Done {
-			if offset != total {
-				return nil, 0, fmt.Errorf("replica: snapshot transfer ended at %d of %d bytes", offset, total)
-			}
-			return buf, walLSN, nil
-		}
-		if len(chunk.Data) == 0 {
-			return nil, 0, errors.New("replica: empty snap chunk before Done")
-		}
-		if ctx.Err() != nil {
-			return nil, 0, ctx.Err()
-		}
-	}
-}
-
-// ResyncDataDir is the whole follower half of resync: fetch the leader's
-// newest snapshot and install it into dir, wiping the stale snapshot and
-// WAL. The caller must have closed the backend that owned dir, and
-// reopens a fresh one afterwards — Open restores from the shipped image
-// and seeds an empty log at its watermark+1, so the next ReplPull
-// resumes exactly where the image ends.
+// ResyncDataDir is the whole follower half of resync: stream the
+// leader's checkpoint, chunk by chunk, into dir through
+// store.InstallSnapshot, which validates it before replacing dir's stale
+// snapshot and WAL. The caller must have closed the backend that owned
+// dir, and reopens a fresh one afterwards; its log resumes at the
+// returned watermark+1.
 func ResyncDataDir(ctx context.Context, id string, send Sender, dir string) (uint64, error) {
-	data, walLSN, err := FetchSnapshot(ctx, id, send, 0)
-	if err != nil {
-		return 0, err
-	}
-	if err := store.InstallShippedSnapshot(dir, data); err != nil {
-		return 0, err
-	}
-	return walLSN, nil
+	var walLSN uint64
+	err := store.InstallSnapshot(dir, func(w io.Writer) (uint64, error) {
+		var offset uint64
+		for {
+			resp, err := send.Send(ctx, &wire.SnapPull{FollowerID: id, Offset: offset})
+			if err != nil {
+				return 0, fmt.Errorf("replica: snap pull at %d: %w", offset, err)
+			}
+			chunk, ok := resp.(*wire.SnapChunk)
+			if !ok {
+				if ack, isAck := resp.(*wire.Ack); isAck {
+					return 0, fmt.Errorf("replica: leader refused snap pull: %d %s", ack.Code, ack.Message)
+				}
+				return 0, fmt.Errorf("replica: unexpected %s reply to snap pull", resp.Type())
+			}
+			if offset == 0 {
+				walLSN = chunk.WalLSN
+			}
+			if chunk.Offset != offset {
+				return 0, fmt.Errorf("replica: asked for offset %d, got %d", offset, chunk.Offset)
+			}
+			if _, err := w.Write(chunk.Data); err != nil {
+				return 0, err
+			}
+			offset += uint64(len(chunk.Data))
+			if chunk.Done {
+				return walLSN, nil // InstallSnapshot checks the file is whole
+			}
+			if len(chunk.Data) == 0 {
+				return 0, errors.New("replica: empty snap chunk before Done")
+			}
+			if ctx.Err() != nil {
+				return 0, ctx.Err()
+			}
+		}
+	})
+	return walLSN, err
 }

@@ -1,9 +1,9 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -232,7 +232,7 @@ func (b *DurableBackend) Checkpoint() error {
 	start := time.Now()
 	img := b.st.capture()
 	b.checkpointCutMS.Observe(msSince(start))
-	n, err := writeFileAtomic(SnapshotPath(b.dir), img.writeTo)
+	n, err := writeFileAtomic(SnapshotPath(b.dir), img.writeTo, nil)
 	if err != nil {
 		return err
 	}
@@ -247,40 +247,49 @@ func (b *DurableBackend) Checkpoint() error {
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
 
-// SnapshotForShip cuts a consistent snapshot image for resync shipping
-// and returns it with its embedded WAL watermark, without touching the
-// on-disk checkpoint or truncating anything — so it does not take
-// ckptMu. The same capture Checkpoint takes makes the image an exact
-// cut: the caller can hand the bytes to a compacted-past follower
-// knowing replication from watermark+1 resumes exactly where the image
-// ends.
-func (b *DurableBackend) SnapshotForShip() ([]byte, uint64, error) {
-	st := b.st
-	if st == nil {
-		return nil, 0, errors.New("store: backend not open")
+// OpenSnapshot opens dir's checkpoint for shipping, reading only its
+// magic and header: the open file (a later checkpoint renamed over the
+// path changes none of its bytes), the watermark, and the size. No
+// checkpoint yet is an error satisfying os.ErrNotExist.
+func OpenSnapshot(dir string) (f *os.File, watermark uint64, size int64, err error) {
+	if f, size, err = openSized(SnapshotPath(dir)); err != nil {
+		return nil, 0, 0, err
 	}
-	img := st.capture()
-	var buf bytes.Buffer
-	if _, err := img.writeTo(&buf); err != nil {
-		return nil, 0, err
+	info, err := walkSnapshot(f, size, 1, nil)
+	if err == nil && (len(info.Sections) == 0 || info.Sections[0].Err != nil) {
+		err = info.damage()
 	}
-	return buf.Bytes(), img.watermark, nil
+	if err != nil {
+		f.Close()
+		return nil, 0, 0, err
+	}
+	return f, info.Watermark, size, nil
 }
 
-// InstallShippedSnapshot resets dir to hold exactly one shipped snapshot
-// image: any stale snapshot.json and WAL segments are removed, the image
-// lands via the usual temp+rename, and the next DurableBackend.Open
-// restores from it with an empty log seeded at the image's watermark+1.
-// This is the follower half of resync — the replacement for an operator
-// hand-copying a leader's data dir.
-func InstallShippedSnapshot(dir string, data []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: creating data dir: %w", err)
-	}
-	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
-		return fmt.Errorf("store: clearing stale wal: %w", err)
-	}
-	_, err := writeFileAtomic(SnapshotPath(dir), bytes.NewReader(data).WriteTo)
+// InstallSnapshot makes the existing dir hold exactly the snapshot fill
+// streams into a temp file. Only once that file validates whole (magic,
+// every section's CRC, the end section, a header watermark equal to the
+// one fill returns) are dir's WAL segments removed and the file renamed
+// into place; otherwise dir is left as it was. The next Open restores
+// from it with an empty log seeded at its watermark+1.
+func InstallSnapshot(dir string, fill func(io.Writer) (watermark uint64, err error)) error {
+	var watermark uint64
+	_, err := writeFileAtomic(SnapshotPath(dir), func(w io.Writer) (n int64, err error) {
+		watermark, err = fill(w)
+		return 0, err
+	}, func(tmp string) error {
+		info, err := InspectSnapshot(tmp)
+		if err == nil {
+			err = info.damage()
+		}
+		if err == nil && info.Watermark != watermark {
+			err = fmt.Errorf("header watermark %d, shipped as %d", info.Watermark, watermark)
+		}
+		if err == nil {
+			err = os.RemoveAll(filepath.Join(dir, "wal"))
+		}
+		return err
+	})
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"slices"
@@ -439,12 +440,19 @@ func TestActiveTaskIndexFollowsEveryWritePath(t *testing.T) {
 		check(t, reopen(dir))
 	})
 	t.Run("shipped snapshot restore", func(t *testing.T) {
-		data, _, err := leader.SnapshotForShip()
+		if err := leader.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		f, watermark, _, err := OpenSnapshot(leader.Dir())
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer f.Close()
 		dir := t.TempDir()
-		if err := InstallShippedSnapshot(dir, data); err != nil {
+		if err := InstallSnapshot(dir, func(w io.Writer) (uint64, error) {
+			_, err := io.Copy(w, f)
+			return watermark, err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		check(t, reopen(dir))

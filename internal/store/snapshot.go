@@ -239,94 +239,114 @@ func (s *Store) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Restore loads a snapshot into a fresh store. It decodes section by
-// section through the row decoders, copying every row out of data, and
-// returns either the whole store or an error naming the first section
-// that failed its CRC or its decode — never a partial store.
+// Restore loads a snapshot image into a fresh store (see restore).
 func Restore(data []byte) (*Store, error) {
-	if err := checkMagic(data); err != nil {
+	return restore(bytes.NewReader(data), int64(len(data)))
+}
+
+// restore decodes the snapshot in r section by section through the row
+// decoders, one section in memory at a time, copying every row out of it,
+// and returns either the whole store or an error naming the first section
+// that failed its CRC or its decode — never a partial store.
+func restore(r io.ReaderAt, size int64) (*Store, error) {
+	s, intern := New(), make(interner)
+	visit := func(payload []byte) error { return s.restoreSection(payload, intern) }
+	info, err := walkSnapshot(r, size, -1, visit)
+	if err != nil {
 		return nil, err
 	}
-	s := New()
-	intern := make(interner)
-	off := len(snapMagic)
-	for i := 0; ; i++ {
-		payload, n, err := wal.DecodeRecord(data[off:])
-		switch {
-		case err != nil:
-		case n == 0:
-			err = errors.New("truncated: the file ends without an end section")
-		case len(payload) == 0:
-			err = errors.New("empty section")
-		case i == 0:
-			if payload[0] != headerTag {
-				err = fmt.Errorf("want the header first, found %s", tagName(payload[0]))
-				break
+	if err := info.damage(); err != nil {
+		return nil, err
+	}
+	s.restoredLSN = info.Watermark
+	s.uploadSeq.Store(info.UploadSeq)
+	return s, nil
+}
+
+// walkSnapshot reads the first sections (-1: all) of the snapshot in r a
+// frame at a time, checking the magic, the header (first, and at this
+// build's version), each frame's CRC, and an end section that counts the
+// row sections and ends the file. visit decodes each row section when
+// set. A section that breaks one of these rules carries the error. The
+// walk stops at a torn or CRC-failing frame, and, when visit is set, at
+// any error; without visit it lists the frames past a bad header or end
+// section, as inspection wants. err is only a file that is not a snapshot.
+func walkSnapshot(r io.ReaderAt, size int64, sections int, visit func(payload []byte) error) (*SnapshotInfo, error) {
+	fr := &frameReader{r: r, size: size}
+	switch head, err := fr.read(0, len(snapMagic)); {
+	case err != nil:
+		return nil, err
+	case len(head) > 0 && head[0] == '{':
+		return nil, fmt.Errorf("store: JSON snapshot %w", errUpgrade)
+	case !bytes.Equal(head, snapMagic[:]):
+		return nil, errors.New("store: not a snapshot (bad magic)")
+	}
+	info := &SnapshotInfo{Bytes: size}
+	for off := int64(len(snapMagic)); off < size && len(info.Sections) != sections; {
+		i := len(info.Sections)
+		sec := SectionInfo{Kind: "?", Offset: off, Rows: -1}
+		payload, n, err := fr.at(off)
+		if err != nil || len(payload) == 0 {
+			sec.Err = cmp.Or(err, errors.New("empty section"))
+			info.Sections = append(info.Sections, sec)
+			break
+		}
+		sec.Kind, sec.Bytes = tagName(payload[0]), int64(n)
+		switch tag := payload[0]; {
+		case (i == 0) != (tag == headerTag):
+			sec.Err = fmt.Errorf("want the header first and only there, found %s", sec.Kind)
+		case tag == headerTag:
+			r := wire.NewReader(payload[1:])
+			info.Version, info.Watermark, info.UploadSeq = r.Uvarint(), r.Uvarint(), r.Varint()
+			if sec.Err = finish(r, "header"); sec.Err == nil && info.Version != snapVersion {
+				sec.Err = fmt.Errorf("unsupported snapshot version %d (this build reads %d)", info.Version, snapVersion)
 			}
-			var version uint64
-			var seq int64
-			version, s.restoredLSN, seq, err = decodeHeader(payload)
-			s.uploadSeq.Store(seq)
-			if err == nil && version != snapVersion {
-				err = fmt.Errorf("unsupported snapshot version %d (this build reads %d)", version, snapVersion)
+		case tag == endTag:
+			// It counts the row sections before it and ends the file.
+			r := wire.NewReader(payload[1:])
+			got := r.Uvarint()
+			switch sec.Err = finish(r, "end section"); {
+			case sec.Err != nil:
+			case got != uint64(i-1):
+				sec.Err = fmt.Errorf("end section counts %d row sections, found %d", got, i-1)
+			case off+int64(n) != size:
+				sec.Err = fmt.Errorf("%d bytes after the end section", size-off-int64(n))
 			}
-		case payload[0] == endTag:
-			if err = checkEnd(payload, i-1, len(data)-off-n); err == nil {
-				return s, nil
-			}
+			info.Complete = sec.Err == nil
+		case len(payload) < 5:
+			sec.Err = errors.New("short section")
 		default:
-			err = s.restoreSection(payload, intern)
-		}
-		if err != nil {
-			kind := ""
-			if len(payload) > 0 {
-				kind = " (" + tagName(payload[0]) + ")"
+			sec.Rows = int(binary.LittleEndian.Uint32(payload[1:5]))
+			if visit != nil {
+				sec.Err = visit(payload)
 			}
-			return nil, fmt.Errorf("store: snapshot section %d%s at offset %d: %w", i, kind, off, err)
 		}
-		off += n
+		info.Sections = append(info.Sections, sec)
+		if sec.Err != nil && visit != nil || info.Complete {
+			break
+		}
+		off += int64(n)
 	}
+	return info, nil
 }
 
-func checkMagic(data []byte) error {
-	if len(data) > 0 && data[0] == '{' {
-		return fmt.Errorf("store: JSON snapshot %w", errUpgrade)
+// damage names what keeps a walked snapshot from being whole: its first
+// bad section, or the end section the walk never reached.
+func (info *SnapshotInfo) damage() error {
+	for i, sec := range info.Sections {
+		if sec.Err != nil {
+			return fmt.Errorf("store: snapshot section %d (%s) at offset %d: %w", i, sec.Kind, sec.Offset, sec.Err)
+		}
 	}
-	if !bytes.HasPrefix(data, snapMagic[:]) {
-		return errors.New("store: not a snapshot (bad magic)")
+	if info.Complete {
+		return nil
 	}
-	return nil
-}
-
-func decodeHeader(payload []byte) (version, watermark uint64, uploadSeq int64, err error) {
-	r := wire.NewReader(payload[1:])
-	version, watermark, uploadSeq = r.Uvarint(), r.Uvarint(), r.Varint()
-	return version, watermark, uploadSeq, finish(r, "header")
-}
-
-// checkEnd validates the end section: it must count the row sections
-// before it and be the last bytes of the file.
-func checkEnd(payload []byte, sections, trailing int) error {
-	r := wire.NewReader(payload[1:])
-	got := r.Uvarint()
-	if err := finish(r, "end section"); err != nil {
-		return err
-	}
-	if got != uint64(sections) {
-		return fmt.Errorf("end section counts %d row sections, found %d", got, sections)
-	}
-	if trailing != 0 {
-		return fmt.Errorf("%d bytes after the end section", trailing)
-	}
-	return nil
+	return fmt.Errorf("store: snapshot section %d at offset %d: truncated: the file ends without an end section", len(info.Sections), info.Bytes)
 }
 
 // restoreSection applies one row section to a store nobody else holds.
 func (s *Store) restoreSection(payload []byte, in interner) error {
 	tag := payload[0]
-	if len(payload) < 5 {
-		return errors.New("short section")
-	}
 	rows := binary.LittleEndian.Uint32(payload[1:5])
 	r := wire.NewReader(payload[5:])
 	for i := uint32(0); i < rows && r.Err() == nil; i++ {
@@ -390,7 +410,8 @@ func (s *Store) restoreWindow(row ReportWindowRow) error {
 // survives a power cut. It returns the bytes written. The fsync matters
 // for the durable backend: snapshot installation is what licenses WAL
 // truncation, so the bytes must be on disk before the rename lands.
-func writeFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, error) {
+// A non-nil before vets the closed temp file first; its error abandons it.
+func writeFileAtomic(path string, write func(io.Writer) (int64, error), before func(tmp string) error) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".sor-snapshot-*")
 	if err != nil {
@@ -416,6 +437,11 @@ func writeFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, 
 	if err := tmp.Close(); err != nil {
 		return fail("closing", err)
 	}
+	if before != nil {
+		if err := before(tmpName); err != nil {
+			return fail("installing", err)
+		}
+	}
 	if err := os.Rename(tmpName, path); err != nil {
 		return fail("installing", err)
 	}
@@ -426,17 +452,32 @@ func writeFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, 
 	return n, nil
 }
 
-// Load restores a store from a snapshot file; a missing file yields a
-// fresh, empty store (first boot).
+// Load restores a store from a snapshot file, read a section at a time;
+// a missing file yields a fresh, empty store (first boot).
 func Load(path string) (*Store, error) {
-	data, err := os.ReadFile(path)
+	f, size, err := openSized(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return New(), nil
 		}
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	return Restore(data)
+	defer f.Close()
+	return restore(f, size)
+}
+
+// openSized opens path for reading and returns it with its size.
+func openSized(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
 }
 
 // SnapshotInfo describes a snapshot file for inspection tooling.
@@ -461,38 +502,52 @@ type SectionInfo struct {
 	Err    error // torn frame or CRC mismatch
 }
 
-// InspectSnapshot walks a snapshot's frames without decoding rows: the
-// header fields, then per section its kind, row count, size and whether
-// its CRC matched. Unlike Restore it reports damage instead of failing
-// on it; only an unreadable file or one that is not a snapshot errors.
+// InspectSnapshot walks a snapshot's frames without decoding rows, one
+// section in memory at a time: the header fields, then per section its
+// kind, row count, size and whether its CRC matched. Unlike Restore it
+// reports damage instead of failing on it; only an unreadable file or
+// one that is not a snapshot errors.
 func InspectSnapshot(path string) (*SnapshotInfo, error) {
-	data, err := os.ReadFile(path)
+	f, size, err := openSized(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkMagic(data); err != nil {
-		return nil, err
+	defer f.Close()
+	return walkSnapshot(f, size, -1, nil)
+}
+
+// frameReader reads a snapshot of size bytes one frame at a time; buf
+// grows (amortized, as append grows) to the largest frame read and is
+// reused for the next.
+type frameReader struct {
+	r    io.ReaderAt
+	size int64
+	buf  []byte
+}
+
+// read returns n bytes at off, or as many as the file holds past off.
+func (fr *frameReader) read(off int64, n int) ([]byte, error) {
+	n = int(max(0, min(int64(n), fr.size-off)))
+	fr.buf = slices.Grow(fr.buf[:0], n)
+	k, err := fr.r.ReadAt(fr.buf[:n], off)
+	if err == io.EOF {
+		err = nil
 	}
-	info := &SnapshotInfo{Bytes: int64(len(data))}
-	for off := len(snapMagic); off < len(data) && !info.Complete; {
-		sec := SectionInfo{Kind: "?", Offset: int64(off), Rows: -1}
-		payload, n, err := wal.DecodeRecord(data[off:])
-		if err != nil || len(payload) == 0 {
-			sec.Err = cmp.Or(err, errors.New("empty section"))
-			info.Sections = append(info.Sections, sec)
-			break
+	return fr.buf[:k], err
+}
+
+// at decodes the frame at off exactly as wal.DecodeRecord decodes the
+// file's bytes from off, reading only the frame's 8-byte length|crc32c
+// header and then the payload it claims. The payload aliases buf.
+func (fr *frameReader) at(off int64) (payload []byte, n int, err error) {
+	b, err := fr.read(off, 8)
+	if err == nil && len(b) == 8 {
+		if length := binary.LittleEndian.Uint32(b); length <= wal.MaxRecord {
+			b, err = fr.read(off, 8+int(length))
 		}
-		sec.Kind, sec.Bytes = tagName(payload[0]), int64(n)
-		switch {
-		case payload[0] == headerTag:
-			info.Version, info.Watermark, info.UploadSeq, sec.Err = decodeHeader(payload)
-		case payload[0] == endTag:
-			info.Complete = off+n == len(data)
-		case len(payload) >= 5:
-			sec.Rows = int(binary.LittleEndian.Uint32(payload[1:5]))
-		}
-		info.Sections = append(info.Sections, sec)
-		off += n
 	}
-	return info, nil
+	if err != nil {
+		return nil, 0, err
+	}
+	return wal.DecodeRecord(b)
 }

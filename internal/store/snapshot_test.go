@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -512,12 +513,38 @@ func TestSnapshotDamageIsRefused(t *testing.T) {
 			cases = append(cases, damage{fmt.Sprintf("flip byte %d of section %d", at-start, k), flipped, k})
 		}
 	}
+	// A shipped image is validated frame by frame before it is installed:
+	// every damage Open refuses, InstallSnapshot refuses too, and so it
+	// does bytes after the end section and a watermark the header denies.
+	install := func(image []byte, watermark uint64) error {
+		dir := t.TempDir()
+		err := InstallSnapshot(dir, func(w io.Writer) (uint64, error) {
+			_, err := w.Write(image)
+			return watermark, err
+		})
+		if entries, _ := os.ReadDir(dir); err != nil && len(entries) != 0 {
+			t.Fatalf("a refused install left %d entries, first %s", len(entries), entries[0].Name())
+		}
+		return err
+	}
+	if err := install(data, 0); err != nil {
+		t.Fatalf("healthy image: %v", err)
+	}
 	for _, tc := range cases {
 		err := open(t, tc.image)
 		want := fmt.Sprintf("snapshot section %d", tc.section)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: Open = %v, want an error naming %q", tc.name, err, want)
 		}
+		if err := install(tc.image, 0); err == nil {
+			t.Errorf("%s: InstallSnapshot accepted it", tc.name)
+		}
+	}
+	if err := install(append(bytes.Clone(data), 0), 0); err == nil || !strings.Contains(err.Error(), "after the end section") {
+		t.Errorf("trailing byte: InstallSnapshot = %v", err)
+	}
+	if err := install(data, 1); err == nil || !strings.Contains(err.Error(), "watermark") {
+		t.Errorf("wrong watermark: InstallSnapshot = %v", err)
 	}
 	for name, image := range map[string][]byte{
 		"json":      []byte(`{"users":[{"id":"u1"}],"upload_seq":0}`),

@@ -18,7 +18,7 @@ func TestWriteSnapshotAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFileAtomic(path, bytes.NewReader(data).WriteTo); err != nil {
+	if _, err := writeFileAtomic(path, bytes.NewReader(data).WriteTo, nil); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(path)

@@ -40,17 +40,6 @@ func (l *Log) ReleaseRetain(id string) {
 	delete(l.retained, id)
 }
 
-// Retained snapshots the registered readers and their applied LSNs.
-func (l *Log) Retained() map[string]uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]uint64, len(l.retained))
-	for id, lsn := range l.retained {
-		out[id] = lsn
-	}
-	return out
-}
-
 // retainFloorLocked returns the lowest applied LSN across registered
 // readers. Called with mu held.
 func (l *Log) retainFloorLocked() (uint64, bool) {

@@ -7,19 +7,19 @@ import "fmt"
 // near the transport's body bound.
 const MaxSnapChunkBytes = 1 << 20
 
-// SnapPull asks the leader for a slice of its newest durable snapshot.
+// SnapPull asks the leader for a slice of its installed checkpoint file.
 // A follower that hit ErrNeedsResync (the leader compacted past its LSN)
-// issues SnapPulls from Offset 0 until the leader reports Done, writes
-// the bytes to a fresh data directory, and rejoins WAL shipping at the
-// snapshot's embedded watermark + 1. Offset 0 opens a resync session:
-// the leader pins its WAL tail, cuts a fresh snapshot, and serves every
-// later offset from that same cached image so the bytes stay consistent
-// even while the leader keeps committing.
+// issues SnapPulls from Offset 0 until the leader reports Done, streams
+// the bytes into its data directory, and rejoins WAL shipping at the
+// checkpoint's watermark + 1. Offset 0 opens a resync session: the
+// leader pins its WAL tail and opens the checkpoint file, and serves
+// every later offset from that open file, so a checkpoint installed
+// mid-transfer changes none of the bytes.
 type SnapPull struct {
-	// FollowerID names the requester; the leader keys the cached snapshot
-	// image and the retention pin by it.
+	// FollowerID names the requester; the leader keys the session and the
+	// retention pin by it.
 	FollowerID string
-	// Offset is the byte offset into the snapshot image to resume from.
+	// Offset is the byte offset into the checkpoint file to resume from.
 	Offset uint64
 	// MaxBytes bounds the reply chunk (0 = leader default, capped at
 	// MaxSnapChunkBytes either way).
@@ -49,23 +49,23 @@ func (m *SnapPull) decodePayload(r *Reader) {
 	m.MaxBytes = int64(maxBytes)
 }
 
-// SnapChunk is the leader's reply to a SnapPull: a consistent slice of
-// the snapshot image cut for this follower's resync session, plus enough
+// SnapChunk is the leader's reply to a SnapPull: a slice of the
+// checkpoint file this follower's resync session holds open, plus enough
 // metadata (total size, WAL watermark) for the follower to validate the
-// reassembled file and resume pulling records at WalLSN+1.
+// whole file and resume pulling records at WalLSN+1.
 type SnapChunk struct {
-	// WalLSN is the watermark embedded in the snapshot: every WAL record
+	// WalLSN is the watermark in the checkpoint's header: every WAL record
 	// at or below it is folded into the image. It is constant across all
 	// chunks of one session.
 	WalLSN uint64
-	// TotalSize is the full snapshot image size in bytes.
+	// TotalSize is the checkpoint file's size in bytes.
 	TotalSize uint64
 	// Offset echoes the pull's offset; Data starts there.
 	Offset uint64
 	// Data is the image slice [Offset, Offset+len(Data)).
 	Data []byte
 	// Done reports that Offset+len(Data) == TotalSize — the follower has
-	// the whole image and the leader may drop the session.
+	// the whole file and the leader has closed the session.
 	Done bool
 }
 

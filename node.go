@@ -260,7 +260,6 @@ func (rn *RunningNode) buildMember(ctx context.Context) error {
 			repl, err = replica.NewLeader(durable.WAL(),
 				replica.WithStateDir(durable.Dir()),
 				replica.WithLeaderMetrics(rn.obsv.Metrics()),
-				replica.WithSnapshotSource(durable),
 			)
 			if err != nil {
 				_ = srv.Close()
@@ -345,37 +344,28 @@ func (rn *RunningNode) registerMember() error {
 
 // superviseReplication runs the follower pull loop and owns the
 // automatic resync: when the leader has compacted past this replica,
-// the node fetches the leader's current snapshot over the wire,
-// installs it, rebuilds store and server in place, and resumes pulling
-// — the dispatcher pointer swaps, the listeners never notice.
+// the node streams the leader's checkpoint over the wire, installs it,
+// rebuilds store and server in place, and resumes pulling — the
+// dispatcher pointer swaps, the listeners never notice.
 func (rn *RunningNode) superviseReplication(ctx, fctx context.Context, follower *replica.Follower) {
 	defer rn.wg.Done()
-	for {
-		err := follower.Run(fctx)
-		if ctx.Err() != nil || fctx.Err() != nil {
-			return
-		}
-		if !errors.Is(err, replica.ErrNeedsResync) {
-			if err != nil {
-				rn.lastErr.Store(err)
-			}
-			return
-		}
-		follower, err = rn.resync(ctx)
-		if err != nil {
-			rn.lastErr.Store(err)
-			return
-		}
-		if follower == nil {
-			return
-		}
+	err := follower.Run(fctx)
+	if ctx.Err() != nil || fctx.Err() != nil {
+		return
+	}
+	if errors.Is(err, replica.ErrNeedsResync) {
+		err = rn.resync(ctx)
+	}
+	if err != nil {
+		rn.lastErr.Store(err)
 	}
 }
 
-// resync rebuilds the replica from a leader snapshot: park the
+// resync rebuilds the replica from the leader's checkpoint: park the
 // dispatcher on a retryable refusal, close the old stack, ship the
-// snapshot into the data dir, rebuild, and publish the new dispatcher.
-func (rn *RunningNode) resync(ctx context.Context) (*replica.Follower, error) {
+// checkpoint into the data dir, rebuild, and publish the new dispatcher.
+// buildMember starts a fresh supervisor goroutine for the new follower.
+func (rn *RunningNode) resync(ctx context.Context) error {
 	n := rn.spec
 	rn.handler.Store(transport.Handler(func(context.Context, wire.Message) (wire.Message, error) {
 		return &wire.Ack{OK: false, Code: 503, Message: "replica: resyncing from the leader"}, nil
@@ -389,18 +379,16 @@ func (rn *RunningNode) resync(ctx context.Context) (*replica.Follower, error) {
 	}
 	client, err := NewClient(n.Leader, WithClientRetry(n.Retry))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := replica.ResyncDataDir(ctx, n.Name, client, n.Data); err != nil {
-		return nil, fmt.Errorf("sor: resync: %w", err)
+		return fmt.Errorf("sor: resync: %w", err)
 	}
-	// buildMember starts a fresh supervisor goroutine for the new
-	// follower; this one ends (superviseReplication sees nil).
 	if err := rn.buildMember(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	rn.resyncs.Add(1)
-	return nil, nil
+	return nil
 }
 
 // startListeners binds the HTTP wire endpoint (with the debug surface)
@@ -595,12 +583,16 @@ func (rn *RunningNode) Checkpoint() error {
 	return durable.Checkpoint()
 }
 
-// closeCore shuts the storage-owning half down.
+// closeCore shuts the storage-owning half down, ending the leader role's
+// resync sessions with it.
 func (rn *RunningNode) closeCore() error {
 	rn.mu.Lock()
-	srv := rn.srv
+	srv, repl := rn.srv, rn.repl
 	rn.srv = nil
 	rn.mu.Unlock()
+	if repl != nil {
+		repl.Close()
+	}
 	if srv != nil {
 		return srv.Close()
 	}
