@@ -21,9 +21,15 @@ import (
 //
 // Online is safe for concurrent use.
 type Online struct {
-	mu       sync.Mutex
-	sched    *Scheduler
+	mu    sync.Mutex
+	sched *Scheduler
+	// parts holds every user who joined this period, departed ones
+	// included: a late report still charges its sender, and Ledger lists
+	// everybody. present holds the members who have not left, sorted by
+	// user ID — the only ones a re-plan looks at, in the order it plans
+	// them.
 	parts    map[string]*onlineUser
+	present  []*onlineUser
 	executed []int // instants of measurements already taken
 	plan     *Plan // current plan for the future
 	replans  int
@@ -70,8 +76,43 @@ func (o *Online) registerLocked(p Participant, left bool) error {
 	if _, ok := o.parts[p.UserID]; ok {
 		return fmt.Errorf("schedule: user %s already participating", p.UserID)
 	}
-	o.parts[p.UserID] = &onlineUser{p: p, left: left, charged: make(map[int]bool)}
+	u := &onlineUser{p: p, left: left, charged: make(map[int]bool)}
+	o.parts[p.UserID] = u
+	if !left {
+		i, _ := o.presentIndex(p.UserID)
+		o.present = slices.Insert(o.present, i, u)
+	}
 	return nil
+}
+
+// presentIndex binary-searches present for userID: where it is, or where
+// it would go.
+func (o *Online) presentIndex(userID string) (int, bool) {
+	return slices.BinarySearchFunc(o.present, userID, func(u *onlineUser, id string) int {
+		return strings.Compare(u.p.UserID, id)
+	})
+}
+
+// Known reports whether userID has joined this period, present or
+// departed. Join refuses a known user, so a caller that must not commit
+// anything for a refused join checks this first.
+func (o *Online) Known(userID string) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	_, ok := o.parts[userID]
+	return ok
+}
+
+// Present lists the members who have joined and not left, sorted by user
+// ID.
+func (o *Online) Present() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([]string, len(o.present))
+	for i, u := range o.present {
+		out[i] = u.p.UserID
+	}
+	return out
 }
 
 // Restore registers a participant a restarted server read back from its
@@ -100,6 +141,9 @@ func (o *Online) Leave(now time.Time, userID string) (*Plan, error) {
 		return nil, fmt.Errorf("schedule: user %s already left", userID)
 	}
 	u.left = true
+	if i, ok := o.presentIndex(userID); ok {
+		o.present = slices.Delete(o.present, i, i+1)
+	}
 	return o.replanLocked(now)
 }
 
@@ -211,11 +255,8 @@ func (o *Online) ExecutedInstants() []int {
 }
 
 func (o *Online) replanLocked(now time.Time) (*Plan, error) {
-	active := make([]Participant, 0, len(o.parts))
-	for _, u := range o.parts {
-		if u.left {
-			continue
-		}
+	active := make([]Participant, 0, len(o.present))
+	for _, u := range o.present {
 		remaining := u.p.Budget - u.consumed
 		if remaining <= 0 {
 			continue
@@ -234,7 +275,6 @@ func (o *Online) replanLocked(now time.Time) (*Plan, error) {
 			Budget: remaining,
 		})
 	}
-	slices.SortFunc(active, func(a, b Participant) int { return strings.Compare(a.UserID, b.UserID) })
 	plan, err := o.sched.Greedy(active, o.executed)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,8 @@
 package server
 
 // Allocation gate for the rank hot path (the re-plan gate, with its work
-// bound, is TestReplanAllocsAndWork, the upload→rank cycle gate
+// bound, is TestReplanAllocsAndWork, the join gate
+// TestJoinCostIndependentOfDeparted, the upload→rank cycle gate
 // TestFreshCycleAllocs and the per-upload recovery gate
 // TestRecoveryAllocsPerUpload, further down; the count gates skip their
 // count under the race detector, see race_on_test.go). A cached-hit rank query must
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -173,6 +175,107 @@ func TestReplanAllocsAndWork(t *testing.T) {
 	}
 	t.Logf("%d-member re-plan: %.1f allocs (budget %d), %d gain evaluations for %d selections",
 		members, avg, replanAllocBudget, plan.OracleCalls, selections)
+}
+
+// walSchedTag is the first byte of the store's PutSchedule WAL records
+// (schedTag in internal/store/codec.go).
+const walSchedTag = 6
+
+// TestJoinCostIndependentOfDeparted gates what one join costs at a place
+// with 30 members present: after 2 000 members came and went it allocates
+// what it does on a fresh period — within 10 %, in count and in bytes —
+// and it logs one schedule record per row the replan changed, none for a
+// row it left alone. The join's replan walks the present members only,
+// and its distributor reads only the rows it plans.
+func TestJoinCostIndependentOfDeparted(t *testing.T) {
+	const members, departed, probes = 30, 2000, 7
+	type cost struct{ allocs, bytes []float64 }
+	measure := func(departed int) cost {
+		clock := &virtualClock{now: t0}
+		backend := store.NewDurableBackend(t.TempDir(), store.WithSnapshotInterval(time.Hour))
+		s, err := New(Config{Storage: backend, Now: clock.Now, Catalog: DefaultCatalog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Open(); err != nil {
+			t.Fatal(err)
+		}
+		defer s.Kill()
+		if err := s.CreateApp(starbucksApp()); err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		for i := 0; i < departed; i++ {
+			user := fmt.Sprintf("gone-%04d", i)
+			participate(t, s, user, "tok-"+user, 3)
+			if resp, err := h(nil, &wire.Leave{UserID: user, AppID: "app-sb"}); err != nil || !resp.(*wire.Ack).OK {
+				t.Fatalf("leave %s: %+v, %v", user, resp, err)
+			}
+		}
+		for i := 0; i < members; i++ {
+			clock.Set(t0.Add(time.Duration(i) * 4 * time.Minute))
+			user := fmt.Sprintf("member-%02d", i)
+			participate(t, s, user, "tok-"+user, 3+i%15)
+		}
+		st := s.states.get("app-sb")
+		var c cost
+		var before, after runtime.MemStats
+		for p := 0; p < probes; p++ {
+			clock.Set(t0.Add(time.Duration(members+p) * 4 * time.Minute))
+			rows := make(map[string][]int64)
+			for _, u := range st.online.Present() {
+				taskID, _, _ := st.member(u)
+				row, _ := s.DB().Schedule(taskID)
+				rows[u] = row.AtUnix
+			}
+			lsn := backend.WAL().LastLSN()
+			user := fmt.Sprintf("probe-%d", p)
+			runtime.ReadMemStats(&before)
+			participate(t, s, user, "tok-"+user, 5)
+			runtime.ReadMemStats(&after)
+			c.allocs = append(c.allocs, float64(after.Mallocs-before.Mallocs))
+			c.bytes = append(c.bytes, float64(after.TotalAlloc-before.TotalAlloc))
+
+			changed := 0
+			for _, u := range st.online.Present() {
+				taskID, _, _ := st.member(u)
+				row, _ := s.DB().Schedule(taskID)
+				if prev, ok := rows[u]; !ok || !slices.Equal(prev, row.AtUnix) {
+					changed++
+				}
+			}
+			records, err := backend.WAL().ReadAfter(lsn, 1<<20, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged := 0
+			for _, rec := range records {
+				if rec[0] == walSchedTag {
+					logged++
+				}
+			}
+			if logged != changed || changed == 0 {
+				t.Fatalf("%d departed, probe %d: the join changed %d rows and logged %d schedule records",
+					departed, p, changed, logged)
+			}
+		}
+		return c
+	}
+	fresh, crowded := measure(0), measure(departed)
+	median := func(xs []float64) float64 { slices.Sort(xs); return xs[len(xs)/2] }
+	for _, m := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"allocations", median(crowded.allocs), median(fresh.allocs)},
+		{"bytes", median(crowded.bytes), median(fresh.bytes)},
+	} {
+		if math.Abs(m.got-m.want) > 0.1*m.want && !raceEnabled {
+			t.Fatalf("a join after %d departed members costs %.0f %s, on a fresh period %.0f", departed, m.got, m.what, m.want)
+		}
+		t.Logf("a join at %d present members: %.0f %s after %d departed, %.0f on a fresh period",
+			members, m.got, m.what, departed, m.want)
+	}
 }
 
 // freshCycleByteBudget is the gate on one upload→rank cycle at 2 000

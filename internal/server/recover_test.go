@@ -2,9 +2,11 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -222,7 +224,9 @@ func (c *tickingClock) set(t time.Time) {
 // into a durable server and an in-memory twin on equal clocks, kills and
 // reopens the durable one, and requires it to stand where the twin
 // stands: feature rows equal bit for bit, the same ledgers, executed
-// instants and plans, and the same schedule handed to the next phone.
+// instants and plans, the same present members — departed ones dropped
+// from the live twin's maps as recovery never restores them — and the
+// same schedule handed to the next phone.
 // Recovery gets there with one replan per app, whatever the number of
 // participations stored, and at every worker count: the test runs at
 // GOMAXPROCS 1, 2 and 8 (`make recover-race` runs it under -race).
@@ -314,7 +318,7 @@ func recoveryMatchesTwin(t *testing.T) {
 	// instants cross. Some apps end on a leave, so recovery replans them as
 	// of the stored departure, which has to be the instant the live replan
 	// used.
-	members := make([][]int, twinApps)
+	members, left := make([][]int, twinApps), make([][]int, twinApps)
 	for i := 0; i < twinApps-1; i++ {
 		join(i, 0, 2)
 		join(i, 1, 3+i%3)
@@ -322,6 +326,7 @@ func recoveryMatchesTwin(t *testing.T) {
 		members[i] = []int{0, 1, 2}
 		if i%2 == 0 {
 			leave(i, 1)
+			left[i] = append(left[i], 1)
 		}
 		if i%3 == 0 {
 			join(i, 3, 2)
@@ -329,6 +334,7 @@ func recoveryMatchesTwin(t *testing.T) {
 		}
 		if i%5 == 0 {
 			leave(i, 0)
+			left[i] = append(left[i], 0)
 		}
 	}
 
@@ -439,6 +445,20 @@ func recoveryMatchesTwin(t *testing.T) {
 		if got, want := durable.ExecutedInstants(id), twin.ExecutedInstants(id); !reflect.DeepEqual(got, want) || len(got) == 0 {
 			t.Fatalf("%s: executed after recovery %v, want %v", id, got, want)
 		}
+		// Departed members are gone from the live twin's member maps and
+		// present list, as they are from what recovery rebuilt.
+		recovered, live := presentMembers(durable, id), presentMembers(twin, id)
+		if !reflect.DeepEqual(recovered, live) {
+			t.Fatalf("%s: members after recovery %+v, the live twin has %+v", id, recovered, live)
+		}
+		tasks, tokens := sortedKeys(live.taskOf), sortedKeys(live.tokenOf)
+		if !slices.Equal(tasks, live.present) || !slices.Equal(tokens, live.present) {
+			t.Fatalf("%s: the twin's scheduler has %v present, its member maps %v and %v",
+				id, live.present, tasks, tokens)
+		}
+		if n := len(live.present); n != len(members[i])-len(left[i]) {
+			t.Fatalf("%s: %d members present, the script leaves %d", id, n, len(members[i])-len(left[i]))
+		}
 	}
 	got, want := durable.DB().FeaturesByCategory(world.CategoryCoffee), twin.DB().FeaturesByCategory(world.CategoryCoffee)
 	if len(got) != len(want) || len(got) != 8*(twinApps-1) {
@@ -473,6 +493,30 @@ func recoveryMatchesTwin(t *testing.T) {
 			t.Fatalf("app %d: a new member got an empty schedule: %+v", i, sched)
 		}
 	}
+}
+
+// appMembers is an app's present membership as a server tracks it: the
+// task and token maps the replan distributor reads, and the scheduler's
+// present list.
+type appMembers struct {
+	taskOf, tokenOf map[string]string
+	present         []string
+}
+
+func presentMembers(s *Server, appID string) appMembers {
+	st := s.states.get(appID)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return appMembers{taskOf: maps.Clone(st.taskOf), tokenOf: maps.Clone(st.tokenOf), present: st.online.Present()}
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestChargesTheEarliestInstantsOfAReport: a report with more distinct

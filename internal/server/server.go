@@ -195,7 +195,9 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 
 // appSchedState holds one application's scheduling period state. The
 // timeline is immutable after creation and online is internally
-// synchronized; mu guards only the task/token maps.
+// synchronized; mu guards only the task/token maps, which hold the
+// members present now — a join adds one once the scheduler took it, a
+// leave removes it — exactly what recovery rebuilds from the store.
 type appSchedState struct {
 	timeline *coverage.Timeline
 	online   *schedule.Online
@@ -203,6 +205,14 @@ type appSchedState struct {
 	mu      sync.Mutex
 	taskOf  map[string]string // userID -> taskID
 	tokenOf map[string]string // userID -> device token
+}
+
+// member returns a present member's task and device token.
+func (st *appSchedState) member(userID string) (taskID, token string, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	taskID, ok = st.taskOf[userID]
+	return taskID, st.tokenOf[userID], ok
 }
 
 // New builds a server. With cfg.DB the server is usable immediately;
@@ -420,6 +430,12 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 	if err != nil {
 		return nil, err
 	}
+	// The scheduler keeps whoever joined this period, departed or not, and
+	// refuses them a second time; refuse before any row is written, or the
+	// stranded waiting task would block every later scan.
+	if st.online.Known(msg.UserID) {
+		return refuse(409, "user %s already participated in %s this period", msg.UserID, msg.AppID), nil
+	}
 	// Persist the period anchor so a restarted server rebuilds this app's
 	// timeline on the same grid (idempotent after the first participant).
 	if err := s.db.PutAnchor(app.ID, st.timeline.Start()); err != nil {
@@ -455,11 +471,6 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 			return nil, err
 		}
 	}
-	st.mu.Lock()
-	st.taskOf[msg.UserID] = taskID
-	st.tokenOf[msg.UserID] = msg.Token
-	st.mu.Unlock()
-
 	plan, err := st.online.Join(now, schedule.Participant{
 		UserID: msg.UserID,
 		Arrive: now,
@@ -469,6 +480,10 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 	if err != nil {
 		return refuse(500, "scheduling failed: %v", err), nil
 	}
+	st.mu.Lock()
+	st.taskOf[msg.UserID] = taskID
+	st.tokenOf[msg.UserID] = msg.Token
+	st.mu.Unlock()
 	s.met.replans.Inc()
 	if err := s.distributePlan(app, st, plan); err != nil {
 		return nil, err
@@ -478,38 +493,40 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 	}); err != nil {
 		return nil, err
 	}
-	sched, err := s.scheduleFor(app, st, msg.UserID)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := wire.Encode(sched)
+	payload, err := wire.Encode(s.storedSchedule(app, taskID, msg.UserID))
 	if err != nil {
 		return nil, err
 	}
 	return &wire.Ack{OK: true, Code: 200, Message: "scheduled", Payload: payload}, nil
 }
 
-// distributePlan stores every user's fresh schedule and pushes it to the
-// phone (the paper's GCM path).
+// distributePlan stores the fresh schedule of every member whose instants
+// moved and pushes it to their phone (the paper's GCM path). A member the
+// replan left where they were keeps their stored row and hears nothing:
+// the store ends up holding what rewriting every row would leave, and the
+// WAL is spared the records that would only repeat it. Members go in
+// user-ID order, so the same ops log the same bytes.
 func (s *Server) distributePlan(app store.Application, st *appSchedState, plan *schedule.Plan) error {
-	st.mu.Lock()
-	taskOf := make(map[string]string, len(st.taskOf))
-	for u, t := range st.taskOf {
-		taskOf[u] = t
+	users := make([]string, 0, len(plan.Assignments))
+	for userID := range plan.Assignments {
+		users = append(users, userID)
 	}
-	tokenOf := make(map[string]string, len(st.tokenOf))
-	for u, t := range st.tokenOf {
-		tokenOf[u] = t
-	}
-	st.mu.Unlock()
-	for userID, a := range plan.Assignments {
-		taskID, ok := taskOf[userID]
+	slices.Sort(users)
+	for _, userID := range users {
+		taskID, token, ok := st.member(userID)
 		if !ok {
 			continue
 		}
-		row := store.ScheduleRow{TaskID: taskID, AppID: app.ID, UserID: userID}
-		for _, t := range a.Times(st.timeline) {
-			row.AtUnix = append(row.AtUnix, t.Unix())
+		instants := plan.Assignments[userID].Instants
+		// Grow leaves a member with no instants a nil AtUnix, as appending
+		// always did.
+		row := store.ScheduleRow{TaskID: taskID, AppID: app.ID, UserID: userID,
+			AtUnix: slices.Grow([]int64(nil), len(instants))}
+		for _, i := range instants {
+			row.AtUnix = append(row.AtUnix, st.timeline.Time(i).Unix())
+		}
+		if stored, err := s.db.Schedule(taskID); err == nil && slices.Equal(stored.AtUnix, row.AtUnix) {
+			continue
 		}
 		if err := s.db.PutSchedule(row); err != nil {
 			return err
@@ -519,12 +536,8 @@ func (s *Server) distributePlan(app store.Application, st *appSchedState, plan *
 			// stream-connected phone gets the fresh schedule itself pushed
 			// down its session, saving the wake-then-ping round trip; a
 			// push failure falls back to the classic "ping home" nudge.
-			token := tokenOf[userID]
-			pushed := false
-			if sched, err := s.scheduleFor(app, st, userID); err == nil {
-				pushed = s.push.PushMessage(token, sched) == nil
-			}
-			if !pushed {
+			sched := &wire.Schedule{TaskID: taskID, AppID: app.ID, UserID: userID, Script: app.Script, AtUnix: row.AtUnix}
+			if s.push.PushMessage(token, sched) != nil {
 				_ = s.push.Notify(token)
 			}
 		}
@@ -532,27 +545,19 @@ func (s *Server) distributePlan(app store.Application, st *appSchedState, plan *
 	return nil
 }
 
-// scheduleFor assembles the wire.Schedule for one user from the stored
+// storedSchedule assembles the wire.Schedule for one task from its stored
 // row plus the app's script.
-func (s *Server) scheduleFor(app store.Application, st *appSchedState, userID string) (*wire.Schedule, error) {
-	st.mu.Lock()
-	taskID, ok := st.taskOf[userID]
-	st.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("server: no task for user %s", userID)
-	}
-	row, err := s.db.Schedule(taskID)
-	if err != nil {
-		// A plan that assigned nothing still yields an empty schedule.
-		row = store.ScheduleRow{TaskID: taskID, AppID: app.ID, UserID: userID}
-	}
+func (s *Server) storedSchedule(app store.Application, taskID, userID string) *wire.Schedule {
+	// A task no plan has assigned anything yet has no row: its schedule is
+	// empty.
+	row, _ := s.db.Schedule(taskID)
 	return &wire.Schedule{
-		TaskID: row.TaskID,
+		TaskID: taskID,
 		AppID:  app.ID,
 		UserID: userID,
 		Script: app.Script,
 		AtUnix: row.AtUnix,
-	}, nil
+	}
 }
 
 // handleDataUpload lands the binary blob in the database untouched (the
@@ -778,6 +783,10 @@ func (s *Server) handleLeave(ctx context.Context, msg *wire.Leave) (wire.Message
 		return nil, err
 	}
 	if st := s.states.get(msg.AppID); st != nil {
+		st.mu.Lock()
+		delete(st.taskOf, msg.UserID)
+		delete(st.tokenOf, msg.UserID)
+		st.mu.Unlock()
 		app, err := s.db.App(msg.AppID)
 		if err != nil {
 			return nil, err
@@ -811,18 +820,7 @@ func (s *Server) handlePing(ctx context.Context, msg *wire.Ping) (wire.Message, 
 		if err != nil {
 			continue
 		}
-		row, err := s.db.Schedule(p.TaskID)
-		if err != nil {
-			row = store.ScheduleRow{TaskID: p.TaskID, AppID: app.ID, UserID: p.UserID}
-		}
-		sched := &wire.Schedule{
-			TaskID: row.TaskID,
-			AppID:  app.ID,
-			UserID: p.UserID,
-			Script: app.Script,
-			AtUnix: row.AtUnix,
-		}
-		payload, err := wire.Encode(sched)
+		payload, err := wire.Encode(s.storedSchedule(app, p.TaskID, p.UserID))
 		if err != nil {
 			return nil, err
 		}

@@ -498,10 +498,10 @@ func TestRankRequestKindValueTranslation(t *testing.T) {
 }
 
 // TestPushNotificationsOnReplan drives the server's push path through a
-// real session registry: every replan pushes each member with a live
-// session the schedule her Ping would return, a member without a session
-// does not fail the join, and a rank epoch is announced to every session
-// exactly when it advances.
+// real session registry: a replan pushes a member with a live session
+// exactly when it moved their instants, and what it pushes is the schedule
+// their Ping returns; a member without a session does not fail the join;
+// and a rank epoch is announced to every session exactly when it advances.
 func TestPushNotificationsOnReplan(t *testing.T) {
 	registry := session.NewRegistry()
 	clock := &virtualClock{now: t0}
@@ -539,9 +539,25 @@ func TestPushNotificationsOnReplan(t *testing.T) {
 	}
 	sched := participate(t, s, "alice", "tok-a", 4)
 	wantOnePush("after her own join", pinged())
-	// Bob never connected a stream: his push fails, his join must not.
+	// Bob joins at the same instant and never connected a stream: his push
+	// fails, his join must not. The replan plans alice where she was, so
+	// she hears nothing.
 	participate(t, s, "bob", "tok-b", 4)
-	wantOnePush("after bob's join replan", pinged())
+	if got := pinged(); !reflect.DeepEqual(got, sched) {
+		t.Fatalf("bob's join moved alice from %v to %v; this step needs a join that does not", sched.AtUnix, got.AtUnix)
+	}
+	if got := alice.TakePending(); len(got) != 0 {
+		t.Fatalf("a replan that left alice's instants alone pushed her %+v", got)
+	}
+	// Carol joins five minutes in: alice's window now starts later, her
+	// instants move, and she is pushed the moved schedule once.
+	clock.Set(t0.Add(5 * time.Minute))
+	participate(t, s, "carol", "tok-c", 4)
+	moved := pinged()
+	if reflect.DeepEqual(moved, sched) {
+		t.Fatalf("carol's join left alice at %v; this step needs a join that moves her", sched.AtUnix)
+	}
+	wantOnePush("after carol's join moved her", moved)
 
 	// Rank epochs. The first build is epoch 1.
 	for _, f := range []string{"temperature", "brightness", "noise", "wifi"} {
