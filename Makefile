@@ -69,7 +69,7 @@ bench:
 # 200-place baseline point still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
-	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestRecoveryAllocsPerUpload' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestRefreshCostIndependentOfHistory|TestRecoveryAllocsPerUpload' -v ./internal/server/
 	$(GO) test -count=1 -run 'TestReadAfterTailCost' -v ./internal/wal/
 
 # The end-to-end benchmark harness (BENCHMARK.json, bench/) is its own

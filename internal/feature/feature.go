@@ -27,10 +27,14 @@ type Sample struct {
 
 // Validate checks the sample.
 func (s Sample) Validate() error {
-	if s.Window < 0 {
+	return validate(s.Window, s.Readings)
+}
+
+func validate(window time.Duration, readings []float64) error {
+	if window < 0 {
 		return errors.New("feature: negative sample window")
 	}
-	if len(s.Readings) == 0 {
+	if len(readings) == 0 {
 		return errors.New("feature: sample with no readings")
 	}
 	return nil
@@ -52,85 +56,129 @@ type Extractor interface {
 	Extract(samples []Sample) (float64, error)
 }
 
+// Fold is an Extractor whose Extract is a left fold of one stats.Welford:
+// Step applied to each sample in order, starting from the zero Welford,
+// then Read. A caller that kept the Welford after a prefix of the samples
+// resumes from it and reads Extract's value bit for bit.
+type Fold interface {
+	Extractor
+	// Step folds one sample's window and readings into w. A malformed
+	// sample is an error and leaves w unchanged.
+	Step(w *stats.Welford, window time.Duration, readings []float64) error
+	// Read is the feature value of the samples folded into w.
+	Read(w *stats.Welford) (float64, error)
+}
+
+// foldExtract is Extract for a Fold.
+func foldExtract(f Fold, samples []Sample) (float64, error) {
+	var w stats.Welford
+	for i, s := range samples {
+		if err := f.Step(&w, s.Window, s.Readings); err != nil {
+			return 0, fmt.Errorf("feature: %s sample %d: %w", f.Name(), i, err)
+		}
+	}
+	return f.Read(&w)
+}
+
+// readMean is the Read of the folds whose feature is the mean of what they
+// stepped.
+func readMean(name string, w *stats.Welford) (float64, error) {
+	if w.N() == 0 {
+		return 0, fmt.Errorf("feature: %s: no data", name)
+	}
+	return w.Mean(), nil
+}
+
 // MeanExtractor averages all readings of all samples — the paper's method
 // for temperature, humidity, brightness and WiFi signal strength.
 type MeanExtractor struct {
 	Feature string
 }
 
-var _ Extractor = MeanExtractor{}
+var _ Fold = MeanExtractor{}
 
 // Name implements Extractor.
 func (e MeanExtractor) Name() string { return e.Feature }
 
 // Extract implements Extractor.
 func (e MeanExtractor) Extract(samples []Sample) (float64, error) {
-	var w stats.Welford
-	for i, s := range samples {
-		if err := s.Validate(); err != nil {
-			return 0, fmt.Errorf("feature: %s sample %d: %w", e.Feature, i, err)
-		}
-		for _, r := range s.Readings {
-			w.Add(r)
-		}
-	}
-	if w.N() == 0 {
-		return 0, fmt.Errorf("feature: %s: no data", e.Feature)
-	}
-	return w.Mean(), nil
+	return foldExtract(e, samples)
 }
+
+// Step implements Fold: every reading is one observation.
+func (MeanExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
+	if err := validate(window, readings); err != nil {
+		return err
+	}
+	for _, r := range readings {
+		w.Add(r)
+	}
+	return nil
+}
+
+// Read implements Fold.
+func (e MeanExtractor) Read(w *stats.Welford) (float64, error) { return readMean(e.Feature, w) }
 
 // RoughnessExtractor implements the paper's road-surface roughness: "an
 // average of the standard deviations of all accelerometer's readings
 // within Δt".
 type RoughnessExtractor struct{}
 
-var _ Extractor = RoughnessExtractor{}
+var _ Fold = RoughnessExtractor{}
 
 // Name implements Extractor.
 func (RoughnessExtractor) Name() string { return "roughness" }
 
 // Extract implements Extractor.
-func (RoughnessExtractor) Extract(samples []Sample) (float64, error) {
-	var w stats.Welford
-	for i, s := range samples {
-		if err := s.Validate(); err != nil {
-			return 0, fmt.Errorf("feature: roughness sample %d: %w", i, err)
-		}
-		sd, err := stats.StdDev(s.Readings)
-		if err != nil {
-			return 0, err
-		}
-		w.Add(sd)
-	}
-	if w.N() == 0 {
-		return 0, errors.New("feature: roughness: no data")
-	}
-	return w.Mean(), nil
+func (e RoughnessExtractor) Extract(samples []Sample) (float64, error) {
+	return foldExtract(e, samples)
 }
+
+// Step implements Fold: a window's standard deviation is one observation.
+func (RoughnessExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
+	if err := validate(window, readings); err != nil {
+		return err
+	}
+	sd, err := stats.StdDev(readings)
+	if err != nil {
+		return err
+	}
+	w.Add(sd)
+	return nil
+}
+
+// Read implements Fold.
+func (e RoughnessExtractor) Read(w *stats.Welford) (float64, error) { return readMean(e.Name(), w) }
 
 // AltitudeChangeExtractor implements "the standard deviation of averages of
 // all altitude sensor readings within Δt".
 type AltitudeChangeExtractor struct{}
 
-var _ Extractor = AltitudeChangeExtractor{}
+var _ Fold = AltitudeChangeExtractor{}
 
 // Name implements Extractor.
 func (AltitudeChangeExtractor) Name() string { return "altitude change" }
 
 // Extract implements Extractor.
-func (AltitudeChangeExtractor) Extract(samples []Sample) (float64, error) {
-	var w stats.Welford
-	for i, s := range samples {
-		if err := s.Validate(); err != nil {
-			return 0, fmt.Errorf("feature: altitude sample %d: %w", i, err)
-		}
-		m, err := stats.Mean(s.Readings)
-		if err != nil {
-			return 0, err
-		}
-		w.Add(m)
+func (e AltitudeChangeExtractor) Extract(samples []Sample) (float64, error) {
+	return foldExtract(e, samples)
+}
+
+// Step implements Fold: a window's mean is one observation.
+func (AltitudeChangeExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
+	if err := validate(window, readings); err != nil {
+		return err
 	}
+	m, err := stats.Mean(readings)
+	if err != nil {
+		return err
+	}
+	w.Add(m)
+	return nil
+}
+
+// Read implements Fold: the spread of the window means.
+func (AltitudeChangeExtractor) Read(w *stats.Welford) (float64, error) {
 	if w.N() == 0 {
 		return 0, errors.New("feature: altitude change: no data")
 	}
@@ -141,29 +189,31 @@ func (AltitudeChangeExtractor) Extract(samples []Sample) (float64, error) {
 // per window and averages them (normalized 0..1 for full-scale input).
 type NoiseRMSExtractor struct{}
 
-var _ Extractor = NoiseRMSExtractor{}
+var _ Fold = NoiseRMSExtractor{}
 
 // Name implements Extractor.
 func (NoiseRMSExtractor) Name() string { return "noise" }
 
 // Extract implements Extractor.
-func (NoiseRMSExtractor) Extract(samples []Sample) (float64, error) {
-	var w stats.Welford
-	for i, s := range samples {
-		if err := s.Validate(); err != nil {
-			return 0, fmt.Errorf("feature: noise sample %d: %w", i, err)
-		}
-		rms, err := stats.RMS(s.Readings)
-		if err != nil {
-			return 0, err
-		}
-		w.Add(rms)
-	}
-	if w.N() == 0 {
-		return 0, errors.New("feature: noise: no data")
-	}
-	return w.Mean(), nil
+func (e NoiseRMSExtractor) Extract(samples []Sample) (float64, error) {
+	return foldExtract(e, samples)
 }
+
+// Step implements Fold: a window's RMS level is one observation.
+func (NoiseRMSExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
+	if err := validate(window, readings); err != nil {
+		return err
+	}
+	rms, err := stats.RMS(readings)
+	if err != nil {
+		return err
+	}
+	w.Add(rms)
+	return nil
+}
+
+// Read implements Fold.
+func (e NoiseRMSExtractor) Read(w *stats.Welford) (float64, error) { return readMean(e.Name(), w) }
 
 // Curvature computes trail tortuosity from GPS samples: the time-ordered
 // points form a trace whose mean absolute heading change per 100 m is the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sor/internal/geo"
+	"sor/internal/stats"
 )
 
 var sampleStart = time.Date(2013, time.November, 15, 11, 0, 0, 0, time.UTC)
@@ -321,5 +322,50 @@ func TestRoughnessMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFoldResumesBitIdentical: for every fold, stepping a copy of the
+// Welford kept after any prefix through the rest of the samples reads
+// Extract's value bit for bit, and a malformed sample fails both.
+func TestFoldResumesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]Sample, 70)
+	for i := range samples {
+		readings := make([]float64, 1+rng.Intn(4))
+		for k := range readings {
+			readings[k] = rng.NormFloat64()*3 + 20
+		}
+		samples[i] = Sample{At: sampleStart.Add(time.Duration(i) * time.Second), Window: time.Second, Readings: readings}
+	}
+	for _, f := range []Fold{MeanExtractor{Feature: "temperature"}, RoughnessExtractor{}, AltitudeChangeExtractor{}, NoiseRMSExtractor{}} {
+		want, err := f.Extract(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prefix stats.Welford
+		for cut := 0; cut <= len(samples); cut++ {
+			w := prefix
+			for _, s := range samples[cut:] {
+				if err := f.Step(&w, s.Window, s.Readings); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := f.Read(&w)
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s resumed at %d: %v (%v), Extract %v", f.Name(), cut, got, err, want)
+			}
+			if cut < len(samples) {
+				_ = f.Step(&prefix, samples[cut].Window, samples[cut].Readings)
+			}
+		}
+		bad := append(append([]Sample(nil), samples[:5]...), Sample{Window: -time.Second, Readings: []float64{1}})
+		if _, err := f.Extract(bad); err == nil {
+			t.Fatalf("%s: negative window must error", f.Name())
+		}
+		before := prefix
+		if err := f.Step(&prefix, time.Second, nil); err == nil || prefix != before {
+			t.Fatalf("%s: a sample with no readings must error and leave the state alone", f.Name())
+		}
 	}
 }

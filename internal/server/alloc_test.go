@@ -3,7 +3,8 @@ package server
 // Allocation gate for the rank hot path (the re-plan gate, with its work
 // bound, is TestReplanAllocsAndWork, the join gate
 // TestJoinCostIndependentOfDeparted, the upload→rank cycle gate
-// TestFreshCycleAllocs and the per-upload recovery gate
+// TestFreshCycleAllocs, the refresh work gate
+// TestRefreshCostIndependentOfHistory and the per-upload recovery gate
 // TestRecoveryAllocsPerUpload, further down; the count gates skip their
 // count under the race detector, see race_on_test.go). A cached-hit rank query must
 // cost a small constant number of allocations — the profile map, the
@@ -22,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"sor/internal/feature"
 	"sor/internal/obs"
 	"sor/internal/schedule"
 	"sor/internal/store"
@@ -393,13 +395,61 @@ func TestFreshCycleAllocs(t *testing.T) {
 		places, perCycle, freshCycleByteBudget, patched, rebuilds)
 }
 
+// TestRefreshCostIndependentOfHistory gates what a refresh steps: k
+// samples appended behind one sensor's run cost the refresh those k plus
+// under one fold block of the history before them, at 100 stored samples
+// as at 10 000, and the value is still the extractor's over the whole run.
+func TestRefreshCostIndependentOfHistory(t *testing.T) {
+	const appID, k = "history-app", 8
+	for _, history := range []int{100, 10_000} {
+		db := store.New()
+		if err := db.PutApp(store.Application{ID: appID, Category: world.CategoryCoffee, Place: "history-place"}); err != nil {
+			t.Fatal(err)
+		}
+		d := NewDataProcessor(db)
+		d.SetObserver(obs.NewObserver())
+		ad := d.appData(appID)
+		var all []feature.Sample
+		fold := func(from, n int) {
+			series := wire.SensorSeries{Sensor: "temperature"}
+			for i := from; i < from+n; i++ {
+				smp := wire.SensorSample{AtUnixMilli: t0.UnixMilli() + int64(i)*1000, WindowMilli: 1000,
+					Readings: []float64{float64(i%13) + 0.1, float64(i % 7)}}
+				series.Samples = append(series.Samples, smp)
+				all = append(all, feature.Sample{At: time.UnixMilli(smp.AtUnixMilli).UTC(), Window: time.Second, Readings: smp.Readings})
+			}
+			ad.foldDecoded(&wire.DataUpload{AppID: appID, UserID: "history-user", Series: []wire.SensorSeries{series}})
+		}
+		fold(0, history)
+		if err := d.refreshApp(appID); err != nil {
+			t.Fatal(err)
+		}
+		before := d.met.refolded.Value()
+		fold(history, k)
+		if err := d.refreshApp(appID); err != nil {
+			t.Fatal(err)
+		}
+		stepped := d.met.refolded.Value() - before
+		if stepped > k+foldBlock {
+			t.Fatalf("appending %d samples to %d stepped %d, bound %d", k, history, stepped, k+foldBlock)
+		}
+		row, err := db.Feature(world.CategoryCoffee, "history-place", "temperature")
+		want, werr := featurePipelines["temperature"].extractor.Extract(all)
+		if err != nil || werr != nil || math.Float64bits(row.Value) != math.Float64bits(want) || row.Samples != history+k {
+			t.Fatalf("after %d+%d samples: row %+v (%v), from scratch %v (%v)", history, k, row, err, want, werr)
+		}
+		t.Logf("appending %d samples to %d: refresh stepped %d (bound %d)", k, history, stepped, k+foldBlock)
+	}
+}
+
 // recoverAllocBudget is the gate on what recovery allocates per stored
-// upload. Measured today: 19.4, of which 18 are its one decode (the
+// upload. Measured today: 19.7, of which 18 are its one decode (the
 // upload, its four IDs, its series slice, and per series the sensor name,
-// the sample slice and one readings slice per sample); the fold keeps
-// those readings, and the charge reuses the worker's instants buffer. The
-// costs it guards against — a second decode per body, a copy of every
-// readings slice, a map per upload to find its instants — put 43.4 here.
+// the sample slice and one readings slice per sample); the fold copies
+// those readings into its runs' arenas, which grow by doubling, and the
+// charge reuses the worker's instants buffer. The costs it guards against
+// — a second decode per body, an allocation per folded sample, a map per
+// upload to find its instants — put 43.4 here.
 const recoverAllocBudget = 24
 
 // TestRecoveryAllocsPerUpload gates recovery's cost per stored upload: a

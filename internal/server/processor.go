@@ -13,6 +13,7 @@ import (
 	"sor/internal/feature"
 	"sor/internal/geo"
 	"sor/internal/obs"
+	"sor/internal/stats"
 	"sor/internal/store"
 	"sor/internal/wire"
 )
@@ -20,8 +21,9 @@ import (
 // DataProcessor periodically drains raw binary uploads from the database,
 // decodes them, accumulates samples per application, and recomputes the
 // humanly understandable feature values (§IV-A). Decoded samples are kept
-// in canonical order per application and sensor (see sampleRun), so each
-// refresh extracts from the whole history without re-sorting it.
+// in canonical order per application and sensor (see sampleRun), and a
+// refresh resumes each fold extractor from its state before the first
+// sample that moved, so it costs what arrived rather than the history.
 //
 // Accumulators are per-application, each behind its own lock, so two
 // concurrent Process calls (or a Process racing a feature refresh) only
@@ -33,6 +35,12 @@ type DataProcessor struct {
 
 	mu    sync.RWMutex // guards the byApp map only, not the appData within
 	byApp map[string]*appData
+
+	// unrefreshed holds the apps folded into but not refreshed since: a
+	// cancelled ProcessContext leaves them here, and the next Process
+	// refreshes them even when it drains nothing.
+	unrefreshedMu sync.Mutex
+	unrefreshed   map[string]bool
 
 	// processed counts decoded uploads; decodeErrors counts blobs that
 	// failed to decode (they are dropped with accounting, not retried).
@@ -49,6 +57,7 @@ type processorMetrics struct {
 	processed  *obs.Counter
 	decodeErrs *obs.Counter
 	refreshes  *obs.Counter
+	refolded   *obs.Counter // samples extraction stepped
 	processMs  *obs.Histogram
 }
 
@@ -70,7 +79,7 @@ type burstKey struct {
 
 // NewDataProcessor builds a processor over the store.
 func NewDataProcessor(db *store.Store) *DataProcessor {
-	return &DataProcessor{db: db, now: time.Now, byApp: make(map[string]*appData)}
+	return &DataProcessor{db: db, now: time.Now, byApp: make(map[string]*appData), unrefreshed: make(map[string]bool)}
 }
 
 // SetNow substitutes the clock stamping FeatureRow.Updated (the server
@@ -100,6 +109,7 @@ func (d *DataProcessor) SetObserver(o *obs.Observer) {
 		processed:  reg.Counter("sor_processor_uploads_total"),
 		decodeErrs: reg.Counter("sor_processor_decode_errors_total"),
 		refreshes:  reg.Counter("sor_processor_refreshes_total"),
+		refolded:   reg.Counter("sor_processor_refolded_samples_total"),
 		processMs:  reg.LatencyHistogram("sor_processor_process_ms"),
 	}
 }
@@ -139,18 +149,16 @@ func (d *DataProcessor) Process() int {
 // checked before the drain and between per-app feature refreshes. Once
 // blobs are drained they are always folded — aborting mid-fold would
 // drop data the store no longer holds, breaking exactly-once — so
-// cancellation can only stop work that has not yet been claimed.
+// cancellation can only stop work that has not yet been claimed. An app
+// whose refresh the cancellation skipped stays marked, and the next call
+// refreshes it.
 func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 	if ctx.Err() != nil {
 		return 0
 	}
 	t0 := time.Now()
 	uploads := d.db.DrainUploads()
-	if len(uploads) == 0 {
-		return 0
-	}
-	touched := make(map[string]bool)
-	var apps []string
+	var folded []string
 	for _, raw := range uploads {
 		// With tracing on, each upload that arrived under a RequestID gets
 		// a fold span carrying the same id the client minted — the final
@@ -163,20 +171,23 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 		if up := d.decode(raw); up != nil {
 			d.appData(up.AppID).foldDecoded(up)
 			d.countFolded(1)
-			if !touched[up.AppID] {
-				touched[up.AppID] = true
-				apps = append(apps, up.AppID)
-			}
+			folded = append(folded, up.AppID)
 		}
 		span.End()
 	}
 
 	// Refresh in app-ID order, not the map's: each upsert is a WAL record,
 	// and the same fold must log the same bytes in the same order.
-	slices.Sort(apps)
+	apps := d.markUnrefreshed(folded)
+	if len(uploads) == 0 && len(apps) == 0 {
+		return 0
+	}
 	for _, appID := range apps {
 		if ctx.Err() != nil {
 			break
+		}
+		if !d.claimRefresh(appID) {
+			continue // a concurrent call refreshed it after our folds
 		}
 		// Refresh failures for one app must not block the others.
 		_ = d.refreshApp(appID)
@@ -184,6 +195,36 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 	}
 	d.met.processMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	return len(uploads)
+}
+
+// markUnrefreshed marks the folded apps and returns every marked app,
+// sorted.
+func (d *DataProcessor) markUnrefreshed(folded []string) []string {
+	d.unrefreshedMu.Lock()
+	defer d.unrefreshedMu.Unlock()
+	for _, appID := range folded {
+		d.unrefreshed[appID] = true
+	}
+	if len(d.unrefreshed) == 0 {
+		return nil
+	}
+	apps := make([]string, 0, len(d.unrefreshed))
+	for appID := range d.unrefreshed {
+		apps = append(apps, appID)
+	}
+	slices.Sort(apps)
+	return apps
+}
+
+// claimRefresh unmarks appID and reports whether it was marked. The mark
+// goes before the refresh runs, so a fold landing during the refresh marks
+// the app again.
+func (d *DataProcessor) claimRefresh(appID string) bool {
+	d.unrefreshedMu.Lock()
+	defer d.unrefreshedMu.Unlock()
+	marked := d.unrefreshed[appID]
+	delete(d.unrefreshed, appID)
+	return marked
 }
 
 // decode returns the upload one stored blob carries. A blob that does not
@@ -209,8 +250,8 @@ func (d *DataProcessor) countFolded(n int) {
 }
 
 // foldDecoded accumulates one decoded upload's samples into the app's
-// runs and bursts. The fold owns up from here on: its reading slices move
-// into the runs uncopied.
+// runs and bursts. Scalar readings are copied into the runs' arenas; the
+// burst points take up's track fixes.
 func (ad *appData) foldDecoded(up *wire.DataUpload) {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
@@ -221,11 +262,7 @@ func (ad *appData) foldDecoded(up *wire.DataUpload) {
 			ad.scalar[series.Sensor] = run
 		}
 		for _, smp := range series.Samples {
-			run.samples = append(run.samples, feature.Sample{
-				At:       time.UnixMilli(smp.AtUnixMilli).UTC(),
-				Window:   time.Duration(smp.WindowMilli) * time.Millisecond,
-				Readings: smp.Readings,
-			})
+			run.add(smp.AtUnixMilli, time.Duration(smp.WindowMilli)*time.Millisecond, smp.Readings)
 		}
 	}
 	for _, gp := range up.Track {
@@ -279,31 +316,67 @@ var robustPipelines = map[string]sensorFeature{
 // pure function of the sample *set*, which is what lets the chaos suite
 // demand byte-identical features from a faulty and a fault-free run.
 //
-// samples[:sorted] is canonical — the stable sort of its arrival order
-// under compareSamples; a fold appends behind it in arrival order, and the
-// next refresh sorts that tail and merges it in. A trickle therefore costs
-// its own samples (plus the elements they displace), and recovery's
-// refold of the whole history is one sort, never an insertion per sample.
+// A run holds no pointers: recs are fixed-size records, and their readings
+// sit in arena, which only ever grows — a fold appends each sample's
+// readings there and its record behind the others. recs[:sorted] is
+// canonical — the stable sort of its arrival order under compareSamples;
+// the next refresh sorts the tail and merges it in. A trickle therefore
+// costs its own samples (plus the records they displace, each move a plain
+// memmove), and recovery's refold of the whole history is one sort, never
+// an insertion per sample.
+//
+// marks make extraction resumable: marks[i] is fold's state after stepping
+// recs[:i*foldBlock]. A refresh resumes from the last mark at or before the
+// first record canonical moved, so a trickle at the end of the run steps
+// its own samples plus under one block.
 type sampleRun struct {
-	samples []feature.Sample
-	sorted  int
+	recs   []sampleRec
+	arena  []float64
+	sorted int
+
+	fold  feature.Fold // the extractor marks belong to; nil: no marks
+	marks []stats.Welford
+}
+
+// sampleRec is one sample of a run: the paper's (t, Δt, d) tuple, its
+// readings being arena[off : off+n].
+type sampleRec struct {
+	at     int64 // Unix milliseconds
+	window time.Duration
+	off, n int
+}
+
+// foldBlock is how many samples a run steps between fold marks.
+const foldBlock = 32
+
+// add appends one sample to the run's unsorted tail.
+func (r *sampleRun) add(atMilli int64, window time.Duration, readings []float64) {
+	r.recs = append(r.recs, sampleRec{at: atMilli, window: window, off: len(r.arena), n: len(readings)})
+	r.arena = append(r.arena, readings...)
+}
+
+// readings returns rec's readings, capped so an append cannot reach into
+// the arena behind them.
+func (r *sampleRun) readings(rec sampleRec) []float64 {
+	return r.arena[rec.off : rec.off+rec.n : rec.off+rec.n]
 }
 
 // compareSamples is the canonical sample order: instant, window, reading
 // count, then readings elementwise. A reading pair that is neither equal
 // nor ordered (a NaN) ends the comparison as a tie.
-func compareSamples(a, b feature.Sample) int {
-	if c := a.At.Compare(b.At); c != 0 {
-		return c
+func (r *sampleRun) compareSamples(a, b sampleRec) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
 	}
-	if a.Window != b.Window {
-		return cmp.Compare(a.Window, b.Window)
+	if a.window != b.window {
+		return cmp.Compare(a.window, b.window)
 	}
-	if len(a.Readings) != len(b.Readings) {
-		return cmp.Compare(len(a.Readings), len(b.Readings))
+	if a.n != b.n {
+		return cmp.Compare(a.n, b.n)
 	}
-	for k, x := range a.Readings {
-		if y := b.Readings[k]; x != y {
+	ys := r.readings(b)
+	for k, x := range r.readings(a) {
+		if y := ys[k]; x != y {
 			switch {
 			case x < y:
 				return -1
@@ -317,29 +390,77 @@ func compareSamples(a, b feature.Sample) int {
 }
 
 // canonical brings the whole history into canonical order, in place, and
-// returns it. Merging the sorted tail behind the sorted prefix, prefix
-// first on ties, is the stable sort of the full arrival order. The merge
-// runs from the back: each tail sample is placed behind the prefix samples
-// not greater than it, and the block it displaces moves in one copy.
-func (r *sampleRun) canonical() []feature.Sample {
-	s, k := r.samples, r.sorted
+// returns the first position it changed (len(recs) when it changed none).
+// Merging the sorted tail behind the sorted prefix, prefix first on ties,
+// is the stable sort of the full arrival order. The merge runs from the
+// back: each tail record is placed behind the prefix records not greater
+// than it, and the block it displaces moves in one copy.
+func (r *sampleRun) canonical() int {
+	s, k := r.recs, r.sorted
 	if k == len(s) {
-		return s
+		return k
 	}
-	slices.SortStableFunc(s[k:], compareSamples)
-	if k > 0 && compareSamples(s[k], s[k-1]) < 0 {
+	slices.SortStableFunc(s[k:], r.compareSamples)
+	if k > 0 && r.compareSamples(s[k], s[k-1]) < 0 {
 		tail := slices.Clone(s[k:])
 		for j := len(tail) - 1; j >= 0; j-- {
-			// s[pos:k] are the prefix samples still unplaced that sort
+			// s[pos:k] are the prefix records still unplaced that sort
 			// after tail[j]; tail[:j+1] all precede them.
-			pos := sort.Search(k, func(i int) bool { return compareSamples(tail[j], s[i]) < 0 })
+			pos := sort.Search(k, func(i int) bool { return r.compareSamples(tail[j], s[i]) < 0 })
 			copy(s[pos+j+1:], s[pos:k])
 			s[pos+j] = tail[j]
 			k = pos
 		}
 	}
 	r.sorted = len(s)
-	return s
+	return k
+}
+
+// samples returns the history in canonical order as feature samples, their
+// readings aliasing the arena. Valid until the next fold into the run.
+func (r *sampleRun) samples() []feature.Sample {
+	r.canonical()
+	out := make([]feature.Sample, len(r.recs))
+	for i, rec := range r.recs {
+		out[i] = feature.Sample{At: time.UnixMilli(rec.at).UTC(), Window: rec.window, Readings: r.readings(rec)}
+	}
+	return out
+}
+
+// extract computes e over the canonical history and reports how many
+// samples it stepped. A Fold resumes from the last mark before the first
+// position canonical changed — its state there covers a prefix no merge has
+// touched, so the value is Extract's bit for bit — and leaves a mark every
+// foldBlock samples on the way. Any other extractor runs over the whole
+// history and drops the marks.
+func (r *sampleRun) extract(e feature.Extractor) (value float64, stepped int, err error) {
+	f, ok := e.(feature.Fold)
+	if !ok {
+		r.fold, r.marks = nil, r.marks[:0]
+		value, err = e.Extract(r.samples())
+		return value, len(r.recs), err
+	}
+	first := r.canonical()
+	if r.fold != f {
+		r.fold, r.marks = f, r.marks[:0]
+	}
+	r.marks = r.marks[:min(len(r.marks), first/foldBlock+1)]
+	if len(r.marks) == 0 {
+		r.marks = append(r.marks, stats.Welford{})
+	}
+	start := (len(r.marks) - 1) * foldBlock
+	w := r.marks[len(r.marks)-1]
+	for i := start; i < len(r.recs); {
+		rec := r.recs[i]
+		if err := f.Step(&w, rec.window, r.readings(rec)); err != nil {
+			return 0, i + 1 - start, err
+		}
+		if i++; i%foldBlock == 0 {
+			r.marks = append(r.marks, w)
+		}
+	}
+	value, err = f.Read(&w)
+	return value, len(r.recs) - start, err
 }
 
 // featureValue is one extracted feature of one application.
@@ -377,22 +498,24 @@ func (d *DataProcessor) extractApp(appID string) (store.Application, []featureVa
 		pipelines = robustPipelines
 	}
 	// The scalar extractors run under the app lock: canonical reorders the
-	// run in place, so no header snapshot of it would stay valid against
-	// the next refresh, and an extraction is one pass of adds over the run.
-	// Bursts are snapshotted instead — their points are never mutated after
-	// append — and the curvature estimate runs outside the lock.
+	// run in place and extract moves its marks, and a fold extraction steps
+	// only the samples behind the first one the refresh moved. Bursts are
+	// snapshotted instead — their points are never mutated after append —
+	// and the curvature estimate runs outside the lock.
 	ad.mu.Lock()
 	values := make([]featureValue, 0, len(ad.scalar)+1)
+	stepped := 0
 	for sensor, run := range ad.scalar {
 		pipeline, ok := pipelines[sensor]
-		if !ok || len(run.samples) == 0 {
+		if !ok || len(run.recs) == 0 {
 			continue
 		}
-		value, err := pipeline.extractor.Extract(run.canonical())
+		value, n, err := run.extract(pipeline.extractor)
+		stepped += n
 		if err != nil {
 			continue
 		}
-		values = append(values, featureValue{pipeline.feature, value, len(run.samples)})
+		values = append(values, featureValue{pipeline.feature, value, len(run.recs)})
 	}
 	type keyedBurst struct {
 		key burstKey
@@ -406,6 +529,7 @@ func (d *DataProcessor) extractApp(appID string) (store.Application, []featureVa
 		}})
 	}
 	ad.mu.Unlock()
+	d.met.refolded.Add(int64(stepped))
 	// Canonical burst order: (instant, user). Points inside one burst keep
 	// their recorded sequence — that is the walker's path; only the order
 	// *between* bursts is arrival-dependent and must be normalized.

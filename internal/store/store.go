@@ -336,11 +336,23 @@ type Store struct {
 // ChangedPlaces finds every change numbered ≤ V already stamped, and every
 // change it could not see numbered > V (conservative: a reader may be told
 // a place is dirty whose change it already saw, never the reverse).
+//
+// bumps logs every place stamp in ver order, so ChangedPlaces finds the
+// stamps after since by binary search and reads only those; an entry whose
+// place was stamped again later is superseded. The log is compacted to
+// the live entries — one per place — when it reaches twice the places.
 type catVersion struct {
 	ver       atomic.Int64
 	mu        sync.Mutex
 	placeVers map[string]int64
+	bumps     []placeBump
 	appVer    int64
+}
+
+// placeBump is one place stamp: the place's rows changed at ver.
+type placeBump struct {
+	ver   int64
+	place string
 }
 
 type featureKey struct {
@@ -925,9 +937,11 @@ func (s *Store) FeatureVersion(category string) int64 {
 func (s *Store) ChangedPlaces(category string, since int64) (places []string, appJoined bool) {
 	cv := s.catVer(category)
 	cv.mu.Lock()
-	for place, ver := range cv.placeVers {
-		if ver > since {
-			places = append(places, place)
+	// The first stamp after since.
+	i, _ := slices.BinarySearchFunc(cv.bumps, since+1, func(b placeBump, ver int64) int { return cmp.Compare(b.ver, ver) })
+	for _, b := range cv.bumps[i:] {
+		if cv.placeVers[b.place] == b.ver {
+			places = append(places, b.place)
 		}
 	}
 	appJoined = cv.appVer > since
@@ -958,7 +972,12 @@ func (s *Store) bumpFeatureApp(category string) {
 func (s *Store) bumpFeaturePlace(category, place string) {
 	cv := s.catVer(category)
 	cv.mu.Lock()
-	cv.placeVers[place] = cv.ver.Add(1)
+	ver := cv.ver.Add(1)
+	cv.placeVers[place] = ver
+	cv.bumps = append(cv.bumps, placeBump{ver, place})
+	if len(cv.bumps) >= 2*len(cv.placeVers) {
+		cv.bumps = slices.DeleteFunc(cv.bumps, func(b placeBump) bool { return cv.placeVers[b.place] != b.ver })
+	}
 	cv.mu.Unlock()
 }
 

@@ -2,6 +2,10 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -415,5 +419,51 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if len(s.Users()) != 8 {
 		t.Fatalf("users = %d", len(s.Users()))
+	}
+}
+
+// TestChangedPlacesMatchesMapWalk: over random place and application
+// bumps, with the log compacting along the way, ChangedPlaces(since)
+// returns exactly what a walk of every place's latest version does, for
+// every since from before the first bump to past the last.
+func TestChangedPlacesMatchesMapWalk(t *testing.T) {
+	const category = "walk"
+	r := rand.New(rand.NewSource(5))
+	s := New()
+	latest := make(map[string]int64)
+	appVer := int64(0)
+	for step := 0; step < 3000; step++ {
+		if r.Intn(25) == 0 {
+			s.bumpFeatureApp(category)
+			appVer = s.FeatureVersion(category)
+		} else {
+			// A few hot places and a long tail, so the log compacts often.
+			place := fmt.Sprintf("p%02d", r.Intn(4))
+			if r.Intn(3) == 0 {
+				place = fmt.Sprintf("p%02d", r.Intn(60))
+			}
+			s.bumpFeaturePlace(category, place)
+			latest[place] = s.FeatureVersion(category)
+		}
+		if step%7 != 0 {
+			continue
+		}
+		ver := s.FeatureVersion(category)
+		for _, since := range []int64{0, ver, ver - 1, r.Int63n(ver + 1), ver - r.Int63n(min(ver, 20)+1)} {
+			var want []string
+			for place, v := range latest {
+				if v > since {
+					want = append(want, place)
+				}
+			}
+			sort.Strings(want)
+			got, joined := s.ChangedPlaces(category, since)
+			if !slices.Equal(got, want) || joined != (appVer > since) {
+				t.Fatalf("step %d since %d: %v joined=%v, map walk %v joined=%v", step, since, got, joined, want, appVer > since)
+			}
+		}
+	}
+	if cv := s.catVer(category); len(cv.bumps) >= 2*len(cv.placeVers) {
+		t.Fatalf("log holds %d bumps for %d places", len(cv.bumps), len(cv.placeVers))
 	}
 }
