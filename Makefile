@@ -64,13 +64,15 @@ bench:
 # cached-hit rank query and a 30-member re-plan must stay O(1)
 # allocations, and the re-plan inside its gain-evaluation bound; recovery
 # decodes each stored upload once; a caught-up follower's pull costs the
-# same on a 64 MiB live segment as on a 1 MiB one. -short
-# skips only the ~4-minute 2 000-place monolithic-baseline solve; the
-# 200-place baseline point still runs.
+# same on a 64 MiB live segment as on a 1 MiB one; an assignment solve
+# allocates only its permutation and keeps O(n) scratch. -short
+# shrinks the session-fleet and recovery benchmarks; every point of the
+# columnar and monolithic scaling tables still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
 	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestRefreshCostIndependentOfHistory|TestRecoveryAllocsPerUpload' -v ./internal/server/
 	$(GO) test -count=1 -run 'TestReadAfterTailCost' -v ./internal/wal/
+	$(GO) test -count=1 -run 'TestSolverSteadyStateAllocs|TestSolverScratchIsLinear' -v ./internal/mcmf/
 
 # The end-to-end benchmark harness (BENCHMARK.json, bench/) is its own
 # module, so `go test ./...` at the root never reaches its tests.
@@ -81,13 +83,16 @@ bench-test:
 # wire decoder (open network), the session frame decoder (open network,
 # wraps the wire codec), the WAL record framer (disk after a crash), and
 # the store's row codec behind it — WAL ops (disk, and a leader's
-# replication stream) and snapshot sections (disk, and a shipped image).
+# replication stream) and snapshot sections (disk, and a shipped image) —
+# plus the assignment solver against brute force on huge, negative and
+# tied costs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSessionFrame -fuzztime 10s ./internal/transport/session/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzWALOpDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzAssign -fuzztime 10s ./internal/mcmf/
 
 # Boot a real sord, scrape /debug/metrics via sorctl, assert every
 # promised series is present and that traffic moves the counters.

@@ -3,8 +3,8 @@
 // DESIGN.md "Read path & caching"): BenchmarkRankThroughput is the number
 // quoted in CHANGES.md and BENCH_rank.json — "legacy" reproduces the
 // pre-snapshot per-query pipeline (process, per-cell matrix assembly,
-// column sorts, a fresh flow graph per solve, row copies), "snapshot" goes
-// through the server's serving layer.
+// column sorts, a full matching solve per query, row copies), "snapshot"
+// goes through the server's serving layer.
 //
 //	go test -bench=RankThroughput -benchtime=2s .
 package sor_test

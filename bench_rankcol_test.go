@@ -33,8 +33,7 @@ const colBenchCategory = "colbench"
 
 // colBenchScales are the place counts of the scaling table. The
 // monolithic baseline only runs through 2 000: at 10 000 places its n×n
-// cost matrix alone is ~800 MB and the single matching solve takes
-// minutes — which is the point of the columnar core.
+// cost matrix alone is ~800 MB — which is the point of the columnar core.
 var colBenchScales = []int{200, 2000, 10000}
 
 const colBenchMonolithicMax = 2000
@@ -220,11 +219,6 @@ func BenchmarkRankColumnar(b *testing.B) {
 func BenchmarkRankMonolithicBaseline(b *testing.B) {
 	for _, n := range colBenchScales {
 		if n > colBenchMonolithicMax {
-			continue
-		}
-		// One 2 000-place monolithic solve takes ~4 minutes; the 200-place
-		// point keeps the baseline alive in smoke runs (-short).
-		if testing.Short() && n > 200 {
 			continue
 		}
 		n := n

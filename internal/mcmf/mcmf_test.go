@@ -334,21 +334,3 @@ func TestFlowConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkAssign50(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 50
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		for j := range cost[i] {
-			cost[i][j] = rng.Float64() * 100
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Assign(cost); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
