@@ -62,7 +62,10 @@ bench:
 # One iteration of every benchmark (catches bit-rot, including the
 # 200/2k/10k columnar scaling table) plus the hot-path gates — a
 # cached-hit rank query and a 30-member re-plan must stay O(1)
-# allocations, and the re-plan inside its gain-evaluation bound; recovery
+# allocations, and the re-plan inside its gain-evaluation and tree-work
+# bounds; the lazy engine returns the eager greedy's plan to the bit;
+# concurrent joins and leaves on one app store the latest plan (under
+# -race, with the schedule and server packages' short suites); recovery
 # decodes each stored upload once; a caught-up follower's pull costs the
 # same on a 64 MiB live segment as on a 1 MiB one; an assignment solve
 # allocates only its permutation and keeps O(n) scratch. -short
@@ -71,6 +74,9 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
 	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestRefreshCostIndependentOfHistory|TestRecoveryAllocsPerUpload' -v ./internal/server/
+	$(GO) test -race -count=1 -run 'TestConcurrentOpsStoreTheLatestPlan' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestLazyGreedyMatchesEagerExactly' -v ./internal/schedule/
+	$(GO) test -race -short ./internal/schedule/ ./internal/server/
 	$(GO) test -count=1 -run 'TestReadAfterTailCost' -v ./internal/wal/
 	$(GO) test -count=1 -run 'TestSolverSteadyStateAllocs|TestSolverScratchIsLinear' -v ./internal/mcmf/
 

@@ -128,16 +128,18 @@ func TestRankTopKBoundsResponse(t *testing.T) {
 
 // replanAllocBudget is the gate on one re-plan. Measured today: 10 — the
 // sorted member list, the accumulator and its miss products, the plan, its
-// map, and the two arrays the assignments are carved from. The heap, the
-// stale flags and the per-member windows are pooled scratch, so neither
-// the 30 members nor the 1 081 instants show up here.
+// map, and the two arrays the assignments are carved from. The tournament
+// tree, the member bitsets, the stale flags and the per-member windows are
+// pooled scratch, so neither the 30 members nor the 1 081 instants show up
+// here.
 const replanAllocBudget = 16
 
 // TestReplanAllocsAndWork gates a re-plan at the size a busy place
 // reaches: 30 members on the default 3-hour period. Allocations must not
 // grow with members or instants, and the lazy greedy must stay inside its
-// work bound — one gain per instant up front, then per selection at most
-// the 4·radius+1 entries an Add can stale.
+// work bounds — one gain per live instant up front, then per selection at
+// most the 4·radius+1 instants an Add can stale — and its tournament tree
+// inside the bounds derived below.
 func TestReplanAllocsAndWork(t *testing.T) {
 	s, clock := newTestServer(t)
 	if err := s.CreateApp(starbucksApp()); err != nil {
@@ -164,9 +166,20 @@ func TestReplanAllocsAndWork(t *testing.T) {
 	if avg > replanAllocBudget && !raceEnabled {
 		t.Fatalf("a %d-member re-plan costs %.1f allocs, budget %d", members, avg, replanAllocBudget)
 	}
-	selections := 0
-	for _, a := range plan.Assignments {
-		selections += len(a.Instants)
+	writes0, replays0 := schedule.LazyWork()
+	if _, err := st.online.Replan(now); err != nil {
+		t.Fatal(err)
+	}
+	writes1, replays1 := schedule.LazyWork()
+	leafWrites, replays := int(writes1-writes0), int(replays1-replays0)
+
+	selections, spent := 0, 0
+	for i := 0; i < members; i++ {
+		n := len(plan.Assignments[fmt.Sprintf("member-%02d", i)].Instants)
+		selections += n
+		if n == 3+i%15 {
+			spent++
+		}
 	}
 	if len(plan.Assignments) != members || selections < 100 {
 		t.Fatalf("re-plan scheduled %d members, %d measurements", len(plan.Assignments), selections)
@@ -175,8 +188,27 @@ func TestReplanAllocsAndWork(t *testing.T) {
 	if bound := st.timeline.N() + (4*radius+1)*selections; plan.OracleCalls > bound {
 		t.Fatalf("re-plan made %d gain evaluations for %d selections, bound %d", plan.OracleCalls, selections, bound)
 	}
-	t.Logf("%d-member re-plan: %.1f allocs (budget %d), %d gain evaluations for %d selections",
-		members, avg, replanAllocBudget, plan.OracleCalls, selections)
+	// Every member's window is [now, period end]: the tree is built over
+	// those live instants with one gain each. After the build, a path is
+	// replayed only when the root's key changes: its gain was recomputed
+	// (one evaluation each), or a selection took the instant's last member
+	// (at most one per selection). A candidate that moves because a member
+	// spent their budget, and an instant nobody can take any more, are
+	// re-keyed in that member's range pass instead — one leaf write per
+	// instant of their window at most — and never surface: a member scan
+	// per visit or dead instants popped one by one would replay a path for
+	// each of them.
+	live := st.timeline.N() - st.timeline.Index(now)
+	if bound := plan.OracleCalls - live + selections; replays > bound {
+		t.Fatalf("re-plan replayed %d tree paths, bound %d (%d gain evaluations, %d live instants, %d selections)",
+			replays, bound, plan.OracleCalls, live, selections)
+	}
+	if bound := replays + spent*live; leafWrites > bound {
+		t.Fatalf("re-plan wrote %d tree leaves, bound %d (%d replays, %d members spent over %d live instants)",
+			leafWrites, bound, replays, spent, live)
+	}
+	t.Logf("%d-member re-plan: %.1f allocs (budget %d), %d gain evaluations for %d selections, %d path replays, %d leaf writes",
+		members, avg, replanAllocBudget, plan.OracleCalls, selections, replays, leafWrites)
 }
 
 // walSchedTag is the first byte of the store's PutSchedule WAL records

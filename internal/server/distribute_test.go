@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,4 +293,126 @@ func TestRejoinAfterLeaveIsRefusedCleanly(t *testing.T) {
 		t.Fatalf("present after the refused rejoins: %v, want [bob]", got)
 	}
 	participate(t, s, "carol", "tok-c", 4)
+}
+
+// storedMatchesPlan fails the test unless every present member of app-sb
+// has the scheduler's current plan as their stored row.
+func storedMatchesPlan(t *testing.T, s *Server) {
+	t.Helper()
+	st := s.states.get("app-sb")
+	plan := st.online.Plan()
+	for _, u := range st.online.Present() {
+		taskID, _, ok := st.member(u)
+		if !ok {
+			t.Fatalf("present member %s has no task", u)
+		}
+		var want []int64
+		for _, i := range plan.Assignments[u].Instants {
+			want = append(want, st.timeline.Time(i).Unix())
+		}
+		if row, _ := s.DB().Schedule(taskID); !slices.Equal(row.AtUnix, want) {
+			t.Fatalf("%s's stored row %v, current plan %v", u, row.AtUnix, want)
+		}
+	}
+}
+
+// Two ops on one app at once: the first is held between its replan and
+// the distribution of its plan until the second has answered — or for
+// 200 ms, when the second waits for the first. Every present member's
+// stored row must then be the scheduler's current plan: an op that
+// replanned first must never distribute last and rewrite rows from the
+// plan the second op superseded. Then four clients join six users each
+// with nothing held, and the rows must again be the plan.
+func TestConcurrentOpsStoreTheLatestPlan(t *testing.T) {
+	type op struct {
+		user  string
+		leave bool
+	}
+	run := func(s *Server, o op) error {
+		var msg wire.Message = &wire.Participate{UserID: o.user, Token: "tok-" + o.user, AppID: "app-sb",
+			Loc: wire.Location{Lat: 43.0413, Lon: -76.1350}, Budget: 9}
+		if o.leave {
+			msg = &wire.Leave{UserID: o.user, AppID: "app-sb"}
+		}
+		resp, err := s.Handler()(nil, msg)
+		if err == nil && !resp.(*wire.Ack).OK {
+			err = fmt.Errorf("%+v refused: %s", o, resp.(*wire.Ack).Message)
+		}
+		return err
+	}
+	setup := func(t *testing.T) *Server {
+		s, clock := newTestServer(t)
+		if err := s.CreateApp(starbucksApp()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			clock.Set(t0.Add(time.Duration(i) * time.Minute))
+			user := fmt.Sprintf("member-%d", i)
+			participate(t, s, user, "tok-"+user, 4+i)
+		}
+		clock.Set(t0.Add(10 * time.Minute))
+		return s
+	}
+	for name, ops := range map[string][2]op{
+		"join then join":  {{user: "late-a"}, {user: "late-b"}},
+		"leave then join": {{user: "member-1", leave: true}, {user: "late-b"}},
+		"join then leave": {{user: "late-a"}, {user: "member-2", leave: true}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := setup(t)
+			held, second := make(chan struct{}), make(chan struct{})
+			var first atomic.Bool
+			s.replanned = func() {
+				if first.CompareAndSwap(false, true) {
+					close(held)
+					select {
+					case <-second:
+					case <-time.After(200 * time.Millisecond):
+					}
+				}
+			}
+			errs := make(chan error, 2)
+			go func() { errs <- run(s, ops[0]) }()
+			<-held
+			go func() {
+				err := run(s, ops[1])
+				close(second)
+				errs <- err
+			}()
+			for range 2 {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			storedMatchesPlan(t, s)
+		})
+	}
+	t.Run("racing joins", func(t *testing.T) {
+		trials := 10
+		if testing.Short() {
+			trials = 3
+		}
+		for trial := 0; trial < trials; trial++ {
+			s := setup(t)
+			var wg sync.WaitGroup
+			errs := make(chan error, 24)
+			for c := 0; c < 4; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < 6; j++ {
+						errs <- run(s, op{user: fmt.Sprintf("racer-%d-%d", c, j)})
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			storedMatchesPlan(t, s)
+		}
+	})
 }

@@ -110,6 +110,10 @@ type Server struct {
 
 	obsv *obs.Observer
 	met  serverMetrics
+
+	// replanned, when set, runs after a join or leave replanned and before
+	// its plan is distributed (tests widen that window with it).
+	replanned func()
 }
 
 // serverMetrics are the server's constant-label handles, created once at
@@ -201,6 +205,12 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 type appSchedState struct {
 	timeline *coverage.Timeline
 	online   *schedule.Online
+
+	// plan is held by a join or leave from its replan until its plan is
+	// distributed, so plans reach the store in the order they were made:
+	// an op that replanned first can never distribute after a later one
+	// and rewrite rows from the plan that op superseded.
+	plan sync.Mutex
 
 	mu      sync.Mutex
 	taskOf  map[string]string // userID -> taskID
@@ -471,6 +481,7 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 			return nil, err
 		}
 	}
+	st.plan.Lock()
 	plan, err := st.online.Join(now, schedule.Participant{
 		UserID: msg.UserID,
 		Arrive: now,
@@ -478,6 +489,7 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 		Budget: msg.Budget,
 	})
 	if err != nil {
+		st.plan.Unlock()
 		return refuse(500, "scheduling failed: %v", err), nil
 	}
 	st.mu.Lock()
@@ -485,7 +497,9 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 	st.tokenOf[msg.UserID] = msg.Token
 	st.mu.Unlock()
 	s.met.replans.Inc()
-	if err := s.distributePlan(app, st, plan); err != nil {
+	err = s.distributePlan(app, st, plan)
+	st.plan.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	if err := s.db.UpdateParticipation(taskID, func(p *store.Participation) {
@@ -505,8 +519,12 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 // replan left where they were keeps their stored row and hears nothing:
 // the store ends up holding what rewriting every row would leave, and the
 // WAL is spared the records that would only repeat it. Members go in
-// user-ID order, so the same ops log the same bytes.
+// user-ID order, so the same ops log the same bytes. The caller holds
+// st.plan from before the replan that made plan.
 func (s *Server) distributePlan(app store.Application, st *appSchedState, plan *schedule.Plan) error {
+	if s.replanned != nil {
+		s.replanned()
+	}
 	users := make([]string, 0, len(plan.Assignments))
 	for userID := range plan.Assignments {
 		users = append(users, userID)
@@ -783,16 +801,17 @@ func (s *Server) handleLeave(ctx context.Context, msg *wire.Leave) (wire.Message
 		return nil, err
 	}
 	if st := s.states.get(msg.AppID); st != nil {
-		st.mu.Lock()
-		delete(st.taskOf, msg.UserID)
-		delete(st.tokenOf, msg.UserID)
-		st.mu.Unlock()
 		app, err := s.db.App(msg.AppID)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := st.online.Leave(now, msg.UserID)
-		if err == nil {
+		st.plan.Lock()
+		defer st.plan.Unlock()
+		st.mu.Lock()
+		delete(st.taskOf, msg.UserID)
+		delete(st.tokenOf, msg.UserID)
+		st.mu.Unlock()
+		if plan, err := st.online.Leave(now, msg.UserID); err == nil {
 			s.met.replans.Inc()
 			if err := s.distributePlan(app, st, plan); err != nil {
 				return nil, err
