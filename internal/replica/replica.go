@@ -94,6 +94,9 @@ type followerState struct {
 	pos      wal.Pos
 	ackGauge *obs.Gauge
 	lagGauge *obs.Gauge
+	// persistedAck is the ack the ledger holds for this follower, and
+	// persistedSeg the segment pos pointed into when it was written.
+	persistedAck, persistedSeg uint64
 }
 
 // Leader serves ReplPull requests off the local WAL and accounts for
@@ -108,6 +111,8 @@ type Leader struct {
 	mu        sync.Mutex
 	followers map[string]*followerState
 	resyncs   map[string]*resyncSession
+	// ledgerStale marks a ledger write that failed: the next pull retries.
+	ledgerStale bool
 
 	followersGauge *obs.Gauge
 	pulls          *obs.Counter
@@ -176,7 +181,7 @@ func (ld *Leader) loadState() error {
 	}
 	now := ld.clock.Now()
 	for id, lsn := range ps.Followers {
-		ld.registerLocked(id, lsn, now)
+		ld.registerLocked(id, lsn, now).persistedAck = lsn
 		ld.log.Retain(id, lsn)
 	}
 	return nil
@@ -185,7 +190,7 @@ func (ld *Leader) loadState() error {
 // persistLocked writes the ack ledger atomically: temp file, fsync,
 // rename, so a power cut leaves the old ledger or the new one. Best
 // effort: a failed write costs durability of the pins across a restart,
-// never correctness while this process lives.
+// never correctness while this process lives, and the next pull retries.
 func (ld *Leader) persistLocked() {
 	if ld.statePath == "" {
 		return
@@ -194,6 +199,7 @@ func (ld *Leader) persistLocked() {
 	for id, f := range ld.followers {
 		ps.Followers[id] = f.ackLSN
 	}
+	ld.ledgerStale = true
 	data, err := json.Marshal(&ps)
 	if err != nil {
 		return
@@ -210,10 +216,26 @@ func (ld *Leader) persistLocked() {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, ld.statePath)
+	}
 	if err != nil {
 		return
 	}
-	_ = os.Rename(tmp, ld.statePath)
+	ld.ledgerStale = false
+	for _, f := range ld.followers {
+		f.persistedAck, f.persistedSeg = f.ackLSN, f.pos.Segment()
+	}
+}
+
+// ledgerBehindLocked reports whether follower f's ack must reach the
+// ledger now. Truncation removes whole segments, and a persisted ack
+// lower than the follower's only retains more, so the ledger is rewritten
+// only when the ack falls below the persisted one (a follower that lost
+// its unsynced tail) or the follower has moved into a later segment —
+// not on every pull.
+func (ld *Leader) ledgerBehindLocked(f *followerState) bool {
+	return ld.ledgerStale || f.ackLSN < f.persistedAck || f.pos.Segment() > f.persistedSeg
 }
 
 // registerLocked records follower id's ack and liveness. The ack may
@@ -253,15 +275,21 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	ack := p.FromLSN - 1
 
 	ld.mu.Lock()
-	pos := ld.registerLocked(p.FollowerID, ack, now).pos
+	_, known := ld.followers[p.FollowerID]
+	f := ld.registerLocked(p.FollowerID, ack, now)
+	pos := f.pos
+	persist := !known || ld.ledgerBehindLocked(f)
 	// Expire followers silent past the TTL so one dead replica cannot
 	// pin the log, or a resync session's fd, forever.
 	for id, g := range ld.followers {
 		if id != p.FollowerID && now.Sub(g.lastSeen) > ld.ttl {
 			ld.dropLocked(id)
+			persist = true
 		}
 	}
-	ld.persistLocked()
+	if persist {
+		ld.persistLocked()
+	}
 	ld.mu.Unlock()
 
 	// Pin before reading: once Retain returns, no truncation can pass

@@ -649,3 +649,109 @@ func TestUndecodableLedgerIsDiscarded(t *testing.T) {
 		})
 	}
 }
+
+// TestLedgerWrittenOncePerSegment pins the ledger's write rule: a pull
+// rewrites replica_state.json only when its follower registers, its ack
+// falls, or it has moved into a later WAL segment than the persisted
+// ack's. The registering pull learns no segment, so after it the pulls
+// inside one segment write the ledger at most once, and a follower
+// crossing segments writes it at most once per segment.
+func TestLedgerWrittenOncePerSegment(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	appendRecords := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := log.Append(bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	segments := func() int {
+		names, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(names)
+	}
+	appendRecords(30)
+	if segments() != 1 {
+		t.Fatalf("30 records span %d segments, want 1", segments())
+	}
+	ld, err := NewLeader(log, WithStateDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A write replaces the sentinel the test leaves in the ledger; written
+	// keeps what the last write left.
+	ledger := filepath.Join(dir, stateFile)
+	const sentinel = `{"followers":{}}`
+	writes := 0
+	var written []byte
+	pull := func(from uint64) *wire.ReplRecords {
+		t.Helper()
+		if err := os.WriteFile(ledger, []byte(sentinel), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ld.HandlePull(&wire.ReplPull{FollowerID: "node-b", FromLSN: from, MaxRecords: 4})
+		if err != nil || resp.Compacted {
+			t.Fatalf("pull from %d: %+v, %v", from, resp, err)
+		}
+		if data, err := os.ReadFile(ledger); err != nil || string(data) != sentinel {
+			writes, written = writes+1, data
+		}
+		return resp
+	}
+	catchUp := func(from uint64) (next uint64, pulls int) {
+		for {
+			resp := pull(from)
+			pulls++
+			if len(resp.Records) == 0 {
+				return from, pulls
+			}
+			from += uint64(len(resp.Records))
+		}
+	}
+	pull(1)
+	if writes != 1 {
+		t.Fatalf("the registering pull wrote the ledger %d times, want once", writes)
+	}
+	writes = 0
+	next, pulls := catchUp(5)
+	if pulls < 8 || writes > 1 {
+		t.Fatalf("%d pulls inside one segment wrote the ledger %d times, want at most once", pulls, writes)
+	}
+	// An ack that falls below the persisted one (the follower lost its
+	// unsynced tail) is written; one that stays above it is not.
+	writes = 0
+	pull(next - 10)
+	if writes != 0 {
+		t.Fatalf("an ack above the persisted one wrote the ledger %d times", writes)
+	}
+	pull(1)
+	if writes != 1 {
+		t.Fatalf("an ack below the persisted one wrote the ledger %d times, want once", writes)
+	}
+	next, _ = catchUp(5)
+	// Crossing segments writes at most once per segment, and the ledger's
+	// ack leaves the first segment.
+	appendRecords(150)
+	writes = 0
+	next, pulls = catchUp(next)
+	if n := segments(); writes == 0 || writes > n || pulls < 2*n {
+		t.Fatalf("%d pulls across %d segments wrote the ledger %d times", pulls, n, writes)
+	}
+	if err := os.WriteFile(ledger, written, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ld2, err := NewLeader(log, WithStateDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ld2.Status().Followers; len(got) != 1 || got[0].AckLSN <= 30 || got[0].AckLSN >= next {
+		t.Fatalf("ledger after crossing segments reads back as %+v (head %d)", got, next-1)
+	}
+}

@@ -475,14 +475,16 @@ func TestRefreshCostIndependentOfHistory(t *testing.T) {
 }
 
 // recoverAllocBudget is the gate on what recovery allocates per stored
-// upload. Measured today: 19.7, of which 18 are its one decode (the
-// upload, its four IDs, its series slice, and per series the sensor name,
-// the sample slice and one readings slice per sample); the fold copies
-// those readings into its runs' arenas, which grow by doubling, and the
-// charge reuses the worker's instants buffer. The costs it guards against
-// — a second decode per body, an allocation per folded sample, a map per
-// upload to find its instants — put 43.4 here.
-const recoverAllocBudget = 24
+// upload. Measured today: 1.7. Each worker decodes every upload into one
+// reused message (wire.DecodeUpload), so a decode allocates only the
+// report's ReportID — unique per report — while its other IDs and sensor
+// names repeat and are kept, and its slices are reused; the fold copies
+// the readings into its runs' arenas, which grow by doubling, the charge
+// reuses the worker's instants buffer, and the history drain hands each
+// app's rows over without a copy per job. A fresh message per decode puts
+// 19.7 here, and a second decode per body, an allocation per folded
+// sample or a map per upload to find its instants more still.
+const recoverAllocBudget = 4
 
 // TestRecoveryAllocsPerUpload gates recovery's cost per stored upload: a
 // server restarted over a store holding 1 024 uploads across 4 apps must

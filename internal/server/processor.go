@@ -159,6 +159,7 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 	t0 := time.Now()
 	uploads := d.db.DrainUploads()
 	var folded []string
+	var up wire.DataUpload // decode scratch, reused across the drain
 	for _, raw := range uploads {
 		// With tracing on, each upload that arrived under a RequestID gets
 		// a fold span carrying the same id the client minted — the final
@@ -168,8 +169,8 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 			span = d.obsv.StartSpanID(obs.RequestID(raw.RequestID), "processor.fold")
 			span.Annotate("app", raw.AppID)
 		}
-		if up := d.decode(raw); up != nil {
-			d.appData(up.AppID).foldDecoded(up)
+		if d.decode(raw, &up) {
+			d.appData(up.AppID).foldDecoded(&up)
 			d.countFolded(1)
 			folded = append(folded, up.AppID)
 		}
@@ -227,20 +228,19 @@ func (d *DataProcessor) claimRefresh(appID string) bool {
 	return marked
 }
 
-// decode returns the upload one stored blob carries. A blob that does not
+// decode decodes one stored blob into up, reusing up's buffers, and
+// reports whether it carries an upload to fold. A blob that does not
 // decode, is not a DataUpload, or names another app than the one it was
 // stored under is counted as a decode error and dropped, never retried.
 // Refusing the last case keeps every app's samples inside its own rows,
 // which is what lets recovery fold each app on its own worker.
-func (d *DataProcessor) decode(raw store.RawUpload) *wire.DataUpload {
-	msg, err := wire.Decode(raw.Body)
-	up, ok := msg.(*wire.DataUpload)
-	if err != nil || !ok || up.AppID != raw.AppID {
+func (d *DataProcessor) decode(raw store.RawUpload, up *wire.DataUpload) bool {
+	if err := wire.DecodeUpload(raw.Body, up); err != nil || up.AppID != raw.AppID {
 		d.decodeErrors.Add(1)
 		d.met.decodeErrs.Inc()
-		return nil
+		return false
 	}
-	return up
+	return true
 }
 
 // countFolded accounts for n uploads folded into accumulators.
@@ -250,8 +250,9 @@ func (d *DataProcessor) countFolded(n int) {
 }
 
 // foldDecoded accumulates one decoded upload's samples into the app's
-// runs and bursts. Scalar readings are copied into the runs' arenas; the
-// burst points take up's track fixes.
+// runs and bursts. It keeps no slice of up — scalar readings are copied
+// into the runs' arenas and track fixes into the bursts' points — so the
+// caller may decode the next upload into the same message.
 func (ad *appData) foldDecoded(up *wire.DataUpload) {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()

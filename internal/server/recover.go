@@ -13,6 +13,7 @@ import (
 
 	"sor/internal/schedule"
 	"sor/internal/store"
+	"sor/internal/wire"
 )
 
 // Open recovers the store from the configured storage backend and
@@ -51,8 +52,10 @@ func (s *Server) Close() error {
 }
 
 // Kill abandons the storage backend the way a crash would — no final
-// checkpoint, no WAL flush. The chaos suite uses it to prove recovery.
+// checkpoint, no WAL flush — and stops the processing loop without its
+// final drain. The chaos suite uses it to prove recovery.
 func (s *Server) Kill() {
+	s.killed.Store(true)
 	if s.storage != nil {
 		s.storage.Kill()
 	}
@@ -149,9 +152,10 @@ func (s *Server) recoverState() error {
 	spent[stageReplan] = time.Since(t0)
 
 	t1 := time.Now()
-	history := s.db.DrainHistory()
-	jobs := recoveryJobs(history, replanAt)
-	s.met.recoveredUploads.Add(int64(len(history)))
+	jobs := recoveryJobs(s.db.DrainHistory(), replanAt)
+	for i := range jobs {
+		s.met.recoveredUploads.Add(int64(len(jobs[i].rows)))
+	}
 	spent[stageRefold] = time.Since(t1)
 
 	s.runRecoveryJobs(jobs)
@@ -201,29 +205,24 @@ type recoveryJob struct {
 	spent      [numRecoverStages]time.Duration // worker time per stage
 }
 
-// recoveryJobs splits the drained history by app, keeping sequence order
-// within each app (charges cap at the budget in that order), and adds the
-// apps that need only their replan. Jobs come back in app-ID order.
-func recoveryJobs(history []store.RawUpload, replanAt map[string]time.Time) []recoveryJob {
-	var jobs []recoveryJob
-	index := make(map[string]int, len(replanAt))
-	// job returns appID's job, valid until the next call adds one.
-	job := func(appID string) *recoveryJob {
+// recoveryJobs makes one job per app of the drained history, taking each
+// app's rows as they are — in sequence order, which is the order charges
+// cap at the budget in — and adds the apps that need only their replan.
+// Jobs come back in app-ID order.
+func recoveryJobs(history []store.AppHistory, replanAt map[string]time.Time) []recoveryJob {
+	jobs := make([]recoveryJob, len(history), len(history)+len(replanAt))
+	index := make(map[string]int, len(history)+len(replanAt))
+	for i, h := range history {
+		jobs[i] = recoveryJob{appID: h.AppID, rows: h.Rows}
+		index[h.AppID] = i
+	}
+	for appID, at := range replanAt {
 		i, ok := index[appID]
 		if !ok {
 			i = len(jobs)
-			index[appID] = i
 			jobs = append(jobs, recoveryJob{appID: appID})
 		}
-		return &jobs[i]
-	}
-	for appID, at := range replanAt {
-		j := job(appID)
-		j.replan, j.replanAt = true, at
-	}
-	for _, row := range history {
-		j := job(row.AppID)
-		j.rows = append(j.rows, row)
+		jobs[i].replan, jobs[i].replanAt = true, at
 	}
 	slices.SortFunc(jobs, func(a, b recoveryJob) int { return strings.Compare(a.appID, b.appID) })
 	return jobs
@@ -239,8 +238,9 @@ func (s *Server) runRecoveryJobs(jobs []recoveryJob) {
 		go func() {
 			defer wg.Done()
 			var instants []int
+			var up wire.DataUpload // decode scratch, reused across the worker's jobs
 			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
-				instants = s.recoverApp(&jobs[i], instants)
+				instants = s.recoverApp(&jobs[i], &up, instants)
 			}
 		}()
 	}
@@ -251,8 +251,9 @@ func (s *Server) runRecoveryJobs(jobs []recoveryJob) {
 // state, so jobs for different apps run in parallel; within the app
 // everything happens in the order the live run did it — the replan as of
 // the last membership event, then each upload's charge and fold in
-// sequence order. It returns the instants buffer for the worker's next job.
-func (s *Server) recoverApp(j *recoveryJob, instants []int) []int {
+// sequence order. Each upload is decoded into up, the worker's scratch. It
+// returns the instants buffer for the worker's next job.
+func (s *Server) recoverApp(j *recoveryJob, up *wire.DataUpload, instants []int) []int {
 	st := s.states.get(j.appID)
 	t0 := time.Now()
 	if j.replan {
@@ -265,8 +266,7 @@ func (s *Server) recoverApp(j *recoveryJob, instants []int) []int {
 	p := s.processor
 	var ad *appData
 	for _, raw := range j.rows {
-		up := p.decode(raw)
-		if up == nil {
+		if !p.decode(raw, up) {
 			continue
 		}
 		// Charge replay: RecordExecutions is idempotent per (user,

@@ -400,12 +400,28 @@ func recoveryMatchesTwin(t *testing.T) {
 		}
 	}
 	both(reports(0, 0)[0]) // a retransmission: acked, stored and charged once
+	// Three bodies stored under app 4 that no fold may take: one that is not
+	// a frame, an upload naming app 5, and a well-framed message that is
+	// not an upload. Each is a decode error, live and on recovery.
+	foreign := *reports(5, 0)[0]
+	foreign.ReportID = "foreign"
+	badBodies := [][]byte{[]byte("not a report")}
+	for _, m := range []wire.Message{&foreign, &wire.Ping{Token: "tok-ping"}} {
+		frame, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		badBodies = append(badBodies, frame)
+	}
 	for _, s := range []*Server{durable, twin} {
-		if _, err := s.DB().Ingest(concApp(4).ID, [][]byte{[]byte("not a report")}, store.IngestOptions{Received: base}); err != nil {
+		if _, err := s.DB().Ingest(concApp(4).ID, badBodies, store.IngestOptions{Received: base}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	twin.Processor().Process()
+	if _, decodeErrors := twin.Processor().Stats(); decodeErrors != len(badBodies) {
+		t.Fatalf("the live twin counted %d decode errors, stored %d bad bodies", decodeErrors, len(badBodies))
+	}
 
 	durable.Kill()
 	clock = newClock()
@@ -472,9 +488,9 @@ func recoveryMatchesTwin(t *testing.T) {
 		}
 	}
 	stored := durable.DB().UploadCount()
-	if processed, decodeErrors := durable.Processor().Stats(); processed != stored-1 || decodeErrors != 1 {
-		t.Fatalf("recovery folded %d of %d stored uploads with %d decode errors, want all but the corrupt one",
-			processed, stored, decodeErrors)
+	if processed, decodeErrors := durable.Processor().Stats(); processed != stored-len(badBodies) || decodeErrors != len(badBodies) {
+		t.Fatalf("recovery folded %d of %d stored uploads with %d decode errors, want all but the %d bad ones",
+			processed, stored, decodeErrors, len(badBodies))
 	}
 	snap := o.Metrics().Snapshot()
 	if n := snap.Counters["sor_server_recovered_uploads_total"]; n != int64(stored) {

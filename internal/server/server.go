@@ -92,6 +92,9 @@ type Server struct {
 	taskSeq atomic.Int64
 
 	processor *DataProcessor
+	// killed is set by Kill: a crashed process runs no more code, so the
+	// processing loop stops without its final drain.
+	killed atomic.Bool
 
 	// Rank-serving state (snapshots.go): per-category epoch snapshots and
 	// result caches, plus the appID→category cache ingest uses to bump

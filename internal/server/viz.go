@@ -56,7 +56,10 @@ func (s *Server) Charts(category string) ([]viz.BarChart, error) {
 
 // StartProcessing runs the Data Processor's periodic poll ("periodically
 // checks if there are any binary sensed data in the database") until ctx
-// is cancelled. It returns a done channel that closes when the loop exits.
+// is cancelled, then drains once more. It returns a done channel that
+// closes when the loop exits; a caller closing the storage waits for it,
+// so the final drain lands before the WAL closes. A killed server's loop
+// exits at its next wake-up without processing: a crash runs no code.
 func (s *Server) StartProcessing(ctx context.Context, interval time.Duration) (<-chan struct{}, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("server: processing interval must be positive")
@@ -71,9 +74,14 @@ func (s *Server) StartProcessing(ctx context.Context, interval time.Duration) (<
 			case <-ctx.Done():
 				// Final drain: the poll context is gone, but drained blobs
 				// must still be folded (exactly-once), so run uncancelled.
-				s.processor.Process()
+				if !s.killed.Load() {
+					s.processor.Process()
+				}
 				return
 			case <-ticker.C:
+				if s.killed.Load() {
+					return
+				}
 				s.processor.ProcessContext(ctx)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"reflect"
 	"slices"
@@ -340,7 +341,7 @@ func TestDurableDrainArchivesUploads(t *testing.T) {
 	ingestBody(st, "a1", []byte{3}, now)
 	// The history drains archived and pending rows in global sequence
 	// order and archives them all again.
-	redrained := st.DrainHistory()
+	redrained := historyRows(st.DrainHistory())
 	if len(redrained) != 3 || redrained[0].Seq != 1 || redrained[2].Seq != 3 {
 		t.Fatalf("redrained = %+v", redrained)
 	}
@@ -504,7 +505,7 @@ func TestArchiveRetentionIndependentOfDrainCadence(t *testing.T) {
 		}
 		out.all = s.AllUploads()
 		// The refold path sees the same rows: drain the history, archive again.
-		if got := s.DrainHistory(); !reflect.DeepEqual(got, out.all) || s.UploadCount() != rows {
+		if got := historyRows(s.DrainHistory()); !reflect.DeepEqual(got, out.all) || s.UploadCount() != rows {
 			t.Fatalf("drain every %d: the history drain returned %d rows, store holds %d", drainEvery, len(got), s.UploadCount())
 		}
 		return out
@@ -599,4 +600,101 @@ func TestLargeRowsSurviveEveryDecodePath(t *testing.T) {
 		t.Fatalf("Restore: %v", err)
 	}
 	same("checkpoint + Restore", restored)
+}
+
+// historyRows flattens a history drain back into one sequence-ordered
+// slice, the shape AllUploads returns.
+func historyRows(history []AppHistory) []RawUpload {
+	var rows []RawUpload
+	for _, h := range history {
+		rows = append(rows, h.Rows...)
+	}
+	slices.SortFunc(rows, bySeq)
+	return rows
+}
+
+// TestDrainHistoryRunsPerApp: a writer claims its sequence numbers before
+// it takes the upload-shard lock, so two apps sharing a shard can enqueue
+// rows out of sequence order. DrainHistory must still hand back the apps
+// in ID order, each app's run in sequence order, every row exactly once,
+// and archive them all again.
+func TestDrainHistoryRunsPerApp(t *testing.T) {
+	a, b, c := "app-a", "", ""
+	for i := 0; b == "" || c == ""; i++ {
+		id := fmt.Sprintf("app-%d", i)
+		switch {
+		case b == "" && shardIndex(id) == shardIndex(a):
+			b = id
+		case c == "" && shardIndex(id) != shardIndex(a):
+			c = id
+		}
+	}
+	apps := []string{a, b, c}
+	s := New()
+	s.archive = true
+	enqueue := func(row RawUpload) {
+		sh := &s.uploadShards[shardIndex(row.AppID)]
+		sh.mu.Lock()
+		sh.put(row)
+		sh.mu.Unlock()
+	}
+	// Claim 1..rows in order, enqueue each window of 8 claims shuffled, and
+	// drain (archive) part of the history on the way.
+	const rows, window = 3000, 8
+	rng := rand.New(rand.NewPCG(40, 1))
+	lastSeq := make(map[string]int64)
+	inversions := 0
+	for base := 0; base < rows; base += window {
+		claims := make([]RawUpload, window)
+		for i := range claims {
+			seq := int64(base + i + 1)
+			claims[i] = RawUpload{Seq: seq, AppID: apps[rng.IntN(len(apps))], Body: []byte{byte(seq), byte(seq >> 8)}}
+		}
+		rng.Shuffle(len(claims), func(i, j int) { claims[i], claims[j] = claims[j], claims[i] })
+		for _, row := range claims {
+			if row.Seq < lastSeq[row.AppID] {
+				inversions++
+			}
+			lastSeq[row.AppID] = row.Seq
+			enqueue(row)
+		}
+		if base%1000 < window {
+			s.DrainUploads()
+		}
+	}
+	if inversions == 0 {
+		t.Fatal("generator too tame: every app enqueued its rows in sequence order")
+	}
+	history := s.DrainHistory()
+	var ids []string
+	seen := make([]bool, rows+1)
+	for _, h := range history {
+		ids = append(ids, h.AppID)
+		if !slices.IsSortedFunc(h.Rows, bySeq) {
+			t.Fatalf("app %s: run not in sequence order", h.AppID)
+		}
+		for _, row := range h.Rows {
+			if row.AppID != h.AppID || row.Seq < 1 || row.Seq > rows || seen[row.Seq] {
+				t.Fatalf("app %s: row %+v foreign, out of range or repeated", h.AppID, row)
+			}
+			seen[row.Seq] = true
+			if row.Body[0] != byte(row.Seq) || row.Body[1] != byte(row.Seq>>8) {
+				t.Fatalf("row %d carries body %v", row.Seq, row.Body)
+			}
+		}
+	}
+	want := slices.Clone(apps)
+	slices.Sort(want)
+	if !slices.Equal(ids, want) {
+		t.Fatalf("apps drained as %v, want %v", ids, want)
+	}
+	if n := len(historyRows(history)); n != rows {
+		t.Fatalf("drained %d rows, stored %d", n, rows)
+	}
+	if s.PendingUploads() != 0 || s.UploadCount() != rows {
+		t.Fatalf("after the history drain: %d pending, %d held", s.PendingUploads(), s.UploadCount())
+	}
+	if again := s.DrainHistory(); !reflect.DeepEqual(again, history) {
+		t.Fatal("a second history drain differs from the first")
+	}
 }

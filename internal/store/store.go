@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -813,30 +814,12 @@ func (s *Store) SeenReportIDs(appID string) []string {
 
 // DrainUploads removes and returns all pending uploads (oldest first,
 // across every bucket) — the Data Processor's periodic poll.
-func (s *Store) DrainUploads() []RawUpload { return s.drain(false) }
-
-// DrainHistory is DrainUploads over the whole upload history: archived
-// uploads rejoin the pending ones, and all of them are drained (and, on
-// an archiving store, archived again) in sequence order. Crash recovery
-// rebuilds the budget ledgers and the feature matrix from it — the
-// processor's accumulators died with the old process, and features must
-// stay a pure function of the complete sample set.
-func (s *Store) DrainHistory() []RawUpload { return s.drain(true) }
-
-// drain takes every pending row — with history, every archived row first
-// — and returns them in sequence order.
-func (s *Store) drain(history bool) []RawUpload {
+func (s *Store) DrainUploads() []RawUpload {
 	var chunks [][]RawUpload
 	total := 0
 	for i := range s.uploadShards {
 		sh := &s.uploadShards[i]
 		sh.mu.Lock()
-		if history && sh.doneCount > 0 {
-			sh.chunks = append(sh.done, sh.chunks...)
-			sh.count += sh.doneCount
-			sh.done = nil
-			sh.doneCount = 0
-		}
 		for _, c := range sh.take(s.archive) {
 			chunks = append(chunks, c)
 			total += len(c)
@@ -847,7 +830,77 @@ func (s *Store) drain(history bool) []RawUpload {
 	for _, c := range chunks {
 		out = append(out, c...)
 	}
-	slices.SortFunc(out, func(a, b RawUpload) int { return cmp.Compare(a.Seq, b.Seq) })
+	slices.SortFunc(out, bySeq)
+	return out
+}
+
+// bySeq orders upload rows by sequence number.
+func bySeq(a, b RawUpload) int { return cmp.Compare(a.Seq, b.Seq) }
+
+// AppHistory is one application's share of the upload history, in
+// sequence order.
+type AppHistory struct {
+	AppID string
+	Rows  []RawUpload
+}
+
+// DrainHistory is DrainUploads over the whole upload history, split by
+// application: archived uploads rejoin the pending ones, and all of them
+// are drained (and, on an archiving store, archived again). Applications
+// come back in ID order, each with its rows in sequence order. Crash
+// recovery rebuilds the budget ledgers and the feature matrix from it —
+// the processor's accumulators died with the old process, and features
+// must stay a pure function of the complete sample set.
+//
+// Every row of an application sits in its one upload shard, so no global
+// sort is needed; a shard holds rows nearly in sequence order (a writer
+// claims its numbers before taking the shard lock), and only a run that
+// fails the order check is sorted.
+func (s *Store) DrainHistory() []AppHistory {
+	var out []AppHistory
+	var counts []int // rows per app, parallel to out
+	index := make(map[string]int)
+	for i := range s.uploadShards {
+		sh := &s.uploadShards[i]
+		sh.mu.Lock()
+		if sh.doneCount > 0 {
+			sh.chunks = append(sh.done, sh.chunks...)
+			sh.count += sh.doneCount
+			sh.done = nil
+			sh.doneCount = 0
+		}
+		chunks := sh.take(s.archive)
+		sh.mu.Unlock()
+		// Count each app's rows, then copy them into runs sized once.
+		first := len(out)
+		for _, c := range chunks {
+			for _, row := range c {
+				k, ok := index[row.AppID]
+				if !ok {
+					k = len(out)
+					index[row.AppID] = k
+					out = append(out, AppHistory{AppID: row.AppID})
+					counts = append(counts, 0)
+				}
+				counts[k]++
+			}
+		}
+		for k := first; k < len(out); k++ {
+			out[k].Rows = make([]RawUpload, 0, counts[k])
+		}
+		for _, c := range chunks {
+			for _, row := range c {
+				h := &out[index[row.AppID]]
+				h.Rows = append(h.Rows, row)
+			}
+		}
+	}
+	for i := range out {
+		if rows := out[i].Rows; !slices.IsSortedFunc(rows, bySeq) {
+			slices.SortFunc(rows, bySeq)
+		}
+	}
+	slices.SortFunc(out, func(a, b AppHistory) int { return strings.Compare(a.AppID, b.AppID) })
 	return out
 }
 

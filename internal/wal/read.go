@@ -38,6 +38,10 @@ type Pos struct {
 	lsn uint64
 }
 
+// Segment returns the first LSN of the segment p points into (0 for the
+// zero Pos).
+func (p Pos) Segment() uint64 { return p.seg }
+
 // cursor walks one segment file's records in order by pread. buf holds
 // the file's bytes [at, at+len(buf)); no byte at or beyond end is read —
 // end is the file's size for a sealed segment and the append offset

@@ -7,6 +7,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -98,8 +100,56 @@ func FuzzDecode(f *testing.F) {
 			f.Add(cut)
 		}
 	}
+	// Two more uploads, one larger and one smaller than the seed above, so
+	// the reused decode below grows and shrinks every buffer.
+	for _, m := range []Message{
+		&DataUpload{
+			TaskID: "task-1", AppID: "app-sb", UserID: "carol",
+			ReportID: "tok-3/task-1/1",
+			Series: []SensorSeries{
+				{Sensor: "temperature", Samples: []SensorSample{
+					{AtUnixMilli: 1384513205000, WindowMilli: 5000, Readings: []float64{70.5, 71, 69.75}},
+					{AtUnixMilli: 1384513210000, WindowMilli: 5000, Readings: []float64{70}},
+				}},
+				{Sensor: "accelerometer", Samples: []SensorSample{
+					{AtUnixMilli: 1384513205000, WindowMilli: 100, Readings: []float64{0.1, -9.8, 0.3, 0.2}},
+				}},
+			},
+		},
+		&DataUpload{TaskID: "task-2", AppID: "app-th", UserID: "bob",
+			Series: []SensorSeries{{Sensor: "wifi"}},
+			Track: []GeoPoint{
+				{AtUnixMilli: 1384513260000, Lat: 43.05, Lon: -76.14, Alt: 118},
+				{AtUnixMilli: 1384513261000, Lat: 43.06, Lon: -76.15, Alt: 119},
+			}},
+	} {
+		frame, err := Encode(m)
+		if err != nil {
+			f.Fatalf("seeding %s: %v", m.Type(), err)
+		}
+		f.Add(frame)
+	}
+	// reused carries each input's DecodeUpload into the next one, so every
+	// input decodes over whatever the previous one left behind.
+	var reused DataUpload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, requestID, err := DecodeTraced(data)
+		// DecodeUpload into a reused message must agree with Decode: the
+		// same upload field for field, and on a frame Decode refuses — or
+		// one of another type — an error, the same one for an upload frame.
+		upErr := DecodeUpload(data, &reused)
+		if up, ok := m.(*DataUpload); ok {
+			if upErr != nil {
+				t.Fatalf("Decode accepted an upload DecodeUpload refused: %v", upErr)
+			}
+			if !sameUpload(up, &reused) {
+				t.Fatalf("reused decode differs:\n Decode       %+v\n DecodeUpload %+v", up, &reused)
+			}
+		} else if upErr == nil {
+			t.Fatalf("DecodeUpload accepted a frame Decode took as %v (error %v)", m, err)
+		} else if err != nil && (len(data) <= len(magic) || MsgType(data[len(magic)]) == TypeDataUpload) && upErr.Error() != err.Error() {
+			t.Fatalf("DecodeUpload refused with %q, Decode with %q", upErr, err)
+		}
 		if err != nil {
 			if m != nil {
 				t.Fatalf("DecodeTraced returned both a message and error %v", err)
@@ -132,3 +182,35 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// sameUpload compares two uploads field for field, floats by their bits
+// and slices by nil-ness as well as contents.
+func sameUpload(a, b *DataUpload) bool {
+	if a.TaskID != b.TaskID || a.AppID != b.AppID || a.UserID != b.UserID || a.ReportID != b.ReportID ||
+		(a.Series == nil) != (b.Series == nil) || len(a.Series) != len(b.Series) ||
+		(a.Track == nil) != (b.Track == nil) || len(a.Track) != len(b.Track) {
+		return false
+	}
+	for i, as := range a.Series {
+		bs := b.Series[i]
+		if as.Sensor != bs.Sensor || (as.Samples == nil) != (bs.Samples == nil) || len(as.Samples) != len(bs.Samples) {
+			return false
+		}
+		for j, x := range as.Samples {
+			y := bs.Samples[j]
+			if x.AtUnixMilli != y.AtUnixMilli || x.WindowMilli != y.WindowMilli ||
+				(x.Readings == nil) != (y.Readings == nil) || !slices.EqualFunc(x.Readings, y.Readings, sameBits) {
+				return false
+			}
+		}
+	}
+	for i, p := range a.Track {
+		q := b.Track[i]
+		if p.AtUnixMilli != q.AtUnixMilli || !sameBits(p.Lat, q.Lat) || !sameBits(p.Lon, q.Lon) || !sameBits(p.Alt, q.Alt) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

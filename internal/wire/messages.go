@@ -158,26 +158,42 @@ func (m *DataUpload) encodePayload(w *Writer) {
 	}
 }
 
+// decodePayload decodes into m's existing slices and keeps each string
+// field whose bytes are unchanged (see DecodeUpload); a fresh message
+// decodes exactly as with make and String.
 func (m *DataUpload) decodePayload(r *Reader) {
-	m.TaskID, m.AppID, m.UserID, m.ReportID = r.String(), r.String(), r.String(), r.String()
-	m.Series = make([]SensorSeries, r.sliceLen())
+	m.TaskID, m.AppID = r.reuseString(m.TaskID), r.reuseString(m.AppID)
+	m.UserID, m.ReportID = r.reuseString(m.UserID), r.reuseString(m.ReportID)
+	m.Series = resize(m.Series, r.sliceLen())
 	for i := range m.Series {
 		s := &m.Series[i]
-		s.Sensor = r.String()
-		s.Samples = make([]SensorSample, r.sliceLen())
+		s.Sensor = r.reuseString(s.Sensor)
+		s.Samples = resize(s.Samples, r.sliceLen())
 		for j := range s.Samples {
 			smp := &s.Samples[j]
 			smp.AtUnixMilli, smp.WindowMilli = r.Varint(), r.Varint()
-			smp.Readings = make([]float64, r.sliceLen())
+			smp.Readings = resize(smp.Readings, r.sliceLen())
 			for k := range smp.Readings {
 				smp.Readings[k] = r.Float()
 			}
 		}
 	}
-	m.Track = make([]GeoPoint, r.sliceLen())
+	m.Track = resize(m.Track, r.sliceLen())
 	for i := range m.Track {
 		m.Track[i] = GeoPoint{AtUnixMilli: r.Varint(), Lat: r.Float(), Lon: r.Float(), Alt: r.Float()}
 	}
+}
+
+// resize returns s holding n elements, reusing its backing array when it
+// has room; a grown array keeps the elements s held, so their own buffers
+// are reused in turn. Like make, it never returns nil.
+func resize[T any](s []T, n int) []T {
+	if s != nil && n <= cap(s) {
+		return s[:n]
+	}
+	out := make([]T, n)
+	copy(out, s[:cap(s)])
+	return out
 }
 
 // MaxBatchReports bounds how many reports one DataUploadBatch may carry

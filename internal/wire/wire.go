@@ -275,13 +275,20 @@ func (r *Reader) take(n uint64) []byte {
 func (r *Reader) Raw() []byte { return r.take(r.Uvarint()) }
 
 // String reads a length-prefixed string of at most 1 MiB.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return r.reuseString("") }
+
+// reuseString is String returning old itself when the field's bytes equal
+// it, so decoding a run of equal values allocates once.
+func (r *Reader) reuseString(old string) string {
 	n := r.Uvarint()
 	if n > maxStringLen {
 		r.Fail(fmt.Errorf("%w: string of %d bytes", ErrBadPayload, n))
 		return ""
 	}
-	return string(r.take(n))
+	if p := r.take(n); string(p) != old {
+		return string(p)
+	}
+	return old
 }
 
 // Bytes reads a length-prefixed byte field as a copy; empty decodes as
@@ -360,45 +367,83 @@ func Decode(b []byte) (Message, error) {
 // DecodeTraced parses a framed message and returns the trace RequestID a
 // version-2 frame carries ("" for version-1 frames).
 func DecodeTraced(b []byte) (Message, string, error) {
-	if len(b) < len(magic)+1+4 {
-		return nil, "", ErrTruncated
+	t, requestID, r, err := openFrame(b, 0)
+	if err != nil {
+		return nil, "", err
 	}
-	if b[0] != 'S' || b[1] != 'O' || b[2] != 'R' {
-		return nil, "", ErrBadMagic
-	}
-	version := b[3]
-	if version != version1 && version != version2 {
-		return nil, "", ErrBadMagic
-	}
-	body := b[len(magic) : len(b)-4]
-	wantSum := binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != wantSum {
-		return nil, "", ErrBadCRC
-	}
-	t := MsgType(body[0])
 	m, err := newMessage(t)
 	if err != nil {
 		return nil, "", err
 	}
-	r := NewReader(body[1:])
+	m.decodePayload(&r)
+	if err := r.finishFrame(t); err != nil {
+		return nil, "", err
+	}
+	return m, requestID, nil
+}
+
+// DecodeUpload parses a framed DataUpload (either version) into up,
+// reusing up's slices and every string field whose bytes are unchanged, so
+// a caller decoding many uploads into one message allocates only for what
+// grew or changed. Its checks are Decode's, and a frame of any other type
+// is refused. On error up's contents are unspecified.
+func DecodeUpload(b []byte, up *DataUpload) error {
+	_, _, r, err := openFrame(b, TypeDataUpload)
+	if err != nil {
+		return err
+	}
+	up.decodePayload(&r)
+	return r.finishFrame(TypeDataUpload)
+}
+
+// openFrame checks a frame's envelope — magic, version, CRC, the message
+// type when want is not zero, the request-id bound — and returns the type,
+// the trace RequestID and a Reader over the payload. The Reader is a value
+// so a caller decoding into a concrete message keeps it off the heap.
+func openFrame(b []byte, want MsgType) (MsgType, string, Reader, error) {
+	if len(b) < len(magic)+1+4 {
+		return 0, "", Reader{}, ErrTruncated
+	}
+	if b[0] != 'S' || b[1] != 'O' || b[2] != 'R' {
+		return 0, "", Reader{}, ErrBadMagic
+	}
+	version := b[3]
+	if version != version1 && version != version2 {
+		return 0, "", Reader{}, ErrBadMagic
+	}
+	body := b[len(magic) : len(b)-4]
+	wantSum := binary.LittleEndian.Uint32(b[len(b)-4:])
+	if crc32.ChecksumIEEE(body) != wantSum {
+		return 0, "", Reader{}, ErrBadCRC
+	}
+	t := MsgType(body[0])
+	if want != 0 && t != want {
+		return 0, "", Reader{}, fmt.Errorf("%w: %s frame, want %s", ErrBadPayload, t, want)
+	}
+	r := Reader{buf: body[1:]}
 	requestID := ""
 	if version == version2 {
 		requestID = r.String()
 		if err := r.Err(); err != nil {
-			return nil, "", fmt.Errorf("wire: decoding request id: %w", err)
+			return 0, "", Reader{}, fmt.Errorf("wire: decoding request id: %w", err)
 		}
 		if len(requestID) > MaxRequestIDLen {
-			return nil, "", fmt.Errorf("%w: request id of %d bytes", ErrBadPayload, len(requestID))
+			return 0, "", Reader{}, fmt.Errorf("%w: request id of %d bytes", ErrBadPayload, len(requestID))
 		}
 	}
-	m.decodePayload(r)
+	return t, requestID, r, nil
+}
+
+// finishFrame refuses a payload of type t that did not parse or left
+// trailing bytes.
+func (r *Reader) finishFrame(t MsgType) error {
 	if err := r.Err(); err != nil {
-		return nil, "", fmt.Errorf("wire: decoding %s: %w", t, err)
+		return fmt.Errorf("wire: decoding %s: %w", t, err)
 	}
 	if r.Remaining() != 0 {
-		return nil, "", fmt.Errorf("%w: %d trailing bytes in %s", ErrBadPayload, r.Remaining(), t)
+		return fmt.Errorf("%w: %d trailing bytes in %s", ErrBadPayload, r.Remaining(), t)
 	}
-	return m, requestID, nil
+	return nil
 }
 
 func newMessage(t MsgType) (Message, error) {

@@ -113,6 +113,9 @@ type RunningNode struct {
 	cancel         context.CancelFunc
 	followerCancel context.CancelFunc
 	wg             sync.WaitGroup
+	// processing closes when the leader's processing loop has exited
+	// (nil for other roles).
+	processing <-chan struct{}
 
 	httpServer   *http.Server
 	httpLn       net.Listener
@@ -214,6 +217,7 @@ func (rn *RunningNode) buildMember(ctx context.Context) error {
 	var repl *replica.Leader
 	var follower *replica.Follower
 	var followerCancel context.CancelFunc
+	var processing <-chan struct{}
 	switch n.Role {
 	case RoleReplica:
 		if n.Leader == "" {
@@ -252,7 +256,7 @@ func (rn *RunningNode) buildMember(ctx context.Context) error {
 		}
 		// The §IV feature pipeline runs on a cadence, like sord's; rank
 		// requests still fold on demand in between.
-		if _, err := srv.StartProcessing(ctx, 30*time.Second); err != nil {
+		if processing, err = srv.StartProcessing(ctx, 30*time.Second); err != nil {
 			_ = srv.Close()
 			return err
 		}
@@ -275,6 +279,7 @@ func (rn *RunningNode) buildMember(ctx context.Context) error {
 	rn.srv, rn.storage, rn.durable = srv, storage, durable
 	rn.repl, rn.follower = repl, follower
 	rn.followerCancel = followerCancel
+	rn.processing = processing
 	rn.sessions = sessions
 	rn.mu.Unlock()
 	rn.handler.Store(transport.Handler(handler))
@@ -584,12 +589,17 @@ func (rn *RunningNode) Checkpoint() error {
 }
 
 // closeCore shuts the storage-owning half down, ending the leader role's
-// resync sessions with it.
+// resync sessions with it. The run context is cancelled already, so it
+// first waits for the processing loop: a graceful final drain folds before
+// the storage closes, and a killed server's loop stops without one.
 func (rn *RunningNode) closeCore() error {
 	rn.mu.Lock()
-	srv, repl := rn.srv, rn.repl
-	rn.srv = nil
+	srv, repl, processing := rn.srv, rn.repl, rn.processing
+	rn.srv, rn.processing = nil, nil
 	rn.mu.Unlock()
+	if processing != nil {
+		<-processing
+	}
 	if repl != nil {
 		repl.Close()
 	}

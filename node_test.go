@@ -404,3 +404,58 @@ func TestStartNodeSurvivesTornLedger(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseWaitsForTheProcessingLoop: a leader's Close waits for its
+// processing loop. A gracefully closed leader folds what is pending before
+// its storage closes; a killed one folds nothing — a crash runs no code, so
+// no fold lands in the killed store, when Close returns or after.
+func TestCloseWaitsForTheProcessingLoop(t *testing.T) {
+	const pending = 50
+	for _, kill := range []bool{true, false} {
+		name := map[bool]string{true: "killed", false: "graceful"}[kill]
+		t.Run(name, func(t *testing.T) {
+			leader, err := sor.StartNode(context.Background(), sor.Node{
+				Name:    "node-a",
+				Role:    sor.RoleLeader,
+				Listen:  "127.0.0.1:0",
+				Data:    t.TempDir(),
+				Catalog: nodeTestCatalog(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := leader.Server()
+			if err := srv.CreateApp(nodeTestApp("cafe-1", "cafe", 43.0)); err != nil {
+				t.Fatal(err)
+			}
+			c, err := sor.NewClient("http://" + leader.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			task := nodeParticipate(t, c, "cafe-1", "alice", 43.0)
+			for i := 0; i < pending; i++ {
+				nodeUpload(t, c, task, "cafe-1", "alice", i, 70+float64(i%5))
+			}
+			if got := srv.DB().PendingUploads(); got != pending {
+				t.Fatalf("%d uploads pending before Close, want %d", got, pending)
+			}
+			if kill {
+				srv.Kill()
+			}
+			if err := leader.Close(); err != nil && !kill {
+				t.Fatal(err)
+			}
+			want := pending
+			if kill {
+				want = 0
+			}
+			if processed, _ := srv.Processor().Stats(); processed != want {
+				t.Fatalf("%s leader: %d uploads folded when Close returned, want %d", name, processed, want)
+			}
+			time.Sleep(200 * time.Millisecond)
+			if processed, _ := srv.Processor().Stats(); processed != want {
+				t.Fatalf("%s leader: %d uploads folded 200 ms after Close, want %d", name, processed, want)
+			}
+		})
+	}
+}
