@@ -29,12 +29,3 @@ func Assign(cost [][]float64) (perm []int, total float64, err error) {
 	defer solverPool.Put(s)
 	return s.Assign(cost)
 }
-
-// AssignWarm is Assign with a warm-start hint (see Solver.AssignWarm):
-// the hint is used only when a dual certificate proves it optimal for
-// cost, otherwise the solve falls back to a cold Assign.
-func AssignWarm(cost [][]float64, hint []int) (perm []int, total float64, warm bool, err error) {
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	return s.AssignWarm(cost, hint)
-}

@@ -143,74 +143,3 @@ func (s *Solver) Assign(cost [][]float64) (perm []int, total float64, err error)
 	}
 	return perm, total, nil
 }
-
-// AssignWarm solves the same problem as Assign but first tries to reuse a
-// hint permutation — typically the previous epoch's optimal assignment for
-// the same profile and candidate block. The hint is accepted only when an
-// O(n²) dual-feasibility certificate proves it is optimal for THIS cost
-// matrix: with column potentials v[j] = min_i cost[i][j] and row
-// potentials u[i] = cost[i][hint[i]] − v[hint[i]], the pair (u, v) is a
-// feasible assignment-LP dual iff u[i] + v[j] ≤ cost[i][j] everywhere,
-// and then Σu + Σv equals the hint's cost, which by weak duality makes
-// the hint optimal. The comparison is exact (no epsilon), so a certified
-// warm start returns a result any cold solve could also have returned;
-// anything uncertifiable falls back to a cold Assign. warm reports
-// whether the hint was used.
-func (s *Solver) AssignWarm(cost [][]float64, hint []int) (perm []int, total float64, warm bool, err error) {
-	n := len(cost)
-	if n > 0 && len(hint) == n && s.certifyHint(cost, hint) {
-		perm = make([]int, n)
-		copy(perm, hint)
-		for i, j := range hint {
-			total += cost[i][j]
-		}
-		if !math.IsInf(total, 0) {
-			return perm, total, true, nil
-		}
-	}
-	perm, total, err = s.Assign(cost)
-	return perm, total, false, err
-}
-
-// certifyHint reports whether hint is a permutation provably optimal for
-// cost, via the dual certificate described on AssignWarm.
-func (s *Solver) certifyHint(cost [][]float64, hint []int) bool {
-	n := len(cost)
-	s.u, s.v, s.used = grow(s.u, n+1), grow(s.v, n+1), grow(s.used, n+1)
-	u, v, seen := s.u, s.v, s.used
-	for j := 0; j < n; j++ {
-		seen[j] = false
-	}
-	for i, row := range cost {
-		if len(row) != n {
-			return false
-		}
-		j := hint[i]
-		if j < 0 || j >= n || seen[j] {
-			return false
-		}
-		seen[j] = true
-		for _, c := range row {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return false
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		v[j] = cost[0][j]
-		for i := 1; i < n; i++ {
-			if c := cost[i][j]; c < v[j] {
-				v[j] = c
-			}
-		}
-	}
-	for i, row := range cost {
-		u[i] = row[hint[i]] - v[hint[i]]
-		for j, c := range row {
-			if u[i]+v[j] > c {
-				return false
-			}
-		}
-	}
-	return true
-}

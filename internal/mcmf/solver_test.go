@@ -347,106 +347,6 @@ func TestSolverScratchIsLinear(t *testing.T) {
 	}
 }
 
-// TestAssignWarmCertificate checks the warm-start contract: a hint is used
-// only when the dual certificate proves it optimal for the given costs, an
-// accepted hint's total equals the cold optimum, and a stale or invalid
-// hint silently degrades to a cold solve with the same result.
-func TestAssignWarmCertificate(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	s := NewSolver()
-	warmHits := 0
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(7)
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, n)
-			for j := range cost[i] {
-				// Small integers: exact float arithmetic, heavy ties.
-				cost[i][j] = float64(rng.Intn(6))
-			}
-		}
-		coldPerm, coldTotal, err := NewSolver().Assign(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hint []int
-		switch trial % 3 {
-		case 0: // the true optimum — certificate may or may not fire
-			hint = append([]int(nil), coldPerm...)
-		case 1: // identity, usually stale
-			hint = make([]int, n)
-			for i := range hint {
-				hint[i] = i
-			}
-		case 2: // not a permutation
-			hint = make([]int, n)
-		}
-		perm, total, warm, err := s.AssignWarm(cost, hint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total != coldTotal {
-			t.Fatalf("trial %d: warm total %v != cold optimum %v (warm=%v)", trial, total, coldTotal, warm)
-		}
-		if warm {
-			warmHits++
-			for i := range perm {
-				if perm[i] != hint[i] {
-					t.Fatalf("trial %d: warm accepted but perm differs from hint", trial)
-				}
-			}
-		}
-		if len(perm) != n {
-			t.Fatalf("trial %d: perm length %d want %d", trial, len(perm), n)
-		}
-	}
-	if warmHits == 0 {
-		t.Fatal("certificate never accepted any hint — warm path untested")
-	}
-}
-
-// TestAssignWarmIdenticalCosts pins the headline warm-start case: re-solving
-// an unchanged cost matrix with the previous optimum as hint must certify
-// and skip the solve.
-func TestAssignWarmIdenticalCosts(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := NewSolver()
-	accepted := 0
-	const trials = 100
-	for trial := 0; trial < trials; trial++ {
-		n := 2 + rng.Intn(6)
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, n)
-			for j := range cost[i] {
-				cost[i][j] = float64(rng.Intn(40))
-			}
-		}
-		perm, total, err := s.Assign(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perm2, total2, warm, err := s.AssignWarm(cost, perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total2 != total {
-			t.Fatalf("trial %d: rewarm total %v != %v", trial, total2, total)
-		}
-		if warm {
-			accepted++
-			for i := range perm {
-				if perm2[i] != perm[i] {
-					t.Fatalf("trial %d: warm perm differs", trial)
-				}
-			}
-		}
-	}
-	if accepted < trials/4 {
-		t.Fatalf("certificate accepted only %d/%d unchanged optima — too weak to matter", accepted, trials)
-	}
-}
-
 // benchSizes are the median, p99 and largest clean-cut block sizes the
 // rank workload's cold solves hit.
 var benchSizes = []int{13, 86, 182}

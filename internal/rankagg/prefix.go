@@ -54,11 +54,11 @@ type PrefixScratch struct {
 // (zero-weight rankings contribute +0.0 to every edge cost and never
 // affect cuts, so dropping them is bit-identical — callers filter them
 // out). n is the number of items; every iterator must yield a permutation
-// of 0..n-1. hint follows FootruleAggregateTopK's contract. sc may be nil,
-// or reused across calls for an allocation-free steady state — when it is
-// reused, the returned Prefix aliases scratch storage and is only valid
-// until the next call; callers that retain results must copy.
-func AggregatePrefix(iters []PrefixIter, weights []float64, n, k int, hint Ranking, sc *PrefixScratch) (TopKResult, error) {
+// of 0..n-1. sc may be nil, or reused across calls for an allocation-free
+// steady state — when it is reused, the returned Prefix aliases scratch
+// storage and is only valid until the next call; callers that retain
+// results must copy.
+func AggregatePrefix(iters []PrefixIter, weights []float64, n, k int, sc *PrefixScratch) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("rankagg: top-k needs k ≥ 1, got %d", k)
 	}
@@ -173,16 +173,10 @@ func AggregatePrefix(iters []PrefixIter, weights []float64, n, k int, hint Ranki
 		return sum
 	}
 	var total float64
-	warmBlocks := 0
 	for bi := 0; bi < nb; bi++ {
-		items := pool[offs[bi]:offs[bi+1]]
-		blockHint := hintForBlock(items, hint, offs[bi], cuts[bi])
-		bcost, warm, err := sc.blockScratch.solve(cost, items, offs[bi], out, blockHint)
+		bcost, err := sc.solve(cost, pool[offs[bi]:offs[bi+1]], offs[bi], out)
 		if err != nil {
 			return TopKResult{}, err
-		}
-		if warm && blockHint != nil {
-			warmBlocks++
 		}
 		total += bcost
 	}
@@ -191,7 +185,6 @@ func AggregatePrefix(iters []PrefixIter, weights []float64, n, k int, hint Ranki
 		Solved:  cutEnd,
 		Cost:    total,
 		Bounded: cutEnd < n,
-		Warm:    warmBlocks,
 	}, nil
 }
 

@@ -50,12 +50,12 @@ func TestAggregatePrefixMatchesTopK(t *testing.T) {
 			if k > n {
 				continue
 			}
-			want, err := FootruleAggregateTopK(c, k, nil)
+			want, err := FootruleAggregateTopK(c, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			iters, weights := positiveIters(c)
-			got, err := AggregatePrefix(iters, weights, n, k, nil, sc)
+			got, err := AggregatePrefix(iters, weights, n, k, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,47 +83,6 @@ func TestAggregatePrefixMatchesTopK(t *testing.T) {
 	}
 }
 
-// TestAggregatePrefixWarmHint: a previous prefix fed back as the hint
-// must never change the result and must certify when nothing moved.
-func TestAggregatePrefixWarmHint(t *testing.T) {
-	rng := rand.New(rand.NewSource(313))
-	warmed := 0
-	for trial := 0; trial < 200; trial++ {
-		c := testCollections(rng, trial)
-		if !hasPositiveWeight(c) {
-			continue
-		}
-		n := c.N()
-		k := 1 + rng.Intn(n)
-		iters, weights := positiveIters(c)
-		cold, err := AggregatePrefix(iters, weights, n, k, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iters, weights = positiveIters(c)
-		warm, err := AggregatePrefix(iters, weights, n, k, cold.Prefix, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cost tolerance, not bit-identity: a certified warm block sums
-		// its cost in hint order, which can differ by an ULP from the
-		// solver's accumulation order (same as TestTopKWarmHint).
-		if warm.Solved != cold.Solved || math.Abs(warm.Cost-cold.Cost) > 1e-9 {
-			t.Fatalf("trial %d: warm solve diverged (solved %d/%d cost %v/%v)",
-				trial, warm.Solved, cold.Solved, warm.Cost, cold.Cost)
-		}
-		for r := 0; r < cold.Solved; r++ {
-			if warm.Prefix[r] != cold.Prefix[r] {
-				t.Fatalf("trial %d rank %d: warm %d != cold %d", trial, r, warm.Prefix[r], cold.Prefix[r])
-			}
-		}
-		warmed += warm.Warm
-	}
-	if warmed == 0 {
-		t.Fatal("warm hint never certified — warm path untested")
-	}
-}
-
 // TestAggregatePrefixRejectsBadInput pins the error contract: bad k,
 // mismatched weights, non-positive weights, and non-permutation iterators
 // must all fail loudly rather than return a wrong prefix.
@@ -133,26 +92,26 @@ func TestAggregatePrefixRejectsBadInput(t *testing.T) {
 		return []PrefixIter{&sliceIter{r: r}}, []float64{1}
 	}
 	iters, w := good()
-	if _, err := AggregatePrefix(iters, w, 3, 0, nil, nil); err == nil {
+	if _, err := AggregatePrefix(iters, w, 3, 0, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	iters, _ = good()
-	if _, err := AggregatePrefix(iters, []float64{1, 2}, 3, 1, nil, nil); err == nil {
+	if _, err := AggregatePrefix(iters, []float64{1, 2}, 3, 1, nil); err == nil {
 		t.Fatal("weight/iterator mismatch accepted")
 	}
 	iters, _ = good()
-	if _, err := AggregatePrefix(iters, []float64{0}, 3, 1, nil, nil); err == nil {
+	if _, err := AggregatePrefix(iters, []float64{0}, 3, 1, nil); err == nil {
 		t.Fatal("zero weight accepted")
 	}
-	if _, err := AggregatePrefix(nil, nil, 3, 1, nil, nil); err == nil {
+	if _, err := AggregatePrefix(nil, nil, 3, 1, nil); err == nil {
 		t.Fatal("no iterators accepted")
 	}
 	dup := &sliceIter{r: Ranking{0, 0, 1}} // repeats an item: not a permutation
-	if _, err := AggregatePrefix([]PrefixIter{dup}, []float64{1}, 3, 3, nil, nil); err == nil {
+	if _, err := AggregatePrefix([]PrefixIter{dup}, []float64{1}, 3, 3, nil); err == nil {
 		t.Fatal("non-permutation iterator accepted")
 	}
 	oob := &sliceIter{r: Ranking{5, 0, 1}}
-	if _, err := AggregatePrefix([]PrefixIter{oob}, []float64{1}, 3, 1, nil, nil); err == nil {
+	if _, err := AggregatePrefix([]PrefixIter{oob}, []float64{1}, 3, 1, nil); err == nil {
 		t.Fatal("out-of-range item accepted")
 	}
 }

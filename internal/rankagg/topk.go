@@ -98,15 +98,12 @@ type blockScratch struct {
 
 // solve assigns items (in the order given) onto global ranks
 // r0..r0+len(items)-1 exactly, writing the block's slice of out. cost is
-// the §IV-B edge cost of an item at a global rank. When hint is non-nil
-// and the same length it is offered to the solver as a warm start
-// (hint[x] = proposed local rank of items[x]); the solver only uses it
-// under a proof of optimality, so results remain exact.
-func (sc *blockScratch) solve(cost func(item, r int) float64, items []int, r0 int, out Ranking, hint []int) (float64, bool, error) {
+// the §IV-B edge cost of an item at a global rank.
+func (sc *blockScratch) solve(cost func(item, r int) float64, items []int, r0 int, out Ranking) (float64, error) {
 	b := len(items)
 	if b == 1 {
 		out[r0] = items[0]
-		return cost(items[0], r0), true, nil
+		return cost(items[0], r0), nil
 	}
 	if cap(sc.costBack) < b*b {
 		sc.costBack = make([]float64, b*b)
@@ -122,14 +119,14 @@ func (sc *blockScratch) solve(cost func(item, r int) float64, items []int, r0 in
 		rows = append(rows, row)
 	}
 	sc.costRows = rows
-	perm, total, warm, err := mcmf.AssignWarm(rows, hint)
+	perm, total, err := mcmf.Assign(rows)
 	if err != nil {
-		return 0, false, fmt.Errorf("rankagg: block matching at rank %d failed: %w", r0, err)
+		return 0, fmt.Errorf("rankagg: block matching at rank %d failed: %w", r0, err)
 	}
 	for x, r := range perm {
 		out[r0+r] = items[x]
 	}
-	return total, warm, nil
+	return total, nil
 }
 
 // blockSolver carries the per-aggregation state of the materialized
@@ -160,12 +157,6 @@ func (bs *blockSolver) cost(i, r int) float64 {
 		sum += bs.weights[j] * float64(d)
 	}
 	return sum
-}
-
-// solveBlock solves one block via the shared scratch; see
-// blockScratch.solve.
-func (bs *blockSolver) solveBlock(items []int, r0 int, out Ranking, hint []int) (float64, bool, error) {
-	return bs.blockScratch.solve(bs.cost, items, r0, out, hint)
 }
 
 // blockItems buckets items by block. blocks[bi] lists the items of the
@@ -210,8 +201,7 @@ func firstGreater(s []int, v int) int {
 // a footrule optimum; when the optimum is not unique the block-local
 // choice may differ from FootruleAggregate's global-solve choice.
 func FootruleAggregateBlocks(c Collection) (Ranking, float64, error) {
-	out, cost, _, err := aggregateBlocks(c, c.N(), nil)
-	return out, cost, err
+	return aggregateBlocks(c, c.N())
 }
 
 // TopKResult is the outcome of a bounded-prefix aggregation.
@@ -227,21 +217,16 @@ type TopKResult struct {
 	// Bounded reports whether the solve stopped before rank n — i.e.
 	// whether a clean cut actually bounded the work.
 	Bounded bool
-	// Warm counts blocks served from a certified warm-start hint.
-	Warm int
 }
 
 // FootruleAggregateTopK determines the exact top k ranks of the weighted
 // footrule optimum by solving only the prefix blocks up to the smallest
-// clean cut ≥ k (see the package comment for why that is sound). hint,
-// when non-nil, proposes a previous epoch's full prefix (hint[r] = item
-// at rank r); blocks whose item sets still match are offered to the
-// solver as warm starts and reused only under a proof of optimality.
-func FootruleAggregateTopK(c Collection, k int, hint Ranking) (TopKResult, error) {
+// clean cut ≥ k (see the package comment for why that is sound).
+func FootruleAggregateTopK(c Collection, k int) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("rankagg: top-k needs k ≥ 1, got %d", k)
 	}
-	out, cost, warm, err := aggregateBlocks(c, k, hint)
+	out, cost, err := aggregateBlocks(c, k)
 	if err != nil {
 		return TopKResult{}, err
 	}
@@ -254,15 +239,14 @@ func FootruleAggregateTopK(c Collection, k int, hint Ranking) (TopKResult, error
 		Solved:  solved,
 		Cost:    cost,
 		Bounded: solved < c.N(),
-		Warm:    warm,
 	}, nil
 }
 
 // aggregateBlocks is the shared engine: solve blocks in rank order until
 // at least k ranks are determined. Unsolved trailing ranks are left as -1.
-func aggregateBlocks(c Collection, k int, hint Ranking) (Ranking, float64, int, error) {
+func aggregateBlocks(c Collection, k int) (Ranking, float64, error) {
 	if err := c.Validate(); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	n := c.N()
 	if k > n {
@@ -276,7 +260,7 @@ func aggregateBlocks(c Collection, k int, hint Ranking) (Ranking, float64, int, 
 		for i := range out {
 			out[i] = i
 		}
-		return out, 0, 0, nil
+		return out, 0, nil
 	}
 	for i := range out {
 		out[i] = -1
@@ -285,47 +269,17 @@ func aggregateBlocks(c Collection, k int, hint Ranking) (Ranking, float64, int, 
 	blocks := blockItems(lb, cuts)
 	bs := newBlockSolver(c)
 	var total float64
-	warmBlocks := 0
 	start := 0
 	for bi, end := range cuts {
 		if start >= k {
 			break
 		}
-		items := blocks[bi]
-		blockHint := hintForBlock(items, hint, start, end)
-		cost, warm, err := bs.solveBlock(items, start, out, blockHint)
+		cost, err := bs.solve(bs.cost, blocks[bi], start, out)
 		if err != nil {
-			return nil, 0, 0, err
-		}
-		if warm && blockHint != nil {
-			warmBlocks++
+			return nil, 0, err
 		}
 		total += cost
 		start = end
 	}
-	return out, total, warmBlocks, nil
-}
-
-// hintForBlock converts a previous full-prefix hint into a local warm
-// start for one block: usable only when the hint covers the block's rank
-// span and places exactly the block's item set there.
-func hintForBlock(items []int, hint Ranking, start, end int) []int {
-	if hint == nil || len(hint) < end {
-		return nil
-	}
-	b := end - start
-	// localRank[item] = proposed rank − start, discovered from the hint.
-	local := make(map[int]int, b)
-	for r := start; r < end; r++ {
-		local[hint[r]] = r - start
-	}
-	out := make([]int, b)
-	for x, it := range items {
-		lr, ok := local[it]
-		if !ok {
-			return nil // hint's block membership differs — stale
-		}
-		out[x] = lr
-	}
-	return out
+	return out, total, nil
 }

@@ -149,7 +149,7 @@ func TestTopKPrefixMatchesBlocks(t *testing.T) {
 			if k > n {
 				continue
 			}
-			res, err := FootruleAggregateTopK(c, k, nil)
+			res, err := FootruleAggregateTopK(c, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,40 +172,6 @@ func TestTopKPrefixMatchesBlocks(t *testing.T) {
 	}
 }
 
-// TestTopKWarmHint: feeding a previous solve's prefix back as the hint
-// must never change the result, and must certify at least sometimes when
-// the collection is unchanged.
-func TestTopKWarmHint(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	warmed := 0
-	for trial := 0; trial < 200; trial++ {
-		c := testCollections(rng, trial)
-		n := c.N()
-		k := 1 + rng.Intn(n)
-		cold, err := FootruleAggregateTopK(c, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := FootruleAggregateTopK(c, k, cold.Prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Solved != cold.Solved || math.Abs(warm.Cost-cold.Cost) > 1e-9 {
-			t.Fatalf("trial %d: warm solve diverged (solved %d/%d cost %v/%v)",
-				trial, warm.Solved, cold.Solved, warm.Cost, cold.Cost)
-		}
-		for r := 0; r < cold.Solved; r++ {
-			if warm.Prefix[r] != cold.Prefix[r] {
-				t.Fatalf("trial %d rank %d: warm %d != cold %d", trial, r, warm.Prefix[r], cold.Prefix[r])
-			}
-		}
-		warmed += warm.Warm
-	}
-	if warmed == 0 {
-		t.Fatal("warm hint never certified — warm path untested")
-	}
-}
-
 // TestTopKAllZeroWeights: with no positive weight every permutation is
 // optimal; the decomposition must fall back to the deterministic identity.
 func TestTopKAllZeroWeights(t *testing.T) {
@@ -214,7 +180,7 @@ func TestTopKAllZeroWeights(t *testing.T) {
 		Rankings: []Ranking{randRanking(rng, 9), randRanking(rng, 9)},
 		Weights:  []float64{0, 0},
 	}
-	res, err := FootruleAggregateTopK(c, 3, nil)
+	res, err := FootruleAggregateTopK(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

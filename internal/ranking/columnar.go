@@ -339,11 +339,12 @@ func (cr *ColumnarRanker) resolve(j int, prof Profile) (value float64, weight in
 // and the Kemeny cost, which are full-permutation artifacts the serving
 // path never reads. FootruleCost is the cost of the solved prefix
 // blocks (the full minimized objective when the solve was unbounded).
+// The answer depends only on the matrix, prof and k.
 //
-// hint, when non-nil, is a previous epoch's solved prefix for the same
-// profile (Result.OrderIdx); blocks it still matches are reused under
-// the mcmf optimality certificate, never changing the result.
-func (cr *ColumnarRanker) RankTopK(prof Profile, k int, hint []int) (*Result, error) {
+// The third argument is unused; pass nil. It stays only so that callers
+// in the separately versioned bench module keep compiling, and goes with
+// their next change.
+func (cr *ColumnarRanker) RankTopK(prof Profile, k int, _ []int) (*Result, error) {
 	m := cr.cols.matrix
 	n, mFeat := len(m.Places), len(m.Features)
 	if k <= 0 || k > n {
@@ -387,7 +388,7 @@ func (cr *ColumnarRanker) RankTopK(prof Profile, k int, hint []int) (*Result, er
 		}
 		res.Solved = k
 	} else {
-		agg, err := rankagg.AggregatePrefix(iters, weights, n, k, rankagg.Ranking(hint), &sc.prefix)
+		agg, err := rankagg.AggregatePrefix(iters, weights, n, k, &sc.prefix)
 		if err != nil {
 			colScratchPool.Put(sc)
 			return nil, err
@@ -397,7 +398,6 @@ func (cr *ColumnarRanker) RankTopK(prof Profile, k int, hint []int) (*Result, er
 		res.OrderIdx = append([]int(nil), agg.Prefix[:agg.Solved]...)
 		res.Solved = agg.Solved
 		res.FootruleCost = agg.Cost
-		res.WarmBlocks = agg.Warm
 		// A rare unbounded solve leaves an n²-cell cost matrix in the
 		// scratch; don't pin that in the pool.
 		sc.prefix.TrimCost(1 << 20)

@@ -90,43 +90,6 @@ func TestColumnarTopKMatchesFullRanker(t *testing.T) {
 	}
 }
 
-// TestColumnarWarmHintInvariance: replaying a query with the previous
-// result as warm hint must not change anything.
-func TestColumnarWarmHintInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	warmed := 0
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(30)
-		m := randomTieHeavyMatrix(rng, n, 1+rng.Intn(3))
-		colr, err := NewColumnarRanker(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof := randomProfile(rng, m, false)
-		k := 1 + rng.Intn(n)
-		cold, err := colr.RankTopK(prof, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := colr.RankTopK(prof, k, cold.OrderIdx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Solved != cold.Solved || warm.FootruleCost != cold.FootruleCost {
-			t.Fatalf("trial %d: warm diverged", trial)
-		}
-		for r := range cold.OrderIdx {
-			if warm.OrderIdx[r] != cold.OrderIdx[r] {
-				t.Fatalf("trial %d rank %d: warm %d != cold %d", trial, r, warm.OrderIdx[r], cold.OrderIdx[r])
-			}
-		}
-		warmed += warm.WarmBlocks
-	}
-	if warmed == 0 {
-		t.Fatal("hint never certified — warm path untested")
-	}
-}
-
 // mutateRows changes a random subset of rows in place, returning the new
 // matrix and the dirty row set (as the server's rebuild would supply it).
 func mutateRows(rng *rand.Rand, m *Matrix) (*Matrix, []int) {

@@ -169,9 +169,6 @@ type Result struct {
 	// columnar top-k path stops at the first clean cut covering the
 	// requested k (so Solved ≥ min(k, n)).
 	Solved int
-	// WarmBlocks counts aggregation blocks served from a certified
-	// warm-start hint (columnar path diagnostics).
-	WarmBlocks int
 }
 
 // Ranker ranks the places of one category. Construction presorts every
@@ -406,18 +403,4 @@ func (r *Ranker) Rank(prof Profile) (*Result, error) {
 		res.Order[pos] = r.matrix.Places[idx]
 	}
 	return res, nil
-}
-
-// FeatureOrderNames translates a per-feature individual ranking into place
-// names, best-first; convenience for explanations.
-func (r *Ranker) FeatureOrderNames(res *Result, feature string) ([]string, error) {
-	order, ok := res.Individual[feature]
-	if !ok {
-		return nil, fmt.Errorf("ranking: unknown feature %q", feature)
-	}
-	out := make([]string, len(order))
-	for pos, idx := range order {
-		out[pos] = r.matrix.Places[idx]
-	}
-	return out, nil
 }

@@ -212,33 +212,6 @@ func TestRankerGammaComputation(t *testing.T) {
 	}
 }
 
-func TestIndividualRankings(t *testing.T) {
-	m := coffeeMatrix()
-	r, err := NewRanker(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Rank(emma())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Emma prefers quiet: noise individual ranking must be TH, B&N, SB.
-	names, err := r.FeatureOrderNames(res, "noise")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertOrder(t, names, []string{"Tim Hortons", "B&N Cafe", "Starbucks"})
-	// wifi MAX: B&N (-50) best.
-	names, err = r.FeatureOrderNames(res, "wifi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertOrder(t, names, []string{"B&N Cafe", "Tim Hortons", "Starbucks"})
-	if _, err := r.FeatureOrderNames(res, "nope"); err == nil {
-		t.Fatal("unknown feature must error")
-	}
-}
-
 func TestDefaultPreferenceFallsBack(t *testing.T) {
 	// A profile that says nothing uses each feature's default preference;
 	// weights default to the feature default's weight.

@@ -140,7 +140,6 @@ type serverMetrics struct {
 	snapshotRebuildMs     *obs.Histogram
 	rankCacheHits         *obs.Counter
 	rankCacheMisses       *obs.Counter
-	rankWarmBlocks        *obs.Counter // aggregation blocks served from a certified warm-start hint
 
 	recoverMs        [numRecoverStages]*obs.Histogram // one observation per stage per recovery
 	recoveredUploads *obs.Counter                     // stored uploads a recovery replayed
@@ -187,7 +186,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		snapshotRebuildMs:     reg.LatencyHistogram("sor_snapshot_rebuild_ms"),
 		rankCacheHits:         reg.Counter("sor_rank_cache_hits_total"),
 		rankCacheMisses:       reg.Counter("sor_rank_cache_misses_total"),
-		rankWarmBlocks:        reg.Counter("sor_rank_warm_blocks_total"),
 		recoveredUploads:      reg.Counter("sor_server_recovered_uploads_total"),
 	}
 	for stage, name := range recoverStageNames {
@@ -427,12 +425,6 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 		return refuse(403, "location check failed: %.0f m from %s (limit %.0f m)",
 			d, app.Place, app.RadiusM), nil
 	}
-	// Auto-register unknown users (User Info Manager).
-	if _, err := s.db.User(msg.UserID); err != nil {
-		if putErr := s.db.PutUser(store.User{ID: msg.UserID, Name: msg.UserID, Token: msg.Token}); putErr != nil {
-			return nil, putErr
-		}
-	}
 	// Refuse double participation.
 	if _, err := s.db.ActiveParticipationByUser(msg.AppID, msg.UserID); err == nil {
 		return refuse(409, "user %s already participating in %s", msg.UserID, msg.AppID), nil
@@ -443,16 +435,12 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 	if err != nil {
 		return nil, err
 	}
-	// The scheduler keeps whoever joined this period, departed or not, and
-	// refuses them a second time; refuse before any row is written, or the
-	// stranded waiting task would block every later scan.
+	// Every refusal from here on comes before any row is written, or the
+	// stranded waiting task would block every later scan. The scheduler
+	// keeps whoever joined this period, departed or not, and refuses them
+	// a second time.
 	if st.online.Known(msg.UserID) {
 		return refuse(409, "user %s already participated in %s this period", msg.UserID, msg.AppID), nil
-	}
-	// Persist the period anchor so a restarted server rebuilds this app's
-	// timeline on the same grid (idempotent after the first participant).
-	if err := s.db.PutAnchor(app.ID, st.timeline.Start()); err != nil {
-		return nil, err
 	}
 	leave := st.timeline.End()
 	if msg.LeaveAfterSec > 0 {
@@ -460,6 +448,22 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 		if until.Before(leave) {
 			leave = until
 		}
+	}
+	// A scan after the period's last instant has no presence window
+	// [now, leave] for the scheduler to plan over.
+	if leave.Before(now) {
+		return refuse(410, "sensing period of %s ended at %s", msg.AppID, leave.UTC().Format(time.RFC3339)), nil
+	}
+	// Auto-register unknown users (User Info Manager).
+	if _, err := s.db.User(msg.UserID); err != nil {
+		if putErr := s.db.PutUser(store.User{ID: msg.UserID, Name: msg.UserID, Token: msg.Token}); putErr != nil {
+			return nil, putErr
+		}
+	}
+	// Persist the period anchor so a restarted server rebuilds this app's
+	// timeline on the same grid (idempotent after the first participant).
+	if err := s.db.PutAnchor(app.ID, st.timeline.Start()); err != nil {
+		return nil, err
 	}
 	// The task counter is in-memory; after a restart (or when several
 	// servers share one store) it can lag the IDs already persisted, so
@@ -856,8 +860,8 @@ func (s *Server) handlePing(ctx context.Context, msg *wire.Ping) (wire.Message, 
 // snapshot, cached profile — is an atomic load, a few counter compares,
 // one key build, and a map hit; no processor run, no store reads, no
 // solver. A bounded request (TopK > 0) solves only the leading clean-cut
-// blocks of the aggregation; uncached solves reuse the superseded epoch's
-// assignment whenever the mcmf optimality certificate still accepts it.
+// blocks of the aggregation. An uncached solve is always the cold solve,
+// so the answer depends only on the epoch's matrix, the profile and k.
 func (s *Server) handleRankRequest(ctx context.Context, msg *wire.RankRequest) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -883,12 +887,8 @@ func (s *Server) handleRankRequest(ctx context.Context, msg *wire.RankRequest) (
 	}
 	k := msg.TopK
 	cs := s.serving(msg.Category)
-	res, err := cs.cache.getOrCompute(snap.epoch, snap.profileKey(prof.Prefs, k), func(hint []int) (*ranking.Result, error) {
-		r, err := snap.cranker.RankTopK(prof, k, hint)
-		if err == nil && r.WarmBlocks > 0 {
-			s.met.rankWarmBlocks.Add(int64(r.WarmBlocks))
-		}
-		return r, err
+	res, err := cs.cache.getOrCompute(snap.epoch, snap.profileKey(prof.Prefs, k), func() (*ranking.Result, error) {
+		return snap.cranker.RankTopK(prof, k, nil)
 	})
 	if err != nil {
 		return refuse(400, "ranking failed: %v", err), nil

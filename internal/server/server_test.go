@@ -219,6 +219,34 @@ func TestParticipateDoubleJoinRefused(t *testing.T) {
 	}
 }
 
+// TestParticipateAfterPeriodEndWritesNothing: a scan after the app's
+// period has ended has an empty presence window. It is refused with a
+// 4xx before any row is written, so the same scan later gets the same
+// answer rather than a 409 from a stranded waiting task.
+func TestParticipateAfterPeriodEndWritesNothing(t *testing.T) {
+	s, clock := newTestServer(t)
+	if err := s.CreateApp(starbucksApp()); err != nil { // 3 h period
+		t.Fatal(err)
+	}
+	participate(t, s, "alice", "tok-a", 5)
+	clock.Set(t0.Add(4 * time.Hour))
+	for _, user := range []string{"bob", "carol", "bob"} {
+		resp, err := s.Handler()(nil, &wire.Participate{UserID: user, Token: "tok-" + user, AppID: "app-sb",
+			Loc: wire.Location{Lat: 43.0413, Lon: -76.1350}, Budget: 5})
+		if ack, ok := resp.(*wire.Ack); err != nil || !ok || ack.OK || ack.Code != 410 {
+			t.Fatalf("%s's scan after the period: %+v, %v; want a 410 refusal", user, resp, err)
+		}
+		if _, err := s.db.User(user); err == nil {
+			t.Fatalf("refused scan registered user %s", user)
+		}
+	}
+	for _, p := range s.db.ParticipationsByApp("app-sb") {
+		if p.UserID != "alice" || p.LeaveBy.Before(p.Joined) {
+			t.Fatalf("stored participation %+v; want only alice's, leaving after joining", p)
+		}
+	}
+}
+
 func TestSecondJoinRedistributesSchedules(t *testing.T) {
 	s, clock := newTestServer(t)
 	if err := s.CreateApp(starbucksApp()); err != nil {

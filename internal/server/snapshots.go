@@ -173,7 +173,7 @@ func (s *Server) rebuildSnapshot(cs *categoryServing, category string, prev *ran
 	// categories re-marks this snapshot stale. If folding moved nothing in
 	// this category — PutApp and every feature write bump its version, so
 	// an unchanged version means identical matrix rows — keep the epoch
-	// (and with it the warm profile cache) and only refresh the captured
+	// (and with it the profile cache) and only refresh the captured
 	// signals, skipping the O(places×features) matrix reassembly.
 	if prev != nil && featVer == prev.builtFeatVer {
 		snap := *prev
@@ -355,21 +355,13 @@ type cacheEntry struct {
 
 // profileCache is a bounded LRU of rank results for one category and one
 // epoch. An epoch advance clears it wholesale — every cached ranking was
-// computed from the superseded matrix — but first harvests the completed
-// results as warm-start hints: the next epoch's fill for the same
-// (profile, k) key gets the superseded assignment, which the aggregation
-// reuses when (and only when) the mcmf optimality certificate still
-// holds.
+// computed from the superseded matrix.
 type profileCache struct {
 	mu    sync.Mutex
 	max   int
 	epoch int64
 	items map[string]*list.Element
 	lru   *list.List // front = most recent; values are *cacheEntry
-	// hints maps the previous epoch's keys to their solved prefixes
-	// (ranking.Result.OrderIdx). Replaced wholesale at each epoch
-	// advance, so it is bounded by the cache size.
-	hints map[string][]int
 
 	// hits/misses are nil-safe metric handles (nil without an observer).
 	// Stale-epoch fills count as misses: they run the solver.
@@ -387,20 +379,17 @@ func (c *profileCache) init(max int) {
 // caching it via fill on a miss. Concurrent misses on one key share a
 // single fill. A fill for a superseded epoch runs uncached — its result is
 // still correct for the snapshot the caller is serving, but must not
-// poison the newer epoch's cache. fill receives the previous epoch's
-// solved prefix for the same key (nil when there is none) as a warm-start
-// hint.
-func (c *profileCache) getOrCompute(epoch int64, key string, fill func(hint []int) (*ranking.Result, error)) (*ranking.Result, error) {
+// poison the newer epoch's cache.
+func (c *profileCache) getOrCompute(epoch int64, key string, fill func() (*ranking.Result, error)) (*ranking.Result, error) {
 	c.mu.Lock()
 	if epoch > c.epoch {
 		c.epoch = epoch
-		c.hints = harvestHints(c.items)
 		c.items = make(map[string]*list.Element, c.max)
 		c.lru.Init()
 	} else if epoch < c.epoch {
 		c.mu.Unlock()
 		c.misses.Inc()
-		return fill(nil)
+		return fill()
 	}
 	if el, ok := c.items[key]; ok {
 		c.lru.MoveToFront(el)
@@ -411,7 +400,6 @@ func (c *profileCache) getOrCompute(epoch int64, key string, fill func(hint []in
 		return e.res, e.err
 	}
 	c.misses.Inc()
-	hint := c.hints[key]
 	e := &cacheEntry{key: key, done: make(chan struct{})}
 	el := c.lru.PushFront(e)
 	c.items[key] = el
@@ -422,7 +410,7 @@ func (c *profileCache) getOrCompute(epoch int64, key string, fill func(hint []in
 	}
 	c.mu.Unlock()
 
-	e.res, e.err = fill(hint)
+	e.res, e.err = fill()
 	close(e.done)
 	if e.err != nil {
 		// Failed fills are evicted so the profile can be retried.
@@ -434,25 +422,6 @@ func (c *profileCache) getOrCompute(epoch int64, key string, fill func(hint []in
 		c.mu.Unlock()
 	}
 	return e.res, e.err
-}
-
-// harvestHints extracts the solved prefix of every completed cache entry,
-// keyed as the cache was. Called under c.mu at epoch advance; in-flight
-// entries (done not yet closed) are skipped rather than waited on — a
-// missing hint only costs a cold solve.
-func harvestHints(items map[string]*list.Element) map[string][]int {
-	hints := make(map[string][]int, len(items))
-	for key, el := range items {
-		e := el.Value.(*cacheEntry)
-		select {
-		case <-e.done:
-			if e.err == nil && e.res != nil && len(e.res.OrderIdx) > 0 {
-				hints[key] = e.res.OrderIdx
-			}
-		default:
-		}
-	}
-	return hints
 }
 
 // buildRankResponse assembles the wire response from a snapshot and a

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,7 +167,7 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 	c.init(4)
 	var fills atomic.Int64
 	res := &ranking.Result{}
-	fill := func([]int) (*ranking.Result, error) {
+	fill := func() (*ranking.Result, error) {
 		fills.Add(1)
 		return res, nil
 	}
@@ -175,7 +177,7 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 	// releases it after all callers have announced themselves.
 	var arrived atomic.Int64
 	release := make(chan struct{})
-	concFill := func([]int) (*ranking.Result, error) {
+	concFill := func() (*ranking.Result, error) {
 		fills.Add(1)
 		<-release
 		return res, nil
@@ -233,7 +235,7 @@ func TestProfileCacheEviction(t *testing.T) {
 	fills := map[string]int{}
 	get := func(key string) {
 		t.Helper()
-		if _, err := c.getOrCompute(1, key, func([]int) (*ranking.Result, error) {
+		if _, err := c.getOrCompute(1, key, func() (*ranking.Result, error) {
 			fills[key]++
 			return &ranking.Result{}, nil
 		}); err != nil {
@@ -251,6 +253,89 @@ func TestProfileCacheEviction(t *testing.T) {
 	}
 	if fills["b"] != 2 {
 		t.Fatalf("b filled %d times, want 2 (evicted once)", fills["b"])
+	}
+}
+
+// TestRankAnswerIndependentOfHistory: a rank answer is a function of the
+// epoch's matrix, the profile and k. Server A answers profile p at epoch
+// N, ingests, and answers p at epoch N+1; server B, holding the same
+// rows, answers p only at epoch N+1. The two responses must be equal.
+// The four places tie: at epoch N+1 both [2 0 1 3] (A's epoch-N answer)
+// and [0 1 2 3] are footrule optima for p, so a server that reused its
+// epoch-N answer would serve a different order than one that never saw
+// it. The pooled run answers other profiles on both servers around every
+// query, so no pooled solver or prefix scratch carries history either.
+func TestRankAnswerIndependentOfHistory(t *testing.T) {
+	epochs := [][][]float64{
+		{{0, 0, 1, 0}, {1, 1, 1, 1}, {0, 1, 0, 1}, {0, 1, 2, 0}},
+		{{0, 0, 1, 0}, {0, 1, 1, 1}, {0, 1, 0, 1}, {0, 1, 2, 0}},
+	}
+	pref := func(feature string, kind ranking.PrefKind, value float64, weight int) wire.PrefEntry {
+		return wire.PrefEntry{Feature: feature, Kind: int(kind), Value: value, Weight: weight}
+	}
+	p := &wire.RankRequest{Category: world.CategoryCoffee, UserID: "p", TopK: 4, Prefs: []wire.PrefEntry{
+		pref("temperature", ranking.PrefValue, 0, 2), pref("brightness", ranking.PrefMin, 0, 1),
+		pref("noise", ranking.PrefMin, 0, 3), pref("wifi", ranking.PrefValue, 2, 1),
+	}}
+	others := []*wire.RankRequest{
+		{Category: world.CategoryCoffee, UserID: "defaults"},
+		{Category: world.CategoryCoffee, UserID: "bright", TopK: 2, Prefs: []wire.PrefEntry{
+			pref("brightness", ranking.PrefMax, 0, 5), pref("temperature", ranking.PrefValue, 2, 1),
+		}},
+	}
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			rank := func(s *Server, req *wire.RankRequest) *wire.RankResponse {
+				t.Helper()
+				reqs := []*wire.RankRequest{req}
+				if pooled {
+					reqs = append(slices.Clip(others), req)
+				}
+				var ranked *wire.RankResponse
+				for _, r := range reqs {
+					resp, err := s.Handler()(nil, r)
+					var ok bool
+					if ranked, ok = resp.(*wire.RankResponse); err != nil || !ok {
+						t.Fatalf("%s: rank refused: %+v, %v", r.UserID, resp, err)
+					}
+				}
+				return ranked
+			}
+			var srv [2]*Server
+			var got [2]*wire.RankResponse
+			for x := range srv {
+				s, err := New(Config{DB: store.New(), Now: (&virtualClock{now: t0}).Now, Catalog: DefaultCatalog()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv[x] = s
+				for i := range epochs[0] {
+					if err := s.CreateApp(concApp(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for e, rows := range epochs {
+				for _, s := range srv {
+					for i, row := range rows {
+						for j, f := range DefaultCatalog()[world.CategoryCoffee] {
+							if err := s.DB().UpsertFeature(store.FeatureRow{Category: world.CategoryCoffee,
+								Place: concApp(i).Place, Feature: f.Name, Value: row[j], Samples: 1, Updated: t0}); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				got[0] = rank(srv[0], p) // A answers p at every epoch
+				if e == 0 {
+					rank(srv[1], others[0]) // B builds epoch N without answering p
+				}
+			}
+			got[1] = rank(srv[1], p)
+			if got[0].Epoch != 2 || !reflect.DeepEqual(got[0], got[1]) {
+				t.Fatalf("A, which answered p at epoch 1, serves\n%+v\nB, which did not, serves\n%+v", got[0], got[1])
+			}
+		})
 	}
 }
 

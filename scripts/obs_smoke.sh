@@ -24,7 +24,7 @@ SORD_PID=$!
 REQUIRED='sor_http_requests_total,sor_http_decode_errors_total'
 REQUIRED+=',sor_ingest_reports_total,sor_ingest_accepted_total,sor_ingest_duplicate_total,sor_ingest_rejected_total'
 REQUIRED+=',sor_sched_replans_total,sor_snapshot_rebuilds_total,sor_rank_cache_hits_total,sor_rank_cache_misses_total'
-REQUIRED+=',sor_snapshot_delta_rebuilds_total,sor_snapshot_rearms_total,sor_rank_warm_blocks_total'
+REQUIRED+=',sor_snapshot_delta_rebuilds_total,sor_snapshot_rearms_total'
 REQUIRED+=',sor_server_requests_total{type="ping"},sor_server_requests_total{type="data-upload"}'
 REQUIRED+=',sor_server_requests_total{type="data-upload-batch"},sor_server_requests_total{type="rank-request"}'
 REQUIRED+=',sor_server_handler_ms{type="data-upload"},sor_snapshot_rebuild_ms'
