@@ -67,7 +67,9 @@ bench:
 # allocations, and the re-plan inside its gain-evaluation and tree-work
 # bounds; the lazy engine returns the eager greedy's plan to the bit;
 # concurrent joins and leaves on one app store the latest plan (under
-# -race, with the schedule and server packages' short suites); recovery
+# -race, with the schedule and server packages' short suites); a late
+# sample costs its own readings behind 100 or 10 000 stored, and a plain
+# run keeps no samples; recovery
 # decodes each stored upload once into a reused message at under 4
 # allocations per upload; a history drain hands each app its rows in
 # sequence order; a closed node waits for its processing loop and a
@@ -79,7 +81,7 @@ bench:
 # columnar and monolithic scaling tables still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
-	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestRefreshCostIndependentOfHistory|TestRecoveryAllocsPerUpload' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestLateSampleCostIndependentOfHistory|TestPlainRunMemoryIndependentOfHistory|TestRecoveryAllocsPerUpload' -v ./internal/server/
 	$(GO) test -race -count=1 -run 'TestConcurrentOpsStoreTheLatestPlan' -v ./internal/server/
 	$(GO) test -count=1 -run 'TestLazyGreedyMatchesEagerExactly' -v ./internal/schedule/
 	$(GO) test -race -short ./internal/schedule/ ./internal/server/
@@ -100,7 +102,8 @@ bench-test:
 # the store's row codec behind it — WAL ops (disk, and a leader's
 # replication stream) and snapshot sections (disk, and a shipped image) —
 # plus the assignment solver against brute force on huge, negative and
-# tied costs.
+# tied costs, the exact sum against math/big in any input order, and the
+# rank cache's profile key.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSessionFrame -fuzztime 10s ./internal/transport/session/
@@ -108,6 +111,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALOpDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzAssign -fuzztime 10s ./internal/mcmf/
+	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime 10s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzProfileKey -fuzztime 10s ./internal/server/
 
 # Boot a real sord, scrape /debug/metrics via sorctl, assert every
 # promised series is present and that traffic moves the counters.

@@ -18,11 +18,11 @@ import (
 // A cluster row's "N checkpoints" also moves with WAL record sizes: its
 // resync step checkpoints until the log outgrows the orphan.
 var clusterSummaryGolden = map[string]string{
-	"replica/1/10":    "22 ops in 600 steps (0 deferred); 10 kills, 2 partitions, 19 checkpoints, 1 failover; 20 pull errors; 73 rank probes (0 stale-flagged, 5 refused); digest d31ee23ef0b0",
-	"replica/42/10":   "22 ops in 600 steps (0 deferred); 10 kills, 3 partitions, 12 checkpoints, 1 failover; 50 pull errors; 84 rank probes (0 stale-flagged, 2 refused); digest d31ee23ef0b0",
-	"replica/1337/10": "22 ops in 606 steps (0 deferred); 10 kills, 3 partitions, 19 checkpoints, 1 failover; 73 pull errors; 79 rank probes (0 stale-flagged, 5 refused); digest d31ee23ef0b0",
-	"replica/7/4":     "22 ops in 600 steps (0 deferred); 4 kills, 3 partitions, 21 checkpoints, 1 failover; 43 pull errors; 90 rank probes (0 stale-flagged, 1 refused); digest d31ee23ef0b0",
-	"replica/1/3":     "22 ops in 600 steps (0 deferred); 3 kills, 3 partitions, 21 checkpoints, 1 failover; 21 pull errors; 84 rank probes (0 stale-flagged, 0 refused); digest d31ee23ef0b0",
+	"replica/1/10":    "22 ops in 600 steps (0 deferred); 10 kills, 2 partitions, 19 checkpoints, 1 failover; 20 pull errors; 73 rank probes (0 stale-flagged, 5 refused); digest 6c4c660fbb25",
+	"replica/42/10":   "22 ops in 600 steps (0 deferred); 10 kills, 3 partitions, 12 checkpoints, 1 failover; 50 pull errors; 84 rank probes (0 stale-flagged, 2 refused); digest 6c4c660fbb25",
+	"replica/1337/10": "22 ops in 606 steps (0 deferred); 10 kills, 3 partitions, 19 checkpoints, 1 failover; 73 pull errors; 79 rank probes (0 stale-flagged, 5 refused); digest 6c4c660fbb25",
+	"replica/7/4":     "22 ops in 600 steps (0 deferred); 4 kills, 3 partitions, 21 checkpoints, 1 failover; 43 pull errors; 90 rank probes (0 stale-flagged, 1 refused); digest 6c4c660fbb25",
+	"replica/1/3":     "22 ops in 600 steps (0 deferred); 3 kills, 3 partitions, 21 checkpoints, 1 failover; 21 pull errors; 84 rank probes (0 stale-flagged, 0 refused); digest 6c4c660fbb25",
 	"cluster/1/6":     "32 ops in 600 steps (2 deferred); 6 kills, 2 partitions, 23 checkpoints; 2 planned failovers (1 router-discovered), 1 snapshot-ship resyncs; 34 pull errors, 56 rank probes",
 	"cluster/42/6":    "32 ops in 600 steps (0 deferred); 6 kills, 2 partitions, 20 checkpoints; 2 planned failovers (1 router-discovered), 1 snapshot-ship resyncs; 26 pull errors, 53 rank probes",
 	"cluster/1337/6":  "32 ops in 600 steps (0 deferred); 6 kills, 2 partitions, 22 checkpoints; 2 planned failovers (1 router-discovered), 1 snapshot-ship resyncs; 37 pull errors, 54 rank probes",
@@ -34,9 +34,9 @@ var clusterSummaryGolden = map[string]string{
 // run of the family — any seed, chaotic or calm — converges to (the
 // workload is seed-independent; only the chaos between the ops varies).
 var clusterDigestGolden = map[string]string{
-	"replica/" + world.CategoryCoffee: "d31ee23ef0b01633c68125f3979fab78f6c79edc21cf9b4410de288b11b00a60",
-	"cluster/" + world.CategoryCoffee: "eed3864d4028ab0521216364b074757076a00f58563273603190d416ffc8c393",
-	"cluster/" + world.CategoryTrail:  "4937b9d8c3555e11b707e055441566cfd590d9b3e6d1902843d7cc4c9f50c434",
+	"replica/" + world.CategoryCoffee: "6c4c660fbb25b921129d409694806770aeb8716bfd3c8c37c4ff8f65bb0a2695",
+	"cluster/" + world.CategoryCoffee: "afbf6ac2400922b20eab3b3ca2505d429ff9cb20d6e0dc642697c10f24c9234f",
+	"cluster/" + world.CategoryTrail:  "bc7f5411808c73fb9df38d18e9e01bbef677f69ae15c0de0c8ecd12a4a71430b",
 }
 
 // checkClusterGolden compares a run of one of the family's rows against
@@ -61,9 +61,9 @@ func checkClusterGolden(t *testing.T, family string, sc Cluster, res *ClusterRes
 // fleet entry converges to, chaotic or clean: one fleet run through the
 // transport × storage grid is one experiment.
 var fleetDigestGolden = map[string]string{
-	"6/4/42": "674f646b4325e7a817cbc488e89eb7d082927c654279d70e43311715f22da7bb",
+	"6/4/42": "3e5fa8c1e76a66750dbbd9607c52820110a9efdd74efd2b7fbc8681f13dbd32a",
 	"3/3/42": "371479fb33e1371da300e12badac2856f92c1f273fbf03efad270f5bcdbcf894",
-	"4/4/7":  "d64b0a2a0c9f0072c4acf47c0d3468e871382f9d7e3dc6c074d775141719a0cd",
+	"4/4/7":  "b3e851011753529b04d574ef4bbeb247f318f4a08d66682731db8120855fb960",
 }
 
 // TestFleetSoaksPinned runs every row of the fleet table — including

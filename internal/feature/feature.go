@@ -27,15 +27,24 @@ type Sample struct {
 
 // Validate checks the sample.
 func (s Sample) Validate() error {
-	return validate(s.Window, s.Readings)
+	return Validate(s.Window, s.Readings)
 }
 
-func validate(window time.Duration, readings []float64) error {
+// Validate is the rule every sample meets before anything folds it: a
+// window that is not negative and one or more readings, each finite and
+// within stats.MaxExact. Ingest refuses a report that breaks it, and a
+// Fold's Step refuses the sample.
+func Validate(window time.Duration, readings []float64) error {
 	if window < 0 {
 		return errors.New("feature: negative sample window")
 	}
 	if len(readings) == 0 {
 		return errors.New("feature: sample with no readings")
+	}
+	for _, r := range readings {
+		if !stats.Admits(r) {
+			return fmt.Errorf("feature: reading %v is not finite or exceeds %g", r, stats.MaxExact)
+		}
 	}
 	return nil
 }
@@ -56,37 +65,81 @@ type Extractor interface {
 	Extract(samples []Sample) (float64, error)
 }
 
-// Fold is an Extractor whose Extract is a left fold of one stats.Welford:
-// Step applied to each sample in order, starting from the zero Welford,
-// then Read. A caller that kept the Welford after a prefix of the samples
-// resumes from it and reads Extract's value bit for bit.
+// Fold is an Extractor that takes its samples one at a time: Step adds a
+// sample to an Acc, and Read is the feature value of the samples added.
+// Extract is Step over each sample, then Read. An Acc holds exact sums, so
+// Read is a function of the multiset of samples stepped, in any order.
 type Fold interface {
 	Extractor
-	// Step folds one sample's window and readings into w. A malformed
-	// sample is an error and leaves w unchanged.
-	Step(w *stats.Welford, window time.Duration, readings []float64) error
-	// Read is the feature value of the samples folded into w.
-	Read(w *stats.Welford) (float64, error)
+	// Step adds one sample's window and readings to a. A sample Validate
+	// refuses, or one whose observation an exact sum does not admit, is an
+	// error and leaves a unchanged.
+	Step(a *Acc, window time.Duration, readings []float64) error
+	// Read is the feature value of the samples stepped into a.
+	Read(a *Acc) (float64, error)
+}
+
+// Acc is a Fold's state. The zero Acc is empty; like its sums, an Acc must
+// not be copied after its first Step.
+type Acc struct {
+	samples int            // samples stepped
+	n       int            // observations stepped
+	sum     stats.ExactSum // of the observations
+	squares stats.ExactSum // of their squares, for AltitudeChangeExtractor
+	kept    []float64      // every reading, for MADMeanExtractor
+}
+
+// Samples reports how many samples were stepped into a.
+func (a *Acc) Samples() int { return a.samples }
+
+// observe adds one valid sample's observations to a, or none of them when
+// one is not admitted; squares adds their squares too.
+func (a *Acc) observe(obs []float64, squares bool) error {
+	for _, x := range obs {
+		if !stats.Admits(x) {
+			return fmt.Errorf("feature: observation %v is not admitted", x)
+		}
+	}
+	for _, x := range obs {
+		a.sum.Add(x)
+		if squares {
+			a.squares.AddSquare(x)
+		}
+	}
+	a.samples++
+	a.n += len(obs)
+	return nil
+}
+
+// observeWindow adds stat of one sample's readings as its observation.
+func (a *Acc) observeWindow(window time.Duration, readings []float64, stat func([]float64) (float64, error), squares bool) error {
+	if err := Validate(window, readings); err != nil {
+		return err
+	}
+	x, err := stat(readings)
+	if err != nil {
+		return err
+	}
+	return a.observe([]float64{x}, squares)
+}
+
+// mean is the mean of the observations in a.
+func (a *Acc) mean(name string) (float64, error) {
+	if a.n == 0 {
+		return 0, fmt.Errorf("feature: %s: no data", name)
+	}
+	return a.sum.Sum() / float64(a.n), nil
 }
 
 // foldExtract is Extract for a Fold.
 func foldExtract(f Fold, samples []Sample) (float64, error) {
-	var w stats.Welford
+	var a Acc
 	for i, s := range samples {
-		if err := f.Step(&w, s.Window, s.Readings); err != nil {
+		if err := f.Step(&a, s.Window, s.Readings); err != nil {
 			return 0, fmt.Errorf("feature: %s sample %d: %w", f.Name(), i, err)
 		}
 	}
-	return f.Read(&w)
-}
-
-// readMean is the Read of the folds whose feature is the mean of what they
-// stepped.
-func readMean(name string, w *stats.Welford) (float64, error) {
-	if w.N() == 0 {
-		return 0, fmt.Errorf("feature: %s: no data", name)
-	}
-	return w.Mean(), nil
+	return f.Read(&a)
 }
 
 // MeanExtractor averages all readings of all samples — the paper's method
@@ -106,18 +159,15 @@ func (e MeanExtractor) Extract(samples []Sample) (float64, error) {
 }
 
 // Step implements Fold: every reading is one observation.
-func (MeanExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
-	if err := validate(window, readings); err != nil {
+func (MeanExtractor) Step(a *Acc, window time.Duration, readings []float64) error {
+	if err := Validate(window, readings); err != nil {
 		return err
 	}
-	for _, r := range readings {
-		w.Add(r)
-	}
-	return nil
+	return a.observe(readings, false)
 }
 
 // Read implements Fold.
-func (e MeanExtractor) Read(w *stats.Welford) (float64, error) { return readMean(e.Feature, w) }
+func (e MeanExtractor) Read(a *Acc) (float64, error) { return a.mean(e.Feature) }
 
 // RoughnessExtractor implements the paper's road-surface roughness: "an
 // average of the standard deviations of all accelerometer's readings
@@ -135,20 +185,12 @@ func (e RoughnessExtractor) Extract(samples []Sample) (float64, error) {
 }
 
 // Step implements Fold: a window's standard deviation is one observation.
-func (RoughnessExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
-	if err := validate(window, readings); err != nil {
-		return err
-	}
-	sd, err := stats.StdDev(readings)
-	if err != nil {
-		return err
-	}
-	w.Add(sd)
-	return nil
+func (RoughnessExtractor) Step(a *Acc, window time.Duration, readings []float64) error {
+	return a.observeWindow(window, readings, stats.StdDev, false)
 }
 
 // Read implements Fold.
-func (e RoughnessExtractor) Read(w *stats.Welford) (float64, error) { return readMean(e.Name(), w) }
+func (e RoughnessExtractor) Read(a *Acc) (float64, error) { return a.mean(e.Name()) }
 
 // AltitudeChangeExtractor implements "the standard deviation of averages of
 // all altitude sensor readings within Δt".
@@ -165,24 +207,16 @@ func (e AltitudeChangeExtractor) Extract(samples []Sample) (float64, error) {
 }
 
 // Step implements Fold: a window's mean is one observation.
-func (AltitudeChangeExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
-	if err := validate(window, readings); err != nil {
-		return err
-	}
-	m, err := stats.Mean(readings)
-	if err != nil {
-		return err
-	}
-	w.Add(m)
-	return nil
+func (AltitudeChangeExtractor) Step(a *Acc, window time.Duration, readings []float64) error {
+	return a.observeWindow(window, readings, stats.Mean, true)
 }
 
 // Read implements Fold: the spread of the window means.
-func (AltitudeChangeExtractor) Read(w *stats.Welford) (float64, error) {
-	if w.N() == 0 {
+func (AltitudeChangeExtractor) Read(a *Acc) (float64, error) {
+	if a.n == 0 {
 		return 0, errors.New("feature: altitude change: no data")
 	}
-	return w.StdDev(), nil
+	return stats.StdDevOf(a.n, &a.sum, &a.squares), nil
 }
 
 // NoiseRMSExtractor reduces microphone amplitude windows to an RMS level
@@ -200,20 +234,12 @@ func (e NoiseRMSExtractor) Extract(samples []Sample) (float64, error) {
 }
 
 // Step implements Fold: a window's RMS level is one observation.
-func (NoiseRMSExtractor) Step(w *stats.Welford, window time.Duration, readings []float64) error {
-	if err := validate(window, readings); err != nil {
-		return err
-	}
-	rms, err := stats.RMS(readings)
-	if err != nil {
-		return err
-	}
-	w.Add(rms)
-	return nil
+func (NoiseRMSExtractor) Step(a *Acc, window time.Duration, readings []float64) error {
+	return a.observeWindow(window, readings, stats.RMS, false)
 }
 
 // Read implements Fold.
-func (e NoiseRMSExtractor) Read(w *stats.Welford) (float64, error) { return readMean(e.Name(), w) }
+func (e NoiseRMSExtractor) Read(a *Acc) (float64, error) { return a.mean(e.Name()) }
 
 // Curvature computes trail tortuosity from GPS samples: the time-ordered
 // points form a trace whose mean absolute heading change per 100 m is the
@@ -250,24 +276,26 @@ func Curvature(samples []GeoSample) (float64, error) {
 // continuous GPS *burst* (several consecutive fixes along the walk):
 // curvature is estimated within each burst and averaged across bursts.
 // Unlike Curvature, this never mixes fixes from different walkers or
-// far-apart times, so it is robust to staggered multi-phone traces.
-// Bursts with fewer than 3 points are skipped; if none qualify an error
-// is returned.
+// far-apart times, so it is robust to staggered multi-phone traces. The
+// average is an exact sum rounded once, so the order of the bursts does
+// not matter. Bursts with fewer than 3 points, or whose curvature an exact
+// sum does not admit, are skipped; if none qualify an error is returned.
 func BurstCurvature(samples []GeoSample) (float64, error) {
 	if len(samples) == 0 {
 		return 0, errors.New("feature: curvature: no data")
 	}
-	var w stats.Welford
+	var sum stats.ExactSum
+	n := 0
 	for _, s := range samples {
-		if len(s.Points) < 3 {
-			continue
+		if c := geo.MeanTurnPer100m(s.Points); len(s.Points) >= 3 && stats.Admits(c) {
+			sum.Add(c)
+			n++
 		}
-		w.Add(geo.MeanTurnPer100m(s.Points))
 	}
-	if w.N() == 0 {
+	if n == 0 {
 		return 0, errors.New("feature: curvature: no burst with >= 3 fixes")
 	}
-	return w.Mean(), nil
+	return sum.Sum() / float64(n), nil
 }
 
 // Registry maps feature names to extractors; the Data Processor consults it

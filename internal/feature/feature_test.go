@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sor/internal/geo"
-	"sor/internal/stats"
 )
 
 var sampleStart = time.Date(2013, time.November, 15, 11, 0, 0, 0, time.UTC)
@@ -325,9 +324,11 @@ func TestRoughnessMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestFoldResumesBitIdentical: for every fold, stepping a copy of the
-// Welford kept after any prefix through the rest of the samples reads
-// Extract's value bit for bit, and a malformed sample fails both.
+// TestFoldResumesBitIdentical: for every fold, stepping the samples in
+// any order — read after any prefix, then the rest stepped in reverse —
+// reads Extract's value bit for bit, and a malformed sample — a reading
+// that is not finite or beyond stats.MaxExact included — fails both and
+// leaves the state alone.
 func TestFoldResumesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	samples := make([]Sample, 70)
@@ -338,34 +339,44 @@ func TestFoldResumesBitIdentical(t *testing.T) {
 		}
 		samples[i] = Sample{At: sampleStart.Add(time.Duration(i) * time.Second), Window: time.Second, Readings: readings}
 	}
-	for _, f := range []Fold{MeanExtractor{Feature: "temperature"}, RoughnessExtractor{}, AltitudeChangeExtractor{}, NoiseRMSExtractor{}} {
+	folds := []Fold{MeanExtractor{Feature: "temperature"}, RoughnessExtractor{}, AltitudeChangeExtractor{}, NoiseRMSExtractor{}, MADMeanExtractor{Feature: "humidity"}}
+	for _, f := range folds {
 		want, err := f.Extract(samples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prefix stats.Welford
-		for cut := 0; cut <= len(samples); cut++ {
-			w := prefix
-			for _, s := range samples[cut:] {
-				if err := f.Step(&w, s.Window, s.Readings); err != nil {
+		for cut := 0; cut <= len(samples); cut += 7 {
+			var a Acc
+			for _, s := range samples[:cut] {
+				if err := f.Step(&a, s.Window, s.Readings); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got, err := f.Read(&w)
-			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s resumed at %d: %v (%v), Extract %v", f.Name(), cut, got, err, want)
+			_, _ = f.Read(&a)
+			for i := len(samples) - 1; i >= cut; i-- {
+				if err := f.Step(&a, samples[i].Window, samples[i].Readings); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if cut < len(samples) {
-				_ = f.Step(&prefix, samples[cut].Window, samples[cut].Readings)
+			got, err := f.Read(&a)
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) || a.Samples() != len(samples) {
+				t.Fatalf("%s read at %d: %v over %d samples (%v), Extract %v", f.Name(), cut, got, a.Samples(), err, want)
 			}
 		}
 		bad := append(append([]Sample(nil), samples[:5]...), Sample{Window: -time.Second, Readings: []float64{1}})
 		if _, err := f.Extract(bad); err == nil {
 			t.Fatalf("%s: negative window must error", f.Name())
 		}
-		before := prefix
-		if err := f.Step(&prefix, time.Second, nil); err == nil || prefix != before {
-			t.Fatalf("%s: a sample with no readings must error and leave the state alone", f.Name())
+		for _, readings := range [][]float64{nil, {1, math.NaN()}, {math.Inf(1)}, {1e200, 1}} {
+			var a Acc
+			_ = f.Step(&a, time.Second, samples[0].Readings)
+			before, _ := f.Read(&a)
+			if err := f.Step(&a, time.Second, readings); err == nil {
+				t.Fatalf("%s: readings %v must error", f.Name(), readings)
+			}
+			if after, _ := f.Read(&a); after != before || a.Samples() != 1 {
+				t.Fatalf("%s: refused readings %v moved the state from %v to %v", f.Name(), readings, before, after)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"sor/internal/stats"
 )
@@ -116,32 +117,50 @@ func MADFilter(readings []float64, k float64) (kept []float64, rejected int, err
 	return kept, rejected, nil
 }
 
-// MADMeanExtractor averages readings after MAD outlier rejection.
+// MADMeanExtractor averages readings after MAD outlier rejection. Its Acc
+// keeps every reading, since the median and MAD need the whole multiset,
+// and the kept readings are summed exactly.
 type MADMeanExtractor struct {
 	Feature string
 	K       float64 // MAD multiples; <= 0 defaults to 3
 }
 
-var _ Extractor = MADMeanExtractor{}
+var _ Fold = MADMeanExtractor{}
 
 // Name implements Extractor.
 func (e MADMeanExtractor) Name() string { return e.Feature }
 
 // Extract implements Extractor.
 func (e MADMeanExtractor) Extract(samples []Sample) (float64, error) {
-	all, err := flatten(e.Feature, samples)
-	if err != nil {
-		return 0, err
+	return foldExtract(e, samples)
+}
+
+// Step implements Fold: every reading is kept.
+func (MADMeanExtractor) Step(a *Acc, window time.Duration, readings []float64) error {
+	if err := Validate(window, readings); err != nil {
+		return err
+	}
+	a.kept = append(a.kept, readings...)
+	a.samples++
+	return nil
+}
+
+// Read implements Fold.
+func (e MADMeanExtractor) Read(a *Acc) (float64, error) {
+	if len(a.kept) == 0 {
+		return 0, fmt.Errorf("feature: %s: no data", e.Feature)
 	}
 	k := e.K
 	if k <= 0 {
 		k = 3
 	}
-	kept, _, err := MADFilter(all, k)
+	kept, _, err := MADFilter(a.kept, k)
 	if err != nil {
 		return 0, err
 	}
-	return stats.Mean(kept)
+	var m Acc
+	_ = m.observe(kept, false) // kept readings passed Validate: all admitted
+	return m.mean(e.Feature)
 }
 
 // flatten validates samples and gathers all readings.

@@ -119,6 +119,10 @@ type placeSpec struct {
 	name  string
 }
 
+// newServer builds a run's sensing server. Tests substitute a durable
+// one, whose stored uploads they can read back.
+var newServer = server.New
+
 // Run executes the field test and returns the reproduced figures/tables.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Category != world.CategoryTrail && cfg.Category != world.CategoryCoffee {
@@ -146,7 +150,7 @@ func Run(cfg Config) (*Result, error) {
 	end := start.Add(3 * time.Hour)
 
 	vc := &clock{now: start}
-	srv, err := server.New(server.Config{
+	srv, err := newServer(server.Config{
 		DB:               store.New(),
 		Now:              vc.Now,
 		Catalog:          server.DefaultCatalog(),

@@ -3,8 +3,8 @@ package server
 // Allocation gate for the rank hot path (the re-plan gate, with its work
 // bound, is TestReplanAllocsAndWork, the join gate
 // TestJoinCostIndependentOfDeparted, the upload→rank cycle gate
-// TestFreshCycleAllocs, the refresh work gate
-// TestRefreshCostIndependentOfHistory and the per-upload recovery gate
+// TestFreshCycleAllocs, the late-sample gate
+// TestLateSampleCostIndependentOfHistory and the per-upload recovery gate
 // TestRecoveryAllocsPerUpload, further down; the count gates skip their
 // count under the race detector, see race_on_test.go). A cached-hit rank query must
 // cost a small constant number of allocations — the profile map, the
@@ -18,6 +18,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -427,59 +428,126 @@ func TestFreshCycleAllocs(t *testing.T) {
 		places, perCycle, freshCycleByteBudget, patched, rebuilds)
 }
 
-// TestRefreshCostIndependentOfHistory gates what a refresh steps: k
-// samples appended behind one sensor's run cost the refresh those k plus
-// under one fold block of the history before them, at 100 stored samples
-// as at 10 000, and the value is still the extractor's over the whole run.
-func TestRefreshCostIndependentOfHistory(t *testing.T) {
-	const appID, k = "history-app", 8
+// countingFold counts the samples its Fold steps.
+type countingFold struct {
+	feature.Fold
+	steps *int
+}
+
+func (f countingFold) Step(a *feature.Acc, window time.Duration, readings []float64) error {
+	*f.steps++
+	return f.Fold.Step(a, window, readings)
+}
+
+// TestLateSampleCostIndependentOfHistory gates what a late sample costs:
+// one sample at a random earlier instant, behind 100 stored samples as
+// behind 10 000, is stepped once when it is folded, the refresh steps no
+// stored sample, and fold plus refresh allocate the same at both sizes.
+// The value is still the extractor's over the whole history.
+func TestLateSampleCostIndependentOfHistory(t *testing.T) {
+	const appID = "history-app"
+	r := rand.New(rand.NewSource(5))
+	allocs := make(map[int]float64)
 	for _, history := range []int{100, 10_000} {
 		db := store.New()
 		if err := db.PutApp(store.Application{ID: appID, Category: world.CategoryCoffee, Place: "history-place"}); err != nil {
 			t.Fatal(err)
 		}
-		d := NewDataProcessor(db)
-		d.SetObserver(obs.NewObserver())
+		d := NewDataProcessor(db, false)
+		steps := 0
+		d.pipelines = map[string]feature.Fold{"temperature": countingFold{featurePipelines["temperature"], &steps}}
 		ad := d.appData(appID)
 		var all []feature.Sample
-		fold := func(from, n int) {
-			series := wire.SensorSeries{Sensor: "temperature"}
-			for i := from; i < from+n; i++ {
-				smp := wire.SensorSample{AtUnixMilli: t0.UnixMilli() + int64(i)*1000, WindowMilli: 1000,
-					Readings: []float64{float64(i%13) + 0.1, float64(i % 7)}}
-				series.Samples = append(series.Samples, smp)
-				all = append(all, feature.Sample{At: time.UnixMilli(smp.AtUnixMilli).UTC(), Window: time.Second, Readings: smp.Readings})
-			}
-			ad.foldDecoded(&wire.DataUpload{AppID: appID, UserID: "history-user", Series: []wire.SensorSeries{series}})
+		upload := func(i int) *wire.DataUpload {
+			smp := wire.SensorSample{AtUnixMilli: t0.UnixMilli() + int64(i)*1000, WindowMilli: 1000,
+				Readings: []float64{float64(i%13) + 0.1, float64(i % 7)}}
+			all = append(all, feature.Sample{At: time.UnixMilli(smp.AtUnixMilli).UTC(), Window: time.Second, Readings: smp.Readings})
+			return &wire.DataUpload{AppID: appID, UserID: "history-user", Series: []wire.SensorSeries{{Sensor: "temperature", Samples: []wire.SensorSample{smp}}}}
 		}
-		fold(0, history)
+		for i := 0; i < history; i++ {
+			d.foldDecoded(ad, upload(i))
+		}
 		if err := d.refreshApp(appID); err != nil {
 			t.Fatal(err)
 		}
-		before := d.met.refolded.Value()
-		fold(history, k)
+		late := upload(r.Intn(history))
+		steps = 0
+		d.foldDecoded(ad, late)
+		folded := steps
 		if err := d.refreshApp(appID); err != nil {
 			t.Fatal(err)
 		}
-		stepped := d.met.refolded.Value() - before
-		if stepped > k+foldBlock {
-			t.Fatalf("appending %d samples to %d stepped %d, bound %d", k, history, stepped, k+foldBlock)
+		if folded != 1 || steps != 1 {
+			t.Fatalf("a late sample behind %d: the fold stepped %d samples and the refresh %d more", history, folded, steps-folded)
 		}
 		row, err := db.Feature(world.CategoryCoffee, "history-place", "temperature")
-		want, werr := featurePipelines["temperature"].extractor.Extract(all)
-		if err != nil || werr != nil || math.Float64bits(row.Value) != math.Float64bits(want) || row.Samples != history+k {
-			t.Fatalf("after %d+%d samples: row %+v (%v), from scratch %v (%v)", history, k, row, err, want, werr)
+		want, werr := featurePipelines["temperature"].Extract(all)
+		if err != nil || werr != nil || math.Float64bits(row.Value) != math.Float64bits(want) || row.Samples != history+1 {
+			t.Fatalf("after %d+1 samples: row %+v (%v), from scratch %v (%v)", history, row, err, want, werr)
 		}
-		t.Logf("appending %d samples to %d: refresh stepped %d (bound %d)", k, history, stepped, k+foldBlock)
+		allocs[history] = testing.AllocsPerRun(100, func() {
+			d.foldDecoded(ad, late)
+			if err := d.refreshApp(appID); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+	if allocs[100] != allocs[10_000] {
+		t.Fatalf("fold + refresh of a late sample allocates %v behind 100 samples, %v behind 10 000", allocs[100], allocs[10_000])
+	}
+	t.Logf("fold + refresh of a late sample: %v allocations at either history", allocs[100])
+}
+
+// TestPlainRunMemoryIndependentOfHistory: a plain processor keeps no
+// samples, so folding 10 000 more of them into one (app, sensor) leaves
+// the live heap where it was, give or take a few partials.
+func TestPlainRunMemoryIndependentOfHistory(t *testing.T) {
+	const appID, more = "memory-app", 10_000
+	db := store.New()
+	if err := db.PutApp(store.Application{ID: appID, Category: world.CategoryCoffee, Place: "memory-place"}); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDataProcessor(db, false)
+	ad := d.appData(appID)
+	up := &wire.DataUpload{AppID: appID, UserID: "memory-user", Series: []wire.SensorSeries{{Sensor: "temperature",
+		Samples: []wire.SensorSample{{AtUnixMilli: t0.UnixMilli(), WindowMilli: 1000, Readings: make([]float64, 4)}}}}}
+	fold := func(n int) {
+		for i := 0; i < n; i++ {
+			smp := &up.Series[0].Samples[0]
+			smp.AtUnixMilli += 1000
+			for k := range smp.Readings {
+				smp.Readings[k] = 20 + float64((i*7+k)%11)/3
+			}
+			d.foldDecoded(ad, up)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	fold(100)
+	before := heap()
+	fold(more)
+	after := heap()
+	runtime.KeepAlive(d)
+	// Keeping the samples would take at least their readings: 320 KB.
+	if grown := int64(after) - int64(before); grown > 16<<10 {
+		t.Fatalf("folding %d more samples grew the live heap by %d B", more, grown)
+	}
+	if _, values, err := d.extractApp(appID); err != nil || len(values) != 1 || values[0].samples != 100+more {
+		t.Fatalf("after %d samples: %+v (%v)", 100+more, values, err)
+	}
+	t.Logf("folding %d more samples grew the live heap by %d B", more, int64(after)-int64(before))
 }
 
 // recoverAllocBudget is the gate on what recovery allocates per stored
-// upload. Measured today: 1.7. Each worker decodes every upload into one
+// upload. Measured today: 1.3. Each worker decodes every upload into one
 // reused message (wire.DecodeUpload), so a decode allocates only the
 // report's ReportID — unique per report — while its other IDs and sensor
-// names repeat and are kept, and its slices are reused; the fold copies
-// the readings into its runs' arenas, which grow by doubling, the charge
+// names repeat and are kept, and its slices are reused; the fold steps
+// the readings into accumulators of a few floats, the charge
 // reuses the worker's instants buffer, and the history drain hands each
 // app's rows over without a copy per job. A fresh message per decode puts
 // 19.7 here, and a second decode per body, an allocation per folded

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,25 +12,24 @@ import (
 	"sor/internal/feature"
 	"sor/internal/geo"
 	"sor/internal/obs"
-	"sor/internal/stats"
 	"sor/internal/store"
 	"sor/internal/wire"
 )
 
 // DataProcessor periodically drains raw binary uploads from the database,
 // decodes them, accumulates samples per application, and recomputes the
-// humanly understandable feature values (§IV-A). Decoded samples are kept
-// in canonical order per application and sensor (see sampleRun), and a
-// refresh resumes each fold extractor from its state before the first
-// sample that moved, so it costs what arrived rather than the history.
+// humanly understandable feature values (§IV-A). Each decoded sample is
+// stepped into its (application, sensor) accumulator as it is folded, and
+// a refresh only reads the accumulators, so a sample costs its own
+// readings whenever it arrives.
 //
 // Accumulators are per-application, each behind its own lock, so two
 // concurrent Process calls (or a Process racing a feature refresh) only
 // contend when they touch the same app.
 type DataProcessor struct {
-	db     *store.Store
-	robust atomic.Bool
-	now    func() time.Time // stamps FeatureRow.Updated; injectable
+	db        *store.Store
+	pipelines map[string]feature.Fold // plain or robust, fixed at construction
+	now       func() time.Time        // stamps FeatureRow.Updated; injectable
 
 	mu    sync.RWMutex // guards the byApp map only, not the appData within
 	byApp map[string]*appData
@@ -43,7 +41,8 @@ type DataProcessor struct {
 	unrefreshed   map[string]bool
 
 	// processed counts decoded uploads; decodeErrors counts blobs that
-	// failed to decode (they are dropped with accounting, not retried).
+	// failed to decode and the malformed samples and fixes of those that
+	// did (they are dropped with accounting, not retried).
 	processed    atomic.Int64
 	decodeErrors atomic.Int64
 
@@ -57,7 +56,6 @@ type processorMetrics struct {
 	processed  *obs.Counter
 	decodeErrs *obs.Counter
 	refreshes  *obs.Counter
-	refolded   *obs.Counter // samples extraction stepped
 	processMs  *obs.Histogram
 }
 
@@ -65,11 +63,11 @@ type processorMetrics struct {
 // serializes folds and refreshes for this app only.
 type appData struct {
 	mu     sync.Mutex
-	scalar map[string]*sampleRun // sensor name -> samples
+	scalar map[string]*feature.Acc // sensor name -> its pipeline's state
 	// track groups GPS fixes into bursts keyed by (user, timestamp): all
 	// fixes one phone recorded in one measurement form one burst, so the
 	// curvature estimate never mixes different walkers' traces.
-	track map[burstKey]*feature.GeoSample
+	track map[burstKey][]geo.Point
 }
 
 type burstKey struct {
@@ -77,9 +75,14 @@ type burstKey struct {
 	at   int64
 }
 
-// NewDataProcessor builds a processor over the store.
-func NewDataProcessor(db *store.Store) *DataProcessor {
-	return &DataProcessor{db: db, now: time.Now, byApp: make(map[string]*appData), unrefreshed: make(map[string]bool)}
+// NewDataProcessor builds a processor over the store, running the plain
+// §IV-A extractors or, when robust, the MAD-outlier-rejecting variants.
+func NewDataProcessor(db *store.Store, robust bool) *DataProcessor {
+	pipelines := featurePipelines
+	if robust {
+		pipelines = robustPipelines
+	}
+	return &DataProcessor{db: db, pipelines: pipelines, now: time.Now, byApp: make(map[string]*appData), unrefreshed: make(map[string]bool)}
 }
 
 // SetNow substitutes the clock stamping FeatureRow.Updated (the server
@@ -90,12 +93,6 @@ func (d *DataProcessor) SetNow(now func() time.Time) {
 	if now != nil {
 		d.now = now
 	}
-}
-
-// SetRobust switches between the plain §IV-A extractors and the
-// MAD-outlier-rejecting variants.
-func (d *DataProcessor) SetRobust(robust bool) {
-	d.robust.Store(robust)
 }
 
 // SetObserver instruments the processor: fold counts and durations
@@ -109,7 +106,6 @@ func (d *DataProcessor) SetObserver(o *obs.Observer) {
 		processed:  reg.Counter("sor_processor_uploads_total"),
 		decodeErrs: reg.Counter("sor_processor_decode_errors_total"),
 		refreshes:  reg.Counter("sor_processor_refreshes_total"),
-		refolded:   reg.Counter("sor_processor_refolded_samples_total"),
 		processMs:  reg.LatencyHistogram("sor_processor_process_ms"),
 	}
 }
@@ -131,8 +127,8 @@ func (d *DataProcessor) appData(appID string) *appData {
 	defer d.mu.Unlock()
 	if ad = d.byApp[appID]; ad == nil {
 		ad = &appData{
-			scalar: make(map[string]*sampleRun),
-			track:  make(map[burstKey]*feature.GeoSample),
+			scalar: make(map[string]*feature.Acc),
+			track:  make(map[burstKey][]geo.Point),
 		}
 		d.byApp[appID] = ad
 	}
@@ -170,7 +166,7 @@ func (d *DataProcessor) ProcessContext(ctx context.Context) int {
 			span.Annotate("app", raw.AppID)
 		}
 		if d.decode(raw, &up) {
-			d.appData(up.AppID).foldDecoded(&up)
+			d.foldDecoded(d.appData(up.AppID), &up)
 			d.countFolded(1)
 			folded = append(folded, up.AppID)
 		}
@@ -236,11 +232,16 @@ func (d *DataProcessor) claimRefresh(appID string) bool {
 // which is what lets recovery fold each app on its own worker.
 func (d *DataProcessor) decode(raw store.RawUpload, up *wire.DataUpload) bool {
 	if err := wire.DecodeUpload(raw.Body, up); err != nil || up.AppID != raw.AppID {
-		d.decodeErrors.Add(1)
-		d.met.decodeErrs.Inc()
+		d.countDecodeErrors(1)
 		return false
 	}
 	return true
+}
+
+// countDecodeErrors accounts for n dropped blobs, samples or fixes.
+func (d *DataProcessor) countDecodeErrors(n int) {
+	d.decodeErrors.Add(int64(n))
+	d.met.decodeErrs.Add(int64(n))
 }
 
 // countFolded accounts for n uploads folded into accumulators.
@@ -249,219 +250,95 @@ func (d *DataProcessor) countFolded(n int) {
 	d.met.processed.Add(int64(n))
 }
 
-// foldDecoded accumulates one decoded upload's samples into the app's
-// runs and bursts. It keeps no slice of up — scalar readings are copied
-// into the runs' arenas and track fixes into the bursts' points — so the
-// caller may decode the next upload into the same message.
-func (ad *appData) foldDecoded(up *wire.DataUpload) {
+// foldDecoded steps one decoded upload's samples into the app's
+// accumulators and appends its track fixes to their bursts. A sample its
+// fold's Step refuses, or a fix that is not finite — a body stored or
+// replicated before ingest checked it — is dropped and counted as a
+// decode error. It keeps no slice of up, so the caller may decode the next
+// upload into the same message.
+func (d *DataProcessor) foldDecoded(ad *appData, up *wire.DataUpload) {
+	dropped := 0
 	ad.mu.Lock()
-	defer ad.mu.Unlock()
 	for _, series := range up.Series {
-		run := ad.scalar[series.Sensor]
-		if run == nil {
-			run = &sampleRun{}
-			ad.scalar[series.Sensor] = run
+		fold, ok := d.pipelines[series.Sensor]
+		if !ok {
+			continue // no feature reads this sensor
+		}
+		acc := ad.scalar[series.Sensor]
+		if acc == nil {
+			acc = new(feature.Acc)
+			ad.scalar[series.Sensor] = acc
 		}
 		for _, smp := range series.Samples {
-			run.add(smp.AtUnixMilli, time.Duration(smp.WindowMilli)*time.Millisecond, smp.Readings)
+			if fold.Step(acc, time.Duration(smp.WindowMilli)*time.Millisecond, smp.Readings) != nil {
+				dropped++
+			}
 		}
 	}
 	for _, gp := range up.Track {
-		key := burstKey{user: up.UserID, at: gp.AtUnixMilli}
-		burst, ok := ad.track[key]
-		if !ok {
-			burst = &feature.GeoSample{At: time.UnixMilli(gp.AtUnixMilli).UTC()}
-			ad.track[key] = burst
+		if checkFix(gp) != nil {
+			dropped++
+			continue
 		}
-		burst.Points = append(burst.Points, geo.Point{Lat: gp.Lat, Lon: gp.Lon, Alt: gp.Alt})
+		key := burstKey{user: up.UserID, at: gp.AtUnixMilli}
+		ad.track[key] = append(ad.track[key], geo.Point{Lat: gp.Lat, Lon: gp.Lon, Alt: gp.Alt})
+	}
+	ad.mu.Unlock()
+	if dropped > 0 {
+		d.countDecodeErrors(dropped)
 	}
 }
 
-// sensorFeature maps an upload series name to the feature it produces and
-// the extractor computing it.
-type sensorFeature struct {
-	feature   string
-	extractor feature.Extractor
+// checkUpload is ingest's half of the sample rule: it refuses a report
+// with a sample feature.Validate refuses or a track fix checkFix
+// refuses, before anything is written. foldDecoded applies the same rule to
+// bodies already stored.
+func checkUpload(up *wire.DataUpload) error {
+	for _, series := range up.Series {
+		for _, smp := range series.Samples {
+			if err := feature.Validate(time.Duration(smp.WindowMilli)*time.Millisecond, smp.Readings); err != nil {
+				return fmt.Errorf("%s sample at %d: %w", series.Sensor, smp.AtUnixMilli, err)
+			}
+		}
+	}
+	for _, gp := range up.Track {
+		if err := checkFix(gp); err != nil {
+			return fmt.Errorf("track fix at %d: %w", gp.AtUnixMilli, err)
+		}
+	}
+	return nil
 }
 
-// featurePipelines maps sensor series names to extraction pipelines
-// (§IV-A's per-feature methods).
-var featurePipelines = map[string]sensorFeature{
-	"temperature":   {"temperature", feature.MeanExtractor{Feature: "temperature"}},
-	"humidity":      {"humidity", feature.MeanExtractor{Feature: "humidity"}},
-	"light":         {"brightness", feature.MeanExtractor{Feature: "brightness"}},
-	"wifi":          {"wifi", feature.MeanExtractor{Feature: "wifi"}},
-	"microphone":    {"noise", feature.NoiseRMSExtractor{}},
-	"accelerometer": {"roughness", feature.RoughnessExtractor{}},
-	"barometer":     {"altitude change", feature.AltitudeChangeExtractor{}},
+// checkFix refuses a track fix with a coordinate feature.Validate would
+// refuse as a reading.
+func checkFix(gp wire.GeoPoint) error {
+	return feature.Validate(0, []float64{gp.Lat, gp.Lon, gp.Alt})
+}
+
+// featurePipelines maps sensor series names to the folds computing their
+// features, each named by its fold (§IV-A's per-feature methods).
+var featurePipelines = map[string]feature.Fold{
+	"temperature":   feature.MeanExtractor{Feature: "temperature"},
+	"humidity":      feature.MeanExtractor{Feature: "humidity"},
+	"light":         feature.MeanExtractor{Feature: "brightness"},
+	"wifi":          feature.MeanExtractor{Feature: "wifi"},
+	"microphone":    feature.NoiseRMSExtractor{},
+	"accelerometer": feature.RoughnessExtractor{},
+	"barometer":     feature.AltitudeChangeExtractor{},
 }
 
 // robustPipelines swaps the location-estimating extractors for their
 // MAD-outlier-rejecting variants; roughness/altitude/noise keep their
 // spread semantics. Enabled via Config.RobustExtraction — the data-quality
 // extension quantified in EXPERIMENTS.md.
-var robustPipelines = map[string]sensorFeature{
-	"temperature":   {"temperature", feature.MADMeanExtractor{Feature: "temperature"}},
-	"humidity":      {"humidity", feature.MADMeanExtractor{Feature: "humidity"}},
-	"light":         {"brightness", feature.MADMeanExtractor{Feature: "brightness"}},
-	"wifi":          {"wifi", feature.MADMeanExtractor{Feature: "wifi"}},
-	"microphone":    {"noise", feature.NoiseRMSExtractor{}},
-	"accelerometer": {"roughness", feature.RoughnessExtractor{}},
-	"barometer":     {"altitude change", feature.AltitudeChangeExtractor{}},
-}
-
-// sampleRun is one sensor's sample history in an order independent of
-// ingest arrival order. Float accumulation is not associative, so feeding
-// extractors in drain order would make feature values depend on which
-// retransmission won a race; a canonical order makes the whole pipeline a
-// pure function of the sample *set*, which is what lets the chaos suite
-// demand byte-identical features from a faulty and a fault-free run.
-//
-// A run holds no pointers: recs are fixed-size records, and their readings
-// sit in arena, which only ever grows — a fold appends each sample's
-// readings there and its record behind the others. recs[:sorted] is
-// canonical — the stable sort of its arrival order under compareSamples;
-// the next refresh sorts the tail and merges it in. A trickle therefore
-// costs its own samples (plus the records they displace, each move a plain
-// memmove), and recovery's refold of the whole history is one sort, never
-// an insertion per sample.
-//
-// marks make extraction resumable: marks[i] is fold's state after stepping
-// recs[:i*foldBlock]. A refresh resumes from the last mark at or before the
-// first record canonical moved, so a trickle at the end of the run steps
-// its own samples plus under one block.
-type sampleRun struct {
-	recs   []sampleRec
-	arena  []float64
-	sorted int
-
-	fold  feature.Fold // the extractor marks belong to; nil: no marks
-	marks []stats.Welford
-}
-
-// sampleRec is one sample of a run: the paper's (t, Δt, d) tuple, its
-// readings being arena[off : off+n].
-type sampleRec struct {
-	at     int64 // Unix milliseconds
-	window time.Duration
-	off, n int
-}
-
-// foldBlock is how many samples a run steps between fold marks.
-const foldBlock = 32
-
-// add appends one sample to the run's unsorted tail.
-func (r *sampleRun) add(atMilli int64, window time.Duration, readings []float64) {
-	r.recs = append(r.recs, sampleRec{at: atMilli, window: window, off: len(r.arena), n: len(readings)})
-	r.arena = append(r.arena, readings...)
-}
-
-// readings returns rec's readings, capped so an append cannot reach into
-// the arena behind them.
-func (r *sampleRun) readings(rec sampleRec) []float64 {
-	return r.arena[rec.off : rec.off+rec.n : rec.off+rec.n]
-}
-
-// compareSamples is the canonical sample order: instant, window, reading
-// count, then readings elementwise. A reading pair that is neither equal
-// nor ordered (a NaN) ends the comparison as a tie.
-func (r *sampleRun) compareSamples(a, b sampleRec) int {
-	if a.at != b.at {
-		return cmp.Compare(a.at, b.at)
-	}
-	if a.window != b.window {
-		return cmp.Compare(a.window, b.window)
-	}
-	if a.n != b.n {
-		return cmp.Compare(a.n, b.n)
-	}
-	ys := r.readings(b)
-	for k, x := range r.readings(a) {
-		if y := ys[k]; x != y {
-			switch {
-			case x < y:
-				return -1
-			case y < x:
-				return 1
-			}
-			return 0
-		}
-	}
-	return 0
-}
-
-// canonical brings the whole history into canonical order, in place, and
-// returns the first position it changed (len(recs) when it changed none).
-// Merging the sorted tail behind the sorted prefix, prefix first on ties,
-// is the stable sort of the full arrival order. The merge runs from the
-// back: each tail record is placed behind the prefix records not greater
-// than it, and the block it displaces moves in one copy.
-func (r *sampleRun) canonical() int {
-	s, k := r.recs, r.sorted
-	if k == len(s) {
-		return k
-	}
-	slices.SortStableFunc(s[k:], r.compareSamples)
-	if k > 0 && r.compareSamples(s[k], s[k-1]) < 0 {
-		tail := slices.Clone(s[k:])
-		for j := len(tail) - 1; j >= 0; j-- {
-			// s[pos:k] are the prefix records still unplaced that sort
-			// after tail[j]; tail[:j+1] all precede them.
-			pos := sort.Search(k, func(i int) bool { return r.compareSamples(tail[j], s[i]) < 0 })
-			copy(s[pos+j+1:], s[pos:k])
-			s[pos+j] = tail[j]
-			k = pos
-		}
-	}
-	r.sorted = len(s)
-	return k
-}
-
-// samples returns the history in canonical order as feature samples, their
-// readings aliasing the arena. Valid until the next fold into the run.
-func (r *sampleRun) samples() []feature.Sample {
-	r.canonical()
-	out := make([]feature.Sample, len(r.recs))
-	for i, rec := range r.recs {
-		out[i] = feature.Sample{At: time.UnixMilli(rec.at).UTC(), Window: rec.window, Readings: r.readings(rec)}
-	}
-	return out
-}
-
-// extract computes e over the canonical history and reports how many
-// samples it stepped. A Fold resumes from the last mark before the first
-// position canonical changed — its state there covers a prefix no merge has
-// touched, so the value is Extract's bit for bit — and leaves a mark every
-// foldBlock samples on the way. Any other extractor runs over the whole
-// history and drops the marks.
-func (r *sampleRun) extract(e feature.Extractor) (value float64, stepped int, err error) {
-	f, ok := e.(feature.Fold)
-	if !ok {
-		r.fold, r.marks = nil, r.marks[:0]
-		value, err = e.Extract(r.samples())
-		return value, len(r.recs), err
-	}
-	first := r.canonical()
-	if r.fold != f {
-		r.fold, r.marks = f, r.marks[:0]
-	}
-	r.marks = r.marks[:min(len(r.marks), first/foldBlock+1)]
-	if len(r.marks) == 0 {
-		r.marks = append(r.marks, stats.Welford{})
-	}
-	start := (len(r.marks) - 1) * foldBlock
-	w := r.marks[len(r.marks)-1]
-	for i := start; i < len(r.recs); {
-		rec := r.recs[i]
-		if err := f.Step(&w, rec.window, r.readings(rec)); err != nil {
-			return 0, i + 1 - start, err
-		}
-		if i++; i%foldBlock == 0 {
-			r.marks = append(r.marks, w)
-		}
-	}
-	value, err = f.Read(&w)
-	return value, len(r.recs) - start, err
+var robustPipelines = map[string]feature.Fold{
+	"temperature":   feature.MADMeanExtractor{Feature: "temperature"},
+	"humidity":      feature.MADMeanExtractor{Feature: "humidity"},
+	"light":         feature.MADMeanExtractor{Feature: "brightness"},
+	"wifi":          feature.MADMeanExtractor{Feature: "wifi"},
+	"microphone":    feature.NoiseRMSExtractor{},
+	"accelerometer": feature.RoughnessExtractor{},
+	"barometer":     feature.AltitudeChangeExtractor{},
 }
 
 // featureValue is one extracted feature of one application.
@@ -494,57 +371,26 @@ func (d *DataProcessor) extractApp(appID string) (store.Application, []featureVa
 	if ad == nil {
 		return app, nil, nil
 	}
-	pipelines := featurePipelines
-	if d.robust.Load() {
-		pipelines = robustPipelines
-	}
-	// The scalar extractors run under the app lock: canonical reorders the
-	// run in place and extract moves its marks, and a fold extraction steps
-	// only the samples behind the first one the refresh moved. Bursts are
-	// snapshotted instead — their points are never mutated after append —
-	// and the curvature estimate runs outside the lock.
+	// The accumulators are read under the app lock. Bursts are snapshotted
+	// instead — their points are never mutated after append — and the
+	// curvature estimate, an exact mean over bursts in any order, runs
+	// outside the lock.
 	ad.mu.Lock()
 	values := make([]featureValue, 0, len(ad.scalar)+1)
-	stepped := 0
-	for sensor, run := range ad.scalar {
-		pipeline, ok := pipelines[sensor]
-		if !ok || len(run.recs) == 0 {
-			continue
-		}
-		value, n, err := run.extract(pipeline.extractor)
-		stepped += n
+	for sensor, acc := range ad.scalar {
+		fold := d.pipelines[sensor]
+		value, err := fold.Read(acc)
 		if err != nil {
 			continue
 		}
-		values = append(values, featureValue{pipeline.feature, value, len(run.recs)})
+		values = append(values, featureValue{fold.Name(), value, acc.Samples()})
 	}
-	type keyedBurst struct {
-		key burstKey
-		gs  feature.GeoSample
-	}
-	bursts := make([]keyedBurst, 0, len(ad.track))
-	for key, burst := range ad.track {
-		bursts = append(bursts, keyedBurst{key: key, gs: feature.GeoSample{
-			At:     burst.At,
-			Points: burst.Points[:len(burst.Points):len(burst.Points)],
-		}})
+	track := make([]feature.GeoSample, 0, len(ad.track))
+	for _, points := range ad.track {
+		track = append(track, feature.GeoSample{Points: points[:len(points):len(points)]})
 	}
 	ad.mu.Unlock()
-	d.met.refolded.Add(int64(stepped))
-	// Canonical burst order: (instant, user). Points inside one burst keep
-	// their recorded sequence — that is the walker's path; only the order
-	// *between* bursts is arrival-dependent and must be normalized.
-	sort.Slice(bursts, func(i, j int) bool {
-		if bursts[i].key.at != bursts[j].key.at {
-			return bursts[i].key.at < bursts[j].key.at
-		}
-		return bursts[i].key.user < bursts[j].key.user
-	})
-	if len(bursts) > 0 {
-		track := make([]feature.GeoSample, len(bursts))
-		for i, kb := range bursts {
-			track[i] = kb.gs
-		}
+	if len(track) > 0 {
 		if curv, err := feature.BurstCurvature(track); err == nil {
 			values = append(values, featureValue{"curvature", curv, len(track)})
 		}

@@ -279,7 +279,7 @@ func (s *Server) recoverApp(j *recoveryJob, up *wire.DataUpload, instants []int)
 		if ad == nil {
 			ad = p.appData(j.appID)
 		}
-		ad.foldDecoded(up)
+		p.foldDecoded(ad, up)
 		j.folded++
 	}
 	p.countFolded(j.folded)

@@ -259,9 +259,8 @@ func New(cfg Config) (*Server, error) {
 		maxReplicaLag: cfg.MaxReplicaLag,
 	}
 	s.states = newShardedStates()
-	s.processor = NewDataProcessor(cfg.DB)
+	s.processor = NewDataProcessor(cfg.DB, cfg.RobustExtraction)
 	s.processor.SetNow(cfg.Now)
-	s.processor.SetRobust(cfg.RobustExtraction)
 	if cfg.Observer != nil {
 		s.obsv = cfg.Observer
 		s.met = newServerMetrics(cfg.Observer.Metrics())
@@ -602,6 +601,10 @@ func (s *Server) handleDataUpload(ctx context.Context, msg *wire.DataUpload) (wi
 		s.met.ingestRejected.Inc()
 		return refuse(403, "upload does not match task %s", msg.TaskID), nil
 	}
+	if err := checkUpload(msg); err != nil {
+		s.met.ingestRejected.Inc()
+		return refuse(400, "malformed report: %v", err), nil
+	}
 	s.met.ingestReports.Inc()
 	raw, err := wire.Encode(msg)
 	if err != nil {
@@ -730,7 +733,7 @@ func (s *Server) HandleReportBatch(ctx context.Context, msg *wire.DataUploadBatc
 				ok = err == nil && p.UserID == up.UserID && p.AppID == up.AppID
 				taskOK[key] = ok
 			}
-			if !ok {
+			if !ok || checkUpload(up) != nil {
 				nRejected++
 				continue
 			}

@@ -57,22 +57,6 @@ func (w *Welford) SampleVariance() float64 {
 // StdDev reports the population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Merge combines another accumulator into this one (parallel Welford).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
-}
-
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -51,47 +50,6 @@ func TestWelfordFewObservations(t *testing.T) {
 	}
 	if w.Mean() != 42 {
 		t.Fatalf("mean = %v, want 42", w.Mean())
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-	}
-	var whole Welford
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	var left, right Welford
-	for _, x := range xs[:400] {
-		left.Add(x)
-	}
-	for _, x := range xs[400:] {
-		right.Add(x)
-	}
-	left.Merge(right)
-	if !almostEqual(left.Mean(), whole.Mean(), 1e-9) {
-		t.Fatalf("merged mean %v != %v", left.Mean(), whole.Mean())
-	}
-	if !almostEqual(left.Variance(), whole.Variance(), 1e-9) {
-		t.Fatalf("merged variance %v != %v", left.Variance(), whole.Variance())
-	}
-}
-
-func TestWelfordMergeEmptySides(t *testing.T) {
-	var a, b Welford
-	b.Add(1)
-	b.Add(3)
-	a.Merge(b) // empty receiver adopts other
-	if a.N() != 2 || !almostEqual(a.Mean(), 2, 1e-12) {
-		t.Fatalf("merge into empty: n=%d mean=%v", a.N(), a.Mean())
-	}
-	var empty Welford
-	a.Merge(empty) // merging empty is a no-op
-	if a.N() != 2 {
-		t.Fatalf("merge empty changed n to %d", a.N())
 	}
 }
 
@@ -214,39 +172,6 @@ func TestWelfordBoundsProperty(t *testing.T) {
 			}
 		}
 		return w.Mean() >= lo-1e-6 && w.Mean() <= hi+1e-6 && w.Variance() >= -1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: merging a random split equals sequential accumulation.
-func TestWelfordMergeProperty(t *testing.T) {
-	f := func(xs []float64, cut uint8) bool {
-		clean := xs[:0:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				clean = append(clean, x)
-			}
-		}
-		k := 0
-		if len(clean) > 0 {
-			k = int(cut) % (len(clean) + 1)
-		}
-		var whole, left, right Welford
-		for _, x := range clean {
-			whole.Add(x)
-		}
-		for _, x := range clean[:k] {
-			left.Add(x)
-		}
-		for _, x := range clean[k:] {
-			right.Add(x)
-		}
-		left.Merge(right)
-		return left.N() == whole.N() &&
-			almostEqual(left.Mean(), whole.Mean(), 1e-6) &&
-			almostEqual(left.Variance(), whole.Variance(), 1e-4)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
