@@ -69,7 +69,8 @@ bench:
 # concurrent joins and leaves on one app store the latest plan (under
 # -race, with the schedule and server packages' short suites); a late
 # sample costs its own readings behind 100 or 10 000 stored, and a plain
-# run keeps no samples; recovery
+# run keeps no samples; an 8-row epoch patch allocates the same at
+# 2 000 and 100 000 places apart from its row mask; recovery
 # decodes each stored upload once into a reused message at under 4
 # allocations per upload; a history drain hands each app its rows in
 # sequence order; a closed node waits for its processing loop and a
@@ -84,6 +85,7 @@ bench-smoke:
 	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestLateSampleCostIndependentOfHistory|TestPlainRunMemoryIndependentOfHistory|TestRecoveryAllocsPerUpload' -v ./internal/server/
 	$(GO) test -race -count=1 -run 'TestConcurrentOpsStoreTheLatestPlan' -v ./internal/server/
 	$(GO) test -count=1 -run 'TestLazyGreedyMatchesEagerExactly' -v ./internal/schedule/
+	$(GO) test -count=1 -run 'TestEpochPatchCostIndependentOfPlaces' -v ./internal/ranking/
 	$(GO) test -race -short ./internal/schedule/ ./internal/server/
 	$(GO) test -count=1 -run 'TestReadAfterTailCost' -v ./internal/wal/
 	$(GO) test -count=1 -run 'TestDrainHistoryRunsPerApp' -v ./internal/store/
@@ -102,8 +104,8 @@ bench-test:
 # the store's row codec behind it — WAL ops (disk, and a leader's
 # replication stream) and snapshot sections (disk, and a shipped image) —
 # plus the assignment solver against brute force on huge, negative and
-# tied costs, the exact sum against math/big in any input order, and the
-# rank cache's profile key.
+# tied costs, the exact sum against math/big in any input order, the
+# rank cache's profile key, and patched epochs against a fresh build.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSessionFrame -fuzztime 10s ./internal/transport/session/
@@ -113,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAssign -fuzztime 10s ./internal/mcmf/
 	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime 10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzProfileKey -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzColumnPatch -fuzztime 10s ./internal/ranking/
 
 # Boot a real sord, scrape /debug/metrics via sorctl, assert every
 # promised series is present and that traffic moves the counters.

@@ -2,7 +2,9 @@ package ranking
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -126,9 +128,10 @@ func mutateRows(rng *rand.Rand, m *Matrix) (*Matrix, []int) {
 
 // TestColumnSetMergeBitIdentical: chains of incremental merges must stay
 // bit-identical to a from-scratch build of the final matrix — same column
-// contents, same query results.
+// contents, same rows, same query results — across overlay compactions.
 func TestColumnSetMergeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	compactions := 0
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(50)
 		mFeat := 1 + rng.Intn(4)
@@ -137,27 +140,35 @@ func TestColumnSetMergeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aliased := 0
-		for step := 0; step < 4; step++ {
+		for step := 0; step < 6; step++ {
 			next, dirty := mutateRows(rng, m)
+			prev := inc
 			inc, err = inc.Merge(next, dirty)
 			if err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
-			aliased += inc.Aliased()
+			if inc.cols.ov == nil && &inc.cols.vals[0] != &prev.cols.vals[0] {
+				compactions++
+			}
 			m = next
 		}
 		fresh, err := NewColumnarRanker(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range fresh.cols.cols {
-			fc, ic := fresh.cols.cols[j], inc.cols.cols[j]
+		for j := range m.Features {
+			fi, fv := fresh.Column(j)
+			ii, iv := inc.Column(j)
 			for p := 0; p < n; p++ {
-				if fc.idx[p] != ic.idx[p] || fc.val[p] != ic.val[p] {
+				if fi[p] != ii[p] || math.Float64bits(fv[p]) != math.Float64bits(iv[p]) {
 					t.Fatalf("trial %d col %d pos %d: incremental (%d,%v) != fresh (%d,%v)",
-						trial, j, p, ic.idx[p], ic.val[p], fc.idx[p], fc.val[p])
+						trial, j, p, ii[p], iv[p], fi[p], fv[p])
 				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			if !sameBits(inc.Row(i), m.Values[i]) {
+				t.Fatalf("trial %d row %d: incremental %v != matrix %v", trial, i, inc.Row(i), m.Values[i])
 			}
 		}
 		prof := randomProfile(rng, m, false)
@@ -175,48 +186,123 @@ func TestColumnSetMergeBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	if compactions == 0 {
+		t.Fatal("no merge compacted its overlay")
+	}
 }
 
-// TestColumnSetMergeAliasesCleanColumns: merging a delta that touches only
-// one feature must alias every other column to the previous arena (same
-// backing array, not just equal contents).
-func TestColumnSetMergeAliasesCleanColumns(t *testing.T) {
+// TestPatchSharesBaseRuns: a patched epoch shares its parent's base
+// arenas — columns and value rows — and copies only the overlay, until
+// the overlay passes its cap and the patch compacts it into new arenas.
+func TestPatchSharesBaseRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	n, mFeat := 64, 4
+	const n, mFeat = 64, 4
 	m := randomTieHeavyMatrix(rng, n, mFeat)
-	base, err := NewColumnSet(m)
+	root, err := NewColumnarRanker(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := &Matrix{Places: m.Places, Features: m.Features, Values: make([][]float64, n)}
-	for i := range next.Values {
-		next.Values[i] = append([]float64(nil), m.Values[i]...)
-	}
-	next.Values[17][2] = 12345.5 // touch a single cell of feature 2
-	merged, err := base.Merge(next, []int{17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Aliased() != mFeat-1 {
-		t.Fatalf("aliased %d columns, want %d", merged.Aliased(), mFeat-1)
-	}
-	for j := 0; j < mFeat; j++ {
-		same := &merged.cols[j].idx[0] == &base.cols[j].idx[0]
-		if j == 2 && same {
-			t.Fatal("changed column 2 still aliases the old arena")
+	sameBase := func(a, b *ColumnarRanker) bool {
+		for j := range a.cols.base {
+			if &a.cols.base[j].idx[0] != &b.cols.base[j].idx[0] || &a.cols.base[j].val[0] != &b.cols.base[j].val[0] {
+				return false
+			}
 		}
-		if j != 2 && !same {
-			t.Fatalf("unchanged column %d was rebuilt instead of aliased", j)
-		}
+		return &a.cols.vals[0] == &b.cols.vals[0]
 	}
-	// The conservative case: a dirty row whose values are unchanged must
-	// alias everything.
-	noop, err := base.Merge(m, []int{3, 9})
+	cr := root
+	for i := 0; i <= overlayCap(n)+1; i++ {
+		row := []float64{float64(i) + 0.25, -float64(i), 12345.5, 0}
+		next, err := cr.Patch([]int{i}, [][]float64{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Values[i] = row
+		if !sameBits(next.Row(i), row) || &next.Row(i)[0] == &row[0] {
+			t.Fatalf("patch %d: row %v, want a copy of %v", i, next.Row(i), row)
+		}
+		if i < overlayCap(n) {
+			if !sameBase(next, root) || len(next.cols.ov.rows) != i+1 {
+				t.Fatalf("patch %d of %d under the cap rebuilt the base", i, overlayCap(n))
+			}
+			for k := i + 1; k < n; k++ {
+				if &next.Row(k)[0] != &root.Row(k)[0] {
+					t.Fatalf("patch %d: unchanged base row %d was copied", i, k)
+				}
+			}
+		} else if i == overlayCap(n) {
+			if sameBase(next, root) || next.cols.ov != nil {
+				t.Fatalf("patch %d passed the cap %d and did not compact", i, overlayCap(n))
+			}
+		} else if !sameBase(next, cr) {
+			t.Fatalf("patch %d after the compaction rebuilt the base", i)
+		}
+		fresh, err := NewColumnarRanker(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < mFeat; j++ {
+			gi, gv := next.Column(j)
+			wi, wv := fresh.Column(j)
+			if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) {
+				t.Fatalf("patch %d column %d: %v %v, fresh %v %v", i, j, gi, gv, wi, wv)
+			}
+		}
+		cr = next
+	}
+	// A dirty row that kept its values patches nothing.
+	same, err := cr.Patch([]int{3, 9}, [][]float64{cr.Row(3), append([]float64(nil), cr.Row(9)...)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noop.Aliased() != mFeat {
-		t.Fatalf("no-op merge aliased %d, want all %d", noop.Aliased(), mFeat)
+	if same.cols != cr.cols {
+		t.Fatal("a patch of unchanged rows built a new epoch")
+	}
+}
+
+// TestMergeCollapsesRepeatedDirtyRows: a place listed twice as dirty is
+// one changed row, not two entries in its columns.
+func TestMergeCollapsesRepeatedDirtyRows(t *testing.T) {
+	m := &Matrix{Places: []string{"a", "b", "c", "d"}, Features: []Feature{{Name: "f", Default: Preference{Kind: PrefMin, Weight: 1}}},
+		Values: [][]float64{{0}, {1}, {2}, {3}}}
+	cr, err := NewColumnarRanker(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := &Matrix{Places: m.Places, Features: m.Features, Values: [][]float64{m.Values[0], m.Values[1], {-1}, m.Values[3]}}
+	got, err := cr.Merge(next, []int{2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx, _ := got.Column(0); !slices.Equal(idx, []int32{2, 0, 1, 3}) {
+		t.Fatalf("column %v, want [2 0 1 3]", idx)
+	}
+	res, err := got.RankTopK(Profile{Name: "p"}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.OrderIdx, []int{2, 0, 1, 3}) {
+		t.Fatalf("order %v, want [2 0 1 3]", res.OrderIdx)
+	}
+}
+
+// TestMergeRefusesChangedCleanRow: a row that changed but is not listed as
+// dirty is refused, not served with its stale column entry.
+func TestMergeRefusesChangedCleanRow(t *testing.T) {
+	m := &Matrix{Places: []string{"a", "b", "c", "d"}, Features: []Feature{{Name: "f", Default: Preference{Kind: PrefMin, Weight: 1}}},
+		Values: [][]float64{{0}, {1}, {2}, {3}}}
+	cr, err := NewColumnarRanker(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := &Matrix{Places: m.Places, Features: m.Features, Values: [][]float64{{0}, {1}, {2}, {-7}}}
+	if got, err := cr.Merge(next, []int{0}); err == nil {
+		idx, val := got.Column(0)
+		t.Fatalf("merge accepted an undeclared change: column %v %v", idx, val)
+	}
+	// A clean row that is a bit-equal copy is fine.
+	if _, err := cr.Merge(&Matrix{Places: m.Places, Features: m.Features, Values: [][]float64{{5}, {1}, {2}, {3}}}, []int{0}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -225,37 +311,47 @@ func TestColumnSetMergeAliasesCleanColumns(t *testing.T) {
 func TestColumnSetMergeRejectsShapeChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomTieHeavyMatrix(rng, 10, 2)
-	cs, err := NewColumnSet(m)
+	cr, err := NewColumnarRanker(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grown := randomTieHeavyMatrix(rng, 11, 2)
-	if _, err := cs.Merge(grown, nil); err == nil {
+	if _, err := cr.Merge(grown, nil); err == nil {
 		t.Fatal("merge accepted a place-count change")
 	}
 	renamed := randomTieHeavyMatrix(rng, 10, 2)
 	renamed.Places[4] = "other"
-	if _, err := cs.Merge(renamed, []int{4}); err == nil {
+	if _, err := cr.Merge(renamed, []int{4}); err == nil {
 		t.Fatal("merge accepted a renamed place")
 	}
-	if _, err := cs.Merge(m, []int{10}); err == nil {
+	if _, err := cr.Merge(m, []int{10}); err == nil {
 		t.Fatal("merge accepted an out-of-range dirty row")
+	}
+	if _, err := cr.Patch([]int{1}, [][]float64{{1, math.NaN()}}); err == nil {
+		t.Fatal("patch accepted a NaN cell")
+	}
+	if _, err := cr.Patch([]int{1}, [][]float64{{1}}); err == nil {
+		t.Fatal("patch accepted a short row")
 	}
 }
 
-func BenchmarkColumnarMerge(b *testing.B) {
+func BenchmarkColumnarPatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{2000, 10000} {
 		m := randomTieHeavyMatrix(rng, n, 4)
-		cs, err := NewColumnSet(m)
+		cr, err := NewColumnarRanker(m)
 		if err != nil {
 			b.Fatal(err)
 		}
 		next, dirty := mutateRows(rng, m)
+		rows := make([][]float64, len(dirty))
+		for k, i := range dirty {
+			rows[k] = next.Values[i]
+		}
 		b.Run(fmt.Sprintf("places=%d/dirty=%d", n, len(dirty)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cs.Merge(next, dirty); err != nil {
+				if _, err := cr.Patch(dirty, rows); err != nil {
 					b.Fatal(err)
 				}
 			}

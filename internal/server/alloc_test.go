@@ -314,12 +314,14 @@ func TestJoinCostIndependentOfDeparted(t *testing.T) {
 }
 
 // freshCycleByteBudget is the gate on one upload→rank cycle at 2 000
-// places. Measured today: ≈ 205 KB — the patched matrix's row-pointer
-// slice, the merged columns' arenas, the decoded batch and its WAL
+// places. Measured today: ≈ 41 KB — the patched epoch's overlay (its
+// slab, sorted runs and 2 000-bit mask), the decoded batch and its WAL
 // records. The costs it guards against put 5.65 MB here: a matrix rebuilt
 // from the feature table, a per-refresh copy of the folded history (which
-// grows without bound), and a 512-row (45 KB) chunk per drained shard.
-const freshCycleByteBudget = 512 << 10
+// grows without bound), and a 512-row (45 KB) chunk per drained shard;
+// and 184 KB: a patch that copied every row pointer and rewrote every
+// changed column.
+const freshCycleByteBudget = 128 << 10
 
 // TestFreshCycleAllocs gates what one fresh cycle — an 8-report batch,
 // then a rank that must reflect it — costs on a durable store with 2 000

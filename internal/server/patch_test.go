@@ -38,7 +38,7 @@ type patchStep struct {
 // via ApplyReplicated, a replica. After every step each node's snapshot
 // must equal FeatureMatrix + NewColumnarRanker from scratch — places,
 // value bits, column arenas and RankTopK answers — a patched epoch must
-// share every unchanged row with the epoch before it, and every case the
+// keep every unchanged row of the epoch before it, and every case the
 // patch declines must show up as a full build. (The one declined case not
 // provoked is a missing cell: the store never deletes a feature row, so a
 // place that is a row keeps every catalog cell.)
@@ -196,13 +196,13 @@ func patchDifferential(t *testing.T, seed int64) {
 			}
 			matchesFullBuild(t, n.name+" after "+step.what, n.srv, category, snap)
 			if patched == 1 {
-				for i, place := range snap.matrix.Places {
-					same := &snap.matrix.Values[i][0] == &n.prev.matrix.Values[i][0]
-					if !same && !slices.Contains(step.changed, place) {
-						t.Fatalf("%s after %s: unchanged row %s was reallocated", n.name, step.what, place)
+				for i, place := range snap.cranker.Places() {
+					got, was := snap.cranker.Row(i), n.prev.cranker.Row(i)
+					if !slices.Contains(step.changed, place) && !slices.Equal(got, was) {
+						t.Fatalf("%s after %s: unchanged row %s moved from %v to %v", n.name, step.what, place, was, got)
 					}
 				}
-				if &snap.matrix.Places[0] != &n.prev.matrix.Places[0] || !sameMap(snap.rowOf, n.prev.rowOf) {
+				if &snap.cranker.Places()[0] != &n.prev.cranker.Places()[0] || !sameMap(snap.rowOf, n.prev.rowOf) {
 					t.Fatalf("%s after %s: patched epoch rebuilt its places or row index", n.name, step.what)
 				}
 			}
@@ -296,13 +296,14 @@ func matchesFullBuild(t *testing.T, when string, s *Server, category string, sna
 	if err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
-	if !slices.Equal(snap.matrix.Places, want.Places) {
-		t.Fatalf("%s: places %v, full build %v", when, snap.matrix.Places, want.Places)
+	if !slices.Equal(snap.cranker.Places(), want.Places) {
+		t.Fatalf("%s: places %v, full build %v", when, snap.cranker.Places(), want.Places)
 	}
 	for i, row := range want.Values {
+		got := snap.cranker.Row(i)
 		for j, v := range row {
-			if math.Float64bits(snap.matrix.Values[i][j]) != math.Float64bits(v) {
-				t.Fatalf("%s: H[%s][%d] = %v, full build %v", when, want.Places[i], j, snap.matrix.Values[i][j], v)
+			if math.Float64bits(got[j]) != math.Float64bits(v) {
+				t.Fatalf("%s: H[%s][%d] = %v, full build %v", when, want.Places[i], j, got[j], v)
 			}
 		}
 	}

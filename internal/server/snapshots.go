@@ -34,20 +34,18 @@ var errNoRankData = errors.New("server: no rank data")
 // rankSnapshot is one immutable epoch of a category's rank-serving state.
 // Everything in it is read-only after construction, so concurrent rankers
 // share it without copying or locking, and so does the next epoch: a
-// patched epoch (see patchEpoch) aliases the previous one's Features and
-// Places, the value row of every place that did not change, the rowOf
-// index, and — through the columnar ranker — the arena of every column
-// none of its changed rows moved (see ranking.ColumnSet). Superseded
+// patched epoch (see patchEpoch) shares the previous one's features
+// header and rowOf index, and — through the columnar ranker — its places,
+// base columns and base value rows (see ranking.ColumnSet). Superseded
 // epochs stay fully readable until the last query drops them; the garbage
 // collector is the row and arena lifecycle, so a torn or freed row or
 // column is unrepresentable.
 type rankSnapshot struct {
 	epoch    int64
-	matrix   *ranking.Matrix
 	cranker  *ranking.ColumnarRanker
-	features []string // response header, aligned with matrix.Features
-	// rowOf maps a place to its row of matrix. Built once per full build
-	// and carried unchanged by every epoch patched from it; nil when two
+	features []string // response header, aligned with the ranker's columns
+	// rowOf maps a place to its row. Built once per full build and
+	// carried unchanged by every epoch patched from it; nil when two
 	// applications share a place, which makes rows ambiguous — such a
 	// category is never patched.
 	rowOf map[string]int
@@ -218,8 +216,8 @@ func (s *Server) rebuildSnapshot(cs *categoryServing, category string, prev *ran
 	return snap, nil
 }
 
-// fullEpoch builds an epoch's matrix, columnar ranker and row index from
-// the feature table; the caller stamps the epoch number and signals.
+// fullEpoch builds an epoch's columnar ranker and row index from the
+// feature table; the caller stamps the epoch number and signals.
 func (s *Server) fullEpoch(category string) (*rankSnapshot, error) {
 	matrix, err := s.FeatureMatrix(category)
 	if err != nil {
@@ -233,21 +231,20 @@ func (s *Server) fullEpoch(category string) (*rankSnapshot, error) {
 	for j, f := range matrix.Features {
 		features[j] = f.Name
 	}
-	return &rankSnapshot{matrix: matrix, cranker: cranker, features: features, rowOf: rowIndex(matrix.Places)}, nil
+	return &rankSnapshot{cranker: cranker, features: features, rowOf: rowIndex(matrix.Places)}, nil
 }
 
 // patchEpoch derives the next epoch from prev at the cost of the changed
-// rows: the new matrix aliases prev's Features, Places and every unchanged
-// value row (all immutable), reads the catalog cells of just the places the
-// store reports changed since prev was built, and the columnar ranker is
-// prev's merged over those rows. It returns nil — and the caller builds in
-// full — when there is no previous epoch, an application joined the
-// category since, a changed place is not a row of prev (it just completed
-// its catalog, so membership is about to change), one of its cells is
-// missing, or Merge refuses. The caller captured the feature version
-// before this reads ChangedPlaces and then the cells, so an upsert racing
-// the reads carries a later version and is re-read next epoch. Works
-// unchanged on a replica: ApplyReplicated stamps the same versions.
+// rows: it reads the catalog cells of just the places the store reports
+// changed since prev was built, and the columnar ranker is prev's patched
+// with those rows. It returns nil — and the caller builds in full — when
+// there is no previous epoch, an application joined the category since, a
+// changed place is not a row of prev (it just completed its catalog, so
+// membership is about to change), one of its cells is missing, or Patch
+// refuses. The caller captured the feature version before this reads
+// ChangedPlaces and then the cells, so an upsert racing the reads carries
+// a later version and is re-read next epoch. Works unchanged on a
+// replica: ApplyReplicated stamps the same versions.
 func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
 	if prev == nil || prev.rowOf == nil {
 		return nil
@@ -256,11 +253,9 @@ func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
 	if appJoined {
 		return nil
 	}
-	old := prev.matrix
-	m := &ranking.Matrix{Features: old.Features, Places: old.Places, Values: make([][]float64, len(old.Values))}
-	copy(m.Values, old.Values)
-	width := len(old.Features)
+	width := len(prev.features)
 	cells := make([]float64, len(changed)*width)
+	rows := make([][]float64, len(changed))
 	dirty := make([]int, len(changed))
 	for k, place := range changed {
 		i, ok := prev.rowOf[place]
@@ -268,21 +263,20 @@ func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
 			return nil
 		}
 		row := cells[k*width : (k+1)*width : (k+1)*width]
-		for j, f := range old.Features {
-			cell, err := s.db.Feature(category, place, f.Name)
+		for j, f := range prev.features {
+			cell, err := s.db.Feature(category, place, f)
 			if err != nil {
 				return nil
 			}
 			row[j] = cell.Value
 		}
-		m.Values[i] = row
-		dirty[k] = i
+		rows[k], dirty[k] = row, i
 	}
-	cranker, err := prev.cranker.Merge(m, dirty)
+	cranker, err := prev.cranker.Patch(dirty, rows)
 	if err != nil {
 		return nil
 	}
-	return &rankSnapshot{matrix: m, cranker: cranker, features: prev.features, rowOf: prev.rowOf}
+	return &rankSnapshot{cranker: cranker, features: prev.features, rowOf: prev.rowOf}
 }
 
 // rowIndex maps each place to its row, or returns nil when a place
@@ -427,7 +421,7 @@ func (c *profileCache) getOrCompute(epoch int64, key string, fill func() (*ranki
 // buildRankResponse assembles the wire response from a snapshot and a
 // (possibly cached) result, truncated to limit places when limit > 0. The
 // features header and each row's feature values alias the immutable
-// snapshot matrix — no per-request copies.
+// snapshot — no per-request copies.
 func buildRankResponse(category string, snap *rankSnapshot, res *ranking.Result, limit int) *wire.RankResponse {
 	order := res.OrderIdx
 	if limit > 0 && limit < len(order) {
@@ -439,10 +433,11 @@ func buildRankResponse(category string, snap *rankSnapshot, res *ranking.Result,
 		Features: snap.features,
 		Ranked:   make([]wire.RankedPlace, len(order)),
 	}
+	places := snap.cranker.Places()
 	for k, idx := range order {
 		resp.Ranked[k] = wire.RankedPlace{
-			Place:         snap.matrix.Places[idx],
-			FeatureValues: snap.matrix.Values[idx],
+			Place:         places[idx],
+			FeatureValues: snap.cranker.Row(idx),
 		}
 	}
 	return resp
