@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race ckpt-race wal-race recover-race resync-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
+.PHONY: all build test test-short race ckpt-race wal-race recover-race resync-race router-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
 
 all: build test
 
@@ -57,6 +57,21 @@ resync-race:
 	$(GO) test -race -count=3 -run 'TestSnapshotShipResync|TestResyncShipsCheckpointChunked|TestSnapPullRefusedWithoutCheckpoint|TestAbandonedResyncSessionsAreFreed|TestResyncSessionsUnderConcurrentDrops|TestResyncValidatesBeforeInstalling|TestResyncServesTheCheckpointAsOpened|TestResyncLeaderHoldsNoImage|TestResyncFollowerHoldsNoImage' ./internal/replica/
 	$(GO) test -race -count=3 -run 'TestSnapshotDamageIsRefused' ./internal/store/
 	$(GO) test -race -count=3 -run 'TestStartNodeReplicaFollowsAndResyncs' .
+
+# The router's forward hop under the race detector, three times over: one
+# peer session per member (concurrent first forwards share one dial, a
+# dropped session is closed, none outlive the router), one attempt per
+# router try with the router's own retry carrying a request across a
+# leader restart, a Demote/Promote failover and a member that never
+# answers (the 10 s bound, shortened), a cancelled forward that leaves
+# its shared session and sibling forwards alone, a member Close that
+# answers the forwards it already took, and the upgrade handshake on the
+# member's wire port (pipelined frames, 426 without the header, one-shot
+# POSTs beside it, no device registry or push change).
+router-race:
+	$(GO) test -race -count=3 -run 'TestStartNodeRouterFailover|TestStartNodeRouterSessionLifecycle|TestStartNodeRouterForwardBound|TestStartNodeRouterCancelledForward|TestStartNodeMemberCloseDrainsForwards' .
+	$(GO) test -race -count=3 -run 'TestRouterConnLifecycle' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestUpgrade|TestPeerSessionsStayOffTheDeviceRegistry|TestPeerRequestBound|TestServerShutdownDrains' ./internal/transport/session/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -213,6 +228,7 @@ ci: vet build test
 	$(MAKE) wal-race
 	$(MAKE) recover-race
 	$(MAKE) resync-race
+	$(MAKE) router-race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-test
 	$(MAKE) fleet-rank

@@ -4,24 +4,29 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"sor/internal/obs"
 	"sor/internal/transport"
+	"sor/internal/transport/session"
 	"sor/internal/vclock"
 	"sor/internal/wire"
 )
 
-// Sender is the one transport method the router needs per member;
-// *transport.Client satisfies it, and simulations substitute an
-// in-process round trip.
+// Sender is the one transport method the router needs per member.
+// Production passes a peer session (one multiplexed stream per member);
+// simulations substitute an in-process round trip. A Sender that also
+// implements io.Closer is closed when the router drops it after a failed
+// send, and on Router.Close.
 type Sender interface {
 	Send(ctx context.Context, m wire.Message) (wire.Message, error)
 }
 
-// Dialer turns a member's Addr into a Sender. Production passes
-// transport.NewClient; simulations pass a map lookup.
+// Dialer turns a member's Addr into a Sender. It must not block on I/O
+// (a session connects on its first Send): the router dials under its
+// lock, so each member is dialed at most once at a time.
 type Dialer func(addr string) (Sender, error)
 
 // Router defaults.
@@ -72,8 +77,9 @@ type Router struct {
 	attempts int
 	backoff  *transport.Backoff
 
-	mu    sync.Mutex
-	conns map[string]Sender
+	mu     sync.Mutex
+	conns  map[string]Sender
+	closed bool
 
 	metrics *obs.Registry // nil-safe: obs handles no-op without it
 
@@ -132,28 +138,76 @@ func (rt *Router) countRouted(shard string) {
 // Registry exposes the router's cluster map (status endpoints).
 func (rt *Router) Registry() *Registry { return rt.reg }
 
-// conn returns (dialing if needed) the member's sender.
+// errRouterClosed refuses sends after Close.
+var errRouterClosed = errors.New("cluster: router closed")
+
+// conn returns the member's sender, dialing it under rt.mu if there is
+// none: concurrent first sends share one dial, and Close cannot miss a
+// sender.
 func (rt *Router) conn(m Member) (Sender, error) {
 	rt.mu.Lock()
-	s, ok := rt.conns[m.Name]
-	rt.mu.Unlock()
-	if ok {
+	defer rt.mu.Unlock()
+	if rt.closed {
+		return nil, errRouterClosed
+	}
+	if s, ok := rt.conns[m.Name]; ok {
 		return s, nil
 	}
 	s, err := rt.dial(m.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing %s (%s): %w", m.Name, m.Addr, err)
 	}
-	rt.mu.Lock()
 	rt.conns[m.Name] = s
-	rt.mu.Unlock()
 	return s, nil
 }
 
-func (rt *Router) dropConn(name string) {
+// sendFailed handles err from a send to member name on s, and reports
+// whether the caller should go on. A send that ended with the caller's
+// ctx says nothing of the member, so nothing is dropped and the caller
+// stops. A send that only outlived the peer bound keeps s: its session is
+// live and carries other requests. Any other failure drops s.
+func (rt *Router) sendFailed(ctx context.Context, name string, s Sender, err error) bool {
+	if ctx != nil && ctx.Err() != nil {
+		return false
+	}
+	if !errors.Is(err, session.ErrRequestTimeout) {
+		rt.dropConn(name, s)
+	}
+	return true
+}
+
+// dropConn forgets and closes the member's sender s after a failed send.
+// A sender some other send already replaced is left alone.
+func (rt *Router) dropConn(name string, s Sender) {
 	rt.mu.Lock()
-	delete(rt.conns, name)
+	drop := rt.conns[name] == s
+	if drop {
+		delete(rt.conns, name)
+	}
 	rt.mu.Unlock()
+	if drop {
+		closeSender(s)
+	}
+}
+
+// Close closes every member sender and refuses further sends. In-flight
+// sends on a closed sender fail; the router does not retry them.
+func (rt *Router) Close() error {
+	rt.mu.Lock()
+	rt.closed = true
+	conns := rt.conns
+	rt.conns = make(map[string]Sender)
+	rt.mu.Unlock()
+	for _, s := range conns {
+		closeSender(s)
+	}
+	return nil
+}
+
+func closeSender(s Sender) {
+	if c, ok := s.(io.Closer); ok {
+		_ = c.Close()
+	}
 }
 
 // keyForApp resolves an app's routing key: its registered category, or
@@ -226,6 +280,9 @@ func (rt *Router) sendToShard(ctx context.Context, shard string, m wire.Message)
 			continue
 		}
 		s, err := rt.conn(leader)
+		if errors.Is(err, errRouterClosed) {
+			return nil, err
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -233,7 +290,9 @@ func (rt *Router) sendToShard(ctx context.Context, shard string, m wire.Message)
 		resp, err := s.Send(ctx, m)
 		if err != nil {
 			lastErr = fmt.Errorf("cluster: %s: %w", leader.Name, err)
-			rt.dropConn(leader.Name)
+			if !rt.sendFailed(ctx, leader.Name, s, err) {
+				return nil, lastErr
+			}
 			rt.discoverLeader(ctx, shard, leader.Name)
 			continue
 		}
@@ -265,7 +324,9 @@ func (rt *Router) discoverLeader(ctx context.Context, shard, suspect string) {
 		}
 		resp, err := s.Send(ctx, &wire.ClusterHello{Node: rt.name, Role: RoleRouter})
 		if err != nil {
-			rt.dropConn(m.Name)
+			if !rt.sendFailed(ctx, m.Name, s, err) {
+				return
+			}
 			continue
 		}
 		hello, ok := resp.(*wire.ClusterHello)
@@ -389,7 +450,9 @@ func (rt *Router) HeartbeatOnce(ctx context.Context) int {
 			}
 			resp, err := s.Send(ctx, &wire.ClusterHello{Node: rt.name, Role: RoleRouter})
 			if err != nil {
-				rt.dropConn(m.Name)
+				if !rt.sendFailed(ctx, m.Name, s, err) {
+					return answered
+				}
 				continue
 			}
 			hello, ok := resp.(*wire.ClusterHello)

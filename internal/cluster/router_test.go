@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sor/internal/transport"
 	"sor/internal/wire"
@@ -342,5 +344,119 @@ func TestMemberHandlerAnswersHello(t *testing.T) {
 	}
 	if ack := resp.(*wire.Ack); ack.Message != "passed through" {
 		t.Fatalf("non-hello message = %+v", ack)
+	}
+}
+
+// linkSender is one dialed link to a fakeNode: closable, and failing
+// once dead or closed, like a real member session.
+type linkSender struct {
+	n      *fakeNode
+	dead   atomic.Bool
+	closed atomic.Bool
+	closes *atomic.Int64
+}
+
+func (l *linkSender) Send(ctx context.Context, m wire.Message) (wire.Message, error) {
+	if l.dead.Load() || l.closed.Load() {
+		return nil, errors.New("link lost")
+	}
+	return l.n.Send(ctx, m)
+}
+
+func (l *linkSender) Close() error {
+	if !l.closed.Swap(true) {
+		l.closes.Add(1)
+	}
+	return nil
+}
+
+// TestRouterConnLifecycle pins the router's per-member sender lifecycle:
+// concurrent first sends share one dial, a sender dropped after a failed
+// send is closed (and only the one that failed, never its replacement),
+// and Close closes every sender and refuses further sends.
+func TestRouterConnLifecycle(t *testing.T) {
+	reg := NewRegistry()
+	reg.AddShard("shard-a")
+	node := &fakeNode{name: "a1", role: RoleLeader}
+	if err := reg.AddMember(Member{Name: "a1", Shard: "shard-a", Role: RoleLeader, Addr: "a1"}); err != nil {
+		t.Fatal(err)
+	}
+	var dials, closes atomic.Int64
+	var mu sync.Mutex
+	var links []*linkSender
+	rt, err := NewRouter("router-1", reg, func(addr string) (Sender, error) {
+		dials.Add(1)
+		time.Sleep(5 * time.Millisecond) // widen the window for a second dial
+		l := &linkSender{n: node, closes: &closes}
+		mu.Lock()
+		links = append(links, l)
+		mu.Unlock()
+		return l, nil
+	}, WithRouterRetry(transport.Retry{Attempts: 2, Base: -1, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	send := func() error {
+		resp, err := h(context.Background(), &wire.RankRequest{UserID: "u", Category: "c"})
+		if err != nil {
+			return err
+		}
+		if ack, ok := resp.(*wire.Ack); !ok || !ack.OK {
+			return fmt.Errorf("answer %+v", resp)
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- send()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := dials.Load(); d != 1 {
+		t.Fatalf("16 concurrent first sends dialed %d times, want 1", d)
+	}
+
+	// The live link dies: the failed send drops and closes it, and the
+	// router's retry dials a replacement.
+	links[0].dead.Store(true)
+	if err := send(); err != nil {
+		t.Fatal(err)
+	}
+	if d, c := dials.Load(), closes.Load(); d != 2 || c != 1 || !links[0].closed.Load() {
+		t.Fatalf("after a dead link: %d dials, %d closes; want 2, 1", d, c)
+	}
+	// A late drop of the dead link (a second send that failed on it)
+	// must leave the replacement alone.
+	rt.dropConn("a1", links[0])
+	if err := send(); err != nil {
+		t.Fatal(err)
+	}
+	if d, c := dials.Load(), closes.Load(); d != 2 || c != 1 {
+		t.Fatalf("a stale drop touched the replacement: %d dials, %d closes", d, c)
+	}
+
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !links[1].closed.Load() {
+		t.Fatal("live link still open after Close")
+	}
+	if err := send(); err == nil {
+		t.Fatal("send after Close succeeded")
+	}
+	if d := dials.Load(); d != 2 {
+		t.Fatalf("a send after Close dialed (%d dials)", d)
 	}
 }

@@ -24,6 +24,10 @@ var ErrSessionLost = errors.New("session: connection lost")
 // ErrClientClosed marks use after Close.
 var ErrClientClosed = errors.New("session: client closed")
 
+// ErrRequestTimeout marks a request that got no reply within the
+// client's request bound (peer clients only; see DialPeer).
+var ErrRequestTimeout = errors.New("session: no reply within the request bound")
+
 // Dialer opens the raw stream a session runs over. Tests inject net.Pipe;
 // production uses a TCP dialer (Dial); chaos wraps it with a
 // FaultInjector so partitions refuse dials and sever live conns.
@@ -47,6 +51,9 @@ type Client struct {
 	monitor   *transport.RetryMonitor
 	obsv      *obs.Observer
 	heartbeat time.Duration
+	// timeout bounds each Send from its call to its reply, a dial it
+	// makes included (0 = bounded by the caller's context only).
+	timeout time.Duration
 
 	events        chan wire.Message
 	eventsDropped atomic.Int64
@@ -81,8 +88,12 @@ type clientConn struct {
 	wmu sync.Mutex // frame write serialization
 
 	mu      sync.Mutex
-	waiters map[uint64]chan result
+	waiters map[uint64]waiter
 	dead    bool
+	// sweep enforces the waiters' deadlines: one timer, armed at the
+	// earliest pending deadline (sweepAt), instead of one per request.
+	sweep   *time.Timer
+	sweepAt time.Time
 
 	done chan struct{}
 }
@@ -90,6 +101,13 @@ type clientConn struct {
 type result struct {
 	msg wire.Message
 	err error
+}
+
+// waiter is one in-flight request: where its reply goes, and by when it
+// must arrive (zero without a request bound).
+type waiter struct {
+	ch       chan result
+	deadline time.Time
 }
 
 // ClientOption configures NewClient/Dial.
@@ -272,6 +290,10 @@ func (c *Client) Send(ctx context.Context, m wire.Message) (wire.Message, error)
 		return nil, fmt.Errorf("session: encode: %w", err)
 	}
 	c.sends.Add(1)
+	var deadline time.Time
+	if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
+	}
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
@@ -285,7 +307,7 @@ func (c *Client) Send(ctx context.Context, m wire.Message) (wire.Message, error)
 				return nil, fmt.Errorf("session: cancelled: %w", ctx.Err())
 			}
 		}
-		cc, err := c.conn(ctx)
+		cc, err := c.conn(ctx, deadline)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) || ctx.Err() != nil {
 				return nil, err
@@ -293,7 +315,7 @@ func (c *Client) Send(ctx context.Context, m wire.Message) (wire.Message, error)
 			lastErr = err
 			continue
 		}
-		resp, err := c.roundTrip(ctx, cc, body)
+		resp, err := c.roundTrip(ctx, cc, body, deadline)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err
@@ -357,8 +379,8 @@ func (c *Client) Close() error {
 }
 
 // conn returns the live connection, dialing and handshaking (single
-// flight) when there is none.
-func (c *Client) conn(ctx context.Context) (*clientConn, error) {
+// flight) when there is none; a nonzero deadline bounds a dial it makes.
+func (c *Client) conn(ctx context.Context, deadline time.Time) (*clientConn, error) {
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -384,7 +406,13 @@ func (c *Client) conn(ctx context.Context) (*clientConn, error) {
 		}
 	}
 
-	cc, welcome, err := c.dialOnce(ctx)
+	dctx := ctx
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		dctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	cc, welcome, err := c.dialOnce(dctx)
 
 	c.mu.Lock()
 	c.dialing = false
@@ -428,6 +456,13 @@ func (c *Client) dialOnce(ctx context.Context) (*clientConn, Welcome, error) {
 	if err != nil {
 		return nil, Welcome{}, err
 	}
+	// A ctx deadline bounds the handshake too: a peer that accepts and
+	// then says nothing must not hold the dial (and every Send waiting on
+	// it) forever.
+	if dl, ok := ctx.Deadline(); ok {
+		_ = conn.SetDeadline(dl)
+		defer func() { _ = conn.SetDeadline(time.Time{}) }()
+	}
 	hello := Hello{Proto: ProtoVersion, Token: c.token, Caps: c.caps}
 	if err := WriteFrame(conn, Frame{Kind: KindHello, Payload: EncodeHello(hello)}); err != nil {
 		_ = conn.Close()
@@ -453,7 +488,7 @@ func (c *Client) dialOnce(ctx context.Context) (*clientConn, Welcome, error) {
 	}
 	cc := &clientConn{
 		conn:    conn,
-		waiters: make(map[uint64]chan result),
+		waiters: make(map[uint64]waiter),
 		done:    make(chan struct{}),
 	}
 	return cc, welcome, nil
@@ -512,15 +547,16 @@ func (c *Client) lostConn(cc *clientConn, cause error) {
 	cc.fail(fmt.Errorf("%w: %v", ErrSessionLost, cause))
 }
 
-// roundTrip sends one pre-encoded request on cc and waits for its reply.
-func (c *Client) roundTrip(ctx context.Context, cc *clientConn, body []byte) (wire.Message, error) {
+// roundTrip sends one pre-encoded request on cc and waits for its reply,
+// failing with ErrRequestTimeout if a nonzero deadline passes first.
+func (c *Client) roundTrip(ctx context.Context, cc *clientConn, body []byte, deadline time.Time) (wire.Message, error) {
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
 	c.mu.Unlock()
 
 	ch := make(chan result, 1)
-	if err := cc.addWaiter(id, ch); err != nil {
+	if err := cc.addWaiter(id, ch, deadline); err != nil {
 		return nil, err
 	}
 	if err := cc.writeFrame(Frame{Kind: KindRequest, ID: id, Payload: body}); err != nil {
@@ -567,7 +603,7 @@ func (c *Client) startHeartbeat(cc *clientConn) {
 			id := c.nextID
 			c.mu.Unlock()
 			ch := make(chan result, 1)
-			if cc.addWaiter(id, ch) != nil {
+			if cc.addWaiter(id, ch, time.Time{}) != nil {
 				return
 			}
 			if cc.writeFrame(Frame{Kind: KindRequest, ID: id, Payload: body}) != nil {
@@ -593,14 +629,58 @@ func (cc *clientConn) writeFrame(f Frame) error {
 	return WriteFrame(cc.conn, f)
 }
 
-func (cc *clientConn) addWaiter(id uint64, ch chan result) error {
+// addWaiter registers request id's reply channel; a nonzero deadline
+// pulls the sweep forward when it is the earliest one pending.
+func (cc *clientConn) addWaiter(id uint64, ch chan result, deadline time.Time) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.dead {
 		return ErrSessionLost
 	}
-	cc.waiters[id] = ch
+	cc.waiters[id] = waiter{ch: ch, deadline: deadline}
+	if !deadline.IsZero() && (cc.sweep == nil || deadline.Before(cc.sweepAt)) {
+		cc.armSweep(deadline)
+	}
 	return nil
+}
+
+// armSweep (cc.mu held) schedules the next expire at at.
+func (cc *clientConn) armSweep(at time.Time) {
+	cc.sweepAt = at
+	if cc.sweep == nil {
+		cc.sweep = time.AfterFunc(time.Until(at), cc.expire)
+	} else {
+		cc.sweep.Reset(time.Until(at))
+	}
+}
+
+// expire fails every waiter past its deadline with ErrRequestTimeout and
+// re-arms the sweep at the earliest deadline still pending.
+func (cc *clientConn) expire() {
+	now := time.Now()
+	var late []chan result
+	var next time.Time
+	cc.mu.Lock()
+	for id, w := range cc.waiters {
+		switch {
+		case w.deadline.IsZero():
+		case !w.deadline.After(now):
+			delete(cc.waiters, id)
+			late = append(late, w.ch)
+		case next.IsZero() || w.deadline.Before(next):
+			next = w.deadline
+		}
+	}
+	if !next.IsZero() && !cc.dead {
+		cc.armSweep(next)
+	} else if cc.sweep != nil {
+		cc.sweep.Stop()
+		cc.sweep = nil
+	}
+	cc.mu.Unlock()
+	for _, ch := range late {
+		ch <- result{err: ErrRequestTimeout}
+	}
 }
 
 func (cc *clientConn) removeWaiter(id uint64) {
@@ -612,11 +692,11 @@ func (cc *clientConn) removeWaiter(id uint64) {
 // deliver hands a reply to its waiter (no-op for unknown/cancelled ids).
 func (cc *clientConn) deliver(id uint64, r result) {
 	cc.mu.Lock()
-	ch := cc.waiters[id]
+	w, ok := cc.waiters[id]
 	delete(cc.waiters, id)
 	cc.mu.Unlock()
-	if ch != nil {
-		ch <- r
+	if ok {
+		w.ch <- r
 	}
 }
 
@@ -631,10 +711,14 @@ func (cc *clientConn) fail(err error) {
 	cc.dead = true
 	waiters := cc.waiters
 	cc.waiters = nil
+	if cc.sweep != nil {
+		cc.sweep.Stop()
+		cc.sweep = nil
+	}
 	cc.mu.Unlock()
 	_ = cc.conn.Close()
 	close(cc.done)
-	for _, ch := range waiters {
-		ch <- result{err: err}
+	for _, w := range waiters {
+		w.ch <- result{err: err}
 	}
 }

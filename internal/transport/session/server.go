@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"sor/internal/obs"
 	"sor/internal/transport"
@@ -29,7 +31,15 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
 	closed    bool
-	wg        sync.WaitGroup
+	// wg counts live streams and in-flight dispatches.
+	wg sync.WaitGroup
+
+	// draining is set by Shutdown: a stream whose reads stop finishes
+	// the dispatches it took before it closes. sever, closed by Close,
+	// ends that wait.
+	draining  atomic.Bool
+	sever     chan struct{}
+	severOnce sync.Once
 }
 
 type serverSessionMetrics struct {
@@ -63,6 +73,7 @@ func NewServer(h transport.Handler, reg *Registry, opts ...ServerOption) (*Serve
 		reg:       reg,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
+		sever:     make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -100,11 +111,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			_ = s.ServeConn(conn)
-		}()
+		go func() { _ = s.ServeConn(conn) }()
 	}
 }
 
@@ -120,12 +127,14 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		return net.ErrClosed
 	}
 	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		_ = conn.Close()
+		s.wg.Done()
 	}()
 
 	// Handshake: one hello frame in, one welcome frame out.
@@ -204,9 +213,16 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		}
 	}()
 
+	var inflight sync.WaitGroup // this stream's dispatches
 	for {
 		f, err := ReadFrame(conn)
 		if err != nil {
+			if s.draining.Load() {
+				// Shutdown stopped the reads: reply to every request
+				// already taken before the stream closes.
+				s.awaitDispatches(&inflight)
+				return net.ErrClosed
+			}
 			if err != io.EOF {
 				s.met.decodeErrs.Inc()
 			}
@@ -234,8 +250,10 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		s.met.requests.Inc()
 		id := f.ID
 		s.wg.Add(1)
+		inflight.Add(1)
 		go func() {
 			defer s.wg.Done()
+			defer inflight.Done()
 			dctx := ctx
 			if requestID != "" {
 				dctx = obs.WithRequestID(dctx, obs.RequestID(requestID))
@@ -278,11 +296,43 @@ func (s *Server) CloseConns() int {
 // Close stops accepting, severs every stream, and waits for in-flight
 // dispatches to unwind.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+	s.severOnce.Do(func() { close(s.sever) })
+	for _, c := range s.stopAccepting() {
+		_ = c.Close()
 	}
+	s.wg.Wait()
+	return nil
+}
+
+// Shutdown closes the server gracefully: it stops accepting, stops
+// reading request frames on every stream, lets the dispatches already
+// taken write their replies, and then closes each stream. A request the
+// server had not read by then is never dispatched, so its peer may
+// safely send it elsewhere. If ctx ends first, Shutdown closes what is
+// left as Close does and returns ctx's error.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.draining.Store(true)
+	for _, c := range s.stopAccepting() {
+		_ = c.SetReadDeadline(time.Now())
+	}
+	done := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		_ = s.Close()
+		return ctx.Err()
+	}
+}
+
+// stopAccepting marks the server closed, closes its listeners, and
+// returns the streams still live.
+func (s *Server) stopAccepting() []net.Conn {
+	s.mu.Lock()
 	s.closed = true
 	listeners := make([]net.Listener, 0, len(s.listeners))
 	for ln := range s.listeners {
@@ -296,9 +346,18 @@ func (s *Server) Close() error {
 	for _, ln := range listeners {
 		_ = ln.Close()
 	}
-	for _, c := range conns {
-		_ = c.Close()
+	return conns
+}
+
+// awaitDispatches waits for a draining stream's dispatches, or for Close.
+func (s *Server) awaitDispatches(inflight *sync.WaitGroup) {
+	done := make(chan struct{})
+	go func() {
+		inflight.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-s.sever:
 	}
-	s.wg.Wait()
-	return nil
 }

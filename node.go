@@ -19,9 +19,11 @@ import (
 	"time"
 
 	"sor/internal/cluster"
+	"sor/internal/obs"
 	"sor/internal/replica"
 	"sor/internal/store"
 	"sor/internal/transport"
+	"sor/internal/transport/session"
 	"sor/internal/wire"
 )
 
@@ -52,6 +54,8 @@ type Node struct {
 	Role string
 	// Listen is the HTTP wire endpoint address (":0" picks a port).
 	// Empty serves no HTTP; the node is then driven through Handler().
+	// On a leader or replica the same port upgrades routers' peer
+	// sessions, the only way a router reaches a member.
 	Listen string
 	// StreamListen additionally accepts persistent device streams.
 	StreamListen string
@@ -79,7 +83,7 @@ type Node struct {
 	PullInterval time.Duration
 	// Retry is the consolidated retry envelope for every outbound path
 	// the node owns: the replica's leader client and reconnect backoff,
-	// and the router's forwarded sends.
+	// and the router's forwarded sends (retried by the router alone).
 	Retry Retry
 	// Observer instruments the node (default: a fresh one).
 	Observer *Observer
@@ -122,6 +126,10 @@ type RunningNode struct {
 	streamServer *StreamServer
 	streamLn     net.Listener
 	sessions     *SessionRegistry
+	// peers serves routers' session upgrades on the HTTP wire port (a
+	// member with Listen), on a registry of its own: device pushes never
+	// reach a peer.
+	peers *session.Server
 
 	resyncs atomic.Uint64
 	lastErr atomic.Value // error: why replication supervision stopped
@@ -296,12 +304,8 @@ func (rn *RunningNode) buildRouter(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	retry := n.Retry
-	dial := func(addr string) (cluster.Sender, error) {
-		return transport.NewClient(addr, transport.WithRetry(retry))
-	}
-	rt, err := cluster.NewRouter(n.Name, reg, dial,
-		cluster.WithRouterRetry(retry),
+	rt, err := cluster.NewRouter(n.Name, reg, dialPeer(n.Name),
+		cluster.WithRouterRetry(n.Retry),
 		cluster.WithRouterMetrics(rn.obsv.Metrics()),
 	)
 	if err != nil {
@@ -317,6 +321,23 @@ func (rn *RunningNode) buildRouter(ctx context.Context) error {
 		rt.RunHeartbeats(ctx, cluster.DefaultHeartbeatInterval)
 	}()
 	return nil
+}
+
+// peerSendTimeout bounds one forwarded send — dial, upgrade, handshake
+// and round trip — at the 10 s the HTTP client's Timeout gave the hop
+// before. A variable only so this package's tests can shorten it.
+var peerSendTimeout = 10 * time.Second
+
+// dialPeer is the router's Dialer: one multiplexed session per member,
+// opened on the first forward by an HTTP upgrade of the member's wire
+// port. Each Send is one bounded attempt, so the router's own retry,
+// backoff and leader discovery are the only retry layer on a forward.
+// Every session authenticates under its own token (router name plus a
+// unique suffix), so each link is a distinct session on the member.
+func dialPeer(router string) cluster.Dialer {
+	return func(addr string) (cluster.Sender, error) {
+		return session.DialPeer(addr, router+"/"+string(obs.NewRequestID()), peerSendTimeout)
+	}
 }
 
 // registerMember records this node in the cluster map so routers
@@ -410,6 +431,14 @@ func (rn *RunningNode) startListeners() error {
 			return err
 		}
 		mux.Handle(ServerPath, wireHandler)
+		if n.Role != RoleRouter {
+			peers, err := session.NewServer(rn.Handler(), session.NewRegistry())
+			if err != nil {
+				return err
+			}
+			rn.peers = peers
+			mux.Handle(session.UpgradePath, peers.UpgradeHandler())
+		}
 		RegisterDebug(mux, rn.obsv)
 		replica.RegisterDebug(mux, rn.replicaStatus)
 		if n.Role == RoleRouter {
@@ -589,14 +618,18 @@ func (rn *RunningNode) Checkpoint() error {
 }
 
 // closeCore shuts the storage-owning half down, ending the leader role's
-// resync sessions with it. The run context is cancelled already, so it
-// first waits for the processing loop: a graceful final drain folds before
-// the storage closes, and a killed server's loop stops without one.
+// resync sessions with it, and closes a router's member sessions. The
+// run context is cancelled already, so it first waits for the processing
+// loop: a graceful final drain folds before the storage closes, and a
+// killed server's loop stops without one.
 func (rn *RunningNode) closeCore() error {
 	rn.mu.Lock()
-	srv, repl, processing := rn.srv, rn.repl, rn.processing
+	srv, repl, processing, router := rn.srv, rn.repl, rn.processing, rn.router
 	rn.srv, rn.processing = nil, nil
 	rn.mu.Unlock()
+	if router != nil {
+		_ = router.Close()
+	}
 	if processing != nil {
 		<-processing
 	}
@@ -615,7 +648,18 @@ func (rn *RunningNode) Close() error {
 	rn.cancel()
 	if rn.httpServer != nil {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		peersDrained := make(chan struct{})
+		go func() {
+			defer close(peersDrained)
+			if rn.peers != nil {
+				// Hijacked peer sessions are invisible to the HTTP
+				// server's Shutdown: drain them alongside it, so a
+				// router gets the reply to every forward already taken.
+				_ = rn.peers.Shutdown(shutdownCtx)
+			}
+		}()
 		_ = rn.httpServer.Shutdown(shutdownCtx)
+		<-peersDrained
 		cancel()
 	}
 	if rn.streamServer != nil {
