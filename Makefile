@@ -58,19 +58,21 @@ resync-race:
 	$(GO) test -race -count=3 -run 'TestSnapshotDamageIsRefused' ./internal/store/
 	$(GO) test -race -count=3 -run 'TestStartNodeReplicaFollowsAndResyncs' .
 
-# The router's forward hop under the race detector, three times over: one
-# peer session per member (concurrent first forwards share one dial, a
-# dropped session is closed, none outlive the router), one attempt per
-# router try with the router's own retry carrying a request across a
-# leader restart, a Demote/Promote failover and a member that never
-# answers (the 10 s bound, shortened), a cancelled forward that leaves
-# its shared session and sibling forwards alone, a member Close that
-# answers the forwards it already took, and the upgrade handshake on the
-# member's wire port (pipelined frames, 426 without the header, one-shot
-# POSTs beside it, no device registry or push change).
+# The router's forward hop under the race detector, three times over: a
+# pool of at most GOMAXPROCS peer sessions per member (concurrent first
+# forwards share one dial, k forwards in flight open min(k, cap) links,
+# sequential traffic one, a lost link fails alone and is closed, none
+# outlive the router), one attempt per router try with the router's own
+# retry carrying a request across a leader restart, a Demote/Promote
+# failover and a member that never answers (the 10 s bound, shortened),
+# a cancelled forward that leaves its shared session and sibling
+# forwards alone, a member Close that answers the forwards it already
+# took, and the upgrade handshake on the member's wire port (pipelined
+# frames, 426 without the header, one-shot POSTs beside it, no device
+# registry or push change).
 router-race:
 	$(GO) test -race -count=3 -run 'TestStartNodeRouterFailover|TestStartNodeRouterSessionLifecycle|TestStartNodeRouterForwardBound|TestStartNodeRouterCancelledForward|TestStartNodeMemberCloseDrainsForwards' .
-	$(GO) test -race -count=3 -run 'TestRouterConnLifecycle' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestRouterConnLifecycle|TestRouterSpreadsConcurrentForwards|TestRouterLinkFailureSparesSiblings' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestUpgrade|TestPeerSessionsStayOffTheDeviceRegistry|TestPeerRequestBound|TestServerShutdownDrains' ./internal/transport/session/
 
 bench:

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sor/internal/obs"
@@ -15,8 +18,8 @@ import (
 	"sor/internal/wire"
 )
 
-// Sender is the one transport method the router needs per member.
-// Production passes a peer session (one multiplexed stream per member);
+// Sender is the one transport method the router needs per member link.
+// Production passes a peer session (one multiplexed stream per link);
 // simulations substitute an in-process round trip. A Sender that also
 // implements io.Closer is closed when the router drops it after a failed
 // send, and on Router.Close.
@@ -24,9 +27,9 @@ type Sender interface {
 	Send(ctx context.Context, m wire.Message) (wire.Message, error)
 }
 
-// Dialer turns a member's Addr into a Sender. It must not block on I/O
-// (a session connects on its first Send): the router dials under its
-// lock, so each member is dialed at most once at a time.
+// Dialer turns a member's Addr into a Sender, one per link. It must not
+// block on I/O (a session connects on its first Send): the router dials
+// under its lock, so each member is dialed at most once at a time.
 type Dialer func(addr string) (Sender, error)
 
 // Router defaults.
@@ -77,9 +80,10 @@ type Router struct {
 	attempts int
 	backoff  *transport.Backoff
 
-	mu     sync.Mutex
-	conns  map[string]Sender
-	closed bool
+	mu       sync.Mutex
+	conns    map[string][]*link
+	closed   bool
+	maxLinks int // links per member: runtime.GOMAXPROCS(0) at NewRouter
 
 	metrics *obs.Registry // nil-safe: obs handles no-op without it
 
@@ -100,11 +104,12 @@ func NewRouter(name string, reg *Registry, dial Dialer, opts ...RouterOption) (*
 		return nil, errors.New("cluster: router needs a registry and a dialer")
 	}
 	rt := &Router{
-		name:  name,
-		reg:   reg,
-		dial:  dial,
-		clock: vclock.Real{},
-		conns: make(map[string]Sender),
+		name:     name,
+		reg:      reg,
+		dial:     dial,
+		clock:    vclock.Real{},
+		conns:    make(map[string][]*link),
+		maxLinks: runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		opt(rt)
@@ -122,84 +127,115 @@ func NewRouter(name string, reg *Registry, dial Dialer, opts ...RouterOption) (*
 	return rt, nil
 }
 
-// countRouted bumps the per-shard forwarded counter, creating the
-// labeled series on first use.
-func (rt *Router) countRouted(shard string) {
-	rt.mu.Lock()
-	c, ok := rt.routed[shard]
-	if !ok {
-		c = rt.metrics.Counter("sor_cluster_routed_total", obs.L("shard", shard))
-		rt.routed[shard] = c
-	}
-	rt.mu.Unlock()
-	c.Inc()
-}
-
 // Registry exposes the router's cluster map (status endpoints).
 func (rt *Router) Registry() *Registry { return rt.reg }
 
 // errRouterClosed refuses sends after Close.
 var errRouterClosed = errors.New("cluster: router closed")
 
-// conn returns the member's sender, dialing it under rt.mu if there is
-// none: concurrent first sends share one dial, and Close cannot miss a
-// sender.
-func (rt *Router) conn(m Member) (Sender, error) {
+// link is one sender to a member and the forwards in flight on it.
+type link struct {
+	s        Sender
+	inflight atomic.Int32
+	answered atomic.Bool // some send on it succeeded
+}
+
+// send sends m on l and releases the forward conn counted on it.
+func (l *link) send(ctx context.Context, m wire.Message) (wire.Message, error) {
+	resp, err := l.s.Send(ctx, m)
+	if err == nil && !l.answered.Load() {
+		l.answered.Store(true)
+	}
+	l.inflight.Add(-1)
+	return resp, err
+}
+
+// conn picks the member's link with the fewest forwards in flight (the
+// lowest index on a tie) and counts one more forward on it. It dials a
+// new link under rt.mu when there is none, or when every link is busy,
+// the member has answered on one of them and it has fewer than maxLinks:
+// concurrent first forwards share one dial, a member that is down or
+// still connecting costs one dial per attempt, and sequential traffic
+// never opens a second link. A non-empty shard also resolves its
+// forwarded counter in the same critical section.
+func (rt *Router) conn(m Member, shard string) (*link, *obs.Counter, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed {
-		return nil, errRouterClosed
+		return nil, nil, errRouterClosed
 	}
-	if s, ok := rt.conns[m.Name]; ok {
-		return s, nil
+	links := rt.conns[m.Name]
+	var best *link
+	answered := false
+	for _, l := range links {
+		if best == nil || l.inflight.Load() < best.inflight.Load() {
+			best = l
+		}
+		answered = answered || l.answered.Load()
 	}
-	s, err := rt.dial(m.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dialing %s (%s): %w", m.Name, m.Addr, err)
+	if best == nil || best.inflight.Load() > 0 && answered && len(links) < rt.maxLinks {
+		s, err := rt.dial(m.Addr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cluster: dialing %s (%s): %w", m.Name, m.Addr, err)
+		}
+		best = &link{s: s}
+		rt.conns[m.Name] = append(links, best)
 	}
-	rt.conns[m.Name] = s
-	return s, nil
+	best.inflight.Add(1)
+	var routed *obs.Counter
+	if shard != "" {
+		if routed = rt.routed[shard]; routed == nil {
+			routed = rt.metrics.Counter("sor_cluster_routed_total", obs.L("shard", shard))
+			rt.routed[shard] = routed
+		}
+	}
+	return best, routed, nil
 }
 
-// sendFailed handles err from a send to member name on s, and reports
+// sendFailed handles err from a send to member name on l, and reports
 // whether the caller should go on. A send that ended with the caller's
 // ctx says nothing of the member, so nothing is dropped and the caller
-// stops. A send that only outlived the peer bound keeps s: its session is
-// live and carries other requests. Any other failure drops s.
-func (rt *Router) sendFailed(ctx context.Context, name string, s Sender, err error) bool {
+// stops. A send that only outlived the peer bound keeps l: its session is
+// live and carries other requests. Any other failure drops l alone; the
+// member's other links and their forwards are untouched.
+func (rt *Router) sendFailed(ctx context.Context, name string, l *link, err error) bool {
 	if ctx != nil && ctx.Err() != nil {
 		return false
 	}
 	if !errors.Is(err, session.ErrRequestTimeout) {
-		rt.dropConn(name, s)
+		rt.dropConn(name, l)
 	}
 	return true
 }
 
-// dropConn forgets and closes the member's sender s after a failed send.
-// A sender some other send already replaced is left alone.
-func (rt *Router) dropConn(name string, s Sender) {
+// dropConn forgets and closes the member's link l after a failed send.
+// A link some other send already dropped is left alone, and so is any
+// replacement dialed since.
+func (rt *Router) dropConn(name string, l *link) {
 	rt.mu.Lock()
-	drop := rt.conns[name] == s
-	if drop {
-		delete(rt.conns, name)
+	links := rt.conns[name]
+	i := slices.Index(links, l)
+	if i >= 0 {
+		rt.conns[name] = slices.Delete(links, i, i+1)
 	}
 	rt.mu.Unlock()
-	if drop {
-		closeSender(s)
+	if i >= 0 {
+		closeSender(l.s)
 	}
 }
 
-// Close closes every member sender and refuses further sends. In-flight
-// sends on a closed sender fail; the router does not retry them.
+// Close closes every member link and refuses further sends. In-flight
+// sends on a closed link fail; the router does not retry them.
 func (rt *Router) Close() error {
 	rt.mu.Lock()
 	rt.closed = true
 	conns := rt.conns
-	rt.conns = make(map[string]Sender)
+	rt.conns = make(map[string][]*link)
 	rt.mu.Unlock()
-	for _, s := range conns {
-		closeSender(s)
+	for _, links := range conns {
+		for _, l := range links {
+			closeSender(l.s)
+		}
 	}
 	return nil
 }
@@ -279,7 +315,7 @@ func (rt *Router) sendToShard(ctx context.Context, shard string, m wire.Message)
 			rt.discoverLeader(ctx, shard, "")
 			continue
 		}
-		s, err := rt.conn(leader)
+		l, routed, err := rt.conn(leader, shard)
 		if errors.Is(err, errRouterClosed) {
 			return nil, err
 		}
@@ -287,10 +323,10 @@ func (rt *Router) sendToShard(ctx context.Context, shard string, m wire.Message)
 			lastErr = err
 			continue
 		}
-		resp, err := s.Send(ctx, m)
+		resp, err := l.send(ctx, m)
 		if err != nil {
 			lastErr = fmt.Errorf("cluster: %s: %w", leader.Name, err)
-			if !rt.sendFailed(ctx, leader.Name, s, err) {
+			if !rt.sendFailed(ctx, leader.Name, l, err) {
 				return nil, lastErr
 			}
 			rt.discoverLeader(ctx, shard, leader.Name)
@@ -303,7 +339,7 @@ func (rt *Router) sendToShard(ctx context.Context, shard string, m wire.Message)
 			rt.discoverLeader(ctx, shard, leader.Name)
 			continue
 		}
-		rt.countRouted(shard)
+		routed.Inc()
 		return resp, nil
 	}
 	return nil, fmt.Errorf("cluster: shard %s unavailable after %d attempts: %w",
@@ -318,13 +354,13 @@ func (rt *Router) discoverLeader(ctx context.Context, shard, suspect string) {
 		if m.Name == suspect {
 			continue
 		}
-		s, err := rt.conn(m)
+		l, _, err := rt.conn(m, "")
 		if err != nil {
 			continue
 		}
-		resp, err := s.Send(ctx, &wire.ClusterHello{Node: rt.name, Role: RoleRouter})
+		resp, err := l.send(ctx, &wire.ClusterHello{Node: rt.name, Role: RoleRouter})
 		if err != nil {
-			if !rt.sendFailed(ctx, m.Name, s, err) {
+			if !rt.sendFailed(ctx, m.Name, l, err) {
 				return
 			}
 			continue
@@ -444,13 +480,13 @@ func (rt *Router) HeartbeatOnce(ctx context.Context) int {
 	answered := 0
 	for _, shard := range rt.reg.Shards() {
 		for _, m := range rt.reg.MembersOf(shard) {
-			s, err := rt.conn(m)
+			l, _, err := rt.conn(m, "")
 			if err != nil {
 				continue
 			}
-			resp, err := s.Send(ctx, &wire.ClusterHello{Node: rt.name, Role: RoleRouter})
+			resp, err := l.send(ctx, &wire.ClusterHello{Node: rt.name, Role: RoleRouter})
 			if err != nil {
-				if !rt.sendFailed(ctx, m.Name, s, err) {
+				if !rt.sendFailed(ctx, m.Name, l, err) {
 					return answered
 				}
 				continue

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sor/internal/obs"
 	"sor/internal/transport"
 	"sor/internal/wire"
 )
@@ -370,10 +372,10 @@ func (l *linkSender) Close() error {
 	return nil
 }
 
-// TestRouterConnLifecycle pins the router's per-member sender lifecycle:
-// concurrent first sends share one dial, a sender dropped after a failed
-// send is closed (and only the one that failed, never its replacement),
-// and Close closes every sender and refuses further sends.
+// TestRouterConnLifecycle pins the router's per-member link lifecycle:
+// concurrent first sends dial at most the link cap, a link dropped after
+// a failed send is closed (and only the one that failed, never a
+// replacement), and Close closes every link and refuses further sends.
 func TestRouterConnLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	reg.AddShard("shard-a")
@@ -424,39 +426,259 @@ func TestRouterConnLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := dials.Load(); d != 1 {
-		t.Fatalf("16 concurrent first sends dialed %d times, want 1", d)
+	opened := dials.Load()
+	if opened < 1 || opened > int64(rt.maxLinks) {
+		t.Fatalf("16 concurrent first sends dialed %d times, want 1..%d", opened, rt.maxLinks)
 	}
 
-	// The live link dies: the failed send drops and closes it, and the
-	// router's retry dials a replacement.
+	// The first link dies: an idle router picks it, the failed send drops
+	// and closes it alone, and the router's retry lands on a live link.
+	stale := rt.conns["a1"][0]
 	links[0].dead.Store(true)
 	if err := send(); err != nil {
 		t.Fatal(err)
 	}
-	if d, c := dials.Load(), closes.Load(); d != 2 || c != 1 || !links[0].closed.Load() {
-		t.Fatalf("after a dead link: %d dials, %d closes; want 2, 1", d, c)
+	if c := closes.Load(); c != 1 || !links[0].closed.Load() {
+		t.Fatalf("after a dead link: %d closes, want 1", c)
+	}
+	dialed := dials.Load()
+	if want := max(opened, 2); dialed > want {
+		t.Fatalf("after a dead link: %d dials, want at most %d", dialed, want)
 	}
 	// A late drop of the dead link (a second send that failed on it)
-	// must leave the replacement alone.
-	rt.dropConn("a1", links[0])
+	// must leave every other link alone.
+	rt.dropConn("a1", stale)
 	if err := send(); err != nil {
 		t.Fatal(err)
 	}
-	if d, c := dials.Load(), closes.Load(); d != 2 || c != 1 {
-		t.Fatalf("a stale drop touched the replacement: %d dials, %d closes", d, c)
+	if d, c := dials.Load(), closes.Load(); d != dialed || c != 1 {
+		t.Fatalf("a stale drop touched a live link: %d dials, %d closes", d, c)
 	}
 
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !links[1].closed.Load() {
-		t.Fatal("live link still open after Close")
+	for i, l := range links {
+		if !l.closed.Load() {
+			t.Fatalf("link %d still open after Close", i)
+		}
 	}
 	if err := send(); err == nil {
 		t.Fatal("send after Close succeeded")
 	}
-	if d := dials.Load(); d != 2 {
+	if d := dials.Load(); d != dialed {
 		t.Fatalf("a send after Close dialed (%d dials)", d)
+	}
+}
+
+// heldLinks is a fake member whose dialed links hold every forward until
+// the test releases them or kills the link a forward rode; hellos are
+// answered at once.
+type heldLinks struct {
+	mu      sync.Mutex
+	links   []*heldLink
+	release chan struct{} // closed: forwards are answered at once
+	// entered gets each forward's link as it reaches the member; sized
+	// past the most forwards a test leaves undrained, so Send never
+	// blocks on it.
+	entered chan *heldLink
+}
+
+type heldLink struct {
+	h      *heldLinks
+	lost   chan struct{} // closed when the link is killed or closed
+	once   sync.Once
+	closed atomic.Bool
+}
+
+// kill severs the link: its held forwards fail, like a dead session's.
+func (l *heldLink) kill() { l.once.Do(func() { close(l.lost) }) }
+
+func newHeldLinks() *heldLinks {
+	h := &heldLinks{release: make(chan struct{}), entered: make(chan *heldLink, 64)}
+	close(h.release)
+	return h
+}
+
+// hold makes later forwards wait for the returned release.
+func (h *heldLinks) hold() (release func()) {
+	ch := make(chan struct{})
+	h.mu.Lock()
+	h.release = ch
+	h.mu.Unlock()
+	return func() { close(ch) }
+}
+
+func (h *heldLinks) dial(string) (Sender, error) {
+	l := &heldLink{h: h, lost: make(chan struct{})}
+	h.mu.Lock()
+	h.links = append(h.links, l)
+	h.mu.Unlock()
+	return l, nil
+}
+
+func (h *heldLinks) dialed() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.links)
+}
+
+func (l *heldLink) Send(ctx context.Context, m wire.Message) (wire.Message, error) {
+	if l.closed.Load() {
+		return nil, errors.New("link closed")
+	}
+	if _, ok := m.(*wire.ClusterHello); ok {
+		return &wire.ClusterHello{Node: "a1", Role: RoleLeader}, nil
+	}
+	l.h.mu.Lock()
+	release := l.h.release
+	l.h.mu.Unlock()
+	l.h.entered <- l
+	select {
+	case <-release:
+		return &wire.Ack{OK: true, Code: 200}, nil
+	case <-l.lost:
+		return nil, errors.New("link lost")
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (l *heldLink) Close() error {
+	l.closed.Store(true)
+	l.kill()
+	return nil
+}
+
+// newHeldRouter is a router over one member, a1, dialed through h.
+func newHeldRouter(t *testing.T, h *heldLinks) (*Router, *obs.Registry) {
+	t.Helper()
+	reg := NewRegistry()
+	reg.AddShard("shard-a")
+	if err := reg.AddMember(Member{Name: "a1", Shard: "shard-a", Role: RoleLeader, Addr: "a1"}); err != nil {
+		t.Fatal(err)
+	}
+	metrics := obs.NewRegistry()
+	rt, err := NewRouter("router-1", reg, h.dial,
+		WithRouterRetry(transport.Retry{Attempts: 2, Base: -1, Seed: 1}), WithRouterMetrics(metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	return rt, metrics
+}
+
+// forwardAll starts n concurrent rank forwards through rt and returns
+// their results; each arrives once the member answers or the forward
+// fails.
+func forwardAll(rt *Router, n int) <-chan error {
+	h := rt.Handler()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			resp, err := h(context.Background(), &wire.RankRequest{UserID: fmt.Sprintf("u%d", i), Category: "c"})
+			if ack, ok := resp.(*wire.Ack); err == nil && (!ok || !ack.OK) {
+				err = fmt.Errorf("forward %d answered %+v", i, resp)
+			}
+			errs <- err
+		}(i)
+	}
+	return errs
+}
+
+// wait receives n results from errs, failing on the first error.
+func wait(t *testing.T, errs <-chan error, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRouterSpreadsConcurrentForwards: the router opens a member link
+// per concurrent forward, up to its cap, and no more: k forwards held
+// in flight at once open min(k, cap) links, sequential forwards and an
+// idle router's heartbeat reuse the first.
+func TestRouterSpreadsConcurrentForwards(t *testing.T) {
+	for _, maxLinks := range []int{1, 2, 4} {
+		for _, k := range []int{1, 3, 6} {
+			t.Run(fmt.Sprintf("cap%d-k%d", maxLinks, k), func(t *testing.T) {
+				h := newHeldLinks()
+				rt, _ := newHeldRouter(t, h)
+				rt.maxLinks = maxLinks
+				wait(t, forwardAll(rt, 1), 1) // the member has answered
+				<-h.entered
+				release := h.hold()
+				errs := forwardAll(rt, k)
+				for i := 0; i < k; i++ {
+					<-h.entered
+				}
+				if n, want := h.dialed(), min(k, maxLinks); n != want {
+					t.Fatalf("%d forwards in flight opened %d links, want %d", k, n, want)
+				}
+				release()
+				wait(t, errs, k)
+			})
+		}
+	}
+
+	t.Run("sequential", func(t *testing.T) {
+		h := newHeldLinks()
+		rt, _ := newHeldRouter(t, h)
+		if rt.HeartbeatOnce(context.Background()) != 1 {
+			t.Fatal("the member did not answer the heartbeat")
+		}
+		for i := 0; i < 100; i++ {
+			wait(t, forwardAll(rt, 1), 1)
+			<-h.entered
+		}
+		if rt.HeartbeatOnce(context.Background()) != 1 {
+			t.Fatal("the member did not answer the heartbeat")
+		}
+		if n := h.dialed(); n != 1 {
+			t.Fatalf("100 sequential forwards and 2 heartbeats opened %d links, want 1", n)
+		}
+	})
+}
+
+// TestRouterLinkFailureSparesSiblings: a lost link fails only the
+// forwards it carried. The router drops and closes that link alone, the
+// failed forward goes through on the router's retry, and the sibling
+// link's forward is answered with no retry on a link never closed.
+func TestRouterLinkFailureSparesSiblings(t *testing.T) {
+	h := newHeldLinks()
+	rt, metrics := newHeldRouter(t, h)
+	rt.maxLinks = 2
+	wait(t, forwardAll(rt, 1), 1)
+	<-h.entered
+	release := h.hold()
+	errs := forwardAll(rt, 2)
+	first, second := <-h.entered, <-h.entered
+	if first == second || h.dialed() != 2 {
+		t.Fatalf("2 forwards in flight rode %d links", h.dialed())
+	}
+
+	first.kill()
+	<-h.entered // the killed link's forward, retried
+	release()
+	wait(t, errs, 2)
+	if r := metrics.Counter("sor_cluster_route_retries_total").Value(); r != 1 {
+		t.Fatalf("router counted %d retries, want 1 (the killed link's forward)", r)
+	}
+	if !first.closed.Load() {
+		t.Fatal("the killed link was not closed")
+	}
+	if second.closed.Load() {
+		t.Fatal("the sibling link was closed")
+	}
+	rt.mu.Lock()
+	var held []Sender
+	for _, l := range rt.conns["a1"] {
+		held = append(held, l.s)
+	}
+	rt.mu.Unlock()
+	if slices.Contains(held, Sender(first)) || !slices.Contains(held, Sender(second)) {
+		t.Fatal("the router dropped the sibling link or kept the killed one")
 	}
 }

@@ -328,8 +328,8 @@ func (rn *RunningNode) buildRouter(ctx context.Context) error {
 // before. A variable only so this package's tests can shorten it.
 var peerSendTimeout = 10 * time.Second
 
-// dialPeer is the router's Dialer: one multiplexed session per member,
-// opened on the first forward by an HTTP upgrade of the member's wire
+// dialPeer is the router's Dialer: each link is one multiplexed session,
+// opened on its first forward by an HTTP upgrade of the member's wire
 // port. Each Send is one bounded attempt, so the router's own retry,
 // backoff and leader discovery are the only retry layer on a forward.
 // Every session authenticates under its own token (router name plus a

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -231,9 +232,10 @@ func TestStartNodeRouterFailover(t *testing.T) {
 	})
 }
 
-// TestStartNodeRouterSessionLifecycle: a router holds one session per
-// member however many forwards race to open it, replaces a severed one,
-// and closes them all when it closes. Only members upgrade.
+// TestStartNodeRouterSessionLifecycle: a router holds at most one
+// session per P to a member however many forwards race to open them,
+// replaces severed ones, and closes them all when it closes. Only
+// members upgrade.
 func TestStartNodeRouterSessionLifecycle(t *testing.T) {
 	mapPath := filepath.Join(t.TempDir(), "cluster.json")
 	member := startTestNode(t, sor.Node{Name: "cafe-a", Listen: "127.0.0.1:0", Cluster: mapPath, Shard: "shard-a"})
@@ -264,12 +266,13 @@ func TestStartNodeRouterSessionLifecycle(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n := sor.PeerSessions(member); n != 1 {
-		t.Fatalf("8 concurrent first forwards left %d peer sessions, want 1", n)
+	maxSessions := runtime.GOMAXPROCS(0)
+	if n := sor.PeerSessions(member); n < 1 || n > maxSessions {
+		t.Fatalf("8 concurrent first forwards left %d peer sessions, want 1..%d", n, maxSessions)
 	}
 
-	// Sever the member's side of the session under load, three times:
-	// every forward still succeeds and one session remains.
+	// Sever the member's side of the sessions under load, three times:
+	// every forward still succeeds and 1..GOMAXPROCS sessions remain.
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -303,7 +306,10 @@ func TestStartNodeRouterSessionLifecycle(t *testing.T) {
 	if err := rank(0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "one peer session after the drops", func() bool { return sor.PeerSessions(member) == 1 })
+	waitFor(t, 5*time.Second, "1..GOMAXPROCS peer sessions after the drops", func() bool {
+		n := sor.PeerSessions(member)
+		return n >= 1 && n <= maxSessions
+	})
 
 	// The upgrade path is a member's: a router has none, and a member
 	// refuses a plain request there.
