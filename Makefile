@@ -122,7 +122,8 @@ bench-test:
 # replication stream) and snapshot sections (disk, and a shipped image) —
 # plus the assignment solver against brute force on huge, negative and
 # tied costs, the exact sum against math/big in any input order, the
-# rank cache's profile key, and patched epochs against a fresh build.
+# rank cache's profile key, patched epochs against a fresh build, and the
+# task-language parser (an app creator's script runs on every phone).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSessionFrame -fuzztime 10s ./internal/transport/session/
@@ -133,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime 10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzProfileKey -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzColumnPatch -fuzztime 10s ./internal/ranking/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/luascript/
 
 # Boot a real sord, scrape /debug/metrics via sorctl, assert every
 # promised series is present and that traffic moves the counters.

@@ -32,6 +32,14 @@ const (
 	FnLocation    = "get_location"
 )
 
+// ScriptFunctions lists every acquisition function a task script may call:
+// the frontend's whitelist, and the host names luascript.Parse accepts
+// when the server checks a script at app creation.
+var ScriptFunctions = []string{
+	FnTemperature, FnHumidity, FnLight, FnWiFi,
+	FnNoise, FnAccel, FnAltitude, FnLocation,
+}
+
 // Trajectory describes where the phone is over time: stationary at a
 // coffee-shop table, or walking a trail from Enter to Leave.
 type Trajectory struct {

@@ -2,12 +2,14 @@ package frontend
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sor/internal/device"
+	"sor/internal/sensors"
 	"sor/internal/wire"
 	"sor/internal/world"
 )
@@ -309,6 +311,112 @@ func TestPreferenceDenialBlocksSensor(t *testing.T) {
 	}
 	if len(upload.Series) == 0 {
 		t.Fatal("fallback sensing produced no data")
+	}
+}
+
+// TestCancelInsidePcallFailsTask: a task cancelled while a pcall-guarded
+// host call runs fails, and no partial report is queued or sent.
+func TestCancelInsidePcallFailsTask(t *testing.T) {
+	s := &fakeSender{}
+	f := newFrontend(t, world.Starbucks, s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p, ok := f.phone.Manager().Provider(device.FnLocation)
+	if !ok {
+		t.Fatal("phone has no GPS")
+	}
+	p.(*sensors.FuncProvider).Sample = func(sensors.Request) (sensors.Reading, error) {
+		cancel() // the task is cancelled mid-acquisition
+		return sensors.Reading{}, ctx.Err()
+	}
+	sched := &wire.Schedule{TaskID: "cancel", AppID: "a", UserID: "u",
+		Script: `
+			local ok = pcall(function() return get_location(1) end)
+			return 0`,
+		AtUnix: []int64{enter.Unix()}}
+	if _, err := f.ExecuteSchedule(ctx, sched); err == nil || !strings.Contains(err.Error(), "script cancelled") {
+		t.Fatalf("err = %v", err)
+	}
+	if n := f.Outbox().Pending(); n != 0 {
+		t.Fatalf("%d reports queued for a cancelled task", n)
+	}
+	if msgs := s.messages(); len(msgs) != 0 {
+		t.Fatalf("cancelled task sent %d messages", len(msgs))
+	}
+	if info, _ := f.Task("cancel"); info.State != TaskStateFailed {
+		t.Fatalf("task state = %v", info.State)
+	}
+}
+
+// TestTaskScriptsOnThePhone runs the task language through the
+// frontend's interpreter binding: a script that summarises its readings
+// with the language's statements and operators, and faulty scripts whose
+// task fails naming the fault and, for a refusal or a runtime error, its
+// line:col.
+func TestTaskScriptsOnThePhone(t *testing.T) {
+	f := newFrontend(t, world.GreenLakeTrail, &fakeSender{})
+	upload, err := f.ExecuteSchedule(context.Background(), &wire.Schedule{
+		TaskID: "summary", AppID: "a", UserID: "u",
+		Script: `
+			-- classify the temperature, keep the span of altitudes
+			local temps = get_temperature_readings(4, 5000)
+			local alts = get_altitude_readings(3, 2000)
+			local fixes = get_location(2)
+			local lo, hi = alts[1], alts[1]
+			for _, a in ipairs(alts) do
+				if a < lo then lo = a elseif a > hi then hi = a end
+			end
+			local level = "cold"
+			if temps[1] >= 1e4 then level = "hot"
+			elseif temps[1] > -50 and not (temps[1] <= -100) then level = "mild"
+			else level = 'cold' end
+			assert(#level >= 3 and level ~= nil, "no level")
+			assert(hi - lo >= 0 and (-lo <= 0 or lo < 0), "span")
+			assert((7 % 3) ^ 2 == 1 and 10 / 4 * 2 == 5.0, "arithmetic")
+			assert(fixes[1].lat ~= fixes[2] and fixes.missing == nil, "fixes")
+			assert("a\tb" < "b" and "b" > "a\n", "strings")
+			return hi - lo`,
+		AtUnix: []int64{enter.Unix(), enter.Add(30 * time.Minute).Unix()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(upload.Track) != 4 {
+		t.Fatalf("track = %d points, want 4", len(upload.Track))
+	}
+	for i, c := range []struct{ script, want string }{
+		{"local t = get_temperature_readings(1, 10)\nreturn t + 1", "2:10: attempt to perform arithmetic on a table value"},
+		{"return -get_location(1)", "1:8: attempt to negate a table value"},
+		{"return get_temperature_readings(1, 10) < 1", "attempt to compare table with number"},
+		{"return get_location(1) >= get_location(1)", "attempt to compare two table values"},
+		{"return #get_temperature_readings(1, 10)[1]", "1:8: attempt to get length of a number value"},
+		{"local x = nil return x.y", "1:23: attempt to index a nil value"},
+		{"assert(false)", "1:1: assertion failed!"},
+		{"error(42)", "1:1: 42"},
+		{"for _, v in ipairs(1) do end", "table expected, got number"},
+		{"local f = 1 f()", "1:13: attempt to call a number value"},
+		{"return 1e", "1:8: malformed number exponent"},
+		{"return 'a\\q'", "1:10: invalid escape"},
+		{`return "abc`, "1:8: unterminated string"},
+		{"if true then", `1:13: expected "end", found <eof>`},
+		{"local x = 1 return x return", "1:22: return must be the last statement"},
+		{"local = 1", `1:7: expected name, found "="`},
+		{"local x = (1", `1:13: expected ")"`},
+		{"for k v in ipairs(x) do end", `1:7: expected "in", found "v"`},
+		{"return get_location(1)[1 + ]", `1:28: unexpected "]"`},
+		{"x", "1:1: unknown name"},
+		{"get_location", "1:1: expression is not a statement"},
+	} {
+		g := newFrontend(t, world.GreenLakeTrail, &fakeSender{})
+		id := fmt.Sprintf("bad-%d", i)
+		_, err := g.ExecuteSchedule(context.Background(), &wire.Schedule{
+			TaskID: id, AppID: "a", UserID: "u", Script: c.script, AtUnix: []int64{enter.Unix()}})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("script %q: err = %v, want %q", c.script, err, c.want)
+		}
+		if info, _ := g.Task(id); info.State != TaskStateFailed {
+			t.Fatalf("script %q: task state = %v", c.script, info.State)
+		}
 	}
 }
 

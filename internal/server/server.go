@@ -18,7 +18,9 @@ import (
 	"time"
 
 	"sor/internal/coverage"
+	"sor/internal/device"
 	"sor/internal/geo"
+	"sor/internal/luascript"
 	"sor/internal/obs"
 	"sor/internal/ranking"
 	"sor/internal/schedule"
@@ -360,6 +362,11 @@ func (s *Server) CreateApp(app store.Application) error {
 	}
 	if app.Script == "" {
 		return errors.New("server: application needs a sensing script")
+	}
+	// A script outside the task language is refused here, with its
+	// position, rather than failing on every participant's phone.
+	if _, err := luascript.Parse(app.Script, device.ScriptFunctions); err != nil {
+		return fmt.Errorf("server: application script: %w", err)
 	}
 	return s.db.PutApp(app)
 }

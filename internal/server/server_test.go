@@ -1,7 +1,9 @@
 package server
 
 import (
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -117,6 +119,53 @@ func TestCreateAppValidation(t *testing.T) {
 	}
 	if err := s.CreateApp(starbucksApp()); err == nil {
 		t.Fatal("duplicate app must error")
+	}
+}
+
+// TestCreateAppRefusesScript: a script outside the task language is an
+// app-creation error naming its position, and nothing is stored.
+func TestCreateAppRefusesScript(t *testing.T) {
+	s, _ := newTestServer(t)
+	for _, c := range []struct{ script, want string }{
+		{"local t = get_temperature_readings(3, 5000)\nwhile true do end", "2:1: while loops are not supported"},
+		{"local t = get_temprature_readings(3, 5000)", `1:11: unknown name "get_temprature_readings"`},
+		{"return string.format('%d', 1)", `1:8: unknown name "string"`},
+	} {
+		app := starbucksApp()
+		app.Script = c.script
+		if err := s.CreateApp(app); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("CreateApp(%q) = %v, want %q", c.script, err, c.want)
+		}
+		if _, err := s.db.App(app.ID); err == nil {
+			t.Fatalf("refused app %q was stored", c.script)
+		}
+	}
+}
+
+// TestCreateAppAcceptsShippedScripts: every sensing script the repository
+// ships (the `const …Script` literals of the field test, the chaos soaks
+// and the fleet simulator, read from source because those packages import
+// this one) passes app creation.
+func TestCreateAppAcceptsShippedScripts(t *testing.T) {
+	lit := regexp.MustCompile("(?m)^const (\\w+Script) = `([^`]*)`")
+	found := 0
+	for _, file := range []string{"../fieldtest/fieldtest.go", "../chaos/fixture.go", "../fleetsim/fleetsim.go"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range lit.FindAllStringSubmatch(string(src), -1) {
+			s, _ := newTestServer(t)
+			app := starbucksApp()
+			app.Script = m[2]
+			if err := s.CreateApp(app); err != nil {
+				t.Errorf("%s: %v", m[1], err)
+			}
+			found++
+		}
+	}
+	if found != 4 {
+		t.Fatalf("found %d shipped scripts, want 4", found)
 	}
 }
 
