@@ -99,8 +99,8 @@ bench:
 # columnar and monolithic scaling tables still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
-	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestLateSampleCostIndependentOfHistory|TestPlainRunMemoryIndependentOfHistory|TestRecoveryAllocsPerUpload' -v ./internal/server/
-	$(GO) test -race -count=1 -run 'TestConcurrentOpsStoreTheLatestPlan' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse|TestReplanAllocsAndWork|TestJoinCostIndependentOfDeparted|TestFreshCycleAllocs|TestLateSampleCostIndependentOfHistory|TestPlainRunMemoryIndependentOfHistory|TestRecoveryAllocsPerUpload|TestPingCostIndependentOfApps' -v ./internal/server/
+	$(GO) test -race -count=1 -run 'TestConcurrentOpsStoreTheLatestPlan|TestUpsertRacesFeatureMatrix' -v ./internal/server/
 	$(GO) test -count=1 -run 'TestLazyGreedyMatchesEagerExactly' -v ./internal/schedule/
 	$(GO) test -count=1 -run 'TestEpochPatchCostIndependentOfPlaces' -v ./internal/ranking/
 	$(GO) test -race -short ./internal/schedule/ ./internal/server/

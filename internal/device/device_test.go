@@ -125,37 +125,24 @@ func TestClockAndPosition(t *testing.T) {
 }
 
 func TestTrailPhoneSensorSuite(t *testing.T) {
-	p := trailPhone(t, world.CliffTrail, 2)
-	fns := p.Manager().Functions()
-	want := map[string]bool{
-		FnTemperature: true, FnHumidity: true, FnAccel: true,
-		FnAltitude: true, FnLocation: true,
-	}
-	got := make(map[string]bool)
-	for _, f := range fns {
-		got[f] = true
-	}
-	for f := range want {
-		if !got[f] {
-			t.Fatalf("trail phone missing %s (has %v)", f, fns)
+	m := trailPhone(t, world.CliffTrail, 2).Manager()
+	for _, f := range []string{FnTemperature, FnHumidity, FnAccel, FnAltitude, FnLocation} {
+		if _, ok := m.Provider(f); !ok {
+			t.Fatalf("trail phone missing %s", f)
 		}
 	}
 	// Trails model no brightness/noise/wifi.
 	for _, f := range []string{FnLight, FnNoise, FnWiFi} {
-		if got[f] {
+		if _, ok := m.Provider(f); ok {
 			t.Fatalf("trail phone should not register %s", f)
 		}
 	}
 }
 
 func TestCoffeePhoneSensorSuite(t *testing.T) {
-	p := coffeePhone(t, world.Starbucks, 3)
-	got := make(map[string]bool)
-	for _, f := range p.Manager().Functions() {
-		got[f] = true
-	}
+	m := coffeePhone(t, world.Starbucks, 3).Manager()
 	for _, f := range []string{FnTemperature, FnLight, FnNoise, FnWiFi, FnLocation} {
-		if !got[f] {
+		if _, ok := m.Provider(f); !ok {
 			t.Fatalf("coffee phone missing %s", f)
 		}
 	}

@@ -485,15 +485,16 @@ func (f *Frontend) HandlePing(ctx context.Context) error {
 	return nil
 }
 
-// newTaskInterp builds the per-measurement interpreter with the sensor
-// host functions registered under the whitelist.
+// newTaskInterp builds the per-measurement interpreter with every
+// whitelisted host function registered: the phone's sensors acquire, and a
+// sensor the phone lacks raises an error naming it (which pcall can catch,
+// as it catches a denied sensor).
 func (f *Frontend) newTaskInterp(ctx context.Context, taskID string, at time.Time, col *collector) (*luascript.Interp, error) {
 	interp := luascript.NewInterp(
 		luascript.WithWhitelist(device.ScriptFunctions...),
 		luascript.WithContext(ctx),
 	)
-	mgr := f.phone.Manager()
-	for _, fn := range mgr.Functions() {
+	for _, fn := range device.ScriptFunctions {
 		if err := interp.Register(fn, f.hostFunc(ctx, taskID, fn, at, col)); err != nil {
 			return nil, fmt.Errorf("frontend: binding %s: %w", fn, err)
 		}
@@ -534,6 +535,9 @@ func (f *Frontend) acquireWithRetry(ctx context.Context, fn string, req sensors.
 // get_location(count) -> table of {lat, lon, alt} tables.
 func (f *Frontend) hostFunc(ctx context.Context, taskID, fn string, at time.Time, col *collector) luascript.GoFunc {
 	return func(args []luascript.Value) ([]luascript.Value, error) {
+		if _, ok := f.phone.Manager().Provider(fn); !ok {
+			return nil, fmt.Errorf("sensor %s not on this phone", fn)
+		}
 		if !f.prefs.Allowed(fn) {
 			return nil, fmt.Errorf("sensor %s disabled by user preference", fn)
 		}

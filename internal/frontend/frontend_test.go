@@ -314,6 +314,36 @@ func TestPreferenceDenialBlocksSensor(t *testing.T) {
 	}
 }
 
+// TestMissingSensorNamesItself: a whitelisted sensor the phone lacks
+// (a trail phone has no light sensor) fails the task with an error naming
+// the function, and a pcall guards it like a denied sensor.
+func TestMissingSensorNamesItself(t *testing.T) {
+	f := newFrontend(t, world.GreenLakeTrail, &fakeSender{})
+	if _, ok := f.phone.Manager().Provider(device.FnLight); ok {
+		t.Fatal("trail phone has a light sensor")
+	}
+	_, err := f.ExecuteSchedule(context.Background(), &wire.Schedule{TaskID: "light", AppID: "a", UserID: "u",
+		Script: "local l = get_light_readings(2, 1000) return #l", AtUnix: []int64{enter.Unix()}})
+	if err == nil || !strings.Contains(err.Error(), "sensor get_light_readings not on this phone") {
+		t.Fatalf("err = %v", err)
+	}
+	upload, err := f.ExecuteSchedule(context.Background(), &wire.Schedule{TaskID: "light2", AppID: "a", UserID: "u",
+		Script: `
+			local ok = pcall(function() return get_light_readings(2, 1000) end)
+			if not ok then
+				local t = get_temperature_readings(2, 1000)
+				return #t
+			end
+			return -1`,
+		AtUnix: []int64{enter.Unix()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(upload.Series) == 0 {
+		t.Fatal("fallback sensing produced no data")
+	}
+}
+
 // TestCancelInsidePcallFailsTask: a task cancelled while a pcall-guarded
 // host call runs fails, and no partial report is queued or sent.
 func TestCancelInsidePcallFailsTask(t *testing.T) {

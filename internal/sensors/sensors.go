@@ -189,17 +189,6 @@ func (m *Manager) Register(funcName string, p Provider) error {
 	return nil
 }
 
-// Functions lists registered acquisition function names.
-func (m *Manager) Functions() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.providers))
-	for name := range m.providers {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Provider returns the provider behind a function name.
 func (m *Manager) Provider(funcName string) (Provider, bool) {
 	m.mu.Lock()

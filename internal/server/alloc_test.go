@@ -4,8 +4,9 @@ package server
 // bound, is TestReplanAllocsAndWork, the join gate
 // TestJoinCostIndependentOfDeparted, the upload→rank cycle gate
 // TestFreshCycleAllocs, the late-sample gate
-// TestLateSampleCostIndependentOfHistory and the per-upload recovery gate
-// TestRecoveryAllocsPerUpload, further down; the count gates skip their
+// TestLateSampleCostIndependentOfHistory, the per-upload recovery gate
+// TestRecoveryAllocsPerUpload and the ping gate
+// TestPingCostIndependentOfApps, further down; the count gates skip their
 // count under the race detector, see race_on_test.go). A cached-hit rank query must
 // cost a small constant number of allocations — the profile map, the
 // canonical key string, and the wire response — independent of category
@@ -611,4 +612,77 @@ func TestRecoveryAllocsPerUpload(t *testing.T) {
 		t.Fatalf("recovery allocates %.1f times per stored upload, budget %d", perUpload, recoverAllocBudget)
 	}
 	t.Logf("recovery: %.1f allocations per stored upload (budget %d)", perUpload, recoverAllocBudget)
+}
+
+// TestPingCostIndependentOfApps gates the ping: it finds the caller's
+// active task through the store's per-user index, so the bytes one ping
+// allocates at 10 000 applications are at most twice those at 10 (a ping
+// that sorted and probed every application allocated a copy of the whole
+// table). The answer is the lowest application ID the user is active on.
+func TestPingCostIndependentOfApps(t *testing.T) {
+	perPing := func(apps int) float64 {
+		s, _ := newTestServer(t)
+		for i := 1; i < apps; i++ {
+			if err := s.DB().PutApp(store.Application{ID: fmt.Sprintf("ping-filler-%05d", i),
+				Category: world.CategoryCoffee, Place: fmt.Sprintf("ping-place-%05d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if err := s.CreateApp(concApp(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := concJoin(t, s, 1, "pinger")
+		h := s.Handler()
+		ping := &wire.Ping{Token: "tok-pinger"}
+		pinged := func() string {
+			resp, err := h(nil, ping)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ack := resp.(*wire.Ack)
+			if ack.Code == 204 {
+				return ""
+			}
+			inner, err := wire.Decode(ack.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inner.(*wire.Schedule).TaskID
+		}
+		if got := pinged(); got != want {
+			t.Fatalf("ping answered task %q, want %q", got, want)
+		}
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			pinged()
+		}
+		runtime.ReadMemStats(&after)
+		// A task on a lower app ID takes precedence; leaving it falls back.
+		lower := concJoin(t, s, 0, "pinger")
+		if got := pinged(); got != lower {
+			t.Fatalf("ping answered task %q, want the lower app's %q", got, lower)
+		}
+		for i, next := range []string{want, ""} {
+			resp, err := h(nil, &wire.Leave{UserID: "pinger", AppID: concApp(i).ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ack := resp.(*wire.Ack); !ack.OK {
+				t.Fatalf("leave %s refused: %s", concApp(i).ID, ack.Message)
+			}
+			if got := pinged(); got != next {
+				t.Fatalf("after leaving %s ping answered %q, want %q", concApp(i).ID, got, next)
+			}
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	small, large := perPing(10), perPing(10000)
+	if large > 2*small && !raceEnabled {
+		t.Fatalf("a ping allocates %.0f B at 10 000 apps, %.0f B at 10 (budget 2×)", large, small)
+	}
+	t.Logf("ping: %.0f B at 10 apps, %.0f B at 10 000", small, large)
 }

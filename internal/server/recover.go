@@ -66,13 +66,14 @@ func (s *Server) Kill() {
 // keep the legacy behavior: schedule rows still serve reads, and a new
 // timeline is anchored at the next participation.
 //
-// Memberships are restored serially (orphaning a waiting task is a store
-// write). The stored upload history is then drained once and split by
-// app, and each app is one job on runtime.GOMAXPROCS(0) workers: its one
-// replan, then each of its uploads in sequence order decoded once,
-// charged and folded, then its feature extraction. Only the feature
-// upserts — WAL records — run serially, in app-ID order, so recovery logs
-// the same bytes however the workers interleave.
+// Memberships are restored serially, in one pass over the participations
+// in (app, task) ID order (orphaning a waiting task is a store write).
+// The stored upload history is then drained once and split by app, and
+// each app is one job on runtime.GOMAXPROCS(0) workers: its one replan,
+// then each of its uploads in sequence order decoded once, charged and
+// folded, then its feature extraction. Only the feature upserts — WAL
+// records — run serially, in app-ID order, so recovery logs the same
+// bytes however the workers interleave.
 func (s *Server) recoverState() error {
 	t0 := time.Now()
 	for _, ar := range s.db.Anchors() {
@@ -90,59 +91,51 @@ func (s *Server) recoverState() error {
 	// event order: one replan as of it, over everybody restored, is the
 	// plan the live run's last replan made.
 	replanAt := make(map[string]time.Time)
-	for _, app := range s.db.Apps() {
-		st := s.states.get(app.ID)
-		var lastEvent time.Time
-		restored := false
-		for _, p := range s.db.ParticipationsByApp(app.ID) {
-			if n := taskNumber(p.TaskID); n > maxTask {
-				maxTask = n
-			}
-			if st == nil || p.Status == store.TaskError {
-				continue
-			}
-			if p.Status == store.TaskWaiting {
-				// The row was persisted but the scheduler join never
-				// committed (crash mid-participate, or a refused join).
-				// The phone never got a schedule; orphan the task so the
-				// user can scan again.
-				_ = s.db.UpdateParticipation(p.TaskID, func(row *store.Participation) {
-					row.Status = store.TaskError
-				})
-				continue
-			}
-			leave := p.LeaveBy
-			if leave.IsZero() {
-				leave = st.timeline.End()
-			}
-			finished := p.Status == store.TaskFinished
-			if err := st.online.Restore(schedule.Participant{
-				UserID: p.UserID,
-				Arrive: p.Joined,
-				Leave:  leave,
-				Budget: p.Budget,
-			}, finished); err != nil {
-				return fmt.Errorf("server: rejoining %s: %w", p.TaskID, err)
-			}
-			restored = true
-			event := p.Joined
-			if finished {
-				event = p.Left
-			}
-			if event.After(lastEvent) {
-				lastEvent = event
-			}
-			if finished {
-				continue
-			}
-			st.mu.Lock()
-			st.taskOf[p.UserID] = p.TaskID
-			st.tokenOf[p.UserID] = p.Token
-			st.mu.Unlock()
+	for _, p := range s.db.Participations() {
+		st := s.states.get(p.AppID)
+		if n := taskNumber(p.TaskID); n > maxTask {
+			maxTask = n
 		}
-		if restored {
-			replanAt[app.ID] = lastEvent
+		if st == nil || p.Status == store.TaskError {
+			continue
 		}
+		if p.Status == store.TaskWaiting {
+			// The row was persisted but the scheduler join never
+			// committed (crash mid-participate, or a refused join).
+			// The phone never got a schedule; orphan the task so the
+			// user can scan again.
+			_ = s.db.UpdateParticipation(p.TaskID, func(row *store.Participation) {
+				row.Status = store.TaskError
+			})
+			continue
+		}
+		leave := p.LeaveBy
+		if leave.IsZero() {
+			leave = st.timeline.End()
+		}
+		finished := p.Status == store.TaskFinished
+		if err := st.online.Restore(schedule.Participant{
+			UserID: p.UserID,
+			Arrive: p.Joined,
+			Leave:  leave,
+			Budget: p.Budget,
+		}, finished); err != nil {
+			return fmt.Errorf("server: rejoining %s: %w", p.TaskID, err)
+		}
+		event := p.Joined
+		if finished {
+			event = p.Left
+		}
+		if at, ok := replanAt[p.AppID]; !ok || event.After(at) {
+			replanAt[p.AppID] = event
+		}
+		if finished {
+			continue
+		}
+		st.mu.Lock()
+		st.taskOf[p.UserID] = p.TaskID
+		st.tokenOf[p.UserID] = p.Token
+		st.mu.Unlock()
 	}
 	// Never reissue a task ID that is already in the store.
 	if cur := s.taskSeq.Load(); maxTask > cur {

@@ -851,18 +851,15 @@ func (s *Server) handlePing(ctx context.Context, msg *wire.Ping) (wire.Message, 
 	}
 	// Find the user's active participation (any app). The schedule row is
 	// read from the database so it survives server restarts.
-	for _, app := range s.db.Apps() {
-		p, err := s.db.ActiveParticipationByUser(app.ID, user.ID)
-		if err != nil {
-			continue
-		}
-		payload, err := wire.Encode(s.storedSchedule(app, p.TaskID, p.UserID))
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Ack{OK: true, Code: 200, Message: "schedule", Payload: payload}, nil
+	app, p, err := s.db.ActiveTaskOfUser(user.ID)
+	if err != nil {
+		return &wire.Ack{OK: true, Code: 204, Message: "no active task"}, nil
 	}
-	return &wire.Ack{OK: true, Code: 204, Message: "no active task"}, nil
+	payload, err := wire.Encode(s.storedSchedule(app, p.TaskID, p.UserID))
+	if err != nil {
+		return nil, err
+	}
+	return &wire.Ack{OK: true, Code: 200, Message: "schedule", Payload: payload}, nil
 }
 
 // handleRankRequest runs the Personalizable Ranker over the category's
@@ -911,55 +908,25 @@ func (s *Server) handleRankRequest(ctx context.Context, msg *wire.RankRequest) (
 // FeatureMatrix assembles the ranking matrix H for a category from the
 // feature table (the Personalizable Ranker's read path; a snapshot rebuild
 // calls it for a category's first epoch and whenever the previous epoch
-// cannot be patched — see rebuildSnapshot): one unordered pass over the
-// category's rows rather than places×features store lookups, which
-// matters at 10k places. Rows are the category's applications in ID order;
-// a place without every catalog feature is skipped.
+// cannot be patched — see rebuildSnapshot): one lookup of each place's
+// rows rather than places×features store lookups, which matters at 10k
+// places. Rows are the category's places in the ID order of their first
+// applications, each listed once; a place without every catalog feature
+// is skipped.
 func (s *Server) FeatureMatrix(category string) (*ranking.Matrix, error) {
 	catalog, ok := s.catalog[category]
 	if !ok {
 		return nil, fmt.Errorf("server: no feature catalog for category %q", category)
 	}
-	apps := s.db.AppsByCategory(category)
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("server: no applications in category %q", category)
-	}
-	colIdx := make(map[string]int, len(catalog))
+	names := make([]string, len(catalog))
 	for j, f := range catalog {
-		colIdx[f.Name] = j
+		names[j] = f.Name
 	}
-	// One arena holds every application's row; have counts the catalog
-	// cells seen for it. Rows of places no application claims are dropped.
-	width := len(catalog)
-	slot := make(map[string]int, len(apps))
-	for i, app := range apps {
-		slot[app.Place] = i
-	}
-	arena := make([]float64, len(apps)*width)
-	have := make([]int, len(apps))
-	for _, row := range s.db.FeaturesByCategoryUnordered(category) {
-		j, ok := colIdx[row.Feature]
-		if !ok {
-			continue // stale feature outside the current catalog
-		}
-		if i, ok := slot[row.Place]; ok {
-			arena[i*width+j] = row.Value
-			have[i]++
-		}
-	}
-	m := &ranking.Matrix{Features: catalog, Places: make([]string, 0, len(apps)), Values: make([][]float64, 0, len(apps))}
-	for _, app := range apps {
-		i := slot[app.Place]
-		if have[i] != width {
-			continue // place not fully sensed yet
-		}
-		m.Places = append(m.Places, app.Place)
-		m.Values = append(m.Values, arena[i*width:(i+1)*width:(i+1)*width])
-	}
-	if len(m.Places) == 0 {
+	places, values := s.db.FeatureValues(category, names)
+	if len(places) == 0 {
 		return nil, fmt.Errorf("server: no fully sensed places in category %q", category)
 	}
-	return m, nil
+	return &ranking.Matrix{Features: catalog, Places: places, Values: values}, nil
 }
 
 // ExecutedInstants returns the app's recorded measurement instants, sorted

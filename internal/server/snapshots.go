@@ -246,7 +246,7 @@ func (s *Server) fullEpoch(category string) (*rankSnapshot, error) {
 // a later version and is re-read next epoch. Works unchanged on a
 // replica: ApplyReplicated stamps the same versions.
 func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
-	if prev == nil || prev.rowOf == nil {
+	if prev == nil {
 		return nil
 	}
 	changed, appJoined := s.db.ChangedPlaces(category, prev.builtFeatVer)
@@ -279,15 +279,11 @@ func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
 	return &rankSnapshot{cranker: cranker, features: prev.features, rowOf: prev.rowOf}
 }
 
-// rowIndex maps each place to its row, or returns nil when a place
-// appears twice.
+// rowIndex maps each place to its row (FeatureMatrix lists a place once).
 func rowIndex(places []string) map[string]int {
 	rowOf := make(map[string]int, len(places))
 	for i, p := range places {
 		rowOf[p] = i
-	}
-	if len(rowOf) != len(places) {
-		return nil
 	}
 	return rowOf
 }

@@ -365,7 +365,7 @@ func TestDurableDrainArchivesUploads(t *testing.T) {
 func TestActiveTaskIndexFollowsEveryWritePath(t *testing.T) {
 	check := func(t *testing.T, s *Store) {
 		t.Helper()
-		for key, want := range map[partKey]string{
+		for key, want := range map[struct{ AppID, UserID string }]string{
 			{"a1", "u1"}: "t2", // t1 finished; t2 and t3 both active: lowest ID
 			{"a1", "u2"}: "",   // t4 failed
 			{"a2", "u1"}: "t5",
@@ -377,6 +377,15 @@ func TestActiveTaskIndexFollowsEveryWritePath(t *testing.T) {
 				t.Fatalf("%v: got %+v, %v; want ErrNotFound", key, p, err)
 			case want != "" && (err != nil || p.TaskID != want):
 				t.Fatalf("%v: got %+v, %v; want %s", key, p, err, want)
+			}
+		}
+		for user, want := range map[string]string{"u1": "t2", "u2": "", "u9": ""} {
+			_, p, err := s.ActiveTaskOfUser(user)
+			switch {
+			case want == "" && !errors.Is(err, ErrNotFound):
+				t.Fatalf("%s: got %+v, %v; want ErrNotFound", user, p, err)
+			case want != "" && (err != nil || p.TaskID != want):
+				t.Fatalf("%s: got %+v, %v; want %s", user, p, err, want)
 			}
 		}
 	}

@@ -109,7 +109,11 @@ func (s *Store) capture() *image {
 	img.users = values(s.users)
 	img.apps = values(s.apps)
 	img.parts = values(s.participations)
-	img.feats = values(s.features)
+	for _, places := range s.features {
+		for _, rows := range places {
+			img.feats = append(img.feats, rows...)
+		}
+	}
 	img.anchors = make([]AnchorRow, 0, len(s.anchors))
 	for appID, unix := range s.anchors {
 		img.anchors = append(img.anchors, AnchorRow{AppID: appID, AnchorUnix: unix})
@@ -360,8 +364,7 @@ func (s *Store) restoreSection(payload []byte, in interner) error {
 		case partTag:
 			s.setParticipation(readPart(r, in))
 		case featTag:
-			f := readFeat(r, in)
-			s.features[featureKey{f.Category, f.Place, f.Feature}] = f
+			s.putFeature(readFeat(r, in))
 		case schedTag:
 			row := readSched(r, in)
 			s.schedShards[shardIndex(row.TaskID)].rows[row.TaskID] = row

@@ -370,7 +370,7 @@ func randomStore(rng *rand.Rand) *Store {
 	}
 	for i := n(); i >= 0; i-- {
 		f := FeatureRow{Category: str(), Place: id(i), Feature: str(), Value: flt(), Samples: rng.Intn(1000), Updated: tm()}
-		s.features[featureKey{f.Category, f.Place, f.Feature}] = f
+		s.putFeature(f)
 	}
 	for i := n(); i >= 0; i-- {
 		r := ScheduleRow{TaskID: id(i), AppID: str(), UserID: str()}

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sor/internal/wal"
 )
@@ -305,12 +306,15 @@ type Store struct {
 	users          map[string]User
 	apps           map[string]Application
 	participations map[string]Participation
-	// activeTasks indexes participations by (app, user): the IDs of the
-	// tasks neither finished nor failed, ascending. Derived — rebuilt by
-	// every path that writes participations, never persisted.
-	activeTasks map[partKey][]string
-	features    map[featureKey]FeatureRow
-	anchors     map[string]int64 // appID -> scheduling-period anchor (unix seconds)
+	// activeTasks indexes participations by user: the (app, task) IDs of
+	// the user's tasks neither finished nor failed, ascending. Derived —
+	// rebuilt by every path that writes participations, never persisted.
+	activeTasks map[string][]activeTask
+	// features is the feature table: category -> place -> that place's
+	// rows, ascending by feature name; tails is carve's per-category state.
+	features map[string]map[string][]FeatureRow
+	tails    map[string]string
+	anchors  map[string]int64 // appID -> scheduling-period anchor (unix seconds)
 
 	uploadSeq    atomic.Int64
 	uploadShards [numShards]uploadShard
@@ -356,12 +360,14 @@ type placeBump struct {
 	place string
 }
 
-type featureKey struct {
-	Category, Place, Feature string
+// activeTask is one entry of a user's active-task index.
+type activeTask struct {
+	AppID, TaskID string
 }
 
-type partKey struct {
-	AppID, UserID string
+// byAppTask orders activeTask entries by app ID, then task ID.
+func byAppTask(a, b activeTask) int {
+	return cmp.Or(strings.Compare(a.AppID, b.AppID), strings.Compare(a.TaskID, b.TaskID))
 }
 
 // New creates an empty store.
@@ -370,8 +376,9 @@ func New() *Store {
 		users:          make(map[string]User),
 		apps:           make(map[string]Application),
 		participations: make(map[string]Participation),
-		activeTasks:    make(map[partKey][]string),
-		features:       make(map[featureKey]FeatureRow),
+		activeTasks:    make(map[string][]activeTask),
+		features:       make(map[string]map[string][]FeatureRow),
+		tails:          make(map[string]string),
 		anchors:        make(map[string]int64),
 	}
 	for i := range s.schedShards {
@@ -481,14 +488,25 @@ func (s *Store) App(id string) (Application, error) {
 func (s *Store) AppsByCategory(category string) []Application {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Application
-	for _, a := range s.apps {
+	ids := s.appIDsByCategory(category)
+	out := make([]Application, len(ids))
+	for i, id := range ids {
+		out[i] = s.apps[id]
+	}
+	return out
+}
+
+// appIDsByCategory lists the IDs of a category's applications, ascending.
+// Caller holds s.mu.
+func (s *Store) appIDsByCategory(category string) []string {
+	var ids []string
+	for id, a := range s.apps {
 		if a.Category == category {
-			out = append(out, a)
+			ids = append(ids, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	sort.Strings(ids)
+	return ids
 }
 
 // Apps lists all applications sorted by ID.
@@ -535,23 +553,21 @@ func (p Participation) active() bool {
 // s.mu or owns the store.
 func (s *Store) setParticipation(p Participation) {
 	if old, ok := s.participations[p.TaskID]; ok && old.active() {
-		key := partKey{old.AppID, old.UserID}
-		ids := s.activeTasks[key]
-		if i, found := slices.BinarySearch(ids, old.TaskID); found {
-			ids = slices.Delete(ids, i, i+1)
+		tasks := s.activeTasks[old.UserID]
+		if i, found := slices.BinarySearchFunc(tasks, activeTask{old.AppID, old.TaskID}, byAppTask); found {
+			tasks = slices.Delete(tasks, i, i+1)
 		}
-		if len(ids) == 0 {
-			delete(s.activeTasks, key)
+		if len(tasks) == 0 {
+			delete(s.activeTasks, old.UserID)
 		} else {
-			s.activeTasks[key] = ids
+			s.activeTasks[old.UserID] = tasks
 		}
 	}
 	s.participations[p.TaskID] = p
 	if p.active() {
-		key := partKey{p.AppID, p.UserID}
-		ids := s.activeTasks[key]
-		i, _ := slices.BinarySearch(ids, p.TaskID)
-		s.activeTasks[key] = slices.Insert(ids, i, p.TaskID)
+		tasks := s.activeTasks[p.UserID]
+		i, _ := slices.BinarySearchFunc(tasks, activeTask{p.AppID, p.TaskID}, byAppTask)
+		s.activeTasks[p.UserID] = slices.Insert(tasks, i, activeTask{p.AppID, p.TaskID})
 	}
 }
 
@@ -598,13 +614,36 @@ func (s *Store) ParticipationsByApp(appID string) []Participation {
 	return out
 }
 
+// Participations lists every task sorted by app ID, then task ID.
+func (s *Store) Participations() []Participation {
+	s.mu.RLock()
+	out := values(s.participations)
+	s.mu.RUnlock()
+	slices.SortFunc(out, func(a, b Participation) int {
+		return byAppTask(activeTask{a.AppID, a.TaskID}, activeTask{b.AppID, b.TaskID})
+	})
+	return out
+}
+
+// ActiveTaskOfUser finds a user's non-finished task on any application (the
+// one ActiveParticipationByUser gives for the lowest app ID) and its app.
+func (s *Store) ActiveTaskOfUser(userID string) (Application, Participation, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if tasks := s.activeTasks[userID]; len(tasks) > 0 {
+		return s.apps[tasks[0].AppID], s.participations[tasks[0].TaskID], nil
+	}
+	return Application{}, Participation{}, fmt.Errorf("%w: active task for %s", ErrNotFound, userID)
+}
+
 // ActiveParticipationByUser finds a user's non-finished task for an app;
 // should there be several, the one with the lowest task ID.
 func (s *Store) ActiveParticipationByUser(appID, userID string) (Participation, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if ids := s.activeTasks[partKey{appID, userID}]; len(ids) > 0 {
-		return s.participations[ids[0]], nil
+	tasks := s.activeTasks[userID]
+	if i, _ := slices.BinarySearchFunc(tasks, activeTask{AppID: appID}, byAppTask); i < len(tasks) && tasks[i].AppID == appID {
+		return s.participations[tasks[i].TaskID], nil
 	}
 	return Participation{}, fmt.Errorf("%w: active task for %s/%s", ErrNotFound, appID, userID)
 }
@@ -960,21 +999,69 @@ func (s *Store) UpsertFeature(row FeatureRow) error {
 	if row.Category == "" || row.Place == "" || row.Feature == "" {
 		return errors.New("store: feature row needs category, place and feature")
 	}
-	key := featureKey{row.Category, row.Place, row.Feature}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
 	s.mu.Lock()
-	old, existed := s.features[key]
 	if err := s.logOp(&walOp{tag: featTag, feat: row}); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.features[key] = row
+	old, existed := s.putFeature(row)
 	s.mu.Unlock()
 	if !existed || old.Value != row.Value || old.Samples != row.Samples {
 		s.bumpFeaturePlace(row.Category, row.Place)
 	}
 	return nil
+}
+
+// putFeature writes one row into the feature table and returns the row it
+// replaced, if any. Caller holds s.mu or owns the store.
+func (s *Store) putFeature(row FeatureRow) (old FeatureRow, existed bool) {
+	places := s.features[row.Category]
+	if places == nil {
+		places = make(map[string][]FeatureRow)
+		s.features[row.Category] = places
+	}
+	rows := places[row.Place]
+	i, found := findFeature(rows, row.Feature)
+	if found {
+		old, rows[i] = rows[i], row
+		return old, true
+	}
+	if len(rows) == cap(rows) {
+		rows = s.carve(places, row.Category, row.Place, rows)
+	}
+	places[row.Place] = slices.Insert(rows, i, row)
+	return FeatureRow{}, false
+}
+
+// slabRows is the size of a feature slab: the rows that fill a 32 KB
+// allocation.
+const slabRows = 32 << 10 / int(unsafe.Sizeof(FeatureRow{}))
+
+// carve moves a place's full run of rows to the free end of its category's
+// newest slab (or a new one), where it grows in place until the next carve
+// clips it: 10 000 places are 110 slabs for the collector to mark, not
+// 10 000 objects. A place's rows arrive together (a snapshot is sorted, a
+// refresh writes an app's features in turn), so few runs are left dead in
+// a slab. Caller holds s.mu.
+func (s *Store) carve(places map[string][]FeatureRow, category, place string, rows []FeatureRow) []FeatureRow {
+	var free []FeatureRow
+	if tail, ok := s.tails[category]; ok {
+		t := places[tail]
+		free = t[len(t):]
+		places[tail] = t[:len(t):len(t)]
+	}
+	if cap(free) <= len(rows) {
+		free = make([]FeatureRow, 0, max(slabRows, 2*len(rows)+1))
+	}
+	s.tails[category] = place
+	return append(free, rows...)
+}
+
+// findFeature finds a feature in one place's rows (ascending by name).
+func findFeature(rows []FeatureRow, feature string) (int, bool) {
+	return slices.BinarySearchFunc(rows, feature, func(r FeatureRow, f string) int { return strings.Compare(r.Feature, f) })
 }
 
 // FeatureVersion returns the category's monotone feature-change counter.
@@ -1042,47 +1129,65 @@ func (s *Store) UploadSeq() int64 { return s.uploadSeq.Load() }
 func (s *Store) Feature(category, place, feature string) (FeatureRow, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	row, ok := s.features[featureKey{category, place, feature}]
+	rows := s.features[category][place]
+	i, ok := findFeature(rows, feature)
 	if !ok {
 		return FeatureRow{}, fmt.Errorf("%w: feature %s/%s/%s", ErrNotFound, category, place, feature)
 	}
-	return row, nil
+	return rows[i], nil
 }
 
 // FeaturesByCategory returns all rows of a category sorted by place then
 // feature.
 func (s *Store) FeaturesByCategory(category string) []FeatureRow {
-	out := s.FeaturesByCategoryUnordered(category)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Place != out[j].Place {
-			return out[i].Place < out[j].Place
-		}
-		return out[i].Feature < out[j].Feature
-	})
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	table := s.features[category]
+	places := make([]string, 0, len(table))
+	n := 0
+	for place, rows := range table {
+		places = append(places, place)
+		n += len(rows)
+	}
+	sort.Strings(places)
+	out := make([]FeatureRow, 0, n)
+	for _, place := range places {
+		out = append(out, table[place]...)
+	}
 	return out
 }
 
-// FeaturesByCategoryUnordered returns all rows of a category in no
-// particular order, for a caller that buckets them itself (the full
-// feature-matrix build) and should not pay for a sort it discards.
-func (s *Store) FeaturesByCategoryUnordered(category string) []FeatureRow {
+// FeatureValues reads a category's ranking matrix: the places of its
+// applications in ID order, each once (at its first application), with the
+// values of the named features in the order given, skipping a place that
+// lacks one. Values are copied under the lock: nothing aliases the table.
+func (s *Store) FeatureValues(category string, features []string) (places []string, values [][]float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Counted first: growing an 88-byte-row slice to a category's size by
-	// append costs more than the second walk of the table.
-	n := 0
-	for key := range s.features {
-		if key.Category == category {
-			n++
+	ids := s.appIDsByCategory(category)
+	table, width := s.features[category], len(features)
+	arena := make([]float64, 0, len(ids)*width)
+	listed := make(map[string]struct{}, len(ids))
+	for _, id := range ids {
+		place := s.apps[id].Place
+		if _, dup := listed[place]; dup {
+			continue
 		}
-	}
-	out := make([]FeatureRow, 0, n)
-	for _, row := range s.features {
-		if row.Category == category {
-			out = append(out, row)
+		listed[place] = struct{}{}
+		rows, start := table[place], len(arena)
+		for _, f := range features {
+			if i, ok := findFeature(rows, f); ok {
+				arena = append(arena, rows[i].Value)
+			}
 		}
+		if len(arena)-start != width {
+			arena = arena[:start] // place not fully sensed yet
+			continue
+		}
+		places = append(places, place)
+		values = append(values, arena[start:len(arena):len(arena)])
 	}
-	return out
+	return places, values
 }
 
 // ---- Schedules ----

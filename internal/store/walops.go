@@ -156,9 +156,8 @@ func (s *Store) applyDecoded(op *walOp) {
 	case partTag:
 		s.setParticipation(op.part)
 	case featTag:
-		f := op.feat
-		s.features[featureKey{f.Category, f.Place, f.Feature}] = f
-		s.bumpFeaturePlace(f.Category, f.Place)
+		s.putFeature(op.feat)
+		s.bumpFeaturePlace(op.feat.Category, op.feat.Place)
 	case schedTag:
 		s.schedShards[shardIndex(op.sched.TaskID)].rows[op.sched.TaskID] = op.sched
 	case anchorTag:
