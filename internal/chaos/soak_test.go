@@ -268,7 +268,7 @@ func (d digestState) digest(t *testing.T) string {
 		TaskID: "task-1", UserID: "u", Token: "tok", AppID: fleetApp.id, Budget: d.budget, Joined: soakEpoch}))
 	must(db.PutAnchor(fleetApp.id, d.anchor))
 	_, err := db.Ingest(fleetApp.id, [][]byte{d.body},
-		store.IngestOptions{Received: soakEpoch, ReportIDs: []string{d.reportID}, CopyBodies: true})
+		store.IngestOptions{Received: soakEpoch, ReportIDs: []string{d.reportID}})
 	must(err)
 	must(db.UpsertFeature(store.FeatureRow{Category: fleetApp.category, Place: fleetApp.place,
 		Feature: "noise", Value: d.value, Samples: 3, Updated: d.updated}))

@@ -546,16 +546,17 @@ func TestPlainRunMemoryIndependentOfHistory(t *testing.T) {
 }
 
 // recoverAllocBudget is the gate on what recovery allocates per stored
-// upload. Measured today: 1.3. Each worker decodes every upload into one
-// reused message (wire.DecodeUpload), so a decode allocates only the
-// report's ReportID — unique per report — while its other IDs and sensor
-// names repeat and are kept, and its slices are reused; the fold steps
-// the readings into accumulators of a few floats, the charge
-// reuses the worker's instants buffer, and the history drain hands each
-// app's rows over without a copy per job. A fresh message per decode puts
-// 19.7 here, and a second decode per body, an allocation per folded
-// sample or a map per upload to find its instants more still.
-const recoverAllocBudget = 4
+// upload. Measured: 1.3, of which 1.0 is the ReportID string. Each worker
+// decodes every upload into one reused message (wire.DecodeUpload), so a
+// decode allocates only the report's ReportID — unique per report — while
+// its other IDs and sensor names repeat and are kept, and its slices are
+// reused; the fold steps the readings into accumulators of a few floats,
+// the charge reuses the worker's instants buffer, and the history drain
+// hands each app's rows over without a copy per job, their bodies
+// aliasing the store's slabs. A fresh message per decode puts 19.7 here,
+// and a second decode per body, an allocation per folded sample or a map
+// per upload to find its instants more still.
+const recoverAllocBudget = 2
 
 // TestRecoveryAllocsPerUpload gates recovery's cost per stored upload: a
 // server restarted over a store holding 1 024 uploads across 4 apps must
@@ -685,4 +686,58 @@ func TestPingCostIndependentOfApps(t *testing.T) {
 		t.Fatalf("a ping allocates %.0f B at 10 000 apps, %.0f B at 10 (budget 2×)", large, small)
 	}
 	t.Logf("ping: %.0f B at 10 apps, %.0f B at 10 000", small, large)
+}
+
+// TestPingCostIndependentOfUsers gates the ping's token lookup: the store
+// finds the caller through its token index, so a ping at 20 000 users
+// takes at most three times what it takes at 10 (a walk over every user
+// took twelve). A token another user shares answers for the lower ID.
+func TestPingCostIndependentOfUsers(t *testing.T) {
+	perPing := func(users int) time.Duration {
+		s, _ := newTestServer(t)
+		for i := 1; i < users; i++ {
+			if err := s.DB().PutUser(store.User{ID: fmt.Sprintf("ping-filler-%05d", i), Token: fmt.Sprintf("tok-filler-%05d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.DB().PutUser(store.User{ID: "zz-shares-the-token", Token: "tok-pinger"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateApp(concApp(0)); err != nil {
+			t.Fatal(err)
+		}
+		want := concJoin(t, s, 0, "pinger")
+		h := s.Handler()
+		ping := &wire.Ping{Token: "tok-pinger"}
+		pinged := func() string {
+			resp, err := h(nil, ping)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner, err := wire.Decode(resp.(*wire.Ack).Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inner.(*wire.Schedule).TaskID
+		}
+		if got := pinged(); got != want {
+			t.Fatalf("ping answered task %q, want the lower user ID's %q", got, want)
+		}
+		// The fastest of five rounds: what the lookup costs, not the noise.
+		const rounds, n = 5, 200
+		best := time.Duration(math.MaxInt64)
+		for range rounds {
+			start := time.Now()
+			for range n {
+				pinged()
+			}
+			best = min(best, time.Since(start)/n)
+		}
+		return best
+	}
+	small, large := perPing(10), perPing(20000)
+	if large > 3*small && !raceEnabled {
+		t.Fatalf("a ping takes %v at 20 000 users, %v at 10 (budget 3×)", large, small)
+	}
+	t.Logf("ping: %v at 10 users, %v at 20 000", small, large)
 }

@@ -374,7 +374,7 @@ func (c *profileCache) getOrCompute(epoch int64, key string, fill func() (*ranki
 	c.mu.Lock()
 	if epoch > c.epoch {
 		c.epoch = epoch
-		c.items = make(map[string]*list.Element, c.max)
+		clear(c.items)
 		c.lru.Init()
 	} else if epoch < c.epoch {
 		c.mu.Unlock()

@@ -227,6 +227,37 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestProfileCacheEpochAdvanceAllocatesNoMap: an epoch advance empties
+// the cache in place. The first query of a new epoch allocates what a miss
+// within an epoch does (its entry), not a new 256-entry map — on a store
+// under writes every rank advances the epoch.
+func TestProfileCacheEpochAdvanceAllocatesNoMap(t *testing.T) {
+	var c profileCache
+	c.init(256)
+	res := &ranking.Result{}
+	fill := func() (*ranking.Result, error) { return res, nil }
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("profile-%d", i)
+	}
+	epoch, next := int64(1), 0
+	query := func() {
+		if _, err := c.getOrCompute(epoch, keys[next%len(keys)], fill); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range 256 {
+		query()
+	}
+	miss := testing.AllocsPerRun(100, query) // each key evicted 768 queries before it returns
+	advance := testing.AllocsPerRun(100, func() { epoch++; query() })
+	if advance > miss {
+		t.Fatalf("a query at a new epoch allocates %.1f times, a miss within one %.1f", advance, miss)
+	}
+	t.Logf("%.1f allocations for a query at a new epoch, %.1f for a miss within one", advance, miss)
+}
+
 // TestProfileCacheEviction checks the LRU bound holds and evicts the least
 // recently used profile.
 func TestProfileCacheEviction(t *testing.T) {

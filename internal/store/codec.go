@@ -58,12 +58,16 @@ var errUpgrade = errors.New("written by a build before the binary row codec; see
 // putTime writes the zero time as uvarint 0, anything else as
 // uvarint(nanoseconds+1) then varint(Unix seconds).
 func putTime(w *wire.Writer, t time.Time) {
-	if t.IsZero() {
-		w.PutUvarint(0)
-		return
+	sec, nsec := stamp(t)
+	putStamp(w, sec, nsec)
+}
+
+// putStamp is putTime of a time held as stamp returns it.
+func putStamp(w *wire.Writer, sec int64, nsec uint32) {
+	w.PutUvarint(uint64(nsec))
+	if nsec != 0 {
+		w.PutVarint(sec)
 	}
-	w.PutUvarint(uint64(t.Nanosecond()) + 1)
-	w.PutVarint(t.Unix())
 }
 
 func putUser(w *wire.Writer, u *User) {
@@ -121,28 +125,27 @@ func putAnchor(w *wire.Writer, a *AnchorRow) {
 	w.PutVarint(a.AnchorUnix)
 }
 
-// storedUpload is one upload row as a snapshot holds it: the row plus
-// which side of the drain it was on.
+// storedUpload is one upload row as a snapshot holds it: the row, the
+// cut of its shard, and which side of the drain it was on.
 type storedUpload struct {
-	*RawUpload
+	*uploadRow
+	cut      *shardCut
 	archived bool
 }
 
 func putUpload(w *wire.Writer, up *storedUpload) {
-	w.PutVarint(up.Seq)
-	w.PutString(up.AppID)
-	w.PutString(up.RequestID)
-	putTime(w, up.Received)
+	w.PutVarint(up.seq)
+	w.PutString(up.cut.apps[up.app])
+	w.PutBytes(up.cut.bytes(up.req))
+	putStamp(w, up.sec, up.nsec)
 	w.PutBool(up.archived)
-	w.PutBytes(up.Body)
+	w.PutBytes(up.cut.bytes(up.body))
 }
 
-func putWindow(w *wire.Writer, win *ReportWindowRow) {
-	w.PutString(win.AppID)
-	w.PutUvarint(uint64(len(win.IDs)))
-	for _, id := range win.IDs {
-		w.PutString(id)
-	}
+func putWindow(w *wire.Writer, win *windowCut) {
+	w.PutString(win.appID)
+	w.PutUvarint(uint64(len(win.ids)))
+	win.each(w.PutBytes)
 }
 
 // appendIngestRecord renders one Ingest call as a WAL record:
@@ -152,15 +155,15 @@ func putWindow(w *wire.Writer, win *ReportWindowRow) {
 //
 // It appends (callers recycle the buffer through encPool; wal.Enqueue
 // copies the payload before returning).
-func appendIngestRecord(buf []byte, appID string, baseSeq int64, received time.Time, requestID string, rows []RawUpload, ids []string) []byte {
+func appendIngestRecord(buf []byte, appID string, baseSeq int64, received time.Time, requestID string, bodies [][]byte, ids []string) []byte {
 	w := wire.NewWriter(append(buf, ingestTag))
 	w.PutString(appID)
 	w.PutString(requestID)
 	putTime(w, received)
 	w.PutVarint(baseSeq)
-	w.PutUvarint(uint64(len(rows)))
-	for i := range rows {
-		w.PutBytes(rows[i].Body)
+	w.PutUvarint(uint64(len(bodies)))
+	for _, body := range bodies {
+		w.PutBytes(body)
 	}
 	w.PutUvarint(uint64(len(ids)))
 	for _, id := range ids {
@@ -251,28 +254,42 @@ func readAnchor(r *wire.Reader) AnchorRow {
 	return AnchorRow{AppID: str(r), AnchorUnix: r.Varint()}
 }
 
-// readUpload reads an upload row and its archived flag.
-func readUpload(r *wire.Reader, in interner) (RawUpload, bool) {
-	up := RawUpload{Seq: r.Varint(), AppID: in.str(r), RequestID: str(r), Received: readTime(r)}
+// readUpload reads an upload row and its archived flag into its shard of
+// s, copying the bytes into the shard's slabs.
+func (s *Store) readUpload(r *wire.Reader, in interner) {
+	seq, appID, req, received := r.Varint(), in.str(r), r.Raw(), readTime(r)
 	archived := r.Bool()
-	up.Body = r.Bytes()
-	return up, archived
-}
-
-func readWindow(r *wire.Reader) ReportWindowRow {
-	w := ReportWindowRow{AppID: str(r)}
-	w.IDs = make([]string, r.Count(reportWindowSize))
-	for i := range w.IDs {
-		w.IDs[i] = str(r)
+	body := r.Raw()
+	if r.Err() != nil {
+		return
 	}
-	return w
+	sh := &s.uploadShards[shardIndex(appID)]
+	sh.add(sh.row(appID, seq, received, req, body), archived)
 }
 
+// readWindow reads one application's dedup window into s, refusing a
+// second window for the app and an id that repeats.
+func (s *Store) readWindow(r *wire.Reader) error {
+	appID := str(r)
+	sh := &s.uploadShards[shardIndex(appID)]
+	if _, dup := sh.windows[appID]; dup {
+		return fmt.Errorf("second window for app %q", appID)
+	}
+	w := sh.window(appID)
+	for n := r.Count(reportWindowSize); n > 0 && r.Err() == nil; n-- {
+		if id := r.Raw(); r.Err() == nil && !w.mark(id) {
+			return fmt.Errorf("window for app %q repeats an id", appID)
+		}
+	}
+	return nil
+}
+
+// readIngest reads an ingest record; its bodies and ids alias the record.
 func readIngest(r *wire.Reader) ingestOp {
-	in := ingestOp{AppID: str(r), RequestID: str(r), Received: readTime(r), BaseSeq: r.Varint()}
+	in := ingestOp{AppID: str(r), RequestID: r.Raw(), Received: readTime(r), BaseSeq: r.Varint()}
 	in.Bodies = make([][]byte, r.Count(math.MaxInt))
 	for i := range in.Bodies {
-		in.Bodies[i] = r.Bytes()
+		in.Bodies[i] = r.Raw()
 	}
 	// Marks parallel the bodies, or there are none.
 	if n := r.Count(math.MaxInt); n > 0 {
@@ -280,9 +297,9 @@ func readIngest(r *wire.Reader) ingestOp {
 			r.Fail(fmt.Errorf("%w: %d marks for %d bodies", wire.ErrBadPayload, n, len(in.Bodies)))
 			return in
 		}
-		in.ReportIDs = make([]string, n)
+		in.ReportIDs = make([][]byte, n)
 		for i := range in.ReportIDs {
-			in.ReportIDs[i] = str(r)
+			in.ReportIDs[i] = r.Raw()
 		}
 	}
 	return in

@@ -415,6 +415,14 @@ func TestActiveTaskIndexFollowsEveryWritePath(t *testing.T) {
 		}
 	}
 	check(t, st)
+	checkEveryWritePath(t, leader, check)
+}
+
+// checkEveryWritePath runs check on the stores every other write path
+// builds from what leader holds: a follower fed by ApplyReplicated, the
+// same follower reopened over its WAL, and a store reopened from the
+// leader's checkpoint shipped as a snapshot.
+func checkEveryWritePath(t *testing.T, leader *DurableBackend, check func(*testing.T, *Store)) {
 
 	reopen := func(dir string) *Store {
 		t.Helper()
@@ -469,15 +477,46 @@ func TestActiveTaskIndexFollowsEveryWritePath(t *testing.T) {
 	})
 }
 
+// TestTokenIndexFollowsEveryWritePath: UserByToken answers from an index
+// every write path keeps — PutUser, ApplyReplicated, WAL replay, snapshot
+// restore — and a token two users share names the lowest user ID.
+func TestTokenIndexFollowsEveryWritePath(t *testing.T) {
+	check := func(t *testing.T, s *Store) {
+		t.Helper()
+		for token, want := range map[string]string{"tok-a": "u1", "tok-b": "u2", "tok-c": ""} {
+			u, err := s.UserByToken(token)
+			switch {
+			case want == "" && !errors.Is(err, ErrNotFound):
+				t.Fatalf("%s: got %+v, %v; want ErrNotFound", token, u, err)
+			case want != "" && (err != nil || u.ID != want || u.Token != token):
+				t.Fatalf("%s: got %+v, %v; want %s", token, u, err, want)
+			}
+		}
+	}
+	leader := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	st, err := leader.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for _, u := range []User{{"u3", "c", "tok-a"}, {"u2", "b", "tok-b"}, {"u1", "a", "tok-a"}, {"u5", "e", "tok-a"}} {
+		if err := st.PutUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(t, st)
+	checkEveryWritePath(t, leader, check)
+}
+
 // TestArchiveRetentionIndependentOfDrainCadence: what an archiving store
 // retains per drained row must not depend on how often it was drained —
 // a drain after every put must not park a mostly empty 512-row chunk
-// (≈ 45 KB) per row. Every cadence archives the same rows in the same
-// order at within 2× of the same bytes, and a slice a drain handed out
-// stays what it was.
+// (24 KB) per row. Every cadence archives the same rows in the same order
+// at within 2× of the same bytes, at most two rows' worth per row, and a
+// slice a drain handed out stays what it was.
 func TestArchiveRetentionIndependentOfDrainCadence(t *testing.T) {
 	const rows = 10000
-	rowBytes := int(unsafe.Sizeof(RawUpload{}))
+	rowBytes := int(unsafe.Sizeof(uploadRow{}))
 	type outcome struct {
 		all      []RawUpload
 		retained int // bytes of chunk backing arrays held by done
@@ -505,9 +544,9 @@ func TestArchiveRetentionIndependentOfDrainCadence(t *testing.T) {
 		var out outcome
 		for i := range s.uploadShards {
 			sh := &s.uploadShards[i]
-			for k, c := range sh.done {
-				if len(c) < uploadChunkSize && k != len(sh.done)-1 {
-					t.Fatalf("drain every %d: archived chunk %d of %d holds %d rows", drainEvery, k, len(sh.done), len(c))
+			for k, c := range sh.archived {
+				if len(c) < uploadChunkSize && k != len(sh.archived)-1 {
+					t.Fatalf("drain every %d: archived chunk %d of %d holds %d rows", drainEvery, k, len(sh.archived), len(c))
 				}
 				out.retained += cap(c) * rowBytes
 			}
@@ -622,9 +661,8 @@ func historyRows(history []AppHistory) []RawUpload {
 	return rows
 }
 
-// TestDrainHistoryRunsPerApp: a writer claims its sequence numbers before
-// it takes the upload-shard lock, so two apps sharing a shard can enqueue
-// rows out of sequence order. DrainHistory must still hand back the apps
+// TestDrainHistoryRunsPerApp: rows enqueued into a shard out of sequence
+// order, two apps sharing it. DrainHistory must still hand back the apps
 // in ID order, each app's run in sequence order, every row exactly once,
 // and archive them all again.
 func TestDrainHistoryRunsPerApp(t *testing.T) {
@@ -644,7 +682,7 @@ func TestDrainHistoryRunsPerApp(t *testing.T) {
 	enqueue := func(row RawUpload) {
 		sh := &s.uploadShards[shardIndex(row.AppID)]
 		sh.mu.Lock()
-		sh.put(row)
+		sh.add(sh.row(row.AppID, row.Seq, row.Received, nil, row.Body), false)
 		sh.mu.Unlock()
 	}
 	// Claim 1..rows in order, enqueue each window of 8 claims shuffled, and

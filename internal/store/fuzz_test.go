@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -21,7 +22,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	full := New() // one window full and evicting: its ring has wrapped
+	for i := range reportWindowSize + 100 {
+		full.uploadShards[shardIndex("a1")].window("a1").mark(fmt.Appendf(nil, "r-%d", i))
+	}
+	fullWindow, err := full.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(healthy)
+	f.Add(fullWindow)
 	f.Add(random[:min(len(random), 4096)])
 	f.Add(healthy[:len(healthy)-3])
 	flipped := bytes.Clone(healthy)
@@ -57,11 +67,11 @@ func encodeWALOp(op *walOp) []byte {
 		return op.appendTo(nil)
 	}
 	in := &op.ingest
-	rows := make([]RawUpload, len(in.Bodies))
-	for i, body := range in.Bodies {
-		rows[i].Body = body
+	var ids []string
+	for _, id := range in.ReportIDs {
+		ids = append(ids, string(id))
 	}
-	return appendIngestRecord(nil, in.AppID, in.BaseSeq, in.Received, in.RequestID, rows, in.ReportIDs)
+	return appendIngestRecord(nil, in.AppID, in.BaseSeq, in.Received, string(in.RequestID), in.Bodies, ids)
 }
 
 // FuzzWALOpDecode feeds arbitrary bytes to the WAL record decoder, as
@@ -76,8 +86,8 @@ func FuzzWALOpDecode(f *testing.F) {
 		{tag: featTag, feat: FeatureRow{Category: "c", Place: "p", Feature: "f", Value: 73.5, Samples: 12, Updated: now}},
 		{tag: schedTag, sched: ScheduleRow{TaskID: "t1", AppID: "a1", UserID: "u1", AtUnix: []int64{10, 20}}},
 		{tag: anchorTag, anchor: AnchorRow{AppID: "a1", AnchorUnix: now.Unix()}},
-		{tag: ingestTag, ingest: ingestOp{AppID: "a1", BaseSeq: 4, Received: now, RequestID: "req",
-			Bodies: [][]byte{{1, 2}, nil}, ReportIDs: []string{"r1", ""}}},
+		{tag: ingestTag, ingest: ingestOp{AppID: "a1", BaseSeq: 4, Received: now, RequestID: []byte("req"),
+			Bodies: [][]byte{{1, 2}, nil}, ReportIDs: [][]byte{[]byte("r1"), nil}}},
 	} {
 		rec := encodeWALOp(&op)
 		f.Add(rec)

@@ -1,0 +1,154 @@
+package store
+
+import (
+	"fmt"
+	"runtime"
+	"strconv"
+	"testing"
+	"time"
+)
+
+// Heap budget of one stored report at the ingest benchmark's shape, beyond
+// its body: the row, the RequestID and ReportID bytes, the window entry and
+// the slack of the slabs and chunks that hold them.
+const (
+	reportHeapBytes   = 96
+	reportHeapObjects = 0.05
+)
+
+// liveHeap is HeapAlloc and HeapObjects after two forced collections.
+func liveHeap() (bytes, objects int64) {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc), int64(ms.HeapObjects)
+}
+
+// TestStoredReportHeap gates what a stored report costs the heap at the
+// ingest benchmark's shape — 64 apps, one report per Ingest, 153-byte
+// bodies, a ReportID and a RequestID each — on every path that fills the
+// tables: live ingest, checkpoint + reopen (restore and WAL replay), and a
+// follower fed by ApplyReplicated.
+func TestStoredReportHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting")
+	}
+	const apps, perApp, bodyLen = 64, 690, 153
+	const reports = apps * perApp
+	body := make([]byte, bodyLen)
+	check := func(path string, before, beforeObjs int64) {
+		t.Helper()
+		after, afterObjs := liveHeap()
+		perReport := float64(after-before)/reports - bodyLen
+		objs := float64(afterObjs-beforeObjs) / reports
+		t.Logf("%s: %.1f B beyond the body and %.3f heap objects per stored report", path, perReport, objs)
+		if perReport > reportHeapBytes || objs > reportHeapObjects {
+			t.Errorf("%s: a stored report costs %.1f B beyond its body in %.3f objects, budget %d B in %.2f",
+				path, perReport, objs, reportHeapBytes, reportHeapObjects)
+		}
+	}
+
+	dir := t.TempDir()
+	b := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	st, err := b.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeObjs := liveHeap()
+	for k := 0; k < perApp; k++ {
+		for a := 0; a < apps; a++ {
+			n := k*apps + a
+			body[0], body[1], body[2] = byte(n), byte(n>>8), byte(n>>16)
+			if _, err := st.Ingest(fmt.Sprintf("app-%02d", a), [][]byte{body}, IngestOptions{
+				Received:  now.Add(time.Duration(n) * time.Millisecond),
+				RequestID: "op:" + strconv.Itoa(n&1) + "-" + strconv.Itoa(n) + "/0",
+				ReportIDs: []string{strconv.Itoa(n&1) + "-" + strconv.Itoa(n)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("live ingest", before, beforeObjs)
+	runtime.KeepAlive(st)
+
+	fb := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	follower, err := fb.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeObjs = liveHeap()
+	for lsn := uint64(0); ; {
+		recs, err := b.WAL().ReadAfter(lsn, 1024, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			break
+		}
+		for _, rec := range recs {
+			lsn++
+			if err := follower.ApplyReplicated(lsn, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("ApplyReplicated", before, beforeObjs)
+	runtime.KeepAlive(follower)
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fb, follower = nil, nil
+
+	// Half the reports in the checkpoint, half in the WAL tail.
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, st = nil, nil
+	b2 := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	before, beforeObjs = liveHeap()
+	reopened, err := b2.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if n := reopened.UploadCount(); n != reports {
+		t.Fatalf("reopened store holds %d reports, want %d", n, reports)
+	}
+	check("checkpoint + reopen", before, beforeObjs)
+	runtime.KeepAlive(reopened)
+}
+
+// TestDrainedBodiesAreFreed: a memory store keeps nothing of a drained
+// report but its ReportID in the window, so the bodies become garbage.
+func TestDrainedBodiesAreFreed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting")
+	}
+	const reports, bodyLen = 256, 16 << 10
+	s := New()
+	s.Ingest("warm", [][]byte{{1}}, IngestOptions{ReportIDs: []string{"warm"}})
+	s.DrainUploads()
+	before, _ := liveHeap()
+	for i := 0; i < reports; i++ {
+		body := make([]byte, bodyLen)
+		body[0] = byte(i)
+		if _, err := s.Ingest(fmt.Sprintf("app-%d", i%8), [][]byte{body, body[:100]}, IngestOptions{
+			Received: now, ReportIDs: []string{fmt.Sprintf("r-%d", i), fmt.Sprintf("s-%d", i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(s.DrainUploads()); got != 2*reports {
+		t.Fatalf("drained %d reports, stored %d", got, 2*reports)
+	}
+	after, _ := liveHeap()
+	if held := after - before; held > 64<<10 {
+		t.Fatalf("after the drain the store still holds %d KB; %d KB of bodies were drained", held>>10, reports*bodyLen>>10)
+	}
+	if !s.ReportSeen("app-3", "r-3") || !s.ReportSeen("app-3", "s-3") {
+		t.Fatal("the drain dropped window entries")
+	}
+}

@@ -41,12 +41,12 @@ const sectionBytes = 1 << 20
 
 // image is one cut of the store: what a checkpoint captures while it
 // write-holds snapMu, to sort and encode after releasing it. Nothing in
-// it is written after the capture. Cold rows are value copies. Upload
-// chunks are copies of the shards' outer slices: a row below a captured
-// chunk length is never rewritten (appendRow writes past it, take only
-// swaps outer-slice elements). Window IDs are each window's order slice
-// header, whose elements mark never rewrites either (it reslices the
-// front and appends).
+// it is written after the capture. Cold rows are value copies. An upload
+// shard's cut holds copies of its outer chunk slices (a row below a
+// captured chunk length is never rewritten: appendRow writes past it,
+// take only swaps outer-slice elements) and its slab list as it was;
+// no body is copied. A window's cut holds a copy of its ring (8 bytes an
+// ID) and its arena as it was (windowCut).
 type image struct {
 	watermark uint64
 	uploadSeq int64
@@ -57,16 +57,8 @@ type image struct {
 	feats   []FeatureRow
 	scheds  []ScheduleRow
 	anchors []AnchorRow
-	windows []ReportWindowRow
-
-	pending, archived [][]RawUpload
-}
-
-// ReportWindowRow is one application's dedup window in a snapshot (IDs
-// oldest first, so Restore rebuilds the same eviction order).
-type ReportWindowRow struct {
-	AppID string
-	IDs   []string
+	windows []windowCut
+	uploads [numShards]shardCut
 }
 
 // capture cuts an image. Holding snapMu exclusively parks every mutator
@@ -84,8 +76,12 @@ func (s *Store) capture() *image {
 		// Drains do not take snapMu: the shard lock orders them.
 		sh := &s.uploadShards[i]
 		sh.mu.Lock()
-		img.pending = append(img.pending, sh.chunks...)
-		img.archived = append(img.archived, sh.done...)
+		img.uploads[i] = sh.shardCut
+		img.uploads[i].pending = slices.Clone(sh.pending)
+		img.uploads[i].archived = slices.Clone(sh.archived)
+		for appID, w := range sh.windows {
+			img.windows = append(img.windows, windowCut{appID, reportWindow{ids: slices.Clone(w.ids), head: w.head, arena: w.arena, base: w.base}})
+		}
 		sh.mu.Unlock()
 	}
 	for i := range s.schedShards {
@@ -95,14 +91,6 @@ func (s *Store) capture() *image {
 			img.scheds = append(img.scheds, r)
 		}
 		sh.mu.RUnlock()
-	}
-	for i := range s.dedupShards {
-		sh := &s.dedupShards[i]
-		sh.mu.Lock()
-		for appID, w := range sh.apps {
-			img.windows = append(img.windows, ReportWindowRow{AppID: appID, IDs: w.order})
-		}
-		sh.mu.Unlock()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -141,19 +129,22 @@ func (img *image) writeTo(w io.Writer) (int64, error) {
 	})
 	slices.SortFunc(img.scheds, func(a, b ScheduleRow) int { return strings.Compare(a.TaskID, b.TaskID) })
 	slices.SortFunc(img.anchors, func(a, b AnchorRow) int { return strings.Compare(a.AppID, b.AppID) })
-	slices.SortFunc(img.windows, func(a, b ReportWindowRow) int { return strings.Compare(a.AppID, b.AppID) })
+	slices.SortFunc(img.windows, func(a, b windowCut) int { return strings.Compare(a.appID, b.appID) })
 	var uploads []storedUpload
-	for _, side := range []struct {
-		chunks   [][]RawUpload
-		archived bool
-	}{{img.archived, true}, {img.pending, false}} {
-		for _, c := range side.chunks {
-			for i := range c {
-				uploads = append(uploads, storedUpload{&c[i], side.archived})
+	for i := range img.uploads {
+		c := &img.uploads[i]
+		for _, side := range []struct {
+			chunks   [][]uploadRow
+			archived bool
+		}{{c.archived, true}, {c.pending, false}} {
+			for _, chunk := range side.chunks {
+				for k := range chunk {
+					uploads = append(uploads, storedUpload{&chunk[k], c, side.archived})
+				}
 			}
 		}
 	}
-	slices.SortFunc(uploads, func(a, b storedUpload) int { return cmp.Compare(a.Seq, b.Seq) })
+	slices.SortFunc(uploads, func(a, b storedUpload) int { return cmp.Compare(a.seq, b.seq) })
 
 	sw := &sectionWriter{w: w}
 	sw.write(snapMagic[:])
@@ -356,8 +347,7 @@ func (s *Store) restoreSection(payload []byte, in interner) error {
 	for i := uint32(0); i < rows && r.Err() == nil; i++ {
 		switch tag {
 		case userTag:
-			u := readUser(r)
-			s.users[u.ID] = u
+			s.setUser(readUser(r))
 		case appTag:
 			a := readApp(r, in)
 			s.apps[a.ID] = a
@@ -372,40 +362,16 @@ func (s *Store) restoreSection(payload []byte, in interner) error {
 			a := readAnchor(r)
 			s.anchors[a.AppID] = a.AnchorUnix
 		case uploadTag:
-			up, archived := readUpload(r, in)
-			if sh := &s.uploadShards[shardIndex(up.AppID)]; archived {
-				sh.putArchived(up)
-			} else {
-				sh.put(up)
-			}
+			s.readUpload(r, in)
 		case windowTag:
-			if w := readWindow(r); r.Err() == nil {
-				if err := s.restoreWindow(w); err != nil {
-					return err
-				}
+			if err := s.readWindow(r); err != nil {
+				return err
 			}
 		default:
 			return fmt.Errorf("unknown section kind %s", tagName(tag))
 		}
 	}
 	return finish(r, tagName(tag)+" rows")
-}
-
-// restoreWindow installs one application's dedup window as captured.
-func (s *Store) restoreWindow(row ReportWindowRow) error {
-	sh := &s.dedupShards[shardIndex(row.AppID)]
-	if _, dup := sh.apps[row.AppID]; dup {
-		return fmt.Errorf("second window for app %q", row.AppID)
-	}
-	w := &reportWindow{seen: make(map[string]struct{}, len(row.IDs)), order: row.IDs}
-	for _, id := range row.IDs {
-		w.seen[id] = struct{}{}
-	}
-	if len(w.seen) != len(row.IDs) {
-		return fmt.Errorf("window for app %q repeats an id", row.AppID)
-	}
-	sh.apps[row.AppID] = w
-	return nil
 }
 
 // writeFileAtomic installs what write streams at path via temp file +

@@ -56,18 +56,21 @@ func dumpTables(s *Store) map[string][]string {
 	for _, a := range img.anchors {
 		add("anchors", "%q %d", a.AppID, a.AnchorUnix)
 	}
-	for _, side := range []struct {
-		name   string
-		chunks [][]RawUpload
-	}{{"pending", img.pending}, {"archived", img.archived}} {
-		for _, c := range side.chunks {
-			for _, up := range c {
+	for i := range img.uploads {
+		c := &img.uploads[i]
+		for _, side := range []struct {
+			name   string
+			chunks [][]uploadRow
+		}{{"pending", c.pending}, {"archived", c.archived}} {
+			for _, up := range c.appendRaw(nil, side.chunks...) {
 				add("uploads", "%d %q %q %s %s %x", up.Seq, up.AppID, up.RequestID, tm(up.Received), side.name, up.Body)
 			}
 		}
 	}
 	for _, w := range img.windows {
-		add("windows", "%q %q", w.AppID, w.IDs)
+		var ids []string
+		w.each(func(id []byte) { ids = append(ids, string(id)) })
+		add("windows", "%q %q", w.appID, ids)
 	}
 	for _, rows := range out {
 		sort.Strings(rows)
@@ -394,11 +397,8 @@ func randomStore(rng *rand.Rand) *Store {
 			up.Body = make([]byte, rng.Intn(300))
 			rng.Read(up.Body)
 		}
-		if sh := &s.uploadShards[shardIndex(up.AppID)]; rng.Intn(2) == 0 {
-			sh.put(up)
-		} else {
-			sh.putArchived(up)
-		}
+		sh := &s.uploadShards[shardIndex(up.AppID)]
+		sh.add(sh.row(up.AppID, up.Seq, up.Received, []byte(up.RequestID), up.Body), rng.Intn(2) == 0)
 	}
 	s.uploadSeq.Store(seq + rng.Int63n(5))
 	for a := rng.Intn(3); a >= 0; a-- {
@@ -407,7 +407,7 @@ func randomStore(rng *rand.Rand) *Store {
 			marks = reportWindowSize + rng.Intn(100) // full, and already evicting
 		}
 		for k := 0; k < marks; k++ {
-			s.markLocked(id(a+1), fmt.Sprintf("r-%d-%d", a, k))
+			s.uploadShards[shardIndex(id(a+1))].window(id(a + 1)).mark(fmt.Appendf(nil, "r-%d-%d", a, k))
 		}
 	}
 	return s

@@ -156,134 +156,19 @@ func shardIndex(key string) int {
 	return int(h.Sum32() % numShards)
 }
 
-// uploadChunkSize is the most rows one upload chunk holds.
-const uploadChunkSize = 512
-
-// uploadShard is one bucket of the pending-upload table. Uploads for one
-// application always land in the same bucket, so the per-bucket lock
-// serializes only same-app writers. Rows are kept in bounded chunks instead
-// of one growing slice: between drains a burst can pile up hundreds of
-// thousands of rows, and chunking re-copies at most one chunk's rows as it
-// grows instead of the whole backlog.
-type uploadShard struct {
-	mu sync.Mutex
-	// chunks holds the pending rows. The last chunk grows by append until
-	// it holds uploadChunkSize rows; no chunk is ever appended to once
-	// another follows it.
-	chunks [][]RawUpload
-	count  int
-	// done holds drained rows on archiving (durable) stores: the data
-	// processor's decoded accumulators die with the process, so recovery
-	// must refold the full upload history. Every chunk of done is full
-	// except possibly the last, whatever the drain cadence was, so the heap
-	// an archived row retains is its 88 bytes (within append's growth slack)
-	// plus its body — bodies are never copied.
-	done      [][]RawUpload
-	doneCount int
-}
-
-// appendRow adds one row to a chunk list, growing the last chunk while it
-// has room and opening a one-row chunk when it does not. It only ever
-// writes past a chunk's length, which is what lets a checkpoint capture
-// (snapshot.go) read the chunks after releasing the shard lock.
-func appendRow(chunks [][]RawUpload, row RawUpload) [][]RawUpload {
-	if n := len(chunks); n > 0 && len(chunks[n-1]) < uploadChunkSize {
-		chunks[n-1] = append(chunks[n-1], row)
-		return chunks
-	}
-	return append(chunks, []RawUpload{row})
-}
-
-// put appends one pending row. Caller holds sh.mu.
-func (sh *uploadShard) put(row RawUpload) {
-	sh.chunks = appendRow(sh.chunks, row)
-	sh.count++
-}
-
-// putArchived appends one row to the archived (already-drained) side.
-// Caller holds sh.mu (or owns the shard exclusively, as Restore does).
-func (sh *uploadShard) putArchived(row RawUpload) {
-	sh.done = appendRow(sh.done, row)
-	sh.doneCount++
-}
-
-// take removes and returns all pending rows, archiving them when the
-// store is durable: a full chunk moves to done wholesale (below a short
-// last chunk, which stays last), a short one has its rows copied into
-// done's last chunk. The returned chunks are never written again, so the
-// drain may read them after sh.mu is released. Caller holds sh.mu.
-func (sh *uploadShard) take(archive bool) [][]RawUpload {
-	chunks := sh.chunks
-	sh.chunks = nil
-	sh.count = 0
-	if !archive {
-		return chunks
-	}
-	for _, c := range chunks {
-		if len(c) < uploadChunkSize {
-			for _, row := range c {
-				sh.putArchived(row)
-			}
-			continue
-		}
-		n := len(sh.done)
-		sh.done = append(sh.done, c)
-		sh.doneCount += len(c)
-		if n > 0 && len(sh.done[n-1]) < uploadChunkSize {
-			sh.done[n-1], sh.done[n] = sh.done[n], sh.done[n-1]
-		}
-	}
-	return chunks
-}
-
 // schedShard is one bucket of the schedules table, keyed by task ID.
 type schedShard struct {
 	mu   sync.RWMutex
 	rows map[string]ScheduleRow
 }
 
-// reportWindowSize bounds each application's ReportID dedup window. Phones
-// mint monotonically increasing IDs and retransmit only until acked, so a
-// replay arriving after 8192 newer reports for the same app is effectively
-// impossible; bounding the window keeps memory proportional to recent
-// traffic, not lifetime traffic.
-const reportWindowSize = 8192
-
-// reportWindow is one application's seen-ReportID set with FIFO eviction.
-type reportWindow struct {
-	seen  map[string]struct{}
-	order []string // insertion order, oldest first
-}
-
-// mark records an ID; it reports whether the ID was new. Evicts the oldest
-// entry when the window is full.
-func (w *reportWindow) mark(id string) bool {
-	if _, dup := w.seen[id]; dup {
-		return false
-	}
-	if len(w.order) >= reportWindowSize {
-		oldest := w.order[0]
-		w.order = w.order[1:]
-		delete(w.seen, oldest)
-	}
-	w.seen[id] = struct{}{}
-	w.order = append(w.order, id)
-	return true
-}
-
-// dedupShard is one bucket of the per-app dedup windows.
-type dedupShard struct {
-	mu   sync.Mutex
-	apps map[string]*reportWindow
-}
-
 // Store is the whole database. The zero value is not usable; call New.
 //
 // The cold tables (users, apps, participations, features) share one
-// RWMutex; the hot tables written on every report upload (raw uploads,
-// schedules) are sharded into per-app / per-task buckets so concurrent
-// ingest for different applications proceeds in parallel (see DESIGN.md,
-// "Concurrency model").
+// RWMutex; the hot tables written on every report upload (raw uploads and
+// dedup windows, schedules) are sharded into per-app / per-task buckets so
+// concurrent ingest for different applications proceeds in parallel (see
+// DESIGN.md, "Concurrency model").
 type Store struct {
 	// snapMu is the checkpoint gate (snapshot.go): every mutator holds it
 	// for read around its table lock and WAL append, a checkpoint holds it
@@ -304,6 +189,7 @@ type Store struct {
 
 	mu             sync.RWMutex
 	users          map[string]User
+	tokens         map[string]string // device token -> lowest user ID holding it
 	apps           map[string]Application
 	participations map[string]Participation
 	// activeTasks indexes participations by user: the (app, task) IDs of
@@ -319,7 +205,6 @@ type Store struct {
 	uploadSeq    atomic.Int64
 	uploadShards [numShards]uploadShard
 	schedShards  [numShards]schedShard
-	dedupShards  [numShards]dedupShard
 
 	// featVers holds one *catVersion per category: a monotone counter
 	// bumped whenever a feature row in that category materially changes
@@ -374,6 +259,7 @@ func byAppTask(a, b activeTask) int {
 func New() *Store {
 	s := &Store{
 		users:          make(map[string]User),
+		tokens:         make(map[string]string),
 		apps:           make(map[string]Application),
 		participations: make(map[string]Participation),
 		activeTasks:    make(map[string][]activeTask),
@@ -383,9 +269,6 @@ func New() *Store {
 	}
 	for i := range s.schedShards {
 		s.schedShards[i].rows = make(map[string]ScheduleRow)
-	}
-	for i := range s.dedupShards {
-		s.dedupShards[i].apps = make(map[string]*reportWindow)
 	}
 	return s
 }
@@ -407,8 +290,18 @@ func (s *Store) PutUser(u User) error {
 	if err := s.logOp(&walOp{tag: userTag, user: u}); err != nil {
 		return err
 	}
-	s.users[u.ID] = u
+	s.setUser(u)
 	return nil
+}
+
+// setUser writes one row and keeps the token index in step: a token two
+// users share names the lowest user ID. Every write to the users table
+// goes through it; the caller holds s.mu or owns the store.
+func (s *Store) setUser(u User) {
+	s.users[u.ID] = u
+	if id, ok := s.tokens[u.Token]; !ok || u.ID < id {
+		s.tokens[u.Token] = u.ID
+	}
 }
 
 // User fetches a user by ID.
@@ -422,14 +315,13 @@ func (s *Store) User(id string) (User, error) {
 	return u, nil
 }
 
-// UserByToken finds the user owning a device token.
+// UserByToken finds the user owning a device token (the lowest user ID,
+// should several share it).
 func (s *Store) UserByToken(token string) (User, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, u := range s.users {
-		if u.Token == token {
-			return u, nil
-		}
+	if id, ok := s.tokens[token]; ok {
+		return s.users[id], nil
 	}
 	return User{}, fmt.Errorf("%w: token", ErrNotFound)
 }
@@ -662,9 +554,6 @@ type IngestOptions struct {
 	// a retransmission is acked without being stored twice. Empty ids
 	// (legacy senders) are never deduplicated.
 	ReportIDs []string
-	// CopyBodies makes Ingest copy each stored body instead of taking
-	// ownership of the caller's slices.
-	CopyBodies bool
 }
 
 // IngestResult reports what one Ingest call did.
@@ -682,11 +571,12 @@ type IngestResult struct {
 // against the app's dedup window, logs the surviving bodies and their
 // window marks as a single WAL record, and only then applies both — so a
 // crash can never ack a report without persisting it, nor remember a
-// ReportID whose body was lost. The dedup-shard and upload-shard locks are
-// held across the log enqueue and the apply, which keeps WAL order equal
-// to apply order for everything the record touches; the durability wait
-// happens after the locks release (group commit), so concurrent ingests
-// share one fsync instead of serializing on it.
+// ReportID whose body was lost. The app's shard lock, which guards its rows
+// and its window, is held across the log enqueue and the apply, which
+// keeps WAL order equal to apply order for everything the record touches;
+// the durability wait happens after the lock releases (group commit), so
+// concurrent ingests share one fsync instead of serializing on it. The store keeps a copy of
+// each stored body; the caller's slices stay the caller's.
 func (s *Store) Ingest(appID string, bodies [][]byte, opt IngestOptions) (IngestResult, error) {
 	if len(bodies) == 0 {
 		return IngestResult{}, nil
@@ -715,15 +605,10 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 	res := IngestResult{Fresh: make([]bool, len(bodies))}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
-
-	var dsh *dedupShard
-	var w *reportWindow
-	if opt.ReportIDs != nil {
-		dsh = &s.dedupShards[shardIndex(appID)]
-		dsh.mu.Lock()
-		defer dsh.mu.Unlock()
-		w = dsh.apps[appID]
-	}
+	sh := &s.uploadShards[shardIndex(appID)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	w := sh.windows[appID]
 	// First pass: decide freshness without mutating the window, so a WAL
 	// refusal leaves no trace. A repeated id within one call is a
 	// duplicate too (the sequential-mark semantics of the old path).
@@ -732,10 +617,8 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 	for i := range bodies {
 		if opt.ReportIDs != nil && opt.ReportIDs[i] != "" {
 			id := opt.ReportIDs[i]
-			if w != nil {
-				if _, dup := w.seen[id]; dup {
-					continue
-				}
+			if w.seen(view(id)) {
+				continue
 			}
 			// Intra-call duplicates only exist when there are multiple
 			// bodies; the single-report path skips the map entirely.
@@ -756,40 +639,22 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 		return res, 0, nil
 	}
 
-	// The sequence range is claimed atomically and the record encoded
-	// before the upload shard lock: only the enqueue and the apply need
-	// to be inside it.
 	base := s.uploadSeq.Add(int64(stored)) - int64(stored)
-	rows := make([]RawUpload, 0, stored)
-	var ids []string
-	if opt.ReportIDs != nil {
-		ids = make([]string, 0, stored)
-	}
-	for i, body := range bodies {
-		if !res.Fresh[i] {
-			continue
-		}
-		if opt.CopyBodies {
-			body = append([]byte(nil), body...)
-		}
-		rows = append(rows, RawUpload{
-			Seq: base + int64(len(rows)) + 1, AppID: appID,
-			Received: opt.Received, Body: body, RequestID: opt.RequestID,
-		})
-		if opt.ReportIDs != nil {
-			ids = append(ids, opt.ReportIDs[i])
+	fresh, ids := bodies, opt.ReportIDs
+	if stored < len(bodies) {
+		fresh, ids = make([][]byte, 0, stored), make([]string, 0, stored)
+		for i, body := range bodies {
+			if res.Fresh[i] {
+				fresh, ids = append(fresh, body), append(ids, opt.ReportIDs[i])
+			}
 		}
 	}
 	var payload []byte
 	var encBuf *[]byte
 	if s.wal != nil {
 		encBuf = encPool.Get().(*[]byte)
-		payload = appendIngestRecord((*encBuf)[:0], appID, base, opt.Received, opt.RequestID, rows, ids)
+		payload = appendIngestRecord((*encBuf)[:0], appID, base, opt.Received, opt.RequestID, fresh, ids)
 	}
-
-	sh := &s.uploadShards[shardIndex(appID)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	var lsn uint64
 	if s.wal != nil {
 		var err error
@@ -800,18 +665,13 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 			return IngestResult{Fresh: make([]bool, len(bodies))}, 0, fmt.Errorf("store: wal append: %w", err)
 		}
 	}
-	for i := range rows {
-		sh.put(rows[i])
+	for i, body := range fresh {
+		sh.add(sh.row(appID, base+int64(i)+1, opt.Received, view(opt.RequestID), body), false)
 	}
 	for _, id := range ids {
-		if id == "" {
-			continue
+		if id != "" {
+			sh.window(appID).mark(view(id))
 		}
-		if w == nil {
-			w = &reportWindow{seen: make(map[string]struct{})}
-			dsh.apps[appID] = w
-		}
-		w.mark(id)
 	}
 	res.Stored = stored
 	res.LastSeq = base + int64(stored)
@@ -824,29 +684,25 @@ func (s *Store) ReportSeen(appID, reportID string) bool {
 	if reportID == "" {
 		return false
 	}
-	sh := &s.dedupShards[shardIndex(appID)]
+	sh := &s.uploadShards[shardIndex(appID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	w, ok := sh.apps[appID]
-	if !ok {
-		return false
-	}
-	_, seen := w.seen[reportID]
-	return seen
+	return sh.windows[appID].seen(view(reportID))
 }
 
 // SeenReportIDs returns a sorted copy of appID's dedup-window contents
 // (recovery checks and tests compare windows as sets; eviction order is
 // not exposed).
 func (s *Store) SeenReportIDs(appID string) []string {
-	sh := &s.dedupShards[shardIndex(appID)]
+	sh := &s.uploadShards[shardIndex(appID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	w, ok := sh.apps[appID]
+	w, ok := sh.windows[appID]
 	if !ok {
 		return nil
 	}
-	out := append([]string(nil), w.order...)
+	out := make([]string, 0, len(w.ids))
+	w.each(func(id []byte) { out = append(out, string(id)) })
 	sort.Strings(out)
 	return out
 }
@@ -854,20 +710,18 @@ func (s *Store) SeenReportIDs(appID string) []string {
 // DrainUploads removes and returns all pending uploads (oldest first,
 // across every bucket) — the Data Processor's periodic poll.
 func (s *Store) DrainUploads() []RawUpload {
-	var chunks [][]RawUpload
+	cuts := make([]shardCut, len(s.uploadShards))
 	total := 0
 	for i := range s.uploadShards {
 		sh := &s.uploadShards[i]
 		sh.mu.Lock()
-		for _, c := range sh.take(s.archive) {
-			chunks = append(chunks, c)
-			total += len(c)
-		}
+		total += sh.count
+		cuts[i] = sh.take(s.archive)
 		sh.mu.Unlock()
 	}
 	out := make([]RawUpload, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
+	for i := range cuts {
+		out = cuts[i].appendRaw(out, cuts[i].pending...)
 	}
 	slices.SortFunc(out, bySeq)
 	return out
@@ -892,45 +746,38 @@ type AppHistory struct {
 // must stay a pure function of the complete sample set.
 //
 // Every row of an application sits in its one upload shard, so no global
-// sort is needed; a shard holds rows nearly in sequence order (a writer
-// claims its numbers before taking the shard lock), and only a run that
-// fails the order check is sorted.
+// sort is needed; a writer claims its sequence numbers under the shard
+// lock, so a run is in order, and only one that fails the order check is
+// sorted.
 func (s *Store) DrainHistory() []AppHistory {
 	var out []AppHistory
-	var counts []int // rows per app, parallel to out
-	index := make(map[string]int)
 	for i := range s.uploadShards {
 		sh := &s.uploadShards[i]
 		sh.mu.Lock()
 		if sh.doneCount > 0 {
-			sh.chunks = append(sh.done, sh.chunks...)
+			sh.pending = append(sh.archived, sh.pending...)
 			sh.count += sh.doneCount
-			sh.done = nil
+			sh.archived = nil
 			sh.doneCount = 0
 		}
-		chunks := sh.take(s.archive)
+		c := sh.take(s.archive)
 		sh.mu.Unlock()
 		// Count each app's rows, then copy them into runs sized once.
-		first := len(out)
-		for _, c := range chunks {
-			for _, row := range c {
-				k, ok := index[row.AppID]
-				if !ok {
-					k = len(out)
-					index[row.AppID] = k
-					out = append(out, AppHistory{AppID: row.AppID})
-					counts = append(counts, 0)
-				}
-				counts[k]++
+		run := make([]int, len(c.apps)) // rows, then the run's index in out
+		for _, chunk := range c.pending {
+			for k := range chunk {
+				run[chunk[k].app]++
 			}
 		}
-		for k := first; k < len(out); k++ {
-			out[k].Rows = make([]RawUpload, 0, counts[k])
+		for app, n := range run {
+			if run[app] = len(out); n > 0 {
+				out = append(out, AppHistory{AppID: c.apps[app], Rows: make([]RawUpload, 0, n)})
+			}
 		}
-		for _, c := range chunks {
-			for _, row := range c {
-				h := &out[index[row.AppID]]
-				h.Rows = append(h.Rows, row)
+		for _, chunk := range c.pending {
+			for k := range chunk {
+				h := &out[run[chunk[k].app]]
+				h.Rows = c.appendRaw(h.Rows, chunk[k:k+1])
 			}
 		}
 	}
@@ -977,15 +824,11 @@ func (s *Store) AllUploads() []RawUpload {
 	for i := range s.uploadShards {
 		sh := &s.uploadShards[i]
 		sh.mu.Lock()
-		for _, c := range sh.done {
-			out = append(out, c...)
-		}
-		for _, c := range sh.chunks {
-			out = append(out, c...)
-		}
+		out = sh.appendRaw(out, sh.archived...)
+		out = sh.appendRaw(out, sh.pending...)
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, bySeq)
 	return out
 }
 

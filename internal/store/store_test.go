@@ -298,10 +298,10 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 }
 
 // ingestBody stores one blob through Ingest the way the Message Handler
-// stores a single report without a ReportID (no dedup, body copied) and
-// returns its sequence number.
+// stores a single report without a ReportID (no dedup) and returns its
+// sequence number.
 func ingestBody(s *Store, appID string, body []byte, at time.Time) int64 {
-	res, _ := s.Ingest(appID, [][]byte{body}, IngestOptions{Received: at, CopyBodies: true})
+	res, _ := s.Ingest(appID, [][]byte{body}, IngestOptions{Received: at})
 	return res.LastSeq
 }
 
@@ -313,21 +313,22 @@ func ingestMarked(s *Store, appID, reportID string) bool {
 }
 
 // TestIngestBodyOwnership pins what Ingest does with the caller's
-// slices and how it numbers rows: CopyBodies stores a copy, the default
-// takes ownership of the slice itself, sequence numbers run contiguously
-// across calls and apps, and each call's RequestID lands on its rows.
+// slices and how it numbers rows: it stores a copy of every body, so the
+// caller may reuse its slices, sequence numbers run contiguously across
+// calls and apps, and each call's RequestID lands on its rows.
 func TestIngestBodyOwnership(t *testing.T) {
 	s := New()
 	copied := []byte{1, 2, 3}
-	r1, err := s.Ingest("a", [][]byte{copied}, IngestOptions{Received: now, CopyBodies: true})
+	r1, err := s.Ingest("a", [][]byte{copied}, IngestOptions{Received: now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	copied[0] = 99
-	owned := []byte{5}
-	if _, err := s.Ingest("b", [][]byte{owned, {6}}, IngestOptions{Received: now, RequestID: "req-1"}); err != nil {
+	reused := []byte{5}
+	if _, err := s.Ingest("b", [][]byte{reused, {6}}, IngestOptions{Received: now, RequestID: "req-1"}); err != nil {
 		t.Fatal(err)
 	}
+	reused[0] = 98
 	r3, err := s.Ingest("b", [][]byte{{7}}, IngestOptions{Received: now, RequestID: "req-2"})
 	if err != nil {
 		t.Fatal(err)
@@ -348,8 +349,8 @@ func TestIngestBodyOwnership(t *testing.T) {
 			t.Fatalf("row %d = %+v, want seq %d %+v", i, got, i+1, want)
 		}
 	}
-	if &rows[1].Body[0] != &owned[0] {
-		t.Fatal("without CopyBodies the stored body must be the caller's slice")
+	if &rows[1].Body[0] == &reused[0] {
+		t.Fatal("the stored body must be a copy, not the caller's slice")
 	}
 }
 

@@ -30,14 +30,16 @@ type walOp struct {
 // survived dedup, their window marks, and the first sequence number. A
 // crash between ack and anything else cannot split the mark from the
 // body — both ride one CRC-framed record. It is encoded straight from
-// the stored rows by appendIngestRecord, the one high-rate op.
+// Ingest's arguments by appendIngestRecord, the one high-rate op; decoded,
+// its byte fields alias the record, and applying it copies them into the
+// tables.
 type ingestOp struct {
 	AppID     string
 	BaseSeq   int64 // Seq of Bodies[i] is BaseSeq+i+1
 	Received  time.Time
-	RequestID string
+	RequestID []byte
 	Bodies    [][]byte
-	ReportIDs []string // parallel to Bodies; "" = unmarked
+	ReportIDs [][]byte // parallel to Bodies; empty = unmarked
 }
 
 // appendTo renders a cold op (every tag but ingestTag) as a WAL record.
@@ -92,19 +94,6 @@ func (s *Store) logOp(op *walOp) error {
 	return nil
 }
 
-// markLocked records an id in appID's window, creating the window on
-// first use. Caller holds the dedup shard's lock (or owns the store
-// exclusively, as replay does).
-func (s *Store) markLocked(appID, id string) {
-	sh := &s.dedupShards[shardIndex(appID)]
-	w, ok := sh.apps[appID]
-	if !ok {
-		w = &reportWindow{seen: make(map[string]struct{})}
-		sh.apps[appID] = w
-	}
-	w.mark(id)
-}
-
 // decodeWALRecord parses and fully validates one logged record without
 // touching the store, so callers can reject a malformed record before
 // committing to anything (ApplyReplicated must not let one into the local
@@ -147,7 +136,7 @@ func (s *Store) applyDecoded(op *walOp) {
 	case ingestTag:
 		s.applyIngestOp(&op.ingest)
 	case userTag:
-		s.users[op.user.ID] = op.user
+		s.setUser(op.user)
 	case appTag:
 		s.apps[op.app.ID] = op.app
 		if op.app.Category != "" {
@@ -176,20 +165,16 @@ func (s *Store) applyWALRecord(payload []byte) error {
 	return nil
 }
 
-// lockForOp takes the same table locks the live mutator for this op kind
-// takes (and in the same order — dedup shard before upload shard, as
-// ingestLocked does), returning the matching unlock. Replicated applies
-// run under these so concurrent readers — rank serving, drains, the
-// checkpoint snapshot — see the replica's tables exactly as they would a
-// leader's.
+// lockForOp takes the same table lock the live mutator for this op kind
+// takes, returning the matching unlock. Replicated applies run under it
+// so concurrent readers — rank serving, drains, the checkpoint snapshot —
+// see the replica's tables exactly as they would a leader's.
 func (s *Store) lockForOp(op *walOp) func() {
 	switch op.tag {
 	case ingestTag:
-		dsh := &s.dedupShards[shardIndex(op.ingest.AppID)]
-		ush := &s.uploadShards[shardIndex(op.ingest.AppID)]
-		dsh.mu.Lock()
-		ush.mu.Lock()
-		return func() { ush.mu.Unlock(); dsh.mu.Unlock() }
+		sh := &s.uploadShards[shardIndex(op.ingest.AppID)]
+		sh.mu.Lock()
+		return sh.mu.Unlock
 	case schedTag:
 		sh := &s.schedShards[shardIndex(op.sched.TaskID)]
 		sh.mu.Lock()
@@ -267,12 +252,11 @@ func (s *Store) AppliedLSN() uint64 {
 func (s *Store) applyIngestOp(in *ingestOp) {
 	sh := &s.uploadShards[shardIndex(in.AppID)]
 	for i, body := range in.Bodies {
-		sh.put(RawUpload{
-			Seq: in.BaseSeq + int64(i) + 1, AppID: in.AppID,
-			Received: in.Received, Body: body, RequestID: in.RequestID,
-		})
-		if i < len(in.ReportIDs) && in.ReportIDs[i] != "" {
-			s.markLocked(in.AppID, in.ReportIDs[i])
+		sh.add(sh.row(in.AppID, in.BaseSeq+int64(i)+1, in.Received, in.RequestID, body), false)
+	}
+	for _, id := range in.ReportIDs {
+		if len(id) > 0 {
+			sh.window(in.AppID).mark(id)
 		}
 	}
 	if last := in.BaseSeq + int64(len(in.Bodies)); last > s.uploadSeq.Load() {
