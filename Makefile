@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race ckpt-race wal-race recover-race resync-race router-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim clean
+.PHONY: all build test test-short race ckpt-race wal-race recover-race resync-race router-race vet bench bench-smoke bench-test fuzz-smoke obs-smoke chaos chaos-short crash-soak replica-soak replica-soak-short cluster-soak cluster-soak-short fleet-soak fleet-soak-short session-soak session-soak-short ci experiments fieldtest fieldtest-golden fleet-rank sim loc clean
 
 all: build test
 
@@ -261,6 +261,13 @@ fieldtest:
 
 sim:
 	$(GO) run ./cmd/sorsim -sweep both -runs 10
+
+# Non-test Go lines outside bench/ (the size a simplification is measured
+# by): one line per package directory, then the total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; all += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", all }'
 
 clean:
 	$(GO) clean ./...

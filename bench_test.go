@@ -122,7 +122,7 @@ func BenchmarkTableIICoffeeRankings(b *testing.B) {
 func BenchmarkFig14aCoverageVsUsers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points, err := sor.SweepUsers(sim.Fig14aUsers(), 17, sor.SimConfig{
-			Runs: 2, Seed: int64(i + 1), Lazy: true,
+			Runs: 2, Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -143,7 +143,7 @@ func BenchmarkFig14aCoverageVsUsers(b *testing.B) {
 func BenchmarkFig14bCoverageVsBudget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points, err := sor.SweepBudget(sim.Fig14bBudgets(), 40, sor.SimConfig{
-			Runs: 2, Seed: int64(i + 1), Lazy: true,
+			Runs: 2, Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -160,22 +160,13 @@ func BenchmarkFig14bCoverageVsBudget(b *testing.B) {
 
 // ---- Ablations ----
 
-// BenchmarkAblationEagerGreedy measures the paper's literal Algorithm 1
-// (O(N²) oracle calls per selection round) at the §V-C operating point.
-func BenchmarkAblationEagerGreedy(b *testing.B) {
-	benchGreedyVariant(b, false)
-}
-
-// BenchmarkAblationLazyGreedy measures the lazy-greedy variant (identical
-// schedules, far fewer marginal-gain evaluations).
+// BenchmarkAblationLazyGreedy measures the scheduler's greedy (the lazy
+// engine; TestLazyGreedyMatchesEagerExactly holds it to the printed
+// Algorithm 1 scan) at the §V-C operating point.
 func BenchmarkAblationLazyGreedy(b *testing.B) {
-	benchGreedyVariant(b, true)
-}
-
-func benchGreedyVariant(b *testing.B, lazy bool) {
 	for i := 0; i < b.N; i++ {
 		o, err := sor.RunSim(sor.SimConfig{
-			Users: 40, Budget: 17, Runs: 1, Seed: int64(i + 1), Lazy: lazy,
+			Users: 40, Budget: 17, Runs: 1, Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -194,7 +185,7 @@ func BenchmarkAblationSigma(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o, err := sor.RunSim(sor.SimConfig{
 					Users: 40, Budget: 17, Runs: 1, Seed: int64(i + 1),
-					Sigma: sigma, Lazy: true,
+					Sigma: sigma,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -226,7 +217,7 @@ func sigmaName(s float64) string {
 func BenchmarkAblationOnlineVsOffline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o, err := sor.RunOnlineSim(sor.SimConfig{
-			Users: 40, Budget: 17, Runs: 1, Seed: int64(i + 1), Lazy: true,
+			Users: 40, Budget: 17, Runs: 1, Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)

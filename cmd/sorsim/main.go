@@ -83,7 +83,7 @@ func run() error {
 		}, *verify, *coverageCurve)
 	}
 
-	base := sim.Config{Runs: *runs, Seed: *seed, Lazy: true}
+	base := sim.Config{Runs: *runs, Seed: *seed}
 
 	if *sweep == "users" || *sweep == "both" {
 		points, err := sim.SweepUsers(sim.Fig14aUsers(), *budget, base)
@@ -115,7 +115,7 @@ func run() error {
 	}
 	if *sweep == "online" {
 		o, err := sim.RunOnline(sim.Config{
-			Users: *users, Budget: *budget, Runs: *runs, Seed: *seed, Lazy: true,
+			Users: *users, Budget: *budget, Runs: *runs, Seed: *seed,
 		})
 		if err != nil {
 			return err

@@ -92,6 +92,7 @@ func (r *Ranker) RankHybrid(prof Profile, subjective []float64, subjectiveWeight
 		FootruleCost: footCost,
 		KemenyCost:   kemeny,
 		Weights:      base.Weights,
+		Solved:       n,
 	}
 	res.Individual[SubjectiveFeatureName] = order
 	res.Weights[SubjectiveFeatureName] = subjectiveWeight

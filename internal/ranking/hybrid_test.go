@@ -43,6 +43,25 @@ func TestRankHybridZeroWeightEqualsObjective(t *testing.T) {
 	assertOrder(t, hybrid.Order, objective.Order)
 }
 
+// A hybrid solve is a full one: every rank is exact, as for Rank.
+func TestRankHybridSolvesEveryRank(t *testing.T) {
+	r, err := NewRanker(coffeeMatrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	objective, err := r.Rank(emma())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid, err := r.RankHybrid(emma(), []float64{5, 1, 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(hybrid.Order); hybrid.Solved != n || objective.Solved != n {
+		t.Fatalf("solved: hybrid %d, objective %d, want both %d", hybrid.Solved, objective.Solved, n)
+	}
+}
+
 func TestRankHybridPureSubjective(t *testing.T) {
 	// All objective weights zero: the hybrid must follow the stars.
 	r, err := NewRanker(coffeeMatrix())

@@ -68,7 +68,7 @@ func (s *Scheduler) EnergyAware(parts []Participant, targetAvgCoverage float64, 
 	if energy == nil {
 		return nil, errors.New("schedule: nil energy model")
 	}
-	elems, partOf, caps, err := s.buildGround(parts)
+	elems, err := s.buildGround(parts)
 	if err != nil {
 		return nil, err
 	}
@@ -83,13 +83,13 @@ func (s *Scheduler) EnergyAware(parts []Participant, targetAvgCoverage float64, 
 		plan.Assignments[p.UserID] = Assignment{UserID: p.UserID}
 	}
 	targetTotal := targetAvgCoverage * float64(s.tl.N())
-	used := make([]int, len(caps))
+	used := make([]int, len(parts))
 	taken := make([]bool, len(elems))
 
 	for acc.Total() < targetTotal {
 		best, bestRatio := -1, 0.0
 		for e, el := range elems {
-			if taken[e] || used[partOf[e]] >= caps[partOf[e]] {
+			if taken[e] || used[el.user] >= parts[el.user].Budget {
 				continue
 			}
 			gain := acc.Gain(el.instant)
@@ -106,7 +106,7 @@ func (s *Scheduler) EnergyAware(parts []Participant, targetAvgCoverage float64, 
 		}
 		el := elems[best]
 		taken[best] = true
-		used[partOf[best]]++
+		used[el.user]++
 		acc.Add(el.instant)
 		plan.EnergyMilliJ += energy.CostMilliJ(parts[el.user].UserID)
 		a := plan.Assignments[parts[el.user].UserID]

@@ -9,12 +9,6 @@ import (
 	"sor/internal/coverage"
 )
 
-// pick is one selected measurement, in selection order.
-type pick struct {
-	user    int // index into participants
-	instant int // timeline index
-}
-
 // key is one instant's place in the tournament: the coverage gain depends
 // on the instant alone, so of all (user, instant) pairs at an instant only
 // the one the eager scan would reach first — the lowest-index user who can
@@ -114,7 +108,7 @@ type lazyScratch struct {
 	stale  []bool   // per horizon instant: gain must be recomputed before it is trusted
 	lo, hi []int    // per user: window in instants; lo > hi when it is empty
 	left   []int    // per user: budget not yet spent
-	picks  []pick
+	picks  []element
 }
 
 var lazyPool = sync.Pool{New: func() any { return new(lazyScratch) }}
@@ -127,8 +121,9 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// lazyGreedy selects what submodular.Greedy selects over the (user,
-// instant) ground set, in the same order, with one tournament leaf per
+// lazyGreedy selects what Algorithm 1 as printed selects over the (user,
+// instant) ground set — the eager scan kept as eagerReference in the
+// package's tests — in the same order, with one tournament leaf per
 // instant instead of one scan element per pair. Keys only ever get worse —
 // a miss product only shrinks, every product and the fixed-order sum in
 // Gain are monotone in it even after rounding, and an instant's candidate
@@ -260,7 +255,7 @@ func (s *Scheduler) lazyGreedy(parts []Participant, acc *coverage.Accumulator, p
 		}
 		k := top.cand()
 		acc.Add(i)
-		picks = append(picks, pick{user: k, instant: i})
+		picks = append(picks, element{user: k, instant: i})
 		// k has taken i, and i is stale from here: the next visit re-keys it.
 		mask[x*words+k>>6] &^= 1 << (k & 63)
 		if left[k]--; left[k] == 0 {

@@ -139,24 +139,23 @@ func joinShapedCase(rng *rand.Rand) lazyCase {
 	return c
 }
 
-// check runs both variants and requires the same plan to the bit. It
-// returns the selections made and whether lazy evaluated strictly fewer
-// gains.
+// check runs Greedy and eagerReference and requires the same plan to the
+// bit. It returns the selections made and whether lazy evaluated strictly
+// fewer gains.
 func (c lazyCase) check(t *testing.T) (selections int, fewer bool) {
 	t.Helper()
-	tl := smallTimeline(t, c.n)
-	run := func(opts ...Option) *Plan {
-		s, err := NewScheduler(tl, c.kernel, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := s.Greedy(c.parts, c.prior)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
+	s, err := NewScheduler(smallTimeline(t, c.n), c.kernel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	eager, lazy := run(), run(WithLazyGreedy())
+	lazy, err := s.Greedy(c.parts, c.prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := s.eagerReference(c.parts, c.prior)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(lazy.Assignments, eager.Assignments) {
 		t.Fatalf("%v, %d instants: assignments differ\n lazy  %v\n eager %v", c.kernel, c.n, lazy.Assignments, eager.Assignments)
 	}
@@ -204,7 +203,7 @@ func (c lazyCase) sharesInstant(t *testing.T) bool {
 	return false
 }
 
-// Property: WithLazyGreedy returns eager Greedy's plan exactly —
+// Property: Greedy returns eagerReference's plan exactly —
 // assignments, coverage bits, ties included — for fewer gain evaluations,
 // on every kernel shape, on more members than one or two mask words hold,
 // and on the instances a join replans.
@@ -275,7 +274,7 @@ func BenchmarkReplanHotPlace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewScheduler(tl, coverage.GaussianKernel{Sigma: 10}, WithLazyGreedy())
+	s, err := NewScheduler(tl, coverage.GaussianKernel{Sigma: 10})
 	if err != nil {
 		b.Fatal(err)
 	}

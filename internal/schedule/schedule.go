@@ -19,8 +19,6 @@ import (
 	"time"
 
 	"sor/internal/coverage"
-	"sor/internal/matroid"
-	"sor/internal/submodular"
 )
 
 // Participant describes one mobile user's availability for a scheduling
@@ -109,22 +107,12 @@ type Measurement struct {
 type Scheduler struct {
 	tl     *coverage.Timeline
 	kernel coverage.Kernel
-	lazy   bool
 	// table is the kernel tabulated once, for every plan's accumulator.
 	table *coverage.Table
 }
 
-// Option configures a Scheduler.
-type Option func(*Scheduler)
-
-// WithLazyGreedy switches the scheduler to the lazy-greedy variant
-// (identical output, fewer oracle calls; see lazyGreedy).
-func WithLazyGreedy() Option {
-	return func(s *Scheduler) { s.lazy = true }
-}
-
 // NewScheduler builds a scheduler for one scheduling period.
-func NewScheduler(tl *coverage.Timeline, kernel coverage.Kernel, opts ...Option) (*Scheduler, error) {
+func NewScheduler(tl *coverage.Timeline, kernel coverage.Kernel) (*Scheduler, error) {
 	if tl == nil {
 		return nil, errors.New("schedule: nil timeline")
 	}
@@ -135,11 +123,7 @@ func NewScheduler(tl *coverage.Timeline, kernel coverage.Kernel, opts ...Option)
 	if err != nil {
 		return nil, err
 	}
-	s := &Scheduler{tl: tl, kernel: kernel, table: table}
-	for _, o := range opts {
-		o(s)
-	}
-	return s, nil
+	return &Scheduler{tl: tl, kernel: kernel, table: table}, nil
 }
 
 // Timeline returns the scheduler's timeline.
@@ -151,48 +135,34 @@ type element struct {
 	instant int // timeline index
 }
 
-// buildGround enumerates the ground set of feasible (user, instant) pairs
-// and the partition structure (one part per user).
-func (s *Scheduler) buildGround(parts []Participant) (elems []element, partOf []int, caps []int, err error) {
-	caps = make([]int, len(parts))
+// buildGround validates the participants and enumerates the ground set of
+// feasible (user, instant) pairs, user by user, instant by instant.
+func (s *Scheduler) buildGround(parts []Participant) ([]element, error) {
+	var elems []element
 	for k, p := range parts {
 		if err := p.Validate(); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		caps[k] = p.Budget
 		lo, hi, ok := s.tl.IndexRange(p.Arrive, p.Leave)
 		if !ok || p.Budget == 0 {
 			continue
 		}
 		for i := lo; i <= hi; i++ {
 			elems = append(elems, element{user: k, instant: i})
-			partOf = append(partOf, k)
 		}
 	}
-	return elems, partOf, caps, nil
+	return elems, nil
 }
-
-// coverageObjective adapts the accumulator to the submodular engine. Two
-// ground elements at the same instant (different users) have the same
-// marginal gain; the accumulator aggregates via Eq. 1.
-type coverageObjective struct {
-	acc   *coverage.Accumulator
-	elems []element
-}
-
-var _ submodular.Objective = (*coverageObjective)(nil)
-
-func (c *coverageObjective) Gain(e int) float64 { return c.acc.Gain(c.elems[e].instant) }
-func (c *coverageObjective) Add(e int)          { c.acc.Add(c.elems[e].instant) }
 
 // minGain stops the greedy once no measurement adds more than rounding
 // noise.
 const minGain = 1e-12
 
-// Greedy computes a schedule with the paper's Algorithm 1. Seed
-// measurements already committed (e.g. taken earlier in the period by
-// departed users) can be supplied via prior; they contribute coverage but
-// consume no budget.
+// Greedy computes a schedule with the paper's Algorithm 1, run lazily
+// (see lazyGreedy): the plan is the printed scan's to the bit, for fewer
+// gain evaluations. Seed measurements already committed (e.g. taken
+// earlier in the period by departed users) can be supplied via prior; they
+// contribute coverage but consume no budget.
 func (s *Scheduler) Greedy(parts []Participant, prior []int) (*Plan, error) {
 	for _, p := range parts {
 		if err := p.Validate(); err != nil {
@@ -210,43 +180,15 @@ func (s *Scheduler) Greedy(parts []Participant, prior []int) (*Plan, error) {
 	for _, p := range parts {
 		plan.Assignments[p.UserID] = Assignment{UserID: p.UserID}
 	}
-	if s.lazy {
-		s.lazyGreedy(parts, acc, plan)
-	} else if err := s.eagerGreedy(parts, acc, plan); err != nil {
-		return nil, err
-	}
+	s.lazyGreedy(parts, acc, plan)
 	plan.TotalCoverage = acc.Total()
 	plan.AverageCoverage = acc.Average()
 	return plan, nil
 }
 
-// eagerGreedy is Algorithm 1 as printed: every round scans every feasible
-// (user, instant) pair.
-func (s *Scheduler) eagerGreedy(parts []Participant, acc *coverage.Accumulator, plan *Plan) error {
-	elems, partOf, caps, err := s.buildGround(parts)
-	if err != nil || len(elems) == 0 {
-		return err
-	}
-	m, err := matroid.NewPartition(partOf, caps)
-	if err != nil {
-		return err
-	}
-	res, err := submodular.Greedy(&coverageObjective{acc: acc, elems: elems}, m, minGain)
-	if err != nil {
-		return err
-	}
-	picks := make([]pick, len(res.Chosen))
-	for n, e := range res.Chosen {
-		picks[n] = pick(elems[e])
-	}
-	plan.OracleCalls = res.OracleCalls
-	plan.assign(parts, picks)
-	return nil
-}
-
 // assign files the picks under their users, each user's instants sorted
 // and all of them carved from one array.
-func (p *Plan) assign(parts []Participant, picks []pick) {
+func (p *Plan) assign(parts []Participant, picks []element) {
 	if len(picks) == 0 {
 		return
 	}

@@ -31,9 +31,9 @@ func smallTimeline(t testing.TB, n int) *coverage.Timeline {
 	return tl
 }
 
-func mustScheduler(t testing.TB, tl *coverage.Timeline, opts ...Option) *Scheduler {
+func mustScheduler(t testing.TB, tl *coverage.Timeline) *Scheduler {
 	t.Helper()
-	s, err := NewScheduler(tl, coverage.GaussianKernel{Sigma: 10}, opts...)
+	s, err := NewScheduler(tl, coverage.GaussianKernel{Sigma: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +93,57 @@ func TestGreedyRespectsBudgetsAndWindows(t *testing.T) {
 		if i > aliceHi {
 			t.Fatalf("alice scheduled at %d beyond her window %d", i, aliceHi)
 		}
+	}
+}
+
+// One user over the whole period is a uniform matroid over instants: the
+// greedy spreads its budget, taking no two adjacent instants, and beats
+// the same budget spent back to back.
+func TestGreedyOnCoverageSpreadsMeasurements(t *testing.T) {
+	tl := smallTimeline(t, 120)
+	s := mustScheduler(t, tl)
+	plan, err := s.Greedy([]Participant{{UserID: "u", Arrive: periodStart, Leave: tl.End(), Budget: 12}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := plan.Assignments["u"].Instants
+	if len(got) != 12 {
+		t.Fatalf("chose %d instants", len(got))
+	}
+	for n := 1; n < len(got); n++ {
+		if got[n]-got[n-1] < 2 {
+			t.Fatalf("greedy clustered instants: %v", got)
+		}
+	}
+	clustered := coverage.Eval(tl, coverage.GaussianKernel{Sigma: 10}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	if plan.TotalCoverage <= clustered {
+		t.Fatalf("greedy %v should beat clustered baseline %v", plan.TotalCoverage, clustered)
+	}
+}
+
+// Once a pick leaves nothing to gain the greedy stops, budget unspent: with
+// a zero-width kernel three users who can sense at one instant only take
+// one measurement between them.
+func TestGreedyStopsWhenNoPositiveGain(t *testing.T) {
+	tl := smallTimeline(t, 10)
+	s, err := NewScheduler(tl, coverage.GaussianKernel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := tl.Time(4)
+	var parts []Participant
+	for _, id := range []string{"a", "b", "c"} {
+		parts = append(parts, Participant{UserID: id, Arrive: at, Leave: at, Budget: 3})
+	}
+	plan, err := s.Greedy(parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := plan.Measurements(); len(m) != 1 || m[0] != (Measurement{UserID: "a", Instant: 4}) {
+		t.Fatalf("measurements %v, want a single one by a at 4", m)
+	}
+	if plan.TotalCoverage != 1 {
+		t.Fatalf("coverage %v, want exactly 1", plan.TotalCoverage)
 	}
 }
 

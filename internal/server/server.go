@@ -380,7 +380,7 @@ func (s *Server) schedState(app store.Application, anchor time.Time) (*appSchedS
 		if err != nil {
 			return nil, fmt.Errorf("server: timeline for %s: %w", app.ID, err)
 		}
-		sched, err := schedule.NewScheduler(tl, s.kernel, schedule.WithLazyGreedy())
+		sched, err := schedule.NewScheduler(tl, s.kernel)
 		if err != nil {
 			return nil, err
 		}

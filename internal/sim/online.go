@@ -55,7 +55,7 @@ func RunOnline(cfg Config) (OnlineOutcome, error) {
 		if err != nil {
 			return OnlineOutcome{}, err
 		}
-		sched, err := schedule.NewScheduler(tl, kernel, schedule.WithLazyGreedy())
+		sched, err := schedule.NewScheduler(tl, kernel)
 		if err != nil {
 			return OnlineOutcome{}, err
 		}

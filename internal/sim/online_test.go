@@ -59,7 +59,7 @@ func TestOnlineRespectsAllBudgets(t *testing.T) {
 	// scenario with many overlapping users to stress re-planning.
 	cfg := Config{
 		Users: 15, Budget: 5, Runs: 2, Seed: 9,
-		Period: 40 * time.Minute, Lazy: true,
+		Period: 40 * time.Minute,
 	}
 	if _, err := RunOnline(cfg); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestOnlinePaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale scenario")
 	}
-	o, err := RunOnline(Config{Users: 40, Budget: 17, Runs: 3, Seed: 11, Lazy: true})
+	o, err := RunOnline(Config{Users: 40, Budget: 17, Runs: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,6 @@ type Config struct {
 	Sigma float64
 	// BaselineInterval is the baseline's sensing period (default 10 s).
 	BaselineInterval time.Duration
-	// Lazy selects the lazy-greedy variant (identical results, faster).
-	Lazy bool
 }
 
 // withDefaults fills zero fields.
@@ -102,11 +100,7 @@ func Run(cfg Config) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	var opts []schedule.Option
-	if cfg.Lazy {
-		opts = append(opts, schedule.WithLazyGreedy())
-	}
-	sched, err := schedule.NewScheduler(tl, coverage.GaussianKernel{Sigma: cfg.Sigma}, opts...)
+	sched, err := schedule.NewScheduler(tl, coverage.GaussianKernel{Sigma: cfg.Sigma})
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -15,7 +14,6 @@ func fastConfig() Config {
 		Sigma:  10,
 		Runs:   3,
 		Seed:   42,
-		Lazy:   true,
 	}
 }
 
@@ -57,7 +55,7 @@ func TestGreedyLowerVarianceAtPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale scenario")
 	}
-	o, err := Run(Config{Users: 40, Budget: 17, Runs: 10, Seed: 3, Lazy: true})
+	o, err := Run(Config{Users: 40, Budget: 17, Runs: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,25 +115,6 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesEager(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Users = 8
-	cfg.Budget = 5
-	cfg.Lazy = false
-	eager, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Lazy = true
-	lazy, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(eager.GreedyMean-lazy.GreedyMean) > 1e-6 {
-		t.Fatalf("eager %v vs lazy %v", eager.GreedyMean, lazy.GreedyMean)
-	}
-}
-
 func TestImprovementZeroBaseline(t *testing.T) {
 	if (Outcome{}).Improvement() != 0 {
 		t.Fatal("zero baseline should give zero improvement")
@@ -160,7 +139,7 @@ func TestPaperScaleScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale scenario")
 	}
-	o, err := Run(Config{Users: 40, Budget: 17, Runs: 3, Seed: 7, Lazy: true})
+	o, err := Run(Config{Users: 40, Budget: 17, Runs: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

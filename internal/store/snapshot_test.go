@@ -9,6 +9,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,8 +22,10 @@ import (
 // dumpTables renders every row of s as text without the row codec:
 // floats as their bits, times as Unix seconds + nanoseconds (the zero
 // time apart), bodies as hex (nil and empty alike: the codec keeps no
-// distinction between them), windows oldest first. Two stores hold the
-// same state exactly when their dumps match, table by table.
+// distinction between them), windows oldest first with each ID raw behind
+// its length (as exact as quoting it, and a full window renders without an
+// allocation per ID). Two stores hold the same state exactly when their
+// dumps match, table by table.
 func dumpTables(s *Store) map[string][]string {
 	img := s.capture()
 	tm := func(t time.Time) string {
@@ -68,9 +71,12 @@ func dumpTables(s *Store) map[string][]string {
 		}
 	}
 	for _, w := range img.windows {
-		var ids []string
-		w.each(func(id []byte) { ids = append(ids, string(id)) })
-		add("windows", "%q %q", w.appID, ids)
+		row := strconv.AppendQuote(nil, w.appID)
+		w.each(func(id []byte) {
+			row = strconv.AppendInt(append(row, ' '), int64(len(id)), 10)
+			row = append(append(row, ':'), id...)
+		})
+		out["windows"] = append(out["windows"], string(row))
 	}
 	for _, rows := range out {
 		sort.Strings(rows)

@@ -21,9 +21,9 @@
 package sor
 
 import (
+	"fmt"
 	"time"
 
-	"sor/internal/core"
 	"sor/internal/coverage"
 	"sor/internal/fieldtest"
 	"sor/internal/ranking"
@@ -58,11 +58,36 @@ type PerUserEnergy = schedule.PerUserEnergy
 // EnergyPlan is the result of energy-aware scheduling.
 type EnergyPlan = schedule.EnergyPlan
 
-// SensingRequest parameterizes ScheduleSensing.
-type SensingRequest = core.SensingRequest
+// SensingRequest parameterizes ScheduleSensing and ScheduleEnergyAware.
+type SensingRequest struct {
+	// Start and Period bound the scheduling window [tS, tE].
+	Start  time.Time
+	Period time.Duration
+	// Step is the instant spacing (N = Period/Step); default 10 s.
+	Step time.Duration
+	// Sigma is the Gaussian kernel σ in seconds; default 10. Use a large
+	// σ for slowly varying features and a small one for fast ones (§III).
+	Sigma float64
+	// Kernel overrides the Gaussian entirely when non-nil.
+	Kernel Kernel
+	// Participants are the mobile users.
+	Participants []Participant
+	// Lazy is ignored: there is one greedy, whose plan is the printed
+	// Algorithm 1's to the bit. The field stays so callers that set it
+	// still build.
+	Lazy bool
+}
 
 // SensingPlan bundles the greedy plan, the baseline and the timeline.
-type SensingPlan = core.SensingPlan
+type SensingPlan struct {
+	// Plan is the greedy schedule.
+	Plan *Plan
+	// Baseline is the §V-C comparison schedule (sense every Step from
+	// arrival).
+	Baseline *Plan
+	// Timeline exposes instant-to-time translation.
+	Timeline *Timeline
+}
 
 // Kernel models the probability that a measurement taken at one instant
 // still covers another (Eq. 1).
@@ -74,24 +99,76 @@ type GaussianKernel = coverage.GaussianKernel
 // Timeline is the discretization of a scheduling period into instants.
 type Timeline = coverage.Timeline
 
+// newScheduler builds the scheduler for one period. A zero step defaults
+// to 10 s, and a nil kernel to the Gaussian with σ = sigma, itself 10 s
+// when zero.
+func newScheduler(start time.Time, period, step time.Duration, kernel Kernel, sigma float64) (*schedule.Scheduler, error) {
+	if step <= 0 {
+		step = 10 * time.Second
+	}
+	if kernel == nil {
+		if sigma <= 0 {
+			sigma = 10
+		}
+		kernel = GaussianKernel{Sigma: sigma}
+	}
+	n := int(period / step)
+	if n < 1 {
+		return nil, fmt.Errorf("sor: period %v shorter than step %v", period, step)
+	}
+	tl, err := coverage.NewTimeline(start, step, n)
+	if err != nil {
+		return nil, err
+	}
+	return schedule.NewScheduler(tl, kernel)
+}
+
 // ScheduleSensing computes the greedy 1/2-approximate coverage-maximizing
 // schedule (Algorithm 1) plus the paper's baseline for comparison.
 func ScheduleSensing(req SensingRequest) (*SensingPlan, error) {
-	return core.ScheduleSensing(req)
+	sched, err := newScheduler(req.Start, req.Period, req.Step, req.Kernel, req.Sigma)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := sched.Greedy(req.Participants, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := sched.Verify(req.Participants, plan); err != nil {
+		return nil, fmt.Errorf("sor: greedy plan failed verification: %w", err)
+	}
+	tl := sched.Timeline()
+	baseline, err := sched.Baseline(req.Participants, tl.Step())
+	if err != nil {
+		return nil, err
+	}
+	return &SensingPlan{Plan: plan, Baseline: baseline, Timeline: tl}, nil
 }
 
 // ScheduleEnergyAware reaches a target average coverage at greedily
 // minimized device energy (the dual problem from the paper's companion
 // work, its ref. [25]).
 func ScheduleEnergyAware(req SensingRequest, targetAvgCoverage float64, model EnergyModel) (*EnergyPlan, error) {
-	return core.ScheduleEnergyAware(req, targetAvgCoverage, model)
+	sched, err := newScheduler(req.Start, req.Period, req.Step, req.Kernel, req.Sigma)
+	if err != nil {
+		return nil, err
+	}
+	return sched.EnergyAware(req.Participants, targetAvgCoverage, model)
 }
 
 // NewOnlineScheduler builds the event-driven scheduler the sensing server
 // runs. A nil kernel defaults to the Gaussian with σ = 10 s; a zero step
 // defaults to 10 s.
 func NewOnlineScheduler(start time.Time, period, step time.Duration, kernel Kernel) (*Online, *Timeline, error) {
-	return core.NewOnlineScheduler(start, period, step, kernel)
+	sched, err := newScheduler(start, period, step, kernel, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	online, err := schedule.NewOnline(sched)
+	if err != nil {
+		return nil, nil, err
+	}
+	return online, sched.Timeline(), nil
 }
 
 // ---- Ranking (§IV) ----
@@ -125,12 +202,28 @@ const MaxWeight = ranking.MaxWeight
 
 // RankPlaces runs Algorithm 2 (personalizable ranking) for one profile.
 func RankPlaces(m *Matrix, profile Profile) (*RankResult, error) {
-	return core.RankPlaces(m, profile)
+	r, err := ranking.NewRanker(m)
+	if err != nil {
+		return nil, err
+	}
+	return r.Rank(profile)
 }
 
-// RankAll ranks several profiles over one matrix.
+// RankAll ranks several profiles over one matrix, validating it once.
 func RankAll(m *Matrix, profiles []Profile) (map[string]*RankResult, error) {
-	return core.RankAll(m, profiles)
+	r, err := ranking.NewRanker(m)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*RankResult, len(profiles))
+	for _, p := range profiles {
+		res, err := r.Rank(p)
+		if err != nil {
+			return nil, fmt.Errorf("sor: ranking for %q: %w", p.Name, err)
+		}
+		out[p.Name] = res
+	}
+	return out, nil
 }
 
 // RankHybrid blends objective feature rankings with an existing subjective
@@ -138,7 +231,11 @@ func RankAll(m *Matrix, profiles []Profile) (map[string]*RankResult, error) {
 // individual ranking — the integration with subjective recommendation
 // systems the paper's introduction motivates.
 func RankHybrid(m *Matrix, profile Profile, subjective []float64, subjectiveWeight int) (*RankResult, error) {
-	return core.RankHybrid(m, profile, subjective, subjectiveWeight)
+	r, err := ranking.NewRanker(m)
+	if err != nil {
+		return nil, err
+	}
+	return r.RankHybrid(profile, subjective, subjectiveWeight)
 }
 
 // SubjectiveFeatureName labels the star-rating pseudo-feature in hybrid

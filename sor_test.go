@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sor"
+	"sor/internal/coverage"
 	"sor/internal/fieldtest"
 	"sor/internal/world"
 )
@@ -76,7 +77,7 @@ func TestPublicRanking(t *testing.T) {
 func TestPublicSim(t *testing.T) {
 	o, err := sor.RunSim(sor.SimConfig{
 		Users: 6, Budget: 4, Runs: 2, Seed: 1,
-		Period: 20 * time.Minute, Lazy: true,
+		Period: 20 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +85,11 @@ func TestPublicSim(t *testing.T) {
 	if o.GreedyMean <= 0 || o.GreedyMean > 1 {
 		t.Fatalf("outcome = %+v", o)
 	}
-	up, err := sor.SweepUsers([]int{3, 6}, 4, sor.SimConfig{Runs: 1, Seed: 1, Period: 20 * time.Minute, Lazy: true})
+	up, err := sor.SweepUsers([]int{3, 6}, 4, sor.SimConfig{Runs: 1, Seed: 1, Period: 20 * time.Minute})
 	if err != nil || len(up) != 2 {
 		t.Fatalf("sweep = %v, %v", up, err)
 	}
-	bp, err := sor.SweepBudget([]int{2, 4}, 5, sor.SimConfig{Runs: 1, Seed: 1, Period: 20 * time.Minute, Lazy: true})
+	bp, err := sor.SweepBudget([]int{2, 4}, 5, sor.SimConfig{Runs: 1, Seed: 1, Period: 20 * time.Minute})
 	if err != nil || len(bp) != 2 {
 		t.Fatalf("sweep = %v, %v", bp, err)
 	}
@@ -131,5 +132,162 @@ func TestExpectedRankingsShape(t *testing.T) {
 				t.Fatal("empty profile name")
 			}
 		}
+	}
+}
+
+func TestScheduleSensingValidation(t *testing.T) {
+	if _, err := sor.ScheduleSensing(sor.SensingRequest{}); err == nil {
+		t.Fatal("zero period must error")
+	}
+	if _, err := sor.ScheduleSensing(sor.SensingRequest{
+		Start: apiStart, Period: time.Second, Step: time.Minute,
+	}); err == nil {
+		t.Fatal("period < step must error")
+	}
+}
+
+func TestScheduleSensingDefaults(t *testing.T) {
+	parts := []sor.Participant{
+		{UserID: "u1", Arrive: apiStart, Leave: apiStart.Add(time.Hour), Budget: 6},
+		{UserID: "u2", Arrive: apiStart.Add(20 * time.Minute), Leave: apiStart.Add(time.Hour), Budget: 6},
+	}
+	plan, err := sor.ScheduleSensing(sor.SensingRequest{
+		Start: apiStart, Period: time.Hour, Participants: parts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Timeline.Step() != 10*time.Second {
+		t.Fatalf("default step = %v", plan.Timeline.Step())
+	}
+	if got := len(plan.Plan.Assignments["u1"].Instants); got != 6 {
+		t.Fatalf("u1 scheduled %d times", got)
+	}
+	if plan.Plan.AverageCoverage <= plan.Baseline.AverageCoverage {
+		t.Fatalf("greedy %v <= baseline %v",
+			plan.Plan.AverageCoverage, plan.Baseline.AverageCoverage)
+	}
+}
+
+func TestScheduleSensingCustomKernel(t *testing.T) {
+	parts := []sor.Participant{
+		{UserID: "u", Arrive: apiStart, Leave: apiStart.Add(30 * time.Minute), Budget: 4},
+	}
+	plan, err := sor.ScheduleSensing(sor.SensingRequest{
+		Start: apiStart, Period: 30 * time.Minute,
+		Kernel:       coverage.TriangularKernel{Width: 30},
+		Participants: parts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Plan.TotalCoverage <= 0 {
+		t.Fatal("no coverage")
+	}
+}
+
+func TestNewOnlineScheduler(t *testing.T) {
+	online, tl, err := sor.NewOnlineScheduler(apiStart, time.Hour, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl.Step() != 10*time.Second {
+		t.Fatalf("default step = %v", tl.Step())
+	}
+	plan, err := online.Join(apiStart, sor.Participant{
+		UserID: "u", Arrive: apiStart, Leave: tl.End(), Budget: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Assignments["u"].Instants) != 3 {
+		t.Fatalf("scheduled %v", plan.Assignments["u"].Instants)
+	}
+	if _, _, err := sor.NewOnlineScheduler(apiStart, time.Second, time.Minute, nil); err == nil {
+		t.Fatal("period < step must error")
+	}
+}
+
+func TestScheduleEnergyAware(t *testing.T) {
+	parts := []sor.Participant{
+		{UserID: "u1", Arrive: apiStart, Leave: apiStart.Add(time.Hour), Budget: 40},
+		{UserID: "u2", Arrive: apiStart, Leave: apiStart.Add(time.Hour), Budget: 40},
+	}
+	plan, err := sor.ScheduleEnergyAware(sor.SensingRequest{
+		Start: apiStart, Period: time.Hour, Participants: parts,
+	}, 0.4, sor.UniformEnergy{MilliJ: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.TargetReached || plan.AverageCoverage < 0.4 {
+		t.Fatalf("plan = %+v", plan)
+	}
+	if plan.EnergyMilliJ <= 0 {
+		t.Fatal("no energy accounted")
+	}
+	if _, err := sor.ScheduleEnergyAware(sor.SensingRequest{}, 0.4, sor.UniformEnergy{MilliJ: 1}); err == nil {
+		t.Fatal("zero period must error")
+	}
+	if _, err := sor.ScheduleEnergyAware(sor.SensingRequest{
+		Start: apiStart, Period: time.Second, Step: time.Minute,
+	}, 0.4, sor.UniformEnergy{MilliJ: 1}); err == nil {
+		t.Fatal("period < step must error")
+	}
+}
+
+func rankingMatrix() *sor.Matrix {
+	return &sor.Matrix{
+		Places: []string{"a", "b", "c"},
+		Features: []sor.Feature{
+			{Name: "noise", Default: sor.Preference{Kind: sor.PrefMin}},
+			{Name: "wifi", Default: sor.Preference{Kind: sor.PrefMax}},
+		},
+		Values: [][]float64{{0.2, -70}, {0.1, -50}, {0.3, -60}},
+	}
+}
+
+func TestRankPlaces(t *testing.T) {
+	res, err := sor.RankPlaces(rankingMatrix(), sor.Profile{
+		Name: "quiet-seeker",
+		Prefs: map[string]sor.Preference{
+			"noise": {Kind: sor.PrefMin, Weight: 5},
+			"wifi":  {Kind: sor.PrefDefault, Weight: 0},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Order[0] != "b" {
+		t.Fatalf("order = %v", res.Order)
+	}
+	if _, err := sor.RankPlaces(&sor.Matrix{}, sor.Profile{}); err == nil {
+		t.Fatal("invalid matrix must error")
+	}
+}
+
+func TestRankAll(t *testing.T) {
+	profiles := []sor.Profile{
+		{Name: "p1", Prefs: map[string]sor.Preference{
+			"noise": {Kind: sor.PrefMin, Weight: 5},
+		}},
+		{Name: "p2", Prefs: map[string]sor.Preference{
+			"wifi": {Kind: sor.PrefMax, Weight: 5},
+		}},
+	}
+	out, err := sor.RankAll(rankingMatrix(), profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 {
+		t.Fatalf("results = %d", len(out))
+	}
+	if out["p1"].Order[0] != "b" || out["p2"].Order[0] != "b" {
+		t.Fatalf("p1=%v p2=%v", out["p1"].Order, out["p2"].Order)
+	}
+	bad := []sor.Profile{{Name: "broken", Prefs: map[string]sor.Preference{
+		"noise": {Kind: sor.PrefMin, Weight: 99},
+	}}}
+	if _, err := sor.RankAll(rankingMatrix(), bad); err == nil {
+		t.Fatal("invalid profile must error")
 	}
 }
