@@ -131,12 +131,15 @@ bench-test:
 # tied costs, the exact sum against math/big in any input order, the
 # rank cache's profile key, patched epochs against a fresh build, and the
 # task-language parser (an app creator's script runs on every phone).
+# The snapshot target minimizes a new input for at most 100 runs: under
+# the default 60 s bound, minimizing inputs the size of its full-window
+# seed stalls a 10 s smoke at 0 execs/s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSessionFrame -fuzztime 10s ./internal/transport/session/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzWALOpDecode -fuzztime 10s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s -fuzzminimizetime 100x ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzAssign -fuzztime 10s ./internal/mcmf/
 	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime 10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzProfileKey -fuzztime 10s ./internal/server/

@@ -77,20 +77,11 @@ const (
 // Server is one sensing server instance (Fig. 5).
 type Server = server.Server
 
-// Store is the backing database standing in for PostgreSQL.
-type Store = store.Store
-
 // Application is one registered sensing application.
 type Application = store.Application
 
 // User is one registered participant.
 type User = store.User
-
-// DataProcessor is the server's §IV-A feature pipeline.
-type DataProcessor = server.DataProcessor
-
-// NewStore returns an empty store.
-func NewStore() *Store { return store.New() }
 
 // ---- Storage backends ----
 
@@ -138,21 +129,12 @@ func WithWALSync(p WALSyncPolicy) DurableOption { return store.WithWALSync(p) }
 // WithWALSegmentBytes sets the WAL segment rotation threshold.
 func WithWALSegmentBytes(n int64) DurableOption { return store.WithSegmentBytes(n) }
 
-// WithStorageMetrics publishes WAL and checkpoint series into reg.
-func WithStorageMetrics(reg *Registry) DurableOption { return store.WithMetrics(reg) }
-
 // DefaultCatalog is the paper's feature catalog: coffee shops and hiking
 // trails with their §IV default preferences.
 func DefaultCatalog() map[string][]Feature { return server.DefaultCatalog() }
 
 // ServerOption configures NewServer.
 type ServerOption func(*server.Config)
-
-// WithStore sets an already-open backing store (default: a fresh empty
-// store). Mutually exclusive with WithStorage.
-func WithStore(db *Store) ServerOption {
-	return func(cfg *server.Config) { cfg.DB = db }
-}
 
 // WithStorage hands the server a storage backend (Memory, Durable). The
 // server must then be Opened before serving — Open recovers the store
@@ -166,38 +148,11 @@ func WithCatalog(catalog map[string][]ranking.Feature) ServerOption {
 	return func(cfg *server.Config) { cfg.Catalog = catalog }
 }
 
-// WithNow injects a clock (tests and simulations).
-func WithNow(now func() time.Time) ServerOption {
-	return func(cfg *server.Config) { cfg.Now = now }
-}
-
-// WithKernel sets the coverage kernel (default Gaussian σ=10 s).
-func WithKernel(k Kernel) ServerOption {
-	return func(cfg *server.Config) { cfg.Kernel = k }
-}
-
-// WithStep sets the timeline discretization (default 10 s).
-func WithStep(step time.Duration) ServerOption {
-	return func(cfg *server.Config) { cfg.Step = step }
-}
-
 // WithTransport attaches the server's outbound push path — typically the
 // SessionRegistry a StreamServer serves, so fresh schedules, epoch
 // invalidations, and wake-ups ride the live device streams.
 func WithTransport(n Notifier) ServerOption {
 	return func(cfg *server.Config) { cfg.Push = n }
-}
-
-// WithRobustExtraction enables MAD outlier rejection in the Data
-// Processor.
-func WithRobustExtraction(on bool) ServerOption {
-	return func(cfg *server.Config) { cfg.RobustExtraction = on }
-}
-
-// WithRankRefresh bounds rank-serving staleness (zero: every rank request
-// observes every prior ingest).
-func WithRankRefresh(d time.Duration) ServerOption {
-	return func(cfg *server.Config) { cfg.RankRefresh = d }
 }
 
 // WithMaxReplicaLag bounds how stale a read replica may serve rank
@@ -213,15 +168,6 @@ func WithMaxReplicaLag(d time.Duration) ServerOption {
 // scheduling, snapshot, and cache metrics plus handler/dedup spans.
 func WithObserver(o *Observer) ServerOption {
 	return func(cfg *server.Config) { cfg.Observer = o }
-}
-
-// WithMetricsRegistry is WithObserver for callers that only want metrics
-// into an existing registry: the server gets a fresh observer writing its
-// series there.
-func WithMetricsRegistry(reg *Registry) ServerOption {
-	return func(cfg *server.Config) {
-		cfg.Observer = obs.NewObserver(obs.WithRegistry(reg))
-	}
 }
 
 // NewServer builds a sensing server. With no options it serves a fresh
@@ -280,12 +226,6 @@ func WithClientHTTP(h *http.Client) ClientOption { return transport.WithHTTPClie
 // "client.send" span per attempt, all under one minted RequestID.
 func WithClientObserver(o *Observer) ClientOption { return transport.WithObserver(o) }
 
-// WithClientRetryObserver installs a hook called before every retry
-// sleep with the attempt number, chosen delay, and triggering error.
-func WithClientRetryObserver(fn func(attempt int, delay time.Duration, err error)) ClientOption {
-	return transport.WithRetryObserver(fn)
-}
-
 // NewHTTPHandler binds a server's Handler to HTTP at ServerPath.
 func NewHTTPHandler(h Handler, opts ...HandlerOption) (http.Handler, error) {
 	return transport.NewHTTPHandler(h, opts...)
@@ -329,7 +269,7 @@ type StreamServer = session.Server
 type StreamServerOption = session.ServerOption
 
 // SessionRegistry tracks every live device stream on a server — who is
-// connected, how fresh, with bounded per-session push queues — and
+// connected, with bounded per-session push queues — and
 // implements Notifier, so WithTransport accepts it directly.
 type SessionRegistry = session.Registry
 
@@ -375,15 +315,6 @@ func WithStreamServerObserver(o *Observer) StreamServerOption {
 // per-send retries and reconnect backoff.
 func WithStreamRetry(r Retry) StreamClientOption { return session.WithClientRetry(r) }
 
-// WithStreamObserver instruments the stream client through the same
-// retry series the HTTP client reports.
-func WithStreamObserver(o *Observer) StreamClientOption { return session.WithClientObserver(o) }
-
-// WithStreamOnResume installs the resume hook: it fires on each
-// successful re-dial after a connection loss — the place to flush a
-// frontend's outbox so interrupted reports go out immediately.
-func WithStreamOnResume(fn func()) StreamClientOption { return session.WithOnResume(fn) }
-
 // ---- Mobile frontend ----
 
 // Frontend is the simulated phone-side system frontend.
@@ -412,17 +343,10 @@ func NewFrontend(phone *Phone, sender Sender, opts ...FrontendOption) (*Frontend
 	return frontend.New(phone, sender, opts...)
 }
 
-// WithOutboxCapacity bounds the store-and-forward queue.
-func WithOutboxCapacity(n int) FrontendOption { return frontend.WithOutboxCapacity(n) }
-
 // WithOutboxRetry applies a retry envelope to the outbox's flush
 // backoff. Attempts is ignored: the outbox never gives up — its
 // bounded queue is the retry budget.
 func WithOutboxRetry(r Retry) FrontendOption { return frontend.WithOutboxRetry(r) }
-
-// WithFrontendObserver instruments the frontend's outbox (fleet-aggregate
-// depth gauge, delivery counters).
-func WithFrontendObserver(o *Observer) FrontendOption { return frontend.WithObserver(o) }
 
 // BuiltinProfiles returns the paper's five named preference profiles for
 // a category (Table II) — the profiles sorctl's rank subcommand offers.

@@ -85,11 +85,8 @@ func TestPublicSurface(t *testing.T) {
 // is the protocol itself).
 func TestPublicSurfaceBootsObservableServer(t *testing.T) {
 	o := sor.NewObserver()
-	epoch := time.Date(2013, time.November, 15, 11, 0, 0, 0, time.UTC)
 	srv, err := sor.NewServer(
-		sor.WithStore(sor.NewStore()),
 		sor.WithCatalog(sor.DefaultCatalog()),
-		sor.WithNow(func() time.Time { return epoch }),
 		sor.WithTransport(sor.NewSessionRegistry()),
 		sor.WithObserver(o),
 	)
@@ -193,24 +190,6 @@ func TestNewServerDefaults(t *testing.T) {
 	}
 	if _, err := srv.Handler()(context.Background(), &wire.Ping{Token: "x"}); err != nil {
 		t.Fatalf("default server refused a ping dispatch: %v", err)
-	}
-}
-
-// TestWithMetricsRegistry pins the metrics-only instrumentation path: the
-// caller's registry receives the server's series without the caller ever
-// constructing an observer.
-func TestWithMetricsRegistry(t *testing.T) {
-	reg := sor.NewRegistry()
-	srv, err := sor.NewServer(sor.WithMetricsRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Handler()(context.Background(), &wire.Ping{Token: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[`sor_server_requests_total{type="ping"}`]; got != 1 {
-		t.Errorf(`caller registry sor_server_requests_total{type="ping"} = %d, want 1`, got)
 	}
 }
 

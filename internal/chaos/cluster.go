@@ -109,9 +109,6 @@ type ClusterResult struct {
 	summary func(*ClusterResult) string
 }
 
-// Summary renders the soak telemetry for logs, in the entry's format.
-func (r *ClusterResult) Summary() string { return r.summary(r) }
-
 const (
 	soakFollowerTTL  = 24 * time.Hour // liveness TTL; retention pins must outlive every partition
 	soakPullInterval = 100 * time.Millisecond

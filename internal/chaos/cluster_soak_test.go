@@ -47,3 +47,6 @@ func TestClusterSoakConvergesToBaselines(t *testing.T) {
 func TestClusterSoakDeterministic(t *testing.T) {
 	clusterSoakTwice(t, "cluster", 7, 3)
 }
+
+// Summary renders the soak telemetry for logs, in the entry's format.
+func (r *ClusterResult) Summary() string { return r.summary(r) }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -171,4 +172,15 @@ func TestStreamCrashSoakRecoversIdenticalState(t *testing.T) {
 	if diff := DiffState(clean, chaotic); diff != "" {
 		t.Fatalf("killed stream run diverged from fault-free run: %s\n%s", diff, repro(t, base.Seed))
 	}
+}
+
+// SessionSummary renders a stream run's telemetry.
+func (r *Result) SessionSummary() string {
+	return fmt.Sprintf(
+		"stored %d reports (outbox: %d enqueued, %d delivered; "+
+			"stream: %d sends, %d retries, %d reconnects, %d pushes received, %d sessions severed by partition)",
+		r.Stored,
+		r.Outbox.Enqueued, r.Outbox.Delivered,
+		r.Client.Sends, r.Client.Retries, r.Reconnects, r.PushesReceived,
+		r.Fault.SessionsSevered)
 }

@@ -149,17 +149,6 @@ func (r *Result) Summary() string {
 		r.Client.Sends, r.Client.Retries)
 }
 
-// SessionSummary renders a stream run's telemetry.
-func (r *Result) SessionSummary() string {
-	return fmt.Sprintf(
-		"stored %d reports (outbox: %d enqueued, %d delivered; "+
-			"stream: %d sends, %d retries, %d reconnects, %d pushes received, %d sessions severed by partition)",
-		r.Stored,
-		r.Outbox.Enqueued, r.Outbox.Delivered,
-		r.Client.Sends, r.Client.Retries, r.Reconnects, r.PushesReceived,
-		r.Fault.SessionsSevered)
-}
-
 // StateDigest hashes a store's externally visible state into one
 // comparable string: users, apps, participations, anchors, the dedup
 // window, every stored upload body in sequence order, and the feature

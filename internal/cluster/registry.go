@@ -337,11 +337,3 @@ func (r *Registry) MarkAlive(name string, appliedLSN uint64) {
 		m.appliedLSN = appliedLSN
 	}
 }
-
-// Live reports whether a member heartbeated within the TTL.
-func (r *Registry) Live(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.members[name]
-	return ok && m.everSeen && r.clock.Now().Sub(m.lastSeen) <= r.ttl
-}

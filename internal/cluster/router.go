@@ -127,9 +127,6 @@ func NewRouter(name string, reg *Registry, dial Dialer, opts ...RouterOption) (*
 	return rt, nil
 }
 
-// Registry exposes the router's cluster map (status endpoints).
-func (rt *Router) Registry() *Registry { return rt.reg }
-
 // errRouterClosed refuses sends after Close.
 var errRouterClosed = errors.New("cluster: router closed")
 

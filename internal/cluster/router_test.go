@@ -315,7 +315,7 @@ func TestHeartbeatReconcilesRoles(t *testing.T) {
 		t.Fatalf("heartbeat did not adopt the promotion: leader %s", ld.Name)
 	}
 	for _, name := range []string{"a1", "a2", "b1", "b2"} {
-		if !tc.reg.Live(name) {
+		if !live(tc.reg, name) {
 			t.Fatalf("member %s not live after heartbeat", name)
 		}
 	}

@@ -319,22 +319,12 @@ func (a *Accumulator) Total() float64 { return a.total }
 // metric from §V-C.
 func (a *Accumulator) Average() float64 { return a.total / float64(len(a.miss)) }
 
-// Coverage returns p(tj, Φ) for instant j.
-func (a *Accumulator) Coverage(j int) float64 { return 1 - a.miss[j] }
-
 // Reset clears all measurements.
 func (a *Accumulator) Reset() {
 	for i := range a.miss {
 		a.miss[i] = 1
 	}
 	a.total = 0
-}
-
-// Clone returns an independent copy sharing only the kernel table.
-func (a *Accumulator) Clone() *Accumulator {
-	miss := make([]float64, len(a.miss))
-	copy(miss, a.miss)
-	return &Accumulator{tab: a.tab, miss: miss, total: a.total}
 }
 
 // Eval computes Σ_j p(tj, Φ) from scratch for a set of measurement instants

@@ -453,3 +453,13 @@ func BenchmarkAccumulatorGain(b *testing.B) {
 		acc.Gain(i % tl.N())
 	}
 }
+
+// Coverage returns p(tj, Φ) for instant j.
+func (a *Accumulator) Coverage(j int) float64 { return 1 - a.miss[j] }
+
+// Clone returns an independent copy sharing only the kernel table.
+func (a *Accumulator) Clone() *Accumulator {
+	miss := make([]float64, len(a.miss))
+	copy(miss, a.miss)
+	return &Accumulator{tab: a.tab, miss: miss, total: a.total}
+}

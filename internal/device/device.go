@@ -158,20 +158,6 @@ func (p *Phone) SetTime(at time.Time) {
 	p.now = at
 }
 
-// Now returns the simulated clock.
-func (p *Phone) Now() time.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.now
-}
-
-// Trajectory returns the phone's trajectory.
-func (p *Phone) Trajectory() Trajectory {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.traj
-}
-
 // Position returns the true position at the simulated clock.
 func (p *Phone) Position() geo.Point {
 	p.mu.Lock()
@@ -181,9 +167,6 @@ func (p *Phone) Position() geo.Point {
 
 // Manager exposes the sensor manager (the frontend binds it to scripts).
 func (p *Phone) Manager() *sensors.Manager { return p.manager }
-
-// Bluetooth exposes the simulated Sensordrone link.
-func (p *Phone) Bluetooth() *sensors.BluetoothLink { return p.link }
 
 // EnergySpentMilliJ reports the toy energy ledger.
 func (p *Phone) EnergySpentMilliJ() float64 {

@@ -110,15 +110,15 @@ func TestTrajectoryProgress(t *testing.T) {
 
 func TestClockAndPosition(t *testing.T) {
 	p := trailPhone(t, world.LongTrail, 1)
-	if !p.Now().Equal(enter) {
+	if !p.now.Equal(enter) {
 		t.Fatal("clock should start at enter")
 	}
 	mid := enter.Add(90 * time.Minute)
 	p.SetTime(mid)
-	if !p.Now().Equal(mid) {
+	if !p.now.Equal(mid) {
 		t.Fatal("SetTime failed")
 	}
-	want := p.Trajectory().PositionAt(mid)
+	want := p.traj.PositionAt(mid)
 	if p.Position() != want {
 		t.Fatal("Position should track the clock")
 	}
@@ -228,7 +228,7 @@ func TestLocationNearTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := p.Trajectory().PositionAt(at)
+	truth := p.traj.PositionAt(at)
 	// On a trail the fixes form a burst of consecutive path vertices
 	// (25 m apart) starting at the walker, so allow count × segment slack.
 	for _, pt := range r.Points {
@@ -242,7 +242,7 @@ func TestLocationNearTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth1 := p.Trajectory().PositionAt(at.Add(time.Minute))
+	truth1 := p.traj.PositionAt(at.Add(time.Minute))
 	if d := geo.Distance(single.Points[0], truth1); d > 30 {
 		t.Fatalf("single GPS fix %v m from truth", d)
 	}
@@ -340,7 +340,7 @@ func TestBluetoothFailuresSurvivable(t *testing.T) {
 	if ok < 15 {
 		t.Fatalf("only %d/20 acquisitions survived 40%% transient failures with retries", ok)
 	}
-	if p.Bluetooth().Failures() == 0 {
+	if p.link.Failures() == 0 {
 		t.Fatal("no failures were injected — test is vacuous")
 	}
 }

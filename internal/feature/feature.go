@@ -10,7 +10,6 @@ package feature
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sor/internal/geo"
@@ -23,11 +22,6 @@ type Sample struct {
 	At       time.Time
 	Window   time.Duration
 	Readings []float64
-}
-
-// Validate checks the sample.
-func (s Sample) Validate() error {
-	return Validate(s.Window, s.Readings)
 }
 
 // Validate is the rule every sample meets before anything folds it: a
@@ -241,42 +235,11 @@ func (NoiseRMSExtractor) Step(a *Acc, window time.Duration, readings []float64) 
 // Read implements Fold.
 func (e NoiseRMSExtractor) Read(a *Acc) (float64, error) { return a.mean(e.Name()) }
 
-// Curvature computes trail tortuosity from GPS samples: the time-ordered
-// points form a trace whose mean absolute heading change per 100 m is the
-// feature value (the stand-in for the paper's reference-[17] method).
-func Curvature(samples []GeoSample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, errors.New("feature: curvature: no data")
-	}
-	ordered := make([]GeoSample, len(samples))
-	copy(ordered, samples)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].At.Before(ordered[j].At) })
-	var pts []geo.Point
-	for i, s := range ordered {
-		if len(s.Points) == 0 {
-			return 0, fmt.Errorf("feature: curvature sample %d has no points", i)
-		}
-		// Use the window centroid to suppress GPS jitter.
-		var lat, lon, alt float64
-		for _, p := range s.Points {
-			lat += p.Lat
-			lon += p.Lon
-			alt += p.Alt
-		}
-		n := float64(len(s.Points))
-		pts = append(pts, geo.Point{Lat: lat / n, Lon: lon / n, Alt: alt / n})
-	}
-	if len(pts) < 3 {
-		return 0, errors.New("feature: curvature needs at least 3 samples")
-	}
-	return geo.MeanTurnPer100m(pts), nil
-}
-
 // BurstCurvature computes tortuosity when each GeoSample is a short
 // continuous GPS *burst* (several consecutive fixes along the walk):
 // curvature is estimated within each burst and averaged across bursts.
-// Unlike Curvature, this never mixes fixes from different walkers or
-// far-apart times, so it is robust to staggered multi-phone traces. The
+// It never mixes fixes from different walkers or far-apart times, so it
+// is robust to staggered multi-phone traces. The
 // average is an exact sum rounded once, so the order of the bursts does
 // not matter. Bursts with fewer than 3 points, or whose curvature an exact
 // sum does not admit, are skipped; if none qualify an error is returned.
@@ -296,81 +259,4 @@ func BurstCurvature(samples []GeoSample) (float64, error) {
 		return 0, errors.New("feature: curvature: no burst with >= 3 fixes")
 	}
 	return sum.Sum() / float64(n), nil
-}
-
-// Registry maps feature names to extractors; the Data Processor consults it
-// when turning raw uploads into feature rows.
-type Registry struct {
-	byName map[string]Extractor
-	names  []string
-}
-
-// NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]Extractor)}
-}
-
-// Register adds an extractor; duplicate names are an error.
-func (r *Registry) Register(e Extractor) error {
-	if e == nil {
-		return errors.New("feature: nil extractor")
-	}
-	name := e.Name()
-	if name == "" {
-		return errors.New("feature: extractor with empty name")
-	}
-	if _, dup := r.byName[name]; dup {
-		return fmt.Errorf("feature: duplicate extractor %q", name)
-	}
-	r.byName[name] = e
-	r.names = append(r.names, name)
-	return nil
-}
-
-// Lookup fetches an extractor by feature name.
-func (r *Registry) Lookup(name string) (Extractor, bool) {
-	e, ok := r.byName[name]
-	return e, ok
-}
-
-// Names lists registered feature names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
-// DefaultTrailRegistry returns extractors for the §V-A hiking features
-// (curvature is handled separately because it consumes GeoSamples).
-func DefaultTrailRegistry() *Registry {
-	r := NewRegistry()
-	// Registration of fixed known-good extractors cannot fail.
-	for _, e := range []Extractor{
-		MeanExtractor{Feature: "temperature"},
-		MeanExtractor{Feature: "humidity"},
-		RoughnessExtractor{},
-		AltitudeChangeExtractor{},
-	} {
-		if err := r.Register(e); err != nil {
-			panic(err) // unreachable: fixed set has no duplicates
-		}
-	}
-	return r
-}
-
-// DefaultCoffeeRegistry returns extractors for the §V-B coffee-shop
-// features.
-func DefaultCoffeeRegistry() *Registry {
-	r := NewRegistry()
-	for _, e := range []Extractor{
-		MeanExtractor{Feature: "temperature"},
-		MeanExtractor{Feature: "brightness"},
-		NoiseRMSExtractor{},
-		MeanExtractor{Feature: "wifi"},
-	} {
-		if err := r.Register(e); err != nil {
-			panic(err) // unreachable: fixed set has no duplicates
-		}
-	}
-	return r
 }

@@ -25,14 +25,13 @@ func mkSamples(windows ...[]float64) []Sample {
 }
 
 func TestSampleValidate(t *testing.T) {
-	ok := Sample{At: sampleStart, Window: time.Second, Readings: []float64{1}}
-	if err := ok.Validate(); err != nil {
+	if err := Validate(time.Second, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Sample{Window: -1, Readings: []float64{1}}).Validate(); err == nil {
+	if err := Validate(-1, []float64{1}); err == nil {
 		t.Fatal("negative window must error")
 	}
-	if err := (Sample{Window: 1}).Validate(); err == nil {
+	if err := Validate(1, nil); err == nil {
 		t.Fatal("no readings must error")
 	}
 }
@@ -149,8 +148,9 @@ func TestNoiseRMSExtractor(t *testing.T) {
 
 func TestCurvatureStraightVsWinding(t *testing.T) {
 	start := geo.Point{Lat: 43.05, Lon: -76.14, Alt: 120}
+	// One burst of 30 fixes, 50 m apart, zigzagging by turn degrees.
 	mk := func(turn float64) []GeoSample {
-		var samples []GeoSample
+		burst := GeoSample{At: sampleStart, Window: 15 * time.Minute}
 		p := start
 		brg := 0.0
 		for i := 0; i < 30; i++ {
@@ -160,19 +160,15 @@ func TestCurvatureStraightVsWinding(t *testing.T) {
 				brg -= turn
 			}
 			p = geo.Offset(p, brg, 50)
-			samples = append(samples, GeoSample{
-				At:     sampleStart.Add(time.Duration(i) * 30 * time.Second),
-				Window: time.Second,
-				Points: []geo.Point{p},
-			})
+			burst.Points = append(burst.Points, p)
 		}
-		return samples
+		return []GeoSample{burst}
 	}
-	straight, err := Curvature(mk(0))
+	straight, err := BurstCurvature(mk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	winding, err := Curvature(mk(60))
+	winding, err := BurstCurvature(mk(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,84 +182,46 @@ func TestCurvatureStraightVsWinding(t *testing.T) {
 
 func TestCurvatureOrdersSamplesByTime(t *testing.T) {
 	start := geo.Point{Lat: 43.05, Lon: -76.14}
-	// A straight walk delivered out of order must still look straight.
+	// Bursts from a straight walk and a winding one: each burst is one
+	// walker's consecutive fixes, so delivering the bursts in any order
+	// must give the same value to the bit.
 	var samples []GeoSample
 	p := start
 	for i := 0; i < 10; i++ {
-		p = geo.Offset(p, 90, 100)
-		samples = append(samples, GeoSample{
-			At:     sampleStart.Add(time.Duration(i) * time.Minute),
-			Points: []geo.Point{p},
-		})
+		burst := GeoSample{At: sampleStart.Add(time.Duration(i) * time.Minute)}
+		for j := 0; j < 4; j++ {
+			p = geo.Offset(p, float64(90+i*j*7), 100)
+			burst.Points = append(burst.Points, p)
+		}
+		samples = append(samples, burst)
 	}
-	// Shuffle deterministically.
-	rng := rand.New(rand.NewSource(4))
-	rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-	got, err := Curvature(samples)
+	want, err := BurstCurvature(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got > 1 {
-		t.Fatalf("shuffled straight walk curvature = %v, want ~0", got)
+	rng := rand.New(rand.NewSource(4))
+	for k := 0; k < 5; k++ {
+		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+		got, err := BurstCurvature(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("shuffled bursts curvature = %v, want %v", got, want)
+		}
 	}
 }
 
 func TestCurvatureErrors(t *testing.T) {
-	if _, err := Curvature(nil); err == nil {
+	if _, err := BurstCurvature(nil); err == nil {
 		t.Fatal("no data must error")
 	}
-	s := GeoSample{At: sampleStart, Points: []geo.Point{{Lat: 43, Lon: -76}}}
-	if _, err := Curvature([]GeoSample{s, s}); err == nil {
-		t.Fatal("fewer than 3 samples must error")
+	s := GeoSample{At: sampleStart, Points: []geo.Point{{Lat: 43, Lon: -76}, {Lat: 43.001, Lon: -76}}}
+	if _, err := BurstCurvature([]GeoSample{s, s}); err == nil {
+		t.Fatal("bursts of fewer than 3 fixes must error")
 	}
-	bad := []GeoSample{s, {At: sampleStart.Add(time.Minute)}, s}
-	if _, err := Curvature(bad); err == nil {
-		t.Fatal("sample without points must error")
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register(nil); err == nil {
-		t.Fatal("nil extractor must error")
-	}
-	if err := r.Register(MeanExtractor{Feature: ""}); err == nil {
-		t.Fatal("empty name must error")
-	}
-	if err := r.Register(MeanExtractor{Feature: "temperature"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(MeanExtractor{Feature: "temperature"}); err == nil {
-		t.Fatal("duplicate must error")
-	}
-	if _, ok := r.Lookup("temperature"); !ok {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := r.Lookup("nope"); ok {
-		t.Fatal("phantom lookup")
-	}
-	names := r.Names()
-	if len(names) != 1 || names[0] != "temperature" {
-		t.Fatalf("names = %v", names)
-	}
-	names[0] = "mutated"
-	if r.Names()[0] != "temperature" {
-		t.Fatal("Names aliases internal slice")
-	}
-}
-
-func TestDefaultRegistries(t *testing.T) {
-	trail := DefaultTrailRegistry()
-	for _, name := range []string{"temperature", "humidity", "roughness", "altitude change"} {
-		if _, ok := trail.Lookup(name); !ok {
-			t.Fatalf("trail registry missing %q", name)
-		}
-	}
-	coffee := DefaultCoffeeRegistry()
-	for _, name := range []string{"temperature", "brightness", "noise", "wifi"} {
-		if _, ok := coffee.Lookup(name); !ok {
-			t.Fatalf("coffee registry missing %q", name)
-		}
+	if _, err := BurstCurvature([]GeoSample{{At: sampleStart}}); err == nil {
+		t.Fatal("a burst without points must error")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sor/internal/stats"
@@ -13,58 +12,8 @@ import (
 // Robust extractors: crowdsensed data comes from uncalibrated consumer
 // hardware, so a single faulty phone can poison a plain average. The paper
 // already hedges by taking "multiple (instead of one) readings within
-// [t, t+Δt] to ensure high sensing quality"; these extractors extend that
-// idea across contributors with order statistics — a natural extension the
-// ablation benchmarks quantify.
-
-// MedianExtractor reduces all readings to their median.
-type MedianExtractor struct {
-	Feature string
-}
-
-var _ Extractor = MedianExtractor{}
-
-// Name implements Extractor.
-func (e MedianExtractor) Name() string { return e.Feature }
-
-// Extract implements Extractor.
-func (e MedianExtractor) Extract(samples []Sample) (float64, error) {
-	all, err := flatten(e.Feature, samples)
-	if err != nil {
-		return 0, err
-	}
-	return stats.Quantile(all, 0.5)
-}
-
-// TrimmedMeanExtractor drops the top and bottom TrimFrac of readings
-// before averaging.
-type TrimmedMeanExtractor struct {
-	Feature  string
-	TrimFrac float64 // per tail, in [0, 0.5)
-}
-
-var _ Extractor = TrimmedMeanExtractor{}
-
-// Name implements Extractor.
-func (e TrimmedMeanExtractor) Name() string { return e.Feature }
-
-// Extract implements Extractor.
-func (e TrimmedMeanExtractor) Extract(samples []Sample) (float64, error) {
-	if e.TrimFrac < 0 || e.TrimFrac >= 0.5 {
-		return 0, fmt.Errorf("feature: trim fraction %v outside [0, 0.5)", e.TrimFrac)
-	}
-	all, err := flatten(e.Feature, samples)
-	if err != nil {
-		return 0, err
-	}
-	sort.Float64s(all)
-	cut := int(float64(len(all)) * e.TrimFrac)
-	kept := all[cut : len(all)-cut]
-	if len(kept) == 0 {
-		return 0, errors.New("feature: trim removed all readings")
-	}
-	return stats.Mean(kept)
-}
+// [t, t+Δt] to ensure high sensing quality"; MADMeanExtractor extends that
+// idea across contributors by rejecting outliers before it averages.
 
 // MADFilter removes readings farther than K median-absolute-deviations
 // from the median (K ≈ 3 is customary). It returns the surviving readings
@@ -161,19 +110,4 @@ func (e MADMeanExtractor) Read(a *Acc) (float64, error) {
 	var m Acc
 	_ = m.observe(kept, false) // kept readings passed Validate: all admitted
 	return m.mean(e.Feature)
-}
-
-// flatten validates samples and gathers all readings.
-func flatten(feat string, samples []Sample) ([]float64, error) {
-	var all []float64
-	for i, s := range samples {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("feature: %s sample %d: %w", feat, i, err)
-		}
-		all = append(all, s.Readings...)
-	}
-	if len(all) == 0 {
-		return nil, fmt.Errorf("feature: %s: no data", feat)
-	}
-	return all, nil
 }

@@ -1,10 +1,15 @@
 package feature
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"sor/internal/stats"
 )
 
 func TestMedianExtractor(t *testing.T) {
@@ -178,4 +183,71 @@ func TestMADFilterKeepsMajorityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MedianExtractor and TrimmedMeanExtractor are the order-statistic
+// references MADMeanExtractor is checked against.
+
+// MedianExtractor reduces all readings to their median.
+type MedianExtractor struct {
+	Feature string
+}
+
+var _ Extractor = MedianExtractor{}
+
+// Name implements Extractor.
+func (e MedianExtractor) Name() string { return e.Feature }
+
+// Extract implements Extractor.
+func (e MedianExtractor) Extract(samples []Sample) (float64, error) {
+	all, err := flatten(e.Feature, samples)
+	if err != nil {
+		return 0, err
+	}
+	return stats.Quantile(all, 0.5)
+}
+
+// TrimmedMeanExtractor drops the top and bottom TrimFrac of readings
+// before averaging.
+type TrimmedMeanExtractor struct {
+	Feature  string
+	TrimFrac float64 // per tail, in [0, 0.5)
+}
+
+var _ Extractor = TrimmedMeanExtractor{}
+
+// Name implements Extractor.
+func (e TrimmedMeanExtractor) Name() string { return e.Feature }
+
+// Extract implements Extractor.
+func (e TrimmedMeanExtractor) Extract(samples []Sample) (float64, error) {
+	if e.TrimFrac < 0 || e.TrimFrac >= 0.5 {
+		return 0, fmt.Errorf("feature: trim fraction %v outside [0, 0.5)", e.TrimFrac)
+	}
+	all, err := flatten(e.Feature, samples)
+	if err != nil {
+		return 0, err
+	}
+	sort.Float64s(all)
+	cut := int(float64(len(all)) * e.TrimFrac)
+	kept := all[cut : len(all)-cut]
+	if len(kept) == 0 {
+		return 0, errors.New("feature: trim removed all readings")
+	}
+	return stats.Mean(kept)
+}
+
+// flatten validates samples and gathers all readings.
+func flatten(feat string, samples []Sample) ([]float64, error) {
+	var all []float64
+	for i, s := range samples {
+		if err := Validate(s.Window, s.Readings); err != nil {
+			return nil, fmt.Errorf("feature: %s sample %d: %w", feat, i, err)
+		}
+		all = append(all, s.Readings...)
+	}
+	if len(all) == 0 {
+		return nil, fmt.Errorf("feature: %s: no data", feat)
+	}
+	return all, nil
 }

@@ -675,7 +675,6 @@ func (d *driver) attempt(p *phone) {
 					panic(fmt.Sprintf("fleetsim: %s rehandshake: %v", p.userID, err))
 				}
 			}
-			p.sess.Touch()
 		}
 		msg, err := wire.Decode(p.report)
 		if err != nil {
@@ -746,7 +745,6 @@ func Run(cfg Config) (*Result, error) {
 	var push transport.Notifier
 	if cfg.Transport == TransportStream {
 		d.reg = session.NewRegistry(
-			session.WithRegistryClock(d.clk),
 			session.WithRegistryMetrics(d.obsv.Metrics()),
 		)
 		push = d.reg

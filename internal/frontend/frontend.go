@@ -21,7 +21,6 @@ import (
 	"sor/internal/obs"
 	"sor/internal/sensors"
 	"sor/internal/transport"
-	"sor/internal/vclock"
 	"sor/internal/wire"
 )
 
@@ -60,20 +59,6 @@ func (w *WakeLock) Release() error {
 	return nil
 }
 
-// Held reports whether the phone is being kept awake.
-func (w *WakeLock) Held() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.holds > 0
-}
-
-// Peak reports the maximum concurrent holds (test instrumentation).
-func (w *WakeLock) Peak() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.peak
-}
-
 // Preferences is the Local Preference Manager: per-acquisition-function
 // consent. The paper's example: a user refusing to expose GPS locations.
 type Preferences struct {
@@ -84,20 +69,6 @@ type Preferences struct {
 // NewPreferences allows everything by default.
 func NewPreferences() *Preferences {
 	return &Preferences{denied: make(map[string]bool)}
-}
-
-// Deny forbids an acquisition function (e.g. device.FnLocation).
-func (p *Preferences) Deny(funcName string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.denied[funcName] = true
-}
-
-// Allow re-permits a function.
-func (p *Preferences) Allow(funcName string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.denied, funcName)
 }
 
 // Allowed reports consent for a function.
@@ -161,20 +132,16 @@ type Frontend struct {
 	wake   *WakeLock
 	outbox *Outbox
 
-	acquireRetries int
-	reportSeq      atomic.Int64
+	reportSeq atomic.Int64
 
 	// outbox construction knobs, consumed by New.
-	outboxCapacity   int
 	outboxBackoff    time.Duration
 	outboxBackoffMax time.Duration
 	outboxSeed       int64
-	clock            vclock.Clock
 	obsv             *obs.Observer
 
-	mu     sync.Mutex
-	tasks  map[string]*TaskInfo
-	listen *listener
+	mu    sync.Mutex
+	tasks map[string]*TaskInfo
 }
 
 // defaultAcquireRetries is how many times a failed sensor acquisition is
@@ -183,12 +150,6 @@ const defaultAcquireRetries = 2
 
 // Option configures a Frontend.
 type Option func(*Frontend)
-
-// WithOutboxCapacity bounds the store-and-forward queue (default 256;
-// overflow drops the oldest report).
-func WithOutboxCapacity(n int) Option {
-	return func(f *Frontend) { f.outboxCapacity = n }
-}
 
 // WithOutboxRetry applies a transport.Retry envelope to the outbox flush
 // loop: FlushOutbox's backoff base and cap, and the jitter seed (the
@@ -203,24 +164,11 @@ func WithOutboxRetry(r transport.Retry) Option {
 	}
 }
 
-// WithAcquireRetries sets how many times a failed acquisition is retried
-// before being skipped as a gap (default 2).
-func WithAcquireRetries(n int) Option {
-	return func(f *Frontend) { f.acquireRetries = n }
-}
-
 // WithObserver instruments the frontend's outbox (depth, deliveries,
 // drops). Passing the same observer to a fleet of frontends aggregates
 // their series — the depth gauge then reads as fleet-wide backlog.
 func WithObserver(o *obs.Observer) Option {
 	return func(f *Frontend) { f.obsv = o }
-}
-
-// WithClock substitutes the clock backing the outbox's flush backoff.
-// Simulations pass a *vclock.Virtual so FlushOutbox waits consume
-// virtual, not wall, time; the default is the wall clock.
-func WithClock(clk vclock.Clock) Option {
-	return func(f *Frontend) { f.clock = clk }
 }
 
 // tokenSeed derives a stable per-phone jitter seed.
@@ -244,8 +192,6 @@ func New(phone *device.Phone, sender Sender, opts ...Option) (*Frontend, error) 
 		prefs:            NewPreferences(),
 		wake:             &WakeLock{},
 		tasks:            make(map[string]*TaskInfo),
-		acquireRetries:   defaultAcquireRetries,
-		outboxCapacity:   defaultOutboxCapacity,
 		outboxBackoff:    defaultOutboxBackoff,
 		outboxBackoffMax: defaultOutboxBackoffCap,
 		outboxSeed:       tokenSeed(phone.Token),
@@ -253,24 +199,12 @@ func New(phone *device.Phone, sender Sender, opts ...Option) (*Frontend, error) 
 	for _, o := range opts {
 		o(f)
 	}
-	if f.outboxCapacity < 1 {
-		return nil, errors.New("frontend: outbox capacity must be positive")
-	}
-	if f.acquireRetries < 0 {
-		f.acquireRetries = 0
-	}
-	f.outbox = newOutbox(f.outboxCapacity, f.outboxBackoff, f.outboxBackoffMax, f.outboxSeed, f.clock)
+	f.outbox = newOutbox(defaultOutboxCapacity, f.outboxBackoff, f.outboxBackoffMax, f.outboxSeed)
 	if f.obsv != nil {
 		f.outbox.met = newOutboxMetrics(f.obsv.Metrics())
 	}
 	return f, nil
 }
-
-// Preferences exposes the Local Preference Manager.
-func (f *Frontend) Preferences() *Preferences { return f.prefs }
-
-// WakeLock exposes the wake lock (test instrumentation).
-func (f *Frontend) WakeLock() *WakeLock { return f.wake }
 
 // Phone returns the underlying device.
 func (f *Frontend) Phone() *device.Phone { return f.phone }
@@ -288,17 +222,6 @@ func cloneInfo(t *TaskInfo) TaskInfo {
 	c := *t
 	c.Gaps = append([]string(nil), t.Gaps...)
 	return c
-}
-
-// Tasks snapshots all task instances.
-func (f *Frontend) Tasks() []TaskInfo {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]TaskInfo, 0, len(f.tasks))
-	for _, t := range f.tasks {
-		out = append(out, cloneInfo(t))
-	}
-	return out
 }
 
 // Task returns one task snapshot.
@@ -357,20 +280,6 @@ func (f *Frontend) Participate(ctx context.Context, userID, appID string, budget
 		return nil, fmt.Errorf("frontend: expected schedule, got %s", inner.Type())
 	}
 	return sched, nil
-}
-
-// Leave notifies the server the user left the place.
-func (f *Frontend) Leave(ctx context.Context, userID, appID string) error {
-	f.wake.Acquire()
-	defer func() { _ = f.wake.Release() }()
-	resp, err := f.sender.Send(ctx, &wire.Leave{UserID: userID, AppID: appID})
-	if err != nil {
-		return fmt.Errorf("frontend: leave: %w", err)
-	}
-	if ack, ok := resp.(*wire.Ack); ok && !ack.OK {
-		return fmt.Errorf("frontend: leave refused: %s", ack.Message)
-	}
-	return nil
 }
 
 // defaultWindow is the paper's Δt when the script does not override it.
@@ -517,7 +426,7 @@ func (f *Frontend) recordGap(taskID, fn string, at time.Time) {
 // loop immediately.
 func (f *Frontend) acquireWithRetry(ctx context.Context, fn string, req sensors.Request) (sensors.Reading, error) {
 	var lastErr error
-	for attempt := 0; attempt <= f.acquireRetries; attempt++ {
+	for attempt := 0; attempt <= defaultAcquireRetries; attempt++ {
 		reading, err := f.phone.Manager().Acquire(ctx, fn, req)
 		if err == nil {
 			return reading, nil

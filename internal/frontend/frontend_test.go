@@ -594,3 +594,62 @@ func TestBufferSharingSavesEnergy(t *testing.T) {
 		}
 	}
 }
+
+// Held reports whether the phone is being kept awake.
+func (w *WakeLock) Held() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.holds > 0
+}
+
+// Peak reports the maximum concurrent holds (test instrumentation).
+func (w *WakeLock) Peak() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.peak
+}
+
+// Deny forbids an acquisition function (e.g. device.FnLocation).
+func (p *Preferences) Deny(funcName string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.denied[funcName] = true
+}
+
+// Allow re-permits a function.
+func (p *Preferences) Allow(funcName string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.denied, funcName)
+}
+
+// Preferences exposes the Local Preference Manager.
+func (f *Frontend) Preferences() *Preferences { return f.prefs }
+
+// WakeLock exposes the wake lock (test instrumentation).
+func (f *Frontend) WakeLock() *WakeLock { return f.wake }
+
+// Tasks snapshots all task instances.
+func (f *Frontend) Tasks() []TaskInfo {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]TaskInfo, 0, len(f.tasks))
+	for _, t := range f.tasks {
+		out = append(out, cloneInfo(t))
+	}
+	return out
+}
+
+// Leave notifies the server the user left the place.
+func (f *Frontend) Leave(ctx context.Context, userID, appID string) error {
+	f.wake.Acquire()
+	defer func() { _ = f.wake.Release() }()
+	resp, err := f.sender.Send(ctx, &wire.Leave{UserID: userID, AppID: appID})
+	if err != nil {
+		return fmt.Errorf("frontend: leave: %w", err)
+	}
+	if ack, ok := resp.(*wire.Ack); ok && !ack.OK {
+		return fmt.Errorf("frontend: leave refused: %s", ack.Message)
+	}
+	return nil
+}

@@ -9,7 +9,6 @@ import (
 
 	"sor/internal/obs"
 	"sor/internal/transport"
-	"sor/internal/vclock"
 	"sor/internal/wire"
 )
 
@@ -63,7 +62,6 @@ type Outbox struct {
 	drainMu sync.Mutex
 
 	delay *transport.Backoff
-	clock vclock.Clock
 
 	met outboxMetrics
 }
@@ -101,11 +99,10 @@ const (
 	maxOutboxBatch          = wire.MaxBatchReports
 )
 
-func newOutbox(capacity int, base, cap time.Duration, seed int64, clk vclock.Clock) *Outbox {
+func newOutbox(capacity int, base, cap time.Duration, seed int64) *Outbox {
 	return &Outbox{
 		cap:   capacity,
 		delay: transport.NewBackoff(base, cap, seed),
-		clock: vclock.Or(clk),
 	}
 }
 
@@ -138,13 +135,6 @@ func (o *Outbox) Stats() OutboxStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.stats
-}
-
-// LastError returns the most recent delivery error ("" when none).
-func (o *Outbox) LastError() string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.lastErr
 }
 
 // snapshotPending copies up to maxOutboxBatch queued entries (oldest
@@ -314,9 +304,9 @@ func (o *Outbox) Flush(ctx context.Context, sender Sender) error {
 			return nil
 		}
 		delay := o.flushDelay(attempt)
-		wake := o.clock.NewTimer(delay)
+		wake := time.NewTimer(delay)
 		select {
-		case <-wake.C():
+		case <-wake.C:
 		case <-ctx.Done():
 			wake.Stop()
 			if err == nil {

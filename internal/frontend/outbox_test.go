@@ -69,7 +69,7 @@ func up(id string) *wire.DataUpload {
 }
 
 func TestOutboxOverflowDropsOldest(t *testing.T) {
-	o := newOutbox(2, time.Millisecond, 10*time.Millisecond, 1, nil)
+	o := newOutbox(2, time.Millisecond, 10*time.Millisecond, 1)
 	o.Enqueue(up("r1"), nil)
 	o.Enqueue(up("r2"), nil)
 	o.Enqueue(up("r3"), nil)
@@ -90,7 +90,7 @@ func TestOutboxOverflowDropsOldest(t *testing.T) {
 }
 
 func TestOutboxTransportFailureLeavesQueue(t *testing.T) {
-	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1, nil)
+	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1)
 	var delivered []string
 	var mu sync.Mutex
 	note := func(id string) func(bool, string) {
@@ -131,7 +131,7 @@ func TestOutboxTransportFailureLeavesQueue(t *testing.T) {
 }
 
 func TestOutboxBatchCoalescing(t *testing.T) {
-	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1, nil)
+	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1)
 	for _, id := range []string{"r1", "r2", "r3"} {
 		o.Enqueue(up(id), nil)
 	}
@@ -154,7 +154,7 @@ func TestOutboxBatchCoalescing(t *testing.T) {
 }
 
 func TestOutboxBatchPartialFallsBackToSingles(t *testing.T) {
-	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1, nil)
+	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1)
 	var refusedReason string
 	o.Enqueue(up("good-1"), nil)
 	o.Enqueue(up("bad"), func(ok bool, reason string) {
@@ -202,7 +202,7 @@ func (s *dyingSender) Send(_ context.Context, m wire.Message) (wire.Message, err
 }
 
 func TestOutboxServerErrorKeepsReportQueued(t *testing.T) {
-	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1, nil)
+	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1)
 	o.Enqueue(up("r1"), nil)
 	o.Enqueue(up("r2"), nil)
 	s := &dyingSender{dieN: 1}
@@ -224,7 +224,7 @@ func TestOutboxServerErrorKeepsReportQueued(t *testing.T) {
 }
 
 func TestOutboxBatchServerErrorSkipsSinglesProbe(t *testing.T) {
-	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1, nil)
+	o := newOutbox(8, time.Millisecond, 10*time.Millisecond, 1)
 	o.Enqueue(up("r1"), nil)
 	o.Enqueue(up("r2"), nil)
 	s := &batchingSender{batchAck: &wire.Ack{OK: false, Code: 500, Message: "recovering"}}
@@ -372,7 +372,7 @@ func TestSensorGapDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &flakySender{}
-	f, err := New(phone, s, WithAcquireRetries(1))
+	f, err := New(phone, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,4 +416,11 @@ func TestSensorGapDegradesGracefully(t *testing.T) {
 	if again.Gaps[0] == "mutated" {
 		t.Fatal("Task() leaked the live Gaps slice")
 	}
+}
+
+// LastError returns the most recent delivery error ("" when none).
+func (o *Outbox) LastError() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.lastErr
 }

@@ -45,13 +45,6 @@ func Distance(a, b Point) float64 {
 	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 
-// Distance3D includes the altitude difference in the distance.
-func Distance3D(a, b Point) float64 {
-	d := Distance(a, b)
-	dz := b.Alt - a.Alt
-	return math.Sqrt(d*d + dz*dz)
-}
-
 // InitialBearing returns the initial great-circle bearing from a to b in
 // degrees within [0, 360).
 func InitialBearing(a, b Point) float64 {
@@ -90,32 +83,6 @@ func TurnAngle(a, b, c Point) float64 {
 	return d
 }
 
-// MengerCurvature returns the discrete curvature (1/m) of the circle through
-// the three points, using locally flattened coordinates. Collinear or
-// coincident points yield 0.
-func MengerCurvature(a, b, c Point) float64 {
-	// Project to a local tangent plane anchored at b.
-	ax, ay := project(b, a)
-	cx, cy := project(b, c)
-	// b projects to origin.
-	area2 := math.Abs(ax*cy - ay*cx) // 2 * triangle area
-	dab := math.Hypot(ax, ay)
-	dbc := math.Hypot(cx, cy)
-	dca := math.Hypot(cx-ax, cy-ay)
-	if dab == 0 || dbc == 0 || dca == 0 {
-		return 0
-	}
-	return 2 * area2 / (dab * dbc * dca)
-}
-
-// project maps q into meters east/north of origin o (equirectangular local
-// approximation, fine at trail scale).
-func project(o, q Point) (x, y float64) {
-	x = radians(q.Lon-o.Lon) * EarthRadiusMeters * math.Cos(radians(o.Lat))
-	y = radians(q.Lat-o.Lat) * EarthRadiusMeters
-	return x, y
-}
-
 // Polyline is an ordered sequence of points describing a trail.
 type Polyline struct {
 	pts []Point
@@ -147,9 +114,6 @@ func (pl *Polyline) Points() []Point {
 	copy(cp, pl.pts)
 	return cp
 }
-
-// Len returns the number of vertices.
-func (pl *Polyline) Len() int { return len(pl.pts) }
 
 // Length returns the total 2D length in meters.
 func (pl *Polyline) Length() float64 {
@@ -188,18 +152,6 @@ func lerp(a, b Point, t float64) Point {
 		Lon: a.Lon + (b.Lon-a.Lon)*t,
 		Alt: a.Alt + (b.Alt-a.Alt)*t,
 	}
-}
-
-// Resample returns n points evenly spaced by arc length along the polyline.
-func (pl *Polyline) Resample(n int) ([]Point, error) {
-	if n < 2 {
-		return nil, errors.New("geo: resample needs n >= 2")
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		out[i] = pl.At(float64(i) / float64(n-1))
-	}
-	return out, nil
 }
 
 // MeanTurnPer100m estimates tortuosity as the mean absolute heading change

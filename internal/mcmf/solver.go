@@ -25,9 +25,6 @@ type Solver struct {
 	used  []bool    // used[j]: column j is in the shortest-path tree
 }
 
-// NewSolver returns an empty Solver. The zero value is also ready to use.
-func NewSolver() *Solver { return &Solver{} }
-
 // grow resizes a slice to n elements, reusing capacity.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {

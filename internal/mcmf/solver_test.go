@@ -107,7 +107,7 @@ func checkPerm(tb testing.TB, cost [][]float64, perm []int, total float64) {
 // total bits — buffer recycling must never leak state between solves.
 func TestSolverRecycledMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSolver()
+	s := &Solver{}
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(12)
 		cost := make([][]float64, n)
@@ -119,7 +119,7 @@ func TestSolverRecycledMatchesFresh(t *testing.T) {
 				cost[i][j] = float64(rng.Intn(4))
 			}
 		}
-		wantPerm, wantCost, err := NewSolver().Assign(cost)
+		wantPerm, wantCost, err := new(Solver).Assign(cost)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -276,7 +276,7 @@ func TestPooledAssignMatchesSolver(t *testing.T) {
 		{2, 0, 5},
 		{3, 2, 2},
 	}
-	s := NewSolver()
+	s := &Solver{}
 	wantPerm, wantCost, err := s.Assign(cost)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 			cost[i][j] = float64((i*7 + j*3) % 11)
 		}
 	}
-	s := NewSolver()
+	s := &Solver{}
 	if _, _, err := s.Assign(cost); err != nil { // warm-up sizes the buffers
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestSolverScratchIsLinear(t *testing.T) {
 			cost[i][j] = float64((i*7 + j*13) % 101)
 		}
 	}
-	s := NewSolver()
+	s := &Solver{}
 	perm, total, err := s.Assign(cost)
 	if err != nil {
 		t.Fatal(err)

@@ -231,20 +231,6 @@ func (h *Histogram) Merged() *stats.Histogram {
 	return out
 }
 
-// Count returns the total number of observations across stripes.
-func (h *Histogram) Count() int {
-	if h == nil {
-		return 0
-	}
-	n := 0
-	for i := range h.stripe {
-		h.stripe[i].mu.Lock()
-		n += h.stripe[i].h.N()
-		h.stripe[i].mu.Unlock()
-	}
-	return n
-}
-
 // registryShards bounds lock contention during handle lookups. Lookups
 // are wiring-time operations, so a small power of two is plenty.
 const registryShards = 16

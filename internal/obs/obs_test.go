@@ -280,3 +280,17 @@ func TestDebugHandlers(t *testing.T) {
 		t.Fatalf("pprof index status = %d", res3.StatusCode)
 	}
 }
+
+// Count returns the total number of observations across stripes.
+func (h *Histogram) Count() int {
+	if h == nil {
+		return 0
+	}
+	n := 0
+	for i := range h.stripe {
+		h.stripe[i].mu.Lock()
+		n += h.stripe[i].h.N()
+		h.stripe[i].mu.Unlock()
+	}
+	return n
+}

@@ -212,12 +212,6 @@ type Observer struct {
 // ObserverOption customises NewObserver.
 type ObserverOption func(*Observer)
 
-// WithRegistry substitutes a caller-owned metrics registry (for sharing
-// one registry across several observers or pre-registering series).
-func WithRegistry(r *Registry) ObserverOption {
-	return func(o *Observer) { o.reg = r }
-}
-
 // WithTracer substitutes a caller-owned tracer (e.g. a larger ring).
 func WithTracer(t *Tracer) ObserverOption {
 	return func(o *Observer) { o.tracer = t }

@@ -53,23 +53,6 @@ func (r Ranking) Positions() []int {
 	return pos
 }
 
-// Position returns π(item, r): the 0-based position of item.
-func (r Ranking) Position(item int) int {
-	for p, it := range r {
-		if it == item {
-			return p
-		}
-	}
-	return -1
-}
-
-// Clone copies the ranking.
-func (r Ranking) Clone() Ranking {
-	cp := make(Ranking, len(r))
-	copy(cp, r)
-	return cp
-}
-
 // KemenyDistance counts pairwise order violations between two rankings of
 // the same item set (Definition 2). Each unordered pair ranked oppositely
 // contributes 1.
@@ -94,30 +77,6 @@ func KemenyDistance(a, b Ranking) (int, error) {
 		}
 	}
 	return count, nil
-}
-
-// FootruleDistance is Spearman's footrule (Eq. 9): Σ_i |π(i,a) − π(i,b)|.
-func FootruleDistance(a, b Ranking) (int, error) {
-	n := len(a)
-	if len(b) != n {
-		return 0, errors.New("rankagg: rankings differ in length")
-	}
-	if err := a.Validate(n); err != nil {
-		return 0, err
-	}
-	if err := b.Validate(n); err != nil {
-		return 0, err
-	}
-	pa, pb := a.Positions(), b.Positions()
-	sum := 0
-	for i := 0; i < n; i++ {
-		d := pa[i] - pb[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum, nil
 }
 
 // Collection is the paper's Ω: individual per-feature rankings with the
@@ -166,22 +125,6 @@ func (c Collection) WeightedKemeny(r Ranking) (float64, error) {
 	var total float64
 	for j, rj := range c.Rankings {
 		d, err := KemenyDistance(r, rj)
-		if err != nil {
-			return 0, err
-		}
-		total += c.Weights[j] * float64(d)
-	}
-	return total, nil
-}
-
-// WeightedFootrule is κ_f(r, Ω) = Σ_j w_j · df(r, R_j)   (Eq. 11).
-func (c Collection) WeightedFootrule(r Ranking) (float64, error) {
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	var total float64
-	for j, rj := range c.Rankings {
-		d, err := FootruleDistance(r, rj)
 		if err != nil {
 			return 0, err
 		}
@@ -335,50 +278,4 @@ func BordaAggregate(c Collection) (Ranking, error) {
 		return out[a] < out[b]
 	})
 	return out, nil
-}
-
-// LocalKemenization applies the standard post-processing: repeatedly swap
-// adjacent items while the swap lowers the weighted Kemeny distance. The
-// result is locally Kemeny-optimal and never worse than the input.
-func LocalKemenization(c Collection, r Ranking) (Ranking, float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, 0, err
-	}
-	n := c.N()
-	if err := r.Validate(n); err != nil {
-		return nil, 0, err
-	}
-	// before[a][b] = weighted votes for a before b.
-	before := make([][]float64, n)
-	for i := range before {
-		before[i] = make([]float64, n)
-	}
-	for j, rj := range c.Rankings {
-		pos := rj.Positions()
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if a != b && pos[a] < pos[b] {
-					before[a][b] += c.Weights[j]
-				}
-			}
-		}
-	}
-	out := r.Clone()
-	improved := true
-	for improved {
-		improved = false
-		for p := 0; p+1 < n; p++ {
-			a, b := out[p], out[p+1]
-			// Swapping helps when more weight prefers b before a.
-			if before[b][a] > before[a][b]+1e-12 {
-				out[p], out[p+1] = b, a
-				improved = true
-			}
-		}
-	}
-	cost, err := c.WeightedKemeny(out)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, cost, nil
 }

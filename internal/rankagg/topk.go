@@ -34,18 +34,6 @@ import (
 	"sor/internal/mcmf"
 )
 
-// CleanCuts returns the clean-cut boundaries of the collection in
-// increasing order, considering only rankings with positive weight. The
-// final boundary n is always a cut. Returns nil when every weight is zero
-// (every permutation is optimal, so no decomposition is meaningful).
-func CleanCuts(c Collection) []int {
-	lb, ok := minPositions(c)
-	if !ok {
-		return nil
-	}
-	return cutsFromLB(lb)
-}
-
 // minPositions computes lb[i] = min over positive-weight rankings of
 // pos_j(i). ok is false when no ranking has positive weight.
 func minPositions(c Collection) (lb []int, ok bool) {
@@ -217,29 +205,6 @@ type TopKResult struct {
 	// Bounded reports whether the solve stopped before rank n — i.e.
 	// whether a clean cut actually bounded the work.
 	Bounded bool
-}
-
-// FootruleAggregateTopK determines the exact top k ranks of the weighted
-// footrule optimum by solving only the prefix blocks up to the smallest
-// clean cut ≥ k (see the package comment for why that is sound).
-func FootruleAggregateTopK(c Collection, k int) (TopKResult, error) {
-	if k < 1 {
-		return TopKResult{}, fmt.Errorf("rankagg: top-k needs k ≥ 1, got %d", k)
-	}
-	out, cost, err := aggregateBlocks(c, k)
-	if err != nil {
-		return TopKResult{}, err
-	}
-	solved := len(out)
-	for solved > 0 && out[solved-1] < 0 {
-		solved--
-	}
-	return TopKResult{
-		Prefix:  out,
-		Solved:  solved,
-		Cost:    cost,
-		Bounded: solved < c.N(),
-	}, nil
 }
 
 // aggregateBlocks is the shared engine: solve blocks in rank order until

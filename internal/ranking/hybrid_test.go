@@ -3,7 +3,6 @@ package ranking
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -176,36 +175,5 @@ func TestRankHybridPermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestExplain(t *testing.T) {
-	r, err := NewRanker(coffeeMatrix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Rank(emma())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := r.Explain(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{
-		"final ranking:", "No. 1  B&N Cafe", "noise", "wifi", "(w=5)",
-		"weighted footrule cost",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("explanation missing %q:\n%s", frag, out)
-		}
-	}
-	if _, err := r.Explain(nil); err == nil {
-		t.Fatal("nil result must error")
-	}
-	// Corrupted result indices are caught.
-	res.Individual["noise"] = []int{99, 0, 1}
-	if _, err := r.Explain(res); err == nil {
-		t.Fatal("out-of-range index must error")
 	}
 }

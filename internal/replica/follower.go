@@ -56,11 +56,6 @@ func WithFollowerBackoff(base, cap time.Duration, seed int64) FollowerOption {
 	return func(f *Follower) { f.backoff = transport.NewBackoff(base, cap, seed) }
 }
 
-// WithFollowerBatch bounds what one pull requests.
-func WithFollowerBatch(records int, bytes int64) FollowerOption {
-	return func(f *Follower) { f.maxRecords, f.maxBytes = records, bytes }
-}
-
 // WithFollowerMetrics publishes sor_replica_* follower series into reg.
 func WithFollowerMetrics(reg *obs.Registry) FollowerOption {
 	return func(f *Follower) { f.reg = reg }
@@ -77,8 +72,7 @@ type Follower struct {
 	clock      vclock.Clock
 	interval   time.Duration
 	backoff    *transport.Backoff
-	maxRecords int
-	maxBytes   int64
+	maxRecords int // DefaultBatchRecords; tests pull in smaller steps
 	reg        *obs.Registry
 
 	mu          sync.Mutex
@@ -107,7 +101,6 @@ func NewFollower(id string, st *store.Store, send Sender, opts ...FollowerOption
 		clock:      vclock.Real{},
 		interval:   DefaultPullInterval,
 		maxRecords: DefaultBatchRecords,
-		maxBytes:   DefaultBatchBytes,
 	}
 	for _, opt := range opts {
 		opt(f)
@@ -135,7 +128,7 @@ func (f *Follower) PullOnce(ctx context.Context) (int, error) {
 		FollowerID: f.id,
 		FromLSN:    from,
 		MaxRecords: f.maxRecords,
-		MaxBytes:   f.maxBytes,
+		MaxBytes:   DefaultBatchBytes,
 	})
 	if err != nil {
 		return 0, f.fail(fmt.Errorf("replica: pull from %d: %w", from, err))

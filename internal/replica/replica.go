@@ -273,6 +273,14 @@ func (ld *Leader) dropLocked(id string) {
 func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	now := ld.clock.Now()
 	ack := p.FromLSN - 1
+	if head := ld.log.LastLSN(); ack > head {
+		// The follower holds records this leader never wrote (it followed
+		// another leader further). Nothing here continues its log, so it
+		// resyncs from the checkpoint, like a follower compacted past.
+		ld.pulls.Inc()
+		ld.compactedPulls.Inc()
+		return &wire.ReplRecords{FirstLSN: p.FromLSN, LeaderLSN: head, Compacted: true}, nil
+	}
 
 	ld.mu.Lock()
 	_, known := ld.followers[p.FollowerID]

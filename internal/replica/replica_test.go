@@ -273,7 +273,8 @@ func TestFollowerResumesAcrossRestart(t *testing.T) {
 	fdir := t.TempDir()
 	fn := openNode(t, fdir, true, 0)
 	f := NewFollower("node-b", fn.srv.DB(), codecSender{lh},
-		WithFollowerBatch(2, 0), WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 1))
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 1))
+	f.maxRecords = 2
 	if _, err := f.PullOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,8 @@ func TestRetentionSurvivesLeaderRestart(t *testing.T) {
 	fn := openNode(t, t.TempDir(), true, 0)
 	defer fn.srv.Close()
 	f := NewFollower("node-b", fn.srv.DB(), codecSender{lh},
-		WithFollowerBatch(10, 0), WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 1))
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 1))
+	f.maxRecords = 10
 	if _, err := f.PullOnce(context.Background()); err != nil { // applies 1..10
 		t.Fatal(err)
 	}

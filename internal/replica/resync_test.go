@@ -148,6 +148,50 @@ func TestSnapshotShipResync(t *testing.T) {
 	}
 }
 
+// TestFollowerAheadOfLeaderResyncs: a follower whose log runs past the
+// leader's (it followed another leader further) holds records this leader
+// never wrote. It is told to resync, not that it lags by nothing, and the
+// resync leaves its log a prefix of the leader's.
+func TestFollowerAheadOfLeaderResyncs(t *testing.T) {
+	leader, _, lh := shipLeader(t, nil)
+	seeded(t, lh, leader, 2)
+	other, _, oh := shipLeader(t, nil)
+	seeded(t, oh, other, 6)
+
+	fdir := t.TempDir()
+	fn := openNode(t, fdir, true, 0)
+	catchUp(t, NewFollower("node-b", fn.srv.DB(), codecSender{oh},
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 1)))
+	if ahead, head := fn.srv.DB().AppliedLSN(), leader.backend.WAL().LastLSN(); ahead <= head {
+		t.Fatalf("follower at LSN %d is not ahead of the leader's %d", ahead, head)
+	}
+	f := NewFollower("node-b", fn.srv.DB(), codecSender{lh},
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 2))
+	if _, err := f.PullOnce(context.Background()); !errors.Is(err, ErrNeedsResync) {
+		t.Fatalf("pull from past the leader's head = %v, want ErrNeedsResync", err)
+	}
+	if s := f.Status(); !s.NeedsResync || s.Connected {
+		t.Fatalf("status after pulling from past the leader's head = %+v", s)
+	}
+
+	checkpoint(t, leader)
+	if err := fn.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walLSN, err := ResyncDataDir(context.Background(), "node-b", codecSender{lh}, fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn2 := openNode(t, fdir, true, 0)
+	defer fn2.srv.Close()
+	if got, head := fn2.srv.DB().AppliedLSN(), leader.backend.WAL().LastLSN(); got != walLSN || got > head {
+		t.Fatalf("resynced follower at LSN %d, shipped watermark %d, leader head %d", got, walLSN, head)
+	}
+	catchUp(t, NewFollower("node-b", fn2.srv.DB(), codecSender{lh},
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 3)))
+	sameRecords(t, "log after resync", logTail(t, leader, walLSN), logTail(t, fn2, walLSN))
+}
+
 // TestResyncShipsCheckpointChunked proves the transfer really is
 // chunked: a tiny per-pull byte budget forces many SnapChunks, and the
 // installed image must equal the leader's checkpoint file byte for byte.

@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,4 +137,60 @@ func TestFairnessAtPaperScaleWorkload(t *testing.T) {
 	if j < 0.8 {
 		t.Fatalf("greedy fairness = %v, expected >= 0.8 on the paper workload", j)
 	}
+}
+
+// Utilization reports each user's scheduled-measurements / budget ratio.
+// §III motivates the per-user budget constraint with fairness: the
+// scheduler must "ensure fairness by preventing certain mobile users from
+// being abused"; utilization makes that observable.
+func (p *Plan) Utilization(parts []Participant) (map[string]float64, error) {
+	if p == nil {
+		return nil, errors.New("schedule: nil plan")
+	}
+	out := make(map[string]float64, len(parts))
+	for _, part := range parts {
+		if part.Budget < 0 {
+			return nil, fmt.Errorf("schedule: user %s has negative budget", part.UserID)
+		}
+		a, ok := p.Assignments[part.UserID]
+		if !ok {
+			out[part.UserID] = 0
+			continue
+		}
+		if part.Budget == 0 {
+			if len(a.Instants) > 0 {
+				return nil, fmt.Errorf("schedule: user %s scheduled with zero budget", part.UserID)
+			}
+			out[part.UserID] = 0
+			continue
+		}
+		out[part.UserID] = float64(len(a.Instants)) / float64(part.Budget)
+	}
+	return out, nil
+}
+
+// JainIndex computes Jain's fairness index over the users' utilizations:
+// (Σx)² / (n·Σx²), in (0, 1], 1 = perfectly even. Users with zero budget
+// are excluded (they cannot be "abused"). Returns 1 for an empty or
+// all-zero population.
+func (p *Plan) JainIndex(parts []Participant) (float64, error) {
+	util, err := p.Utilization(parts)
+	if err != nil {
+		return 0, err
+	}
+	var sum, sumSq float64
+	n := 0
+	for _, part := range parts {
+		if part.Budget == 0 {
+			continue
+		}
+		x := util[part.UserID]
+		sum += x
+		sumSq += x * x
+		n++
+	}
+	if n == 0 || sumSq == 0 {
+		return 1, nil
+	}
+	return sum * sum / (float64(n) * sumSq), nil
 }

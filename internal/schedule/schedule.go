@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"sor/internal/coverage"
@@ -77,30 +76,6 @@ type Plan struct {
 	AverageCoverage float64
 	// OracleCalls counts marginal-gain evaluations (ablation metric).
 	OracleCalls int
-}
-
-// Measurements flattens the plan into (user, instant) pairs sorted by
-// instant then user.
-func (p *Plan) Measurements() []Measurement {
-	var out []Measurement
-	for _, a := range p.Assignments {
-		for _, i := range a.Instants {
-			out = append(out, Measurement{UserID: a.UserID, Instant: i})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Instant != out[j].Instant {
-			return out[i].Instant < out[j].Instant
-		}
-		return out[i].UserID < out[j].UserID
-	})
-	return out
-}
-
-// Measurement is a single scheduled sensing action.
-type Measurement struct {
-	UserID  string
-	Instant int
 }
 
 // Scheduler computes sensing schedules over a fixed timeline and kernel.
@@ -297,14 +272,4 @@ func (s *Scheduler) Verify(parts []Participant, plan *Plan) error {
 		}
 	}
 	return nil
-}
-
-// Coverage recomputes total coverage of a plan (plus prior measurements)
-// from scratch.
-func (s *Scheduler) Coverage(plan *Plan, prior []int) float64 {
-	instants := append([]int(nil), prior...)
-	for _, a := range plan.Assignments {
-		instants = append(instants, a.Instants...)
-	}
-	return coverage.Eval(s.tl, s.kernel, instants)
 }

@@ -3,6 +3,7 @@ package schedule
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -411,4 +412,38 @@ func randomPaperParticipants(rng *rand.Rand, n, budget int) []Participant {
 
 func fmtUser(i int) string {
 	return "phone-" + string(rune('A'+i%26)) + string(rune('0'+i/26%10)) + string(rune('0'+i/260))
+}
+
+// Measurements flattens the plan into (user, instant) pairs sorted by
+// instant then user.
+func (p *Plan) Measurements() []Measurement {
+	var out []Measurement
+	for _, a := range p.Assignments {
+		for _, i := range a.Instants {
+			out = append(out, Measurement{UserID: a.UserID, Instant: i})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Instant != out[j].Instant {
+			return out[i].Instant < out[j].Instant
+		}
+		return out[i].UserID < out[j].UserID
+	})
+	return out
+}
+
+// Measurement is a single scheduled sensing action.
+type Measurement struct {
+	UserID  string
+	Instant int
+}
+
+// Coverage recomputes total coverage of a plan (plus prior measurements)
+// from scratch.
+func (s *Scheduler) Coverage(plan *Plan, prior []int) float64 {
+	instants := append([]int(nil), prior...)
+	for _, a := range plan.Assignments {
+		instants = append(instants, a.Instants...)
+	}
+	return coverage.Eval(s.tl, s.kernel, instants)
 }

@@ -37,20 +37,6 @@ func NewBluetoothLink(seed int64, connectLatency, requestLatency time.Duration, 
 	}
 }
 
-// Drop disconnects the link; the next use reconnects.
-func (l *BluetoothLink) Drop() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.connected = false
-}
-
-// Connects reports how many handshakes have run.
-func (l *BluetoothLink) Connects() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.connects
-}
-
 // Failures reports how many transient failures were injected.
 func (l *BluetoothLink) Failures() int {
 	l.mu.Lock()

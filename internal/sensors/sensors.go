@@ -135,19 +135,16 @@ type Manager struct {
 	providers map[string]Provider // acquisition function name -> provider
 	buffers   map[string]Reading  // last reading per function name
 	bufferAge map[string]time.Time
-	ttl       time.Duration
 	timeout   time.Duration
 	stats     Stats
 }
 
+// bufferTTL is how long a buffered reading may be re-served, in simulated
+// time relative to the request's At.
+const bufferTTL = 5 * time.Second
+
 // ManagerOption configures a Manager.
 type ManagerOption func(*Manager)
-
-// WithBufferTTL sets how long a buffered reading may be re-served
-// (default 5 s of simulated time relative to the request's At).
-func WithBufferTTL(ttl time.Duration) ManagerOption {
-	return func(m *Manager) { m.ttl = ttl }
-}
 
 // WithAcquireTimeout bounds each provider acquisition in wall-clock time
 // (default 2 s) — the paper's "the manager can cancel data acquisition if
@@ -162,7 +159,6 @@ func NewManager(opts ...ManagerOption) *Manager {
 		providers: make(map[string]Provider),
 		buffers:   make(map[string]Reading),
 		bufferAge: make(map[string]time.Time),
-		ttl:       5 * time.Second,
 		timeout:   2 * time.Second,
 	}
 	for _, o := range opts {
@@ -214,7 +210,7 @@ func (m *Manager) Acquire(ctx context.Context, funcName string, req Request) (Re
 	// with at least as many values is reused.
 	if buf, has := m.buffers[funcName]; has {
 		age := req.At.Sub(m.bufferAge[funcName])
-		if age >= 0 && age <= m.ttl && len(buf.Values)+len(buf.Points) >= req.Count {
+		if age >= 0 && age <= bufferTTL && len(buf.Values)+len(buf.Points) >= req.Count {
 			m.stats.BufferHits++
 			m.mu.Unlock()
 			return buf, nil
@@ -258,13 +254,4 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// InvalidateBuffers clears all shared buffers (e.g. after the phone
-// moves).
-func (m *Manager) InvalidateBuffers() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.buffers = make(map[string]Reading)
-	m.bufferAge = make(map[string]time.Time)
 }

@@ -127,7 +127,7 @@ func TestManagerBufferSharing(t *testing.T) {
 			return Reading{At: req.At, Values: make([]float64, req.Count)}, nil
 		},
 	}
-	m := NewManager(WithBufferTTL(10 * time.Second))
+	m := NewManager()
 	if err := m.Register("get_light", p); err != nil {
 		t.Fatal(err)
 	}
@@ -311,4 +311,27 @@ func TestManagerWithExternalProvider(t *testing.T) {
 	if len(r.Values) != 4 {
 		t.Fatalf("reading = %+v", r)
 	}
+}
+
+// InvalidateBuffers clears all shared buffers (e.g. after the phone
+// moves).
+func (m *Manager) InvalidateBuffers() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.buffers = make(map[string]Reading)
+	m.bufferAge = make(map[string]time.Time)
+}
+
+// Drop disconnects the link; the next use reconnects.
+func (l *BluetoothLink) Drop() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.connected = false
+}
+
+// Connects reports how many handshakes have run.
+func (l *BluetoothLink) Connects() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.connects
 }

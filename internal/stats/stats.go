@@ -30,9 +30,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N reports the number of observations added so far.
-func (w *Welford) N() int { return w.n }
-
 // Mean reports the running mean, or 0 when no observations were added.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -43,15 +40,6 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// SampleVariance reports the Bessel-corrected sample variance, or 0 for
-// fewer than two observations.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
 }
 
 // StdDev reports the population standard deviation.
@@ -91,34 +79,6 @@ func MeanStd(xs []float64) (mean, std float64, err error) {
 		w.Add(x)
 	}
 	return w.Mean(), w.StdDev(), nil
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

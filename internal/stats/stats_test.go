@@ -23,7 +23,7 @@ func TestWelfordAgainstNaive(t *testing.T) {
 	if got := w.StdDev(); !almostEqual(got, 2, 1e-12) {
 		t.Fatalf("stddev = %v, want 2", got)
 	}
-	if got := w.N(); got != len(xs) {
+	if got := w.n; got != len(xs) {
 		t.Fatalf("n = %d, want %d", got, len(xs))
 	}
 }
@@ -176,4 +176,41 @@ func TestWelfordBoundsProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SampleVariance reports the Bessel-corrected sample variance, or 0 for
+// fewer than two observations.
+func (w *Welford) SampleVariance() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
+}
+
+// Min returns the smallest element of xs.
+func Min(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m, nil
+}
+
+// Max returns the largest element of xs.
+func Max(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m, nil
 }

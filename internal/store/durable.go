@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sor/internal/obs"
-	"sor/internal/vclock"
 	"sor/internal/wal"
 )
 
@@ -51,7 +50,6 @@ type durableOptions struct {
 	syncWait         time.Duration
 	segmentBytes     int64
 	metrics          *obs.Registry
-	clock            vclock.Clock
 }
 
 // DurableOption tunes a DurableBackend.
@@ -85,13 +83,6 @@ func WithSegmentBytes(n int64) DurableOption {
 // WithMetrics publishes WAL and checkpoint series into reg.
 func WithMetrics(reg *obs.Registry) DurableOption {
 	return func(o *durableOptions) { o.metrics = reg }
-}
-
-// WithClock substitutes the clock pacing the checkpoint loop and the
-// WAL's background flusher (default: wall clock). Simulations pass a
-// *vclock.Virtual so checkpoints ride virtual time.
-func WithClock(clk vclock.Clock) DurableOption {
-	return func(o *durableOptions) { o.clock = clk }
 }
 
 // DurableBackend persists the store under one directory:
@@ -132,7 +123,6 @@ func NewDurableBackend(dir string, opts ...DurableOption) *DurableBackend {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	o.clock = vclock.Or(o.clock)
 	b := &DurableBackend{dir: dir, opts: o}
 	if reg := o.metrics; reg != nil {
 		b.recovered = reg.Counter("sor_wal_recovered_records_total")
@@ -182,7 +172,6 @@ func (b *DurableBackend) Open() (*Store, error) {
 		SyncWait:     b.opts.syncWait,
 		SegmentBytes: b.opts.segmentBytes,
 		Metrics:      walObsMetrics(b.opts.metrics),
-		Clock:        b.opts.clock,
 		// A snapshot-shipped data dir has a snapshot watermark but no
 		// segments: seed the fresh log so the first replicated append
 		// lands at exactly the LSN the leader assigned it. A normal
@@ -204,7 +193,7 @@ func (b *DurableBackend) Open() (*Store, error) {
 
 func (b *DurableBackend) run() {
 	defer close(b.done)
-	ticker := b.opts.clock.NewTicker(b.opts.snapshotInterval)
+	ticker := time.NewTicker(b.opts.snapshotInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -213,7 +202,7 @@ func (b *DurableBackend) run() {
 		case <-b.stop:
 			_ = b.Checkpoint() // flush the final state before Close returns
 			return
-		case <-ticker.C():
+		case <-ticker.C:
 			_ = b.Checkpoint()
 		}
 	}

@@ -241,9 +241,11 @@ func agree(t *testing.T, step int, what string, st *Store, o *oracle, watermark 
 // leader checkpointed, reopened and killed mid-run, whose WAL a follower
 // applies through ApplyReplicated and replays after kills of its own.
 func TestHotTablesMatchOracle(t *testing.T) {
-	steps := 300
+	steps, memBatch := 300, 200
 	if testing.Short() {
-		steps = 60
+		// Sixty steps of 200-report batches mark about 3 200 ids; larger
+		// batches still fill the hot window and evict past it.
+		steps, memBatch = 60, 1000
 	}
 	apps := []string{"hot", "app-b", "app-c", "app-d"}
 	gen := func(rng *rand.Rand, maxBatch int, next *int, recent []string) (string, [][]byte, IngestOptions) {
@@ -330,7 +332,7 @@ func TestHotTablesMatchOracle(t *testing.T) {
 		var recent []string
 		next := 0
 		for step := 0; step < steps; step++ {
-			app, bodies, opt := gen(rng, 200, &next, recent)
+			app, bodies, opt := gen(rng, memBatch, &next, recent)
 			ingest(t, step, st, []*oracle{o}, app, bodies, opt)
 			recent = append(recent, opt.ReportIDs...)
 			drain(t, step, rng, st, o)

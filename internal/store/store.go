@@ -678,18 +678,6 @@ func (s *Store) ingestLocked(appID string, bodies [][]byte, opt IngestOptions) (
 	return res, lsn, nil
 }
 
-// ReportSeen reports whether a ReportID is in appID's dedup window
-// (read-only; observability and tests).
-func (s *Store) ReportSeen(appID, reportID string) bool {
-	if reportID == "" {
-		return false
-	}
-	sh := &s.uploadShards[shardIndex(appID)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.windows[appID].seen(view(reportID))
-}
-
 // SeenReportIDs returns a sorted copy of appID's dedup-window contents
 // (recovery checks and tests compare windows as sets; eviction order is
 // not exposed).
@@ -1085,17 +1073,6 @@ func (s *Store) PutAnchor(appID string, anchor time.Time) error {
 	}
 	s.anchors[appID] = unix
 	return nil
-}
-
-// Anchor returns an application's persisted period anchor.
-func (s *Store) Anchor(appID string) (time.Time, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	unix, ok := s.anchors[appID]
-	if !ok {
-		return time.Time{}, false
-	}
-	return time.Unix(unix, 0).UTC(), true
 }
 
 // Anchors lists every persisted anchor sorted by app ID (crash recovery

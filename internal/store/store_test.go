@@ -468,3 +468,26 @@ func TestChangedPlacesMatchesMapWalk(t *testing.T) {
 		t.Fatalf("log holds %d bumps for %d places", len(cv.bumps), len(cv.placeVers))
 	}
 }
+
+// Anchor returns an application's persisted period anchor.
+func (s *Store) Anchor(appID string) (time.Time, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	unix, ok := s.anchors[appID]
+	if !ok {
+		return time.Time{}, false
+	}
+	return time.Unix(unix, 0).UTC(), true
+}
+
+// ReportSeen reports whether a ReportID is in appID's dedup window
+// (read-only; observability and tests).
+func (s *Store) ReportSeen(appID, reportID string) bool {
+	if reportID == "" {
+		return false
+	}
+	sh := &s.uploadShards[shardIndex(appID)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.windows[appID].seen(view(reportID))
+}

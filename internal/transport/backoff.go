@@ -52,10 +52,11 @@ func (b *Backoff) Delay(step int) time.Duration {
 // client's Send loop and the stream session's reconnect loop both report
 // through one of these, so every retry — whatever the transport — lands on
 // the same obs series (sor_client_retries_total, sor_client_backoff_ms,
-// ...) and fires the same WithRetryObserver hook, instead of each
-// transport growing a parallel mechanism. All methods are safe for
-// concurrent use and degrade to pure counting without a registry.
+// ...), instead of each transport growing a parallel mechanism. All
+// methods are safe for concurrent use and degrade to pure counting
+// without a registry.
 type RetryMonitor struct {
+	// onRetry, when set, is called before each retry sleep (tests).
 	onRetry func(attempt int, delay time.Duration, err error)
 
 	retries      atomic.Int64
@@ -77,13 +78,6 @@ func NewRetryMonitor(reg *obs.Registry) *RetryMonitor {
 		exhaustedC:    reg.Counter("sor_client_exhausted_total"),
 		backoffMs:     reg.LatencyHistogram("sor_client_backoff_ms"),
 	}
-}
-
-// SetHook installs the WithRetryObserver callback, invoked synchronously
-// from ObserveRetry before the caller sleeps the delay. Not safe to call
-// concurrently with ObserveRetry; install hooks before traffic starts.
-func (m *RetryMonitor) SetHook(fn func(attempt int, delay time.Duration, err error)) {
-	m.onRetry = fn
 }
 
 // ObserveRetry records one retry about to happen: attempt is the upcoming

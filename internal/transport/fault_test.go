@@ -267,15 +267,15 @@ func TestClientBackoffFullJitterAndCap(t *testing.T) {
 	}
 	var observed []retry
 	const base, maxDelay = 4 * time.Millisecond, 10 * time.Millisecond
-	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: 6, Base: base, Cap: maxDelay, Seed: 99}),
-		WithRetryObserver(func(attempt int, delay time.Duration, err error) {
-			if err == nil {
-				t.Error("retry observer called without a cause")
-			}
-			observed = append(observed, retry{attempt, delay})
-		}))
+	c, err := NewClient(srv.URL, WithRetry(Retry{Attempts: 6, Base: base, Cap: maxDelay, Seed: 99}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	c.monitor.onRetry = func(attempt int, delay time.Duration, err error) {
+		if err == nil {
+			t.Error("retry observer called without a cause")
+		}
+		observed = append(observed, retry{attempt, delay})
 	}
 	if _, err := c.Send(context.Background(), &wire.Ping{Token: "x"}); err == nil {
 		t.Fatal("expected eventual give-up")

@@ -11,7 +11,6 @@ import (
 
 	"sor/internal/obs"
 	"sor/internal/transport"
-	"sor/internal/vclock"
 	"sor/internal/wire"
 )
 
@@ -42,15 +41,12 @@ type Dialer func(ctx context.Context) (net.Conn, error)
 // flight when the stream died are redelivered and deduped by ReportID:
 // exactly-once across connection death. Safe for concurrent use.
 type Client struct {
-	dial      Dialer
-	token     string
-	caps      []string
-	clock     vclock.Clock
-	retries   int
-	backoff   *transport.Backoff
-	monitor   *transport.RetryMonitor
-	obsv      *obs.Observer
-	heartbeat time.Duration
+	dial    Dialer
+	token   string
+	retries int
+	backoff *transport.Backoff
+	monitor *transport.RetryMonitor
+	obsv    *obs.Observer
 	// timeout bounds each Send from its call to its reply, a dial it
 	// makes included (0 = bounded by the caller's context only).
 	timeout time.Duration
@@ -70,15 +66,12 @@ type Client struct {
 
 	sends      atomic.Int64
 	reconnects atomic.Int64
-	resumes    atomic.Int64
 	pushes     atomic.Int64
 
 	// backoff envelope captured before the Backoff is built; seed 0 =
 	// seed from the wall clock.
-	base, cap    time.Duration
-	seed         int64
-	onRetry      func(attempt int, delay time.Duration, err error)
-	heartbeatCtx context.CancelFunc
+	base, cap time.Duration
+	seed      int64
 }
 
 // clientConn is one live connection's multiplexing state.
@@ -113,11 +106,6 @@ type waiter struct {
 // ClientOption configures NewClient/Dial.
 type ClientOption func(*Client)
 
-// WithClientClock backs backoff sleeps and heartbeats with clk.
-func WithClientClock(clk vclock.Clock) ClientOption {
-	return func(c *Client) { c.clock = clk }
-}
-
 // WithClientRetry applies a transport.Retry envelope: how many times a
 // Send survives a dead connection before giving up (default 2, like the
 // HTTP client) and the reconnect backoff (default 50 ms base, 2 s cap —
@@ -131,22 +119,9 @@ func WithClientRetry(r transport.Retry) ClientOption {
 	}
 }
 
-// WithClientRetryObserver installs the shared retry hook (the same
-// contract as the HTTP client's WithRetryObserver): called before every
-// backoff sleep with the upcoming attempt, the delay, and the cause.
-func WithClientRetryObserver(fn func(attempt int, delay time.Duration, err error)) ClientOption {
-	return func(c *Client) { c.onRetry = fn }
-}
-
 // WithClientObserver routes the client's retry series into o's registry.
 func WithClientObserver(o *obs.Observer) ClientOption {
 	return func(c *Client) { c.obsv = o }
-}
-
-// WithCaps overrides the capabilities offered in the hello (default
-// SupportedCaps).
-func WithCaps(caps ...string) ClientOption {
-	return func(c *Client) { c.caps = caps }
 }
 
 // WithEventBuffer sizes the Events channel (default 64). When a consumer
@@ -158,13 +133,6 @@ func WithEventBuffer(n int) ClientOption {
 			c.events = make(chan wire.Message, n)
 		}
 	}
-}
-
-// WithHeartbeat sends a wire.Ping every d of clock time while the
-// connection is up, keeping the server's liveness fresh over quiet
-// periods (default off).
-func WithHeartbeat(d time.Duration) ClientOption {
-	return func(c *Client) { c.heartbeat = d }
 }
 
 // WithOnResume installs the resume hook, called (on its own goroutine)
@@ -185,7 +153,6 @@ func NewClient(dial Dialer, token string, opts ...ClientOption) (*Client, error)
 	c := &Client{
 		dial:     dial,
 		token:    token,
-		caps:     SupportedCaps,
 		retries:  2,
 		base:     50 * time.Millisecond,
 		cap:      2 * time.Second,
@@ -195,10 +162,8 @@ func NewClient(dial Dialer, token string, opts ...ClientOption) (*Client, error)
 	for _, o := range opts {
 		o(c)
 	}
-	c.clock = vclock.Or(c.clock)
 	c.backoff = transport.NewBackoff(c.base, c.cap, transport.Retry{Seed: c.seed}.ResolveSeed(time.Now().UnixNano()))
 	c.monitor = transport.NewRetryMonitor(c.obsv.Metrics())
-	c.monitor.SetHook(c.onRetry)
 	return c, nil
 }
 
@@ -228,24 +193,6 @@ func FaultDialer(fi *transport.FaultInjector, dial Dialer) Dialer {
 
 var _ transport.Conn = (*Client)(nil)
 
-// SetOnResume replaces the resume hook (for wiring built after the
-// client, e.g. a frontend's outbox drain).
-func (c *Client) SetOnResume(fn func()) {
-	c.mu.Lock()
-	c.onResume = fn
-	c.mu.Unlock()
-}
-
-// Token returns the device token the client authenticates as.
-func (c *Client) Token() string { return c.token }
-
-// Welcome returns the last handshake's negotiated terms.
-func (c *Client) Welcome() Welcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastWelcome
-}
-
 // Events implements transport.Conn: server-initiated schedule pushes,
 // wake-up pings, and epoch invalidations. Never closed; drain in a
 // select.
@@ -271,10 +218,6 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// Monitor exposes the shared retry-observation path (same series the
-// HTTP client reports to).
-func (c *Client) Monitor() *transport.RetryMonitor { return c.monitor }
-
 // Send implements transport.Conn. The message is encoded once (with its
 // trace RequestID, same as HTTP) and retransmitted verbatim across
 // connection deaths, up to retries re-dials with full-jitter backoff
@@ -299,9 +242,9 @@ func (c *Client) Send(ctx context.Context, m wire.Message) (wire.Message, error)
 		if attempt > 0 {
 			delay := c.backoff.Delay(attempt - 1)
 			c.monitor.ObserveRetry(attempt, delay, lastErr)
-			wake := c.clock.NewTimer(delay)
+			wake := time.NewTimer(delay)
 			select {
-			case <-wake.C():
+			case <-wake.C:
 			case <-ctx.Done():
 				wake.Stop()
 				return nil, fmt.Errorf("session: cancelled: %w", ctx.Err())
@@ -368,9 +311,6 @@ func (c *Client) Close() error {
 	c.closed = true
 	cc := c.cc
 	c.cc = nil
-	if c.heartbeatCtx != nil {
-		c.heartbeatCtx()
-	}
 	c.mu.Unlock()
 	if cc != nil {
 		cc.fail(ErrClientClosed)
@@ -435,12 +375,8 @@ func (c *Client) conn(ctx context.Context, deadline time.Time) (*clientConn, err
 	c.mu.Unlock()
 
 	go c.readLoop(cc)
-	if c.heartbeat > 0 {
-		c.startHeartbeat(cc)
-	}
 	if resumed {
 		c.reconnects.Add(1)
-		c.resumes.Add(1)
 		// Resume: the outbox drain (or whatever the owner hung here) runs
 		// off the Send path so it cannot deadlock against the caller.
 		if hook != nil {
@@ -463,7 +399,7 @@ func (c *Client) dialOnce(ctx context.Context) (*clientConn, Welcome, error) {
 		_ = conn.SetDeadline(dl)
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
-	hello := Hello{Proto: ProtoVersion, Token: c.token, Caps: c.caps}
+	hello := Hello{Proto: ProtoVersion, Token: c.token, Caps: SupportedCaps}
 	if err := WriteFrame(conn, Frame{Kind: KindHello, Payload: EncodeHello(hello)}); err != nil {
 		_ = conn.Close()
 		return nil, Welcome{}, err
@@ -573,54 +509,6 @@ func (c *Client) roundTrip(ctx context.Context, cc *clientConn, body []byte, dea
 		cc.removeWaiter(id)
 		return nil, fmt.Errorf("session: cancelled: %w", ctx.Err())
 	}
-}
-
-// startHeartbeat pings over the stream every heartbeat interval until the
-// connection dies, keeping server-side liveness fresh while idle.
-func (c *Client) startHeartbeat(cc *clientConn) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c.mu.Lock()
-	c.heartbeatCtx = cancel
-	c.mu.Unlock()
-	go func() {
-		defer cancel()
-		tick := c.clock.NewTicker(c.heartbeat)
-		defer tick.Stop()
-		body, err := wire.Encode(&wire.Ping{Token: c.token})
-		if err != nil {
-			return
-		}
-		for {
-			select {
-			case <-tick.C():
-			case <-cc.done:
-				return
-			case <-ctx.Done():
-				return
-			}
-			c.mu.Lock()
-			c.nextID++
-			id := c.nextID
-			c.mu.Unlock()
-			ch := make(chan result, 1)
-			if cc.addWaiter(id, ch, time.Time{}) != nil {
-				return
-			}
-			if cc.writeFrame(Frame{Kind: KindRequest, ID: id, Payload: body}) != nil {
-				cc.removeWaiter(id)
-				_ = cc.conn.Close()
-				return
-			}
-			select {
-			case <-ch: // reply discarded; the point was the traffic
-			case <-cc.done:
-				return
-			case <-ctx.Done():
-				cc.removeWaiter(id)
-				return
-			}
-		}
-	}()
 }
 
 func (cc *clientConn) writeFrame(f Frame) error {

@@ -6,8 +6,8 @@
 // with what one-shot HTTP POSTs carry; the session layer only adds the
 // envelope that lets many exchanges share a socket.
 //
-// The server side is a Registry of live sessions (liveness, bounded
-// per-session send queues, server-initiated push — see registry.go) fed by
+// The server side is a Registry of live sessions (bounded per-session
+// send queues, server-initiated push — see registry.go) fed by
 // a Server accept loop (server.go). The device side is a Client
 // implementing transport.Conn with correlation-id multiplexing and
 // automatic reconnect (client.go). Timers run on vclock.Clock throughout,

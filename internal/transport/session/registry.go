@@ -6,11 +6,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sor/internal/obs"
 	"sor/internal/transport"
-	"sor/internal/vclock"
 	"sor/internal/wire"
 )
 
@@ -24,8 +22,8 @@ var ErrSessionClosed = errors.New("session: closed")
 const DefaultQueueCap = 64
 
 // Registry tracks every live device session on a server: who is
-// connected, how fresh they are, and a bounded per-session send queue for
-// server-initiated traffic. It is the server's transport.Notifier:
+// connected, and a bounded per-session send queue for server-initiated
+// traffic. It is the server's transport.Notifier:
 // wake-up pings, schedule pushes, and epoch-invalidation broadcasts all
 // go through it (server.Config.Push).
 //
@@ -33,13 +31,9 @@ const DefaultQueueCap = 64
 // (Session.SetOnEnqueue) may run with the registry lock held and must not
 // re-enter the registry.
 type Registry struct {
-	clock    vclock.Clock
-	queueCap int
-
 	mu       sync.Mutex
 	sessions map[string]*Session
 	sent     int
-	closed   bool
 
 	met registryMetrics
 }
@@ -55,22 +49,6 @@ type registryMetrics struct {
 
 // RegistryOption configures NewRegistry.
 type RegistryOption func(*Registry)
-
-// WithRegistryClock backs liveness timestamps with clk (simulations pass
-// a *vclock.Virtual).
-func WithRegistryClock(clk vclock.Clock) RegistryOption {
-	return func(r *Registry) { r.clock = clk }
-}
-
-// WithQueueCap bounds each session's pending push queue (default
-// DefaultQueueCap).
-func WithQueueCap(n int) RegistryOption {
-	return func(r *Registry) {
-		if n > 0 {
-			r.queueCap = n
-		}
-	}
-}
 
 // WithRegistryMetrics registers the sor_session_* series on reg.
 func WithRegistryMetrics(reg *obs.Registry) RegistryOption {
@@ -89,21 +67,19 @@ func WithRegistryMetrics(reg *obs.Registry) RegistryOption {
 // NewRegistry builds an empty session registry.
 func NewRegistry(opts ...RegistryOption) *Registry {
 	r := &Registry{
-		queueCap: DefaultQueueCap,
 		sessions: make(map[string]*Session),
 	}
 	for _, o := range opts {
 		o(r)
 	}
-	r.clock = vclock.Or(r.clock)
 	return r
 }
 
 var _ transport.Notifier = (*Registry)(nil)
 
 // Session is one live device stream's server-side state: its negotiated
-// capabilities, a bounded pending queue of server-initiated messages, and
-// a liveness timestamp. The transport that owns the socket consumes the
+// capabilities and a bounded pending queue of server-initiated messages.
+// The transport that owns the socket consumes the
 // queue via Ready/TakePending (or an OnEnqueue hook in deterministic
 // simulations).
 type Session struct {
@@ -116,7 +92,6 @@ type Session struct {
 	wakeQueued bool
 	onEnqueue  func()
 	closed     bool
-	lastActive time.Time
 
 	notify chan struct{}
 	done   chan struct{}
@@ -134,18 +109,13 @@ func (r *Registry) Attach(token string, caps []string) (s *Session, displaced bo
 		return nil, false, errors.New("session: empty token")
 	}
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, false, ErrSessionClosed
-	}
 	old := r.sessions[token]
 	s = &Session{
-		reg:        r,
-		token:      token,
-		caps:       append([]string(nil), caps...),
-		lastActive: r.clock.Now(),
-		notify:     make(chan struct{}, 1),
-		done:       make(chan struct{}),
+		reg:    r,
+		token:  token,
+		caps:   append([]string(nil), caps...),
+		notify: make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	r.sessions[token] = s
 	r.met.opened.Inc()
@@ -172,33 +142,11 @@ func (r *Registry) detach(s *Session) bool {
 	return false
 }
 
-// Lookup returns the live session for token, or nil.
-func (r *Registry) Lookup(token string) *Session {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sessions[token]
-}
-
-// Live reports whether token has a live session.
-func (r *Registry) Live(token string) bool { return r.Lookup(token) != nil }
-
 // Count returns how many sessions are live.
 func (r *Registry) Count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.sessions)
-}
-
-// Tokens returns the live tokens in sorted (deterministic) order.
-func (r *Registry) Tokens() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.sessions))
-	for t := range r.sessions {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Sent reports how many wake-ups were delivered.
@@ -278,17 +226,6 @@ func (r *Registry) CloseAll() {
 	}
 }
 
-// Shutdown closes every session and refuses further attaches.
-func (r *Registry) Shutdown() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	r.CloseAll()
-}
-
-// Token returns the device token the session authenticated as.
-func (s *Session) Token() string { return s.token }
-
 // Caps returns the session's negotiated capabilities.
 func (s *Session) Caps() []string { return s.caps }
 
@@ -316,27 +253,6 @@ func (s *Session) SetOnEnqueue(fn func()) {
 	s.mu.Unlock()
 }
 
-// Touch refreshes the liveness timestamp (every inbound frame).
-func (s *Session) Touch() {
-	now := s.reg.clock.Now()
-	s.mu.Lock()
-	s.lastActive = now
-	s.mu.Unlock()
-}
-
-// LastActive returns when the session last saw inbound traffic.
-func (s *Session) LastActive() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastActive
-}
-
-// Pushed reports how many messages were queued to this session.
-func (s *Session) Pushed() int64 { return s.pushed.Load() }
-
-// Dropped reports how many queued pushes were evicted by backpressure.
-func (s *Session) Dropped() int64 { return s.dropped.Load() }
-
 // enqueue queues m for delivery. A wake enqueue coalesces: if a wake ping
 // is already pending, the new one is absorbed (still counted as sent —
 // the phone will wake exactly once, which is all a wake means). When the
@@ -352,7 +268,7 @@ func (s *Session) enqueue(m wire.Message, wake bool) error {
 		s.mu.Unlock()
 		return nil
 	}
-	if len(s.pending) >= s.reg.queueCap {
+	if len(s.pending) >= DefaultQueueCap {
 		if _, wasWake := s.pending[0].(*wire.Ping); wasWake {
 			s.wakeQueued = false
 		}

@@ -108,12 +108,12 @@ func TestRegistryDisplacement(t *testing.T) {
 	if got := len(fresh.TakePending()); got != 1 {
 		t.Fatalf("fresh session holds %d pending, want 1", got)
 	}
-	if got := old.Pushed(); got != 0 {
+	if got := old.pushed.Load(); got != 0 {
 		t.Fatalf("displaced session still received %d pushes", got)
 	}
 	// The displaced session's own Close must not evict its replacement.
 	old.Close()
-	if !r.Live("tok") {
+	if !live(r, "tok") {
 		t.Fatal("stale Close evicted the live replacement")
 	}
 	fresh.Close()
@@ -136,7 +136,7 @@ func TestRegistryDisplacement(t *testing.T) {
 // keeps the newest pushes, drops the oldest, and a wake ping coalesces
 // rather than stacking.
 func TestSessionQueueBackpressure(t *testing.T) {
-	r := NewRegistry(WithQueueCap(3))
+	r := NewRegistry()
 	s, _, err := r.Attach("tok", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -151,24 +151,24 @@ func TestSessionQueueBackpressure(t *testing.T) {
 	if got := r.Sent(); got != 2 {
 		t.Fatalf("Sent() = %d, want 2", got)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i <= DefaultQueueCap; i++ {
 		if err := r.PushMessage("tok", &wire.EpochInvalidate{Epoch: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pend := s.TakePending()
-	if len(pend) != 3 {
-		t.Fatalf("pending = %d messages, want 3 (queue cap)", len(pend))
+	if len(pend) != DefaultQueueCap {
+		t.Fatalf("pending = %d messages, want %d (queue cap)", len(pend), DefaultQueueCap)
 	}
-	// The wake ping and oldest push were evicted; the newest three remain.
+	// The wake ping and oldest push were evicted; the newest pushes remain.
 	for i, m := range pend {
 		inv, ok := m.(*wire.EpochInvalidate)
 		if !ok || inv.Epoch != int64(i+1) {
 			t.Fatalf("pending[%d] = %#v, want epoch %d", i, m, i+1)
 		}
 	}
-	if got := s.Dropped(); got != 2 {
-		t.Fatalf("Dropped() = %d, want 2", got)
+	if got := s.dropped.Load(); got != 2 {
+		t.Fatalf("dropped = %d, want 2", got)
 	}
 	// The eviction cleared wakeQueued, so a new wake queues again.
 	if err := r.Notify("tok"); err != nil {
@@ -177,4 +177,11 @@ func TestSessionQueueBackpressure(t *testing.T) {
 	if got := len(s.TakePending()); got != 1 {
 		t.Fatalf("post-eviction wake: pending = %d, want 1", got)
 	}
+}
+
+// live reports whether token has a live session in r.
+func live(r *Registry, token string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sessions[token] != nil
 }

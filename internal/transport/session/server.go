@@ -228,7 +228,6 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			}
 			return err
 		}
-		sess.Touch()
 		if f.Kind != KindRequest {
 			s.met.decodeErrs.Inc()
 			return errors.New("session: unexpected frame kind from device")

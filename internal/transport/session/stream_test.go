@@ -88,11 +88,11 @@ func TestStreamRequestReply(t *testing.T) {
 	if !ok || !ack.OK || ack.Message != "pong" {
 		t.Fatalf("reply = %#v", resp)
 	}
-	if w := c.Welcome(); w.Proto != ProtoVersion || w.Resumed {
+	if w := welcome(c); w.Proto != ProtoVersion || w.Resumed {
 		t.Fatalf("welcome = %+v", w)
 	}
 	// The handshake registered a live session under the device token.
-	if !rig.srv.Registry().Live("tok-1") {
+	if !live(rig.srv.Registry(), "tok-1") {
 		t.Fatal("session not registered after handshake")
 	}
 	// SendBatch is the outbox's path; it must coerce the reply to an ack.
@@ -248,7 +248,7 @@ func TestStreamDisplacement(t *testing.T) {
 	if _, err := second.Send(ctx, &wire.Ping{Token: "tok-d"}); err != nil {
 		t.Fatal(err)
 	}
-	if w := second.Welcome(); !w.Resumed {
+	if w := welcome(second); !w.Resumed {
 		t.Fatalf("second welcome = %+v, want Resumed", w)
 	}
 	// The displaced client's next exchange re-dials (its conn was severed)
@@ -258,7 +258,7 @@ func TestStreamDisplacement(t *testing.T) {
 		_, err := first.Send(ctx, &wire.Ping{Token: "tok-d"})
 		return err == nil && first.Stats().Reconnects > 0
 	}, "displaced client to reconnect")
-	if w := first.Welcome(); !w.Resumed {
+	if w := welcome(first); !w.Resumed {
 		t.Fatalf("reconnect welcome = %+v, want Resumed", w)
 	}
 }
@@ -349,4 +349,11 @@ func TestStreamHandshakeRejectsGarbage(t *testing.T) {
 	if got := rig.srv.Registry().Count(); got != 0 {
 		t.Fatalf("%d sessions registered without a handshake", got)
 	}
+}
+
+// welcome returns the terms of c's last handshake.
+func welcome(c *Client) Welcome {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastWelcome
 }

@@ -215,13 +215,13 @@ func TestPeerSessionsStayOffTheDeviceRegistry(t *testing.T) {
 	peer := dialPeerRig(t, rig, "router/1")
 	ctx := context.Background()
 	for _, c := range []*Client{device, peer} {
-		if _, err := c.Send(ctx, &wire.Ping{Token: c.Token()}); err != nil {
+		if _, err := c.Send(ctx, &wire.Ping{Token: c.token}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if got := devices.Tokens(); len(got) != 1 || got[0] != "phone-1" {
-		t.Fatalf("device registry holds %v, want just phone-1", got)
+	if got := devices.Count(); got != 1 || !live(devices, "phone-1") {
+		t.Fatalf("device registry holds %d sessions, want just phone-1", got)
 	}
 	if a, o := metrics.Gauge("sor_session_active").Value(), metrics.Counter("sor_session_opened_total").Value(); a != 1 || o != 1 {
 		t.Fatalf("device series active=%v opened=%d, want 1, 1", a, o)

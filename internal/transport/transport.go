@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"sor/internal/obs"
-	"sor/internal/vclock"
 	"sor/internal/wire"
 )
 
@@ -136,8 +135,6 @@ type Client struct {
 	retries    int
 	backoff    time.Duration
 	backoffCap time.Duration
-	onRetry    func(attempt int, delay time.Duration, err error)
-	clock      vclock.Clock
 
 	delay      *Backoff
 	jitterSeed int64 // 0 = seed from the wall clock
@@ -170,13 +167,6 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithRetryObserver installs a hook called before every retry sleep with
-// the upcoming attempt number (1-based), the jittered delay about to be
-// slept, and the error that caused the retry (test instrumentation).
-func WithRetryObserver(fn func(attempt int, delay time.Duration, err error)) ClientOption {
-	return func(c *Client) { c.onRetry = fn }
-}
-
 // WithHTTPClient substitutes the underlying *http.Client.
 func WithHTTPClient(h *http.Client) ClientOption {
 	return func(c *Client) { c.http = h }
@@ -187,13 +177,6 @@ func WithHTTPClient(h *http.Client) ClientOption {
 // the request's trace id.
 func WithObserver(o *obs.Observer) ClientOption {
 	return func(c *Client) { c.obsv = o }
-}
-
-// WithClock substitutes the clock backing retry backoff sleeps and send
-// latency measurement. Simulations pass a *vclock.Virtual so backoff
-// consumes virtual, not wall, time; the default is the wall clock.
-func WithClock(clk vclock.Clock) ClientOption {
-	return func(c *Client) { c.clock = clk }
 }
 
 // NewClient creates a client for a server base URL (e.g.
@@ -212,13 +195,11 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	c.clock = vclock.Or(c.clock)
 	c.delay = NewBackoff(c.backoff, c.backoffCap, Retry{Seed: c.jitterSeed}.ResolveSeed(time.Now().UnixNano()))
 	if c.obsv != nil {
 		c.met = newClientMetrics(c.obsv.Metrics())
 	}
 	c.monitor = NewRetryMonitor(c.obsv.Metrics())
-	c.monitor.SetHook(c.onRetry)
 	return c, nil
 }
 
@@ -242,10 +223,6 @@ func (c *Client) Stats() ClientStats {
 		NonRetryable: rs.NonRetryable,
 	}
 }
-
-// Monitor exposes the client's shared retry-observation path (tests and
-// tools that want the exhausted count too).
-func (c *Client) Monitor() *RetryMonitor { return c.monitor }
 
 // retryDelay computes the attempt's backoff with full jitter: a uniform
 // draw from [0, min(cap, base·2^(attempt-1))] via the shared Backoff
@@ -280,9 +257,9 @@ func (c *Client) Send(ctx context.Context, m wire.Message) (wire.Message, error)
 		if attempt > 0 {
 			delay := c.retryDelay(attempt)
 			c.monitor.ObserveRetry(attempt, delay, lastErr)
-			wake := c.clock.NewTimer(delay)
+			wake := time.NewTimer(delay)
 			select {
-			case <-wake.C():
+			case <-wake.C:
 			case <-ctx.Done():
 				wake.Stop()
 				return nil, fmt.Errorf("transport: cancelled: %w", ctx.Err())
@@ -291,14 +268,14 @@ func (c *Client) Send(ctx context.Context, m wire.Message) (wire.Message, error)
 		var span *obs.Span
 		var t0 time.Time
 		if c.obsv != nil {
-			t0 = c.clock.Now()
+			t0 = time.Now()
 			span = c.obsv.StartSpan(ctx, "client.send")
 			span.Annotate("type", m.Type().String())
 			span.Annotate("attempt", fmt.Sprintf("%d", attempt+1))
 		}
 		resp, err := c.post(ctx, body)
 		if c.obsv != nil {
-			c.met.sendMs.Observe(float64(c.clock.Since(t0)) / float64(time.Millisecond))
+			c.met.sendMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 			if err != nil {
 				span.Annotate("error", err.Error())
 			}

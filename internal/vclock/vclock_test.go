@@ -231,3 +231,53 @@ func TestVirtualDeterministicFireSequence(t *testing.T) {
 		}
 	}
 }
+
+// Register adds an actor to the auto-advance census. Every goroutine
+// that sleeps on this clock in a multi-actor test should Register
+// before its loop and Unregister (usually via defer) when it exits, so
+// the clock knows when "everyone is parked".
+func (v *Virtual) Register() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.actors++
+}
+
+// Unregister removes an actor. If the remaining actors are all parked,
+// the caller advances the clock for them before returning.
+func (v *Virtual) Unregister() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.actors--
+	if v.actors > 0 && v.parked >= v.actors && len(v.timers) > 0 {
+		v.advanceLocked(v.timers[0].when)
+	}
+}
+
+// Parked returns how many goroutines are currently blocked in Sleep.
+// Tests condition-poll this instead of sleeping wall-clock time.
+func (v *Virtual) Parked() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.parked
+}
+
+// AwaitParked blocks until at least n goroutines are parked in Sleep.
+func (v *Virtual) AwaitParked(n int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for v.parked < n {
+		v.cond.Wait()
+	}
+}
+
+// NextFire reports the deadline of the earliest pending timer. A
+// single-threaded driver merges this with its own event queue to decide
+// how far to advance.
+func (v *Virtual) NextFire() (time.Time, bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.timers) == 0 {
+		return time.Time{}, false
+	}
+	return v.timers[0].when, true
+}

@@ -23,9 +23,10 @@ import (
 //     later-deadline timer fires.
 //   - Now() is monotone non-decreasing and only changes under Advance.
 //
-// A single-threaded driver (see internal/fleetsim) uses Advance/NextFire
-// directly. Multi-goroutine tests register each clock-driven goroutine
-// as an actor and let auto-advance run the virtual time forward.
+// A single-threaded driver (see internal/fleetsim) calls Advance and
+// AdvanceTo directly. The package's tests register clock-driven
+// goroutines as actors (vclock_test.go) and let auto-advance run the
+// virtual time forward.
 type Virtual struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -220,56 +221,6 @@ func (v *Virtual) autoAdvanceLocked(ch chan time.Time) {
 	for v.actors > 0 && v.parked >= v.actors && len(v.timers) > 0 && len(ch) == 0 {
 		v.advanceLocked(v.timers[0].when)
 	}
-}
-
-// Register adds an actor to the auto-advance census. Every goroutine
-// that sleeps on this clock in a multi-actor test should Register
-// before its loop and Unregister (usually via defer) when it exits, so
-// the clock knows when "everyone is parked".
-func (v *Virtual) Register() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.actors++
-}
-
-// Unregister removes an actor. If the remaining actors are all parked,
-// the caller advances the clock for them before returning.
-func (v *Virtual) Unregister() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.actors--
-	if v.actors > 0 && v.parked >= v.actors && len(v.timers) > 0 {
-		v.advanceLocked(v.timers[0].when)
-	}
-}
-
-// Parked returns how many goroutines are currently blocked in Sleep.
-// Tests condition-poll this instead of sleeping wall-clock time.
-func (v *Virtual) Parked() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.parked
-}
-
-// AwaitParked blocks until at least n goroutines are parked in Sleep.
-func (v *Virtual) AwaitParked(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for v.parked < n {
-		v.cond.Wait()
-	}
-}
-
-// NextFire reports the deadline of the earliest pending timer. A
-// single-threaded driver merges this with its own event queue to decide
-// how far to advance.
-func (v *Virtual) NextFire() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.timers) == 0 {
-		return time.Time{}, false
-	}
-	return v.timers[0].when, true
 }
 
 // Advance moves the clock forward by d, firing every timer whose

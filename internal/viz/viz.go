@@ -40,45 +40,6 @@ func (c BarChart) Validate() error {
 	return nil
 }
 
-// ASCII renders the chart with unicode block bars, one row per category.
-func (c BarChart) ASCII(width int) (string, error) {
-	if err := c.Validate(); err != nil {
-		return "", err
-	}
-	if width < 10 {
-		width = 10
-	}
-	maxAbs := 0.0
-	for _, v := range c.Values {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	labelW := 0
-	for _, cat := range c.Categories {
-		if len(cat) > labelW {
-			labelW = len(cat)
-		}
-	}
-	var sb strings.Builder
-	if c.Title != "" {
-		sb.WriteString(c.Title)
-		if c.Unit != "" {
-			sb.WriteString(" (" + c.Unit + ")")
-		}
-		sb.WriteByte('\n')
-	}
-	for i, cat := range c.Categories {
-		v := c.Values[i]
-		n := 0
-		if maxAbs > 0 {
-			n = int(math.Round(math.Abs(v) / maxAbs * float64(width)))
-		}
-		fmt.Fprintf(&sb, "%-*s │%s %.3g\n", labelW, cat, strings.Repeat("█", n), v)
-	}
-	return sb.String(), nil
-}
-
 // SVG renders the chart as a standalone SVG document.
 func (c BarChart) SVG(width, height int) (string, error) {
 	if err := c.Validate(); err != nil {

@@ -40,8 +40,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"sor/internal/vclock"
 )
 
 // SyncPolicy selects when Append acknowledges durability.
@@ -138,12 +136,6 @@ type Options struct {
 	// LSN the leader assigned it. Ignored whenever segments exist — an
 	// established log already knows its own position.
 	FirstLSN uint64
-	// Clock backs the SyncOS background flusher's cadence. Nil means the
-	// wall clock; simulations pass a *vclock.Virtual so flush ticks ride
-	// virtual time. The group-commit linger window deliberately stays on
-	// the wall clock — it is a sub-millisecond performance window paced
-	// against real disk latency, not simulated event time.
-	Clock vclock.Clock
 }
 
 const (
@@ -248,7 +240,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.GroupWindow <= 0 && opts.Sync == SyncGrouped {
 		opts.GroupWindow = defaultGroupWindow
 	}
-	opts.Clock = vclock.Or(opts.Clock)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -480,13 +471,6 @@ func (l *Log) LastLSN() uint64 {
 	return l.nextLSN - 1
 }
 
-// SyncedLSN returns the highest fsync-covered LSN.
-func (l *Log) SyncedLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.synced
-}
-
 // TruncateThrough deletes sealed segments wholly at or below lsn. The
 // live segment is never touched, so truncation granularity is a segment:
 // a segment is removed only once a checkpoint covers its every record.
@@ -592,13 +576,13 @@ func (l *Log) setErr(err error) {
 // runFlusher periodically fsyncs under SyncOS, bounding the machine-crash
 // window to roughly one FlushInterval.
 func (l *Log) runFlusher() {
-	t := l.opts.Clock.NewTicker(l.opts.FlushInterval)
+	t := time.NewTicker(l.opts.FlushInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-l.flushStop:
 			return
-		case <-t.C():
+		case <-t.C:
 			if l.Sync() != nil {
 				return
 			}

@@ -236,17 +236,6 @@ func (w *World) Place(name string) (*Place, error) {
 	return p, nil
 }
 
-// Places lists place names.
-func (w *World) Places() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	out := make([]string, 0, len(w.places))
-	for name := range w.places {
-		out = append(out, name)
-	}
-	return out
-}
-
 // BuildTrailPath generates a deterministic trail polyline: segments of
 // fixed length whose heading zigzags by ±turnPerSegment degrees, which
 // yields a mean turn of ~(turnPerSegment/segmentM*100) °/100 m — the

@@ -67,7 +67,7 @@ func TestWorldRegistry(t *testing.T) {
 	if _, err := w.Place("ghost"); err == nil {
 		t.Fatal("missing place must error")
 	}
-	if len(w.Places()) != 1 {
+	if len(w.places) != 1 {
 		t.Fatal("Places should list one")
 	}
 }
