@@ -141,7 +141,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALOpDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s -fuzzminimizetime 100x ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzAssign -fuzztime 10s ./internal/mcmf/
-	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime 10s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime 10s -fuzzminimizetime 100x ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzProfileKey -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzColumnPatch -fuzztime 10s ./internal/ranking/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/luascript/

@@ -178,8 +178,12 @@ func TestSnapshotInspectGolden(t *testing.T) {
 		!strings.Contains(out, "DAMAGED: section 0 is bad; Open refuses this snapshot") {
 		t.Errorf("version 2 rendering:\n%s", out)
 	}
-	if _, err := store.Load(path); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 2") {
-		t.Errorf("Load of a version 2 snapshot: %v", err)
+	reopen := store.NewDurableBackend(dir)
+	if _, err := reopen.Open(); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 2") {
+		t.Errorf("Open of a version 2 snapshot: %v", err)
+		if err == nil {
+			reopen.Close()
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sor/internal/store"
 	"sor/internal/transport"
 	"sor/internal/vclock"
+	"sor/internal/wal"
 	"sor/internal/wire"
 )
 
@@ -74,6 +75,9 @@ type Follower struct {
 	backoff    *transport.Backoff
 	maxRecords int // DefaultBatchRecords; tests pull in smaller steps
 	reg        *obs.Registry
+	// tail is the CRC of the last record in the local log, which each
+	// pull sends for log matching; PullOnce alone touches it.
+	tail recordCRC
 
 	mu          sync.Mutex
 	lastContact time.Time
@@ -124,12 +128,23 @@ func NewFollower(id string, st *store.Store, send Sender, opts ...FollowerOption
 // take back). Returns how many records advanced.
 func (f *Follower) PullOnce(ctx context.Context) (int, error) {
 	from := f.st.AppliedLSN() + 1
-	resp, err := f.send.Send(ctx, &wire.ReplPull{
+	pull := &wire.ReplPull{
 		FollowerID: f.id,
 		FromLSN:    from,
 		MaxRecords: f.maxRecords,
 		MaxBytes:   DefaultBatchBytes,
-	})
+	}
+	if f.tail.lsn != from-1 {
+		crc, ok := f.st.RecordCRC(from - 1)
+		f.tail = recordCRC{}
+		if ok {
+			f.tail = recordCRC{from - 1, crc}
+		}
+	}
+	if f.tail.lsn != 0 {
+		pull.PrevCRC, pull.HasPrevCRC = f.tail.crc, true
+	}
+	resp, err := f.send.Send(ctx, pull)
 	if err != nil {
 		return 0, f.fail(fmt.Errorf("replica: pull from %d: %w", from, err))
 	}
@@ -154,6 +169,7 @@ func (f *Follower) PullOnce(ctx context.Context) (int, error) {
 		if err := f.st.ApplyReplicated(from+uint64(i), rec); err != nil {
 			return i, f.fail(err)
 		}
+		f.tail = recordCRC{from + uint64(i), wal.Checksum(rec)}
 	}
 	n := len(rr.Records)
 	if n > 0 {

@@ -91,12 +91,21 @@ type followerState struct {
 	// pos is where the last pull's read stopped: the next pull, acking
 	// everything it shipped, resumes there instead of rescanning the
 	// segment (any other ack makes the log fall back to a scan).
-	pos      wal.Pos
+	pos wal.Pos
+	// tail is the last record shipped to this follower, or checked
+	// against its pull: a pull acking it compares its CRC with no read.
+	tail     recordCRC
 	ackGauge *obs.Gauge
 	lagGauge *obs.Gauge
 	// persistedAck is the ack the ledger holds for this follower, and
 	// persistedSeg the segment pos pointed into when it was written.
 	persistedAck, persistedSeg uint64
+}
+
+// recordCRC is the CRC-32C of a log's record at lsn; lsn 0 knows none.
+type recordCRC struct {
+	lsn uint64
+	crc uint32
 }
 
 // Leader serves ReplPull requests off the local WAL and accounts for
@@ -285,7 +294,7 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	ld.mu.Lock()
 	_, known := ld.followers[p.FollowerID]
 	f := ld.registerLocked(p.FollowerID, ack, now)
-	pos := f.pos
+	pos, tail := f.pos, f.tail
 	persist := !known || ld.ledgerBehindLocked(f)
 	// Expire followers silent past the TTL so one dead replica cannot
 	// pin the log, or a resync session's fd, forever.
@@ -316,13 +325,36 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	if p.MaxBytes > 0 && p.MaxBytes < maxBytes {
 		maxBytes = p.MaxBytes
 	}
-	recs, pos, err := ld.log.ReadFrom(pos, ack, maxRecords, maxBytes)
+	// Log matching: the follower's record at its ack must be this log's,
+	// or the logs forked (it acked records another leader wrote) and it
+	// resyncs from the checkpoint. Unless the last pull left that record's
+	// CRC in tail, the read starts one record early to fetch it. A record
+	// this log no longer holds is trusted, as is a pull that names none.
+	after := ack
+	if p.HasPrevCRC && ack > 0 && tail.lsn != ack {
+		after = ack - 1
+	}
+	recs, pos, err := ld.log.ReadFrom(pos, after, maxRecords+int(ack-after), maxBytes)
+	switch {
+	case after == ack:
+	case err == nil && len(recs) > 0:
+		tail, recs = recordCRC{ack, wal.Checksum(recs[0])}, recs[1:]
+	case errors.Is(err, wal.ErrCompacted):
+		recs, pos, err = ld.log.ReadFrom(pos, ack, maxRecords, maxBytes)
+	}
+	if p.HasPrevCRC && tail.lsn == ack && tail.crc != p.PrevCRC {
+		ld.compactedPulls.Inc()
+		return &wire.ReplRecords{FirstLSN: p.FromLSN, LeaderLSN: ld.log.LastLSN(), Compacted: true}, nil
+	}
 	head := ld.log.LastLSN()
 	resp := &wire.ReplRecords{FirstLSN: p.FromLSN, LeaderLSN: head}
 	switch {
 	case err == nil:
 		resp.Records = recs
 		ld.shipped.Add(int64(len(recs)))
+		if n := len(recs); n > 0 {
+			tail = recordCRC{ack + uint64(n), wal.Checksum(recs[n-1])}
+		}
 	case errors.Is(err, wal.ErrCompacted):
 		// The tail this follower needs is gone (it joined late or
 		// outlived its TTL): it must resync from scratch.
@@ -337,7 +369,7 @@ func (ld *Leader) HandlePull(p *wire.ReplPull) (*wire.ReplRecords, error) {
 	}
 	ld.mu.Lock()
 	if f, ok := ld.followers[p.FollowerID]; ok {
-		f.pos = pos
+		f.pos, f.tail = pos, tail
 		f.ackGauge.Set(int64(ack))
 		f.lagGauge.Set(int64(lag))
 	}

@@ -449,6 +449,119 @@ func TestPlannedFailover(t *testing.T) {
 	}
 }
 
+// TestUnplannedFailoverForkResyncs is TestPlannedFailover without the
+// Demote: A acks an upload B never pulled, B is promoted and takes three
+// writes, and only then does A follow B. The two logs reach the same
+// head but differ from that upload's record on, so log matching refuses
+// A's first pull instead of reporting a lag of 0, and A resyncs from B's
+// checkpoint to a log that continues B's.
+func TestUnplannedFailoverForkResyncs(t *testing.T) {
+	adir := t.TempDir()
+	a := openNode(t, adir, false, 0)
+	_, ah := leaderFor(t, a)
+	if err := a.srv.CreateApp(starbucksApp()); err != nil {
+		t.Fatal(err)
+	}
+	sched := participate(t, ah, "alice", "tok-a", 6)
+	upload(t, ah, sched, 1)
+
+	b := openNode(t, t.TempDir(), true, 0)
+	defer b.srv.Close()
+	catchUp(t, NewFollower("node-b", b.srv.DB(), codecSender{ah},
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 1)))
+
+	upload(t, ah, sched, 2) // acked by A alone
+	if err := b.srv.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	bld, bh := leaderFor(t, b, WithStateDir(b.backend.Dir()))
+	defer bld.Close()
+	upload(t, bh, sched, 2)
+	bob := participate(t, bh, "bob", "tok-b", 4)
+	upload(t, bh, bob, 1)
+	if al, bl := a.backend.WAL().LastLSN(), b.backend.WAL().LastLSN(); al > bl {
+		t.Fatalf("A's log ends at %d, past B's %d: the probe wants a fork no longer than B's log", al, bl)
+	}
+
+	a.srv.Demote()
+	fa := NewFollower("node-a", a.srv.DB(), codecSender{bh},
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 2))
+	if _, err := fa.PullOnce(context.Background()); !errors.Is(err, ErrNeedsResync) {
+		t.Fatalf("pull by a follower whose log forked from the leader's = %v, want ErrNeedsResync", err)
+	}
+	if s := fa.Status(); !s.NeedsResync || s.Connected {
+		t.Fatalf("status after a forked pull = %+v", s)
+	}
+
+	checkpoint(t, b)
+	if err := a.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walLSN, err := ResyncDataDir(context.Background(), "node-a", codecSender{bh}, adir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2 := openNode(t, adir, true, 0)
+	defer a2.srv.Close()
+	catchUp(t, NewFollower("node-a", a2.srv.DB(), codecSender{bh},
+		WithFollowerBackoff(time.Millisecond, 10*time.Millisecond, 3)))
+	sameRecords(t, "A's log after resync", logTail(t, b, walLSN), logTail(t, a2, walLSN))
+}
+
+// TestPullLogMatching drives HandlePull directly: a pull whose CRC
+// matches the leader's record at its ack is served, one that differs is
+// answered Compacted, and one whose ack record the leader truncated is
+// trusted and served.
+func TestPullLogMatching(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("record-%02d", i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ld, err := NewLeader(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ld.Close()
+	crc := func(lsn uint64) uint32 { return wal.Checksum([]byte(fmt.Sprintf("record-%02d", lsn))) }
+	pull := func(id string, ack uint64, prev uint32) *wire.ReplRecords {
+		t.Helper()
+		rr, err := ld.HandlePull(&wire.ReplPull{FollowerID: id, FromLSN: ack + 1, MaxRecords: 4, PrevCRC: prev, HasPrevCRC: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+	if rr := pull("match", 20, crc(20)); rr.Compacted || len(rr.Records) != 4 || string(rr.Records[0]) != "record-21" {
+		t.Fatalf("matching pull = compacted %v, %d records", rr.Compacted, len(rr.Records))
+	}
+	if rr := pull("match", 24, crc(24)); rr.Compacted || len(rr.Records) != 4 {
+		t.Fatalf("steady pull = compacted %v, %d records", rr.Compacted, len(rr.Records))
+	}
+	if rr := pull("fork", 20, crc(20)+1); !rr.Compacted || len(rr.Records) != 0 {
+		t.Fatalf("forked pull = compacted %v, %d records", rr.Compacted, len(rr.Records))
+	}
+
+	// Truncate to a segment boundary k: record k is gone, k+1 is held.
+	segs, err := wal.Inspect(dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want 3+ segments: %d, %v", len(segs), err)
+	}
+	k := segs[1].FirstLSN - 1
+	if err := l.TruncateThrough(k); err != nil {
+		t.Fatal(err)
+	}
+	if rr := pull("late", k, crc(k)+1); rr.Compacted || len(rr.Records) == 0 || string(rr.Records[0]) != fmt.Sprintf("record-%02d", k+1) {
+		t.Fatalf("pull at the truncated record %d = compacted %v, %d records", k, rr.Compacted, len(rr.Records))
+	}
+}
+
 // TestReplicaStalenessGate pins the bounded-staleness contract: a
 // replica past its lag bound refuses rank queries (503), one within the
 // bound but behind the leader serves with the explicit Stale flag.

@@ -591,6 +591,9 @@ func (s *Server) storedSchedule(app store.Application, taskID, userID string) *w
 	}
 }
 
+// encodeBufs recycles the buffers ingest encodes report bodies into.
+var encodeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
 // handleDataUpload lands the binary blob in the database untouched (the
 // Message Handler "will directly store the binary message body into the
 // database, which will be processed later by the Data Processor") and
@@ -613,10 +616,13 @@ func (s *Server) handleDataUpload(ctx context.Context, msg *wire.DataUpload) (wi
 		return refuse(400, "malformed report: %v", err), nil
 	}
 	s.met.ingestReports.Inc()
-	raw, err := wire.Encode(msg)
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	raw, err := wire.AppendEncode((*buf)[:0], msg)
 	if err != nil {
 		return nil, err
 	}
+	*buf = raw // Ingest copies the body it stores
 	// Idempotent ingest: a ReportID already in the app's dedup window is a
 	// retransmission of a report whose ack got lost. Ack it again so the
 	// phone stops resending, but store and budget-charge nothing. Ingest
@@ -723,10 +729,14 @@ func (s *Server) HandleReportBatch(ctx context.Context, msg *wire.DataUploadBatc
 	}()
 	accepted := 0
 	taskOK := make(map[string]bool, len(msg.Uploads))
+	// Every report of the batch is encoded into one reused buffer; Ingest
+	// copies the bodies it stores.
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
 	for _, appID := range apps {
 		idxs := byApp[appID]
 		st := s.states.get(appID)
-		bodies := make([][]byte, 0, len(idxs))
+		enc, ends := (*buf)[:0], make([]int, 0, len(idxs))
 		ids := make([]string, 0, len(idxs))
 		ups := make([]*wire.DataUpload, 0, len(idxs))
 		for _, i := range idxs {
@@ -745,13 +755,18 @@ func (s *Server) HandleReportBatch(ctx context.Context, msg *wire.DataUploadBatc
 				continue
 			}
 			nReports++
-			raw, err := wire.Encode(up)
-			if err != nil {
+			var err error
+			if enc, err = wire.AppendEncode(enc, up); err != nil {
 				return nil, err
 			}
-			bodies = append(bodies, raw)
+			ends = append(ends, len(enc))
 			ids = append(ids, up.ReportID)
 			ups = append(ups, up)
+		}
+		*buf = enc
+		bodies, start := make([][]byte, len(ends)), 0
+		for k, end := range ends {
+			bodies[k], start = enc[start:end:end], end
 		}
 		// One Ingest per app: dedup decisions, window marks and stored
 		// bodies land atomically (one WAL record on durable stores), under

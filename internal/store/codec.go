@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"sor/internal/wire"
 )
@@ -182,6 +183,12 @@ func appendIngestRecord(buf []byte, appID string, baseSeq int64, received time.T
 // str reads a string field with no bound but the record's.
 func str(r *wire.Reader) string { return string(r.Raw()) }
 
+// alias reads a string field as a view of the input; nothing may keep it.
+func alias(r *wire.Reader) string {
+	p := r.Raw()
+	return unsafe.String(unsafe.SliceData(p), len(p))
+}
+
 // interner shares one string among the rows of a restore for the
 // low-cardinality fields (categories, feature names, app IDs, scripts). A
 // nil interner copies every string, as str does.
@@ -232,9 +239,12 @@ func readPart(r *wire.Reader, in interner) Participation {
 	}
 }
 
-func readFeat(r *wire.Reader, in interner) FeatureRow {
+// readFeat reads a feature row whose names alias r's input: the feature
+// table copies the names it keeps (featTable.put), so a replayed or
+// restored cell leaves no string behind.
+func readFeat(r *wire.Reader) FeatureRow {
 	return FeatureRow{
-		Category: in.str(r), Place: str(r), Feature: in.str(r),
+		Category: alias(r), Place: alias(r), Feature: alias(r),
 		Value: r.Float(), Samples: int(r.Varint()), Updated: readTime(r),
 	}
 }

@@ -156,12 +156,16 @@ func (b *DurableBackend) Open() (*Store, error) {
 	if err := os.MkdirAll(b.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
-	st, err := Load(SnapshotPath(b.dir))
+	// Restore and replay share one interner, dropped when Open returns: a
+	// replayed application shares its category and script with the
+	// restored ones.
+	in := make(interner)
+	st, err := load(SnapshotPath(b.dir), in)
 	if err != nil {
 		return nil, err
 	}
 	stats, err := wal.Replay(b.WALDir(), st.restoredLSN, func(lsn uint64, payload []byte) error {
-		return st.applyWALRecord(payload)
+		return st.applyWALRecord(payload, in)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: wal replay: %w", err)

@@ -157,6 +157,51 @@ func TestDurableBackendKillRecoversFromWALAlone(t *testing.T) {
 	}
 }
 
+// TestReplayInternsWhatRestoreInterns: an application replayed from the
+// WAL tail shares its category and script with the restored ones, as two
+// restored applications do with each other.
+func TestReplayInternsWhatRestoreInterns(t *testing.T) {
+	dir := t.TempDir()
+	b := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	st, err := b.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := func(id string) Application {
+		return Application{ID: id, Category: "coffee-" + "shop", Place: "p-" + id, Script: strings.Repeat("sense();", 8)}
+	}
+	for _, id := range []string{"a1", "a2"} {
+		if err := st.PutApp(app(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a3", "a4"} {
+		if err := st.PutApp(app(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Kill()
+	b2 := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	st2, err := b2.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	apps := st2.Apps()
+	if len(apps) != 4 {
+		t.Fatalf("reopened store holds %d apps, want 4", len(apps))
+	}
+	for _, a := range apps[1:] {
+		if unsafe.StringData(a.Category) != unsafe.StringData(apps[0].Category) ||
+			unsafe.StringData(a.Script) != unsafe.StringData(apps[0].Script) {
+			t.Errorf("app %s holds its own copy of the category or script of app %s", a.ID, apps[0].ID)
+		}
+	}
+}
+
 func TestDurableBackendCheckpointTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so the log rotates often and truncation has segments

@@ -96,12 +96,12 @@ func FuzzWALOpDecode(f *testing.F) {
 	f.Add([]byte(`{"op":"user","user":{"id":"u1"}}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, err := decodeWALRecord(data)
+		op, err := decodeWALRecord(data, nil)
 		if err != nil {
 			return
 		}
 		enc := encodeWALOp(&op)
-		op2, err := decodeWALRecord(enc)
+		op2, err := decodeWALRecord(enc, nil)
 		if err != nil {
 			t.Fatalf("re-encoded %s record does not decode: %v", tagName(op.tag), err)
 		}

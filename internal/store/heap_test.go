@@ -122,6 +122,136 @@ func TestStoredReportHeap(t *testing.T) {
 	runtime.KeepAlive(reopened)
 }
 
+// Heap budget of one stored place at the rank benchmark's shape: four
+// feature cells, the place's name, its row index entry and change stamp.
+const (
+	placeHeapBytes   = 285
+	placeHeapObjects = 1.15
+)
+
+// TestStoredPlaceHeap gates what a place in the feature table costs the
+// heap — 10 000 places of one category, four features each — on every
+// path that fills the table: live upserts, a follower fed by
+// ApplyReplicated, and checkpoint + reopen with half the places in the
+// snapshot and half in the WAL tail.
+func TestStoredPlaceHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting")
+	}
+	const places = 10000
+	features := [...]string{"crowd", "noise", "temp", "wifi"}
+	fill := func(st *Store, from, to int) {
+		t.Helper()
+		for p := from; p < to; p++ {
+			for j, f := range features {
+				if err := st.UpsertFeature(FeatureRow{Category: "cafe", Place: fmt.Sprintf("place-%05d", p), Feature: f,
+					Value: float64(p*len(features) + j), Samples: 3, Updated: now.Add(time.Duration(p) * time.Second)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	check := func(path string, before, beforeObjs int64) {
+		t.Helper()
+		after, afterObjs := liveHeap()
+		perPlace := float64(after-before) / places
+		objs := float64(afterObjs-beforeObjs) / places
+		t.Logf("%s: %.1f B in %.3f heap objects per stored place", path, perPlace, objs)
+		if perPlace > placeHeapBytes || objs > placeHeapObjects {
+			t.Errorf("%s: a stored place costs %.1f B in %.3f objects, budget %d B in %.2f",
+				path, perPlace, objs, placeHeapBytes, placeHeapObjects)
+		}
+	}
+
+	b := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	st, err := b.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeObjs := liveHeap()
+	fill(st, 0, places)
+	check("live upserts", before, beforeObjs)
+
+	fb := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	follower, err := fb.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeObjs = liveHeap()
+	for lsn := uint64(0); ; {
+		recs, err := b.WAL().ReadAfter(lsn, 1024, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			break
+		}
+		for _, rec := range recs {
+			lsn++
+			if err := follower.ApplyReplicated(lsn, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("ApplyReplicated", before, beforeObjs)
+	runtime.KeepAlive(follower)
+	for _, c := range []*DurableBackend{fb, b} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, st, fb, follower = nil, nil, nil, nil
+
+	// Half the places in the checkpoint, half in the WAL tail.
+	dir := t.TempDir()
+	b = NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	if st, err = b.Open(); err != nil {
+		t.Fatal(err)
+	}
+	fill(st, 0, places/2)
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fill(st, places/2, places)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, st = nil, nil
+	b2 := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	before, beforeObjs = liveHeap()
+	reopened, err := b2.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if n := len(reopened.FeaturesByCategory("cafe")); n != places*len(features) {
+		t.Fatalf("reopened store holds %d cells, want %d", n, places*len(features))
+	}
+	check("checkpoint + reopen", before, beforeObjs)
+	runtime.KeepAlive(reopened)
+}
+
+// TestFeatureReadsAllocateNoRow: a row is materialised from the table
+// without an allocation of its own, one at a time and a category at once.
+func TestFeatureReadsAllocateNoRow(t *testing.T) {
+	s := New()
+	for p := 0; p < 1000; p++ {
+		for _, f := range []string{"crowd", "noise", "temp", "wifi"} {
+			if err := s.UpsertFeature(FeatureRow{Category: "cafe", Place: fmt.Sprintf("place-%04d", p), Feature: f,
+				Value: float64(p), Samples: 3, Updated: now}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = s.Feature("cafe", "place-0500", "temp") }); n != 0 {
+		t.Errorf("Feature allocates %.1f times", n)
+	}
+	// The result, the row order and the one row handed to each visit.
+	if n := testing.AllocsPerRun(10, func() { _ = s.FeaturesByCategory("cafe") }); n > 3 {
+		t.Errorf("FeaturesByCategory of 4 000 rows allocates %.0f times", n)
+	}
+}
+
 // TestDrainedBodiesAreFreed: a memory store keeps nothing of a drained
 // report but its ReportID in the window, so the bodies become garbage.
 func TestDrainedBodiesAreFreed(t *testing.T) {

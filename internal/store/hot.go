@@ -32,12 +32,15 @@ func stamp(t time.Time) (sec int64, nsec uint32) {
 	return t.Unix(), uint32(t.Nanosecond()) + 1
 }
 
-func (r *uploadRow) received() time.Time {
-	if r.nsec == 0 {
+// unstamp is the time stamp returned sec and nsec for.
+func unstamp(sec int64, nsec uint32) time.Time {
+	if nsec == 0 {
 		return time.Time{}
 	}
-	return time.Unix(r.sec, int64(r.nsec-1)).UTC()
+	return time.Unix(sec, int64(nsec-1)).UTC()
 }
+
+func (r *uploadRow) received() time.Time { return unstamp(r.sec, r.nsec) }
 
 // Slabs double from slabMin to slabMax bytes; a larger body gets a slab of
 // its own size.

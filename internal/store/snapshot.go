@@ -54,7 +54,7 @@ type image struct {
 	users   []User
 	apps    []Application
 	parts   []Participation
-	feats   []FeatureRow
+	feats   []*featTable // cuts (featTable.cut)
 	scheds  []ScheduleRow
 	anchors []AnchorRow
 	windows []windowCut
@@ -97,11 +97,10 @@ func (s *Store) capture() *image {
 	img.users = values(s.users)
 	img.apps = values(s.apps)
 	img.parts = values(s.participations)
-	for _, places := range s.features {
-		for _, rows := range places {
-			img.feats = append(img.feats, rows...)
-		}
-	}
+	s.features.Range(func(_, t any) bool {
+		img.feats = append(img.feats, t.(*featTable).cut())
+		return true
+	})
 	img.anchors = make([]AnchorRow, 0, len(s.anchors))
 	for appID, unix := range s.anchors {
 		img.anchors = append(img.anchors, AnchorRow{AppID: appID, AnchorUnix: unix})
@@ -123,10 +122,7 @@ func (img *image) writeTo(w io.Writer) (int64, error) {
 	slices.SortFunc(img.users, func(a, b User) int { return strings.Compare(a.ID, b.ID) })
 	slices.SortFunc(img.apps, func(a, b Application) int { return strings.Compare(a.ID, b.ID) })
 	slices.SortFunc(img.parts, func(a, b Participation) int { return strings.Compare(a.TaskID, b.TaskID) })
-	slices.SortFunc(img.feats, func(a, b FeatureRow) int {
-		return cmp.Or(strings.Compare(a.Category, b.Category),
-			strings.Compare(a.Place, b.Place), strings.Compare(a.Feature, b.Feature))
-	})
+	slices.SortFunc(img.feats, func(a, b *featTable) int { return strings.Compare(a.category, b.category) })
 	slices.SortFunc(img.scheds, func(a, b ScheduleRow) int { return strings.Compare(a.TaskID, b.TaskID) })
 	slices.SortFunc(img.anchors, func(a, b AnchorRow) int { return strings.Compare(a.AppID, b.AppID) })
 	slices.SortFunc(img.windows, func(a, b windowCut) int { return strings.Compare(a.appID, b.appID) })
@@ -156,7 +152,14 @@ func (img *image) writeTo(w io.Writer) (int64, error) {
 	writeRows(sw, userTag, img.users, putUser)
 	writeRows(sw, appTag, img.apps, putApp)
 	writeRows(sw, partTag, img.parts, putPart)
-	writeRows(sw, featTag, img.feats, putFeat)
+	sw.open(featTag)
+	for _, t := range img.feats {
+		t.each(func(row *FeatureRow) {
+			putFeat(&sw.sec, row)
+			sw.next()
+		})
+	}
+	sw.flush()
 	writeRows(sw, schedTag, img.scheds, putSched)
 	writeRows(sw, anchorTag, img.anchors, putAnchor)
 	writeRows(sw, uploadTag, uploads, putUpload)
@@ -213,14 +216,20 @@ func (sw *sectionWriter) flush() {
 	sw.open(sec[0])
 }
 
+// next counts the row just encoded into the open section and closes the
+// section once it is full.
+func (sw *sectionWriter) next() {
+	if sw.rows++; len(sw.sec.Bytes()) >= sectionBytes {
+		sw.flush()
+	}
+}
+
 // writeRows encodes one table as one or more sections of tag.
 func writeRows[T any](sw *sectionWriter, tag byte, rows []T, enc func(*wire.Writer, *T)) {
 	sw.open(tag)
 	for i := range rows {
 		enc(&sw.sec, &rows[i])
-		if sw.rows++; len(sw.sec.Bytes()) >= sectionBytes {
-			sw.flush()
-		}
+		sw.next()
 	}
 	sw.flush()
 }
@@ -236,16 +245,17 @@ func (s *Store) Snapshot() ([]byte, error) {
 
 // Restore loads a snapshot image into a fresh store (see restore).
 func Restore(data []byte) (*Store, error) {
-	return restore(bytes.NewReader(data), int64(len(data)))
+	return restore(bytes.NewReader(data), int64(len(data)), make(interner))
 }
 
 // restore decodes the snapshot in r section by section through the row
 // decoders, one section in memory at a time, copying every row out of it,
 // and returns either the whole store or an error naming the first section
-// that failed its CRC or its decode — never a partial store.
-func restore(r io.ReaderAt, size int64) (*Store, error) {
-	s, intern := New(), make(interner)
-	visit := func(payload []byte) error { return s.restoreSection(payload, intern) }
+// that failed its CRC or its decode — never a partial store. in shares the
+// low-cardinality strings among the rows.
+func restore(r io.ReaderAt, size int64, in interner) (*Store, error) {
+	s := New()
+	visit := func(payload []byte) error { return s.restoreSection(payload, in) }
 	info, err := walkSnapshot(r, size, -1, visit)
 	if err != nil {
 		return nil, err
@@ -354,7 +364,8 @@ func (s *Store) restoreSection(payload []byte, in interner) error {
 		case partTag:
 			s.setParticipation(readPart(r, in))
 		case featTag:
-			s.putFeature(readFeat(r, in))
+			row := readFeat(r)
+			s.table(row.Category).put(&row)
 		case schedTag:
 			row := readSched(r, in)
 			s.schedShards[shardIndex(row.TaskID)].rows[row.TaskID] = row
@@ -421,9 +432,10 @@ func writeFileAtomic(path string, write func(io.Writer) (int64, error), before f
 	return n, nil
 }
 
-// Load restores a store from a snapshot file, read a section at a time;
-// a missing file yields a fresh, empty store (first boot).
-func Load(path string) (*Store, error) {
+// load restores a store from a snapshot file, read a section at a time,
+// sharing strings through in; a missing file yields a fresh, empty store
+// (first boot).
+func load(path string, in interner) (*Store, error) {
 	f, size, err := openSized(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -432,7 +444,7 @@ func Load(path string) (*Store, error) {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
 	defer f.Close()
-	return restore(f, size)
+	return restore(f, size, in)
 }
 
 // openSized opens path for reading and returns it with its size.

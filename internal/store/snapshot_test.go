@@ -50,8 +50,10 @@ func dumpTables(s *Store) map[string][]string {
 		add("participations", "%q %q %q %q %d %d %s %s %s %q", p.TaskID, p.UserID, p.Token, p.AppID,
 			p.Budget, p.Status, tm(p.Joined), tm(p.LeaveBy), tm(p.Left), p.LastErr)
 	}
-	for _, f := range img.feats {
-		add("features", "%q %q %q %s %d %s", f.Category, f.Place, f.Feature, fb(f.Value), f.Samples, tm(f.Updated))
+	for _, cut := range img.feats {
+		cut.each(func(f *FeatureRow) {
+			add("features", "%q %q %q %s %d %s", f.Category, f.Place, f.Feature, fb(f.Value), f.Samples, tm(f.Updated))
+		})
 	}
 	for _, r := range img.scheds {
 		add("schedules", "%q %q %q %v", r.TaskID, r.AppID, r.UserID, r.AtUnix)
@@ -207,7 +209,7 @@ func TestCheckpointIsExactCut(t *testing.T) {
 			t.Fatalf("image %d: reading the WAL above %d: %v", i, got.restoredLSN, err)
 		}
 		for _, rec := range recs {
-			if err := got.applyWALRecord(rec); err != nil {
+			if err := got.applyWALRecord(rec, nil); err != nil {
 				t.Fatalf("image %d: %v", i, err)
 			}
 		}
@@ -379,7 +381,7 @@ func randomStore(rng *rand.Rand) *Store {
 	}
 	for i := n(); i >= 0; i-- {
 		f := FeatureRow{Category: str(), Place: id(i), Feature: str(), Value: flt(), Samples: rng.Intn(1000), Updated: tm()}
-		s.putFeature(f)
+		s.table(f.Category).put(&f)
 	}
 	for i := n(); i >= 0; i-- {
 		r := ScheduleRow{TaskID: id(i), AppID: str(), UserID: str()}

@@ -21,7 +21,7 @@ func TestWriteSnapshotAndLoad(t *testing.T) {
 	if _, err := writeFileAtomic(path, bytes.NewReader(data).WriteTo, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	loaded, err := load(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestWriteSnapshotAndLoad(t *testing.T) {
 }
 
 func TestLoadMissingFileGivesFreshStore(t *testing.T) {
-	s, err := Load(filepath.Join(t.TempDir(), "absent.json"))
+	s, err := load(filepath.Join(t.TempDir(), "absent.json"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestLoadCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
+	if _, err := load(path, nil); err == nil {
 		t.Fatal("corrupt snapshot must error")
 	}
 }

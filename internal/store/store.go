@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"sor/internal/wal"
 )
@@ -196,53 +195,16 @@ type Store struct {
 	// the user's tasks neither finished nor failed, ascending. Derived —
 	// rebuilt by every path that writes participations, never persisted.
 	activeTasks map[string][]activeTask
-	// features is the feature table: category -> place -> that place's
-	// rows, ascending by feature name; tails is carve's per-category state.
-	features map[string]map[string][]FeatureRow
-	tails    map[string]string
-	anchors  map[string]int64 // appID -> scheduling-period anchor (unix seconds)
+	anchors     map[string]int64 // appID -> scheduling-period anchor (unix seconds)
 
 	uploadSeq    atomic.Int64
 	uploadShards [numShards]uploadShard
 	schedShards  [numShards]schedShard
 
-	// featVers holds one *catVersion per category: a monotone counter
-	// bumped whenever a feature row in that category materially changes
-	// (or an application joins the category), plus the version at which
-	// each place last changed and at which an application last joined. The
-	// rank-serving layer polls the counter to decide whether its matrix
-	// snapshot is stale — including changes written by other server
-	// instances sharing this store — and asks ChangedPlaces what moved, so
-	// an epoch rebuild re-reads only the changed places' rows.
-	featVers sync.Map
-}
-
-// catVersion is one category's feature-change clock. ver counts material
-// changes; placeVers remembers, per place, the ver at which that place's
-// feature rows last changed, and appVer the ver at which an application
-// last joined the category. Each bump happens after the row (or the
-// application) is visible in its table, and takes mu around both the Add
-// and the stamp — so a reader that loaded ver=V and then calls
-// ChangedPlaces finds every change numbered ≤ V already stamped, and every
-// change it could not see numbered > V (conservative: a reader may be told
-// a place is dirty whose change it already saw, never the reverse).
-//
-// bumps logs every place stamp in ver order, so ChangedPlaces finds the
-// stamps after since by binary search and reads only those; an entry whose
-// place was stamped again later is superseded. The log is compacted to
-// the live entries — one per place — when it reaches twice the places.
-type catVersion struct {
-	ver       atomic.Int64
-	mu        sync.Mutex
-	placeVers map[string]int64
-	bumps     []placeBump
-	appVer    int64
-}
-
-// placeBump is one place stamp: the place's rows changed at ver.
-type placeBump struct {
-	ver   int64
-	place string
+	// features holds one *featTable per category (features.go). The map
+	// is read without s.mu, so the rank-serving layer can poll a category's
+	// version lock-free; each table's contents are guarded by s.mu.
+	features sync.Map
 }
 
 // activeTask is one entry of a user's active-task index.
@@ -263,8 +225,6 @@ func New() *Store {
 		apps:           make(map[string]Application),
 		participations: make(map[string]Participation),
 		activeTasks:    make(map[string][]activeTask),
-		features:       make(map[string]map[string][]FeatureRow),
-		tails:          make(map[string]string),
 		anchors:        make(map[string]int64),
 	}
 	for i := range s.schedShards {
@@ -358,10 +318,10 @@ func (s *Store) PutApp(a Application) error {
 		return err
 	}
 	s.apps[a.ID] = a
-	s.mu.Unlock()
 	if a.Category != "" {
-		s.bumpFeatureApp(a.Category)
+		s.table(a.Category).bumpApp()
 	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -820,206 +780,9 @@ func (s *Store) AllUploads() []RawUpload {
 	return out
 }
 
-// ---- Feature rows ----
-
-// UpsertFeature inserts or replaces a feature row. The category's feature
-// version is bumped only when the row's Value or Samples actually change,
-// so re-deriving identical features from duplicate data does not churn
-// rank-serving snapshots.
-func (s *Store) UpsertFeature(row FeatureRow) error {
-	if row.Category == "" || row.Place == "" || row.Feature == "" {
-		return errors.New("store: feature row needs category, place and feature")
-	}
-	s.snapMu.RLock()
-	defer s.snapMu.RUnlock()
-	s.mu.Lock()
-	if err := s.logOp(&walOp{tag: featTag, feat: row}); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	old, existed := s.putFeature(row)
-	s.mu.Unlock()
-	if !existed || old.Value != row.Value || old.Samples != row.Samples {
-		s.bumpFeaturePlace(row.Category, row.Place)
-	}
-	return nil
-}
-
-// putFeature writes one row into the feature table and returns the row it
-// replaced, if any. Caller holds s.mu or owns the store.
-func (s *Store) putFeature(row FeatureRow) (old FeatureRow, existed bool) {
-	places := s.features[row.Category]
-	if places == nil {
-		places = make(map[string][]FeatureRow)
-		s.features[row.Category] = places
-	}
-	rows := places[row.Place]
-	i, found := findFeature(rows, row.Feature)
-	if found {
-		old, rows[i] = rows[i], row
-		return old, true
-	}
-	if len(rows) == cap(rows) {
-		rows = s.carve(places, row.Category, row.Place, rows)
-	}
-	places[row.Place] = slices.Insert(rows, i, row)
-	return FeatureRow{}, false
-}
-
-// slabRows is the size of a feature slab: the rows that fill a 32 KB
-// allocation.
-const slabRows = 32 << 10 / int(unsafe.Sizeof(FeatureRow{}))
-
-// carve moves a place's full run of rows to the free end of its category's
-// newest slab (or a new one), where it grows in place until the next carve
-// clips it: 10 000 places are 110 slabs for the collector to mark, not
-// 10 000 objects. A place's rows arrive together (a snapshot is sorted, a
-// refresh writes an app's features in turn), so few runs are left dead in
-// a slab. Caller holds s.mu.
-func (s *Store) carve(places map[string][]FeatureRow, category, place string, rows []FeatureRow) []FeatureRow {
-	var free []FeatureRow
-	if tail, ok := s.tails[category]; ok {
-		t := places[tail]
-		free = t[len(t):]
-		places[tail] = t[:len(t):len(t)]
-	}
-	if cap(free) <= len(rows) {
-		free = make([]FeatureRow, 0, max(slabRows, 2*len(rows)+1))
-	}
-	s.tails[category] = place
-	return append(free, rows...)
-}
-
-// findFeature finds a feature in one place's rows (ascending by name).
-func findFeature(rows []FeatureRow, feature string) (int, bool) {
-	return slices.BinarySearchFunc(rows, feature, func(r FeatureRow, f string) int { return strings.Compare(r.Feature, f) })
-}
-
-// FeatureVersion returns the category's monotone feature-change counter.
-func (s *Store) FeatureVersion(category string) int64 {
-	return s.catVer(category).ver.Load()
-}
-
-// ChangedPlaces returns the places in a category whose feature rows
-// changed at a version strictly greater than since, sorted, and whether an
-// application joined the category after since (the ranked place set may
-// have grown). The result is conservative: it may include a change a
-// since-captured reader already observed, but never omits one it missed.
-func (s *Store) ChangedPlaces(category string, since int64) (places []string, appJoined bool) {
-	cv := s.catVer(category)
-	cv.mu.Lock()
-	// The first stamp after since.
-	i, _ := slices.BinarySearchFunc(cv.bumps, since+1, func(b placeBump, ver int64) int { return cmp.Compare(b.ver, ver) })
-	for _, b := range cv.bumps[i:] {
-		if cv.placeVers[b.place] == b.ver {
-			places = append(places, b.place)
-		}
-	}
-	appJoined = cv.appVer > since
-	cv.mu.Unlock()
-	sort.Strings(places)
-	return places, appJoined
-}
-
-func (s *Store) catVer(category string) *catVersion {
-	if v, ok := s.featVers.Load(category); ok {
-		return v.(*catVersion)
-	}
-	v, _ := s.featVers.LoadOrStore(category, &catVersion{placeVers: make(map[string]int64)})
-	return v.(*catVersion)
-}
-
-// bumpFeatureApp bumps the category version for an application that just
-// joined it and stamps the join with the version the bump produced.
-func (s *Store) bumpFeatureApp(category string) {
-	cv := s.catVer(category)
-	cv.mu.Lock()
-	cv.appVer = cv.ver.Add(1)
-	cv.mu.Unlock()
-}
-
-// bumpFeaturePlace bumps the category version and stamps the place with
-// the version the bump produced.
-func (s *Store) bumpFeaturePlace(category, place string) {
-	cv := s.catVer(category)
-	cv.mu.Lock()
-	ver := cv.ver.Add(1)
-	cv.placeVers[place] = ver
-	cv.bumps = append(cv.bumps, placeBump{ver, place})
-	if len(cv.bumps) >= 2*len(cv.placeVers) {
-		cv.bumps = slices.DeleteFunc(cv.bumps, func(b placeBump) bool { return cv.placeVers[b.place] != b.ver })
-	}
-	cv.mu.Unlock()
-}
-
 // UploadSeq returns the sequence number of the most recent raw upload; it
 // moves on every ingest, so comparing values detects pending raw data.
 func (s *Store) UploadSeq() int64 { return s.uploadSeq.Load() }
-
-// Feature fetches one feature row.
-func (s *Store) Feature(category, place, feature string) (FeatureRow, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rows := s.features[category][place]
-	i, ok := findFeature(rows, feature)
-	if !ok {
-		return FeatureRow{}, fmt.Errorf("%w: feature %s/%s/%s", ErrNotFound, category, place, feature)
-	}
-	return rows[i], nil
-}
-
-// FeaturesByCategory returns all rows of a category sorted by place then
-// feature.
-func (s *Store) FeaturesByCategory(category string) []FeatureRow {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	table := s.features[category]
-	places := make([]string, 0, len(table))
-	n := 0
-	for place, rows := range table {
-		places = append(places, place)
-		n += len(rows)
-	}
-	sort.Strings(places)
-	out := make([]FeatureRow, 0, n)
-	for _, place := range places {
-		out = append(out, table[place]...)
-	}
-	return out
-}
-
-// FeatureValues reads a category's ranking matrix: the places of its
-// applications in ID order, each once (at its first application), with the
-// values of the named features in the order given, skipping a place that
-// lacks one. Values are copied under the lock: nothing aliases the table.
-func (s *Store) FeatureValues(category string, features []string) (places []string, values [][]float64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := s.appIDsByCategory(category)
-	table, width := s.features[category], len(features)
-	arena := make([]float64, 0, len(ids)*width)
-	listed := make(map[string]struct{}, len(ids))
-	for _, id := range ids {
-		place := s.apps[id].Place
-		if _, dup := listed[place]; dup {
-			continue
-		}
-		listed[place] = struct{}{}
-		rows, start := table[place], len(arena)
-		for _, f := range features {
-			if i, ok := findFeature(rows, f); ok {
-				arena = append(arena, rows[i].Value)
-			}
-		}
-		if len(arena)-start != width {
-			arena = arena[:start] // place not fully sensed yet
-			continue
-		}
-		places = append(places, place)
-		values = append(values, arena[start:len(arena):len(arena)])
-	}
-	return places, values
-}
 
 // ---- Schedules ----
 

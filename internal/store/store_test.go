@@ -435,7 +435,7 @@ func TestChangedPlacesMatchesMapWalk(t *testing.T) {
 	appVer := int64(0)
 	for step := 0; step < 3000; step++ {
 		if r.Intn(25) == 0 {
-			s.bumpFeatureApp(category)
+			s.table(category).bumpApp()
 			appVer = s.FeatureVersion(category)
 		} else {
 			// A few hot places and a long tail, so the log compacts often.
@@ -443,7 +443,7 @@ func TestChangedPlacesMatchesMapWalk(t *testing.T) {
 			if r.Intn(3) == 0 {
 				place = fmt.Sprintf("p%02d", r.Intn(60))
 			}
-			s.bumpFeaturePlace(category, place)
+			s.UpsertFeature(FeatureRow{Category: category, Place: place, Feature: "f", Value: float64(step)})
 			latest[place] = s.FeatureVersion(category)
 		}
 		if step%7 != 0 {
@@ -464,8 +464,8 @@ func TestChangedPlacesMatchesMapWalk(t *testing.T) {
 			}
 		}
 	}
-	if cv := s.catVer(category); len(cv.bumps) >= 2*len(cv.placeVers) {
-		t.Fatalf("log holds %d bumps for %d places", len(cv.bumps), len(cv.placeVers))
+	if ft := s.table(category); len(ft.bumps) >= 2*ft.stamped {
+		t.Fatalf("log holds %d bumps for %d places", len(ft.bumps), ft.stamped)
 	}
 }
 

@@ -98,8 +98,10 @@ func (s *Store) logOp(op *walOp) error {
 // touching the store, so callers can reject a malformed record before
 // committing to anything (ApplyReplicated must not let one into the local
 // log): an unknown tag, a short or overlong row, an out-of-range field
-// and a JSON record from before the row codec are all refused.
-func decodeWALRecord(payload []byte) (walOp, error) {
+// and a JSON record from before the row codec are all refused. A decoded
+// feature row's strings alias payload, as an ingest op's bytes do. in, when
+// set, shares strings across the records of one recovery, as restore does.
+func decodeWALRecord(payload []byte, in interner) (walOp, error) {
 	var op walOp
 	if len(payload) == 0 {
 		return op, errors.New("store: empty wal record")
@@ -112,13 +114,13 @@ func decodeWALRecord(payload []byte) (walOp, error) {
 	case userTag:
 		op.user = readUser(r)
 	case appTag:
-		op.app = readApp(r, nil)
+		op.app = readApp(r, in)
 	case partTag:
-		op.part = readPart(r, nil)
+		op.part = readPart(r, in)
 	case featTag:
-		op.feat = readFeat(r, nil)
+		op.feat = readFeat(r)
 	case schedTag:
-		op.sched = readSched(r, nil)
+		op.sched = readSched(r, in)
 	case anchorTag:
 		op.anchor = readAnchor(r)
 	case '{':
@@ -140,13 +142,14 @@ func (s *Store) applyDecoded(op *walOp) {
 	case appTag:
 		s.apps[op.app.ID] = op.app
 		if op.app.Category != "" {
-			s.bumpFeatureApp(op.app.Category)
+			s.table(op.app.Category).bumpApp()
 		}
 	case partTag:
 		s.setParticipation(op.part)
 	case featTag:
-		s.putFeature(op.feat)
-		s.bumpFeaturePlace(op.feat.Category, op.feat.Place)
+		t := s.table(op.feat.Category)
+		r, _ := t.put(&op.feat)
+		t.bump(r)
 	case schedTag:
 		s.schedShards[shardIndex(op.sched.TaskID)].rows[op.sched.TaskID] = op.sched
 	case anchorTag:
@@ -156,8 +159,8 @@ func (s *Store) applyDecoded(op *walOp) {
 
 // applyWALRecord applies one replayed op. Recovery runs single-threaded,
 // before the store is shared, so it writes the tables directly.
-func (s *Store) applyWALRecord(payload []byte) error {
-	op, err := decodeWALRecord(payload)
+func (s *Store) applyWALRecord(payload []byte, in interner) error {
+	op, err := decodeWALRecord(payload, in)
 	if err != nil {
 		return err
 	}
@@ -203,7 +206,7 @@ func (s *Store) ApplyReplicated(wantLSN uint64, payload []byte) error {
 	if s.wal == nil {
 		return errors.New("store: replicated apply needs an attached WAL")
 	}
-	op, err := decodeWALRecord(payload)
+	op, err := decodeWALRecord(payload, nil)
 	if err != nil {
 		return fmt.Errorf("store: replicated record: %w", err)
 	}
@@ -236,6 +239,20 @@ func (s *Store) WaitDurable(lsn uint64) error {
 		return nil
 	}
 	return s.wal.Wait(lsn)
+}
+
+// RecordCRC returns the CRC-32C of the local log's record at lsn, and
+// false when the log does not hold it (lsn 0, or a log that starts at an
+// installed checkpoint past it).
+func (s *Store) RecordCRC(lsn uint64) (uint32, bool) {
+	if s.wal == nil || lsn == 0 {
+		return 0, false
+	}
+	recs, err := s.wal.ReadAfter(lsn-1, 1, 0)
+	if err != nil || len(recs) != 1 {
+		return 0, false
+	}
+	return wal.Checksum(recs[0]), true
 }
 
 // AppliedLSN is the follower's replication high-water mark: the last LSN

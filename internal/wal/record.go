@@ -44,13 +44,16 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// Checksum is the CRC-32C a record's frame stores for payload.
+func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
+
 // AppendRecord appends the framed record to dst and returns the result.
 // It is the one framer of every CRC-checked record SOR persists: WAL
 // records and the store's snapshot sections alike.
 func AppendRecord(dst []byte, payload []byte) []byte {
 	var hdr [recHdrSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[4:8], Checksum(payload))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
@@ -63,7 +66,7 @@ func recordSize(payload []byte) int64 { return int64(recHdrSize + len(payload)) 
 // store and one memcpy into the live segment's mapping.
 func putRecord(dst []byte, payload []byte) {
 	binary.LittleEndian.PutUint32(dst[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(dst[4:8], Checksum(payload))
 	copy(dst[recHdrSize:], payload)
 }
 
@@ -89,7 +92,7 @@ func DecodeRecord(b []byte) (payload []byte, n int, err error) {
 	}
 	payload = b[recHdrSize:end]
 	want := binary.LittleEndian.Uint32(b[4:8])
-	if crc32.Checksum(payload, castagnoli) != want {
+	if Checksum(payload) != want {
 		return nil, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
 	return payload, end, nil

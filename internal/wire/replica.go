@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MaxReplBatchRecords bounds how many WAL records one ReplRecords frame
 // may carry — a codec sanity limit against hostile bodies and the batch
@@ -22,6 +25,13 @@ type ReplPull struct {
 	// MaxRecords / MaxBytes bound the reply batch (0 = leader default).
 	MaxRecords int
 	MaxBytes   int64
+	// PrevCRC, when HasPrevCRC, is the CRC-32C of the follower's record at
+	// FromLSN-1: a leader whose record there differs answers Compacted,
+	// since the two logs forked. A follower that holds no record there
+	// (FromLSN 1, or a log that starts at an installed checkpoint) sends
+	// none. It travels as a trailing field, present only when set.
+	PrevCRC    uint32
+	HasPrevCRC bool
 }
 
 var _ Message = (*ReplPull)(nil)
@@ -34,6 +44,9 @@ func (m *ReplPull) encodePayload(w *Writer) {
 	w.PutUvarint(m.FromLSN)
 	w.PutUvarint(uint64(m.MaxRecords))
 	w.PutUvarint(uint64(m.MaxBytes))
+	if m.HasPrevCRC {
+		w.PutUvarint(uint64(m.PrevCRC))
+	}
 }
 
 func (m *ReplPull) decodePayload(r *Reader) {
@@ -52,6 +65,13 @@ func (m *ReplPull) decodePayload(r *Reader) {
 		r.Fail(fmt.Errorf("%w: repl pull max bytes %d", ErrBadPayload, maxBytes))
 	}
 	m.MaxRecords, m.MaxBytes = int(maxRecords), int64(maxBytes)
+	if r.Remaining() > 0 {
+		crc := r.Uvarint()
+		if crc > math.MaxUint32 {
+			r.Fail(fmt.Errorf("%w: repl pull crc %d", ErrBadPayload, crc))
+		}
+		m.PrevCRC, m.HasPrevCRC = uint32(crc), true
+	}
 }
 
 // ReplRecords is the leader's reply to a ReplPull: a contiguous run of

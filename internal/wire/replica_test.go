@@ -7,10 +7,15 @@ import (
 )
 
 func TestReplPullRoundTrip(t *testing.T) {
-	m := &ReplPull{FollowerID: "node-b", FromLSN: 4096, MaxRecords: 256, MaxBytes: 1 << 20}
-	got := roundTrip(t, m).(*ReplPull)
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("round trip changed message:\n%+v\n%+v", m, got)
+	for _, m := range []*ReplPull{
+		{FollowerID: "node-b", FromLSN: 4096, MaxRecords: 256, MaxBytes: 1 << 20},
+		{FollowerID: "node-b", FromLSN: 4096, PrevCRC: 0, HasPrevCRC: true},
+		{FollowerID: "node-b", FromLSN: 2, PrevCRC: 0xffffffff, HasPrevCRC: true},
+	} {
+		got := roundTrip(t, m).(*ReplPull)
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("round trip changed message:\n%+v\n%+v", m, got)
+		}
 	}
 }
 

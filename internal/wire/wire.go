@@ -328,19 +328,31 @@ func Encode(m Message) ([]byte, error) {
 	return EncodeTraced(m, "")
 }
 
+// AppendEncode appends the frame Encode returns for m to dst, so a caller
+// that only copies the frame can encode into a buffer it reuses.
+func AppendEncode(dst []byte, m Message) ([]byte, error) {
+	return appendTraced(dst, m, "")
+}
+
 // EncodeTraced frames a message carrying a trace RequestID. An empty id
 // produces a version-1 frame (exactly Encode); a non-empty id produces a
 // version-2 frame with the id between the type byte and the payload.
 func EncodeTraced(m Message, requestID string) ([]byte, error) {
+	// Typical messages are well under 256 bytes; pre-sizing keeps the hot
+	// ingest path from growing the buffer several times per report.
+	return appendTraced(make([]byte, 0, 256), m, requestID)
+}
+
+// appendTraced appends EncodeTraced's frame to dst.
+func appendTraced(dst []byte, m Message, requestID string) ([]byte, error) {
 	if m == nil {
 		return nil, errors.New("wire: nil message")
 	}
 	if len(requestID) > MaxRequestIDLen {
 		return nil, fmt.Errorf("%w: request id of %d bytes", ErrBadPayload, len(requestID))
 	}
-	// Typical messages are well under 256 bytes; pre-sizing keeps the hot
-	// ingest path from growing the buffer several times per report.
-	w := NewWriter(make([]byte, 0, 256))
+	start := len(dst)
+	w := NewWriter(dst)
 	w.buf = append(w.buf, 'S', 'O', 'R')
 	if requestID == "" {
 		w.buf = append(w.buf, version1)
@@ -352,7 +364,7 @@ func EncodeTraced(m Message, requestID string) ([]byte, error) {
 		w.PutString(requestID)
 	}
 	m.encodePayload(w)
-	sum := crc32.ChecksumIEEE(w.buf[len(magic):])
+	sum := crc32.ChecksumIEEE(w.buf[start+len(magic):])
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
 	return w.buf, nil
 }
