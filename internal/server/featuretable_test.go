@@ -21,27 +21,46 @@ import (
 type flatKey struct{ category, place, feature string }
 
 // flatModel is the feature table as a flat triple-keyed map, plus the
-// per-category change clock the store's ChangedPlaces must reproduce.
+// per-category change clock the store's ChangedPlaces must reproduce and
+// the table rows it numbers places by: a place's row is the count of the
+// category's places before its first application or cell.
 type flatModel struct {
 	rows      map[flatKey]store.FeatureRow
 	apps      []store.Application
 	ver       map[string]int64            // category -> FeatureVersion
 	placeVer  map[string]map[string]int64 // category -> place -> ver of its last material change
 	appJoined map[string]int64            // category -> ver of its last PutApp
+	rowOf     map[string]map[string]int32 // category -> place -> table row
 }
 
 func newFlatModel() *flatModel {
 	return &flatModel{rows: make(map[flatKey]store.FeatureRow), ver: make(map[string]int64),
-		placeVer: make(map[string]map[string]int64), appJoined: make(map[string]int64)}
+		placeVer: make(map[string]map[string]int64), appJoined: make(map[string]int64),
+		rowOf: make(map[string]map[string]int32)}
+}
+
+// row numbers place in category's table on its first appearance.
+func (m *flatModel) row(category, place string) int32 {
+	if m.rowOf[category] == nil {
+		m.rowOf[category] = make(map[string]int32)
+	}
+	r, ok := m.rowOf[category][place]
+	if !ok {
+		r = int32(len(m.rowOf[category]))
+		m.rowOf[category][place] = r
+	}
+	return r
 }
 
 func (m *flatModel) putApp(a store.Application) {
+	m.row(a.Category, a.Place)
 	m.apps = append(m.apps, a)
 	m.ver[a.Category]++
 	m.appJoined[a.Category] = m.ver[a.Category]
 }
 
 func (m *flatModel) upsert(row store.FeatureRow) {
+	m.row(row.Category, row.Place)
 	k := flatKey{row.Category, row.Place, row.Feature}
 	old, ok := m.rows[k]
 	m.rows[k] = row
@@ -98,15 +117,15 @@ func (m *flatModel) matrix(category string) (places []string, values [][]float64
 }
 
 // changed is ChangedPlaces over the model.
-func (m *flatModel) changed(category string, since int64) ([]string, bool) {
-	var places []string
+func (m *flatModel) changed(category string, since int64) ([]int32, bool) {
+	var rows []int32
 	for place, v := range m.placeVer[category] {
 		if v > since {
-			places = append(places, place)
+			rows = append(rows, m.rowOf[category][place])
 		}
 	}
-	slices.Sort(places)
-	return places, m.appJoined[category] > since
+	slices.Sort(rows)
+	return rows, m.appJoined[category] > since
 }
 
 func sameRow(a, b store.FeatureRow) bool {
@@ -361,7 +380,7 @@ func TestSharedPlaceRankedOnce(t *testing.T) {
 			upsert(place, f.Name, float64(10*k+j))
 		}
 	}
-	m, err := s.FeatureMatrix(category)
+	m, rowOf, err := s.featureMatrix(category)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +418,7 @@ func TestSharedPlaceRankedOnce(t *testing.T) {
 	if got := snap.cranker.Places(); !slices.Equal(got, []string{"Same", "Other"}) {
 		t.Fatalf("patched epoch places = %v", got)
 	}
-	if row := snap.cranker.Row(snap.rowOf["Same"]); row[len(row)-1] != -42 {
+	if row := snap.cranker.Row(int(snap.rowOf[slices.Index(rowOf, 0)])); row[len(row)-1] != -42 {
 		t.Fatalf("patched epoch row for Same = %v, want wifi -42", row)
 	}
 	if got := rankPlaces(); !slices.Equal(got, []string{"Other", "Same"}) {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sor/internal/obs"
 	"sor/internal/ranking"
@@ -202,7 +202,7 @@ func patchDifferential(t *testing.T, seed int64) {
 						t.Fatalf("%s after %s: unchanged row %s moved from %v to %v", n.name, step.what, place, was, got)
 					}
 				}
-				if &snap.cranker.Places()[0] != &n.prev.cranker.Places()[0] || !sameMap(snap.rowOf, n.prev.rowOf) {
+				if &snap.cranker.Places()[0] != &n.prev.cranker.Places()[0] || !sameIndex(snap.rowOf, n.prev.rowOf) {
 					t.Fatalf("%s after %s: patched epoch rebuilt its places or row index", n.name, step.what)
 				}
 			}
@@ -283,16 +283,17 @@ func epochOf(snap *rankSnapshot) int64 {
 	return snap.epoch
 }
 
-// sameMap reports whether two maps are the same map, not merely equal.
-func sameMap(a, b map[string]int) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+// sameIndex reports whether two row indexes are the same slice, not
+// merely equal.
+func sameIndex(a, b []int32) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b)
 }
 
 // matchesFullBuild compares a served snapshot with the from-scratch build
 // over the node's current feature table.
 func matchesFullBuild(t *testing.T, when string, s *Server, category string, snap *rankSnapshot) {
 	t.Helper()
-	want, err := s.FeatureMatrix(category)
+	want, rowOf, err := s.featureMatrix(category)
 	if err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
@@ -307,13 +308,17 @@ func matchesFullBuild(t *testing.T, when string, s *Server, category string, sna
 			}
 		}
 	}
-	for place, i := range snap.rowOf {
-		if want.Places[i] != place {
-			t.Fatalf("%s: row index sends %s to row %d (%s)", when, place, i, want.Places[i])
-		}
+	if len(snap.rowOf) > len(rowOf) {
+		t.Fatalf("%s: row index covers %d table rows, the table has %d", when, len(snap.rowOf), len(rowOf))
 	}
-	if len(snap.rowOf) != len(want.Places) {
-		t.Fatalf("%s: row index covers %d of %d places", when, len(snap.rowOf), len(want.Places))
+	for r, i := range rowOf {
+		got := int32(-1)
+		if r < len(snap.rowOf) {
+			got = snap.rowOf[r]
+		}
+		if got != i {
+			t.Fatalf("%s: row index sends table row %d to row %d, full build to %d", when, r, got, i)
+		}
 	}
 	scratch, err := ranking.NewColumnarRanker(want)
 	if err != nil {

@@ -929,19 +929,26 @@ func (s *Server) handleRankRequest(ctx context.Context, msg *wire.RankRequest) (
 // applications, each listed once; a place without every catalog feature
 // is skipped.
 func (s *Server) FeatureMatrix(category string) (*ranking.Matrix, error) {
+	m, _, err := s.featureMatrix(category)
+	return m, err
+}
+
+// featureMatrix is FeatureMatrix with the map from the rows of the
+// category's feature table to the matrix's (Store.FeatureValues).
+func (s *Server) featureMatrix(category string) (*ranking.Matrix, []int32, error) {
 	catalog, ok := s.catalog[category]
 	if !ok {
-		return nil, fmt.Errorf("server: no feature catalog for category %q", category)
+		return nil, nil, fmt.Errorf("server: no feature catalog for category %q", category)
 	}
 	names := make([]string, len(catalog))
 	for j, f := range catalog {
 		names[j] = f.Name
 	}
-	places, values := s.db.FeatureValues(category, names)
+	rowOf, places, values := s.db.FeatureValues(category, names)
 	if len(places) == 0 {
-		return nil, fmt.Errorf("server: no fully sensed places in category %q", category)
+		return nil, nil, fmt.Errorf("server: no fully sensed places in category %q", category)
 	}
-	return &ranking.Matrix{Features: catalog, Places: places, Values: values}, nil
+	return &ranking.Matrix{Features: catalog, Places: places, Values: values}, rowOf, nil
 }
 
 // ExecutedInstants returns the app's recorded measurement instants, sorted

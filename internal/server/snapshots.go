@@ -44,11 +44,11 @@ type rankSnapshot struct {
 	epoch    int64
 	cranker  *ranking.ColumnarRanker
 	features []string // response header, aligned with the ranker's columns
-	// rowOf maps a place to its row. Built once per full build and
-	// carried unchanged by every epoch patched from it; nil when two
-	// applications share a place, which makes rows ambiguous — such a
-	// category is never patched.
-	rowOf map[string]int
+	// rowOf maps a row of the category's feature table to the epoch's
+	// row, -1 for a place the epoch does not list (Store.FeatureValues).
+	// Built once per full build and carried unchanged by every epoch
+	// patched from it.
+	rowOf []int32
 
 	// Staleness signals captured at build time; the snapshot is stale once
 	// any of them moves (see snapStale).
@@ -219,7 +219,7 @@ func (s *Server) rebuildSnapshot(cs *categoryServing, category string, prev *ran
 // fullEpoch builds an epoch's columnar ranker and row index from the
 // feature table; the caller stamps the epoch number and signals.
 func (s *Server) fullEpoch(category string) (*rankSnapshot, error) {
-	matrix, err := s.FeatureMatrix(category)
+	matrix, rowOf, err := s.featureMatrix(category)
 	if err != nil {
 		return nil, errors.Join(errNoRankData, err)
 	}
@@ -231,20 +231,21 @@ func (s *Server) fullEpoch(category string) (*rankSnapshot, error) {
 	for j, f := range matrix.Features {
 		features[j] = f.Name
 	}
-	return &rankSnapshot{cranker: cranker, features: features, rowOf: rowIndex(matrix.Places)}, nil
+	return &rankSnapshot{cranker: cranker, features: features, rowOf: rowOf}, nil
 }
 
 // patchEpoch derives the next epoch from prev at the cost of the changed
-// rows: it reads the catalog cells of just the places the store reports
-// changed since prev was built, and the columnar ranker is prev's patched
-// with those rows. It returns nil — and the caller builds in full — when
-// there is no previous epoch, an application joined the category since, a
-// changed place is not a row of prev (it just completed its catalog, so
-// membership is about to change), one of its cells is missing, or Patch
-// refuses. The caller captured the feature version before this reads
-// ChangedPlaces and then the cells, so an upsert racing the reads carries
-// a later version and is re-read next epoch. Works unchanged on a
-// replica: ApplyReplicated stamps the same versions.
+// rows: it reads the catalog cells of just the table rows the store
+// reports changed since prev was built, under one read lock, and the
+// columnar ranker is prev's patched with those rows. It returns nil — and
+// the caller builds in full — when there is no previous epoch, an
+// application joined the category since, a changed place is not a row of
+// prev (it just completed its catalog, so membership is about to change),
+// one of its cells is missing, or Patch refuses. The caller captured the
+// feature version before this reads ChangedPlaces and then the cells, so
+// an upsert racing the reads carries a later version and is re-read next
+// epoch. Works unchanged on a replica: ApplyReplicated stamps the same
+// versions.
 func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
 	if prev == nil {
 		return nil
@@ -253,39 +254,22 @@ func (s *Server) patchEpoch(category string, prev *rankSnapshot) *rankSnapshot {
 	if appJoined {
 		return nil
 	}
-	width := len(prev.features)
-	cells := make([]float64, len(changed)*width)
-	rows := make([][]float64, len(changed))
 	dirty := make([]int, len(changed))
-	for k, place := range changed {
-		i, ok := prev.rowOf[place]
-		if !ok {
+	for k, r := range changed {
+		if int(r) >= len(prev.rowOf) || prev.rowOf[r] < 0 {
 			return nil
 		}
-		row := cells[k*width : (k+1)*width : (k+1)*width]
-		for j, f := range prev.features {
-			cell, err := s.db.Feature(category, place, f)
-			if err != nil {
-				return nil
-			}
-			row[j] = cell.Value
-		}
-		rows[k], dirty[k] = row, i
+		dirty[k] = int(prev.rowOf[r])
+	}
+	rows, ok := s.db.RowValues(category, changed, prev.features)
+	if !ok {
+		return nil
 	}
 	cranker, err := prev.cranker.Patch(dirty, rows)
 	if err != nil {
 		return nil
 	}
 	return &rankSnapshot{cranker: cranker, features: prev.features, rowOf: prev.rowOf}
-}
-
-// rowIndex maps each place to its row (FeatureMatrix lists a place once).
-func rowIndex(places []string) map[string]int {
-	rowOf := make(map[string]int, len(places))
-	for i, p := range places {
-		rowOf[p] = i
-	}
-	return rowOf
 }
 
 // profileKeyBufPool recycles the append buffer profileKey builds into;

@@ -190,8 +190,8 @@ func alias(r *wire.Reader) string {
 }
 
 // interner shares one string among the rows of a restore for the
-// low-cardinality fields (categories, feature names, app IDs, scripts). A
-// nil interner copies every string, as str does.
+// low-cardinality fields (the app IDs of participations, schedules and
+// uploads). A nil interner copies every string, as str does.
 type interner map[string]string
 
 func (in interner) str(r *wire.Reader) string {
@@ -223,11 +223,13 @@ func readUser(r *wire.Reader) User {
 	return User{ID: str(r), Name: str(r), Token: str(r)}
 }
 
-func readApp(r *wire.Reader, in interner) Application {
+// readApp reads an application whose strings but its ID alias r's input:
+// the apps table copies the ones it keeps (setApp).
+func readApp(r *wire.Reader) Application {
 	return Application{
-		ID: str(r), Creator: str(r), Category: in.str(r), Place: str(r),
+		ID: str(r), Creator: alias(r), Category: alias(r), Place: alias(r),
 		Lat: r.Float(), Lon: r.Float(), RadiusM: r.Float(),
-		Script: in.str(r), PeriodSec: r.Varint(),
+		Script: alias(r), PeriodSec: r.Varint(),
 	}
 }
 

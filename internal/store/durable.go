@@ -157,8 +157,8 @@ func (b *DurableBackend) Open() (*Store, error) {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
 	// Restore and replay share one interner, dropped when Open returns: a
-	// replayed application shares its category and script with the
-	// restored ones.
+	// replayed participation, schedule or upload shares its app ID with
+	// the restored ones.
 	in := make(interner)
 	st, err := load(SnapshotPath(b.dir), in)
 	if err != nil {

@@ -158,8 +158,8 @@ func TestDurableBackendKillRecoversFromWALAlone(t *testing.T) {
 }
 
 // TestReplayInternsWhatRestoreInterns: an application replayed from the
-// WAL tail shares its category and script with the restored ones, as two
-// restored applications do with each other.
+// WAL tail shares its creator, category and script with the restored ones,
+// as two restored applications do with each other.
 func TestReplayInternsWhatRestoreInterns(t *testing.T) {
 	dir := t.TempDir()
 	b := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
@@ -168,7 +168,7 @@ func TestReplayInternsWhatRestoreInterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := func(id string) Application {
-		return Application{ID: id, Category: "coffee-" + "shop", Place: "p-" + id, Script: strings.Repeat("sense();", 8)}
+		return Application{ID: id, Creator: "ben" + "ch", Category: "coffee-" + "shop", Place: "p-" + id, Script: strings.Repeat("sense();", 8)}
 	}
 	for _, id := range []string{"a1", "a2"} {
 		if err := st.PutApp(app(id)); err != nil {
@@ -195,9 +195,10 @@ func TestReplayInternsWhatRestoreInterns(t *testing.T) {
 		t.Fatalf("reopened store holds %d apps, want 4", len(apps))
 	}
 	for _, a := range apps[1:] {
-		if unsafe.StringData(a.Category) != unsafe.StringData(apps[0].Category) ||
+		if unsafe.StringData(a.Creator) != unsafe.StringData(apps[0].Creator) ||
+			unsafe.StringData(a.Category) != unsafe.StringData(apps[0].Category) ||
 			unsafe.StringData(a.Script) != unsafe.StringData(apps[0].Script) {
-			t.Errorf("app %s holds its own copy of the category or script of app %s", a.ID, apps[0].ID)
+			t.Errorf("app %s holds its own copy of the creator, category or script of app %s", a.ID, apps[0].ID)
 		}
 	}
 }

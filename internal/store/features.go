@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -64,9 +63,11 @@ func (c *featColumn) get(r int32) *featCell {
 // live entries, one per stamped row, when it reaches twice their number.
 type featTable struct {
 	category string
+	id       int32            // index in Store.cats
 	rowOf    map[string]int32 // place -> row
 	places   []string         // row -> place
 	cols     []featColumn     // ascending by name
+	apps     []int32          // the category's app rows, by app ID
 
 	ver     atomic.Int64
 	stamps  []int64
@@ -81,14 +82,16 @@ type rowBump struct {
 	row int32
 }
 
-// table returns category's feature table, creating it.
+// table returns category's feature table, creating it. Caller holds s.mu
+// or owns the store.
 func (s *Store) table(category string) *featTable {
 	if t := s.lookup(category); t != nil {
 		return t
 	}
-	t := &featTable{category: strings.Clone(category), rowOf: make(map[string]int32)}
-	v, _ := s.features.LoadOrStore(t.category, t)
-	return v.(*featTable)
+	t := &featTable{category: strings.Clone(category), id: int32(len(s.cats)), rowOf: make(map[string]int32)}
+	s.cats = append(s.cats, t)
+	s.features.Store(t.category, t)
+	return t
 }
 
 // lookup returns category's feature table, or nil.
@@ -104,18 +107,25 @@ func (t *featTable) col(feature string) (int, bool) {
 	return slices.BinarySearchFunc(t.cols, feature, func(c featColumn, f string) int { return strings.Compare(c.name, f) })
 }
 
-// put writes row into the table, copying the names it keeps, and returns
-// the place's row and whether the cell is new or its value or samples
-// changed. Caller holds s.mu or owns the store.
-func (t *featTable) put(row *FeatureRow) (int32, bool) {
-	r, ok := t.rowOf[row.Place]
+// rowFor returns place's row, adding it without cells and copying the
+// name.
+func (t *featTable) rowFor(place string) int32 {
+	r, ok := t.rowOf[place]
 	if !ok {
 		r = int32(len(t.places))
-		place := strings.Clone(row.Place)
+		place = strings.Clone(place)
 		t.rowOf[place] = r
 		t.places = append(t.places, place)
 		t.stamps = append(t.stamps, 0)
 	}
+	return r
+}
+
+// put writes row into the table, copying the names it keeps, and returns
+// the place's row and whether the cell is new or its value or samples
+// changed. Caller holds s.mu or owns the store.
+func (t *featTable) put(row *FeatureRow) (int32, bool) {
+	r := t.rowFor(row.Place)
 	i, ok := t.col(row.Feature)
 	if !ok {
 		t.cols = slices.Insert(t.cols, i, featColumn{name: strings.Clone(row.Feature)})
@@ -230,26 +240,53 @@ func (s *Store) FeatureVersion(category string) int64 {
 	return 0
 }
 
-// ChangedPlaces returns the places in a category whose feature rows
-// changed at a version strictly greater than since, sorted, and whether an
-// application joined the category after since (the ranked place set may
-// have grown). The result is conservative: it may include a change a
-// since-captured reader already observed, but never omits one it missed.
-func (s *Store) ChangedPlaces(category string, since int64) (places []string, appJoined bool) {
+// ChangedPlaces returns the rows of a category's table (those
+// FeatureValues' rowOf is indexed by) whose cells changed at a version strictly greater than
+// since, ascending, and whether an application joined the category after
+// since (the ranked place set may have grown). The result is
+// conservative: it may include a change a since-captured reader already
+// observed, but never omits one it missed.
+func (s *Store) ChangedPlaces(category string, since int64) (rows []int32, appJoined bool) {
 	s.mu.RLock()
 	if t := s.lookup(category); t != nil {
 		// The first stamp after since.
 		i, _ := slices.BinarySearchFunc(t.bumps, since+1, func(b rowBump, ver int64) int { return cmp.Compare(b.ver, ver) })
 		for _, b := range t.bumps[i:] {
 			if t.stamps[b.row] == b.ver {
-				places = append(places, t.places[b.row])
+				rows = append(rows, b.row)
 			}
 		}
 		appJoined = t.appVer > since
 	}
 	s.mu.RUnlock()
-	sort.Strings(places)
-	return places, appJoined
+	slices.Sort(rows)
+	return rows, appJoined
+}
+
+// RowValues reads the named features of rows of a category's table, as
+// ChangedPlaces returns them, under one read lock: a row of values per
+// row. It reports false if a row lacks one of them.
+func (s *Store) RowValues(category string, rows []int32, features []string) ([][]float64, bool) {
+	out := make([][]float64, len(rows))
+	arena := make([]float64, len(rows)*len(features))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t := s.lookup(category)
+	for k, r := range rows {
+		out[k] = arena[k*len(features) : (k+1)*len(features) : (k+1)*len(features)]
+		for j, f := range features {
+			c, ok := t.col(f)
+			if !ok {
+				return nil, false
+			}
+			cell := t.cols[c].get(r)
+			if cell == nil {
+				return nil, false
+			}
+			out[k][j] = cell.value
+		}
+	}
+	return out, true
 }
 
 // Feature fetches one feature row.
@@ -283,34 +320,36 @@ func (s *Store) FeaturesByCategory(category string) []FeatureRow {
 }
 
 // FeatureValues reads a category's ranking matrix: the places of its
-// applications in ID order, each once (at its first application), with the
-// values of the named features in the order given, skipping a place that
-// lacks one. Values are copied under the lock: nothing aliases the table.
-func (s *Store) FeatureValues(category string, features []string) (places []string, values [][]float64) {
+// applications in ID order, each once (at its first application), with
+// the values of the named features in the order given, skipping a place
+// that lacks one, and rowOf, which maps each row of the category's table
+// (as ChangedPlaces numbers them) to its place's index, -1 for a row not
+// listed. Values are copied under the lock: nothing aliases the table.
+func (s *Store) FeatureValues(category string, features []string) (rowOf []int32, places []string, values [][]float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t := s.lookup(category)
 	if t == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	cols := make([]*featColumn, len(features))
 	for j, f := range features {
 		c, ok := t.col(f)
 		if !ok {
-			return nil, nil // no place has every feature
+			return nil, nil, nil // no place has every feature
 		}
 		cols[j] = &t.cols[c]
 	}
-	ids := s.appIDsByCategory(category)
-	arena := make([]float64, 0, len(ids)*len(features))
-	listed := make([]bool, len(t.places))
-	for _, id := range ids {
-		place := s.apps[id].Place
-		r, ok := t.rowOf[place]
-		if !ok || listed[r] {
-			continue
+	arena := make([]float64, 0, len(t.apps)*len(features))
+	rowOf = make([]int32, len(t.places))
+	for r := range rowOf {
+		rowOf[r] = -1
+	}
+	for _, a := range t.apps {
+		r := s.apps.at(a).place
+		if rowOf[r] >= 0 {
+			continue // listed at an earlier app; an unlisted one fails again
 		}
-		listed[r] = true
 		start := len(arena)
 		for _, c := range cols {
 			cell := c.get(r)
@@ -323,8 +362,9 @@ func (s *Store) FeatureValues(category string, features []string) (places []stri
 			arena = arena[:start] // place not fully sensed yet
 			continue
 		}
-		places = append(places, place)
+		rowOf[r] = int32(len(places))
+		places = append(places, t.places[r])
 		values = append(values, arena[start:len(arena):len(arena)])
 	}
-	return places, values
+	return rowOf, places, values
 }

@@ -30,8 +30,26 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A category whose feature rows came first, two apps on one place and
+	// an app with no category.
+	shapes := New()
+	for _, err := range []error{
+		shapes.UpsertFeature(FeatureRow{Category: "trail", Place: "ridge", Feature: "roughness", Value: 2, Updated: now}),
+		shapes.PutApp(Application{ID: "a2", Category: "trail", Place: "ridge", Script: "return 1"}),
+		shapes.PutApp(Application{ID: "a1", Category: "trail", Place: "ridge", Creator: "c"}),
+		shapes.PutApp(Application{ID: "a3", Place: "nowhere"}),
+	} {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	appShapes, err := shapes.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(healthy)
 	f.Add(fullWindow)
+	f.Add(appShapes)
 	f.Add(random[:min(len(random), 4096)])
 	f.Add(healthy[:len(healthy)-3])
 	flipped := bytes.Clone(healthy)
@@ -82,6 +100,8 @@ func FuzzWALOpDecode(f *testing.F) {
 	for _, op := range []walOp{
 		{tag: userTag, user: User{ID: "u1", Name: "Alice", Token: "tok"}},
 		{tag: appTag, app: Application{ID: "a1", Category: "coffee-shop", Lat: 40.1, Lon: -88.2, RadiusM: 50, PeriodSec: 10800}},
+		{tag: appTag, app: Application{ID: "a2", Creator: "c", Place: "nowhere", Script: "return 1"}}, // no category
+		{tag: appTag, app: Application{ID: "a3", Category: "c", Place: "p"}},                          // the feature row's place
 		{tag: partTag, part: Participation{TaskID: "t1", UserID: "u1", AppID: "a1", Budget: 17, Status: TaskRunning, Joined: now}},
 		{tag: featTag, feat: FeatureRow{Category: "c", Place: "p", Feature: "f", Value: 73.5, Samples: 12, Updated: now}},
 		{tag: schedTag, sched: ScheduleRow{TaskID: "t1", AppID: "a1", UserID: "u1", AtUnix: []int64{10, 20}}},

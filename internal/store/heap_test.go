@@ -282,3 +282,112 @@ func TestDrainedBodiesAreFreed(t *testing.T) {
 		t.Fatal("the drain dropped window entries")
 	}
 }
+
+// Heap budget of one stored application at the rank benchmark's shape:
+// its row, its ID and index entry, its place's name and row in the
+// category's feature table, and its share of the category's app list.
+// Measured 216.8–217.8 B in 2.02–2.03 objects.
+const (
+	appHeapBytes   = 250
+	appHeapObjects = 2.33
+)
+
+// TestStoredAppHeap gates what an application costs the heap — 10 000
+// apps of one category, one place each, one creator and one script — on
+// every path that fills the apps table: live PutApp, a follower fed by
+// ApplyReplicated, and checkpoint + reopen with half the apps in the
+// snapshot and half in the WAL tail.
+func TestStoredAppHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting")
+	}
+	const apps = 10000
+	fill := func(st *Store, from, to int) {
+		t.Helper()
+		for p := from; p < to; p++ {
+			if err := st.PutApp(Application{ID: fmt.Sprintf("cafe-app-%05d", p), Creator: "bench", Category: "cafe",
+				Place: fmt.Sprintf("cafe-place-%05d", p), Lat: 43 + float64(p)*1e-4, Lon: -76, RadiusM: 500,
+				Script: "return 1", PeriodSec: 3 * 3600}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(path string, before, beforeObjs int64) {
+		t.Helper()
+		after, afterObjs := liveHeap()
+		perApp := float64(after-before) / apps
+		objs := float64(afterObjs-beforeObjs) / apps
+		t.Logf("%s: %.1f B in %.3f heap objects per stored application", path, perApp, objs)
+		if perApp > appHeapBytes || objs > appHeapObjects {
+			t.Errorf("%s: a stored application costs %.1f B in %.3f objects, budget %d B in %.2f",
+				path, perApp, objs, appHeapBytes, appHeapObjects)
+		}
+	}
+
+	b := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	st, err := b.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeObjs := liveHeap()
+	fill(st, 0, apps)
+	check("live PutApp", before, beforeObjs)
+
+	fb := NewDurableBackend(t.TempDir(), WithSnapshotInterval(time.Hour))
+	follower, err := fb.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeObjs = liveHeap()
+	for lsn := uint64(0); ; {
+		recs, err := b.WAL().ReadAfter(lsn, 1024, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			break
+		}
+		for _, rec := range recs {
+			lsn++
+			if err := follower.ApplyReplicated(lsn, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("ApplyReplicated", before, beforeObjs)
+	runtime.KeepAlive(follower)
+	for _, c := range []*DurableBackend{fb, b} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, st, fb, follower = nil, nil, nil, nil
+
+	// Half the apps in the checkpoint, half in the WAL tail.
+	dir := t.TempDir()
+	b = NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	if st, err = b.Open(); err != nil {
+		t.Fatal(err)
+	}
+	fill(st, 0, apps/2)
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fill(st, apps/2, apps)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, st = nil, nil
+	b2 := NewDurableBackend(dir, WithSnapshotInterval(time.Hour))
+	before, beforeObjs = liveHeap()
+	reopened, err := b2.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if n := len(reopened.AppsByCategory("cafe")); n != apps {
+		t.Fatalf("reopened store holds %d apps, want %d", n, apps)
+	}
+	check("checkpoint + reopen", before, beforeObjs)
+	runtime.KeepAlive(reopened)
+}

@@ -92,10 +92,10 @@ func (s *Store) capture() *image {
 		}
 		sh.mu.RUnlock()
 	}
+	img.apps = s.Apps() // takes s.mu itself; snapMu parks its writers
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	img.users = values(s.users)
-	img.apps = values(s.apps)
 	img.parts = values(s.participations)
 	s.features.Range(func(_, t any) bool {
 		img.feats = append(img.feats, t.(*featTable).cut())
@@ -359,8 +359,8 @@ func (s *Store) restoreSection(payload []byte, in interner) error {
 		case userTag:
 			s.setUser(readUser(r))
 		case appTag:
-			a := readApp(r, in)
-			s.apps[a.ID] = a
+			a := readApp(r)
+			s.setApp(&a)
 		case partTag:
 			s.setParticipation(readPart(r, in))
 		case featTag:

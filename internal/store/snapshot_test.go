@@ -372,8 +372,8 @@ func randomStore(rng *rand.Rand) *Store {
 		s.users[id(i)] = User{ID: id(i), Name: str(), Token: str()}
 	}
 	for i := n(); i >= 0; i-- {
-		s.apps[id(i)] = Application{ID: id(i), Creator: str(), Category: str(), Place: str(),
-			Lat: flt(), Lon: flt(), RadiusM: flt(), Script: str(), PeriodSec: rng.Int63() - rng.Int63()}
+		s.setApp(&Application{ID: id(i), Creator: str(), Category: str(), Place: str(),
+			Lat: flt(), Lon: flt(), RadiusM: flt(), Script: str(), PeriodSec: rng.Int63() - rng.Int63()})
 	}
 	for i := n(); i >= 0; i-- {
 		s.setParticipation(Participation{TaskID: id(i), UserID: str(), Token: str(), AppID: str(),

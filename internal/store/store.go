@@ -189,7 +189,7 @@ type Store struct {
 	mu             sync.RWMutex
 	users          map[string]User
 	tokens         map[string]string // device token -> lowest user ID holding it
-	apps           map[string]Application
+	apps           appTable          // apps.go
 	participations map[string]Participation
 	// activeTasks indexes participations by user: the (app, task) IDs of
 	// the user's tasks neither finished nor failed, ascending. Derived —
@@ -203,8 +203,10 @@ type Store struct {
 
 	// features holds one *featTable per category (features.go). The map
 	// is read without s.mu, so the rank-serving layer can poll a category's
-	// version lock-free; each table's contents are guarded by s.mu.
+	// version lock-free; each table's contents are guarded by s.mu. cats
+	// lists the same tables by featTable.id, guarded by s.mu.
 	features sync.Map
+	cats     []*featTable
 }
 
 // activeTask is one entry of a user's active-task index.
@@ -222,7 +224,7 @@ func New() *Store {
 	s := &Store{
 		users:          make(map[string]User),
 		tokens:         make(map[string]string),
-		apps:           make(map[string]Application),
+		apps:           appTable{rowOf: make(map[string]int32)},
 		participations: make(map[string]Participation),
 		activeTasks:    make(map[string][]activeTask),
 		anchors:        make(map[string]int64),
@@ -293,81 +295,6 @@ func (s *Store) Users() []User {
 	out := make([]User, 0, len(s.users))
 	for _, u := range s.users {
 		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// ---- Applications ----
-
-// PutApp inserts an application. A new app can add a place to its
-// category's ranking matrix, so the category's feature version is bumped.
-func (s *Store) PutApp(a Application) error {
-	if a.ID == "" {
-		return errors.New("store: application needs an id")
-	}
-	s.snapMu.RLock()
-	defer s.snapMu.RUnlock()
-	s.mu.Lock()
-	if _, ok := s.apps[a.ID]; ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: app %s", ErrDuplicate, a.ID)
-	}
-	if err := s.logOp(&walOp{tag: appTag, app: a}); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.apps[a.ID] = a
-	if a.Category != "" {
-		s.table(a.Category).bumpApp()
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// App fetches an application.
-func (s *Store) App(id string) (Application, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a, ok := s.apps[id]
-	if !ok {
-		return Application{}, fmt.Errorf("%w: app %s", ErrNotFound, id)
-	}
-	return a, nil
-}
-
-// AppsByCategory lists applications in a category sorted by ID.
-func (s *Store) AppsByCategory(category string) []Application {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := s.appIDsByCategory(category)
-	out := make([]Application, len(ids))
-	for i, id := range ids {
-		out[i] = s.apps[id]
-	}
-	return out
-}
-
-// appIDsByCategory lists the IDs of a category's applications, ascending.
-// Caller holds s.mu.
-func (s *Store) appIDsByCategory(category string) []string {
-	var ids []string
-	for id, a := range s.apps {
-		if a.Category == category {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Apps lists all applications sorted by ID.
-func (s *Store) Apps() []Application {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Application, 0, len(s.apps))
-	for _, a := range s.apps {
-		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -483,7 +410,11 @@ func (s *Store) ActiveTaskOfUser(userID string) (Application, Participation, err
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if tasks := s.activeTasks[userID]; len(tasks) > 0 {
-		return s.apps[tasks[0].AppID], s.participations[tasks[0].TaskID], nil
+		var app Application
+		if r, ok := s.apps.rowOf[tasks[0].AppID]; ok {
+			app = s.app(r)
+		}
+		return app, s.participations[tasks[0].TaskID], nil
 	}
 	return Application{}, Participation{}, fmt.Errorf("%w: active task for %s", ErrNotFound, userID)
 }

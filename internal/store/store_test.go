@@ -425,7 +425,8 @@ func TestConcurrentAccess(t *testing.T) {
 
 // TestChangedPlacesMatchesMapWalk: over random place and application
 // bumps, with the log compacting along the way, ChangedPlaces(since)
-// returns exactly what a walk of every place's latest version does, for
+// returns the rows of exactly the places a walk of every place's latest
+// version does, in row order, for
 // every since from before the first bump to past the last.
 func TestChangedPlacesMatchesMapWalk(t *testing.T) {
 	const category = "walk"
@@ -458,7 +459,15 @@ func TestChangedPlacesMatchesMapWalk(t *testing.T) {
 				}
 			}
 			sort.Strings(want)
-			got, joined := s.ChangedPlaces(category, since)
+			rows, joined := s.ChangedPlaces(category, since)
+			if !slices.IsSorted(rows) {
+				t.Fatalf("step %d since %d: rows %v out of order", step, since, rows)
+			}
+			var got []string
+			for _, r := range rows {
+				got = append(got, s.table(category).places[r])
+			}
+			sort.Strings(got)
 			if !slices.Equal(got, want) || joined != (appVer > since) {
 				t.Fatalf("step %d since %d: %v joined=%v, map walk %v joined=%v", step, since, got, joined, want, appVer > since)
 			}

@@ -99,7 +99,8 @@ func (s *Store) logOp(op *walOp) error {
 // committing to anything (ApplyReplicated must not let one into the local
 // log): an unknown tag, a short or overlong row, an out-of-range field
 // and a JSON record from before the row codec are all refused. A decoded
-// feature row's strings alias payload, as an ingest op's bytes do. in, when
+// application's strings but its ID, and a feature row's, alias payload, as
+// an ingest op's bytes do. in, when
 // set, shares strings across the records of one recovery, as restore does.
 func decodeWALRecord(payload []byte, in interner) (walOp, error) {
 	var op walOp
@@ -114,7 +115,7 @@ func decodeWALRecord(payload []byte, in interner) (walOp, error) {
 	case userTag:
 		op.user = readUser(r)
 	case appTag:
-		op.app = readApp(r, in)
+		op.app = readApp(r)
 	case partTag:
 		op.part = readPart(r, in)
 	case featTag:
@@ -140,10 +141,7 @@ func (s *Store) applyDecoded(op *walOp) {
 	case userTag:
 		s.setUser(op.user)
 	case appTag:
-		s.apps[op.app.ID] = op.app
-		if op.app.Category != "" {
-			s.table(op.app.Category).bumpApp()
-		}
+		s.putApp(&op.app)
 	case partTag:
 		s.setParticipation(op.part)
 	case featTag:
