@@ -35,7 +35,8 @@ type appRow struct {
 // copies, with an ID → row index. Rows are never removed. Guarded by
 // Store.mu.
 type appTable struct {
-	rowOf  map[string]int32
+	index  nameIndex
+	n      int32 // rows
 	chunks []*[appChunk]appRow
 	strs   dict // creators and scripts
 }
@@ -63,6 +64,12 @@ func (d *dict) id(s string) uint32 {
 // at returns row r.
 func (a *appTable) at(r int32) *appRow { return &a.chunks[r/appChunk][r%appChunk] }
 
+// id returns row r's ID.
+func (a *appTable) id(r int32) string { return a.at(r).id }
+
+// find returns the row of the application with ID id.
+func (a *appTable) find(id string) (int32, bool) { return a.index.find(id, a.id) }
+
 // app materialises row r. Caller holds s.mu.
 func (s *Store) app(r int32) Application {
 	row := s.apps.at(r)
@@ -78,14 +85,15 @@ func (s *Store) app(r int32) Application {
 // keeps but the ID. Caller holds s.mu or owns the store.
 func (s *Store) setApp(a *Application) *featTable {
 	t := s.table(a.Category)
-	r, listed := s.apps.rowOf[a.ID]
+	r, listed := s.apps.find(a.ID)
 	if !listed {
-		r = int32(len(s.apps.rowOf))
+		r = s.apps.n
 		if int(r)/appChunk == len(s.apps.chunks) {
 			s.apps.chunks = append(s.apps.chunks, new([appChunk]appRow))
 		}
-		s.apps.rowOf[a.ID] = r
 		s.apps.at(r).id = a.ID
+		s.apps.index.add(a.ID, r, s.apps.id)
+		s.apps.n++
 	} else if old := s.cats[s.apps.at(r).cat]; old != t {
 		i := s.appIndex(old, a.ID)
 		old.apps = slices.Delete(old.apps, i, i+1)
@@ -124,7 +132,7 @@ func (s *Store) PutApp(a Application) error {
 	defer s.snapMu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.apps.rowOf[a.ID]; ok {
+	if _, ok := s.apps.find(a.ID); ok {
 		return fmt.Errorf("%w: app %s", ErrDuplicate, a.ID)
 	}
 	if err := s.logOp(&walOp{tag: appTag, app: a}); err != nil {
@@ -138,7 +146,7 @@ func (s *Store) PutApp(a Application) error {
 func (s *Store) App(id string) (Application, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r, ok := s.apps.rowOf[id]
+	r, ok := s.apps.find(id)
 	if !ok {
 		return Application{}, fmt.Errorf("%w: app %s", ErrNotFound, id)
 	}
@@ -163,7 +171,7 @@ func (s *Store) AppsByCategory(category string) []Application {
 // Apps lists all applications sorted by ID.
 func (s *Store) Apps() []Application {
 	s.mu.RLock()
-	out := make([]Application, len(s.apps.rowOf))
+	out := make([]Application, s.apps.n)
 	for r := range out {
 		out[r] = s.app(int32(r))
 	}

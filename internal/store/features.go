@@ -63,11 +63,11 @@ func (c *featColumn) get(r int32) *featCell {
 // live entries, one per stamped row, when it reaches twice their number.
 type featTable struct {
 	category string
-	id       int32            // index in Store.cats
-	rowOf    map[string]int32 // place -> row
-	places   []string         // row -> place
-	cols     []featColumn     // ascending by name
-	apps     []int32          // the category's app rows, by app ID
+	id       int32        // index in Store.cats
+	index    nameIndex    // place -> row
+	places   []string     // row -> place
+	cols     []featColumn // ascending by name
+	apps     []int32      // the category's app rows, by app ID
 
 	ver     atomic.Int64
 	stamps  []int64
@@ -88,7 +88,7 @@ func (s *Store) table(category string) *featTable {
 	if t := s.lookup(category); t != nil {
 		return t
 	}
-	t := &featTable{category: strings.Clone(category), id: int32(len(s.cats)), rowOf: make(map[string]int32)}
+	t := &featTable{category: strings.Clone(category), id: int32(len(s.cats))}
 	s.cats = append(s.cats, t)
 	s.features.Store(t.category, t)
 	return t
@@ -107,16 +107,21 @@ func (t *featTable) col(feature string) (int, bool) {
 	return slices.BinarySearchFunc(t.cols, feature, func(c featColumn, f string) int { return strings.Compare(c.name, f) })
 }
 
+// place returns row r's place.
+func (t *featTable) place(r int32) string { return t.places[r] }
+
+// find returns place's row.
+func (t *featTable) find(place string) (int32, bool) { return t.index.find(place, t.place) }
+
 // rowFor returns place's row, adding it without cells and copying the
 // name.
 func (t *featTable) rowFor(place string) int32 {
-	r, ok := t.rowOf[place]
+	r, ok := t.find(place)
 	if !ok {
 		r = int32(len(t.places))
-		place = strings.Clone(place)
-		t.rowOf[place] = r
-		t.places = append(t.places, place)
+		t.places = append(t.places, strings.Clone(place))
 		t.stamps = append(t.stamps, 0)
+		t.index.add(place, r, t.place)
 	}
 	return r
 }
@@ -294,7 +299,7 @@ func (s *Store) Feature(category, place, feature string) (FeatureRow, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t := s.lookup(category); t != nil {
-		r, ok := t.rowOf[place]
+		r, ok := t.find(place)
 		c, found := t.col(feature)
 		if ok && found {
 			if row, ok := t.row(r, c); ok {

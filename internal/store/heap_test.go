@@ -123,9 +123,10 @@ func TestStoredReportHeap(t *testing.T) {
 }
 
 // Heap budget of one stored place at the rank benchmark's shape: four
-// feature cells, the place's name, its row index entry and change stamp.
+// feature cells, the place's name, its row index slots and change stamp.
+// Measured 182.8–211.2 B in 1.018–1.023 objects.
 const (
-	placeHeapBytes   = 285
+	placeHeapBytes   = 243
 	placeHeapObjects = 1.15
 )
 
@@ -284,11 +285,11 @@ func TestDrainedBodiesAreFreed(t *testing.T) {
 }
 
 // Heap budget of one stored application at the rank benchmark's shape:
-// its row, its ID and index entry, its place's name and row in the
+// its row, its ID and index slots, its place's name and row in the
 // category's feature table, and its share of the category's app list.
-// Measured 216.8–217.8 B in 2.02–2.03 objects.
+// Measured 142.5–143.5 B in 2.018–2.023 objects.
 const (
-	appHeapBytes   = 250
+	appHeapBytes   = 165
 	appHeapObjects = 2.33
 )
 

@@ -239,8 +239,9 @@ type reportWindow struct {
 
 type idSpan struct{ off, n uint32 }
 
-// windowSeed keys the windows' hash; the index never leaves the process.
-var windowSeed = maphash.MakeSeed()
+// hashSeed keys the store's hash indexes (the windows', nameIndex); no
+// index leaves the process, and chosen IDs cannot aim at one probe chain.
+var hashSeed = maphash.MakeSeed()
 
 // id returns the ID in a ring slot.
 func (w *reportWindow) id(slot int) []byte {
@@ -250,7 +251,7 @@ func (w *reportWindow) id(slot int) []byte {
 }
 
 func (w *reportWindow) home(id []byte) int {
-	return int(maphash.Bytes(windowSeed, id) & uint64(len(w.index)-1))
+	return int(maphash.Bytes(hashSeed, id) & uint64(len(w.index)-1))
 }
 
 // find returns the index position holding id, or the empty one where it

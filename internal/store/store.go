@@ -224,7 +224,6 @@ func New() *Store {
 	s := &Store{
 		users:          make(map[string]User),
 		tokens:         make(map[string]string),
-		apps:           appTable{rowOf: make(map[string]int32)},
 		participations: make(map[string]Participation),
 		activeTasks:    make(map[string][]activeTask),
 		anchors:        make(map[string]int64),
@@ -411,7 +410,7 @@ func (s *Store) ActiveTaskOfUser(userID string) (Application, Participation, err
 	defer s.mu.RUnlock()
 	if tasks := s.activeTasks[userID]; len(tasks) > 0 {
 		var app Application
-		if r, ok := s.apps.rowOf[tasks[0].AppID]; ok {
+		if r, ok := s.apps.find(tasks[0].AppID); ok {
 			app = s.app(r)
 		}
 		return app, s.participations[tasks[0].TaskID], nil
